@@ -398,8 +398,9 @@ pub fn leak_check(epsilon_bytes: i64) -> Vec<(Tag, i64)> {
 }
 
 /// Start a fresh measurement window: reset every account's peak to its
-/// current live level and zero the cumulative counters. Benches call
-/// this between configurations so per-config peaks are comparable.
+/// current live level and zero the cumulative counters. The benchmark
+/// (`cargo run --release -p ah-perf -- all`) calls this before an
+/// accounted run so per-workload peaks are comparable.
 /// Live counts are never touched (they track real outstanding blocks).
 pub fn reset_window() {
     account::reset_window();

@@ -83,17 +83,26 @@ echo "==> WAL crash-recovery gate"
 # ARCHITECTURE.md §10, checked on the shipped binary.
 WAL_DIR="$(mktemp -d)/wal"
 run_bin=(target/release/aggressive-scanners --days 1 --threads 4)
+# The untelemetered, unjournaled baseline every binary-level gate below
+# (WAL, trace, memory) compares against: computed once.
+fp_base=$("${run_bin[@]}" 2>/dev/null | awk -F': ' '/^output fingerprint/{print $2}')
+[ -n "$fp_base" ] || { echo "error: baseline run printed no fingerprint"; exit 1; }
 if "${run_bin[@]}" --wal-dir "$WAL_DIR" --crash-after 2500 >/dev/null 2>&1; then
   echo "error: --crash-after was expected to abort the process"
   exit 1
 fi
-fp_base=$("${run_bin[@]}" 2>/dev/null | awk -F': ' '/^output fingerprint/{print $2}')
+# An interruption point inside the recovered prefix (~2499 packets here)
+# must be refused before anything is re-driven, leaving the log as
+# recovered — the real resume below then proves it still resumes.
+if "${run_bin[@]}" --wal-dir "$WAL_DIR" --resume --suspend-after 1 >/dev/null 2>&1; then
+  echo "error: --resume --suspend-after 1 was expected to be rejected (point inside the recovered prefix)"
+  exit 1
+fi
 fp_resume=$("${run_bin[@]}" --wal-dir "$WAL_DIR" --resume 2>/dev/null \
   | awk -F': ' '/^output fingerprint/{print $2}')
 fp_replay=$("${run_bin[@]}" --wal-dir "$WAL_DIR" --replay 2>/dev/null \
   | awk -F': ' '/^output fingerprint/{print $2}')
 rm -rf "$(dirname "$WAL_DIR")"
-[ -n "$fp_base" ] || { echo "error: baseline run printed no fingerprint"; exit 1; }
 if [ "$fp_resume" != "$fp_base" ] || [ "$fp_replay" != "$fp_base" ]; then
   echo "error: crash-recovery fingerprints diverged:"
   echo "    uninterrupted $fp_base"
@@ -143,18 +152,15 @@ echo "==> trace gate"
 cargo test --release --test trace -q
 TRACE_DIR="$(mktemp -d)"
 trap 'rm -rf "$METRICS_DIR" "$TRACE_DIR"' EXIT
-trace_bin=(target/release/aggressive-scanners --days 1 --threads 4)
-fp_plain=$("${trace_bin[@]}" 2>/dev/null | awk -F': ' '/^output fingerprint/{print $2}')
 # Sample 1-in-32 sources: dense enough for journeys at every layer,
 # sparse enough that the bounded per-thread buffers keep the end-of-run
 # detector spans on a 1-day traced WAL run.
-fp_traced=$("${trace_bin[@]}" --wal-dir "$TRACE_DIR/wal" \
+fp_traced=$("${run_bin[@]}" --wal-dir "$TRACE_DIR/wal" \
   --trace-out "$TRACE_DIR/trace.json" --trace-sample 32 2>/dev/null \
   | awk -F': ' '/^output fingerprint/{print $2}')
-[ -n "$fp_plain" ] || { echo "error: untraced run printed no fingerprint"; exit 1; }
-if [ "$fp_traced" != "$fp_plain" ]; then
+if [ "$fp_traced" != "$fp_base" ]; then
   echo "error: tracing changed the output fingerprint:"
-  echo "    untraced $fp_plain"
+  echo "    untraced $fp_base"
   echo "    traced   ${fp_traced:-<none>}"
   exit 1
 fi
@@ -164,7 +170,7 @@ target/release/ah-trace check "$TRACE_DIR/trace.json" --require-journey \
   --require ah_pipeline_vantage_consume --require ah_telescope_capture_observe \
   --require ah_pipeline_detector_ingest --require ah_pipeline_wal_append \
   --require ah_wal_writer_commit --require ah_wal_writer_fsync
-echo "    traced and untraced runs both fingerprint $fp_plain"
+echo "    traced and untraced runs both fingerprint $fp_base"
 
 echo "==> memory gate"
 # Tagged-allocator accounting is observation-only (ARCHITECTURE.md §13).
@@ -177,15 +183,12 @@ echo "==> memory gate"
 cargo test --release --test memory -q
 MEM_DIR="$(mktemp -d)"
 trap 'rm -rf "$METRICS_DIR" "$TRACE_DIR" "$MEM_DIR"' EXIT
-mem_bin=(target/release/aggressive-scanners --days 1 --threads 4)
-fp_unaccounted=$("${mem_bin[@]}" 2>/dev/null | awk -F': ' '/^output fingerprint/{print $2}')
-"${mem_bin[@]}" --mem-report >"$MEM_DIR/report.txt" 2>&1 \
+"${run_bin[@]}" --mem-report >"$MEM_DIR/report.txt" 2>&1 \
   || { echo "error: --mem-report run failed (leak check?)"; cat "$MEM_DIR/report.txt"; exit 1; }
 fp_accounted=$(awk -F': ' '/^output fingerprint/{print $2}' "$MEM_DIR/report.txt")
-[ -n "$fp_unaccounted" ] || { echo "error: unaccounted run printed no fingerprint"; exit 1; }
-if [ "$fp_accounted" != "$fp_unaccounted" ]; then
+if [ "$fp_accounted" != "$fp_base" ]; then
   echo "error: memory accounting changed the output fingerprint:"
-  echo "    unaccounted $fp_unaccounted"
+  echo "    unaccounted $fp_base"
   echo "    accounted   ${fp_accounted:-<none>}"
   exit 1
 fi
@@ -193,7 +196,7 @@ grep -q '^\[mem\] leak check ok' "$MEM_DIR/report.txt" \
   || { echo "error: leak check line missing from --mem-report output"; exit 1; }
 rss=$(awk '/^peak rss/{print $(NF-1); exit}' "$MEM_DIR/report.txt")
 case "$rss" in (''|0) echo "error: peak RSS missing or zero in memory report"; exit 1;; esac
-echo "    accounted and unaccounted runs both fingerprint $fp_unaccounted; peak rss $rss bytes"
+echo "    accounted and unaccounted runs both fingerprint $fp_base; peak rss $rss bytes"
 
 echo "==> mutation gate"
 # The curated sentinel set (ARCHITECTURE.md §14): ~17 token-level

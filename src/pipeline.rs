@@ -5,22 +5,38 @@
 //! CU-like campus border, and the honeypot fleet — in a single pass, then
 //! finalizes detection.
 //!
-//! Two execution engines share one finalization path:
+//! One engine runs every entry point; each public `run*` function is it
+//! with some parts switched off (`ARCHITECTURE.md` §1 has the table):
 //!
-//! * [`run`] — the serial reference: one vantage stack consumes the
-//!   muxed (and optionally fault-injected) stream in generation order.
-//! * [`run_parallel`] — the sharded engine: a single-threaded dispatcher
-//!   does nothing but drive the traffic mux and hand each raw packet to
-//!   the worker shard owning its source IP over a lock-free SPSC ring
+//! ```text
+//! feeder (mux | recovered log [+ mux]) → injector? → journal? → executor (inline | N shards) → finalize_run
+//! ```
+//!
+//! * **Feeders.** The live traffic mux, and a recovered write-ahead log
+//!   ([`resume_wal`] feeds the log, then the mux; [`replay_wal`] the log
+//!   alone). Both end in one `deliver` step: count → journal → executor →
+//!   exporter tick.
+//! * **Executor.** [`run`] consumes on the driver thread — the serial
+//!   reference. [`run_parallel`] is a pure router: it hands each packet
+//!   to the worker shard owning its source IP over a lock-free SPSC ring
 //!   ([`ah_simnet::ring`]). Every decision that once required global
 //!   stream order — fault injection, aggregator reordering verdicts,
 //!   per-router sampling, flow-cache lateness — is a pure function of
 //!   the *per-source* (or per-key) subsequence, so each shard recomputes
 //!   its own slice of them independently. Shard results return over a
 //!   bounded MPSC merge ring ([`ah_simnet::mpsc`]) and fold with
-//!   order-insensitive operators, so both engines produce **bitwise
-//!   identical** [`RunOutput`]s (see `ARCHITECTURE.md` §11 for the
-//!   proof sketch and [`RunOutput::fingerprint`] for the check).
+//!   order-insensitive operators, so both executors produce **bitwise
+//!   identical** [`RunOutput`]s (see `ARCHITECTURE.md` §11 for the proof
+//!   sketch and [`RunOutput::fingerprint`] for the check).
+//! * **Injector placement.** The shards own the fault injector iff the
+//!   run is sharded and unjournaled. Otherwise the driver owns it: a
+//!   journal must see the post-fault stream in serial delivery order,
+//!   which is what makes an N-thread log byte-identical to a serial one.
+//!   The exporter's tick position follows — post-fault deliveries when
+//!   the driver injects, generated packets when the shards do.
+//! * **Journal.** [`run_wal`] / [`run_parallel_wal`] append every
+//!   delivery to the log before the executor sees it; [`resume_wal`]
+//!   documents how a recovered prefix is re-joined to the live stream.
 //!
 //! Tap experiments (Figures 1/2) are inherently two-phase: the paper
 //! derives the hitter list from darknet detection *before* counting
@@ -44,8 +60,9 @@ use ah_net::packet::{PacketMeta, ScanClass};
 use ah_net::time::Ts;
 use ah_obs::{Exporter, Recorder};
 use ah_simnet::faults::{FaultInjector, FaultPlan, InjectorStats};
-use ah_simnet::mpsc::{mpsc, MpscConsumer};
-use ah_simnet::ring::ring;
+use ah_simnet::mpsc::{mpsc, MpscConsumer, MpscProducer};
+use ah_simnet::mux::TrafficMux;
+use ah_simnet::ring::{ring, Consumer, Producer};
 use ah_simnet::rng::hash64;
 use ah_simnet::scenario::{Scenario, ScenarioConfig};
 use ah_simnet::world::World;
@@ -120,11 +137,11 @@ impl RunOptions {
 ///
 /// Telemetry is **observation-only**: nothing the pipeline computes ever
 /// reads an instrument back, and the exporter is ticked at deterministic
-/// *stream positions* (packets delivered, or packets generated on the
-/// sharded engine), never wall-clock time — so a
+/// *stream positions* (packets delivered, or packets generated when the
+/// shards own the fault injector), never wall-clock time — so a
 /// run with a live recorder produces a [`RunOutput`] bitwise identical
 /// to the same run with [`Telemetry::disabled`]. `tests/telemetry.rs`
-/// holds both engines to exactly this standard.
+/// holds every entry point to exactly this standard.
 pub struct Telemetry {
     /// Recorder every stage registers its instruments on.
     pub recorder: Recorder,
@@ -134,7 +151,7 @@ pub struct Telemetry {
     /// Span/journey tracer threaded through every stage ([`ah_trace`]).
     /// Noop by default; like the recorder it is observation-only, so a
     /// live tracer leaves the [`RunOutput`] bitwise identical
-    /// (`tests/trace.rs` holds both engines to this).
+    /// (`tests/trace.rs` holds every entry point to this).
     pub tracer: Tracer,
     /// Periodic memory-account refresher ([`ah_mem`] → `ah_mem_*`
     /// gauges + peak-pressure trace instants), ticked at the same
@@ -196,7 +213,7 @@ impl MemPulse {
         MemPulse { every, next: every, peak_seen: 0 }
     }
 
-    /// Called with the current stream position from each engine loop.
+    /// Called with the current stream position from `Engine::deliver`.
     fn tick(&mut self, pos: u64, rec: &Recorder, tracer: &Tracer) {
         if pos < self.next {
             return;
@@ -204,6 +221,10 @@ impl MemPulse {
         while self.next <= pos {
             self.next += self.every;
         }
+        // First-time gauge registrations live in the recorder, which
+        // outlives the run: charge them to Obs, whatever run-scoped tag
+        // the feeder is under (log recovery runs under Wal).
+        let _mem = MemScope::enter(Tag::Obs);
         refresh_mem_metrics(rec);
         mem_counter("ah_mem_refresh_ticks_total", rec).inc();
         let peak = ah_mem::global_stats().peak_bytes;
@@ -387,7 +408,7 @@ fn event_sort_key(ev: &DarknetEvent) -> (u32, u16, u8, Ts, Ts, u64, u64, u32, u6
 }
 
 /// All vantage-point state for one execution unit — the whole pipeline in
-/// the serial engine, one shard's slice of it in the parallel engine.
+/// the inline executor, one shard's slice of it in the sharded one.
 struct Vantage {
     telescope: Telescope,
     tracker: DailyTracker,
@@ -395,6 +416,12 @@ struct Vantage {
     cu: Option<IspModel>,
     gn: Option<GreyNoise>,
     not_dark: u64,
+    /// The `consume::<TAGGED>` flavor, picked once per run (at build).
+    tagged_run: bool,
+    /// Packets consumed, mirrored on the run-wide throughput counters.
+    delivered: u64,
+    m_packets: ah_obs::Counter,
+    m_bytes: ah_obs::Counter,
     tracer: Tracer,
 }
 
@@ -421,6 +448,11 @@ struct ShardOut {
     agg: AggregatorStats,
     filtered: u64,
     not_dark: u64,
+    /// Packets delivered to this shard's vantage points.
+    delivered: u64,
+    /// Ledger of the shard-local fault injector (`None` on clean runs,
+    /// and whenever the driver owns the run's single injector).
+    injector: Option<InjectorStats>,
     tracker: DailyTracker,
     merit: Option<(CacheStats, FlowDataset)>,
     cu: Option<(CacheStats, FlowDataset)>,
@@ -485,6 +517,10 @@ impl Vantage {
             cu,
             gn,
             not_dark: 0,
+            tagged_run: ah_mem::accounting_enabled(),
+            delivered: 0,
+            m_packets: rec.counter("ah_pipeline_mux_packets_delivered_total"),
+            m_bytes: rec.counter("ah_pipeline_mux_bytes_delivered_total"),
             tracer: tracer.clone(),
         }
     }
@@ -498,10 +534,10 @@ impl Vantage {
         }
     }
 
-    /// Feed one delivered packet to every vantage point. Both engines
+    /// Feed one delivered packet to every vantage point. Both executors
     /// run this exact path: every downstream decision is a pure function
     /// of the per-source (or per-key) subsequence, so a shard consuming
-    /// only its sources computes exactly what the serial engine does
+    /// only its sources computes exactly what the inline executor does
     /// (see `ARCHITECTURE.md` §11).
     ///
     /// `TAGGED` selects the memory-attribution flavor, once per run
@@ -513,6 +549,9 @@ impl Vantage {
     /// overhead inside its ≤1% budget. The subsystem `observe` methods
     /// themselves carry no scopes for the same reason.
     fn consume<const TAGGED: bool>(&mut self, pkt: &PacketMeta) {
+        self.delivered += 1;
+        self.m_packets.inc();
+        self.m_bytes.add(u64::from(pkt.wire_len));
         // Journey sampling is a pure hash of the source address: it draws
         // no randomness and feeds nothing back into the pipeline.
         let journey = self.tracer.journey_id(pkt.src.to_u32());
@@ -537,16 +576,17 @@ impl Vantage {
     /// predictable branch per packet on a run-constant bool, instead
     /// of tag checks inside every stage.
     #[inline]
-    fn consume_dyn(&mut self, tagged_run: bool, pkt: &PacketMeta) {
-        if tagged_run {
+    fn consume_dyn(&mut self, pkt: &PacketMeta) {
+        if self.tagged_run {
             self.consume::<true>(pkt);
         } else {
             self.consume::<false>(pkt);
         }
     }
 
-    /// Flush open state and reduce to plain mergeable data.
-    fn into_shard_out(mut self) -> ShardOut {
+    /// Flush open state and reduce to plain mergeable data; `injector` is
+    /// the ledger of the shard-local fault injector, if the shard owned one.
+    fn into_shard_out(mut self, injector: Option<InjectorStats>) -> ShardOut {
         let events = self.telescope.flush();
         let agg = self.telescope.aggregator_stats();
         let filtered = self.telescope.filtered_packets();
@@ -566,6 +606,8 @@ impl Vantage {
             agg,
             filtered,
             not_dark: self.not_dark,
+            delivered: self.delivered,
+            injector,
             tracker: self.tracker,
             merit,
             cu,
@@ -574,59 +616,31 @@ impl Vantage {
     }
 }
 
-// --- The sharded engine ------------------------------------------------
+// --- The executor: one inline vantage stack, or N shards ----------------
 
 /// Per-shard SPSC ring slot count; each ring carries the raw packets of
 /// 1/N of the source space.
 const RING_CAPACITY: usize = 4096;
 
-/// One shard's complete result, shipped back to the merge stage over the
-/// MPSC ring.
-struct ShardResult {
-    out: Box<ShardOut>,
-    /// Ledger of the shard-local fault injector (`None` on clean runs,
-    /// and in [`run_parallel_wal`] where the dispatcher owns the single
-    /// global injector).
-    injector: Option<InjectorStats>,
-    /// Packets this shard delivered to its vantage points.
-    delivered: u64,
-}
-
-fn shard_of(src: Ipv4Addr4, threads: usize) -> usize {
-    (hash64(u64::from(src.to_u32())) % threads as u64) as usize
-}
-
-/// Drain the MPSC merge ring, then join the shard threads. Arrival order
-/// on the ring is irrelevant — every merge in [`finalize_run`] is
-/// commutative and event/record order is re-canonicalized there — so the
-/// consumer simply folds results in whatever order shards finish.
-/// Joining *after* the drain still propagates shard panics: a panicking
-/// shard's producer handle counts itself closed on unwind, so the drain
-/// terminates.
-fn collect_shards<'scope>(
-    tracer: &Tracer,
-    mut merge_rx: MpscConsumer<ShardResult>,
-    handles: Vec<std::thread::ScopedJoinHandle<'scope, ()>>,
-) -> Vec<ShardResult> {
-    let _trace = tracer.span("ah_pipeline_merge_collect");
-    let _mem = MemScope::enter(Tag::Merge);
-    let mut results = Vec::with_capacity(handles.len());
-    while let Some(r) = merge_rx.pop_wait() {
-        results.push(r);
+/// Build the run's fault injector for whichever side of the rings owns
+/// it (module docs: injector placement); `None` on clean runs.
+fn injector_for(plan: Option<FaultPlan>, tracer: &Tracer) -> Option<FaultInjector> {
+    let mut injector = {
+        let _mem = MemScope::enter(Tag::Mux);
+        plan.map(FaultInjector::new)
+    };
+    if let Some(inj) = injector.as_mut() {
+        inj.set_tracer(tracer);
     }
-    for h in handles {
-        // ah-lint: allow(panic-path, reason = "a panicking shard thread must propagate the panic rather than silently drop a shard's output")
-        h.join().expect("pipeline shard thread");
-    }
-    results
+    injector
 }
 
-/// Sum the shard-local injector ledgers; `None` when the run is clean.
+/// Sum the shard-local injector ledgers; `None` when no shard owned one.
 /// Every [`InjectorStats`] field is a plain count over a disjoint slice
 /// of the source space, so the per-shard ledgers sum to exactly the
 /// serial injector's.
-fn merge_injector_stats(results: &[ShardResult]) -> Option<InjectorStats> {
-    let mut it = results.iter().filter_map(|r| r.injector.as_ref());
+fn merge_injector_stats(shards: &[ShardOut]) -> Option<InjectorStats> {
+    let mut it = shards.iter().filter_map(|sh| sh.injector.as_ref());
     let mut acc = *it.next()?;
     for s in it {
         acc.merge(s);
@@ -634,14 +648,164 @@ fn merge_injector_stats(results: &[ShardResult]) -> Option<InjectorStats> {
     Some(acc)
 }
 
-/// Merge shard outputs and finalize. The serial engine passes a single
-/// shard, so both engines share every line of finalization.
-#[allow(clippy::too_many_arguments)]
+/// Driver-side half of the sharded executor: the SPSC producers, the
+/// worker handles and the MPSC merge consumer. The driver is a pure
+/// router — `hash64(src) mod N`, then a ring push.
+struct Shards<'scope> {
+    producers: Vec<Producer<PacketMeta>>,
+    handles: Vec<std::thread::ScopedJoinHandle<'scope, ()>>,
+    merge_rx: MpscConsumer<Box<ShardOut>>,
+    m_stalls: ah_obs::Counter,
+    m_stall_us: ah_obs::Histogram,
+    /// Stall timing needs a try-push-then-spin sequence instead of a
+    /// plain spinning push; both deliver the packet at the same stream
+    /// position, so the split is gated on the recorder rather than
+    /// always paid.
+    time_stalls: bool,
+}
+
+impl<'scope> Shards<'scope> {
+    /// Spawn `threads` shard workers. Each pops its slice of the source
+    /// space off its SPSC ring, feeds it to a shard-local vantage stack,
+    /// and ships the reduced result back over the MPSC merge ring. With a
+    /// `plan` the shards also own the fault injection: verdicts are a
+    /// pure function of (source, per-source index), so a shard's
+    /// substream yields exactly the serial decisions for its slice.
+    fn spawn(
+        scope: &'scope std::thread::Scope<'scope, '_>,
+        threads: usize,
+        world: &'scope World,
+        opts: &'scope RunOptions,
+        rec: &'scope Recorder,
+        tracer: &'scope Tracer,
+        plan: Option<FaultPlan>,
+    ) -> Shards<'scope> {
+        let mut producers = Vec::with_capacity(threads);
+        let mut consumers = Vec::with_capacity(threads);
+        {
+            let _mem = MemScope::enter(Tag::Mux);
+            for _ in 0..threads {
+                let (tx, rx) = ring::<PacketMeta>(RING_CAPACITY);
+                producers.push(tx);
+                consumers.push(rx);
+            }
+        }
+        let (merge_txs, merge_rx) = {
+            let _mem = MemScope::enter(Tag::Merge);
+            mpsc::<Box<ShardOut>>(threads, threads)
+        };
+        let worker = move |i: usize, mut rx: Consumer<PacketMeta>, mut mtx: MpscProducer<_>| {
+            {
+                let _mem = MemScope::enter(Tag::Trace);
+                tracer.set_track("ah_pipeline_shard_worker", i as u64 + 1);
+            }
+            let mut vantage = Vantage::build(world, opts, rec, tracer);
+            let mut injector = injector_for(plan, tracer);
+            let mut consume = |pkt: &PacketMeta| vantage.consume_dyn(pkt);
+            while let Some(pkt) = rx.pop_wait() {
+                let journey = tracer.journey_id(pkt.src.to_u32());
+                let _pop = (journey != 0)
+                    .then(|| tracer.journey_span("ah_pipeline_shard_consume", journey));
+                match injector.as_mut() {
+                    Some(inj) => inj.apply(&pkt, &mut consume),
+                    None => consume(&pkt),
+                }
+            }
+            if let Some(inj) = injector.as_mut() {
+                inj.flush(&mut consume);
+            }
+            let out = {
+                let _mem = MemScope::enter(Tag::Merge);
+                Box::new(vantage.into_shard_out(injector.map(|i| i.stats())))
+            };
+            mtx.push(out);
+            // Publish before reading the peak: the high-water mark
+            // updates on reservation, and this shard's final reservation
+            // is the interesting one.
+            mtx.flush();
+            let shard = i.to_string();
+            rec.gauge_with("ah_pipeline_merge_ring_occupancy_hwm", &[("shard", shard.as_str())])
+                .set(mtx.high_water_mark() as i64);
+            mtx.close();
+        };
+        let handles = consumers
+            .into_iter()
+            .zip(merge_txs)
+            .enumerate()
+            .map(|(i, (rx, mtx))| scope.spawn(move || worker(i, rx, mtx)))
+            .collect();
+        Shards {
+            producers,
+            handles,
+            merge_rx,
+            m_stalls: rec.counter("ah_pipeline_dispatch_stalls_total"),
+            m_stall_us: rec.histogram("ah_pipeline_dispatch_stall_us", ah_obs::LATENCY_US_BUCKETS),
+            time_stalls: rec.is_enabled(),
+        }
+    }
+
+    fn route(&mut self, pkt: &PacketMeta, tracer: &Tracer) {
+        let shard = (hash64(u64::from(pkt.src.to_u32())) % self.producers.len() as u64) as usize;
+        let tx = &mut self.producers[shard];
+        let journey = tracer.journey_id(pkt.src.to_u32());
+        let _route =
+            (journey != 0).then(|| tracer.journey_span("ah_pipeline_dispatch_route", journey));
+        if self.time_stalls {
+            if let Err(back) = tx.try_push(*pkt) {
+                let t0 = std::time::Instant::now();
+                tracer.instant("ah_pipeline_dispatch_stall");
+                tx.push(back);
+                self.m_stalls.inc();
+                self.m_stall_us.observe(t0.elapsed().as_micros() as u64);
+            }
+        } else {
+            tx.push(*pkt);
+        }
+    }
+
+    /// Close the rings, drain the MPSC merge ring, then join the shard
+    /// threads. Arrival order on the merge ring is irrelevant — every
+    /// merge in [`finalize_run`] is commutative and event/record order is
+    /// re-canonicalized there — so the consumer simply folds results in
+    /// whatever order shards finish. Joining *after* the drain still
+    /// propagates shard panics: a panicking shard's producer handle
+    /// counts itself closed on unwind, so the drain terminates.
+    fn join(mut self, rec: &Recorder, tracer: &Tracer) -> Vec<ShardOut> {
+        for (i, p) in self.producers.into_iter().enumerate() {
+            // Read the peak occupancy before close() consumes the
+            // producer; one gauge per shard, labeled by shard index.
+            let shard = i.to_string();
+            rec.gauge_with("ah_pipeline_ring_occupancy_hwm", &[("shard", shard.as_str())])
+                .set(p.high_water_mark() as i64);
+            p.close();
+        }
+        let _trace = tracer.span("ah_pipeline_merge_collect");
+        let _mem = MemScope::enter(Tag::Merge);
+        let mut outs = Vec::with_capacity(self.handles.len());
+        while let Some(out) = self.merge_rx.pop_wait() {
+            outs.push(*out);
+        }
+        for h in self.handles {
+            // ah-lint: allow(panic-path, reason = "a panicking shard thread must propagate the panic rather than silently drop a shard's output")
+            h.join().expect("pipeline shard thread");
+        }
+        outs
+    }
+}
+
+/// Where delivered packets are consumed: on the driver thread, or on N
+/// shard threads behind SPSC rings. One predictable `match` per packet.
+enum Executor<'scope> {
+    Inline(Box<Vantage>),
+    Sharded(Shards<'scope>),
+}
+
+/// Merge shard outputs and finalize. The inline executor hands over a
+/// single shard, so every run shares every line of finalization.
 fn finalize_run(
     world: World,
     days: u64,
     generated: u64,
-    delivered: u64,
     injector: Option<InjectorStats>,
     shards: Vec<ShardOut>,
     opts: &RunOptions,
@@ -653,8 +817,9 @@ fn finalize_run(
     let merge_span =
         tel.recorder.histogram("ah_pipeline_merge_duration_us", ah_obs::LATENCY_US_BUCKETS).time();
     let mut shards = shards.into_iter();
-    // ah-lint: allow(panic-path, reason = "shard count is clamped to at least 1 in run_parallel, so the shard list is never empty")
+    // ah-lint: allow(panic-path, reason = "both executors hand over at least one shard: the inline one exactly one, the sharded one max(threads, 1)")
     let first = shards.next().expect("at least one shard");
+    let mut delivered = first.delivered;
     let mut capture_stats = first.capture;
     let mut agg = first.agg;
     let mut filtered = first.filtered;
@@ -667,6 +832,7 @@ fn finalize_run(
     {
         let _mem = MemScope::enter(Tag::Merge);
         for sh in shards {
+            delivered += sh.delivered;
             capture_stats.merge(&sh.capture);
             agg.merge(&sh.agg);
             filtered += sh.filtered;
@@ -781,10 +947,10 @@ fn finalize_run(
     health.export_metrics(&tel.recorder);
     if let Some(ex) = tel.exporter.as_mut() {
         // The closing snapshot's position must not run backwards past any
-        // periodic tick: the serial and WAL engines tick at *delivered*
-        // positions (which duplication faults can push past `generated`),
-        // the non-WAL sharded engine at *generated* positions (which drop
-        // faults can push past `delivered`). The max covers both.
+        // periodic tick. Ticks follow the driver's stream position:
+        // *delivered* packets when the driver owns the injector (duplication
+        // faults can push it past `generated`), *generated* packets when the
+        // shards do (drop faults can push it past `delivered`).
         ex.export_now(delivered.max(generated));
     }
     RunOutput {
@@ -838,282 +1004,7 @@ fn merge_gn_parts(
     Some((map, stats))
 }
 
-/// Run a scenario through every requested vantage point and detect.
-pub fn run(cfg: ScenarioConfig, opts: RunOptions) -> RunOutput {
-    run_with_recorder(cfg, opts, &mut Telemetry::disabled())
-}
-
-/// [`run`] with live telemetry: every stage registers its instruments on
-/// `tel.recorder`, and `tel.exporter` (if any) is ticked at deterministic
-/// stream positions. The returned [`RunOutput`] is bitwise identical to a
-/// [`run`] of the same inputs.
-pub fn run_with_recorder(cfg: ScenarioConfig, opts: RunOptions, tel: &mut Telemetry) -> RunOutput {
-    let days = cfg.days;
-    let mut sc = Scenario::build(cfg);
-    let world = {
-        let _mem = MemScope::enter(Tag::Mux);
-        sc.world.clone()
-    };
-    let mut vantage = Vantage::build(&world, &opts, &tel.recorder, &tel.tracer);
-    let m_packets = tel.recorder.counter("ah_pipeline_mux_packets_delivered_total");
-    let m_bytes = tel.recorder.counter("ah_pipeline_mux_bytes_delivered_total");
-    let rec = tel.recorder.clone();
-    let tracer = tel.tracer.clone();
-
-    let mut generated = 0u64;
-    let mut delivered = 0u64;
-    let mut injector = {
-        let _mem = MemScope::enter(Tag::Mux);
-        opts.faults.map(FaultInjector::new)
-    };
-    if let Some(inj) = injector.as_mut() {
-        inj.set_tracer(&tracer);
-    }
-    {
-        // Pre-warm this thread's trace buffer under the Trace tag so its
-        // allocation never lands on a run-scoped account mid-stream.
-        let _mem = MemScope::enter(Tag::Trace);
-        tracer.set_track("ah_pipeline_serial_main", 0);
-    }
-    {
-        let exporter = &mut tel.exporter;
-        let mem_pulse = &mut tel.mem;
-        // Pick the consume flavor once: tagged attribution only when
-        // accounting is on (ARCHITECTURE.md §13).
-        let tagged_run = ah_mem::accounting_enabled();
-        let mut consume = |pkt: &PacketMeta| {
-            delivered += 1;
-            m_packets.inc();
-            m_bytes.add(u64::from(pkt.wire_len));
-            vantage.consume_dyn(tagged_run, pkt);
-            if let Some(ex) = exporter.as_mut() {
-                ex.maybe_export(delivered);
-            }
-            if let Some(mp) = mem_pulse.as_mut() {
-                mp.tick(delivered, &rec, &tracer);
-            }
-        };
-        let _drive = tracer.span("ah_pipeline_mux_drive");
-        sc.mux.drive(|pkt| {
-            generated += 1;
-            match injector.as_mut() {
-                Some(inj) => inj.apply(pkt, &mut consume),
-                None => consume(pkt),
-            }
-        });
-        if let Some(inj) = injector.as_mut() {
-            inj.flush(&mut consume);
-        }
-    }
-    let inj_stats = injector.map(|i| i.stats());
-    finalize_run(
-        world,
-        days,
-        generated,
-        delivered,
-        inj_stats,
-        vec![vantage.into_shard_out()],
-        &opts,
-        tel,
-    )
-}
-
-/// Run the same pipeline on `threads` worker shards.
-///
-/// The dispatcher is a pure router: it drives the traffic mux and pushes
-/// each raw packet onto the SPSC ring of the shard owning the packet's
-/// source IP. Each shard runs its *own* fault injector (fault verdicts
-/// are keyed by source and per-source sequence number, so a shard's
-/// substream reproduces the serial verdicts exactly — see
-/// [`ah_simnet::faults`]) and its own vantage stack, whose reordering,
-/// sampling, and lateness decisions are all per-key pure. Shard results
-/// return over a bounded MPSC merge ring ([`ah_simnet::mpsc`]) and fold
-/// commutatively.
-///
-/// The output is bitwise identical to [`run`] with the same inputs;
-/// `threads == 0` or `1` still goes through the sharded path (with one
-/// worker), which is useful for isolating engine differences.
-pub fn run_parallel(cfg: ScenarioConfig, opts: RunOptions, threads: usize) -> RunOutput {
-    run_parallel_with_recorder(cfg, opts, threads, &mut Telemetry::disabled())
-}
-
-/// [`run_parallel`] with live telemetry. Dispatcher-side instruments add
-/// stall timing (how long the dispatcher blocked on a full shard ring)
-/// and per-shard occupancy high-water marks for both ring kinds on top
-/// of the stage instruments the shards register themselves. Packet order
-/// on every ring is identical with telemetry on or off, so the output
-/// stays bitwise identical to [`run`] / [`run_parallel`].
-pub fn run_parallel_with_recorder(
-    cfg: ScenarioConfig,
-    opts: RunOptions,
-    threads: usize,
-    tel: &mut Telemetry,
-) -> RunOutput {
-    let threads = threads.max(1);
-    let days = cfg.days;
-    let mut sc = Scenario::build(cfg);
-    let world = {
-        let _mem = MemScope::enter(Tag::Mux);
-        sc.world.clone()
-    };
-    let rec = tel.recorder.clone();
-    let tracer = tel.tracer.clone();
-
-    let m_stalls = rec.counter("ah_pipeline_dispatch_stalls_total");
-    let m_stall_us = rec.histogram("ah_pipeline_dispatch_stall_us", ah_obs::LATENCY_US_BUCKETS);
-    // Stall timing needs a try-push-then-spin sequence instead of a plain
-    // spinning push; both deliver the packet at the same stream position,
-    // so the split is gated on the recorder rather than always paid.
-    let time_stalls = rec.is_enabled();
-
-    let mut producers = Vec::with_capacity(threads);
-    let mut consumers = Vec::with_capacity(threads);
-    {
-        let _mem = MemScope::enter(Tag::Mux);
-        for _ in 0..threads {
-            let (tx, rx) = ring::<PacketMeta>(RING_CAPACITY);
-            producers.push(tx);
-            consumers.push(rx);
-        }
-    }
-    let (merge_txs, merge_rx) = {
-        let _mem = MemScope::enter(Tag::Merge);
-        mpsc::<ShardResult>(threads, threads)
-    };
-
-    let mut generated = 0u64;
-    let results = std::thread::scope(|s| {
-        let world_ref = &world;
-        let opts_ref = &opts;
-        let rec_ref = &rec;
-        let tracer_ref = &tracer;
-        let handles: Vec<_> = consumers
-            .into_iter()
-            .zip(merge_txs)
-            .enumerate()
-            .map(|(i, (mut rx, mut mtx))| {
-                s.spawn(move || {
-                    {
-                        let _mem = MemScope::enter(Tag::Trace);
-                        tracer_ref.set_track("ah_pipeline_shard_worker", i as u64 + 1);
-                    }
-                    let mut v = Vantage::build(world_ref, opts_ref, rec_ref, tracer_ref);
-                    let m_packets = rec_ref.counter("ah_pipeline_mux_packets_delivered_total");
-                    let m_bytes = rec_ref.counter("ah_pipeline_mux_bytes_delivered_total");
-                    // Shard-local injector: fault verdicts are a pure
-                    // function of (source, per-source index), so this
-                    // shard's substream yields exactly the serial
-                    // decisions for its slice of the source space.
-                    let mut injector = {
-                        let _mem = MemScope::enter(Tag::Mux);
-                        opts_ref.faults.map(FaultInjector::new)
-                    };
-                    if let Some(inj) = injector.as_mut() {
-                        inj.set_tracer(tracer_ref);
-                    }
-                    let mut delivered = 0u64;
-                    {
-                        let tagged_run = ah_mem::accounting_enabled();
-                        let mut consume = |pkt: &PacketMeta| {
-                            delivered += 1;
-                            m_packets.inc();
-                            m_bytes.add(u64::from(pkt.wire_len));
-                            v.consume_dyn(tagged_run, pkt);
-                        };
-                        while let Some(pkt) = rx.pop_wait() {
-                            let journey = tracer_ref.journey_id(pkt.src.to_u32());
-                            let _pop = (journey != 0).then(|| {
-                                tracer_ref.journey_span("ah_pipeline_shard_consume", journey)
-                            });
-                            match injector.as_mut() {
-                                Some(inj) => inj.apply(&pkt, &mut consume),
-                                None => consume(&pkt),
-                            }
-                        }
-                        if let Some(inj) = injector.as_mut() {
-                            inj.flush(&mut consume);
-                        }
-                    }
-                    let result = {
-                        let _mem = MemScope::enter(Tag::Merge);
-                        ShardResult {
-                            out: Box::new(v.into_shard_out()),
-                            injector: injector.map(|i| i.stats()),
-                            delivered,
-                        }
-                    };
-                    mtx.push(result);
-                    // Publish before reading the peak: the high-water
-                    // mark updates on reservation, and this shard's
-                    // final reservation is the interesting one.
-                    mtx.flush();
-                    let shard = i.to_string();
-                    rec_ref
-                        .gauge_with(
-                            "ah_pipeline_merge_ring_occupancy_hwm",
-                            &[("shard", shard.as_str())],
-                        )
-                        .set(mtx.high_water_mark() as i64);
-                    mtx.close();
-                })
-            })
-            .collect();
-
-        {
-            let exporter = &mut tel.exporter;
-            let mem_pulse = &mut tel.mem;
-            {
-                let _mem = MemScope::enter(Tag::Trace);
-                tracer.set_track("ah_pipeline_dispatch_main", 0);
-            }
-            let _drive = tracer.span("ah_pipeline_mux_drive");
-            sc.mux.drive(|pkt| {
-                generated += 1;
-                let shard = shard_of(pkt.src, threads);
-                let journey = tracer.journey_id(pkt.src.to_u32());
-                let _route = (journey != 0)
-                    .then(|| tracer.journey_span("ah_pipeline_dispatch_route", journey));
-                if time_stalls {
-                    if let Err(back) = producers[shard].try_push(*pkt) {
-                        let t0 = std::time::Instant::now();
-                        tracer.instant("ah_pipeline_dispatch_stall");
-                        producers[shard].push(back);
-                        m_stalls.inc();
-                        m_stall_us.observe(t0.elapsed().as_micros() as u64);
-                    }
-                } else {
-                    producers[shard].push(*pkt);
-                }
-                if let Some(ex) = exporter.as_mut() {
-                    // The dispatcher never sees post-fault deliveries,
-                    // so periodic snapshots tick at *generated* stream
-                    // positions on this engine — still deterministic
-                    // and monotone; the closing snapshot in
-                    // `finalize_run` covers the end of stream.
-                    ex.maybe_export(generated);
-                }
-                if let Some(mp) = mem_pulse.as_mut() {
-                    mp.tick(generated, &rec, &tracer);
-                }
-            });
-        }
-        for (i, p) in producers.into_iter().enumerate() {
-            // Read the peak occupancy before close() consumes the
-            // producer; one gauge per shard, labeled by shard index.
-            let shard = i.to_string();
-            rec.gauge_with("ah_pipeline_ring_occupancy_hwm", &[("shard", shard.as_str())])
-                .set(p.high_water_mark() as i64);
-            p.close();
-        }
-        collect_shards(&tracer, merge_rx, handles)
-    });
-    let delivered: u64 = results.iter().map(|r| r.delivered).sum();
-    let inj_stats = merge_injector_stats(&results);
-    let shards: Vec<ShardOut> = results.into_iter().map(|r| *r.out).collect();
-    finalize_run(world, days, generated, delivered, inj_stats, shards, &opts, tel)
-}
-
-// --- Durable runs: write-ahead logging, resume, and replay -------------
+// --- Durable runs: configuration and outcome ----------------------------
 
 /// Durable-run configuration: where the write-ahead log lives, its
 /// group-commit/rotation tunables, and the optional interruption points
@@ -1207,9 +1098,11 @@ fn invalid(msg: impl Into<String>) -> io::Error {
 /// Reject a resume/replay whose scenario or options differ from the ones
 /// the log was written under — silently mixing them would "recover" into
 /// a run that never happened.
-fn check_meta(meta: &RunMeta, cfg: &ScenarioConfig, opts: &RunOptions) -> io::Result<()> {
-    let want = wal_meta(cfg, opts);
-    if meta != &want {
+fn check_meta(logged: Option<&RunMeta>, want: &RunMeta) -> io::Result<()> {
+    let Some(meta) = logged else {
+        return Err(invalid("WAL holds no meta record"));
+    };
+    if meta != want {
         return Err(invalid(format!(
             "WAL was written under a different scenario/options (log meta: {meta:?}, requested: {want:?})"
         )));
@@ -1217,86 +1110,413 @@ fn check_meta(meta: &RunMeta, cfg: &ScenarioConfig, opts: &RunOptions) -> io::Re
     Ok(())
 }
 
-/// Mutable state threaded through the serial durable delivery path. A
-/// plain struct + free function instead of a closure so the drive loop
-/// can read `stop` between `FaultInjector::apply` calls.
-struct WalDrive<'a> {
-    vantage: &'a mut Vantage,
-    writer: &'a mut WalWriter,
-    exporter: &'a mut Option<Exporter>,
-    mem: &'a mut Option<MemPulse>,
-    rec: Recorder,
-    m_packets: ah_obs::Counter,
-    m_bytes: ah_obs::Counter,
+// --- The engine ---------------------------------------------------------
+
+/// The engine's journal part: the log writer plus everything needed to
+/// prove, on resume, that the re-driven stream is the one the log holds.
+struct Journal {
+    writer: WalWriter,
     scratch: Vec<u8>,
-    /// Total deliveries seen, recovered prefix included.
-    delivered: u64,
-    /// Deliveries already applied from the recovered log (0 for a fresh
-    /// run). The first `prefix` deliveries of the re-driven stream are
-    /// skipped: the vantage points already consumed them from the log.
-    prefix: u64,
-    /// Rolling FNV over the recovered prefix's frame payloads; the
-    /// re-driven stream must reproduce it bit for bit at the crossing.
+    /// Rolling FNV over every (re-)driven delivery's frame payload.
+    hash: u64,
+    /// Deliveries of the re-driven stream still inside the recovered
+    /// prefix (0 on a fresh run). They are hashed and dropped: the
+    /// executor already consumed them from the log.
+    skip: u64,
+    /// Rolling FNV over the recovered prefix's payloads; `hash` must
+    /// equal it bit for bit when `skip` reaches 0.
     prefix_hash: u64,
-    /// Rolling FNV over every delivery's frame payload.
-    packet_hash: u64,
     suspend_after: Option<u64>,
     crash_after: Option<u64>,
-    stop: bool,
-    io_err: Option<io::Error>,
-    tracer: Tracer,
 }
 
-fn wal_deliver(d: &mut WalDrive<'_>, pkt: &PacketMeta) {
-    if d.stop || d.io_err.is_some() {
-        // An injector apply/flush can emit several packets per call;
-        // everything past the interruption point is dropped from this
-        // process and regenerated deterministically on resume.
-        return;
-    }
-    d.delivered += 1;
-    {
-        let _mem = MemScope::enter(Tag::Wal);
-        d.scratch.clear();
-        WalRecord::Packet(*pkt).encode_payload(&mut d.scratch);
-    }
-    d.packet_hash = fnv1a_fold(d.packet_hash, &d.scratch);
-    if d.delivered <= d.prefix {
-        // Fast-forward over the recovered prefix. At the crossing, the
-        // rolling hash over the re-generated stream must equal the hash
-        // over what the log actually held.
-        if d.delivered == d.prefix && d.packet_hash != d.prefix_hash {
-            d.io_err =
-                Some(invalid("recovered WAL prefix diverges from the deterministic packet stream"));
-            d.stop = true;
-            return;
+/// How feeding the engine ended.
+enum Fed {
+    /// All delivered: `generated`, and the driver's (or seal's) injector ledger.
+    Finished(u64, Option<InjectorStats>),
+    /// The journal reached its suspension point.
+    Suspended { delivered: u64, durable_seq: u64 },
+}
+
+/// The one execution engine (see the module docs for the picture). Both
+/// feeders end in [`Engine::deliver`], the only place a packet is counted,
+/// journaled, handed to the executor and ticked on the exporter.
+struct Engine<'a, 'scope> {
+    exec: Executor<'scope>,
+    journal: Option<Journal>,
+    tel: &'a mut Telemetry,
+    /// Stream position: packets handed to the executor so far. Post-fault
+    /// deliveries when the driver owns the injector, generated packets
+    /// when the shards do.
+    pos: u64,
+    /// Set once, by the journal only: `Ok` at the suspension point, `Err`
+    /// when the log failed. Either way the stream stops there.
+    halt: Option<io::Result<()>>,
+}
+
+impl Engine<'_, '_> {
+    /// The single per-packet step: count → journal → executor → exporter
+    /// and memory-pulse tick.
+    #[inline]
+    fn deliver(&mut self, pkt: &PacketMeta) {
+        if let Some(j) = self.journal.as_mut() {
+            if self.halt.is_some() {
+                // An injector apply/flush can emit several packets per
+                // call; everything past the interruption point is dropped
+                // from this process and regenerated deterministically on
+                // resume.
+                return;
+            }
+            {
+                let _mem = MemScope::enter(Tag::Wal);
+                j.scratch.clear();
+                WalRecord::Packet(*pkt).encode_payload(&mut j.scratch);
+            }
+            j.hash = fnv1a_fold(j.hash, &j.scratch);
+            if j.skip > 0 {
+                // Fast-forward over the recovered prefix. At the crossing,
+                // the rolling hash over the re-generated stream must equal
+                // the hash over what the log actually held.
+                j.skip -= 1;
+                if j.skip == 0 && j.hash != j.prefix_hash {
+                    self.halt = Some(Err(invalid(
+                        "recovered WAL prefix diverges from the deterministic packet stream",
+                    )));
+                }
+                return;
+            }
+            if let Err(e) = j.writer.append_payload(&j.scratch) {
+                self.halt = Some(Err(e));
+                return;
+            }
+            let journey = self.tel.tracer.journey_id(pkt.src.to_u32());
+            if journey != 0 {
+                self.tel.tracer.journey_instant("ah_pipeline_wal_append", journey);
+            }
+            if j.crash_after == Some(self.pos + 1) {
+                j.writer.crash_with_torn_tail();
+            }
+            if j.suspend_after == Some(self.pos + 1) {
+                // This packet is in the log, so it is still executed and
+                // ticked below; the stream stops after it.
+                self.halt = Some(Ok(()));
+            }
         }
-    } else {
-        if let Err(e) = d.writer.append_payload(&d.scratch) {
-            d.io_err = Some(e);
-            d.stop = true;
-            return;
+        self.pos += 1;
+        match &mut self.exec {
+            Executor::Inline(vantage) => vantage.consume_dyn(pkt),
+            Executor::Sharded(shards) => shards.route(pkt, &self.tel.tracer),
         }
-        let journey = d.tracer.journey_id(pkt.src.to_u32());
-        if journey != 0 {
-            d.tracer.journey_instant("ah_pipeline_wal_append", journey);
+        if let Some(ex) = self.tel.exporter.as_mut() {
+            ex.maybe_export(self.pos);
         }
-        d.m_packets.inc();
-        d.m_bytes.add(u64::from(pkt.wire_len));
-        d.vantage.consume_dyn(ah_mem::accounting_enabled(), pkt);
-        if let Some(ex) = d.exporter.as_mut() {
-            ex.maybe_export(d.delivered);
-        }
-        if let Some(mp) = d.mem.as_mut() {
-            mp.tick(d.delivered, &d.rec, &d.tracer);
+        if let Some(mp) = self.tel.mem.as_mut() {
+            mp.tick(self.pos, &self.tel.recorder, &self.tel.tracer);
         }
     }
-    if d.crash_after == Some(d.delivered) {
-        d.writer.crash_with_torn_tail();
+
+    /// Feeder: pull the traffic mux dry (or until the journal stops the
+    /// run), through the driver-side injector when `plan` is set. Returns
+    /// the generated total and the injector's ledger.
+    fn pull(
+        &mut self,
+        mux: &mut TrafficMux,
+        plan: Option<FaultPlan>,
+    ) -> (u64, Option<InjectorStats>) {
+        let mut injector = injector_for(plan, &self.tel.tracer);
+        let mut generated = 0u64;
+        let _drive = self.tel.tracer.span("ah_pipeline_mux_drive");
+        while self.halt.is_none() {
+            let Some(pkt) = mux.next_packet() else { break };
+            generated += 1;
+            match injector.as_mut() {
+                Some(inj) => inj.apply(&pkt, &mut |p| self.deliver(p)),
+                None => self.deliver(&pkt),
+            }
+        }
+        if self.halt.is_none() {
+            if let Some(inj) = injector.as_mut() {
+                inj.flush(&mut |p| self.deliver(p));
+            }
+        }
+        (generated, injector.map(|i| i.stats()))
     }
-    if d.suspend_after == Some(d.delivered) {
-        d.stop = true;
+
+    /// Feeder: recover the log in `dir` (truncating any torn/corrupt
+    /// tail) and deliver every durable packet frame — already post-fault,
+    /// so straight into [`Engine::deliver`]. Returns the log summary and
+    /// the rolling FNV over the packet payloads.
+    fn recover(&mut self, dir: &Path) -> io::Result<(RecoveredLog, u64)> {
+        let (rec, tracer) = (self.tel.recorder.clone(), self.tel.tracer.clone());
+        let m_replay = rec.counter("ah_wal_replay_packets_total");
+        let _scan = tracer.span("ah_wal_recover_scan");
+        let mut hash = FNV_OFFSET;
+        let log = ah_wal::recover(dir, &rec, |_, payload, record| {
+            if let WalRecord::Packet(p) = record {
+                hash = fnv1a_fold(hash, payload);
+                let journey = tracer.journey_id(p.src.to_u32());
+                if journey != 0 {
+                    tracer.journey_instant("ah_wal_replay_packet", journey);
+                }
+                m_replay.inc();
+                self.deliver(&p);
+            }
+        })?;
+        Ok((log, hash))
     }
+
+    /// Run the feeders the inputs call for: the recovered log (resume,
+    /// replay), then the live mux (all but replay, which has no
+    /// `scenario`), journaled when `journal_to` is set. `driver_plan` is
+    /// the fault plan when the driver owns the injector.
+    fn feed(
+        &mut self,
+        recover_from: Option<&Path>,
+        journal_to: Option<&WalRun>,
+        scenario: Option<&mut Scenario>,
+        meta: &RunMeta,
+        driver_plan: Option<FaultPlan>,
+    ) -> io::Result<Fed> {
+        let mut prefix_hash = FNV_OFFSET;
+        let mut writer = None;
+        if let Some(dir) = recover_from {
+            let (log, hash) = self.recover(dir)?;
+            prefix_hash = hash;
+            match (log.seal, journal_to) {
+                // A sealed log is the whole run: the generated total and
+                // the injector ledger come from the seal itself.
+                (Some(seal), _) => {
+                    check_meta(log.meta.as_ref(), meta)?;
+                    if seal.delivered != self.pos {
+                        return Err(invalid(format!(
+                            "seal records {} delivered packets but the log holds {}",
+                            seal.delivered, self.pos
+                        )));
+                    }
+                    if seal.packet_hash != hash {
+                        return Err(invalid(
+                            "sealed packet-stream hash does not match the log contents",
+                        ));
+                    }
+                    return Ok(Fed::Finished(seal.generated, seal.injector));
+                }
+                (None, None) => {
+                    return Err(invalid("WAL is not sealed (interrupted run?) — use resume_wal"));
+                }
+                // An empty directory resumes as a fresh journaled run.
+                (None, Some(_)) if log.next_seq == 0 => {}
+                (None, Some(wal)) => {
+                    check_meta(log.meta.as_ref(), meta)?;
+                    // The fast-forward over the recovered prefix evaluates
+                    // no interruption points, so one at or inside it could
+                    // never fire at the position it names.
+                    for at in [wal.suspend_after, wal.crash_after].into_iter().flatten() {
+                        if at <= self.pos {
+                            return Err(io::Error::new(
+                                io::ErrorKind::InvalidInput,
+                                format!(
+                                    "interruption point {at} is at or inside the recovered prefix ({} packets already durable)",
+                                    self.pos
+                                ),
+                            ));
+                        }
+                    }
+                    writer = Some(WalWriter::resume(
+                        &wal.dir,
+                        wal.writer,
+                        log.next_seq,
+                        &self.tel.recorder,
+                    )?);
+                }
+            }
+        }
+        if let Some(wal) = journal_to {
+            let mut writer = match writer {
+                Some(w) => w,
+                None => {
+                    let mut w = WalWriter::create(&wal.dir, wal.writer, &self.tel.recorder)?;
+                    w.append(&WalRecord::Meta(meta.clone()))?;
+                    w.commit()?;
+                    w
+                }
+            };
+            writer.set_tracer(&self.tel.tracer);
+            self.journal = Some(Journal {
+                writer,
+                scratch: Vec::new(),
+                hash: FNV_OFFSET,
+                skip: self.pos,
+                prefix_hash,
+                suspend_after: wal.suspend_after,
+                crash_after: wal.crash_after,
+            });
+        }
+        let (generated, injector) = match scenario {
+            Some(sc) => self.pull(&mut sc.mux, driver_plan),
+            None => (0, None),
+        };
+        let suspended = self.halt.take().transpose()?.is_some();
+        if let Some(j) = self.journal.as_mut() {
+            j.writer.commit()?;
+            if suspended {
+                let durable_seq = j.writer.durable_seq();
+                return Ok(Fed::Suspended { delivered: self.pos, durable_seq });
+            }
+            j.writer.seal(RunSeal {
+                generated,
+                delivered: self.pos,
+                packet_hash: j.hash,
+                injector,
+            })?;
+        }
+        Ok(Fed::Finished(generated, injector))
+    }
+
+    /// Assemble and run the engine for one public entry point:
+    ///
+    /// * `threads` picks the executor — `None` the inline vantage stack,
+    ///   `Some(n)` `n` shard workers;
+    /// * `recover_from` feeds a recovered log first (resume, replay);
+    /// * `journal_to` journals the live stream (and, with `recover_from`,
+    ///   makes the run a resume rather than a replay).
+    fn run(
+        cfg: ScenarioConfig,
+        opts: RunOptions,
+        threads: Option<usize>,
+        recover_from: Option<&Path>,
+        journal_to: Option<&WalRun>,
+        tel: &mut Telemetry,
+    ) -> io::Result<WalOutcome> {
+        let days = cfg.days;
+        let meta = wal_meta(&cfg, &opts);
+        let world = {
+            let _mem = MemScope::enter(Tag::Mux);
+            World::new(cfg.world.clone())
+        };
+        // Replay is the one run that never pulls the mux, so it never
+        // builds a Scenario.
+        let mut scenario =
+            (recover_from.is_none() || journal_to.is_some()).then(|| Scenario::build(cfg));
+        let rec = tel.recorder.clone();
+        let tracer = tel.tracer.clone();
+        // The one placement rule (module docs): shards own the injector iff
+        // the run is sharded and unjournaled; otherwise the driver does.
+        let (shard_plan, driver_plan) = match (threads, journal_to) {
+            (Some(_), None) => (opts.faults, None),
+            _ => (None, opts.faults),
+        };
+
+        let (fed, shards) = std::thread::scope(|s| -> io::Result<_> {
+            {
+                // Pre-warm this thread's trace buffer under the Trace tag
+                // so its allocation never lands on a run-scoped account
+                // mid-stream.
+                let _mem = MemScope::enter(Tag::Trace);
+                match threads {
+                    None => tracer.set_track("ah_pipeline_serial_main", 0),
+                    Some(_) => tracer.set_track("ah_pipeline_dispatch_main", 0),
+                }
+            }
+            let exec = match threads {
+                None => Executor::Inline(Box::new(Vantage::build(&world, &opts, &rec, &tracer))),
+                Some(n) => Executor::Sharded(Shards::spawn(
+                    s,
+                    n.max(1),
+                    &world,
+                    &opts,
+                    &rec,
+                    &tracer,
+                    shard_plan,
+                )),
+            };
+            let mut engine = Engine { exec, journal: None, tel: &mut *tel, pos: 0, halt: None };
+            // On error or suspension the executor is just dropped: dropped
+            // producers close their rings and the scope joins the workers.
+            let fed =
+                engine.feed(recover_from, journal_to, scenario.as_mut(), &meta, driver_plan)?;
+            let shards = match (&fed, engine.exec) {
+                (Fed::Suspended { .. }, _) => Vec::new(),
+                (Fed::Finished(..), Executor::Inline(vantage)) => {
+                    vec![vantage.into_shard_out(None)]
+                }
+                (Fed::Finished(..), Executor::Sharded(shards)) => shards.join(&rec, &tracer),
+            };
+            Ok((fed, shards))
+        })?;
+        let (generated, injector) = match fed {
+            Fed::Suspended { delivered, durable_seq } => {
+                return Ok(WalOutcome::Suspended { delivered, durable_seq });
+            }
+            Fed::Finished(generated, injector) => (generated, injector),
+        };
+        // Shard-owned injectors report through their shards.
+        let injector = injector.or_else(|| merge_injector_stats(&shards));
+        let out = finalize_run(world, days, generated, injector, shards, &opts, tel);
+        Ok(WalOutcome::Completed(Box::new(out)))
+    }
+}
+
+// --- Public entry points: eight constructors over the engine ------------
+
+/// An unjournaled run: no log to fail on, no interruption point to stop at.
+fn run_unjournaled(
+    cfg: ScenarioConfig,
+    opts: RunOptions,
+    threads: Option<usize>,
+    tel: &mut Telemetry,
+) -> RunOutput {
+    match Engine::run(cfg, opts, threads, None, None, tel) {
+        Ok(WalOutcome::Completed(out)) => *out,
+        // ah-lint: allow(panic-path, reason = "every Err and every Suspended in Engine::run originates in the recovered log or the journal, and this run has neither")
+        _ => unreachable!("an unjournaled run can neither fail on I/O nor suspend"),
+    }
+}
+
+/// Run a scenario through every requested vantage point and detect.
+pub fn run(cfg: ScenarioConfig, opts: RunOptions) -> RunOutput {
+    run_with_recorder(cfg, opts, &mut Telemetry::disabled())
+}
+
+/// [`run`] with live telemetry: every stage registers its instruments on
+/// `tel.recorder`, and `tel.exporter` (if any) is ticked at deterministic
+/// stream positions. The returned [`RunOutput`] is bitwise identical to a
+/// [`run`] of the same inputs.
+pub fn run_with_recorder(cfg: ScenarioConfig, opts: RunOptions, tel: &mut Telemetry) -> RunOutput {
+    run_unjournaled(cfg, opts, None, tel)
+}
+
+/// Run the same pipeline on `threads` worker shards.
+///
+/// The dispatcher is a pure router: it drives the traffic mux and pushes
+/// each raw packet onto the SPSC ring of the shard owning the packet's
+/// source IP. Each shard runs its *own* fault injector (fault verdicts
+/// are keyed by source and per-source sequence number, so a shard's
+/// substream reproduces the serial verdicts exactly — see
+/// [`ah_simnet::faults`]) and its own vantage stack, whose reordering,
+/// sampling, and lateness decisions are all per-key pure. Shard results
+/// return over a bounded MPSC merge ring ([`ah_simnet::mpsc`]) and fold
+/// commutatively.
+///
+/// The output is bitwise identical to [`run`] with the same inputs;
+/// `threads == 0` or `1` still goes through the sharded path (with one
+/// worker), which is useful for isolating engine differences.
+pub fn run_parallel(cfg: ScenarioConfig, opts: RunOptions, threads: usize) -> RunOutput {
+    run_parallel_with_recorder(cfg, opts, threads, &mut Telemetry::disabled())
+}
+
+/// [`run_parallel`] with live telemetry. Dispatcher-side instruments add
+/// stall timing (how long the dispatcher blocked on a full shard ring)
+/// and per-shard occupancy high-water marks for both ring kinds on top
+/// of the stage instruments the shards register themselves. Packet order
+/// on every ring is identical with telemetry on or off, so the output
+/// stays bitwise identical to [`run`] / [`run_parallel`].
+pub fn run_parallel_with_recorder(
+    cfg: ScenarioConfig,
+    opts: RunOptions,
+    threads: usize,
+    tel: &mut Telemetry,
+) -> RunOutput {
+    run_unjournaled(cfg, opts, Some(threads), tel)
 }
 
 /// Serial durable run: like [`run_with_recorder`], but every delivered
@@ -1310,197 +1530,7 @@ pub fn run_wal(
     wal: &WalRun,
     tel: &mut Telemetry,
 ) -> io::Result<WalOutcome> {
-    let mut writer = WalWriter::create(&wal.dir, wal.writer, &tel.recorder)?;
-    writer.append(&WalRecord::Meta(wal_meta(&cfg, &opts)))?;
-    writer.commit()?;
-    drive_wal_serial(cfg, opts, wal, tel, writer, None)
-}
-
-/// Shared serial drive for fresh ([`run_wal`]) and resumed
-/// ([`resume_wal`]) durable runs. `recovered` carries the vantage stack
-/// already fed with the durable prefix, plus that prefix's length and
-/// rolling payload hash.
-fn drive_wal_serial(
-    cfg: ScenarioConfig,
-    opts: RunOptions,
-    wal: &WalRun,
-    tel: &mut Telemetry,
-    mut writer: WalWriter,
-    recovered: Option<(Vantage, u64, u64)>,
-) -> io::Result<WalOutcome> {
-    let days = cfg.days;
-    let mut sc = Scenario::build(cfg);
-    let world = {
-        let _mem = MemScope::enter(Tag::Mux);
-        sc.world.clone()
-    };
-    writer.set_tracer(&tel.tracer);
-    let (mut vantage, prefix, prefix_hash) = match recovered {
-        Some((v, n, h)) => (v, n, h),
-        None => (Vantage::build(&world, &opts, &tel.recorder, &tel.tracer), 0, FNV_OFFSET),
-    };
-    let m_packets = tel.recorder.counter("ah_pipeline_mux_packets_delivered_total");
-    let m_bytes = tel.recorder.counter("ah_pipeline_mux_bytes_delivered_total");
-    let mut generated = 0u64;
-    let mut injector = {
-        let _mem = MemScope::enter(Tag::Mux);
-        opts.faults.map(FaultInjector::new)
-    };
-    if let Some(inj) = injector.as_mut() {
-        inj.set_tracer(&tel.tracer);
-    }
-    {
-        // Pre-warm the trace buffer under the Trace tag (see
-        // `run_with_recorder`).
-        let _mem = MemScope::enter(Tag::Trace);
-        tel.tracer.set_track("ah_pipeline_serial_main", 0);
-    }
-    let drive_span = tel.tracer.span("ah_pipeline_mux_drive");
-    let mut d = WalDrive {
-        vantage: &mut vantage,
-        writer: &mut writer,
-        exporter: &mut tel.exporter,
-        mem: &mut tel.mem,
-        rec: tel.recorder.clone(),
-        m_packets,
-        m_bytes,
-        scratch: Vec::new(),
-        delivered: 0,
-        prefix,
-        prefix_hash,
-        packet_hash: FNV_OFFSET,
-        suspend_after: wal.suspend_after,
-        crash_after: wal.crash_after,
-        stop: false,
-        io_err: None,
-        tracer: tel.tracer.clone(),
-    };
-    while !d.stop && d.io_err.is_none() {
-        let Some(pkt) = sc.mux.next_packet() else { break };
-        generated += 1;
-        match injector.as_mut() {
-            Some(inj) => inj.apply(&pkt, &mut |p| wal_deliver(&mut d, p)),
-            None => wal_deliver(&mut d, &pkt),
-        }
-    }
-    if !d.stop && d.io_err.is_none() {
-        if let Some(inj) = injector.as_mut() {
-            inj.flush(&mut |p| wal_deliver(&mut d, p));
-        }
-    }
-    let delivered = d.delivered;
-    let packet_hash = d.packet_hash;
-    let suspended = d.stop;
-    let io_err = d.io_err.take();
-    drop(d);
-    drop(drive_span);
-    if let Some(e) = io_err {
-        return Err(e);
-    }
-    writer.commit()?;
-    if suspended {
-        return Ok(WalOutcome::Suspended { delivered, durable_seq: writer.durable_seq() });
-    }
-    let inj_stats = injector.map(|i| i.stats());
-    writer.seal(RunSeal { generated, delivered, packet_hash, injector: inj_stats })?;
-    let out = finalize_run(
-        world,
-        days,
-        generated,
-        delivered,
-        inj_stats,
-        vec![vantage.into_shard_out()],
-        &opts,
-        tel,
-    );
-    Ok(WalOutcome::Completed(Box::new(out)))
-}
-
-/// A vantage stack fed straight from a recovered log, plus everything
-/// needed to validate and continue it.
-struct WalFeed {
-    world: World,
-    vantage: Vantage,
-    meta: Option<RunMeta>,
-    log: RecoveredLog,
-    /// Packet frames consumed from the log.
-    packets: u64,
-    /// Rolling FNV over the consumed packet frames' payloads.
-    hash: u64,
-}
-
-/// Recover `dir` and feed every durable packet into a fresh vantage
-/// stack — the shared front half of [`resume_wal`] and [`replay_wal`].
-fn feed_from_wal(
-    cfg: &ScenarioConfig,
-    opts: &RunOptions,
-    dir: &Path,
-    tel: &mut Telemetry,
-) -> io::Result<WalFeed> {
-    let world = {
-        let _mem = MemScope::enter(Tag::Mux);
-        World::new(cfg.world.clone())
-    };
-    let mut vantage = Vantage::build(&world, opts, &tel.recorder, &tel.tracer);
-    let m_replay = tel.recorder.counter("ah_wal_replay_packets_total");
-    let tracer = tel.tracer.clone();
-    {
-        // Pre-warm the trace buffer under the Trace tag (see
-        // `run_with_recorder`).
-        let _mem = MemScope::enter(Tag::Trace);
-        tracer.set_track("ah_pipeline_serial_main", 0);
-    }
-    let _scan = tracer.span("ah_wal_recover_scan");
-    let mut meta: Option<RunMeta> = None;
-    let mut packets = 0u64;
-    let mut hash = FNV_OFFSET;
-    let log = ah_wal::recover(dir, &tel.recorder, |_, payload, record| match record {
-        WalRecord::Meta(m) => meta = Some(m),
-        WalRecord::Packet(p) => {
-            packets += 1;
-            hash = fnv1a_fold(hash, payload);
-            let journey = tracer.journey_id(p.src.to_u32());
-            if journey != 0 {
-                tracer.journey_instant("ah_wal_replay_packet", journey);
-            }
-            vantage.consume_dyn(ah_mem::accounting_enabled(), &p);
-            m_replay.inc();
-        }
-        WalRecord::Event(_) | WalRecord::Flow(_) | WalRecord::Seal(_) => {}
-    })?;
-    Ok(WalFeed { world, vantage, meta, log, packets, hash })
-}
-
-/// Finalize a sealed log's feed into a [`RunOutput`] without simulating:
-/// the generated/delivered totals and injector ledger come from the seal
-/// itself.
-fn finalize_sealed(
-    feed: WalFeed,
-    seal: RunSeal,
-    days: u64,
-    opts: &RunOptions,
-    tel: &mut Telemetry,
-) -> io::Result<Box<RunOutput>> {
-    if seal.delivered != feed.packets {
-        return Err(invalid(format!(
-            "seal records {} delivered packets but the log holds {}",
-            seal.delivered, feed.packets
-        )));
-    }
-    if seal.packet_hash != feed.hash {
-        return Err(invalid("sealed packet-stream hash does not match the log contents"));
-    }
-    let out = finalize_run(
-        feed.world,
-        days,
-        seal.generated,
-        seal.delivered,
-        seal.injector,
-        vec![feed.vantage.into_shard_out()],
-        opts,
-        tel,
-    );
-    Ok(Box::new(out))
+    Engine::run(cfg, opts, None, None, Some(wal), tel)
 }
 
 /// Re-run detection over a sealed log without re-simulating: the vantage
@@ -1514,15 +1544,9 @@ pub fn replay_wal(
     tel: &mut Telemetry,
 ) -> io::Result<Box<RunOutput>> {
     tel.recorder.counter("ah_wal_replay_runs_total").inc();
-    let feed = feed_from_wal(&cfg, &opts, dir, tel)?;
-    let Some(seal) = feed.log.seal else {
-        return Err(invalid("WAL is not sealed (interrupted run?) — use resume_wal"));
-    };
-    let Some(meta) = feed.meta.clone() else {
-        return Err(invalid("WAL holds no meta record"));
-    };
-    check_meta(&meta, &cfg, &opts)?;
-    finalize_sealed(feed, seal, cfg.days, &opts, tel)
+    Engine::run(cfg, opts, None, Some(dir), None, tel)?
+        .completed()
+        .ok_or_else(|| invalid("replay suspended, but it has no journal to suspend on"))
 }
 
 /// Resume an interrupted durable run mid-simulation.
@@ -1536,6 +1560,11 @@ pub fn replay_wal(
 /// to [`replay_wal`]; resuming an empty directory is a fresh [`run_wal`].
 /// The continuation is serial; its output is still bitwise identical to
 /// an uninterrupted run at any thread count.
+///
+/// An interruption point (`wal.suspend_after` / `wal.crash_after`) at or
+/// inside the recovered prefix is rejected with
+/// [`io::ErrorKind::InvalidInput`] before anything is re-driven; the log
+/// is left as recovered and stays resumable.
 pub fn resume_wal(
     cfg: ScenarioConfig,
     opts: RunOptions,
@@ -1543,23 +1572,7 @@ pub fn resume_wal(
     tel: &mut Telemetry,
 ) -> io::Result<WalOutcome> {
     tel.recorder.counter("ah_wal_resume_runs_total").inc();
-    let feed = feed_from_wal(&cfg, &opts, &wal.dir, tel)?;
-    if let Some(seal) = feed.log.seal {
-        let Some(meta) = feed.meta.clone() else {
-            return Err(invalid("WAL holds no meta record"));
-        };
-        check_meta(&meta, &cfg, &opts)?;
-        return finalize_sealed(feed, seal, cfg.days, &opts, tel).map(WalOutcome::Completed);
-    }
-    let Some(meta) = feed.meta.clone() else {
-        if feed.log.next_seq == 0 {
-            return run_wal(cfg, opts, wal, tel);
-        }
-        return Err(invalid("WAL holds frames but no meta record"));
-    };
-    check_meta(&meta, &cfg, &opts)?;
-    let writer = WalWriter::resume(&wal.dir, wal.writer, feed.log.next_seq, &tel.recorder)?;
-    drive_wal_serial(cfg, opts, wal, tel, writer, Some((feed.vantage, feed.packets, feed.hash)))
+    Engine::run(cfg, opts, None, Some(&wal.dir), Some(wal), tel)
 }
 
 /// Parallel durable run: the sharded engine with the dispatcher owning
@@ -1582,168 +1595,7 @@ pub fn run_parallel_wal(
     wal: &WalRun,
     tel: &mut Telemetry,
 ) -> io::Result<WalOutcome> {
-    let threads = threads.max(1);
-    let days = cfg.days;
-    let mut writer = WalWriter::create(&wal.dir, wal.writer, &tel.recorder)?;
-    writer.append(&WalRecord::Meta(wal_meta(&cfg, &opts)))?;
-    writer.commit()?;
-
-    let mut sc = Scenario::build(cfg);
-    let world = {
-        let _mem = MemScope::enter(Tag::Mux);
-        sc.world.clone()
-    };
-    let rec = tel.recorder.clone();
-    let tracer = tel.tracer.clone();
-    writer.set_tracer(&tracer);
-    let m_packets = rec.counter("ah_pipeline_mux_packets_delivered_total");
-    let m_bytes = rec.counter("ah_pipeline_mux_bytes_delivered_total");
-
-    let mut producers = Vec::with_capacity(threads);
-    let mut consumers = Vec::with_capacity(threads);
-    {
-        let _mem = MemScope::enter(Tag::Mux);
-        for _ in 0..threads {
-            let (tx, rx) = ring::<PacketMeta>(RING_CAPACITY);
-            producers.push(tx);
-            consumers.push(rx);
-        }
-    }
-    let (merge_txs, merge_rx) = {
-        let _mem = MemScope::enter(Tag::Merge);
-        mpsc::<ShardResult>(threads, threads)
-    };
-
-    let mut generated = 0u64;
-    let mut delivered = 0u64;
-    let mut packet_hash = FNV_OFFSET;
-    let mut scratch: Vec<u8> = Vec::new();
-    let mut io_err: Option<io::Error> = None;
-    let stop = std::cell::Cell::new(false);
-    let mut injector = {
-        let _mem = MemScope::enter(Tag::Mux);
-        opts.faults.map(FaultInjector::new)
-    };
-    if let Some(inj) = injector.as_mut() {
-        inj.set_tracer(&tracer);
-    }
-
-    let (inj_stats, results) = std::thread::scope(|s| {
-        let world_ref = &world;
-        let opts_ref = &opts;
-        let rec_ref = &rec;
-        let tracer_ref = &tracer;
-        let handles: Vec<_> = consumers
-            .into_iter()
-            .zip(merge_txs)
-            .enumerate()
-            .map(|(i, (mut rx, mut mtx))| {
-                s.spawn(move || {
-                    {
-                        let _mem = MemScope::enter(Tag::Trace);
-                        tracer_ref.set_track("ah_pipeline_shard_worker", i as u64 + 1);
-                    }
-                    let mut v = Vantage::build(world_ref, opts_ref, rec_ref, tracer_ref);
-                    let tagged_run = ah_mem::accounting_enabled();
-                    while let Some(pkt) = rx.pop_wait() {
-                        let journey = tracer_ref.journey_id(pkt.src.to_u32());
-                        let _pop = (journey != 0)
-                            .then(|| tracer_ref.journey_span("ah_pipeline_shard_consume", journey));
-                        v.consume_dyn(tagged_run, &pkt);
-                    }
-                    let result = {
-                        let _mem = MemScope::enter(Tag::Merge);
-                        ShardResult {
-                            out: Box::new(v.into_shard_out()),
-                            injector: None,
-                            delivered: 0,
-                        }
-                    };
-                    mtx.push(result);
-                    mtx.close();
-                })
-            })
-            .collect();
-
-        {
-            let exporter = &mut tel.exporter;
-            let mem_pulse = &mut tel.mem;
-            let writer = &mut writer;
-            let io_err = &mut io_err;
-            let stop_ref = &stop;
-            let mut consume = |pkt: &PacketMeta| {
-                if stop_ref.get() || io_err.is_some() {
-                    return;
-                }
-                delivered += 1;
-                {
-                    let _mem = MemScope::enter(Tag::Wal);
-                    scratch.clear();
-                    WalRecord::Packet(*pkt).encode_payload(&mut scratch);
-                }
-                packet_hash = fnv1a_fold(packet_hash, &scratch);
-                let journey = tracer.journey_id(pkt.src.to_u32());
-                let _route = (journey != 0)
-                    .then(|| tracer.journey_span("ah_pipeline_dispatch_route", journey));
-                if let Err(e) = writer.append_payload(&scratch) {
-                    *io_err = Some(e);
-                    stop_ref.set(true);
-                    return;
-                }
-                if journey != 0 {
-                    tracer.journey_instant("ah_pipeline_wal_append", journey);
-                }
-                m_packets.inc();
-                m_bytes.add(u64::from(pkt.wire_len));
-                producers[shard_of(pkt.src, threads)].push(*pkt);
-                if let Some(ex) = exporter.as_mut() {
-                    ex.maybe_export(delivered);
-                }
-                if let Some(mp) = mem_pulse.as_mut() {
-                    mp.tick(delivered, &rec, &tracer);
-                }
-                if wal.crash_after == Some(delivered) {
-                    writer.crash_with_torn_tail();
-                }
-                if wal.suspend_after == Some(delivered) {
-                    stop_ref.set(true);
-                }
-            };
-            {
-                let _mem = MemScope::enter(Tag::Trace);
-                tracer.set_track("ah_pipeline_dispatch_main", 0);
-            }
-            let _drive = tracer.span("ah_pipeline_mux_drive");
-            while !stop.get() {
-                let Some(pkt) = sc.mux.next_packet() else { break };
-                generated += 1;
-                match injector.as_mut() {
-                    Some(inj) => inj.apply(&pkt, &mut consume),
-                    None => consume(&pkt),
-                }
-            }
-            if !stop.get() {
-                if let Some(inj) = injector.as_mut() {
-                    inj.flush(&mut consume);
-                }
-            }
-        }
-        for p in producers.into_iter() {
-            p.close();
-        }
-        (injector.as_ref().map(|i| i.stats()), collect_shards(&tracer, merge_rx, handles))
-    });
-    if let Some(e) = io_err {
-        return Err(e);
-    }
-    writer.commit()?;
-    if stop.get() {
-        return Ok(WalOutcome::Suspended { delivered, durable_seq: writer.durable_seq() });
-    }
-    writer.seal(RunSeal { generated, delivered, packet_hash, injector: inj_stats })?;
-    let shards: Vec<ShardOut> = results.into_iter().map(|r| *r.out).collect();
-    let out = finalize_run(world, days, generated, delivered, inj_stats, shards, &opts, tel);
-    Ok(WalOutcome::Completed(Box::new(out)))
+    Engine::run(cfg, opts, Some(threads), None, Some(wal), tel)
 }
 
 // --- Output fingerprinting ---------------------------------------------

@@ -165,6 +165,13 @@ fn check_wal_equivalence(seed: u64, faults: Option<FaultPlan>, tag: &str) {
             Ok(WalOutcome::Completed(_)) => panic!("{tag}: run finished before suspension point"),
             Err(e) => panic!("{tag}: suspend run failed: {e}"),
         }
+        // An interruption point inside the recovered prefix can never fire
+        // where it says: rejected up front, log left resumable.
+        let inside = WalRun::new(&dir2).suspend_after(cut / 2);
+        match pipeline::resume_wal(cfg(), opts(), &inside, &mut tel) {
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{tag}: {e}"),
+            Ok(_) => panic!("{tag}: resume accepted a suspension point inside the prefix"),
+        }
         let resumed = finished(
             pipeline::resume_wal(cfg(), opts(), &WalRun::new(&dir2), &mut tel),
             &format!("{tag}: resume, {threads} threads"),

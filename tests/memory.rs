@@ -4,8 +4,9 @@
 //! accounting is observation-only. Flipping [`ah_mem::set_accounting`]
 //! on — every allocation charged to a per-subsystem account via the
 //! scope stack — must leave [`RunOutput::fingerprint`] bitwise
-//! identical on both engines, clean or faulted, and on the durable
-//! (WAL) run/suspend-resume/replay paths. On top of that, the
+//! identical on every cell of the shared matrix (`tests/common`: 1 and 8
+//! threads, clean or faulted, in memory, journaled or replayed) and
+//! across a suspend/resume. On top of that, the
 //! run-scoped tags (mux, telescope, flow, wal, merge, detectors) must
 //! drain back to ~zero live bytes once the run's output is dropped —
 //! the leak gate `scripts/ci.sh` enforces on the release binary.
@@ -14,10 +15,11 @@
 //! on one mutex; integration tests are their own binary, which makes
 //! that intra-file lock sufficient.
 
-use aggressive_scanners::pipeline::{self, RunOptions, RunOutput, Telemetry, WalOutcome, WalRun};
-use aggressive_scanners::simnet::faults::FaultPlan;
-use aggressive_scanners::simnet::scenario::ScenarioConfig;
+mod common;
+
+use aggressive_scanners::pipeline::{self, Telemetry, WalOutcome, WalRun};
 use ah_mem::Tag;
+use common::{opts, run_with, scenario};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Slack for state that legitimately outlives a run while charged to a
@@ -34,31 +36,8 @@ fn lock() -> MutexGuard<'static, ()> {
     }
 }
 
-fn scenario() -> ScenarioConfig {
-    ScenarioConfig::tiny(1, 33)
-}
-
-fn opts(faulted: bool) -> RunOptions {
-    let o = RunOptions::full();
-    if faulted {
-        o.with_faults(FaultPlan::uniform(0.01, 33))
-    } else {
-        o
-    }
-}
-
-fn run_with(tel: &mut Telemetry, threads: usize, faulted: bool) -> RunOutput {
-    if threads <= 1 {
-        pipeline::run_with_recorder(scenario(), opts(faulted), tel)
-    } else {
-        pipeline::run_parallel_with_recorder(scenario(), opts(faulted), threads, tel)
-    }
-}
-
 fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("ah-mem-test-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
+    common::temp_dir(&format!("mem-{tag}"))
 }
 
 // --- Determinism --------------------------------------------------------
@@ -66,35 +45,36 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 #[test]
 fn accounting_does_not_perturb_output() {
     let _g = lock();
-    for (threads, faulted) in [(1, false), (1, true), (8, false), (8, true)] {
-        ah_mem::set_accounting(false);
-        let baseline = run_with(&mut Telemetry::disabled(), threads, faulted);
-        assert!(baseline.mem.is_none(), "accounting off must not attach a memory report");
-
-        ah_mem::set_accounting(true);
-        // A tight pulse interval so the periodic refresh path runs many
-        // times inside even this tiny scenario.
-        let mut tel = Telemetry::disabled().with_mem(64);
-        let accounted = run_with(&mut tel, threads, faulted);
-        ah_mem::set_accounting(false);
-
-        assert_eq!(
-            baseline.fingerprint(),
-            accounted.fingerprint(),
-            "accounting changed the output at threads={threads} faulted={faulted}"
-        );
-        let report = accounted.mem.as_ref().expect("accounted run attaches a memory report");
-        assert!(report.global.peak_bytes > 0, "global peak not tracked");
-        assert!(report.peak_rss_bytes() > 0, "peak RSS not resolved");
-        for tag in [Tag::Mux, Tag::Telescope, Tag::Flow, Tag::Detectors] {
-            let s = report.tags().find(|(t, _)| *t == tag).expect("tag in report").1;
-            assert!(
-                s.total_bytes > 0,
-                "tag {} never charged at threads={threads} faulted={faulted}",
-                tag.name()
-            );
-        }
-    }
+    ah_mem::set_accounting(false);
+    // Accounting is switched on right before each observed run and off
+    // right after it, so every baseline runs unaccounted.
+    common::assert_observation_only(
+        "mem-det",
+        || {
+            ah_mem::set_accounting(true);
+            // A tight pulse interval so the periodic refresh path runs
+            // many times inside even this tiny scenario.
+            Telemetry::disabled().with_mem(64)
+        },
+        |cell, _tel, accounted| {
+            ah_mem::set_accounting(false);
+            assert!(cell.baseline.mem.is_none(), "accounting off must not attach a memory report");
+            let report = accounted.mem.as_ref().expect("accounted run attaches a memory report");
+            assert!(report.global.peak_bytes > 0, "global peak not tracked");
+            assert!(report.peak_rss_bytes() > 0, "peak RSS not resolved");
+            for tag in [Tag::Mux, Tag::Telescope, Tag::Flow, Tag::Detectors] {
+                let s = report.tags().find(|(t, _)| *t == tag).expect("tag in report").1;
+                assert!(
+                    s.total_bytes > 0,
+                    "tag {} never charged at threads={} faulted={} path={:?}",
+                    tag.name(),
+                    cell.threads,
+                    cell.faulted,
+                    cell.path
+                );
+            }
+        },
+    );
 }
 
 #[test]

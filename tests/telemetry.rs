@@ -3,15 +3,17 @@
 //! The contract under test (`ARCHITECTURE.md` §Observability): telemetry
 //! is observation-only. Attaching a live recorder — and even writing
 //! periodic snapshot files — must leave [`RunOutput::fingerprint`]
-//! bitwise identical on both engines, clean or faulted. On top of that,
-//! the exported files must follow their documented schemas, every metric
-//! name must follow the `ah_<crate>_<subsystem>_<name>` scheme, and the
-//! exported `ah_core_health_*` gauges must mirror the run's
-//! `PipelineHealth` ledger field by field.
+//! bitwise identical on every cell of the shared matrix (`tests/common`):
+//! 1 and 8 threads, clean or faulted, in memory, journaled or replayed.
+//! On top of that, the exported files must follow their documented
+//! schemas, every metric name must follow the
+//! `ah_<crate>_<subsystem>_<name>` scheme, and the exported
+//! `ah_core_health_*` gauges must mirror the run's `PipelineHealth`
+//! ledger field by field.
 
-use aggressive_scanners::pipeline::{self, RunOptions, RunOutput, Telemetry};
-use aggressive_scanners::simnet::faults::FaultPlan;
-use aggressive_scanners::simnet::scenario::ScenarioConfig;
+mod common;
+
+use aggressive_scanners::pipeline::{self, RunOutput, Telemetry, WalRun};
 use ah_obs::{
     to_jsonl_line, valid_metric_name, Exporter, HistogramSnapshot, Recorder, Sample, Snapshot,
     Value,
@@ -234,26 +236,7 @@ fn parse_json(line: &str) -> Json {
 
 // --- Shared run helpers -------------------------------------------------
 
-fn scenario() -> ScenarioConfig {
-    ScenarioConfig::tiny(1, 31)
-}
-
-fn opts(faulted: bool) -> RunOptions {
-    let o = RunOptions::full();
-    if faulted {
-        o.with_faults(FaultPlan::uniform(0.01, 31))
-    } else {
-        o
-    }
-}
-
-fn run_with(tel: &mut Telemetry, threads: usize, faulted: bool) -> RunOutput {
-    if threads <= 1 {
-        pipeline::run_with_recorder(scenario(), opts(faulted), tel)
-    } else {
-        pipeline::run_parallel_with_recorder(scenario(), opts(faulted), threads, tel)
-    }
-}
+use common::{opts, run_with, scenario};
 
 /// An 8-shard faulted run recording to `rec`, exporting to `base`.
 fn instrumented_run(base: &std::path::Path, interval: u64) -> (RunOutput, Recorder, Exporter) {
@@ -267,9 +250,14 @@ fn instrumented_run(base: &std::path::Path, interval: u64) -> (RunOutput, Record
 }
 
 fn temp_base(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("ah-telemetry-{tag}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir.join("metrics")
+    common::temp_dir(&format!("telemetry-{tag}")).join("metrics")
+}
+
+/// The `pos` of every JSONL snapshot line in `text`, in file order.
+fn snapshot_positions(text: &str) -> Vec<u64> {
+    text.lines()
+        .map(|l| parse_json(l).get("pos").and_then(Json::as_num).expect("pos") as u64)
+        .collect()
 }
 
 // --- Determinism --------------------------------------------------------
@@ -277,18 +265,54 @@ fn temp_base(tag: &str) -> std::path::PathBuf {
 #[test]
 fn metrics_do_not_perturb_output() {
     let base = temp_base("det");
-    for (threads, faulted) in [(1, false), (1, true), (8, false), (8, true)] {
-        let baseline = run_with(&mut Telemetry::disabled(), threads, faulted).fingerprint();
-        let rec = Recorder::new();
-        // Tight interval so the exporter runs often mid-stream.
-        let exporter = Exporter::new(rec.clone(), &base, 2_000);
-        let mut tel = Telemetry::with_exporter(rec, exporter);
-        let instrumented = run_with(&mut tel, threads, faulted).fingerprint();
-        assert_eq!(
-            baseline, instrumented,
-            "metrics changed the output at threads={threads} faulted={faulted}"
-        );
+    common::assert_observation_only(
+        "telemetry-det",
+        || {
+            let rec = Recorder::new();
+            // Tight interval so the exporter runs often mid-stream.
+            let exporter = Exporter::new(rec.clone(), &base, 2_000);
+            Telemetry::with_exporter(rec, exporter)
+        },
+        |cell, tel, _out| {
+            let ex = tel.exporter.as_ref().expect("exporter still attached");
+            assert_eq!(ex.io_errors(), 0, "exporter hit IO errors");
+            // Every path ticks the periodic exporter mid-stream — replay
+            // included — at positions that never run backwards.
+            assert!(ex.snapshots_written() > 1, "only the closing snapshot at {:?}", cell.path);
+            let text = std::fs::read_to_string(ex.jsonl_path()).expect("read jsonl");
+            let pos = snapshot_positions(&text);
+            assert!(pos.windows(2).all(|w| w[0] <= w[1]), "pos ran backwards at {:?}", cell.path);
+        },
+    );
+}
+
+/// A journaled sharded run — what the shipped binary executes under
+/// `--wal-dir --threads N --metrics` — publishes the same dispatcher
+/// instruments as an unjournaled one.
+#[test]
+fn journaled_sharded_run_publishes_dispatcher_instruments() {
+    let dir = common::temp_dir("telemetry-pwal");
+    let rec = Recorder::new();
+    let mut tel = Telemetry::new(rec.clone());
+    pipeline::run_parallel_wal(scenario(), opts(true), 4, &WalRun::new(&dir), &mut tel)
+        .expect("parallel durable run")
+        .completed()
+        .expect("run completed");
+    let snap = rec.snapshot();
+    for name in ["ah_pipeline_ring_occupancy_hwm", "ah_pipeline_merge_ring_occupancy_hwm"] {
+        let mut shards: Vec<&str> = snap
+            .samples
+            .iter()
+            .filter(|s| s.name == name)
+            .flat_map(|s| s.labels.iter().filter(|(k, _)| k == "shard").map(|(_, v)| v.as_str()))
+            .collect();
+        shards.sort_unstable();
+        assert_eq!(shards, ["0", "1", "2", "3"], "one {name} gauge per shard label");
     }
+    for name in ["ah_pipeline_dispatch_stalls_total", "ah_pipeline_dispatch_stall_us"] {
+        assert!(snap.samples.iter().any(|s| s.name == name), "{name} not published");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // --- Snapshot-file schema ------------------------------------------------

@@ -3,67 +3,44 @@
 //! The contract under test (`ARCHITECTURE.md` §12): tracing is
 //! observation-only. Attaching a live [`ah_trace::Tracer`] — spans on
 //! every layer plus sampled packet journeys — must leave
-//! [`RunOutput::fingerprint`] bitwise identical on both engines, clean
-//! or faulted, and on the durable (WAL) paths. On top of that, the
+//! [`RunOutput::fingerprint`] bitwise identical on every cell of the
+//! shared matrix (`tests/common`): 1 and 8 threads, clean or faulted, in
+//! memory, journaled or replayed. On top of that, the
 //! Chrome trace-event export must pass the first-party validator
 //! ([`ah_trace::check`]): balanced `B`/`E` stacks, per-track monotonic
 //! timestamps, scheme-conforming span names, and flow chains with a
 //! single start and at least two points.
 
-use aggressive_scanners::pipeline::{self, RunOptions, RunOutput, Telemetry, WalRun};
-use aggressive_scanners::simnet::faults::FaultPlan;
-use aggressive_scanners::simnet::scenario::ScenarioConfig;
+mod common;
+
+use aggressive_scanners::pipeline::{self, Telemetry, WalRun};
 use ah_trace::{check, export, TraceConfig, Tracer};
-
-fn scenario() -> ScenarioConfig {
-    ScenarioConfig::tiny(1, 33)
-}
-
-fn opts(faulted: bool) -> RunOptions {
-    let o = RunOptions::full();
-    if faulted {
-        o.with_faults(FaultPlan::uniform(0.01, 33))
-    } else {
-        o
-    }
-}
+use common::{opts, run_with, scenario, temp_dir};
 
 /// A live tracer following ~1-in-`sample` source journeys, seeded like
 /// the scenario so the sampled set is reproducible.
 fn tracer(sample: u64) -> Tracer {
-    Tracer::new(TraceConfig { seed: 33, sample_one_in: sample, ..TraceConfig::default() })
-}
-
-fn run_with(tel: &mut Telemetry, threads: usize, faulted: bool) -> RunOutput {
-    if threads <= 1 {
-        pipeline::run_with_recorder(scenario(), opts(faulted), tel)
-    } else {
-        pipeline::run_parallel_with_recorder(scenario(), opts(faulted), threads, tel)
-    }
-}
-
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("ah-trace-test-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
+    Tracer::new(TraceConfig { seed: common::SEED, sample_one_in: sample, ..TraceConfig::default() })
 }
 
 // --- Determinism --------------------------------------------------------
 
 #[test]
 fn tracing_does_not_perturb_output() {
-    for (threads, faulted) in [(1, false), (1, true), (8, false), (8, true)] {
-        let baseline = run_with(&mut Telemetry::disabled(), threads, faulted).fingerprint();
-        let mut tel = Telemetry::disabled().with_tracer(tracer(4));
-        let traced = run_with(&mut tel, threads, faulted).fingerprint();
-        assert_eq!(
-            baseline, traced,
-            "tracing changed the output at threads={threads} faulted={faulted}"
-        );
-        let snap = tel.tracer.snapshot();
-        let events: usize = snap.tracks.iter().map(|t| t.events.len()).sum();
-        assert!(events > 0, "live tracer recorded nothing at threads={threads}");
-    }
+    common::assert_observation_only(
+        "trace-det",
+        || Telemetry::disabled().with_tracer(tracer(4)),
+        |cell, tel, _out| {
+            let snap = tel.tracer.snapshot();
+            let events: usize = snap.tracks.iter().map(|t| t.events.len()).sum();
+            assert!(
+                events > 0,
+                "live tracer recorded nothing at threads={} path={:?}",
+                cell.threads,
+                cell.path
+            );
+        },
+    );
 }
 
 // --- Chrome trace schema + causal journeys ------------------------------
@@ -113,7 +90,7 @@ fn traced_parallel_run_exports_causal_journeys() {
 
 #[test]
 fn traced_wal_run_covers_wal_io_and_stays_deterministic() {
-    let dir = temp_dir("wal");
+    let dir = temp_dir("trace-wal");
     let baseline = pipeline::run(scenario(), opts(false)).fingerprint();
 
     let mut tel = Telemetry::disabled().with_tracer(tracer(16));
@@ -155,7 +132,7 @@ fn traced_wal_run_covers_wal_io_and_stays_deterministic() {
 
 #[test]
 fn traced_parallel_wal_matches_serial() {
-    let dir = temp_dir("pwal");
+    let dir = temp_dir("trace-pwal");
     let mut tel = Telemetry::disabled().with_tracer(tracer(16));
     let out = pipeline::run_parallel_wal(scenario(), opts(false), 4, &WalRun::new(&dir), &mut tel)
         .expect("parallel durable run")
