@@ -1,16 +1,19 @@
-//! Ablation benchmarks over the design choices DESIGN.md calls out:
-//! the event idle-timeout, the flow sampling rate, and the dispersion
-//! threshold. Each parameterization is timed by Criterion; the *output*
-//! effects (event splitting, estimate bias, population size) are printed
-//! once per run so the ablation doubles as a measurement.
+//! Ablation tables over the design choices DESIGN.md calls out: the
+//! event idle-timeout, the flow sampling rate, the dispersion threshold
+//! and exact-vs-sketch distinct counting. Prints the *output* effect of
+//! each parameterization (event splitting, estimate bias, population
+//! size, count accuracy) — the figures EXPERIMENTS.md §Ablations quotes.
+//! Timing is `ah-perf`'s job (`crates/perf`), not this target's.
 
 use ah_core::defs::{Definition, Thresholds};
 use ah_core::detector::{Detector, DetectorConfig};
 use ah_net::ipv4::Ipv4Addr4;
-use ah_net::packet::PacketMeta;
+use ah_net::packet::{PacketMeta, ScanClass};
 use ah_net::time::{Dur, Ts};
 use ah_telescope::capture::Telescope;
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use ah_telescope::dstset::DstSet;
+use ah_telescope::event::{DarknetEvent, EventKey, ToolCounts};
+use ah_telescope::hll::HyperLogLog;
 
 /// A slow scanner whose darknet hits arrive ~2 minutes apart: short
 /// timeouts shred it into many events.
@@ -28,34 +31,21 @@ fn slow_scan(n: u32) -> Vec<PacketMeta> {
         .collect()
 }
 
-fn ablate_timeout(c: &mut Criterion) {
+fn ablate_timeout() {
     let pkts = slow_scan(2000);
-    let mut g = c.benchmark_group("ablation_timeout");
     for mins in [1u64, 5, 10, 30] {
-        // Print the splitting effect once, outside the timing loop.
         let mut t = Telescope::new("20.0.0.0/18".parse().unwrap(), Dur::from_mins(mins));
         for p in &pkts {
             t.observe(p);
         }
         let events = t.flush().len();
-        eprintln!("[ablation] timeout={mins}min -> {events} events from one 2k-probe slow scan");
-        g.bench_with_input(BenchmarkId::from_parameter(mins), &mins, |b, &mins| {
-            b.iter(|| {
-                let mut t = Telescope::new("20.0.0.0/18".parse().unwrap(), Dur::from_mins(mins));
-                for p in &pkts {
-                    t.observe(p);
-                }
-                black_box(t.flush().len())
-            })
-        });
+        println!("[ablation] timeout={mins}min -> {events} events from one 2k-probe slow scan");
     }
-    g.finish();
 }
 
-fn ablate_sampling(c: &mut Criterion) {
+fn ablate_sampling() {
     // A flow of 10,000 packets, sampled at different rates: the inverse
     // estimator's error grows with the rate.
-    let mut g = c.benchmark_group("ablation_sampling");
     for rate in [1u64, 10, 100, 1000] {
         let mut s = ah_flow::sampler::Sampler::new(rate, 3);
         let mut sampled = 0u64;
@@ -65,29 +55,14 @@ fn ablate_sampling(c: &mut Criterion) {
             }
         }
         let est = s.estimate(sampled);
-        eprintln!(
+        println!(
             "[ablation] sampling 1:{rate} -> estimate {est} of 10000 true ({}% error)",
             (est as i64 - 10_000).abs() * 100 / 10_000
         );
-        g.bench_with_input(BenchmarkId::from_parameter(rate), &rate, |b, &rate| {
-            b.iter(|| {
-                let mut s = ah_flow::sampler::Sampler::new(rate, 0);
-                let mut n = 0u64;
-                for _ in 0..10_000 {
-                    if s.sample() {
-                        n += 1;
-                    }
-                }
-                black_box(s.estimate(n))
-            })
-        });
     }
-    g.finish();
 }
 
-fn ablate_dispersion(c: &mut Criterion) {
-    use ah_net::packet::ScanClass;
-    use ah_telescope::event::{DarknetEvent, EventKey, ToolCounts};
+fn ablate_dispersion() {
     // Events with geometrically-spread dispersion.
     let events: Vec<DarknetEvent> = (0..20_000u32)
         .map(|i| DarknetEvent {
@@ -105,8 +80,6 @@ fn ablate_dispersion(c: &mut Criterion) {
             tools: ToolCounts::default(),
         })
         .collect();
-    let mut g = c.benchmark_group("ablation_dispersion");
-    g.sample_size(20);
     for pct in [5u32, 10, 20, 50] {
         let cfg = DetectorConfig {
             thresholds: Thresholds {
@@ -118,61 +91,32 @@ fn ablate_dispersion(c: &mut Criterion) {
         let mut d = Detector::new(cfg);
         d.ingest_all(&events);
         let n = d.finalize().hitters(Definition::AddressDispersion).len();
-        eprintln!("[ablation] dispersion>={pct}% -> {n} hitters of 20000 sources");
-        g.bench_with_input(BenchmarkId::from_parameter(pct), &pct, |b, _| {
-            b.iter(|| {
-                let mut d = Detector::new(cfg);
-                d.ingest_all(&events);
-                black_box(d.finalize().hitters(Definition::AddressDispersion).len())
-            })
-        });
+        println!("[ablation] dispersion>={pct}% -> {n} hitters of 20000 sources");
     }
-    g.finish();
 }
 
-fn ablate_counting(c: &mut Criterion) {
-    use ah_telescope::dstset::DstSet;
-    use ah_telescope::hll::HyperLogLog;
+fn ablate_counting() {
     // Exact adaptive set vs HLL sketch for per-event dispersion counting:
-    // time and (printed once) accuracy + memory at darknet scale.
+    // accuracy and memory at darknet scale.
     let dark = 16_384u32;
-    let ids: Vec<u32> = (0..40_000u32).map(|i| (i.wrapping_mul(2_654_435_761)) % dark).collect();
-    {
-        let mut exact = DstSet::new(dark);
-        let mut sketch: HyperLogLog = HyperLogLog::new();
-        for &id in &ids {
-            exact.insert(id);
-            sketch.insert(u64::from(id));
-        }
-        eprintln!(
-            "[ablation] distinct-count: exact={} sketch={:.0} (repr {}, sketch {} B)",
-            exact.count(),
-            sketch.estimate(),
-            exact.repr_name(),
-            sketch.memory_bytes()
-        );
+    let mut exact = DstSet::new(dark);
+    let mut sketch: HyperLogLog = HyperLogLog::new();
+    for id in (0..40_000u32).map(|i| i.wrapping_mul(2_654_435_761) % dark) {
+        exact.insert(id);
+        sketch.insert(u64::from(id));
     }
-    let mut g = c.benchmark_group("ablation_counting");
-    g.bench_function("exact_dstset", |b| {
-        b.iter(|| {
-            let mut s = DstSet::new(dark);
-            for &id in &ids {
-                s.insert(id);
-            }
-            black_box(s.count())
-        })
-    });
-    g.bench_function("hll_sketch", |b| {
-        b.iter(|| {
-            let mut s: HyperLogLog = HyperLogLog::new();
-            for &id in &ids {
-                s.insert(u64::from(id));
-            }
-            black_box(s.estimate())
-        })
-    });
-    g.finish();
+    println!(
+        "[ablation] distinct-count: exact={} sketch={:.0} (repr {}, sketch {} B)",
+        exact.count(),
+        sketch.estimate(),
+        exact.repr_name(),
+        sketch.memory_bytes()
+    );
 }
 
-criterion_group!(benches, ablate_timeout, ablate_sampling, ablate_dispersion, ablate_counting);
-criterion_main!(benches);
+fn main() {
+    ablate_timeout();
+    ablate_sampling();
+    ablate_dispersion();
+    ablate_counting();
+}

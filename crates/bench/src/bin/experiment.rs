@@ -27,6 +27,7 @@
 //! series under the output directory (default `out/`). Simulation runs
 //! are shared across experiments in one invocation.
 
+use aggressive_scanners::cli::{parse_flag, usage_error, ObsFlags, OBS_USAGE};
 use aggressive_scanners::core::characterize::{
     origin_table, port_overlap, protocol_mix_darknet, protocol_mix_flow, top_ports, trends,
     zipf_concentration,
@@ -38,7 +39,7 @@ use aggressive_scanners::core::report::{fmt_count, fmt_pct, write_csv, TextTable
 use aggressive_scanners::core::validate::{
     acked_validation, daily_gn_overlap, gn_breakdown, gn_tag_table,
 };
-use aggressive_scanners::pipeline::{RunOutput, Telemetry};
+use aggressive_scanners::pipeline::RunOutput;
 use ah_bench::{Runs, Spans};
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -64,18 +65,29 @@ fn require<T>(opt: Option<T>, what: &str, experiment: &str) -> T {
     })
 }
 
-/// Parse the value following a flag, exiting with a usage error when it
-/// is absent or malformed.
-fn parse_flag<T: std::str::FromStr>(args: &[String], i: usize, flag: &str, kind: &str) -> T {
-    let Some(v) = args.get(i) else {
-        eprintln!("error: {flag} requires a value ({kind})");
-        std::process::exit(2);
-    };
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("error: {flag}: {v:?} is not a valid {kind}");
-        std::process::exit(2);
-    })
-}
+/// An experiment id and the function that regenerates it.
+type Experiment = (&'static str, fn(&mut Ctx));
+
+/// Every experiment, in `all` order.
+const EXPERIMENTS: &[Experiment] = &[
+    ("table1", table1),
+    ("table2", table2),
+    ("table3", table3),
+    ("table4", table4),
+    ("table5", table5),
+    ("table6", table6),
+    ("table7", table7),
+    ("table8", table8),
+    ("table9", table9),
+    ("fig1", fig1),
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("whatif", whatif),
+    ("health", health),
+];
 
 impl Ctx {
     fn csv(&self, name: &str, headers: &[&str], rows: &[Vec<String>]) {
@@ -90,17 +102,12 @@ impl Ctx {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut ids: Vec<String> = Vec::new();
+    let mut ids: Vec<&str> = Vec::new();
     let mut scale = 1.0f64;
     let mut seed = 1u64;
     let mut threads = 0usize;
     let mut out = PathBuf::from("out");
-    let mut metrics: Option<PathBuf> = None;
-    let mut metrics_interval = 100_000u64;
-    let mut trace_out: Option<PathBuf> = None;
-    let mut trace_sample = 64u64;
-    let mut mem_report = false;
-    let mut mem_interval = 100_000u64;
+    let mut obs = ObsFlags::new(100_000);
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -119,157 +126,52 @@ fn main() {
             "--out" => {
                 i += 1;
                 let Some(dir) = args.get(i) else {
-                    eprintln!("error: --out requires a directory argument");
-                    std::process::exit(2);
+                    usage_error("--out requires a directory argument".into());
                 };
                 out = PathBuf::from(dir);
             }
-            "--metrics" => {
-                i += 1;
-                let Some(base) = args.get(i) else {
-                    eprintln!("error: --metrics requires a file-base argument (e.g. out/metrics)");
-                    std::process::exit(2);
-                };
-                metrics = Some(PathBuf::from(base));
-            }
-            "--metrics-interval" => {
-                i += 1;
-                metrics_interval = parse_flag(&args, i, "--metrics-interval", "integer");
-            }
-            "--trace-out" => {
-                i += 1;
-                let Some(path) = args.get(i) else {
-                    eprintln!("error: --trace-out requires a file path (e.g. out/trace.json)");
-                    std::process::exit(2);
-                };
-                trace_out = Some(PathBuf::from(path));
-            }
-            "--trace-sample" => {
-                i += 1;
-                trace_sample = parse_flag(&args, i, "--trace-sample", "integer");
-            }
-            "--mem-report" => mem_report = true,
-            "--mem-interval" => {
-                i += 1;
-                mem_interval = parse_flag(&args, i, "--mem-interval", "integer");
-            }
-            id => ids.push(id.to_string()),
+            _ if obs.accept(&args, &mut i).unwrap_or_else(|e| usage_error(e)) => {}
+            other if other.starts_with('-') => usage_error(format!("unknown argument {other:?}")),
+            id => ids.push(id),
         }
         i += 1;
     }
     if ids.is_empty() {
         eprintln!(
-            "usage: experiment <table1..table9|fig1..fig6|whatif|health|all>... [--days-scale F] [--seed N] [--out DIR] [--threads N] [--metrics PATH] [--metrics-interval N] [--trace-out PATH] [--trace-sample N] [--mem-report] [--mem-interval N]"
+            "usage: experiment <table1..table9|fig1..fig6|whatif|health|all>... [--days-scale F] [--seed N] [--out DIR] [--threads N] {OBS_USAGE}"
         );
         std::process::exit(2);
     }
-    for (flag, value) in [
-        ("--metrics-interval", metrics_interval),
-        ("--trace-sample", trace_sample),
-        ("--mem-interval", mem_interval),
-    ] {
-        if value == 0 {
-            eprintln!("error: {flag} must be at least 1 (0 would disable the stream it paces)");
-            std::process::exit(2);
-        }
-    }
-    if ids.iter().any(|s| s == "all") {
-        ids = (1..=9)
-            .map(|n| format!("table{n}"))
-            .chain((1..=6).map(|n| format!("fig{n}")))
-            .chain(["whatif".to_string(), "health".to_string()])
-            .collect();
-    }
-    let spans = Spans::default().scaled(scale);
-    let mut runs = Runs::new(spans, seed).with_threads(threads);
-    let mut tel = if let Some(base) = metrics {
-        if let Some(dir) = base.parent().filter(|d| !d.as_os_str().is_empty()) {
-            std::fs::create_dir_all(dir).ok();
-        }
-        let rec = ah_obs::Recorder::new();
-        let exporter = ah_obs::Exporter::new(rec.clone(), base, metrics_interval);
-        eprintln!(
-            "[metrics] recording to {} / {} every {metrics_interval} packets",
-            exporter.jsonl_path().display(),
-            exporter.prom_path().display()
-        );
-        Telemetry::with_exporter(rec, exporter)
-    } else {
-        Telemetry::disabled()
-    };
-    if trace_out.is_some() {
-        tel.tracer = ah_trace::Tracer::new(ah_trace::TraceConfig {
-            seed,
-            sample_one_in: trace_sample,
-            ..ah_trace::TraceConfig::default()
-        });
-        eprintln!("[trace] spans on, following ~1-in-{trace_sample} source journeys");
-    }
-    if mem_report {
-        ah_mem::set_accounting(true);
-        tel = tel.with_mem(mem_interval);
-        eprintln!("[mem] per-subsystem accounting on, refresh every {mem_interval} packets");
-    }
-    if tel.exporter.is_some() || tel.tracer.is_enabled() || tel.mem.is_some() {
-        runs = runs.with_telemetry(tel);
-    }
-    let mut ctx = Ctx { runs, out, seed };
-    std::fs::create_dir_all(&ctx.out).ok();
+    // Every id is checked before the first run starts: a typo must not
+    // cost minutes of simulation first.
+    let mut todo: Vec<&Experiment> = Vec::new();
     for id in &ids {
-        let t0 = std::time::Instant::now();
-        match id.as_str() {
-            "table1" => table1(&mut ctx),
-            "table2" => table2(&mut ctx),
-            "table3" => table3(&mut ctx),
-            "table4" => table4(&mut ctx),
-            "table5" => table5(&mut ctx),
-            "table6" => table6(&mut ctx),
-            "table7" => table7(&mut ctx),
-            "table8" => table8(&mut ctx),
-            "table9" => table9(&mut ctx),
-            "fig1" => fig1(&mut ctx),
-            "fig2" => fig2(&mut ctx),
-            "fig3" => fig3(&mut ctx),
-            "fig4" => fig4(&mut ctx),
-            "fig5" => fig5(&mut ctx),
-            "fig6" => fig6(&mut ctx),
-            "whatif" => whatif(&mut ctx),
-            "health" => health(&mut ctx),
-            other => {
-                eprintln!("unknown experiment {other:?}");
+        match EXPERIMENTS.iter().find(|(name, _)| name == id) {
+            Some(e) => todo.push(e),
+            None if *id == "all" => {}
+            None => {
+                eprintln!("unknown experiment {id:?}");
                 std::process::exit(2);
             }
         }
+    }
+    if ids.contains(&"all") {
+        todo = EXPERIMENTS.iter().collect();
+    }
+    let spans = Spans::default().scaled(scale);
+    let runs = Runs::new(spans, seed).with_threads(threads).with_telemetry(obs.telemetry(seed));
+    let mut ctx = Ctx { runs, out, seed };
+    std::fs::create_dir_all(&ctx.out).ok();
+    for (id, run) in todo {
+        let t0 = std::time::Instant::now();
+        run(&mut ctx);
         eprintln!("[done] {id} in {:.1}s\n", t0.elapsed().as_secs_f64());
     }
-    if let Some(ex) = ctx.runs.telemetry().exporter.as_ref() {
-        eprintln!(
-            "[metrics] {} snapshots -> {} ({} io errors)",
-            ex.snapshots_written(),
-            ex.jsonl_path().display(),
-            ex.io_errors()
-        );
+    if let Err(e) = obs.finish(ctx.runs.telemetry()) {
+        eprintln!("error: writing trace artifacts: {e}");
+        std::process::exit(1);
     }
-    if let Some(path) = trace_out {
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            std::fs::create_dir_all(dir).ok();
-        }
-        let snap = ctx.runs.telemetry().tracer.snapshot();
-        match ah_trace::export::write_artifacts(&snap, &path) {
-            Ok(folded) => {
-                eprintln!("[trace] chrome trace -> {}", path.display());
-                eprintln!("[trace] folded stacks -> {}", folded.display());
-                if snap.dropped > 0 {
-                    eprintln!("[trace] {} events dropped (buffers full)", snap.dropped);
-                }
-            }
-            Err(e) => {
-                eprintln!("error: writing trace artifacts: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if mem_report {
+    if obs.mem_report() {
         // Cached run outputs are still alive here, so this is a
         // whole-process snapshot, not a drained-run leak check (the
         // scanner binary's `--mem-report` does that).

@@ -1,4 +1,4 @@
-//! Shared helpers for the experiment runner and the Criterion benches.
+//! Shared helpers for the experiment runner.
 //!
 //! The heavy lifting lives in the workspace crates; this library only
 //! provides the run cache the `experiment` binary uses so that multiple
@@ -10,7 +10,6 @@
 use aggressive_scanners::pipeline::{self, RunOptions, RunOutput, TapRun, Telemetry};
 use aggressive_scanners::simnet::scenario::{BenignLevel, ScenarioConfig, Year};
 use ah_core::defs::Definition;
-use ah_obs::Recorder;
 
 /// Span (in simulated days) of each dataset, scaled from the paper's
 /// 365 / 288 / 8 / 3 / 30 by roughly 1:9 so a full `experiment all`
@@ -52,13 +51,8 @@ impl Spans {
 /// Run a scenario on the requested engine: the serial reference for
 /// `threads <= 1`, the sharded engine otherwise. Both produce bitwise
 /// identical output (see `tests/determinism.rs`), so callers may treat
-/// the choice as a pure performance knob.
-pub fn execute(cfg: ScenarioConfig, opts: RunOptions, threads: usize) -> RunOutput {
-    execute_with(cfg, opts, threads, &mut Telemetry::disabled())
-}
-
-/// [`execute`] with live telemetry (recorder + optional exporter); the
-/// output is bitwise identical to a telemetry-free run.
+/// the choice as a pure performance knob. Telemetry is observation-only:
+/// the output is bitwise identical to a telemetry-free run.
 pub fn execute_with(
     cfg: ScenarioConfig,
     opts: RunOptions,
@@ -110,15 +104,8 @@ impl Runs {
         self
     }
 
-    /// Record pipeline telemetry on `rec` for every subsequent run
-    /// (keeping any exporter already configured). Telemetry is
-    /// observation-only: run outputs are unchanged.
-    pub fn with_recorder(mut self, rec: Recorder) -> Runs {
-        self.telemetry.recorder = rec;
-        self
-    }
-
     /// Replace the whole telemetry handle (recorder + snapshot exporter).
+    /// Telemetry is observation-only: run outputs are unchanged.
     pub fn with_telemetry(mut self, tel: Telemetry) -> Runs {
         self.telemetry = tel;
         self

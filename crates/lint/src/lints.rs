@@ -557,8 +557,7 @@ fn doc_header(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
     // some doc comment must precede the first code token. (Token-level
     // heuristic: an outer `///` on the first item also satisfies this,
     // but rustfmt'd module files put the `//!` header first, so in
-    // practice this pins the module-doc convention — added when the
-    // MPSC merge ring joined `crates/simnet` as a second ring module.)
+    // practice this pins the module-doc convention.)
     let first_code = ctx
         .tokens
         .iter()

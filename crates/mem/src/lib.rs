@@ -90,8 +90,7 @@ pub enum Tag {
     /// Write-ahead log: writer frames, group-commit buffers, recovery
     /// scans.
     Wal = 3,
-    /// Parallel-engine merge: MPSC ring, shard result boxes, collected
-    /// shard state.
+    /// Parallel-engine merge: shard results and collected shard state.
     Merge = 4,
     /// Detector passes: aggressive-scanner classification, GreyNoise
     /// replica state, report assembly.

@@ -53,16 +53,6 @@ const CORE_TEST: &[&str] = &["test", "-q", "-p", "ah-core"];
 const TELE_TEST: &[&str] = &["test", "-q", "-p", "ah-telescope"];
 const SPSC_CLEAN: &[&str] =
     &["test", "-q", "-p", "ah-simnet", "--test", "model_check", "real_ring_is_clean_capacity_2"];
-const MPSC_CLEAN: &[&str] = &[
-    "test",
-    "-q",
-    "--release",
-    "-p",
-    "ah-simnet",
-    "--test",
-    "model_check",
-    "real_mpsc_is_clean_capacity_2",
-];
 
 /// The curated sentinel set. Ordered cheapest-kill first so a broken
 /// tree fails the gate as early as possible.
@@ -220,28 +210,6 @@ pub const SENTINELS: &[Sentinel] = &[
         why: "PR 5's seeded mutant: Relaxed head observe lets the producer \
               overwrite a slot still being read",
     },
-    Sentinel {
-        name: "mpsc-seq-publish",
-        file: "crates/simnet/src/ring.rs",
-        op: "ord-relax",
-        original: "Release",
-        contains: "const SEQ_PUBLISH",
-        pick: 0,
-        kill: &[&["build", "-q", "--release", "-p", "ah-simnet"], MPSC_CLEAN],
-        why: "PR 7's seeded mutant: Relaxed seq publish exposes half-written \
-              slots to the merge consumer (release-only exhaustive check)",
-    },
-    Sentinel {
-        name: "mpsc-recycle-observe",
-        file: "crates/simnet/src/ring.rs",
-        op: "ord-relax",
-        original: "Acquire",
-        contains: "const RECYCLE_OBSERVE",
-        pick: 0,
-        kill: &[&["build", "-q", "--release", "-p", "ah-simnet"], MPSC_CLEAN],
-        why: "PR 7's seeded mutant: Relaxed recycle observe lets a producer \
-              reuse a slot before the consumer's read completes",
-    },
 ];
 
 /// Resolve one sentinel against the enumerated mutants of its file.
@@ -307,9 +275,8 @@ mod tests {
     }
 
     #[test]
-    fn ordering_sentinels_cover_both_rings() {
+    fn ordering_sentinels_cover_the_ring() {
         let spsc = SENTINELS.iter().filter(|s| s.name.starts_with("ring-")).count();
-        let mpsc = SENTINELS.iter().filter(|s| s.name.starts_with("mpsc-")).count();
-        assert!(spsc >= 2 && mpsc >= 2, "must re-detect PR 5 and PR 7 ordering mutants");
+        assert!(spsc >= 2, "must re-detect PR 5's ordering mutants");
     }
 }

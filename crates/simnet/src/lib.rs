@@ -20,9 +20,6 @@
 //! * [`mux`] — the time-ordered event-queue multiplexer;
 //! * [`ring`] — a bounded lock-free SPSC ring buffer used by the
 //!   sharded parallel pipeline to fan packets out to worker threads;
-//! * [`mpsc`] — its multi-producer sibling (same [`ring::RingSync`]
-//!   facade, per-slot sequence numbers, batched reservations) used by
-//!   the parallel engine's merge stage to fan shard results back in;
 //! * [`faults`] — seeded fault injection (drops, duplicates, bounded
 //!   reordering, truncation, corruption, burst outages) applied between
 //!   the mux and the measurement consumers;
@@ -32,13 +29,12 @@
 //!   (2022), the flow weeks, the 72-hour packet taps, the GreyNoise
 //!   month.
 
-// ah-lint: allow-file(unsafe-forbid, reason = "the SPSC and MPSC rings use UnsafeCell slots; every unsafe block carries a SAFETY comment and both rings are exhaustively model-checked (see tests/model_check.rs)")
+// ah-lint: allow-file(unsafe-forbid, reason = "the SPSC ring uses UnsafeCell slots; every unsafe block carries a SAFETY comment and the ring is exhaustively model-checked (see tests/model_check.rs)")
 
 #![warn(missing_docs)]
 
 pub mod actors;
 pub mod faults;
-pub mod mpsc;
 pub mod mux;
 pub mod permute;
 pub mod ring;

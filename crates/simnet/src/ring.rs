@@ -92,48 +92,13 @@ pub trait RingSync: 'static {
     /// `Acquire` — the post-close re-check must see the final flush).
     const CLOSED_OBSERVE: Ordering = Ordering::Acquire;
 
-    // --- MPSC merge-ring orderings (`crate::mpsc`) -----------------
-    //
-    // The multi-producer ring synchronizes through per-slot sequence
-    // numbers, not through its cursors; these four consts plus the
-    // CLOSED pair above are its whole contract (ARCHITECTURE.md §11).
-
-    /// MPSC producer publishes a slot's sequence number after writing
-    /// the slot (contract: `Release` — the consumer's matching load
-    /// sees a fully written slot).
-    const SEQ_PUBLISH: Ordering = Ordering::Release;
-    /// MPSC consumer observes a slot's sequence number (contract:
-    /// `Acquire`).
-    const SEQ_OBSERVE: Ordering = Ordering::Acquire;
-    /// MPSC consumer recycles a slot's sequence number after moving the
-    /// value out (contract: `Release` — slot reuse is ordered after the
-    /// consumer's read).
-    const RECYCLE_PUBLISH: Ordering = Ordering::Release;
-    /// MPSC producer observes a slot's recycled sequence number while
-    /// probing for room (contract: `Acquire`).
-    const RECYCLE_OBSERVE: Ordering = Ordering::Acquire;
-    /// MPSC producers reserve slots by CAS on the shared tail.
-    /// ORDERING: `Relaxed` is the contract, not a weakening — the tail
-    /// is only a reservation counter; every data-carrying edge rides on
-    /// the slot sequence numbers above, which the model-check suite
-    /// proves sufficient.
-    const TAIL_RESERVE: Ordering = Ordering::Relaxed;
-    /// MPSC consumer advertises its progress on the shared head.
-    /// ORDERING: `Relaxed` — advisory only (occupancy high-water marks
-    /// and a fast pre-probe fullness estimate); correctness never reads
-    /// it.
-    const HEAD_ADVISORY: Ordering = Ordering::Relaxed;
-
     /// Busy-wait hint (maps to a scheduler park under a model checker).
     fn spin_loop();
     /// Yield to the OS scheduler (park under a model checker).
     fn yield_now();
 }
 
-/// Operations the rings need from an atomic `usize`. The SPSC ring
-/// uses only load/store; the MPSC merge ring additionally needs the
-/// read-modify-write pair (`fetch_add` for the producers-closed count,
-/// `compare_exchange` for batched slot reservation).
+/// Operations the ring needs from an atomic `usize`: load and store only.
 pub trait RingAtomicUsize: Send + Sync {
     /// New atomic with initial value.
     fn new(v: usize) -> Self;
@@ -141,17 +106,6 @@ pub trait RingAtomicUsize: Send + Sync {
     fn load(&self, ord: Ordering) -> usize;
     /// Atomic store.
     fn store(&self, v: usize, ord: Ordering);
-    /// Atomic add; returns the previous value.
-    fn fetch_add(&self, v: usize, ord: Ordering) -> usize;
-    /// Atomic compare-exchange: replace `current` with `new`, returning
-    /// `Ok(previous)` on success and `Err(actual)` on mismatch.
-    fn compare_exchange(
-        &self,
-        current: usize,
-        new: usize,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<usize, usize>;
     /// Non-synchronizing read for exclusively-owned teardown
     /// (`get_mut` equivalent).
     fn unsync_load(&mut self) -> usize;
@@ -229,22 +183,6 @@ impl RingAtomicUsize for AtomicUsize {
     #[inline]
     fn store(&self, v: usize, ord: Ordering) {
         AtomicUsize::store(self, v, ord);
-    }
-
-    #[inline]
-    fn fetch_add(&self, v: usize, ord: Ordering) -> usize {
-        AtomicUsize::fetch_add(self, v, ord)
-    }
-
-    #[inline]
-    fn compare_exchange(
-        &self,
-        current: usize,
-        new: usize,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<usize, usize> {
-        AtomicUsize::compare_exchange(self, current, new, success, failure)
     }
 
     #[inline]

@@ -1,27 +1,23 @@
-//! Exhaustive model checking of both rings' publication protocols.
+//! Exhaustive model checking of the SPSC ring's publication protocol.
 //!
-//! The production ring code — the SPSC fan-out ring in
-//! `ah_simnet::ring` *and* the MPSC merge ring in `ah_simnet::mpsc` —
-//! is generic over the [`RingSync`] facade; here the *same* generic
-//! code is instantiated over the `interleave` checker's shadow atomics
-//! and explored exhaustively (within the preemption and store-buffer
-//! bounds) at tiny capacities:
+//! The production ring code in `ah_simnet::ring` is generic over the
+//! [`RingSync`] facade; here the *same* generic code is instantiated
+//! over the `interleave` checker's shadow atomics and explored
+//! exhaustively (within the preemption and store-buffer bounds) at
+//! tiny capacities:
 //!
-//! * each real contract (all the default orderings) is proved clean at
-//!   capacities 2 and 4 — two threads for SPSC, two producers plus the
-//!   consumer for MPSC — with wrap, back-pressure, batched
-//!   publication/reservation, and the close/drain handshake all
-//!   exercised;
+//! * the real contract (all the default orderings) is proved clean at
+//!   capacities 2 and 4 with wrap, back-pressure, batched publication,
+//!   and the close/drain handshake all exercised;
 //! * seeded mutants — demoting one `Release`/`Acquire` in the facade
 //!   to `Relaxed` — must each be *caught*, with the counterexample
 //!   schedule printed, proving the checker has the power to reject
-//!   every ordering each contract actually relies on.
+//!   every ordering the contract actually relies on.
 //!
 //! The checker is CPU-hungry (thousands of schedules, each a full
-//! virtual-threaded execution), so capacities stay tiny; both
-//! protocols are capacity-oblivious (masked monotone counters /
-//! sequence generations), so the small instances carry the proof. See
-//! `ARCHITECTURE.md` §9 and §11.
+//! virtual-threaded execution), so capacities stay tiny; the protocol
+//! is capacity-oblivious (masked monotone counters), so the small
+//! instances carry the proof. See `ARCHITECTURE.md` §9.
 //
 // ah-lint: allow-file(panic-path, reason = "test code: assertions and expects are the test oracle")
 // ah-lint: allow-file(atomic-ordering, reason = "test code: the mutant facades deliberately name forbidden orderings to prove the checker rejects them")
@@ -29,7 +25,6 @@
 use std::mem::MaybeUninit;
 use std::sync::atomic::Ordering;
 
-use ah_simnet::mpsc::mpsc_with;
 use ah_simnet::ring::{ring_with, RingAtomicBool, RingAtomicUsize, RingSlot, RingSync};
 use interleave::{shadow, Checker, FailureKind, Outcome};
 
@@ -47,20 +42,6 @@ impl RingAtomicUsize for MAtomicUsize {
 
     fn store(&self, v: usize, ord: Ordering) {
         self.0.store(v, ord);
-    }
-
-    fn fetch_add(&self, v: usize, ord: Ordering) -> usize {
-        self.0.fetch_add(v, ord)
-    }
-
-    fn compare_exchange(
-        &self,
-        current: usize,
-        new: usize,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<usize, usize> {
-        self.0.compare_exchange(current, new, success, failure)
     }
 
     fn unsync_load(&mut self) -> usize {
@@ -315,192 +296,6 @@ fn mutant_closed_publish_relaxed_is_caught() {
     assert_caught(
         "CLOSED_PUBLISH=Relaxed",
         check::<ClosedPublishRelaxed>(2, 3, 2),
-        &[FailureKind::Panic, FailureKind::DataRace],
-    );
-}
-
-// ============================================================== MPSC ring ==
-
-model_sync!(
-    /// Mutant: slot sequence published without Release after the data
-    /// write — the consumer's take is unordered after the write.
-    SeqPublishRelaxed,
-    SEQ_PUBLISH = Ordering::Relaxed
-);
-model_sync!(
-    /// Mutant: consumer observes the slot sequence without Acquire —
-    /// no happens-before edge from the producer's data write.
-    SeqObserveRelaxed,
-    SEQ_OBSERVE = Ordering::Relaxed
-);
-model_sync!(
-    /// Mutant: consumer recycles the slot sequence without Release —
-    /// the next producer's write is unordered after the take.
-    RecyclePublishRelaxed,
-    RECYCLE_PUBLISH = Ordering::Relaxed
-);
-model_sync!(
-    /// Mutant: producer probes slot availability without Acquire —
-    /// slot reuse unordered after the consumer's read of it.
-    RecycleObserveRelaxed,
-    RECYCLE_OBSERVE = Ordering::Relaxed
-);
-model_sync!(
-    /// Mutant: close counter observed without Acquire — the post-close
-    /// re-check may miss a final flush (lost items) or touch a slot
-    /// with no edge from the closing producer.
-    MpscClosedObserveRelaxed,
-    CLOSED_OBSERVE = Ordering::Relaxed
-);
-model_sync!(
-    /// Mutant: close counter bumped without Release — same lost-flush
-    /// bug from the producer side.
-    MpscClosedPublishRelaxed,
-    CLOSED_PUBLISH = Ordering::Relaxed
-);
-
-/// The full multi-producer lifecycle on the real MPSC code: each of
-/// `producers` virtual threads pushes `n` tagged items (spinning
-/// through back-pressure inside `flush`), then closes; the main
-/// virtual thread drains with `pop_wait` until the counted close.
-/// The oracle is per-producer FIFO completeness: any lost, duplicated,
-/// or per-producer-reordered item panics, any unprotected slot access
-/// is a data race, any lost close count is a deadlock.
-fn mpsc_lifecycle<S: RingSync>(producers: usize, capacity: usize, n: u64, batch: usize) {
-    let (txs, mut rx) = mpsc_with::<S, u64>(producers, capacity, batch);
-    let handles: Vec<_> = txs
-        .into_iter()
-        .enumerate()
-        .map(|(p, mut tx)| {
-            shadow::thread::spawn(move || {
-                for i in 0..n {
-                    tx.push((p as u64) << 32 | i);
-                }
-                tx.close();
-            })
-        })
-        .collect();
-    let mut next = vec![0u64; producers];
-    while let Some(v) = rx.pop_wait() {
-        let (p, i) = ((v >> 32) as usize, v & 0xffff_ffff);
-        assert_eq!(i, next[p], "per-producer FIFO violated for producer {p}");
-        next[p] += 1;
-    }
-    for h in handles {
-        h.join();
-    }
-    assert!(next.iter().all(|&c| c == n), "items lost: {next:?} (want {n} each)");
-}
-
-fn check_mpsc<S: RingSync>(producers: usize, capacity: usize, n: u64, batch: usize) -> Outcome {
-    Checker::new().check(move || mpsc_lifecycle::<S>(producers, capacity, n, batch))
-}
-
-// ----------------------------------------------------------- real MPSC ring
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "exhaustive run is release-only; scripts/ci.sh runs it")]
-fn real_mpsc_is_clean_capacity_2() {
-    // Capacity 2, two producers, one item each, batch 1: the two
-    // producers race the tail CAS for slots in the same lap and both
-    // bump the counted close that the consumer's drain must observe.
-    // (Two items each is where the exhaustive space blows up — the
-    // loser's full-ring back-pressure spin multiplies schedules past
-    // what a CI gate can afford; the single-producer wrap test below
-    // covers back-pressure with a far smaller thread count.)
-    let outcome = check_mpsc::<ModelSync>(2, 2, 1, 1);
-    outcome.assert_exhaustive_clean();
-    println!("mpsc capacity 2: clean across {} schedules", outcome.schedules);
-    assert!(outcome.schedules > 100, "state space implausibly small");
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "exhaustive run is release-only; scripts/ci.sh runs it")]
-fn real_mpsc_is_clean_capacity_2_wrap() {
-    // Capacity 2, one producer, three items, batch 2: the third item
-    // cannot be reserved until the consumer recycles a slot, so the
-    // producer spins through full-ring back-pressure, the ring wraps,
-    // and the close flushes a remainder batch of one.
-    let outcome = check_mpsc::<ModelSync>(1, 2, 3, 2);
-    outcome.assert_exhaustive_clean();
-    println!("mpsc capacity 2 wrap: clean across {} schedules", outcome.schedules);
-    assert!(outcome.schedules > 100, "state space implausibly small");
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "exhaustive run is release-only; scripts/ci.sh runs it")]
-fn real_mpsc_is_clean_capacity_4() {
-    // Capacity 4, two producers, two items each, batch 2: one batched
-    // reservation per producer, interleaving within a single lap that
-    // fills the ring exactly — no back-pressure spin, so the space
-    // stays tractable while the batched-reserve/publish orderings and
-    // the counted close are fully explored.
-    let outcome = check_mpsc::<ModelSync>(2, 4, 2, 2);
-    outcome.assert_exhaustive_clean();
-    println!("mpsc capacity 4: clean across {} schedules", outcome.schedules);
-}
-
-// --------------------------------------------------------------- MPSC mutants
-
-#[test]
-fn mpsc_mutant_seq_publish_relaxed_is_caught() {
-    // Without Release on the sequence store, the consumer's take is
-    // unordered after the producer's slot write: a data race.
-    assert_caught(
-        "mpsc SEQ_PUBLISH=Relaxed",
-        check_mpsc::<SeqPublishRelaxed>(2, 2, 2, 2),
-        &[FailureKind::DataRace],
-    );
-}
-
-#[test]
-fn mpsc_mutant_seq_observe_relaxed_is_caught() {
-    assert_caught(
-        "mpsc SEQ_OBSERVE=Relaxed",
-        check_mpsc::<SeqObserveRelaxed>(2, 2, 2, 2),
-        &[FailureKind::DataRace],
-    );
-}
-
-#[test]
-fn mpsc_mutant_recycle_publish_relaxed_is_caught() {
-    // Without Release on the recycle store, the next producer to win
-    // the slot writes with no happens-before edge from the consumer's
-    // take of the previous value.
-    assert_caught(
-        "mpsc RECYCLE_PUBLISH=Relaxed",
-        check_mpsc::<RecyclePublishRelaxed>(2, 2, 2, 2),
-        &[FailureKind::DataRace],
-    );
-}
-
-#[test]
-fn mpsc_mutant_recycle_observe_relaxed_is_caught() {
-    assert_caught(
-        "mpsc RECYCLE_OBSERVE=Relaxed",
-        check_mpsc::<RecycleObserveRelaxed>(2, 2, 2, 2),
-        &[FailureKind::DataRace],
-    );
-}
-
-#[test]
-fn mpsc_mutant_closed_observe_relaxed_is_caught() {
-    // Without Acquire on the close-count load, the consumer's post-
-    // close re-check may read stale slot sequences and end the stream
-    // with items still in flight: lost items (the completeness
-    // assertion fires) — or an unordered touch of a flushed slot.
-    assert_caught(
-        "mpsc CLOSED_OBSERVE=Relaxed",
-        check_mpsc::<MpscClosedObserveRelaxed>(2, 2, 2, 2),
-        &[FailureKind::Panic, FailureKind::DataRace],
-    );
-}
-
-#[test]
-fn mpsc_mutant_closed_publish_relaxed_is_caught() {
-    assert_caught(
-        "mpsc CLOSED_PUBLISH=Relaxed",
-        check_mpsc::<MpscClosedPublishRelaxed>(2, 2, 2, 2),
         &[FailureKind::Panic, FailureKind::DataRace],
     );
 }

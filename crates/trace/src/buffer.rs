@@ -3,26 +3,42 @@
 //! Each tracing thread owns one [`TraceBuf`]: a fixed-capacity array of
 //! four-word event slots plus a published length. The owning thread is
 //! the only writer; it stores the slot words, then publishes the new
-//! length with a release store ([`TraceSync::LEN_PUBLISH`]). Any thread
-//! may take a consistent snapshot by acquiring the length
-//! ([`TraceSync::LEN_OBSERVE`]) and reading the slots below it — the
-//! same single-writer publication protocol as the SPSC ring
-//! (`crates/simnet/src/ring.rs`), expressed through the same facade
-//! idiom so the orderings stay model-checkable.
+//! length with a release store (`LEN_PUBLISH`). Any thread may take a
+//! consistent snapshot by acquiring the length (`LEN_OBSERVE`) and
+//! reading the slots below it — the same single-writer publication
+//! protocol as the SPSC ring (`crates/simnet/src/ring.rs`).
 //!
 //! A full buffer *drops* the event and counts the drop: tracing is
 //! observation-only and must never block or otherwise perturb the
 //! pipeline (see the determinism argument in `crates/trace/src/lib.rs`
 //! and ARCHITECTURE.md §12).
 
-use std::marker::PhantomData;
-use std::sync::atomic::Ordering;
-
-use crate::sync::{TraceAtomicU64, TraceSync};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Words per event slot: packed kind/name, wall-clock ns, logical
 /// sequence, journey id.
 const WORDS: usize = 4;
+
+/// Writer stores the four words of an event slot with this
+/// ordering before publishing the length.
+/// ORDERING: `Relaxed` is the contract, not a weakening — the slot
+/// stores are sequenced-before the `LEN_PUBLISH` release store on
+/// the writer thread, so the release/acquire edge on `len` is the
+/// only synchronizing access the data needs.
+const SLOT_WRITE: Ordering = Ordering::Relaxed;
+/// Reader loads slot words with this ordering after observing the
+/// length.
+/// ORDERING: `Relaxed` is the contract — the `LEN_OBSERVE` acquire
+/// load happens-after every slot write below the observed length,
+/// so these loads cannot see uninitialized or torn words.
+const SLOT_READ: Ordering = Ordering::Relaxed;
+/// Writer publishes the new event count with this ordering
+/// (contract: `Release` — makes all preceding slot writes visible
+/// to a reader that observes the new length).
+const LEN_PUBLISH: Ordering = Ordering::Release;
+/// Reader observes the published event count with this ordering
+/// (contract: `Acquire`).
+const LEN_OBSERVE: Ordering = Ordering::Acquire;
 
 /// What an event marks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,39 +89,32 @@ pub struct RawEvent {
 }
 
 /// Fixed-capacity single-writer trace buffer (see module docs).
-pub struct TraceBuf<S: TraceSync> {
-    words: Vec<S::AtomicU64>,
+pub struct TraceBuf {
+    words: Vec<AtomicU64>,
     /// Published event count. Written only by the owning thread.
-    len: S::AtomicU64,
+    len: AtomicU64,
     /// Events discarded because the buffer was full.
-    dropped: S::AtomicU64,
+    dropped: AtomicU64,
     capacity: usize,
-    _sync: PhantomData<S>,
 }
 
-impl<S: TraceSync> std::fmt::Debug for TraceBuf<S> {
+impl std::fmt::Debug for TraceBuf {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceBuf")
             .field("capacity", &self.capacity)
-            .field("len", &self.len.load(S::LEN_OBSERVE))
+            .field("len", &self.len.load(LEN_OBSERVE))
             .finish()
     }
 }
 
-impl<S: TraceSync> TraceBuf<S> {
+impl TraceBuf {
     /// Create a buffer holding at most `capacity` events.
-    pub fn new(capacity: usize) -> TraceBuf<S> {
+    pub fn new(capacity: usize) -> TraceBuf {
         let mut words = Vec::with_capacity(capacity * WORDS);
         for _ in 0..capacity * WORDS {
-            words.push(S::AtomicU64::new(0));
+            words.push(AtomicU64::new(0));
         }
-        TraceBuf {
-            words,
-            len: S::AtomicU64::new(0),
-            dropped: S::AtomicU64::new(0),
-            capacity,
-            _sync: PhantomData,
-        }
+        TraceBuf { words, len: AtomicU64::new(0), dropped: AtomicU64::new(0), capacity }
     }
 
     /// Event capacity.
@@ -127,11 +136,11 @@ impl<S: TraceSync> TraceBuf<S> {
             return false;
         }
         let base = n * WORDS;
-        self.words[base].store(kind.code() << 32 | u64::from(name_id), S::SLOT_WRITE);
-        self.words[base + 1].store(ts_ns, S::SLOT_WRITE);
-        self.words[base + 2].store(n as u64, S::SLOT_WRITE);
-        self.words[base + 3].store(journey, S::SLOT_WRITE);
-        self.len.store((n + 1) as u64, S::LEN_PUBLISH);
+        self.words[base].store(kind.code() << 32 | u64::from(name_id), SLOT_WRITE);
+        self.words[base + 1].store(ts_ns, SLOT_WRITE);
+        self.words[base + 2].store(n as u64, SLOT_WRITE);
+        self.words[base + 3].store(journey, SLOT_WRITE);
+        self.len.store((n + 1) as u64, LEN_PUBLISH);
         true
     }
 
@@ -145,17 +154,17 @@ impl<S: TraceSync> TraceBuf<S> {
     /// thread: the acquire on `len` pairs with the writer's release,
     /// so every slot below the observed length is fully written.
     pub fn snapshot(&self) -> Vec<RawEvent> {
-        let n = self.len.load(S::LEN_OBSERVE) as usize;
+        let n = self.len.load(LEN_OBSERVE) as usize;
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
             let base = i * WORDS;
-            let w0 = self.words[base].load(S::SLOT_READ);
+            let w0 = self.words[base].load(SLOT_READ);
             out.push(RawEvent {
                 kind: EventKind::from_code(w0 >> 32),
                 name_id: (w0 & 0xffff_ffff) as u32,
-                ts_ns: self.words[base + 1].load(S::SLOT_READ),
-                seq: self.words[base + 2].load(S::SLOT_READ),
-                journey: self.words[base + 3].load(S::SLOT_READ),
+                ts_ns: self.words[base + 1].load(SLOT_READ),
+                seq: self.words[base + 2].load(SLOT_READ),
+                journey: self.words[base + 3].load(SLOT_READ),
             });
         }
         out
@@ -165,11 +174,10 @@ impl<S: TraceSync> TraceBuf<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sync::StdSync;
 
     #[test]
     fn push_snapshot_round_trip() {
-        let buf: TraceBuf<StdSync> = TraceBuf::new(4);
+        let buf = TraceBuf::new(4);
         assert!(buf.push(EventKind::Begin, 7, 100, 0));
         assert!(buf.push(EventKind::Instant, 8, 150, 42));
         assert!(buf.push(EventKind::End, 7, 200, 0));
@@ -187,7 +195,7 @@ mod tests {
 
     #[test]
     fn overflow_drops_and_counts() {
-        let buf: TraceBuf<StdSync> = TraceBuf::new(2);
+        let buf = TraceBuf::new(2);
         assert!(buf.push(EventKind::Instant, 1, 1, 0));
         assert!(buf.push(EventKind::Instant, 2, 2, 0));
         assert!(!buf.push(EventKind::Instant, 3, 3, 0));
@@ -198,7 +206,7 @@ mod tests {
 
     #[test]
     fn snapshot_from_other_thread_sees_published_prefix() {
-        let buf = std::sync::Arc::new(TraceBuf::<StdSync>::new(1024));
+        let buf = std::sync::Arc::new(TraceBuf::new(1024));
         let writer = {
             let buf = std::sync::Arc::clone(&buf);
             std::thread::spawn(move || {

@@ -5,10 +5,9 @@
 //!
 //! * **Per-thread bounded lock-free buffers** ([`buffer::TraceBuf`]):
 //!   each tracing thread appends span begin/end and instant events to
-//!   its own fixed-capacity buffer behind the same synchronization
-//!   facade idiom as the SPSC/MPSC rings ([`sync::TraceSync`]), so the
-//!   orderings stay model-checkable. Full buffers drop and count —
-//!   tracing never blocks.
+//!   its own fixed-capacity buffer, published with the same
+//!   single-writer Release/Acquire protocol as the SPSC ring. Full
+//!   buffers drop and count — tracing never blocks.
 //! * **Causal spans**: [`Tracer::span`] returns a guard that emits a
 //!   begin event now and an end event on drop; nesting on a track *is*
 //!   the parent/child relation, exactly as Chrome's trace-event duration
@@ -46,7 +45,6 @@
 pub mod buffer;
 pub mod check;
 pub mod export;
-pub mod sync;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -54,7 +52,6 @@ use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
 
 use buffer::{EventKind, TraceBuf};
-use sync::StdSync;
 
 /// Salt for the journey-sampler derivation (distinct from the fault
 /// injector's `0xfa17_1e57` so the two decision streams never collide).
@@ -119,7 +116,7 @@ struct Names {
 /// One registered per-thread track.
 struct Track {
     label: String,
-    buf: Arc<TraceBuf<StdSync>>,
+    buf: Arc<TraceBuf>,
 }
 
 struct Inner {
@@ -131,7 +128,7 @@ struct Inner {
 
 /// One per-thread registration: the owning tracer (weak, so a dropped
 /// tracer's entries can be pruned), the thread's buffer, and its track id.
-type ThreadReg = (Weak<Inner>, Arc<TraceBuf<StdSync>>, u32);
+type ThreadReg = (Weak<Inner>, Arc<TraceBuf>, u32);
 
 thread_local! {
     /// Per-thread cache of [`ThreadReg`] registrations so the hot emit
@@ -360,7 +357,7 @@ fn intern(inner: &Arc<Inner>, name: &'static str) -> u32 {
 
 /// The current thread's buffer for `inner`, registering one on first
 /// use. Returns the buffer and its track id.
-fn thread_buf(inner: &Arc<Inner>) -> (Arc<TraceBuf<StdSync>>, u32) {
+fn thread_buf(inner: &Arc<Inner>) -> (Arc<TraceBuf>, u32) {
     THREAD_BUFS.with(|cell| {
         let mut cache = cell.borrow_mut();
         for (weak, buf, tid) in cache.iter() {

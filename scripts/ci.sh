@@ -42,14 +42,16 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 echo "==> doctests"
 # The public ring/WAL API examples in the rustdoc (SPSC Producer/Consumer,
-# the MPSC merge ring, WalWriter/recovery) are executable. The workspace
-# test run above already includes them; this named pass exists so a
-# filtered `cargo test` invocation elsewhere can never silently drop
-# the examples-stay-true gate.
+# WalWriter/recovery) are executable. The workspace test run below
+# already includes them; this named pass exists so a filtered
+# `cargo test` invocation elsewhere can never silently drop the
+# examples-stay-true gate.
 cargo test --workspace --doc -q
 
-echo "==> benches compile"
-cargo bench --workspace --no-run -q
+echo "==> ablation tables run"
+# The one bench target left is a plain main() that prints the
+# EXPERIMENTS.md §Ablations tables; run it so the tables stay printable.
+cargo bench -q -p ah-bench --bench ablation >/dev/null
 
 echo "==> build (release)"
 cargo build --release --workspace
@@ -64,14 +66,12 @@ echo "==> telemetry determinism gate"
 # never silently drop it.
 cargo test --release --test telemetry -q
 
-echo "==> ring model checks: SPSC + MPSC (exhaustive, release)"
-# vendor/interleave explores every interleaving of both ring lifecycles
-# within the configured bounds: the SPSC dispatch ring and the MPSC
-# merge ring must each be clean, and every seeded ordering mutant (six
-# per ring) must be caught with a replayable counterexample. The heavy
-# clean-ring tests are ignored in debug builds and only run here, in
-# release; expect several minutes — the MPSC capacity-4 case alone
-# explores ~1M schedules.
+echo "==> ring model checks: SPSC (exhaustive, release)"
+# vendor/interleave explores every interleaving of the SPSC dispatch
+# ring's lifecycle within the configured bounds: the ring must be
+# clean, and each of the six seeded ordering mutants must be caught
+# with a replayable counterexample. The heavy clean-ring tests are
+# ignored in debug builds and only run here, in release.
 cargo test --release -p ah-simnet --test model_check -q
 
 echo "==> WAL crash-recovery gate"
@@ -199,7 +199,7 @@ case "$rss" in (''|0) echo "error: peak RSS missing or zero in memory report"; e
 echo "    accounted and unaccounted runs both fingerprint $fp_base; peak rss $rss bytes"
 
 echo "==> mutation gate"
-# The curated sentinel set (ARCHITECTURE.md §14): ~17 token-level
+# The curated sentinel set (ARCHITECTURE.md §14): 15 token-level
 # mutants at the load-bearing decision points — ring memory orderings,
 # WAL CRC/truncation/seal handling, detector thresholds, aggregator
 # boundary comparisons — each applied to a scratch copy of the tree and

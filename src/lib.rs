@@ -27,7 +27,9 @@
 //!   segments with crash recovery, powering suspend/resume and
 //!   re-simulation-free replay (see `ARCHITECTURE.md` §Durability);
 //! * [`pipeline`] (this crate) — turnkey end-to-end runs used by the
-//!   examples, the integration tests, and the experiment harness.
+//!   examples, the integration tests, and the experiment harness;
+//! * [`cli`] (this crate) — the observability flags the two binaries
+//!   share.
 //!
 //! ## Quickstart
 //!
@@ -64,4 +66,5 @@ pub use ah_wal as wal;
 #[global_allocator]
 static GLOBAL_ALLOC: ah_mem::TaggedSystem = ah_mem::TaggedSystem::new();
 
+pub mod cli;
 pub mod pipeline;

@@ -48,29 +48,18 @@
 //! fingerprint is identical with it on or off (see `tests/memory.rs`).
 //!
 //! For the paper's tables and figures use the `experiment` binary in
-//! `crates/bench`, which takes the same two metrics flags.
+//! `crates/bench`, which takes the same observability flags (both parse
+//! them through `aggressive_scanners::cli`).
 
-use aggressive_scanners::pipeline::{self, RunOptions, RunOutput, Telemetry, WalOutcome, WalRun};
+use aggressive_scanners::cli::{parse_flag, usage_error, ObsFlags, OBS_USAGE};
+use aggressive_scanners::pipeline::{self, RunOptions, RunOutput, WalOutcome, WalRun};
 use aggressive_scanners::simnet::faults::FaultPlan;
 use aggressive_scanners::simnet::scenario::ScenarioConfig;
-use ah_obs::{Exporter, Recorder};
 use std::path::PathBuf;
-
-fn parse<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> T {
-    let Some(v) = args.get(i) else {
-        eprintln!("error: {flag} requires a value");
-        std::process::exit(2);
-    };
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("error: {flag}: {v:?} is not valid");
-        std::process::exit(2);
-    })
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut metrics: Option<PathBuf> = None;
-    let mut interval = 10_000u64;
+    let mut obs = ObsFlags::new(10_000);
     let mut threads = 4usize;
     let mut days = 3u64;
     let mut seed = 7u64;
@@ -80,137 +69,61 @@ fn main() {
     let mut replay = false;
     let mut suspend_after: Option<u64> = None;
     let mut crash_after: Option<u64> = None;
-    let mut trace_out: Option<PathBuf> = None;
-    let mut trace_sample = 64u64;
-    let mut mem_report = false;
-    let mut mem_interval = 100_000u64;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--metrics" => {
-                i += 1;
-                metrics =
-                    Some(PathBuf::from(args.get(i).map(String::as_str).unwrap_or_else(|| {
-                        eprintln!("error: --metrics requires a file-base (e.g. out/metrics)");
-                        std::process::exit(2);
-                    })));
-            }
-            "--metrics-interval" => {
-                i += 1;
-                interval = parse(&args, i, "--metrics-interval");
-            }
             "--threads" => {
                 i += 1;
-                threads = parse(&args, i, "--threads");
+                threads = parse_flag(&args, i, "--threads", "integer");
             }
             "--days" => {
                 i += 1;
-                days = parse(&args, i, "--days");
+                days = parse_flag(&args, i, "--days", "integer");
             }
             "--seed" => {
                 i += 1;
-                seed = parse(&args, i, "--seed");
+                seed = parse_flag(&args, i, "--seed", "integer");
             }
             "--fault-rate" => {
                 i += 1;
-                fault_rate = parse(&args, i, "--fault-rate");
+                fault_rate = parse_flag(&args, i, "--fault-rate", "float");
             }
             "--wal-dir" => {
                 i += 1;
-                wal_dir =
-                    Some(PathBuf::from(args.get(i).map(String::as_str).unwrap_or_else(|| {
-                        eprintln!("error: --wal-dir requires a directory");
-                        std::process::exit(2);
-                    })));
+                let Some(dir) = args.get(i) else {
+                    usage_error("--wal-dir requires a directory".into());
+                };
+                wal_dir = Some(PathBuf::from(dir));
             }
             "--resume" => resume = true,
             "--replay" => replay = true,
             "--suspend-after" => {
                 i += 1;
-                suspend_after = Some(parse(&args, i, "--suspend-after"));
+                suspend_after = Some(parse_flag(&args, i, "--suspend-after", "integer"));
             }
             "--crash-after" => {
                 i += 1;
-                crash_after = Some(parse(&args, i, "--crash-after"));
-            }
-            "--trace-out" => {
-                i += 1;
-                trace_out =
-                    Some(PathBuf::from(args.get(i).map(String::as_str).unwrap_or_else(|| {
-                        eprintln!("error: --trace-out requires a file path (e.g. out/trace.json)");
-                        std::process::exit(2);
-                    })));
-            }
-            "--trace-sample" => {
-                i += 1;
-                trace_sample = parse(&args, i, "--trace-sample");
-            }
-            "--mem-report" => mem_report = true,
-            "--mem-interval" => {
-                i += 1;
-                mem_interval = parse(&args, i, "--mem-interval");
+                crash_after = Some(parse_flag(&args, i, "--crash-after", "integer"));
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: aggressive-scanners [--metrics PATH] [--metrics-interval N] [--threads N] [--days N] [--seed N] [--fault-rate F] [--wal-dir DIR] [--resume] [--replay] [--suspend-after N] [--crash-after N] [--trace-out PATH] [--trace-sample N] [--mem-report] [--mem-interval N]"
+                    "usage: aggressive-scanners [--threads N] [--days N] [--seed N] [--fault-rate F] [--wal-dir DIR] [--resume] [--replay] [--suspend-after N] [--crash-after N] {OBS_USAGE}"
                 );
                 return;
             }
-            other => {
-                eprintln!("error: unknown argument {other:?} (try --help)");
-                std::process::exit(2);
-            }
+            _ if obs.accept(&args, &mut i).unwrap_or_else(|e| usage_error(e)) => {}
+            other => usage_error(format!("unknown argument {other:?} (try --help)")),
         }
         i += 1;
     }
-    for (flag, value) in [
-        ("--metrics-interval", interval),
-        ("--trace-sample", trace_sample),
-        ("--mem-interval", mem_interval),
-    ] {
-        if value == 0 {
-            eprintln!("error: {flag} must be at least 1 (0 would disable the stream it paces)");
-            std::process::exit(2);
-        }
-    }
     if (resume || replay || suspend_after.is_some() || crash_after.is_some()) && wal_dir.is_none() {
-        eprintln!("error: --resume/--replay/--suspend-after/--crash-after need --wal-dir");
-        std::process::exit(2);
+        usage_error("--resume/--replay/--suspend-after/--crash-after need --wal-dir".into());
     }
     if resume && replay {
-        eprintln!("error: --resume and --replay are mutually exclusive");
-        std::process::exit(2);
+        usage_error("--resume and --replay are mutually exclusive".into());
     }
 
-    let mut tel = match metrics {
-        Some(base) => {
-            if let Some(dir) = base.parent().filter(|d| !d.as_os_str().is_empty()) {
-                std::fs::create_dir_all(dir).ok();
-            }
-            let rec = Recorder::new();
-            let exporter = Exporter::new(rec.clone(), base, interval);
-            eprintln!(
-                "[metrics] {} + {} every {interval} packets",
-                exporter.jsonl_path().display(),
-                exporter.prom_path().display()
-            );
-            Telemetry::with_exporter(rec, exporter)
-        }
-        None => Telemetry::disabled(),
-    };
-    if trace_out.is_some() {
-        tel.tracer = ah_trace::Tracer::new(ah_trace::TraceConfig {
-            seed,
-            sample_one_in: trace_sample,
-            ..ah_trace::TraceConfig::default()
-        });
-        eprintln!("[trace] spans on, following ~1-in-{trace_sample} source journeys");
-    }
-    if mem_report {
-        ah_mem::set_accounting(true);
-        tel = tel.with_mem(mem_interval);
-        eprintln!("[mem] per-subsystem accounting on, refresh every {mem_interval} packets");
-    }
+    let mut tel = obs.telemetry(seed);
 
     let mut opts = RunOptions::full();
     if fault_rate > 0.0 {
@@ -269,36 +182,11 @@ fn main() {
         eprintln!("error: conservation violated in {:?}", out.health.violations());
         std::process::exit(1);
     }
-    if let Some(ex) = tel.exporter.as_ref() {
-        println!();
-        println!(
-            "[metrics] {} snapshots -> {} ({} io errors)",
-            ex.snapshots_written(),
-            ex.jsonl_path().display(),
-            ex.io_errors()
-        );
+    if let Err(e) = obs.finish(&tel) {
+        eprintln!("error: writing trace artifacts: {e}");
+        std::process::exit(1);
     }
-    if let Some(path) = trace_out {
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            std::fs::create_dir_all(dir).ok();
-        }
-        let snap = tel.tracer.snapshot();
-        match ah_trace::export::write_artifacts(&snap, &path) {
-            Ok(folded) => {
-                println!();
-                println!("[trace] chrome trace -> {}", path.display());
-                println!("[trace] folded stacks -> {}", folded.display());
-                if snap.dropped > 0 {
-                    println!("[trace] {} events dropped (buffers full)", snap.dropped);
-                }
-            }
-            Err(e) => {
-                eprintln!("error: writing trace artifacts: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if mem_report {
+    if obs.mem_report() {
         let report = out.mem.clone().unwrap_or_else(ah_mem::report);
         println!();
         print!("{}", report.render());

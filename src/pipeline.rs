@@ -23,11 +23,12 @@
 //!   stream order — fault injection, aggregator reordering verdicts,
 //!   per-router sampling, flow-cache lateness — is a pure function of
 //!   the *per-source* (or per-key) subsequence, so each shard recomputes
-//!   its own slice of them independently. Shard results return over a
-//!   bounded MPSC merge ring ([`ah_simnet::mpsc`]) and fold with
-//!   order-insensitive operators, so both executors produce **bitwise
-//!   identical** [`RunOutput`]s (see `ARCHITECTURE.md` §11 for the proof
-//!   sketch and [`RunOutput::fingerprint`] for the check).
+//!   its own slice of them independently. Each shard thread returns its
+//!   reduced result through its join handle, collected in shard-index
+//!   order and folded with order-insensitive operators, so both
+//!   executors produce **bitwise identical** [`RunOutput`]s (see
+//!   `ARCHITECTURE.md` §11 for the proof sketch and
+//!   [`RunOutput::fingerprint`] for the check).
 //! * **Injector placement.** The shards own the fault injector iff the
 //!   run is sharded and unjournaled. Otherwise the driver owns it: a
 //!   journal must see the post-fault stream in serial delivery order,
@@ -60,7 +61,6 @@ use ah_net::packet::{PacketMeta, ScanClass};
 use ah_net::time::Ts;
 use ah_obs::{Exporter, Recorder};
 use ah_simnet::faults::{FaultInjector, FaultPlan, InjectorStats};
-use ah_simnet::mpsc::{mpsc, MpscConsumer, MpscProducer};
 use ah_simnet::mux::TrafficMux;
 use ah_simnet::ring::{ring, Consumer, Producer};
 use ah_simnet::rng::hash64;
@@ -648,13 +648,12 @@ fn merge_injector_stats(shards: &[ShardOut]) -> Option<InjectorStats> {
     Some(acc)
 }
 
-/// Driver-side half of the sharded executor: the SPSC producers, the
-/// worker handles and the MPSC merge consumer. The driver is a pure
-/// router — `hash64(src) mod N`, then a ring push.
+/// Driver-side half of the sharded executor: the SPSC producers and the
+/// worker handles, each of which joins to its shard's [`ShardOut`]. The
+/// driver is a pure router — `hash64(src) mod N`, then a ring push.
 struct Shards<'scope> {
     producers: Vec<Producer<PacketMeta>>,
-    handles: Vec<std::thread::ScopedJoinHandle<'scope, ()>>,
-    merge_rx: MpscConsumer<Box<ShardOut>>,
+    handles: Vec<std::thread::ScopedJoinHandle<'scope, ShardOut>>,
     m_stalls: ah_obs::Counter,
     m_stall_us: ah_obs::Histogram,
     /// Stall timing needs a try-push-then-spin sequence instead of a
@@ -667,10 +666,10 @@ struct Shards<'scope> {
 impl<'scope> Shards<'scope> {
     /// Spawn `threads` shard workers. Each pops its slice of the source
     /// space off its SPSC ring, feeds it to a shard-local vantage stack,
-    /// and ships the reduced result back over the MPSC merge ring. With a
-    /// `plan` the shards also own the fault injection: verdicts are a
-    /// pure function of (source, per-source index), so a shard's
-    /// substream yields exactly the serial decisions for its slice.
+    /// and returns the reduced result from its thread. With a `plan` the
+    /// shards also own the fault injection: verdicts are a pure function
+    /// of (source, per-source index), so a shard's substream yields
+    /// exactly the serial decisions for its slice.
     fn spawn(
         scope: &'scope std::thread::Scope<'scope, '_>,
         threads: usize,
@@ -690,11 +689,7 @@ impl<'scope> Shards<'scope> {
                 consumers.push(rx);
             }
         }
-        let (merge_txs, merge_rx) = {
-            let _mem = MemScope::enter(Tag::Merge);
-            mpsc::<Box<ShardOut>>(threads, threads)
-        };
-        let worker = move |i: usize, mut rx: Consumer<PacketMeta>, mut mtx: MpscProducer<_>| {
+        let worker = move |i: usize, mut rx: Consumer<PacketMeta>| {
             {
                 let _mem = MemScope::enter(Tag::Trace);
                 tracer.set_track("ah_pipeline_shard_worker", i as u64 + 1);
@@ -714,30 +709,17 @@ impl<'scope> Shards<'scope> {
             if let Some(inj) = injector.as_mut() {
                 inj.flush(&mut consume);
             }
-            let out = {
-                let _mem = MemScope::enter(Tag::Merge);
-                Box::new(vantage.into_shard_out(injector.map(|i| i.stats())))
-            };
-            mtx.push(out);
-            // Publish before reading the peak: the high-water mark
-            // updates on reservation, and this shard's final reservation
-            // is the interesting one.
-            mtx.flush();
-            let shard = i.to_string();
-            rec.gauge_with("ah_pipeline_merge_ring_occupancy_hwm", &[("shard", shard.as_str())])
-                .set(mtx.high_water_mark() as i64);
-            mtx.close();
+            let _mem = MemScope::enter(Tag::Merge);
+            vantage.into_shard_out(injector.map(|i| i.stats()))
         };
         let handles = consumers
             .into_iter()
-            .zip(merge_txs)
             .enumerate()
-            .map(|(i, (rx, mtx))| scope.spawn(move || worker(i, rx, mtx)))
+            .map(|(i, rx)| scope.spawn(move || worker(i, rx)))
             .collect();
         Shards {
             producers,
             handles,
-            merge_rx,
             m_stalls: rec.counter("ah_pipeline_dispatch_stalls_total"),
             m_stall_us: rec.histogram("ah_pipeline_dispatch_stall_us", ah_obs::LATENCY_US_BUCKETS),
             time_stalls: rec.is_enabled(),
@@ -763,14 +745,10 @@ impl<'scope> Shards<'scope> {
         }
     }
 
-    /// Close the rings, drain the MPSC merge ring, then join the shard
-    /// threads. Arrival order on the merge ring is irrelevant — every
-    /// merge in [`finalize_run`] is commutative and event/record order is
-    /// re-canonicalized there — so the consumer simply folds results in
-    /// whatever order shards finish. Joining *after* the drain still
-    /// propagates shard panics: a panicking shard's producer handle
-    /// counts itself closed on unwind, so the drain terminates.
-    fn join(mut self, rec: &Recorder, tracer: &Tracer) -> Vec<ShardOut> {
+    /// Close the rings, then join the shard threads in shard-index order;
+    /// each join yields that shard's result. A shard panic propagates
+    /// through the `expect` below.
+    fn join(self, rec: &Recorder, tracer: &Tracer) -> Vec<ShardOut> {
         for (i, p) in self.producers.into_iter().enumerate() {
             // Read the peak occupancy before close() consumes the
             // producer; one gauge per shard, labeled by shard index.
@@ -781,15 +759,11 @@ impl<'scope> Shards<'scope> {
         }
         let _trace = tracer.span("ah_pipeline_merge_collect");
         let _mem = MemScope::enter(Tag::Merge);
-        let mut outs = Vec::with_capacity(self.handles.len());
-        while let Some(out) = self.merge_rx.pop_wait() {
-            outs.push(*out);
-        }
-        for h in self.handles {
+        self.handles
+            .into_iter()
             // ah-lint: allow(panic-path, reason = "a panicking shard thread must propagate the panic rather than silently drop a shard's output")
-            h.join().expect("pipeline shard thread");
-        }
-        outs
+            .map(|h| h.join().expect("pipeline shard thread"))
+            .collect()
     }
 }
 
@@ -1493,8 +1467,8 @@ pub fn run_with_recorder(cfg: ScenarioConfig, opts: RunOptions, tel: &mut Teleme
 /// are keyed by source and per-source sequence number, so a shard's
 /// substream reproduces the serial verdicts exactly — see
 /// [`ah_simnet::faults`]) and its own vantage stack, whose reordering,
-/// sampling, and lateness decisions are all per-key pure. Shard results
-/// return over a bounded MPSC merge ring ([`ah_simnet::mpsc`]) and fold
+/// sampling, and lateness decisions are all per-key pure. Each shard
+/// thread returns its result through its join handle; the results fold
 /// commutatively.
 ///
 /// The output is bitwise identical to [`run`] with the same inputs;
@@ -1506,7 +1480,7 @@ pub fn run_parallel(cfg: ScenarioConfig, opts: RunOptions, threads: usize) -> Ru
 
 /// [`run_parallel`] with live telemetry. Dispatcher-side instruments add
 /// stall timing (how long the dispatcher blocked on a full shard ring)
-/// and per-shard occupancy high-water marks for both ring kinds on top
+/// and per-shard dispatch-ring occupancy high-water marks on top
 /// of the stage instruments the shards register themselves. Packet order
 /// on every ring is identical with telemetry on or off, so the output
 /// stays bitwise identical to [`run`] / [`run_parallel`].

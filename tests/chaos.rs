@@ -4,6 +4,8 @@
 //! rate the aggressive-hitter lists stay nearly identical to a pristine
 //! run (Jaccard ≥ 0.9 for all three definitions).
 
+mod common;
+
 use aggressive_scanners::core::defs::{Definition, Thresholds};
 use aggressive_scanners::core::lists::jaccard;
 use aggressive_scanners::net::time::Dur;
@@ -102,13 +104,6 @@ use aggressive_scanners::simnet::faults::{StorageFaultKind, StorageFaultPlan};
 use aggressive_scanners::wal;
 use std::path::{Path, PathBuf};
 
-/// Fresh, collision-free WAL directory for one test case.
-fn chaos_wal_dir(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ah-chaos-{label}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// Every log file in `dir`, as (name, bytes) — for idempotence checks.
 fn dir_snapshot(dir: &Path) -> Vec<(String, Vec<u8>)> {
     let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
@@ -134,7 +129,7 @@ fn storage_fault_case(kind: StorageFaultKind, label: &str, plain: &RunOutput) {
     let opts = || RunOptions::full().with_thresholds(chaos_thresholds());
     let cfg = || ScenarioConfig::tiny(2, 91);
     let mut tel = Telemetry::disabled();
-    let dir = chaos_wal_dir(label);
+    let dir = common::temp_dir(&format!("chaos-{label}"));
     let cut = plain.capture.total_packets.max(8) / 2;
     let wal_run = WalRun::new(&dir).suspend_after(cut);
     match pipeline::run_wal(cfg(), opts(), &wal_run, &mut tel) {

@@ -7,6 +7,8 @@
 //! (which covers every externally meaningful field), the key collections
 //! are compared directly so a regression names the field that diverged.
 
+mod common;
+
 use aggressive_scanners::pipeline::{self, RunOptions, RunOutput};
 use ah_core::defs::{Definition, Thresholds};
 use ah_simnet::faults::FaultPlan;
@@ -115,13 +117,6 @@ fn fingerprint_is_sensitive_to_inputs() {
 use aggressive_scanners::pipeline::{Telemetry, WalOutcome, WalRun};
 use std::path::PathBuf;
 
-/// Fresh, collision-free WAL directory for one test case.
-fn wal_dir(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ah-determinism-{label}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// Unwrap a durable-run outcome that must have run to completion.
 fn finished(outcome: std::io::Result<WalOutcome>, label: &str) -> RunOutput {
     *outcome
@@ -144,7 +139,7 @@ fn check_wal_equivalence(seed: u64, faults: Option<FaultPlan>, tag: &str) {
 
     for threads in [1, 8] {
         // Live durable run == plain run, and its log replays identically.
-        let dir = wal_dir(&format!("{tag}-t{threads}"));
+        let dir = common::temp_dir(&format!("determinism-{tag}-t{threads}"));
         let live = finished(
             pipeline::run_parallel_wal(cfg(), opts(), threads, &WalRun::new(&dir), &mut tel),
             &format!("{tag}: wal live, {threads} threads"),
@@ -155,7 +150,7 @@ fn check_wal_equivalence(seed: u64, faults: Option<FaultPlan>, tag: &str) {
         assert_equivalent(&plain, &replayed, &format!("{tag}: replay, {threads} threads"));
 
         // Suspend mid-stream, then resume to completion == uninterrupted.
-        let dir2 = wal_dir(&format!("{tag}-s{threads}"));
+        let dir2 = common::temp_dir(&format!("determinism-{tag}-s{threads}"));
         let cut = plain.capture.total_packets.max(8) / 2;
         let wal = WalRun::new(&dir2).suspend_after(cut);
         match pipeline::run_parallel_wal(cfg(), opts(), threads, &wal, &mut tel) {
@@ -213,7 +208,7 @@ fn parallel_wal_journal_is_byte_identical_to_serial() {
     let cfg = || ScenarioConfig::tiny(2, 24);
     let mut tel = Telemetry::disabled();
 
-    let serial_dir = wal_dir("journal-serial");
+    let serial_dir = common::temp_dir("determinism-journal-serial");
     finished(
         pipeline::run_wal(cfg(), opts(), &WalRun::new(&serial_dir), &mut tel),
         "journal: serial",
@@ -222,7 +217,7 @@ fn parallel_wal_journal_is_byte_identical_to_serial() {
     assert!(!serial.is_empty(), "serial run wrote no journal files");
 
     for threads in [2, 8] {
-        let par_dir = wal_dir(&format!("journal-par{threads}"));
+        let par_dir = common::temp_dir(&format!("determinism-journal-par{threads}"));
         finished(
             pipeline::run_parallel_wal(cfg(), opts(), threads, &WalRun::new(&par_dir), &mut tel),
             &format!("journal: {threads} threads"),

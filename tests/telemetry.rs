@@ -299,16 +299,14 @@ fn journaled_sharded_run_publishes_dispatcher_instruments() {
         .completed()
         .expect("run completed");
     let snap = rec.snapshot();
-    for name in ["ah_pipeline_ring_occupancy_hwm", "ah_pipeline_merge_ring_occupancy_hwm"] {
-        let mut shards: Vec<&str> = snap
-            .samples
-            .iter()
-            .filter(|s| s.name == name)
-            .flat_map(|s| s.labels.iter().filter(|(k, _)| k == "shard").map(|(_, v)| v.as_str()))
-            .collect();
-        shards.sort_unstable();
-        assert_eq!(shards, ["0", "1", "2", "3"], "one {name} gauge per shard label");
-    }
+    let mut shards: Vec<&str> = snap
+        .samples
+        .iter()
+        .filter(|s| s.name == "ah_pipeline_ring_occupancy_hwm")
+        .flat_map(|s| s.labels.iter().filter(|(k, _)| k == "shard").map(|(_, v)| v.as_str()))
+        .collect();
+    shards.sort_unstable();
+    assert_eq!(shards, ["0", "1", "2", "3"], "one ring-occupancy gauge per shard label");
     for name in ["ah_pipeline_dispatch_stalls_total", "ah_pipeline_dispatch_stall_us"] {
         assert!(snap.samples.iter().any(|s| s.name == name), "{name} not published");
     }
@@ -546,22 +544,9 @@ fn exported_metrics_cover_every_layer() {
     for name in &names {
         assert!(valid_metric_name(name), "bad metric name registered: {name}");
     }
-    // Ring occupancy: one gauge per shard on the 8-thread run, for both
-    // the dispatch rings and the MPSC merge ring's producer side.
+    // Ring occupancy: one gauge per shard on the 8-thread run.
     let rings = snap.samples.iter().filter(|s| s.name == "ah_pipeline_ring_occupancy_hwm").count();
     assert_eq!(rings, 8, "expected one ring-occupancy gauge per shard");
-    let merge: Vec<_> =
-        snap.samples.iter().filter(|s| s.name == "ah_pipeline_merge_ring_occupancy_hwm").collect();
-    assert_eq!(merge.len(), 8, "expected one merge-ring gauge per shard");
-    for s in merge {
-        match s.value {
-            // Every shard pushes exactly one ShardResult, so its peak
-            // reservation count is at least one slot (and bounded by
-            // the ring capacity, which equals the thread count here).
-            Value::Gauge(v) => assert!((1..=8).contains(&v), "merge HWM out of range: {v}"),
-            _ => panic!("merge ring metric is not a gauge"),
-        }
-    }
     // Cross-check the mux throughput counter against the run itself: a
     // clean run delivers every generated packet.
     let mux = snap
