@@ -45,7 +45,7 @@ use std::collections::BinaryHeap;
 use std::collections::HashMap;
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Per-category fault rates and parameters. All rates are per-packet
 /// probabilities in `[0, 1]`; categories are drawn independently.
@@ -455,10 +455,10 @@ impl FaultInjector {
 ///
 /// These model the failure modes a write-ahead log must survive: a
 /// power cut mid-write (torn final frame), a filesystem that lost a
-/// chunk of the tail, silent media corruption (bit rot), and a lost
-/// sidecar index. The plan operates on raw files — it knows nothing
-/// about frame formats, so it composes with any log layout (the chaos
-/// suite points it at `ah-wal` directories).
+/// chunk of the tail, and silent media corruption (bit rot). The plan
+/// operates on raw files — it knows nothing about frame formats, so it
+/// composes with any log layout (the chaos suite points it at `ah-wal`
+/// directories).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StorageFaultKind {
     /// Cut 1–15 bytes off the newest data file: less than a frame
@@ -469,8 +469,6 @@ pub enum StorageFaultKind {
     TruncatedTail,
     /// Flip one seeded bit in the body of a seeded data file.
     BitFlipMidSegment,
-    /// Delete the sidecar index file.
-    MissingIndex,
 }
 
 /// A seeded at-rest storage fault. Same seed + same files = same damage.
@@ -485,7 +483,7 @@ pub struct StorageFaultPlan {
 /// What [`StorageFaultPlan::apply`] actually did, for assertions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StorageFaultReport {
-    /// The file that was damaged (or deleted).
+    /// The file that was damaged.
     pub path: PathBuf,
     /// File size before the damage.
     pub len_before: u64,
@@ -508,14 +506,10 @@ impl StorageFaultPlan {
     }
 
     /// Inflict the damage. `data_files` must be the store's data files
-    /// in order (oldest first); `index_file` is the sidecar index. Fails
-    /// with [`io::ErrorKind::InvalidInput`] when there is nothing
-    /// suitable to damage.
-    pub fn apply(
-        &self,
-        data_files: &[PathBuf],
-        index_file: &Path,
-    ) -> io::Result<StorageFaultReport> {
+    /// in order (oldest first). Fails with
+    /// [`io::ErrorKind::InvalidInput`] when there is nothing suitable to
+    /// damage.
+    pub fn apply(&self, data_files: &[PathBuf]) -> io::Result<StorageFaultReport> {
         let mut rng = Rng64::new(self.seed ^ 0x5706_4a6c_5746_414c);
         let no_target =
             || io::Error::new(io::ErrorKind::InvalidInput, "no file suitable for this fault");
@@ -573,16 +567,6 @@ impl StorageFaultPlan {
                     len_before: len,
                     bytes_removed: 0,
                     bit_flipped: Some(bit),
-                })
-            }
-            StorageFaultKind::MissingIndex => {
-                let len = fs::metadata(index_file).map(|m| m.len()).map_err(|_| no_target())?;
-                fs::remove_file(index_file)?;
-                Ok(StorageFaultReport {
-                    path: index_file.to_path_buf(),
-                    len_before: len,
-                    bytes_removed: len,
-                    bit_flipped: None,
                 })
             }
         }
@@ -735,7 +719,7 @@ mod tests {
         }
     }
 
-    fn storage_fixture(tag: &str) -> (PathBuf, Vec<PathBuf>, PathBuf) {
+    fn storage_fixture(tag: &str) -> (PathBuf, Vec<PathBuf>) {
         let dir =
             std::env::temp_dir().join(format!("ah-simnet-storage-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
@@ -746,9 +730,7 @@ mod tests {
             fs::write(&p, vec![i; 400]).unwrap();
             files.push(p);
         }
-        let idx = dir.join("store.idx");
-        fs::write(&idx, [9u8; 64]).unwrap();
-        (dir, files, idx)
+        (dir, files)
     }
 
     #[test]
@@ -757,13 +739,12 @@ mod tests {
             StorageFaultKind::TornFinalWrite,
             StorageFaultKind::TruncatedTail,
             StorageFaultKind::BitFlipMidSegment,
-            StorageFaultKind::MissingIndex,
         ] {
-            let (dir_a, files_a, idx_a) = storage_fixture("a");
-            let (dir_b, files_b, idx_b) = storage_fixture("b");
+            let (dir_a, files_a) = storage_fixture("a");
+            let (dir_b, files_b) = storage_fixture("b");
             let plan = StorageFaultPlan::new(kind, 77);
-            let ra = plan.apply(&files_a, &idx_a).unwrap();
-            let rb = plan.apply(&files_b, &idx_b).unwrap();
+            let ra = plan.apply(&files_a).unwrap();
+            let rb = plan.apply(&files_b).unwrap();
             assert_eq!(ra.bytes_removed, rb.bytes_removed, "{kind:?}");
             assert_eq!(ra.bit_flipped, rb.bit_flipped, "{kind:?}");
             match kind {
@@ -779,9 +760,6 @@ mod tests {
                     assert_eq!(ra.bytes_removed, 0);
                     let bit = ra.bit_flipped.unwrap();
                     assert!(bit >= STORAGE_FILE_HEADER * 8);
-                }
-                StorageFaultKind::MissingIndex => {
-                    assert!(!idx_a.exists());
                 }
             }
             let _ = fs::remove_dir_all(&dir_a);

@@ -64,11 +64,6 @@ impl TrafficMux {
         self.actors.push(actor);
     }
 
-    /// Number of registered actors (live or finished).
-    pub fn actor_count(&self) -> usize {
-        self.actors.len()
-    }
-
     /// Total packets emitted so far.
     pub fn emitted(&self) -> u64 {
         self.emitted
@@ -97,32 +92,11 @@ impl TrafficMux {
             f(&pkt);
         }
     }
-
-    /// Emit packets with timestamps strictly before `end`, passing each
-    /// to `f`; packets at or after `end` stay queued.
-    pub fn drive_until(&mut self, end: Ts, mut f: impl FnMut(&PacketMeta)) {
-        loop {
-            match self.heap.peek() {
-                Some(top) if top.ts.0 < end => {}
-                _ => break,
-            }
-            let Some(pkt) = self.next_packet() else { break };
-            f(&pkt);
-        }
-    }
 }
 
 impl Default for TrafficMux {
     fn default() -> Self {
         TrafficMux::new()
-    }
-}
-
-impl Iterator for TrafficMux {
-    type Item = PacketMeta;
-
-    fn next(&mut self) -> Option<PacketMeta> {
-        self.next_packet()
     }
 }
 
@@ -177,7 +151,6 @@ mod tests {
         let mut mux = TrafficMux::new();
         mux.add(Box::new(Ticker { start: 0, step: 1, count: 0, sent: 0, src: 1 }));
         assert!(mux.next_packet().is_none());
-        assert_eq!(mux.actor_count(), 1);
     }
 
     #[test]
@@ -193,24 +166,5 @@ mod tests {
         assert_eq!(run(), run());
         // Lower index wins ties.
         assert_eq!(run()[0], 1);
-    }
-
-    #[test]
-    fn for_each_until_stops_at_boundary() {
-        let mut mux = TrafficMux::new();
-        mux.add(Box::new(Ticker { start: 0, step: 1, count: 10, sent: 0, src: 1 }));
-        let mut before = 0;
-        mux.drive_until(Ts::from_secs(5), |_| before += 1);
-        assert_eq!(before, 5);
-        let mut after = 0;
-        mux.drive(|_| after += 1);
-        assert_eq!(after, 5);
-    }
-
-    #[test]
-    fn iterator_interface() {
-        let mut mux = TrafficMux::new();
-        mux.add(Box::new(Ticker { start: 0, step: 2, count: 4, sent: 0, src: 1 }));
-        assert_eq!(mux.by_ref().count(), 4);
     }
 }

@@ -289,18 +289,6 @@ impl Telescope {
         }
     }
 
-    /// Expire idle events as of `now` (see [`crate::event::EventAggregator::advance`]).
-    pub fn advance(&mut self, now: ah_net::time::Ts) {
-        let _mem = MemScope::enter(Tag::Telescope);
-        self.aggregator.advance(now);
-    }
-
-    /// Drain completed darknet events.
-    pub fn drain_events(&mut self) -> Vec<crate::event::DarknetEvent> {
-        let _mem = MemScope::enter(Tag::Telescope);
-        self.aggregator.drain_completed()
-    }
-
     /// Close all active events and return everything outstanding.
     pub fn flush(&mut self) -> Vec<crate::event::DarknetEvent> {
         let _mem = MemScope::enter(Tag::Telescope);

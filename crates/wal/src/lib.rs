@@ -1,13 +1,13 @@
-//! `ah-wal` — durable write-ahead event store for the aggressive-scanner
+//! `ah-wal` — durable write-ahead packet log for the aggressive-scanner
 //! pipeline.
 //!
 //! The simulation pipeline is deterministic, but a run is only
 //! re-creatable while the code and seeds that produced it exist. This
-//! crate gives runs a durable form: every delivered packet (and,
-//! optionally, derived events and flows) is appended to an on-disk log
-//! that survives crashes, can be **resumed** mid-simulation, and can be
-//! **replayed** through the detectors without re-simulating — producing
-//! bitwise-identical daily aggressive-scanner lists.
+//! crate gives runs a durable form: every delivered packet is appended
+//! to an on-disk log that survives crashes, can be **resumed**
+//! mid-simulation, and can be **replayed** through the detectors without
+//! re-simulating — producing bitwise-identical daily aggressive-scanner
+//! lists.
 //!
 //! Layering, bottom up:
 //!
@@ -15,16 +15,15 @@
 //!   dependencies).
 //! * [`frame`] — length-prefixed, CRC-framed log entries with monotonic
 //!   sequence numbers.
-//! * [`record`] — the domain payloads: run meta, packets, darknet
-//!   events, flow records, and the end-of-run seal.
-//! * [`segment`] — on-disk segment files plus the advisory, atomically
-//!   rewritten segment index.
+//! * [`record`] — the domain payloads: run meta, packets, and the
+//!   end-of-run seal.
+//! * [`segment`] — on-disk segment files; the log is exactly its
+//!   `*.seg` files.
 //! * [`writer`] — batched group-commit appends, segment rotation, the
 //!   durable watermark, and a deliberate crash hook for fault drills.
 //! * [`mod@recover`] — the recovery scanner: validates every frame,
 //!   truncates at the first torn/corrupt one, drops unreachable
-//!   segments, rebuilds the index, and streams the surviving records to
-//!   the caller.
+//!   segments, and streams the surviving records to the caller.
 //!
 //! Durability contract, in one paragraph: a frame is durable once the
 //! group commit containing it returns ([`writer::WalWriter::commit`]

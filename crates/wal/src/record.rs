@@ -2,16 +2,12 @@
 //!
 //! A frame payload is one encoded [`WalRecord`]: a kind byte followed by
 //! a fixed, hand-rolled little-endian body (the workspace has no
-//! serialization dependency; see `vendor/README.md`). Five kinds exist:
+//! serialization dependency; see `vendor/README.md`). Three kinds exist:
 //!
 //! * [`RunMeta`] — written once as frame 0 of a pipeline run: the
 //!   scenario/options summary the log was produced under, so a replay or
 //!   resume can verify it is being matched against the same world.
 //! * [`PacketMeta`] — one delivered darknet packet, the primary stream.
-//! * [`DarknetEvent`] — a completed darknet event (derived-stream stores,
-//!   e.g. pure-detector backtest logs).
-//! * [`FlowRecord`] — an exported NetFlow-style record (derived-stream
-//!   stores).
 //! * [`RunSeal`] — written last, after the stream ends: totals, the
 //!   rolling packet-payload hash, and the fault injector's final
 //!   counters. A log without a seal is a suspended or crashed run.
@@ -21,25 +17,19 @@
 //! recovery as a corrupt frame.
 
 use ah_core::defs::Thresholds;
-use ah_flow::record::{FlowKey, FlowRecord};
-use ah_flow::router::Direction;
 use ah_net::ipv4::Ipv4Addr4;
-use ah_net::packet::{PacketMeta, ScanClass, Transport};
+use ah_net::packet::{PacketMeta, Transport};
 use ah_net::tcp::TcpFlags;
 use ah_net::time::{Dur, Ts};
 use ah_simnet::faults::{FaultPlan, InjectorStats};
 use ah_simnet::scenario::{BenignLevel, ScenarioConfig, Year};
-use ah_telescope::event::{DarknetEvent, EventKey, ToolCounts};
 
 /// Frame-payload kind byte for [`RunMeta`].
 pub const KIND_META: u8 = 1;
 /// Frame-payload kind byte for a packet record.
 pub const KIND_PACKET: u8 = 2;
-/// Frame-payload kind byte for a darknet-event record.
-pub const KIND_EVENT: u8 = 3;
-/// Frame-payload kind byte for a flow record.
-pub const KIND_FLOW: u8 = 4;
-/// Frame-payload kind byte for [`RunSeal`].
+/// Frame-payload kind byte for [`RunSeal`]. Kinds 3 and 4 are unassigned
+/// and decode as unknown.
 pub const KIND_SEAL: u8 = 5;
 
 /// The run configuration summary stored as the log's first record.
@@ -132,10 +122,6 @@ pub enum WalRecord {
     Meta(RunMeta),
     /// One delivered packet.
     Packet(PacketMeta),
-    /// One completed darknet event.
-    Event(DarknetEvent),
-    /// One exported flow record.
-    Flow(FlowRecord),
     /// End-of-run seal (last frame of a completed run).
     Seal(RunSeal),
 }
@@ -268,93 +254,6 @@ fn decode_packet(c: &mut Cursor<'_>) -> Option<PacketMeta> {
         _ => return None,
     };
     Some(PacketMeta { ts, src, dst, ip_id, ttl, wire_len, transport })
-}
-
-fn class_tag(class: ScanClass) -> u8 {
-    match class {
-        ScanClass::TcpSyn => 0,
-        ScanClass::Udp => 1,
-        ScanClass::IcmpEcho => 2,
-    }
-}
-
-fn class_of(tag: u8) -> Option<ScanClass> {
-    match tag {
-        0 => Some(ScanClass::TcpSyn),
-        1 => Some(ScanClass::Udp),
-        2 => Some(ScanClass::IcmpEcho),
-        _ => None,
-    }
-}
-
-fn encode_event(out: &mut Vec<u8>, e: &DarknetEvent) {
-    put_u32(out, e.key.src.to_u32());
-    put_u16(out, e.key.dst_port);
-    out.push(class_tag(e.key.class));
-    put_u64(out, e.start.0);
-    put_u64(out, e.end.0);
-    put_u64(out, e.packets);
-    put_u64(out, e.bytes);
-    put_u32(out, e.unique_dsts);
-    put_u32(out, e.dark_size);
-    put_u64(out, e.tools.zmap);
-    put_u64(out, e.tools.masscan);
-    put_u64(out, e.tools.mirai);
-    put_u64(out, e.tools.other);
-}
-
-fn decode_event(c: &mut Cursor<'_>) -> Option<DarknetEvent> {
-    Some(DarknetEvent {
-        key: EventKey { src: Ipv4Addr4(c.u32()?), dst_port: c.u16()?, class: class_of(c.u8()?)? },
-        start: Ts(c.u64()?),
-        end: Ts(c.u64()?),
-        packets: c.u64()?,
-        bytes: c.u64()?,
-        unique_dsts: c.u32()?,
-        dark_size: c.u32()?,
-        tools: ToolCounts { zmap: c.u64()?, masscan: c.u64()?, mirai: c.u64()?, other: c.u64()? },
-    })
-}
-
-fn encode_flow(out: &mut Vec<u8>, f: &FlowRecord) {
-    put_u32(out, f.key.src.to_u32());
-    put_u32(out, f.key.dst.to_u32());
-    put_u16(out, f.key.src_port);
-    put_u16(out, f.key.dst_port);
-    out.push(f.key.protocol);
-    out.push(f.router);
-    out.push(match f.direction {
-        Direction::Ingress => 0,
-        Direction::Egress => 1,
-    });
-    put_u64(out, f.first.0);
-    put_u64(out, f.last.0);
-    put_u64(out, f.packets);
-    put_u64(out, f.bytes);
-    out.push(f.tcp_flags);
-}
-
-fn decode_flow(c: &mut Cursor<'_>) -> Option<FlowRecord> {
-    Some(FlowRecord {
-        key: FlowKey {
-            src: Ipv4Addr4(c.u32()?),
-            dst: Ipv4Addr4(c.u32()?),
-            src_port: c.u16()?,
-            dst_port: c.u16()?,
-            protocol: c.u8()?,
-        },
-        router: c.u8()?,
-        direction: match c.u8()? {
-            0 => Direction::Ingress,
-            1 => Direction::Egress,
-            _ => return None,
-        },
-        first: Ts(c.u64()?),
-        last: Ts(c.u64()?),
-        packets: c.u64()?,
-        bytes: c.u64()?,
-        tcp_flags: c.u8()?,
-    })
 }
 
 fn encode_meta(out: &mut Vec<u8>, m: &RunMeta) {
@@ -512,14 +411,6 @@ impl WalRecord {
                 out.push(KIND_PACKET);
                 encode_packet(out, p);
             }
-            WalRecord::Event(e) => {
-                out.push(KIND_EVENT);
-                encode_event(out, e);
-            }
-            WalRecord::Flow(f) => {
-                out.push(KIND_FLOW);
-                encode_flow(out, f);
-            }
             WalRecord::Seal(s) => {
                 out.push(KIND_SEAL);
                 encode_seal(out, s);
@@ -535,8 +426,6 @@ impl WalRecord {
         let rec = match c.u8()? {
             KIND_META => WalRecord::Meta(decode_meta(&mut c)?),
             KIND_PACKET => WalRecord::Packet(decode_packet(&mut c)?),
-            KIND_EVENT => WalRecord::Event(decode_event(&mut c)?),
-            KIND_FLOW => WalRecord::Flow(decode_flow(&mut c)?),
             KIND_SEAL => WalRecord::Seal(decode_seal(&mut c)?),
             _ => return None,
         };

@@ -1,18 +1,15 @@
-//! Crash recovery: scan, validate, truncate, rebuild.
+//! Crash recovery: scan, validate, truncate.
 //!
 //! [`recover`] walks every segment in sequence order, validates each
 //! frame (CRC, length, monotonic sequence number) and hands decoded
 //! records to the caller. At the **first** torn or corrupt frame it
 //! stops, physically truncates the damaged segment back to its last
-//! valid frame, deletes any later segments (their sequence numbers can
-//! no longer be contiguous), and rewrites the segment index from what it
-//! actually saw. The result is a log identical to one where the writer
-//! had cleanly committed exactly `next_seq` frames — which is what makes
-//! recovery idempotent: running it twice yields byte-identical state.
-//!
-//! The segment index is advisory. Recovery reads it only to report
-//! whether it disagreed with the scan ([`RecoveryStats::index_rebuilt`]);
-//! the segments themselves are always the source of truth.
+//! valid frame, and deletes any later segments (their sequence numbers
+//! can no longer be contiguous). The result is a log identical to one
+//! where the writer had cleanly committed exactly `next_seq` frames —
+//! which is what makes recovery idempotent: running it twice yields
+//! byte-identical state. The segments are the only thing recovery reads
+//! or writes; any other file in the directory is left alone.
 
 use std::fs;
 use std::io::{self, Read};
@@ -22,9 +19,7 @@ use ah_obs::Recorder;
 
 use crate::frame::{check_frame, FrameCheck};
 use crate::record::{RunMeta, RunSeal, WalRecord};
-use crate::segment::{
-    decode_segment_header, read_index, segment_paths, write_index, IndexEntry, SEGMENT_HEADER_BYTES,
-};
+use crate::segment::{decode_segment_header, segment_paths, sync_dir, SEGMENT_HEADER_BYTES};
 
 /// What the recovery scanner found and did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -42,9 +37,6 @@ pub struct RecoveryStats {
     /// Whole segments deleted because they followed the damage point or
     /// had an unreadable header.
     pub segments_dropped: u64,
-    /// True when the on-disk index was missing, invalid, or disagreed
-    /// with the scan and was rewritten.
-    pub index_rebuilt: bool,
 }
 
 /// A recovered log, ready for replay or resumption.
@@ -119,15 +111,12 @@ pub fn recover(
     rec: &Recorder,
     mut on_record: impl FnMut(u64, &[u8], WalRecord),
 ) -> io::Result<RecoveredLog> {
-    // The scan buffers and rebuilt index are recovery's own memory
-    // traffic; `on_record` consumers re-tag via their own scopes.
+    // The scan buffers are recovery's own memory traffic; `on_record`
+    // consumers re-tag via their own scopes.
     let _mem = ah_mem::MemScope::enter(ah_mem::Tag::Wal);
     let segs = segment_paths(dir)?;
-    let prior_index = if segs.is_empty() { None } else { read_index(dir)? };
-
     let mut out =
         RecoveredLog { meta: None, seal: None, next_seq: 0, stats: RecoveryStats::default() };
-    let mut rebuilt: Vec<IndexEntry> = Vec::new();
     let mut damaged = false;
     let mut seal_at: Option<u64> = None;
 
@@ -149,7 +138,6 @@ pub fn recover(
             continue;
         }
         let mut off = SEGMENT_HEADER_BYTES;
-        let seg_start_seq = out.next_seq;
         while off < raw.len() {
             match check_frame(&raw[off..], out.next_seq) {
                 FrameCheck::Frame { payload, consumed } => {
@@ -198,20 +186,13 @@ pub fn recover(
             let f = fs::OpenOptions::new().write(true).open(path)?;
             f.set_len(off as u64)?;
             f.sync_data()?;
-            rebuilt.push(IndexEntry {
-                base_seq: seg_start_seq,
-                frames: out.next_seq - seg_start_seq,
-                bytes: off as u64,
-                sealed: false,
-            });
-        } else {
-            rebuilt.push(IndexEntry {
-                base_seq: seg_start_seq,
-                frames: out.next_seq - seg_start_seq,
-                bytes: raw.len() as u64,
-                sealed: false,
-            });
         }
+    }
+
+    if out.stats.segments_dropped > 0 {
+        // A dropped segment that reappeared after a crash could line up
+        // with the regrown tail of the log: make the removals durable.
+        sync_dir(dir);
     }
 
     // A seal only counts when it is the very last surviving frame; a
@@ -219,22 +200,6 @@ pub fn recover(
     // log unsealed.
     if seal_at != out.next_seq.checked_sub(1) {
         out.seal = None;
-    }
-    if out.seal.is_some() {
-        if let Some(last) = rebuilt.last_mut() {
-            last.sealed = true;
-        }
-    }
-
-    if !segs.is_empty() {
-        let needs_rewrite = match &prior_index {
-            Some(entries) => entries != &rebuilt,
-            None => true,
-        };
-        if needs_rewrite {
-            write_index(dir, &rebuilt)?;
-            out.stats.index_rebuilt = true;
-        }
     }
 
     let m = RecoverMetrics::new(rec);
@@ -283,7 +248,6 @@ impl<'a> RecoverMetrics<'a> {
         self.rec.counter("ah_wal_recover_frames_corrupt_total").add(s.corrupt_frames);
         self.rec.counter("ah_wal_recover_bytes_truncated_total").add(s.bytes_truncated);
         self.rec.counter("ah_wal_recover_segments_dropped_total").add(s.segments_dropped);
-        self.rec.counter("ah_wal_recover_index_rebuilds_total").add(u64::from(s.index_rebuilt));
         self.rec.gauge("ah_wal_recover_watermark_seq").set(next_seq as i64);
     }
 }
@@ -421,20 +385,31 @@ mod tests {
     }
 
     #[test]
-    fn missing_index_is_rebuilt() {
-        let dir = tmp("noindex");
-        let rec = Recorder::new();
-        let mut w = WalWriter::create(&dir, small_cfg(), &rec).unwrap();
-        for i in 0..8 {
-            w.append(&pkt(i)).unwrap();
+    fn unknown_record_kind_is_a_corrupt_frame() {
+        for kind in [3u8, 4] {
+            let dir = tmp(&format!("kind-{kind}"));
+            let rec = Recorder::new();
+            let mut w = WalWriter::create(&dir, WalWriterConfig::default(), &rec).unwrap();
+            for i in 0..5 {
+                w.append(&pkt(i)).unwrap();
+            }
+            // Well framed and CRC-valid, but the kind byte names no record.
+            w.append_payload(&[kind, 0xAA, 0xBB]).unwrap();
+            w.append(&pkt(6)).unwrap();
+            w.commit().unwrap();
+            drop(w);
+
+            let out = recover(&dir, &rec, |_, _, _| {}).unwrap();
+            assert_eq!(out.next_seq, 5, "kind {kind}: the log ends before the unknown frame");
+            assert_eq!((out.stats.corrupt_frames, out.stats.torn_frames), (1, 0), "kind {kind}");
+            assert!(out.stats.bytes_truncated > 0, "kind {kind}: the tail is cut off");
+            let again = recover(&dir, &rec, |_, _, _| {}).unwrap();
+            assert_eq!(
+                again.stats,
+                RecoveryStats { segments_scanned: 1, frames_valid: 5, ..Default::default() }
+            );
+            let _ = fs::remove_dir_all(&dir);
         }
-        w.commit().unwrap();
-        fs::remove_file(crate::segment::index_path(&dir)).unwrap();
-        let out = recover(&dir, &rec, |_, _, _| {}).unwrap();
-        assert_eq!(out.next_seq, 8);
-        assert!(out.stats.index_rebuilt);
-        assert!(crate::segment::index_path(&dir).exists());
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

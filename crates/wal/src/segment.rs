@@ -1,19 +1,14 @@
-//! On-disk segment layout and the fsync'd segment index.
+//! On-disk segment layout.
 //!
-//! A WAL directory holds:
-//!
-//! * `<base_seq:016x>.seg` — data segments. Each starts with a 24-byte
-//!   header (`magic ‖ version ‖ base_seq ‖ crc`) followed by frames whose
-//!   sequence numbers run `base_seq, base_seq+1, …` contiguously.
-//! * `wal.idx` — the segment index: one CRC'd entry per segment with its
-//!   base sequence, frame count, byte size and sealed flag. The index is
-//!   written atomically (tmp + rename + directory fsync) at rotation and
-//!   seal time. It is **advisory**: the segments are the truth, and
-//!   recovery rebuilds the index whenever it disagrees with a scan — so a
-//!   missing or mangled index entry is always survivable.
+//! A WAL directory is its data segments and nothing else:
+//! `<base_seq:016x>.seg`, each starting with a 24-byte header
+//! (`magic ‖ version ‖ base_seq ‖ crc`) followed by frames whose
+//! sequence numbers run `base_seq, base_seq+1, …` contiguously. Frame
+//! counts, sizes and the sealed state are read off the segments by the
+//! recovery scan; any other file in the directory is ignored.
 
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::crc::{crc32, Crc32};
@@ -22,12 +17,8 @@ use crate::crc::{crc32, Crc32};
 pub const SEGMENT_MAGIC: [u8; 8] = *b"AHWALSG1";
 /// Fixed size of the segment header.
 pub const SEGMENT_HEADER_BYTES: usize = 24;
-/// Magic bytes opening the segment index.
-pub const INDEX_MAGIC: [u8; 8] = *b"AHWALIX1";
 /// Current on-disk format version.
 pub const FORMAT_VERSION: u32 = 1;
-/// File name of the segment index inside a WAL directory.
-pub const INDEX_FILE: &str = "wal.idx";
 
 /// Encode a segment header for a segment whose first frame is `base_seq`.
 pub fn encode_segment_header(base_seq: u64) -> [u8; SEGMENT_HEADER_BYTES] {
@@ -92,106 +83,12 @@ pub fn segment_paths(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     Ok(out)
 }
 
-/// Path of the segment index inside `dir`.
-pub fn index_path(dir: &Path) -> PathBuf {
-    dir.join(INDEX_FILE)
-}
-
-/// One index entry describing a data segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IndexEntry {
-    /// Sequence number of the segment's first frame.
-    pub base_seq: u64,
-    /// Frames the segment holds.
-    pub frames: u64,
-    /// Segment file size in bytes (header included).
-    pub bytes: u64,
-    /// True when the run's seal frame is the segment's last record.
-    pub sealed: bool,
-}
-
-const INDEX_ENTRY_BYTES: usize = 8 + 8 + 8 + 1 + 4;
-
-/// Read and validate the segment index. `Ok(None)` means the index is
-/// missing or fails validation — the caller should fall back to a scan.
-pub fn read_index(dir: &Path) -> io::Result<Option<Vec<IndexEntry>>> {
-    let mut raw = Vec::new();
-    match fs::File::open(index_path(dir)) {
-        Ok(mut f) => {
-            f.read_to_end(&mut raw)?;
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    if raw.len() < 12 || raw[0..8] != INDEX_MAGIC {
-        return Ok(None);
-    }
-    let version = match raw[8..12].try_into() {
-        Ok(b) => u32::from_le_bytes(b),
-        Err(_) => return Ok(None),
-    };
-    if version != FORMAT_VERSION {
-        return Ok(None);
-    }
-    let mut entries = Vec::new();
-    let mut off = 12usize;
-    while off < raw.len() {
-        if raw.len() - off < INDEX_ENTRY_BYTES {
-            return Ok(None);
-        }
-        let body = &raw[off..off + INDEX_ENTRY_BYTES];
-        let stored = match body[25..29].try_into() {
-            Ok(b) => u32::from_le_bytes(b),
-            Err(_) => return Ok(None),
-        };
-        if crc32(&body[0..25]) != stored {
-            return Ok(None);
-        }
-        let field = |a: usize| -> u64 {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&body[a..a + 8]);
-            u64::from_le_bytes(b)
-        };
-        entries.push(IndexEntry {
-            base_seq: field(0),
-            frames: field(8),
-            bytes: field(16),
-            sealed: body[24] != 0,
-        });
-        off += INDEX_ENTRY_BYTES;
-    }
-    Ok(Some(entries))
-}
-
-/// Atomically replace the segment index: write a temp file, fsync it,
-/// rename it into place, then fsync the directory so the rename is
-/// durable.
-pub fn write_index(dir: &Path, entries: &[IndexEntry]) -> io::Result<()> {
-    let mut raw = Vec::with_capacity(12 + entries.len() * INDEX_ENTRY_BYTES);
-    raw.extend_from_slice(&INDEX_MAGIC);
-    raw.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    for e in entries {
-        let start = raw.len();
-        raw.extend_from_slice(&e.base_seq.to_le_bytes());
-        raw.extend_from_slice(&e.frames.to_le_bytes());
-        raw.extend_from_slice(&e.bytes.to_le_bytes());
-        raw.push(u8::from(e.sealed));
-        let crc = crc32(&raw[start..]);
-        raw.extend_from_slice(&crc.to_le_bytes());
-    }
-    let tmp = dir.join("wal.idx.tmp");
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(&raw)?;
-        f.sync_data()?;
-    }
-    fs::rename(&tmp, index_path(dir))?;
-    // Make the rename itself durable. Directory fsync is best-effort on
-    // platforms where directories cannot be opened.
+/// Make a file creation or removal inside `dir` durable. Best-effort on
+/// platforms where directories cannot be opened.
+pub(crate) fn sync_dir(dir: &Path) {
     if let Ok(d) = fs::File::open(dir) {
         let _ = d.sync_all();
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -214,27 +111,7 @@ mod tests {
         for base in [0u64, 1, 0xDEAD_BEEF, u64::MAX] {
             assert_eq!(parse_segment_file_name(&segment_file_name(base)), Some(base));
         }
-        assert_eq!(parse_segment_file_name("wal.idx"), None);
+        assert_eq!(parse_segment_file_name("0000000000000000.tmp"), None);
         assert_eq!(parse_segment_file_name("zz.seg"), None);
-    }
-
-    #[test]
-    fn index_round_trip_and_corruption() {
-        let dir = std::env::temp_dir().join(format!("ah-wal-idx-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let entries = vec![
-            IndexEntry { base_seq: 0, frames: 10, bytes: 400, sealed: false },
-            IndexEntry { base_seq: 10, frames: 3, bytes: 140, sealed: true },
-        ];
-        write_index(&dir, &entries).unwrap();
-        assert_eq!(read_index(&dir).unwrap(), Some(entries));
-        // Any flipped byte invalidates the index as a whole.
-        let path = index_path(&dir);
-        let mut raw = fs::read(&path).unwrap();
-        raw[20] ^= 0xFF;
-        fs::write(&path, &raw).unwrap();
-        assert_eq!(read_index(&dir).unwrap(), None);
-        let _ = fs::remove_dir_all(&dir);
     }
 }

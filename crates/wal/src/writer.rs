@@ -11,9 +11,9 @@
 //!
 //! Segments rotate once the current file crosses
 //! [`WalWriterConfig::segment_bytes`]; rotation happens on a commit
-//! boundary, rewrites the segment index atomically, and opens the next
-//! `<base_seq:016x>.seg` with a fresh header. Frames never span
-//! segments.
+//! boundary and opens the next `<base_seq:016x>.seg` with a fresh
+//! header. Frames never span segments. The writer touches no file other
+//! than its segments.
 
 use std::fs;
 use std::io::{self, Write};
@@ -25,8 +25,7 @@ use ah_obs::{Counter, Gauge, Recorder};
 use crate::frame::{append_frame, FRAME_HEADER_BYTES};
 use crate::record::WalRecord;
 use crate::segment::{
-    encode_segment_header, segment_file_name, segment_paths, write_index, IndexEntry,
-    SEGMENT_HEADER_BYTES,
+    encode_segment_header, segment_file_name, segment_paths, sync_dir, SEGMENT_HEADER_BYTES,
 };
 
 /// Tunables for the append path.
@@ -84,15 +83,12 @@ pub struct WalWriter {
     dir: PathBuf,
     cfg: WalWriterConfig,
     file: fs::File,
-    seg_base: u64,
-    seg_frames: u64,
     seg_bytes: u64,
     next_seq: u64,
     durable_seq: u64,
     pending: Vec<u8>,
     pending_frames: usize,
     last_frame_start: usize,
-    index: Vec<IndexEntry>,
     sealed: bool,
     scratch: Vec<u8>,
     metrics: WriterMetrics,
@@ -154,27 +150,21 @@ impl WalWriter {
             ));
         }
         let file = open_segment(dir, 0, true)?;
-        let mut w = WalWriter {
+        Ok(WalWriter {
             dir: dir.to_path_buf(),
             cfg,
             file,
-            seg_base: 0,
-            seg_frames: 0,
             seg_bytes: SEGMENT_HEADER_BYTES as u64,
             next_seq: 0,
             durable_seq: 0,
             pending: Vec::new(),
             pending_frames: 0,
             last_frame_start: 0,
-            index: Vec::new(),
             sealed: false,
             scratch: Vec::new(),
             metrics: WriterMetrics::new(rec),
             tracer: ah_trace::Tracer::noop(),
-        };
-        w.push_index_entry();
-        write_index(dir, &w.index)?;
-        Ok(w)
+        })
     }
 
     /// Reopen an existing, recovered, unsealed log for appending.
@@ -201,42 +191,21 @@ impl WalWriter {
         }
         let seg_bytes = fs::metadata(path)?.len();
         let file = fs::OpenOptions::new().append(true).open(path)?;
-        let mut w = WalWriter {
+        let w = WalWriter {
             dir: dir.to_path_buf(),
             cfg,
             file,
-            seg_base,
-            seg_frames: next_seq - seg_base,
             seg_bytes,
             next_seq,
             durable_seq: next_seq,
             pending: Vec::new(),
             pending_frames: 0,
             last_frame_start: 0,
-            index: Vec::new(),
             sealed: false,
             scratch: Vec::new(),
             metrics: WriterMetrics::new(rec),
             tracer: ah_trace::Tracer::noop(),
         };
-        for &(base, ref p) in &segs {
-            let bytes = if base == seg_base { seg_bytes } else { fs::metadata(p)?.len() };
-            w.index.push(IndexEntry {
-                base_seq: base,
-                frames: if base == seg_base {
-                    next_seq - base
-                } else {
-                    // Filled from the next segment's base below.
-                    0
-                },
-                bytes,
-                sealed: false,
-            });
-        }
-        for i in 0..w.index.len().saturating_sub(1) {
-            w.index[i].frames = w.index[i + 1].base_seq - w.index[i].base_seq;
-        }
-        write_index(dir, &w.index)?;
         w.metrics.durable.set(w.durable_seq as i64);
         Ok(w)
     }
@@ -317,7 +286,6 @@ impl WalWriter {
                 self.file.sync_data()?;
             }
             self.seg_bytes += self.pending.len() as u64;
-            self.seg_frames += self.pending_frames as u64;
             self.durable_seq = self.next_seq;
             self.pending.clear();
             self.pending_frames = 0;
@@ -325,7 +293,6 @@ impl WalWriter {
             self.metrics.commits.inc();
             self.metrics.pending.set(0);
             self.metrics.durable.set(self.durable_seq as i64);
-            self.sync_index_tail();
         }
         if self.seg_bytes >= self.cfg.segment_bytes && !self.sealed {
             self.rotate()?;
@@ -333,18 +300,14 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Append the run's seal record, force a final commit, and mark the
-    /// log sealed in the segment index. Further appends fail.
+    /// Append the run's seal record and force a final commit. Further
+    /// appends fail.
     pub fn seal(&mut self, seal: crate::record::RunSeal) -> io::Result<()> {
         let _mem = MemScope::enter(Tag::Wal);
         let _trace = self.tracer.span("ah_wal_writer_seal");
         self.append(&WalRecord::Seal(seal))?;
         self.commit()?;
         self.sealed = true;
-        if let Some(last) = self.index.last_mut() {
-            last.sealed = true;
-        }
-        write_index(&self.dir, &self.index)?;
         self.metrics.seals.inc();
         Ok(())
     }
@@ -373,32 +336,11 @@ impl WalWriter {
         std::process::abort()
     }
 
-    fn push_index_entry(&mut self) {
-        self.index.push(IndexEntry {
-            base_seq: self.seg_base,
-            frames: 0,
-            bytes: SEGMENT_HEADER_BYTES as u64,
-            sealed: false,
-        });
-    }
-
-    fn sync_index_tail(&mut self) {
-        if let Some(last) = self.index.last_mut() {
-            last.frames = self.seg_frames;
-            last.bytes = self.seg_bytes;
-        }
-    }
-
     fn rotate(&mut self) -> io::Result<()> {
         let _trace = self.tracer.span("ah_wal_writer_rotate");
         self.file.sync_data()?;
-        self.sync_index_tail();
-        self.seg_base = self.next_seq;
-        self.seg_frames = 0;
         self.seg_bytes = SEGMENT_HEADER_BYTES as u64;
-        self.file = open_segment(&self.dir, self.seg_base, false)?;
-        self.push_index_entry();
-        write_index(&self.dir, &self.index)?;
+        self.file = open_segment(&self.dir, self.next_seq, false)?;
         self.metrics.rotations.inc();
         Ok(())
     }
@@ -422,9 +364,7 @@ fn open_segment(dir: &Path, base_seq: u64, first: bool) -> io::Result<fs::File> 
     };
     file.write_all(&encode_segment_header(base_seq))?;
     file.sync_data()?;
-    if let Ok(d) = fs::File::open(dir) {
-        let _ = d.sync_all();
-    }
+    sync_dir(dir);
     Ok(file)
 }
 

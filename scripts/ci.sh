@@ -20,15 +20,11 @@ echo "==> ah-lint (house rules, warnings denied)"
 # First-party static analysis (crates/lint): panic-path, atomic-ordering,
 # unsafe-safety-comment, doc-header, unsafe-forbid, metric-name — see
 # ARCHITECTURE.md §9. Suppressions require written reasons; an unknown
-# or reasonless suppression is itself a finding.
+# or reasonless suppression is itself a finding. metric-name validates
+# every string literal passed to an ah_obs registration function against
+# ah_obs::valid_metric_name before the code ever runs; the runtime JSONL
+# check below still covers dynamically-built names.
 cargo run -q --release -p ah-lint -- --deny-warnings
-
-echo "==> ah-lint (static metric-name check)"
-# Every metric name passed as a string literal to ah_obs registration
-# functions is validated against ah_obs::valid_metric_name before the
-# code ever runs. (This replaces the old source grep; the runtime JSONL
-# check below still covers dynamically-built names.)
-cargo run -q --release -p ah-lint -- --lint metric-name --deny-warnings
 
 echo "==> ah-lint (markdown links + anchors)"
 # Nothing compiles markdown, so renamed files and sections strand

@@ -72,6 +72,7 @@ use ah_telescope::event::{AggregatorStats, DarknetEvent};
 use ah_trace::Tracer;
 use ah_wal::record::{fnv1a_fold, RunMeta, RunSeal, WalRecord, FNV_OFFSET};
 use ah_wal::{RecoveredLog, WalWriter, WalWriterConfig};
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -985,7 +986,7 @@ fn merge_gn_parts(
 /// used by chaos tests and the CI crash-recovery gate.
 #[derive(Debug, Clone)]
 pub struct WalRun {
-    /// Directory holding the log (`*.seg` + `wal.idx`).
+    /// Directory holding the log: its `*.seg` files and nothing else.
     pub dir: PathBuf,
     /// Append-path tunables (group-commit batch, segment size).
     pub writer: WalWriterConfig,
@@ -1240,19 +1241,21 @@ impl Engine<'_, '_> {
     }
 
     /// Run the feeders the inputs call for: the recovered log (resume,
-    /// replay), then the live mux (all but replay, which has no
-    /// `scenario`), journaled when `journal_to` is set. `driver_plan` is
-    /// the fault plan when the driver owns the injector.
+    /// replay), then — unless that log was sealed, which ends the run
+    /// there — the live mux built from `cfg`, journaled when `journal_to`
+    /// is set. `driver_plan` is the fault plan when the driver owns the
+    /// injector.
     fn feed(
         &mut self,
         recover_from: Option<&Path>,
         journal_to: Option<&WalRun>,
-        scenario: Option<&mut Scenario>,
+        cfg: ScenarioConfig,
         meta: &RunMeta,
         driver_plan: Option<FaultPlan>,
     ) -> io::Result<Fed> {
         let mut prefix_hash = FNV_OFFSET;
-        let mut writer = None;
+        // The recovered watermark when the journal continues an existing log.
+        let mut resume_at = None;
         if let Some(dir) = recover_from {
             let (log, hash) = self.recover(dir)?;
             prefix_hash = hash;
@@ -1279,34 +1282,32 @@ impl Engine<'_, '_> {
                 }
                 // An empty directory resumes as a fresh journaled run.
                 (None, Some(_)) if log.next_seq == 0 => {}
-                (None, Some(wal)) => {
+                (None, Some(_)) => {
                     check_meta(log.meta.as_ref(), meta)?;
-                    // The fast-forward over the recovered prefix evaluates
-                    // no interruption points, so one at or inside it could
-                    // never fire at the position it names.
-                    for at in [wal.suspend_after, wal.crash_after].into_iter().flatten() {
-                        if at <= self.pos {
-                            return Err(io::Error::new(
-                                io::ErrorKind::InvalidInput,
-                                format!(
-                                    "interruption point {at} is at or inside the recovered prefix ({} packets already durable)",
-                                    self.pos
-                                ),
-                            ));
-                        }
-                    }
-                    writer = Some(WalWriter::resume(
-                        &wal.dir,
-                        wal.writer,
-                        log.next_seq,
-                        &self.tel.recorder,
-                    )?);
+                    resume_at = Some(log.next_seq);
                 }
             }
         }
         if let Some(wal) = journal_to {
-            let mut writer = match writer {
-                Some(w) => w,
+            // An interruption point fires after the delivery that reaches
+            // it, and the fast-forward over a recovered prefix evaluates
+            // none: one at or inside the prefix — 0 on a fresh log — could
+            // never fire at the position it names.
+            for at in [wal.suspend_after, wal.crash_after].into_iter().flatten() {
+                if at <= self.pos {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidInput,
+                        format!(
+                            "interruption point {at} can never fire: it is not past the {} packets already durable",
+                            self.pos
+                        ),
+                    ));
+                }
+            }
+            let mut writer = match resume_at {
+                Some(next_seq) => {
+                    WalWriter::resume(&wal.dir, wal.writer, next_seq, &self.tel.recorder)?
+                }
                 None => {
                     let mut w = WalWriter::create(&wal.dir, wal.writer, &self.tel.recorder)?;
                     w.append(&WalRecord::Meta(meta.clone()))?;
@@ -1325,10 +1326,7 @@ impl Engine<'_, '_> {
                 crash_after: wal.crash_after,
             });
         }
-        let (generated, injector) = match scenario {
-            Some(sc) => self.pull(&mut sc.mux, driver_plan),
-            None => (0, None),
-        };
+        let (generated, injector) = self.pull(&mut Scenario::build(cfg).mux, driver_plan);
         let suspended = self.halt.take().transpose()?.is_some();
         if let Some(j) = self.journal.as_mut() {
             j.writer.commit()?;
@@ -1367,10 +1365,6 @@ impl Engine<'_, '_> {
             let _mem = MemScope::enter(Tag::Mux);
             World::new(cfg.world.clone())
         };
-        // Replay is the one run that never pulls the mux, so it never
-        // builds a Scenario.
-        let mut scenario =
-            (recover_from.is_none() || journal_to.is_some()).then(|| Scenario::build(cfg));
         let rec = tel.recorder.clone();
         let tracer = tel.tracer.clone();
         // The one placement rule (module docs): shards own the injector iff
@@ -1406,8 +1400,7 @@ impl Engine<'_, '_> {
             let mut engine = Engine { exec, journal: None, tel: &mut *tel, pos: 0, halt: None };
             // On error or suspension the executor is just dropped: dropped
             // producers close their rings and the scope joins the workers.
-            let fed =
-                engine.feed(recover_from, journal_to, scenario.as_mut(), &meta, driver_plan)?;
+            let fed = engine.feed(recover_from, journal_to, cfg, &meta, driver_plan)?;
             let shards = match (&fed, engine.exec) {
                 (Fed::Suspended { .. }, _) => Vec::new(),
                 (Fed::Finished(..), Executor::Inline(vantage)) => {
@@ -1574,26 +1567,6 @@ pub fn run_parallel_wal(
 
 // --- Output fingerprinting ---------------------------------------------
 
-/// Incremental FNV-1a over the canonical byte rendering of a run output.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, x: u64) {
-        self.bytes(&x.to_le_bytes());
-    }
-}
-
 impl RunOutput {
     /// A content fingerprint over every externally meaningful field —
     /// detection report, capture summary, daily rollups, flow datasets,
@@ -1604,136 +1577,139 @@ impl RunOutput {
     /// exactly this standard. Hash-ordered containers are folded in
     /// sorted order so the fingerprint is itself deterministic.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.u64(self.generated_packets);
-        h.u64(self.days);
+        // FNV-1a over the canonical byte rendering of the output.
+        let h = Cell::new(FNV_OFFSET);
+        let bytes = |b: &[u8]| h.set(fnv1a_fold(h.get(), b));
+        let word = |x: u64| bytes(&x.to_le_bytes());
+        word(self.generated_packets);
+        word(self.days);
 
-        h.u64(self.capture.total_packets);
-        h.u64(self.capture.total_bytes);
-        h.u64(self.capture.scan_packets);
-        h.u64(self.capture.non_scan_packets);
-        h.u64(self.capture.unique_sources);
-        h.u64(self.capture.unique_dsts);
+        word(self.capture.total_packets);
+        word(self.capture.total_bytes);
+        word(self.capture.scan_packets);
+        word(self.capture.non_scan_packets);
+        word(self.capture.unique_sources);
+        word(self.capture.unique_dsts);
 
         for (day, s) in &self.daily {
-            h.u64(*day);
-            h.u64(s.scan_packets);
-            h.u64(s.total_packets);
-            h.u64(s.unique_sources);
+            word(*day);
+            word(s.scan_packets);
+            word(s.total_packets);
+            word(s.unique_sources);
         }
 
-        h.u64(self.report.d2_threshold);
-        h.u64(self.report.d3_threshold);
+        word(self.report.d2_threshold);
+        word(self.report.d3_threshold);
         for r in self.report.records() {
-            h.u64(u64::from(r.src.to_u32()));
-            h.u64(u64::from(r.dst_port));
-            h.u64(u64::from(class_rank(r.class)));
-            h.u64(u64::from(r.start_day));
-            h.u64(u64::from(r.end_day));
-            h.u64(u64::from(r.packets));
-            h.u64(r.bytes);
-            h.u64(u64::from(r.unique_dsts));
-            h.u64(u64::from(r.zmap));
-            h.u64(u64::from(r.masscan));
-            h.u64(u64::from(r.mirai));
+            word(u64::from(r.src.to_u32()));
+            word(u64::from(r.dst_port));
+            word(u64::from(class_rank(r.class)));
+            word(u64::from(r.start_day));
+            word(u64::from(r.end_day));
+            word(u64::from(r.packets));
+            word(r.bytes);
+            word(u64::from(r.unique_dsts));
+            word(u64::from(r.zmap));
+            word(u64::from(r.masscan));
+            word(u64::from(r.mirai));
         }
         for def in Definition::ALL {
             let mut yearly: Vec<u32> =
                 self.report.hitters(def).iter().map(|ip| ip.to_u32()).collect();
             yearly.sort_unstable();
-            h.u64(yearly.len() as u64);
+            word(yearly.len() as u64);
             for ip in yearly {
-                h.u64(u64::from(ip));
+                word(u64::from(ip));
             }
             for day in self.report.days(def) {
-                h.u64(day);
+                word(day);
                 for set in
                     [self.report.daily_hitters(def, day), self.report.active_hitters(def, day)]
                 {
                     let mut ips: Vec<u32> =
                         set.map(|s| s.iter().map(|ip| ip.to_u32()).collect()).unwrap_or_default();
                     ips.sort_unstable();
-                    h.u64(ips.len() as u64);
+                    word(ips.len() as u64);
                     for ip in ips {
-                        h.u64(u64::from(ip));
+                        word(u64::from(ip));
                     }
                 }
-                h.u64(self.report.ah_packets(def, day));
+                word(self.report.ah_packets(def, day));
             }
         }
         for (day, n) in &self.report.day_all_sources {
-            h.u64(*day);
-            h.u64(*n);
+            word(*day);
+            word(*n);
         }
         for (day, n) in &self.report.day_all_packets {
-            h.u64(*day);
-            h.u64(*n);
+            word(*day);
+            word(*n);
         }
 
         for flows in [self.merit_flows.as_ref(), self.cu_flows.as_ref()].into_iter().flatten() {
-            h.u64(flows.sampling_rate);
-            h.u64(flows.records.len() as u64);
+            word(flows.sampling_rate);
+            word(flows.records.len() as u64);
             for r in &flows.records {
-                h.u64(u64::from(r.key.src.to_u32()));
-                h.u64(u64::from(r.key.dst.to_u32()));
-                h.u64(u64::from(r.key.src_port));
-                h.u64(u64::from(r.key.dst_port));
-                h.u64(u64::from(r.key.protocol));
-                h.u64(u64::from(r.router));
-                h.u64(match r.direction {
+                word(u64::from(r.key.src.to_u32()));
+                word(u64::from(r.key.dst.to_u32()));
+                word(u64::from(r.key.src_port));
+                word(u64::from(r.key.dst_port));
+                word(u64::from(r.key.protocol));
+                word(u64::from(r.router));
+                word(match r.direction {
                     ah_flow::router::Direction::Ingress => 0,
                     ah_flow::router::Direction::Egress => 1,
                 });
-                h.u64(r.first.0);
-                h.u64(r.last.0);
-                h.u64(r.packets);
-                h.u64(r.bytes);
-                h.u64(u64::from(r.tcp_flags));
+                word(r.first.0);
+                word(r.last.0);
+                word(r.packets);
+                word(r.bytes);
+                word(u64::from(r.tcp_flags));
             }
             let mut truth: Vec<_> =
                 flows.router_days.iter().map(|((r, d), c)| (*r, *d, c.packets, c.bytes)).collect();
             truth.sort_unstable();
             for (r, d, p, b) in truth {
-                h.u64(u64::from(r));
-                h.u64(d);
-                h.u64(p);
-                h.u64(b);
+                word(u64::from(r));
+                word(d);
+                word(p);
+                word(b);
             }
         }
 
         if let Some(entries) = self.gn_entries.as_ref() {
             let mut ips: Vec<u32> = entries.keys().map(|ip| ip.to_u32()).collect();
             ips.sort_unstable();
-            h.u64(ips.len() as u64);
+            word(ips.len() as u64);
             for ip in ips {
                 let e = &entries[&Ipv4Addr4(ip)];
-                h.u64(u64::from(ip));
-                h.u64(match e.classification {
+                word(u64::from(ip));
+                word(match e.classification {
                     ah_intel::greynoise::GnClassification::Benign => 0,
                     ah_intel::greynoise::GnClassification::Malicious => 1,
                     ah_intel::greynoise::GnClassification::Unknown => 2,
                 });
                 for tag in &e.tags {
-                    h.bytes(tag.as_bytes());
+                    bytes(tag.as_bytes());
                 }
-                h.u64(e.first_seen.0);
-                h.u64(e.last_seen.0);
-                h.u64(e.packets);
+                word(e.first_seen.0);
+                word(e.last_seen.0);
+                word(e.packets);
             }
         }
 
         for st in &self.health.stages {
-            h.bytes(st.stage.as_bytes());
-            h.u64(st.received);
-            h.u64(st.accepted);
-            h.u64(st.repaired);
-            h.u64(st.quarantined);
+            bytes(st.stage.as_bytes());
+            word(st.received);
+            word(st.accepted);
+            word(st.repaired);
+            word(st.quarantined);
             for (cat, n) in &st.discarded {
-                h.bytes(cat.as_bytes());
-                h.u64(*n);
+                bytes(cat.as_bytes());
+                word(*n);
             }
         }
-        h.0
+        h.get()
     }
 }
 

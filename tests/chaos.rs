@@ -92,11 +92,10 @@ fn clean_plan_is_an_identity() {
 // --- Storage-fault recovery ----------------------------------------------
 //
 // Chaos at the durability layer: damage a write-ahead log the way real
-// crashes and disks do (torn final write, truncated tail, flipped bit,
-// missing index sidecar), then demand that recovery truncates to the
-// durable watermark, that a second recovery pass is a no-op, and that
-// resuming the damaged run reproduces the uninterrupted run's output
-// bit for bit.
+// crashes and disks do (torn final write, truncated tail, flipped bit),
+// then demand that recovery truncates to the durable watermark, that a
+// second recovery pass is a no-op, and that resuming the damaged run
+// reproduces the uninterrupted run's output bit for bit.
 
 use aggressive_scanners::obs::Recorder;
 use aggressive_scanners::pipeline::{Telemetry, WalOutcome, WalRun};
@@ -123,40 +122,64 @@ fn recover_quiet(dir: &Path) -> wal::RecoveredLog {
     wal::recover(dir, &Recorder::new(), |_, _, _| {}).expect("recovery succeeds")
 }
 
-/// Suspend a durable run partway, damage the log with `kind`, and check
-/// the full recovery contract against the uninterrupted `plain` run.
-fn storage_fault_case(kind: StorageFaultKind, label: &str, plain: &RunOutput) {
-    let opts = || RunOptions::full().with_thresholds(chaos_thresholds());
-    let cfg = || ScenarioConfig::tiny(2, 91);
-    let mut tel = Telemetry::disabled();
+fn storage_cfg() -> ScenarioConfig {
+    ScenarioConfig::tiny(2, 91)
+}
+
+fn storage_opts() -> RunOptions {
+    RunOptions::full().with_thresholds(chaos_thresholds())
+}
+
+/// Journal `plain`'s run into a fresh directory, suspended halfway.
+fn suspend_halfway(label: &str, plain: &RunOutput) -> PathBuf {
     let dir = common::temp_dir(&format!("chaos-{label}"));
     let cut = plain.capture.total_packets.max(8) / 2;
     let wal_run = WalRun::new(&dir).suspend_after(cut);
-    match pipeline::run_wal(cfg(), opts(), &wal_run, &mut tel) {
+    match pipeline::run_wal(storage_cfg(), storage_opts(), &wal_run, &mut Telemetry::disabled()) {
         Ok(WalOutcome::Suspended { delivered, .. }) => assert_eq!(delivered, cut, "{label}"),
         Ok(WalOutcome::Completed(_)) => panic!("{label}: run finished before suspension point"),
         Err(e) => panic!("{label}: suspend run failed: {e}"),
     }
+    dir
+}
+
+/// Resume the log in `dir` to completion and hold it to `plain`.
+fn resume_matches(dir: &Path, label: &str, plain: &RunOutput) {
+    let resumed = pipeline::resume_wal(
+        storage_cfg(),
+        storage_opts(),
+        &WalRun::new(dir),
+        &mut Telemetry::disabled(),
+    )
+    .unwrap_or_else(|e| panic!("{label}: resume failed: {e}"))
+    .completed()
+    .unwrap_or_else(|| panic!("{label}: resume must run to completion"));
+    assert_eq!(
+        resumed.fingerprint(),
+        plain.fingerprint(),
+        "{label}: resumed output diverged from the uninterrupted run"
+    );
+    assert_conserves(&resumed, label);
+}
+
+/// Suspend a durable run partway, damage the log with `kind`, and check
+/// the full recovery contract against the uninterrupted `plain` run.
+fn storage_fault_case(kind: StorageFaultKind, label: &str, plain: &RunOutput) {
+    let dir = suspend_halfway(label, plain);
     let intact = recover_quiet(&dir);
 
     let segs: Vec<PathBuf> =
         wal::segment_paths(&dir).expect("list segments").into_iter().map(|(_, p)| p).collect();
     assert!(!segs.is_empty(), "{label}: suspended log must have segments");
-    let report = StorageFaultPlan::new(kind, 7)
-        .apply(&segs, &wal::segment::index_path(&dir))
-        .expect("storage fault applies");
+    let report = StorageFaultPlan::new(kind, 7).apply(&segs).expect("storage fault applies");
 
     // First recovery repairs; it must never invent frames, and every
-    // damage kind except the deleted sidecar must cost at least one.
+    // damage kind must cost at least one.
     let repaired = recover_quiet(&dir);
     assert!(repaired.next_seq <= intact.next_seq, "{label}: recovery must not invent frames");
     assert!(repaired.meta.is_some(), "{label}: run metadata survives");
     assert!(!repaired.is_sealed(), "{label}: suspended log stays unsealed");
     match kind {
-        StorageFaultKind::MissingIndex => {
-            assert!(repaired.stats.index_rebuilt, "{label}: index must be rebuilt");
-            assert_eq!(repaired.next_seq, intact.next_seq, "{label}: data files untouched");
-        }
         StorageFaultKind::TornFinalWrite => {
             assert!(repaired.next_seq < intact.next_seq, "{label}: torn tail loses a frame");
             assert!(
@@ -189,29 +212,43 @@ fn storage_fault_case(kind: StorageFaultKind, label: &str, plain: &RunOutput) {
     assert_eq!(dir_snapshot(&dir), snapshot, "{label}: second pass rewrites nothing");
 
     // Resuming the damaged run regenerates the lost tail deterministically.
-    let resumed = pipeline::resume_wal(cfg(), opts(), &WalRun::new(&dir), &mut tel)
-        .unwrap_or_else(|e| panic!("{label}: resume failed: {e}"))
-        .completed()
-        .unwrap_or_else(|| panic!("{label}: resume must run to completion"));
-    assert_eq!(
-        resumed.fingerprint(),
-        plain.fingerprint(),
-        "{label}: resumed output diverged from the uninterrupted run"
-    );
-    assert_conserves(&resumed, label);
+    resume_matches(&dir, label, plain);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn storage_faults_recover_to_the_durable_watermark() {
-    let plain = pipeline::run(
-        ScenarioConfig::tiny(2, 91),
-        RunOptions::full().with_thresholds(chaos_thresholds()),
-    );
+    let plain = pipeline::run(storage_cfg(), storage_opts());
     storage_fault_case(StorageFaultKind::TornFinalWrite, "torn-final-write", &plain);
     storage_fault_case(StorageFaultKind::TruncatedTail, "truncated-tail", &plain);
     storage_fault_case(StorageFaultKind::BitFlipMidSegment, "bit-flip-mid-segment", &plain);
-    storage_fault_case(StorageFaultKind::MissingIndex, "missing-index", &plain);
+}
+
+/// Logs written before the index sidecar was deleted still carry a
+/// `wal.idx`. It is not a segment: recovery, resume and replay neither
+/// read, rewrite nor remove it.
+#[test]
+fn stale_index_sidecar_is_ignored() {
+    const STALE: &[u8] = b"AHWALIX1 left behind by an older writer";
+    let label = "stale-sidecar";
+    let plain = pipeline::run(storage_cfg(), storage_opts());
+    let dir = suspend_halfway(label, &plain);
+    let stray = dir.join("wal.idx");
+    std::fs::write(&stray, STALE).expect("write stray file");
+
+    let first = recover_quiet(&dir);
+    assert_eq!(first.stats.bytes_truncated + first.stats.segments_dropped, 0, "{label}: clean log");
+    let snapshot = dir_snapshot(&dir);
+    assert_eq!(recover_quiet(&dir).next_seq, first.next_seq, "{label}: watermark is stable");
+    assert_eq!(dir_snapshot(&dir), snapshot, "{label}: second pass rewrites nothing");
+
+    resume_matches(&dir, label, &plain);
+    let replayed =
+        pipeline::replay_wal(storage_cfg(), storage_opts(), &dir, &mut Telemetry::disabled())
+            .unwrap_or_else(|e| panic!("{label}: replay failed: {e}"));
+    assert_eq!(replayed.fingerprint(), plain.fingerprint(), "{label}: replayed output diverged");
+    assert_eq!(std::fs::read(&stray).expect("stray file kept"), STALE, "{label}: stray file");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

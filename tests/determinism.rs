@@ -196,8 +196,8 @@ fn journal_bytes(dir: &PathBuf) -> Vec<(String, Vec<u8>)> {
 /// fan out to shards — so the log a parallel run writes is not merely
 /// equivalent to the serial one, it is the same bytes. This is what
 /// makes a log resumable and replayable at any thread count: the WAL
-/// never records how many shards produced it. Compare every segment
-/// file and the index, byte for byte.
+/// never records how many shards produced it. Compare every file in
+/// the log directory, byte for byte.
 #[test]
 fn parallel_wal_journal_is_byte_identical_to_serial() {
     let opts = || {
@@ -242,4 +242,44 @@ fn wal_live_replay_and_resume_are_bitwise_identical_clean() {
 #[test]
 fn wal_live_replay_and_resume_are_bitwise_identical_under_faults() {
     check_wal_equivalence(22, Some(FaultPlan::uniform(0.01, 7)), "wal-faulty");
+}
+
+/// An interruption point fires after the delivery that reaches it, so
+/// point 0 can never fire: every journaled entry point must refuse it
+/// before the writer creates the log, and the shipped binary must exit
+/// non-zero.
+#[test]
+fn interruption_point_zero_is_rejected_before_the_log_exists() {
+    let cfg = || ScenarioConfig::tiny(1, 25);
+    let mut tel = Telemetry::disabled();
+    let dir = common::temp_dir("determinism-point-zero");
+    for wal in [WalRun::new(&dir).suspend_after(0), WalRun::new(&dir).crash_after(0)] {
+        let outcomes = [
+            ("run_wal", pipeline::run_wal(cfg(), RunOptions::darknet_only(), &wal, &mut tel)),
+            (
+                "run_parallel_wal",
+                pipeline::run_parallel_wal(cfg(), RunOptions::darknet_only(), 2, &wal, &mut tel),
+            ),
+            ("resume_wal", pipeline::resume_wal(cfg(), RunOptions::darknet_only(), &wal, &mut tel)),
+        ];
+        for (entry, outcome) in outcomes {
+            match outcome {
+                Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{entry}: {e}"),
+                Ok(_) => panic!("{entry} accepted {wal:?}"),
+            }
+        }
+        let segs = aggressive_scanners::wal::segment_paths(&dir).expect("list segments");
+        assert!(segs.is_empty(), "rejected runs left segments {segs:?}");
+    }
+
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_aggressive-scanners"))
+        .args(["--days", "1", "--wal-dir"])
+        .arg(&dir)
+        .args(["--suspend-after", "0"])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .status()
+        .expect("run aggressive-scanners");
+    assert!(!status.success(), "--suspend-after 0 must fail, got {status}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
