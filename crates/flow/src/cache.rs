@@ -23,10 +23,10 @@
 
 use crate::record::{FlowKey, FlowRecord};
 use crate::router::Direction;
+use ah_net::hash::FastMap;
 use ah_net::packet::{PacketMeta, Transport};
 use ah_net::time::{Dur, Ts};
 use ah_obs::{Counter, Gauge, Histogram, Recorder};
-use std::collections::HashMap;
 
 /// Cisco-style default active timeout: a long-lived flow is cut and
 /// exported every 30 minutes even while packets keep arriving.
@@ -89,7 +89,7 @@ pub struct FlowCache {
     router: u8,
     active_timeout: Dur,
     inactive_timeout: Dur,
-    entries: HashMap<FlowKey, Entry>,
+    entries: FastMap<FlowKey, Entry>,
     exported: Vec<FlowRecord>,
     last_sweep: Ts,
     /// Newest packet timestamp seen so far. Content-neutral: drives only
@@ -119,7 +119,7 @@ impl FlowCache {
             router,
             active_timeout: active,
             inactive_timeout: inactive,
-            entries: HashMap::new(),
+            entries: FastMap::default(),
             exported: Vec::new(),
             last_sweep: Ts::ZERO,
             watermark: Ts::ZERO,

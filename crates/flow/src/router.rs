@@ -17,6 +17,7 @@ use crate::cache::{CacheStats, FlowCache};
 use crate::record::FlowRecord;
 use crate::sampler::Sampler;
 use ah_mem::{MemScope, Tag};
+use ah_net::hash::{mix64, FastMap};
 use ah_net::ipv4::Ipv4Addr4;
 use ah_net::packet::PacketMeta;
 use ah_net::prefix::{Prefix, PrefixMap, PrefixSet};
@@ -52,13 +53,9 @@ pub struct RouterDayCounter {
 /// sources (and routers) don't select in lockstep, while staying a pure
 /// function of `(router, src)` — the property that lets the sharded
 /// parallel pipeline key samplers by source with no shared counter
-/// (`ARCHITECTURE.md` §11). splitmix64-style finalizer.
+/// (`ARCHITECTURE.md` §11). One splitmix64 step from `src ‖ router`.
 fn sampler_phase(router: RouterId, src: Ipv4Addr4) -> u64 {
-    let mut z =
-        (u64::from(src.to_u32()) << 8 | u64::from(router)).wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    mix64((u64::from(src.to_u32()) << 8 | u64::from(router)).wrapping_add(0x9e37_79b9_7f4a_7c15))
 }
 
 /// One border router: per-source samplers + flow cache + truth counters.
@@ -72,10 +69,10 @@ pub struct BorderRouter {
     /// selection decision a pure function of the per-source packet
     /// subsequence, so source-sharded runs reproduce serial selections
     /// exactly; aggregate selection is still ~1:N.
-    samplers: HashMap<u32, Sampler>,
+    samplers: FastMap<u32, Sampler>,
     cache: FlowCache,
     /// Ground truth packets per day index.
-    day_counters: HashMap<u64, RouterDayCounter>,
+    day_counters: FastMap<u64, RouterDayCounter>,
     /// Telemetry for sampler decisions (inert until
     /// [`IspModel::set_recorder`]).
     m_seen: ah_obs::Counter,
@@ -87,9 +84,9 @@ impl BorderRouter {
         BorderRouter {
             id,
             sampling_rate,
-            samplers: HashMap::new(),
+            samplers: FastMap::default(),
             cache: FlowCache::new(id),
-            day_counters: HashMap::new(),
+            day_counters: FastMap::default(),
             m_seen: ah_obs::Counter::default(),
             m_selected: ah_obs::Counter::default(),
         }
@@ -123,11 +120,6 @@ impl BorderRouter {
     /// Ground-truth counter for a day.
     pub fn day_counter(&self, day: u64) -> RouterDayCounter {
         self.day_counters.get(&day).cloned().unwrap_or_default()
-    }
-
-    /// All per-day counters.
-    pub fn day_counters(&self) -> &HashMap<u64, RouterDayCounter> {
-        &self.day_counters
     }
 
     /// This router's flow-cache input-fate counters.
@@ -220,7 +212,7 @@ pub struct IspModel {
     routers: Vec<BorderRouter>,
     sampling_rate: u64,
     /// Packets that stayed internal (cache-served etc.), per day.
-    internal_by_day: HashMap<u64, u64>,
+    internal_by_day: FastMap<u64, u64>,
     /// Trace handle (inert until [`IspModel::set_tracer`]).
     tracer: ah_trace::Tracer,
 }
@@ -237,7 +229,7 @@ impl IspModel {
                 .map(|id| BorderRouter::new(id, cfg.sampling_rate))
                 .collect(),
             sampling_rate: cfg.sampling_rate,
-            internal_by_day: HashMap::new(),
+            internal_by_day: FastMap::default(),
             tracer: ah_trace::Tracer::noop(),
         }
     }
@@ -448,6 +440,22 @@ mod tests {
     const EU_SCANNER: Ipv4Addr4 = Ipv4Addr4::new(100, 50, 0, 9);
     const US_HOST: Ipv4Addr4 = Ipv4Addr4::new(200, 1, 1, 1);
     const ELSEWHERE: Ipv4Addr4 = Ipv4Addr4::new(55, 4, 3, 2);
+
+    #[test]
+    fn sampler_phase_is_unchanged_over_the_shared_mixer() {
+        // Values of the written-out splitmix64 body this function had
+        // before it called `ah_net::hash::mix64`. A moved phase moves
+        // which packets every sampler selects.
+        for (router, src, want) in [
+            (1, 0x0a00_0001, 0x40c6_be2d_ef1c_fff4),
+            (2, 0x0a00_0001, 0x4aad_1b41_fad6_aa66),
+            (1, 0xc633_6407, 0xb15a_d9f6_b9fa_71eb),
+            (3, 0xffff_ffff, 0xa81d_dde0_9fff_594c),
+            (255, 0, 0x338c_5071_4628_3fb4),
+        ] {
+            assert_eq!(sampler_phase(router, Ipv4Addr4(src)), want, "({router}, {src:#x})");
+        }
+    }
 
     #[test]
     fn ingress_routes_by_source_prefix() {

@@ -14,6 +14,7 @@
 //! (documented substitution — same join key, different provenance).
 
 use ah_net::fingerprint::{classify, Tool};
+use ah_net::hash::FastMap;
 use ah_net::ipv4::Ipv4Addr4;
 use ah_net::packet::{PacketMeta, Transport};
 use ah_net::prefix::PrefixSet;
@@ -157,7 +158,7 @@ impl IngestStats {
 /// The honeypot fleet.
 pub struct GreyNoise {
     sensors: PrefixSet,
-    profiles: HashMap<Ipv4Addr4, SrcProfile>,
+    profiles: FastMap<Ipv4Addr4, SrcProfile>,
     benign_vetted: HashSet<Ipv4Addr4>,
     ingest: IngestStats,
     /// Telemetry (inert until [`GreyNoise::set_recorder`]).
@@ -174,7 +175,7 @@ impl GreyNoise {
     pub fn new(sensors: PrefixSet, benign_vetted: HashSet<Ipv4Addr4>) -> GreyNoise {
         GreyNoise {
             sensors,
-            profiles: HashMap::new(),
+            profiles: FastMap::default(),
             benign_vetted,
             ingest: IngestStats::default(),
             m_received: ah_obs::Counter::default(),

@@ -6,7 +6,8 @@
 //! file format (reader and writer, both endiannesses); CIDR prefixes and a
 //! fast prefix-set for dark-space membership tests; and the wire-level
 //! fingerprints of the scanning tools the paper attributes traffic to
-//! (ZMap, Masscan, Mirai).
+//! (ZMap, Masscan, Mirai); and the keyed fast hasher ([`hash`]) every
+//! crate's private per-packet maps are built on.
 //!
 //! The design follows the smoltcp school: explicit buffers, no hidden
 //! allocation on the parse path, exhaustive error enums, and owned
@@ -40,6 +41,7 @@ pub mod checksum;
 pub mod error;
 pub mod ethernet;
 pub mod fingerprint;
+pub mod hash;
 pub mod icmp;
 pub mod ipv4;
 pub mod packet;

@@ -8,8 +8,8 @@
 //! per-length probe over a hash of masked addresses.
 
 use crate::error::{NetError, Result};
+use crate::hash::FastMap;
 use crate::ipv4::Ipv4Addr4;
-use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 
@@ -196,7 +196,7 @@ pub fn standard_bogons() -> PrefixSet {
 #[derive(Debug, Clone)]
 pub struct PrefixMap<T> {
     /// maps (masked address) -> value, one map per populated prefix length.
-    by_len: Vec<(u8, HashMap<u32, T>)>,
+    by_len: Vec<(u8, FastMap<u32, T>)>,
 }
 
 impl<T> Default for PrefixMap<T> {
@@ -217,7 +217,7 @@ impl<T> PrefixMap<T> {
         let pos = match self.by_len.binary_search_by(|(l, _)| prefix.len.cmp(l)) {
             Ok(i) => i,
             Err(i) => {
-                self.by_len.insert(i, (prefix.len, HashMap::new()));
+                self.by_len.insert(i, (prefix.len, FastMap::default()));
                 i
             }
         };

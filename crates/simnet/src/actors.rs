@@ -18,7 +18,7 @@
 use crate::mux::Actor;
 use crate::permute::Permutation;
 use crate::rng::{hash64, Rng64};
-use crate::space::ObservableSpace;
+use crate::space::{wrap_index, ObservableSpace};
 use ah_net::fingerprint::{masscan_ip_id, ZMAP_IP_ID};
 use ah_net::ipv4::Ipv4Addr4;
 use ah_net::packet::{PacketMeta, Transport};
@@ -108,6 +108,8 @@ pub struct SweepScanner {
     repeat_every: Option<Dur>,
     end: Ts,
     space: Arc<ObservableSpace>,
+    /// Initial TTL, a pure function of `src` (one OS/hop-count per host).
+    ttl: u8,
     // state
     sweep_no: u64,
     pos: u64,
@@ -163,6 +165,7 @@ impl SweepScanner {
             repeat_every: cfg.repeat_every,
             end: cfg.end,
             space,
+            ttl: 48 + (hash64(cfg.src.to_u32() as u64) % 64) as u8,
             sweep_no: 0,
             pos: 0,
             probe_no: 0,
@@ -175,7 +178,7 @@ impl SweepScanner {
     }
 
     fn current_port(&self) -> PortSpec {
-        self.ports[(self.sweep_no % self.ports.len() as u64) as usize]
+        self.ports[wrap_index(self.sweep_no, self.ports.len() as u64) as usize]
     }
 
     fn advance(&mut self, from: Ts) {
@@ -217,7 +220,7 @@ impl Actor for SweepScanner {
 
     fn emit(&mut self) -> PacketMeta {
         let ts = due(self.next);
-        let dst = self.space.addr_mod(self.perm.apply(self.pos % self.perm.len()));
+        let dst = self.space.addr_mod(self.perm.apply(wrap_index(self.pos, self.perm.len())));
         let spec = self.current_port();
         let mut pkt = match spec.proto {
             ScanProto::Tcp => {
@@ -238,7 +241,7 @@ impl Actor for SweepScanner {
             }
             _ => (self.rng.next_u64() & 0xffff) as u16,
         };
-        pkt.ttl = 48 + (hash64(self.src.to_u32() as u64) % 64) as u8;
+        pkt.ttl = self.ttl;
         self.advance(ts);
         pkt
     }
@@ -451,6 +454,17 @@ const RADIATION_PORTS: &[(u16, f64, ScanProto)] = &[
     (21, 0.5, ScanProto::Tcp),
 ];
 
+/// The weight column of [`RADIATION_PORTS`], for [`Rng64::weighted`].
+const RADIATION_WEIGHTS: [f64; RADIATION_PORTS.len()] = {
+    let mut w = [0.0; RADIATION_PORTS.len()];
+    let mut i = 0;
+    while i < w.len() {
+        w[i] = RADIATION_PORTS[i].1;
+        i += 1;
+    }
+    w
+};
+
 impl Radiation {
     /// `pool_size` synthetic sources drawn from `source_org_hosts` (a
     /// function index → address, typically an org's `host`).
@@ -487,8 +501,7 @@ impl Actor for Radiation {
         let idx = ((u * u) * self.pool.len() as f64) as usize;
         let src = self.pool[idx.min(self.pool.len() - 1)];
         let dst = self.space.addr_mod(self.rng.below(self.space.len()));
-        let weights: Vec<f64> = RADIATION_PORTS.iter().map(|(_, w, _)| *w).collect();
-        let (port, _, proto) = RADIATION_PORTS[self.rng.weighted(&weights)];
+        let (port, _, proto) = RADIATION_PORTS[self.rng.weighted(&RADIATION_WEIGHTS)];
         let sp = ephemeral_port(&mut self.rng);
         let mut pkt = match proto {
             ScanProto::Tcp => PacketMeta::tcp_syn(ts, src, dst, sp, port),
@@ -592,6 +605,8 @@ pub struct Benign {
     slots: Vec<BenignSlot>,
     next: Option<Ts>,
     rng: Rng64,
+    /// `(ts.secs(), rate_of(ts))` of the last [`Benign::rate_at`] call.
+    rate_cache: (u64, f64),
 }
 
 #[derive(Clone, Copy)]
@@ -634,6 +649,7 @@ impl Benign {
             slots: Vec::new(),
             next: (start < end).then_some(start),
             rng,
+            rate_cache: (u64::MAX, 0.0),
         };
         let n_slots = 256;
         for _ in 0..n_slots {
@@ -661,8 +677,9 @@ impl Benign {
     }
 
     /// Time-varying rate: diurnal sinusoid (trough at 04:00, peak at
-    /// 16:00 local) times a weekend dampening factor.
-    fn rate_at(&self, ts: Ts) -> f64 {
+    /// 16:00 local) times a weekend dampening factor. A step function
+    /// of `ts.secs()`: both inputs, second-of-day and day, are.
+    fn rate_of(&self, ts: Ts) -> f64 {
         let sod = ts.second_of_day() as f64;
         // sin argument hits +τ/4 (peak) at 16:00 and −τ/4 (trough) at 04:00.
         let phase = (sod / 86_400.0 - 5.0 / 12.0) * std::f64::consts::TAU;
@@ -670,6 +687,17 @@ impl Benign {
         let weekday = (u64::from(self.day0_weekday) + ts.day()) % 7;
         let wk = if weekday >= 5 { self.weekend_factor } else { 1.0 };
         self.base_rate_pps * diurnal * wk
+    }
+
+    /// [`Benign::rate_of`], recomputed only when the second changes —
+    /// at hundreds of packets per second the `sin` is paid once for all
+    /// of them.
+    fn rate_at(&mut self, ts: Ts) -> f64 {
+        let sec = ts.secs();
+        if self.rate_cache.0 != sec {
+            self.rate_cache = (sec, self.rate_of(ts));
+        }
+        self.rate_cache.1
     }
 
     /// True when `day` is a weekend under this actor's calendar.
@@ -982,17 +1010,47 @@ mod tests {
         let b = benign(); // day 0 = Saturday, day 2 = Monday
         assert!(b.is_weekend(0));
         assert!(!b.is_weekend(2));
-        let sat = b.rate_at(Ts::from_days(0) + Dur::from_secs(12 * 3600));
-        let mon = b.rate_at(Ts::from_days(2) + Dur::from_secs(12 * 3600));
+        let sat = b.rate_of(Ts::from_days(0) + Dur::from_secs(12 * 3600));
+        let mon = b.rate_of(Ts::from_days(2) + Dur::from_secs(12 * 3600));
         assert!(mon > sat * 1.3, "mon {mon} vs sat {sat}");
     }
 
     #[test]
     fn diurnal_peak_beats_trough() {
         let b = benign();
-        let peak = b.rate_at(Ts::from_days(2) + Dur::from_secs(16 * 3600));
-        let trough = b.rate_at(Ts::from_days(2) + Dur::from_secs(4 * 3600));
+        let peak = b.rate_of(Ts::from_days(2) + Dur::from_secs(16 * 3600));
+        let trough = b.rate_of(Ts::from_days(2) + Dur::from_secs(4 * 3600));
         assert!(peak > trough * 1.8, "peak {peak} trough {trough}");
+    }
+
+    #[test]
+    fn cached_rate_equals_uncached_across_boundaries() {
+        let mut b = benign(); // day 0 = Saturday, day 1 = Sunday, day 2 = Monday
+        let us = Dur::from_micros;
+        // Walk forwards over a second boundary, the Saturday→Sunday day
+        // boundary and the Sunday→Monday weekend boundary, with repeats
+        // inside one second so both the hit and the miss arm run.
+        let walk = [
+            Ts::from_secs(3600),
+            Ts::from_secs(3600) + us(1),
+            Ts::from_secs(3600) + us(999_999),
+            Ts::from_secs(3601),
+            Ts::from_micros(Ts::from_days(1).micros() - 1),
+            Ts::from_days(1),
+            Ts::from_days(1) + us(500_000),
+            Ts::from_micros(Ts::from_days(2).micros() - 1),
+            Ts::from_days(2),
+            Ts::from_days(2) + us(1),
+        ];
+        for ts in walk {
+            let (cached, fresh) = (b.rate_at(ts), b.rate_of(ts));
+            assert_eq!(cached.to_bits(), fresh.to_bits(), "at {ts}");
+        }
+        // The boundaries really are boundaries: the rate steps at each.
+        assert_ne!(b.rate_of(walk[2]).to_bits(), b.rate_of(walk[3]).to_bits());
+        assert!(b.rate_of(walk[8]) > b.rate_of(walk[7]) * 1.3, "weekday after weekend");
+        // And a clock that steps back into an earlier second misses too.
+        assert_eq!(b.rate_at(walk[0]).to_bits(), b.rate_of(walk[0]).to_bits());
     }
 
     #[test]

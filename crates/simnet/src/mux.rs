@@ -2,12 +2,16 @@
 //!
 //! Every traffic source implements [`Actor`]; the [`TrafficMux`] merges
 //! their packet streams into one globally time-ordered stream using a
-//! binary heap with exactly one outstanding entry per live actor.
+//! binary heap with exactly one outstanding entry per live actor. The
+//! invariant is kept by replacement, not by pop-and-push: the actor at
+//! the top of the heap emits, and its entry is rewritten in place with
+//! its next timestamp (one sift-down) or popped when it has none left.
 
-use ah_mem::{MemScope, Tag};
+use ah_mem::Tag;
 use ah_net::packet::PacketMeta;
 use ah_net::time::Ts;
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 /// A packet source with its own clock.
@@ -19,7 +23,9 @@ pub trait Actor {
     /// Emit the packet scheduled at [`Actor::peek`] and advance.
     ///
     /// Only called when `peek()` returned `Some`; the emitted packet's
-    /// timestamp must equal that value.
+    /// timestamp must equal that value, and the next `peek()` must not
+    /// be earlier. [`TrafficMux::next_packet`] debug-asserts both. Runs
+    /// once per packet: implementations do not allocate.
     fn emit(&mut self) -> PacketMeta;
 }
 
@@ -71,17 +77,27 @@ impl TrafficMux {
 
     /// Next packet in global time order.
     pub fn next_packet(&mut self) -> Option<PacketMeta> {
-        // Actor emission and heap churn are the mux's own memory
-        // traffic; the caller's delivery path re-tags downstream.
-        let _mem = MemScope::enter(Tag::Mux);
-        let entry = self.heap.pop()?;
-        let idx = entry.idx.0;
-        let pkt = self.actors[idx].emit();
-        debug_assert_eq!(pkt.ts, entry.ts.0, "actor emitted at a different time than it peeked");
-        if let Some(ts) = self.actors[idx].peek() {
-            debug_assert!(ts >= pkt.ts, "actor clock went backwards");
-            self.heap.push(HeapEntry { ts: Reverse(ts), idx: Reverse(idx) });
+        let mut top = self.heap.peek_mut()?;
+        // Anything an actor allocates while emitting is the mux's own
+        // memory traffic (the zero-allocation gate in `tests/memory.rs`
+        // reads this tag); the caller's delivery path re-tags
+        // downstream. Manual swap, not a `MemScope` guard, on the
+        // per-packet path (see `ah_mem::tag_swap`).
+        let prev = ah_mem::tag_swap(Tag::Mux);
+        let actor = &mut self.actors[top.idx.0];
+        let pkt = actor.emit();
+        debug_assert_eq!(pkt.ts, top.ts.0, "actor emitted at a different time than it peeked");
+        match actor.peek() {
+            Some(ts) => {
+                debug_assert!(ts >= pkt.ts, "actor clock went backwards");
+                // Rewritten in place; dropping `top` sifts it down.
+                top.ts = Reverse(ts);
+            }
+            None => {
+                PeekMut::pop(top);
+            }
         }
+        ah_mem::tag_restore(prev);
         self.emitted += 1;
         Some(pkt)
     }
@@ -164,7 +180,27 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
-        // Lower index wins ties.
-        assert_eq!(run()[0], 1);
+        // Lower index wins every tie, not only the first: an entry
+        // rewritten in place must not jump ahead of an equal timestamp.
+        assert_eq!(run(), [1, 2, 1, 2, 1, 2]);
+    }
+
+    #[test]
+    fn finished_actor_leaves_the_heap() {
+        let mut mux = TrafficMux::new();
+        mux.add(Box::new(Ticker { start: 0, step: 1, count: 1, sent: 0, src: 1 }));
+        mux.add(Box::new(Ticker { start: 0, step: 2, count: 3, sent: 0, src: 2 }));
+        mux.add(Box::new(Ticker { start: 1, step: 1, count: 2, sent: 0, src: 3 }));
+        assert_eq!(mux.heap.len(), 3);
+        // t=0: actor 1 emits its only packet and is popped, not re-armed.
+        assert_eq!(mux.next_packet().map(|p| p.src.octets()[3]), Some(1));
+        assert_eq!(mux.heap.len(), 2);
+        let rest: Vec<(u64, u8)> = std::iter::from_fn(|| mux.next_packet())
+            .map(|p| (p.ts.secs(), p.src.octets()[3]))
+            .collect();
+        assert_eq!(rest, [(0, 2), (1, 3), (2, 2), (2, 3), (4, 2)]);
+        assert!(mux.heap.is_empty(), "every finished actor left the heap");
+        assert_eq!(mux.emitted(), 6);
+        assert!(mux.next_packet().is_none());
     }
 }

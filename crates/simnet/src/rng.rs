@@ -6,13 +6,12 @@
 //! external RNG's stability guarantees. The distributions implemented are
 //! exactly the ones the actors need.
 
+use ah_net::hash::mix64;
+
 /// splitmix64 step — used for seeding and cheap stateless hashing.
 pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    mix64(*state)
 }
 
 /// Stateless 64-bit mix of a key — handy for deterministic per-entity
@@ -55,15 +54,22 @@ impl Rng64 {
         result
     }
 
-    /// Uniform in `[0, n)`; `n` must be nonzero. Uses Lemire's unbiased
-    /// multiply-shift rejection.
+    /// Uniform in `[0, n)`; panics on `n == 0`, in release builds too
+    /// (the early accept below would otherwise return 0 where the
+    /// unconditional `% n` trapped). Lemire's unbiased
+    /// multiply-shift rejection: a draw is rejected when the low half of
+    /// `x · n` falls below the threshold `2^64 mod n`. A remainder is
+    /// `< n`, so `lo >= n` accepts without computing it and the 64-bit
+    /// division only runs on the `n / 2^64` of draws with `lo < n` —
+    /// every call returns what the unconditional modulus would have, and
+    /// consumes the same draws.
     pub fn below(&mut self, n: u64) -> u64 {
-        debug_assert!(n > 0);
+        assert!(n > 0, "Rng64::below(0)");
         loop {
             let x = self.next_u64();
             let m = u128::from(x) * u128::from(n);
             let lo = m as u64;
-            if lo >= n.wrapping_neg() % n {
+            if lo >= n || lo >= n.wrapping_neg() % n {
                 return (m >> 64) as u64;
             }
             // Rejected: retry (vanishingly rare for small n).
@@ -127,6 +133,12 @@ impl Rng64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "Rng64::below(0)")]
+    fn below_zero_traps() {
+        Rng64::new(1).below(0);
+    }
 
     #[test]
     fn deterministic_from_seed() {
@@ -242,6 +254,29 @@ mod tests {
     fn hash64_is_stable() {
         assert_eq!(hash64(12345), hash64(12345));
         assert_ne!(hash64(12345), hash64(12346));
+    }
+
+    #[test]
+    fn hash64_keeps_its_values_over_the_shared_mixer() {
+        // Values of the written-out splitmix64 body this function had
+        // before it called `ah_net::hash::mix64`.
+        for (key, want) in [
+            (0, 0xe220_a839_7b1d_cdaf),
+            (1, 0x910a_2dec_8902_5cc1),
+            (2, 0x9758_35de_1c97_56ce),
+            (42, 0xbdd7_3226_2feb_6e95),
+            (12345, 0x2211_8258_a9d1_11a0),
+            (0xffff_ffff, 0x73b1_3ba2_aff1_81c0),
+            (0xdead_beef_cafe_f00d, 0x901d_4f65_2fb4_72cb),
+            (u64::MAX, 0xe4d9_7177_1b65_2c20),
+        ] {
+            assert_eq!(hash64(key), want, "hash64({key:#x})");
+        }
+        // splitmix64 is the same function stepped: seed 0's stream.
+        let mut s = 0;
+        assert_eq!(splitmix64(&mut s), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(splitmix64(&mut s), 0x6e78_9e6a_a1b9_65f4);
+        assert_eq!(splitmix64(&mut s), 0x06c4_5d18_8009_454f);
     }
 
     #[test]

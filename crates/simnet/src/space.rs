@@ -18,6 +18,17 @@
 use ah_net::ipv4::Ipv4Addr4;
 use ah_net::prefix::Prefix;
 
+/// `i % n` for an `i` that is nearly always below `n` already: the
+/// hardware division only runs when it is not.
+#[inline]
+pub(crate) fn wrap_index(i: u64, n: u64) -> u64 {
+    if i < n {
+        i
+    } else {
+        i % n
+    }
+}
+
 /// Size of the IPv4 space, for rate thinning.
 pub const IPV4_SPACE: f64 = 4_294_967_296.0;
 
@@ -73,9 +84,12 @@ impl ObservableSpace {
 
     /// Address at `index % len`: cycling lookup for actors that draw
     /// random in-range indices and want an address unconditionally.
+    ///
+    /// Actors draw `index` from `below(len)` or a permutation of
+    /// `0..len`, so it is nearly always in range already.
     pub fn addr_mod(&self, index: u64) -> Ipv4Addr4 {
         // ah-lint: allow(panic-path, reason = "index is reduced modulo the space size and every scenario monitors at least one prefix, so the space is non-empty")
-        self.addr_at(index % self.total.max(1)).expect("non-empty observable space")
+        self.addr_at(wrap_index(index, self.total.max(1))).expect("non-empty observable space")
     }
 
     /// Dense index of an observable address.

@@ -6,6 +6,17 @@ use ah_simnet::rng::Rng64;
 use ah_simnet::space::ObservableSpace;
 use proptest::prelude::*;
 
+/// `Rng64::below` as it was before the early accept: Lemire's rejection
+/// with the threshold `2^64 mod n` computed on every draw.
+fn below_reference(rng: &mut Rng64, n: u64) -> u64 {
+    loop {
+        let m = u128::from(rng.next_u64()) * u128::from(n);
+        if (m as u64) >= n.wrapping_neg() % n {
+            return (m >> 64) as u64;
+        }
+    }
+}
+
 proptest! {
     /// The Feistel permutation is a bijection on [0, n) for any n and key.
     #[test]
@@ -61,6 +72,22 @@ proptest! {
             let f = r.f64();
             prop_assert!((0.0..1.0).contains(&f));
             prop_assert!(r.exp(2.0) > 0.0);
+        }
+    }
+
+    /// `below`'s early accept (`lo >= n` before `2^64 mod n`) changes
+    /// neither any result nor how many draws a call consumes.
+    #[test]
+    fn below_matches_the_unconditional_modulus(seed in any::<u64>(), arbitrary in 1u64..=u64::MAX) {
+        let edges =
+            [1, 2, 3, (1 << 32) - 1, (1 << 32) + 1, 1 << 63, (1 << 63) + 1, u64::MAX, arbitrary];
+        for n in edges {
+            let (mut fast, mut reference) = (Rng64::new(seed), Rng64::new(seed));
+            for _ in 0..1_000 {
+                prop_assert_eq!(fast.below(n), below_reference(&mut reference, n), "n = {}", n);
+            }
+            // `Debug` prints the whole xoshiro state.
+            prop_assert_eq!(format!("{fast:?}"), format!("{reference:?}"), "state after n = {}", n);
         }
     }
 

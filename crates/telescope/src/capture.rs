@@ -2,10 +2,10 @@
 
 use crate::dstset::DstSet;
 use ah_mem::{MemScope, Tag};
+use ah_net::hash::FastSet;
 use ah_net::ipv4::Ipv4Addr4;
 use ah_net::packet::{PacketMeta, ScanClass};
 use ah_net::prefix::Prefix;
-use std::collections::HashSet;
 
 /// The monitored dark address block.
 ///
@@ -61,7 +61,7 @@ pub struct CaptureStats {
     /// Packets that were not classifiable as scanning (backscatter etc.).
     pub non_scan_packets: u64,
     /// Unique source IPs seen (exact).
-    sources: HashSet<Ipv4Addr4>,
+    sources: FastSet<Ipv4Addr4>,
     /// Unique dark destinations touched (exact, dense).
     dsts: DstSet,
 }
@@ -74,7 +74,7 @@ impl CaptureStats {
             total_bytes: 0,
             class_packets: [0; 3],
             non_scan_packets: 0,
-            sources: HashSet::new(),
+            sources: FastSet::default(),
             dsts: DstSet::new(dark_size),
         }
     }

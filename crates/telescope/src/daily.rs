@@ -5,6 +5,7 @@
 //! which events started on which day.
 
 use crate::event::DarknetEvent;
+use ah_net::hash::FastSet;
 use ah_net::ipv4::Ipv4Addr4;
 use ah_net::packet::PacketMeta;
 use std::collections::{BTreeMap, HashSet};
@@ -30,7 +31,7 @@ pub struct DailyTracker {
 struct DayAccum {
     scan_packets: u64,
     total_packets: u64,
-    sources: HashSet<Ipv4Addr4>,
+    sources: FastSet<Ipv4Addr4>,
 }
 
 impl DailyTracker {

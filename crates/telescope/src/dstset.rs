@@ -10,7 +10,7 @@
 //! 2. hash set (≤ `BITMAP_THRESHOLD` entries),
 //! 3. fixed bitmap over the id universe (exact, O(1) inserts).
 
-use std::collections::HashSet;
+use ah_net::hash::FastSet;
 
 /// Upgrade point from hash set to bitmap.
 const VEC_MAX: usize = 32;
@@ -27,7 +27,7 @@ pub struct DstSet {
 #[derive(Debug, Clone)]
 enum Repr {
     Vec(Vec<u32>),
-    Hash(HashSet<u32>),
+    Hash(FastSet<u32>),
     Bitmap { words: Vec<u64>, count: u32 },
 }
 
@@ -51,7 +51,7 @@ impl DstSet {
                 Err(pos) => {
                     v.insert(pos, id);
                     if v.len() > VEC_MAX {
-                        let set: HashSet<u32> = v.drain(..).collect();
+                        let set: FastSet<u32> = v.drain(..).collect();
                         self.repr = Repr::Hash(set);
                     }
                     true

@@ -35,11 +35,11 @@
 
 use crate::dstset::DstSet;
 use ah_net::fingerprint::{classify, Tool};
+use ah_net::hash::FastMap;
 use ah_net::ipv4::Ipv4Addr4;
 use ah_net::packet::{PacketMeta, ScanClass};
 use ah_net::time::{Dur, Ts};
 use ah_obs::{Counter, Gauge, Histogram, Recorder};
-use std::collections::HashMap;
 
 /// Key identifying a logical scan.
 ///
@@ -209,7 +209,7 @@ struct ActiveEvent {
 pub struct EventAggregator {
     timeout: Dur,
     dark_size: u32,
-    active: HashMap<EventKey, ActiveEvent>,
+    active: FastMap<EventKey, ActiveEvent>,
     /// Completed events are drained by the caller.
     completed: Vec<DarknetEvent>,
     /// Watermark of the last periodic sweep.
@@ -251,7 +251,7 @@ impl EventAggregator {
         EventAggregator {
             timeout,
             dark_size,
-            active: HashMap::new(),
+            active: FastMap::default(),
             completed: Vec::new(),
             last_sweep: Ts::ZERO,
             sweep_every: Dur(timeout.0 / 2),
@@ -467,6 +467,21 @@ mod tests {
 
     fn agg() -> EventAggregator {
         EventAggregator::new(DARK, Dur::from_mins(10))
+    }
+
+    #[test]
+    fn event_key_hashes_as_its_field_tuple() {
+        // ah-net's hasher tests check the spread of `(src, port, class)`
+        // tuples differing only in port; that covers the active map as
+        // long as an `EventKey` feeds the hasher the same words.
+        use std::hash::BuildHasher;
+        let state = ah_net::hash::FastState::default();
+        for class in ScanClass::ALL {
+            for dst_port in [0u16, 23, 445, u16::MAX] {
+                let key = EventKey { src: Ipv4Addr4(0x0a00_0001), dst_port, class };
+                assert_eq!(state.hash_one(key), state.hash_one((key.src, dst_port, class)));
+            }
+        }
     }
 
     #[test]

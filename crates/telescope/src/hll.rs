@@ -18,11 +18,8 @@ pub struct HyperLogLog<const P: u8 = 12> {
 }
 
 fn hash64(x: u64) -> u64 {
-    // splitmix64 finalizer — well-mixed for sequential ids.
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    // One splitmix64 step from `x` — well-mixed for sequential ids.
+    ah_net::hash::mix64(x.wrapping_add(0x9e37_79b9_7f4a_7c15))
 }
 
 impl<const P: u8> HyperLogLog<P> {
@@ -111,6 +108,26 @@ mod tests {
             h.insert(i);
         }
         assert!(relative_error(h.estimate(), 100) < 0.05, "est {}", h.estimate());
+    }
+
+    #[test]
+    fn register_choice_is_unchanged_over_the_shared_mixer() {
+        // (item, register, rank) under the written-out splitmix64 body
+        // this module had before it called `ah_net::hash::mix64`.
+        for (item, register, rank) in [
+            (0, 3618, 5),
+            (1, 2320, 1),
+            (2, 2421, 1),
+            (1000, 961, 1),
+            (0xdead_beef, 1197, 1),
+            (u64::MAX, 3661, 1),
+        ] {
+            let mut h: HyperLogLog = HyperLogLog::new();
+            h.insert(item);
+            let set: Vec<(usize, u8)> =
+                h.registers.iter().copied().enumerate().filter(|&(_, r)| r != 0).collect();
+            assert_eq!(set, [(register, rank)], "item {item:#x}");
+        }
     }
 
     #[test]

@@ -70,6 +70,14 @@ echo "==> ring model checks: SPSC (exhaustive, release)"
 # ignored in debug builds and only run here, in release.
 cargo test --release -p ah-simnet --test model_check -q
 
+echo "==> packet-stream identity (release)"
+# Every field of every packet three scenarios emit, hashed against
+# constants pinned before the generator's per-packet cost work
+# (ARCHITECTURE.md §7): an RNG draw added, dropped or reordered, or a
+# mux tie resolved differently, moves a hash here. Named so a filtered
+# `cargo test` elsewhere can never drop it.
+cargo test --release -p ah-simnet --test stream_golden -q
+
 echo "==> WAL crash-recovery gate"
 # Durability drill with a real process kill: run the durable engine and
 # have it abort mid-write (--crash-after leaves a deliberately torn,

@@ -283,3 +283,29 @@ fn interruption_point_zero_is_rejected_before_the_log_exists() {
     assert!(!status.success(), "--suspend-after 0 must fail, got {status}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `output fingerprint:` as printed by the shipped binary run as its own
+/// process on `tiny(1 day, seed 42)`.
+fn child_fingerprint(threads: &str) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_aggressive-scanners"))
+        .args(["--days", "1", "--seed", "42", "--threads", threads])
+        .stderr(std::process::Stdio::null())
+        .output()
+        .expect("run aggressive-scanners");
+    assert!(out.status.success(), "--threads {threads} exited with {}", out.status);
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    let line = stdout.lines().find_map(|l| l.strip_prefix("output fingerprint: "));
+    line.unwrap_or_else(|| panic!("no fingerprint line in:\n{stdout}")).to_string()
+}
+
+#[test]
+fn output_is_independent_of_the_per_process_hash_key() {
+    // `ah_net::hash` keys every private per-packet map once per process,
+    // so each child below — and this test process — hashes differently
+    // and iterates its maps in a different order. Equal fingerprints
+    // across all three say no result depends on either.
+    let here = pipeline::run(ScenarioConfig::tiny(1, 42), RunOptions::full()).fingerprint();
+    let sharded = child_fingerprint("4");
+    assert_eq!(sharded, child_fingerprint("1"), "children at 4 and 1 threads");
+    assert_eq!(sharded, format!("{here:016x}"), "child process vs this process");
+}

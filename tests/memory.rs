@@ -18,6 +18,7 @@
 mod common;
 
 use aggressive_scanners::pipeline::{self, Telemetry, WalOutcome, WalRun};
+use aggressive_scanners::simnet::scenario::{Scenario, ScenarioConfig, Year};
 use ah_mem::Tag;
 use common::{opts, run_with, scenario};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -129,6 +130,35 @@ fn accounting_is_invariant_on_durable_paths() {
         std::fs::remove_dir_all(&dir2).ok();
     }
     ah_mem::set_accounting(false);
+}
+
+// --- Generator allocation gate --------------------------------------------
+
+/// `Actor::emit` and the mux heap allocate nothing while draining. An
+/// optimized build can elide a short-lived per-packet `Vec` on its own,
+/// so it is the unoptimized `cargo test` run that catches one.
+#[test]
+fn generator_does_not_allocate_per_packet() {
+    let _g = lock();
+    ah_mem::set_accounting(true);
+    let mut sc = Scenario::build(ScenarioConfig::darknet(Year::Y2022, 1, 42));
+    let built = ah_mem::tag_stats(Tag::Mux).total_allocs;
+    let mut packets = 0u64;
+    while sc.mux.next_packet().is_some() {
+        packets += 1;
+    }
+    let drained = ah_mem::tag_stats(Tag::Mux).total_allocs;
+    ah_mem::set_accounting(false);
+    // The gate can see: building the scenario is charged to Mux, and
+    // the drain ran under the same tag over a real day of traffic.
+    assert!(built > 0, "Scenario::build charged nothing to the mux tag");
+    assert!(packets > 100_000, "only {packets} packets drained");
+    assert_eq!(
+        drained - built,
+        0,
+        "actors and the mux heap allocated {} times while emitting {packets} packets",
+        drained - built
+    );
 }
 
 // --- Leak gate ----------------------------------------------------------
