@@ -1,8 +1,8 @@
 //! Ablation tables over the design choices DESIGN.md calls out: the
-//! event idle-timeout, the flow sampling rate, the dispersion threshold
-//! and exact-vs-sketch distinct counting. Prints the *output* effect of
-//! each parameterization (event splitting, estimate bias, population
-//! size, count accuracy) — the figures EXPERIMENTS.md §Ablations quotes.
+//! event idle-timeout, the flow sampling rate and the dispersion
+//! threshold. Prints the *output* effect of each parameterization
+//! (event splitting, estimate bias, population size) — the figures
+//! EXPERIMENTS.md §Ablations quotes.
 //! Timing is `ah-perf`'s job (`crates/perf`), not this target's.
 
 use ah_core::defs::{Definition, Thresholds};
@@ -11,9 +11,7 @@ use ah_net::ipv4::Ipv4Addr4;
 use ah_net::packet::{PacketMeta, ScanClass};
 use ah_net::time::{Dur, Ts};
 use ah_telescope::capture::Telescope;
-use ah_telescope::dstset::DstSet;
 use ah_telescope::event::{DarknetEvent, EventKey, ToolCounts};
-use ah_telescope::hll::HyperLogLog;
 
 /// A slow scanner whose darknet hits arrive ~2 minutes apart: short
 /// timeouts shred it into many events.
@@ -95,28 +93,8 @@ fn ablate_dispersion() {
     }
 }
 
-fn ablate_counting() {
-    // Exact adaptive set vs HLL sketch for per-event dispersion counting:
-    // accuracy and memory at darknet scale.
-    let dark = 16_384u32;
-    let mut exact = DstSet::new(dark);
-    let mut sketch: HyperLogLog = HyperLogLog::new();
-    for id in (0..40_000u32).map(|i| i.wrapping_mul(2_654_435_761) % dark) {
-        exact.insert(id);
-        sketch.insert(u64::from(id));
-    }
-    println!(
-        "[ablation] distinct-count: exact={} sketch={:.0} (repr {}, sketch {} B)",
-        exact.count(),
-        sketch.estimate(),
-        exact.repr_name(),
-        sketch.memory_bytes()
-    );
-}
-
 fn main() {
     ablate_timeout();
     ablate_sampling();
     ablate_dispersion();
-    ablate_counting();
 }

@@ -168,7 +168,7 @@ fn main() {
         eprintln!("[done] {id} in {:.1}s\n", t0.elapsed().as_secs_f64());
     }
     if let Err(e) = obs.finish(ctx.runs.telemetry()) {
-        eprintln!("error: writing trace artifacts: {e}");
+        eprintln!("error: observability output: {e}");
         std::process::exit(1);
     }
     if obs.mem_report() {

@@ -137,11 +137,6 @@ impl Detector {
         }
     }
 
-    /// Number of events ingested.
-    pub fn event_count(&self) -> usize {
-        self.records.len()
-    }
-
     /// Run qualification and build the report.
     pub fn finalize(mut self) -> AhReport {
         let t = self.cfg.thresholds;
@@ -306,11 +301,6 @@ impl AhReport {
     /// Packets attributable to daily hitters of `def` on `day`.
     pub fn ah_packets(&self, def: Definition, day: u64) -> u64 {
         self.day_ah_packets[def.index()].get(&day).copied().unwrap_or(0)
-    }
-
-    /// Is `src` a hitter under `def`?
-    pub fn is_hitter(&self, def: Definition, src: Ipv4Addr4) -> bool {
-        self.yearly[def.index()].contains(&src)
     }
 
     /// The compact event records (all scanners, not just hitters).

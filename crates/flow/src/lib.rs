@@ -3,10 +3,11 @@
 //! Models the Merit-style measurement plane the paper joins its
 //! aggressive-hitter lists against:
 //!
-//! * [`record`] — flow records plus the NetFlow v5 export wire format
-//!   (encoder and decoder, implemented from the published layout);
-//! * [`v9`] — the template-based NetFlow v9 format (RFC 3954) newer
-//!   exporters speak, with a template-learning decoder;
+//! * [`record`] — the flow key and flow record every other module
+//!   trades in;
+//! * [`v9`] — the template-based NetFlow v9 wire format (RFC 3954),
+//!   with a template-learning decoder; the engine loops every exported
+//!   record through it;
 //! * [`sampler`] — deterministic 1:N systematic packet sampling, as
 //!   configured on the paper's routers (1:1000), with the inverse
 //!   estimator used when reporting totals;

@@ -1,6 +1,7 @@
-//! Flow records and the NetFlow v5 export format.
+//! Flow records: the 5-tuple key and the per-flow counters every
+//! exporter, cache and dataset in this crate trades in. The wire format
+//! is NetFlow v9 ([`crate::v9`]).
 
-use ah_net::error::{NetError, Result};
 use ah_net::ipv4::Ipv4Addr4;
 use ah_net::packet::PacketMeta;
 use ah_net::time::Ts;
@@ -64,138 +65,10 @@ impl FlowRecord {
     }
 }
 
-/// NetFlow v5 header length.
-pub const V5_HEADER_LEN: usize = 24;
-/// NetFlow v5 record length.
-pub const V5_RECORD_LEN: usize = 48;
-/// Maximum records per v5 export packet.
-pub const V5_MAX_RECORDS: usize = 30;
-
-/// Encode up to [`V5_MAX_RECORDS`] flow records as one NetFlow v5 export
-/// packet. `sampling_rate` goes in the header's sampling-interval field
-/// (mode bits set to 0b01 = packet-interval sampling).
-///
-/// Timestamps: v5 expresses flow times as router `SysUptime` millis; we
-/// export with boot time = experiment epoch, so uptime == `Ts` millis.
-/// Flows older than ~49.7 days wrap, as on real hardware.
-pub fn encode_v5(
-    records: &[FlowRecord],
-    export_ts: Ts,
-    flow_sequence: u32,
-    sampling_rate: u16,
-) -> Vec<u8> {
-    assert!(records.len() <= V5_MAX_RECORDS, "v5 packets carry at most 30 records");
-    let mut out = Vec::with_capacity(V5_HEADER_LEN + records.len() * V5_RECORD_LEN);
-    out.extend_from_slice(&5u16.to_be_bytes());
-    out.extend_from_slice(&(records.len() as u16).to_be_bytes());
-    out.extend_from_slice(&((export_ts.micros() / 1000) as u32).to_be_bytes()); // SysUptime
-    out.extend_from_slice(&(export_ts.secs() as u32).to_be_bytes());
-    out.extend_from_slice(&((export_ts.subsec_micros()) * 1000).to_be_bytes()); // nsecs
-    out.extend_from_slice(&flow_sequence.to_be_bytes());
-    out.push(0); // engine type
-    out.push(records.first().map_or(0, |r| r.router)); // engine id: router
-    out.extend_from_slice(&((0b01u16 << 14) | (sampling_rate & 0x3fff)).to_be_bytes());
-    for r in records {
-        out.extend_from_slice(&r.key.src.octets());
-        out.extend_from_slice(&r.key.dst.octets());
-        out.extend_from_slice(&[0u8; 4]); // nexthop
-        let (input, output) = match r.direction {
-            crate::router::Direction::Ingress => (1u16, 2u16),
-            crate::router::Direction::Egress => (2u16, 1u16),
-        };
-        out.extend_from_slice(&input.to_be_bytes());
-        out.extend_from_slice(&output.to_be_bytes());
-        out.extend_from_slice(&(r.packets as u32).to_be_bytes());
-        out.extend_from_slice(&(r.bytes as u32).to_be_bytes());
-        out.extend_from_slice(&((r.first.micros() / 1000) as u32).to_be_bytes());
-        out.extend_from_slice(&((r.last.micros() / 1000) as u32).to_be_bytes());
-        out.extend_from_slice(&r.key.src_port.to_be_bytes());
-        out.extend_from_slice(&r.key.dst_port.to_be_bytes());
-        out.push(0); // pad1
-        out.push(r.tcp_flags);
-        out.push(r.key.protocol);
-        out.push(0); // tos
-        out.extend_from_slice(&[0u8; 4]); // src_as, dst_as
-        out.extend_from_slice(&[0u8; 2]); // src_mask, dst_mask
-        out.extend_from_slice(&[0u8; 2]); // pad2
-    }
-    out
-}
-
-/// Decode a NetFlow v5 export packet back into flow records.
-pub fn decode_v5(data: &[u8]) -> Result<Vec<FlowRecord>> {
-    if data.len() < V5_HEADER_LEN {
-        return Err(NetError::Truncated {
-            layer: "netflow-v5",
-            needed: V5_HEADER_LEN,
-            got: data.len(),
-        });
-    }
-    let version = u16::from_be_bytes([data[0], data[1]]);
-    if version != 5 {
-        return Err(NetError::Unsupported {
-            layer: "netflow-v5",
-            field: "version",
-            value: u64::from(version),
-        });
-    }
-    let count = usize::from(u16::from_be_bytes([data[2], data[3]]));
-    let need = V5_HEADER_LEN + count * V5_RECORD_LEN;
-    if count > V5_MAX_RECORDS || data.len() < need {
-        return Err(NetError::BadLength { layer: "netflow-v5", value: count });
-    }
-    let router = data[21];
-    let mut records = Vec::with_capacity(count);
-    for i in 0..count {
-        let r = &data[V5_HEADER_LEN + i * V5_RECORD_LEN..V5_HEADER_LEN + (i + 1) * V5_RECORD_LEN];
-        let input = u16::from_be_bytes([r[12], r[13]]);
-        records.push(FlowRecord {
-            key: FlowKey {
-                src: Ipv4Addr4::from_octets([r[0], r[1], r[2], r[3]]),
-                dst: Ipv4Addr4::from_octets([r[4], r[5], r[6], r[7]]),
-                src_port: u16::from_be_bytes([r[32], r[33]]),
-                dst_port: u16::from_be_bytes([r[34], r[35]]),
-                protocol: r[38],
-            },
-            router,
-            direction: if input == 1 {
-                crate::router::Direction::Ingress
-            } else {
-                crate::router::Direction::Egress
-            },
-            first: Ts::from_millis(u64::from(u32::from_be_bytes([r[24], r[25], r[26], r[27]]))),
-            last: Ts::from_millis(u64::from(u32::from_be_bytes([r[28], r[29], r[30], r[31]]))),
-            packets: u64::from(u32::from_be_bytes([r[16], r[17], r[18], r[19]])),
-            bytes: u64::from(u32::from_be_bytes([r[20], r[21], r[22], r[23]])),
-            tcp_flags: r[37],
-        });
-    }
-    Ok(records)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::router::Direction;
-
-    fn rec(n: u8) -> FlowRecord {
-        FlowRecord {
-            key: FlowKey {
-                src: Ipv4Addr4::new(203, 0, 113, n),
-                dst: Ipv4Addr4::new(10, 9, 8, 7),
-                src_port: 40000 + u16::from(n),
-                dst_port: 6379,
-                protocol: 6,
-            },
-            router: 1,
-            direction: if n.is_multiple_of(2) { Direction::Ingress } else { Direction::Egress },
-            first: Ts::from_millis(1_000 + u64::from(n)),
-            last: Ts::from_millis(2_000 + u64::from(n)),
-            packets: 5 + u64::from(n),
-            bytes: 200 + u64::from(n),
-            tcp_flags: 0x02,
-        }
-    }
 
     #[test]
     fn flow_key_of_packet() {
@@ -216,53 +89,24 @@ mod tests {
     }
 
     #[test]
-    fn v5_roundtrip() {
-        let records: Vec<FlowRecord> = (0..7).map(rec).collect();
-        let bytes = encode_v5(&records, Ts::from_secs(100), 42, 1000);
-        assert_eq!(bytes.len(), V5_HEADER_LEN + 7 * V5_RECORD_LEN);
-        let decoded = decode_v5(&bytes).unwrap();
-        assert_eq!(decoded, records);
-    }
-
-    #[test]
-    fn v5_empty_packet() {
-        let bytes = encode_v5(&[], Ts::ZERO, 0, 1000);
-        assert_eq!(decode_v5(&bytes).unwrap(), vec![]);
-    }
-
-    #[test]
-    fn v5_rejects_wrong_version() {
-        let mut bytes = encode_v5(&[rec(0)], Ts::ZERO, 0, 1000);
-        bytes[1] = 9;
-        assert!(matches!(decode_v5(&bytes), Err(NetError::Unsupported { .. })));
-    }
-
-    #[test]
-    fn v5_rejects_truncation() {
-        let bytes = encode_v5(&[rec(0), rec(1)], Ts::ZERO, 0, 1000);
-        for cut in [0, 10, V5_HEADER_LEN + 1, bytes.len() - 1] {
-            assert!(decode_v5(&bytes[..cut]).is_err(), "cut {cut}");
-        }
-    }
-
-    #[test]
-    fn v5_rejects_absurd_count() {
-        let mut bytes = encode_v5(&[rec(0)], Ts::ZERO, 0, 1000);
-        bytes[2..4].copy_from_slice(&100u16.to_be_bytes());
-        assert!(matches!(decode_v5(&bytes), Err(NetError::BadLength { .. })));
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 30")]
-    fn v5_rejects_oversized_batch() {
-        let records: Vec<FlowRecord> = (0..31).map(|i| rec(i as u8)).collect();
-        let _ = encode_v5(&records, Ts::ZERO, 0, 1000);
-    }
-
-    #[test]
     fn record_day() {
-        let mut r = rec(0);
-        r.first = Ts::from_days(5) + ah_net::time::Dur::from_secs(1);
+        let first = Ts::from_days(5) + ah_net::time::Dur::from_secs(1);
+        let r = FlowRecord {
+            key: FlowKey {
+                src: Ipv4Addr4::new(203, 0, 113, 1),
+                dst: Ipv4Addr4::new(10, 9, 8, 7),
+                src_port: 40000,
+                dst_port: 6379,
+                protocol: 6,
+            },
+            router: 1,
+            direction: Direction::Ingress,
+            first,
+            last: first,
+            packets: 5,
+            bytes: 200,
+            tcp_flags: 0x02,
+        };
         assert_eq!(r.day(), 5);
     }
 }

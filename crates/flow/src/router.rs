@@ -267,11 +267,6 @@ impl IspModel {
         self.routers.iter().find(|r| r.id == id)
     }
 
-    /// Ids of all routers.
-    pub fn router_ids(&self) -> Vec<RouterId> {
-        self.routers.iter().map(|r| r.id).collect()
-    }
-
     /// Where this packet would go — a pure function of the address plan
     /// and routing policy, with no side effects on the model.
     pub fn disposition(&self, pkt: &PacketMeta) -> Disposition {

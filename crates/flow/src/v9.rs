@@ -1,8 +1,8 @@
 //! NetFlow v9 export format (RFC 3954), template-based.
 //!
-//! The paper's collectors speak NetFlow; v5 (fixed layout) is in
-//! [`crate::record`], and this module adds the template-driven v9 that
-//! newer router software exports. We implement the subset a flow
+//! The paper's collectors speak NetFlow; this module is the crate's one
+//! wire format, the template-driven v9 that current router software
+//! exports. We implement the subset a flow
 //! collector for this pipeline needs: one template FlowSet describing
 //! our record layout, data FlowSets referencing it, and a decoder that
 //! learns templates from the stream (as real collectors must — data

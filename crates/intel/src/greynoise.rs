@@ -199,11 +199,6 @@ impl GreyNoise {
         self.ingest
     }
 
-    /// Does this destination belong to a sensor?
-    pub fn is_sensor(&self, dst: Ipv4Addr4) -> bool {
-        self.sensors.contains(dst)
-    }
-
     /// Offer one packet; only packets to sensors are recorded. Returns
     /// true when the packet hit a sensor.
     pub fn observe(&mut self, pkt: &PacketMeta, hint: PayloadHint) -> bool {

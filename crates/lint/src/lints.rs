@@ -34,26 +34,12 @@ impl Diagnostic {
     pub fn json(&self) -> String {
         format!(
             "{{\"file\":\"{}\",\"line\":{},\"lint\":\"{}\",\"message\":\"{}\"}}",
-            escape_json(&self.file),
+            ah_obs::json::escape(&self.file),
             self.line,
             self.lint,
-            escape_json(&self.message)
+            ah_obs::json::escape(&self.message)
         )
     }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Every lint this tool knows, with a one-line description.
@@ -430,9 +416,9 @@ const METRIC_FNS: &[&str] =
     &["counter", "counter_with", "gauge", "gauge_with", "histogram", "histogram_with"];
 
 /// ah-trace registration points whose first string-literal argument is a
-/// span/instant/track name. Shares the metric naming scheme
-/// (`ah_trace::valid_trace_name` is the same predicate as
-/// `ah_obs::valid_metric_name`), so violations report as `metric-name`.
+/// span/instant/track name. ah-trace checks them with the metric
+/// predicate (`ah_obs::valid_metric_name`), so violations report as
+/// `metric-name`.
 const TRACE_FNS: &[&str] = &["span", "journey_span", "instant", "journey_instant", "set_track"];
 
 /// Memory-observability helpers (`src/pipeline.rs`) whose first
@@ -464,7 +450,7 @@ fn metric_name(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
                 "metric-name",
                 format!(
                     "{kind} name \"{lit}\" violates the ah_<crate>_<subsystem>_<name> scheme \
-                     (ah_obs::valid_metric_name / ah_trace::valid_trace_name)"
+                     (ah_obs::valid_metric_name)"
                 ),
             ));
         }

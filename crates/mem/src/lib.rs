@@ -31,7 +31,7 @@
 //! is runtime no-op-able via [`set_accounting`]: when off, the only
 //! per-allocation cost is one relaxed atomic load and an 8-byte header
 //! write, and [`MemScope::enter`] is a single relaxed load — measured
-//! ≤1% on the end-to-end pipeline (see `BENCH.md`).
+//! ≤1% on the end-to-end pipeline (see `EXPERIMENTS.md`).
 //!
 //! # Exactness
 //!
@@ -239,7 +239,7 @@ impl Drop for MemScope {
 /// costs far more than its loads: the live guard adds drop glue to
 /// every exit path, unwind landing pads around every call it spans,
 /// and register pressure — measured at several percent of end-to-end
-/// pipeline throughput even with accounting *off* (see `BENCH.md`).
+/// pipeline throughput even with accounting *off* (see `EXPERIMENTS.md`).
 /// The manual pair keeps the disabled case to one relaxed load and
 /// leaves the enclosing function free of cleanup paths. The price: if
 /// the region between swap and restore panics, the restore is skipped

@@ -18,28 +18,23 @@
 //!   mutant gets a stable content-derived id (FNV-1a over
 //!   `path ‖ offset ‖ operator ‖ replacement`) so reports diff cleanly
 //!   across commits;
-//! * [`plan`] — workspace walking (product crates only), deterministic
-//!   `--sample`/`--seed` subsetting, and the tree fingerprint that
-//!   keys the result cache;
+//! * [`plan`] — workspace walking (product crates only) and
+//!   deterministic `--sample`/`--seed` subsetting;
 //! * [`runner`] — applies one mutant at a time to a scratch copy of the
 //!   tree, drives `cargo build`/`cargo test` with per-mutant wall-clock
 //!   timeouts, and classifies **caught / survived / timeout /
 //!   build-broken**;
-//! * [`cache`] — results keyed by (mutant id, tree fingerprint) in
-//!   `out/mutate-cache.json`, so a re-run on an unchanged tree executes
-//!   zero mutants;
 //! * [`sentinel`] — the curated must-be-caught set backing the CI
 //!   `mutation` gate (ring orderings, WAL CRC/truncation, detector
 //!   thresholds, watermark comparisons);
 //! * [`report`] — `out/mutants.json` plus the markdown survivor table.
 //!
-//! See ARCHITECTURE.md §14 for the operator table, the id scheme, the
-//! cache-invalidation contract and the sentinel-set rationale.
+//! See ARCHITECTURE.md §14 for the operator table, the id scheme and
+//! the sentinel-set rationale.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod ops;
 pub mod plan;
 pub mod report;

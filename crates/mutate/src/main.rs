@@ -9,10 +9,9 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use ah_mutate::cache::Cache;
-use ah_mutate::plan::{enumerate_workspace, pkg_for, sample, tree_fingerprint};
+use ah_mutate::plan::{enumerate_workspace, pkg_for, sample};
 use ah_mutate::report::{count, render_json, render_survivors, write_reports, Classified};
-use ah_mutate::runner::{default_steps, RunResult, Scope, Scratch};
+use ah_mutate::runner::{default_steps, Scope, Scratch};
 use ah_mutate::sentinel::{resolve_all, SENTINELS};
 use ah_mutate::Outcome;
 
@@ -35,7 +34,6 @@ Options:
   --root DIR        workspace root (default: current directory)
   --scratch DIR     scratch tree (default: <root>/out/mutate-scratch)
   --json            print the ah-mutate/1 JSON report to stdout
-  --no-cache        ignore and do not update out/mutate-cache.json
 ";
 
 struct Opts {
@@ -50,7 +48,6 @@ struct Opts {
     root: PathBuf,
     scratch: Option<PathBuf>,
     json: bool,
-    no_cache: bool,
 }
 
 fn parse_args(args: &[String]) -> Result<Opts, String> {
@@ -66,7 +63,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
         root: PathBuf::from("."),
         scratch: None,
         json: false,
-        no_cache: false,
     };
     let mut it = args.iter();
     let value = |it: &mut std::slice::Iter<String>, flag: &str| {
@@ -111,7 +107,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
             "--root" => opts.root = PathBuf::from(value(&mut it, "--root")?),
             "--scratch" => opts.scratch = Some(PathBuf::from(value(&mut it, "--scratch")?)),
             "--json" => opts.json = true,
-            "--no-cache" => opts.no_cache = true,
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unrecognized argument `{other}`")),
         }
@@ -178,58 +173,27 @@ fn select(opts: &Opts, root: &Path) -> Result<Vec<ah_mutate::Mutant>, String> {
     Ok(mutants)
 }
 
-fn scratch_dir(opts: &Opts, root: &std::path::Path) -> PathBuf {
-    opts.scratch.clone().unwrap_or_else(|| root.join("out/mutate-scratch"))
+/// Copy the tree to `--scratch` (default `<root>/out/mutate-scratch`).
+fn prepare_scratch(opts: &Opts, root: &Path) -> Result<Scratch, String> {
+    eprintln!("preparing scratch tree…");
+    let dir = opts.scratch.clone().unwrap_or_else(|| root.join("out/mutate-scratch"));
+    Scratch::prepare(root, &dir).map_err(|e| format!("preparing scratch: {e}"))
 }
 
 /// The full sweep (or an `--id`-filtered burn-down run).
 fn sweep(opts: &Opts, root: &Path) -> Result<ExitCode, String> {
     let mutants = select(opts, root)?;
-    let tree_fp = tree_fingerprint(root).map_err(|e| format!("fingerprinting tree: {e}"))?;
-    let cache_path = root.join("out/mutate-cache.json");
-    let mut cache = if opts.no_cache {
-        Cache { tree_fp: tree_fp.clone(), entries: Default::default() }
-    } else {
-        Cache::load(&cache_path, &tree_fp)
-    };
-    eprintln!(
-        "sweeping {} mutants (tree {tree_fp}, {} cached verdicts apply)",
-        mutants.len(),
-        mutants.iter().filter(|m| cache.entries.contains_key(&m.id)).count()
-    );
-
-    let mut scratch: Option<Scratch> = None;
+    eprintln!("sweeping {} mutants", mutants.len());
+    let scratch = prepare_scratch(opts, root)?;
     let mut results = Vec::with_capacity(mutants.len());
     let total = mutants.len();
     for (i, m) in mutants.into_iter().enumerate() {
-        let (result, cached) = match cache.entries.get(&m.id) {
-            Some(e) => {
-                (RunResult { outcome: e.outcome, detail: e.detail.clone(), secs: e.secs }, true)
-            }
-            None => {
-                let s = match &scratch {
-                    Some(s) => s,
-                    None => {
-                        eprintln!("preparing scratch tree…");
-                        scratch.insert(
-                            Scratch::prepare(root, &scratch_dir(opts, root))
-                                .map_err(|e| format!("preparing scratch: {e}"))?,
-                        )
-                    }
-                };
-                let steps = default_steps(&pkg_for(&m.file), opts.scope);
-                let r = s
-                    .run_mutant(&m, &steps, opts.timeout)
-                    .map_err(|e| format!("running {}: {e}", m.id))?;
-                cache.insert(&m.id, &r);
-                if !opts.no_cache {
-                    cache.save(&cache_path).map_err(|e| format!("saving cache: {e}"))?;
-                }
-                (r, false)
-            }
-        };
+        let steps = default_steps(&pkg_for(&m.file), opts.scope);
+        let result = scratch
+            .run_mutant(&m, &steps, opts.timeout)
+            .map_err(|e| format!("running {}: {e}", m.id))?;
         eprintln!(
-            "[{}/{total}] {} {}:{} {} `{}`->`{}`: {}{} ({:.1}s)",
+            "[{}/{total}] {} {}:{} {} `{}`->`{}`: {} ({:.1}s)",
             i + 1,
             m.id,
             m.file,
@@ -238,46 +202,33 @@ fn sweep(opts: &Opts, root: &Path) -> Result<ExitCode, String> {
             m.original,
             m.replacement,
             result.outcome.as_str(),
-            if cached { " (cached)" } else { "" },
             result.secs
         );
-        results.push(Classified { mutant: m, result, cached });
+        results.push(Classified { mutant: m, result });
     }
 
-    write_reports(&root.join("out"), &tree_fp, &results)
-        .map_err(|e| format!("writing reports: {e}"))?;
+    write_reports(&root.join("out"), &results).map_err(|e| format!("writing reports: {e}"))?;
     if opts.json {
-        print!("{}", render_json(&tree_fp, &results));
+        print!("{}", render_json(&results));
     } else {
         print!("{}", render_survivors(&results));
     }
-    let c = count(&results);
     eprintln!(
-        "wrote out/mutants.json and out/survivors.md ({} survivors, {} executed, {} cached)",
-        c.survived,
-        results.len() - c.cached,
-        c.cached
+        "wrote out/mutants.json and out/survivors.md ({} survivors of {} mutants)",
+        count(&results).survived,
+        results.len()
     );
     Ok(ExitCode::SUCCESS)
 }
 
 /// The CI sentinel gate: every curated mutant must be caught, inside
-/// the wall-clock budget. Only *caught* verdicts are cached — a
-/// sentinel's narrow kill steps prove a catch, but cannot prove a
-/// sweep-grade survival.
+/// the wall-clock budget.
 fn gate(opts: &Opts, root: &Path) -> Result<ExitCode, String> {
     let started = Instant::now();
     let resolved = resolve_all(root)?;
-    let tree_fp = tree_fingerprint(root).map_err(|e| format!("fingerprinting tree: {e}"))?;
-    let cache_path = root.join("out/mutate-cache.json");
-    let mut cache = if opts.no_cache {
-        Cache { tree_fp: tree_fp.clone(), entries: Default::default() }
-    } else {
-        Cache::load(&cache_path, &tree_fp)
-    };
-    eprintln!("sentinel gate: {} mutants (tree {tree_fp})", resolved.len());
+    eprintln!("sentinel gate: {} mutants", resolved.len());
+    let scratch = prepare_scratch(opts, root)?;
 
-    let mut scratch: Option<Scratch> = None;
     let mut failures = Vec::new();
     let total = resolved.len();
     for (i, (s, m)) in resolved.iter().enumerate() {
@@ -288,32 +239,10 @@ fn gate(opts: &Opts, root: &Path) -> Result<ExitCode, String> {
                 i
             ));
         }
-        if let Some(e) = cache.entries.get(&m.id) {
-            if e.outcome == Outcome::Caught {
-                eprintln!(
-                    "[{}/{total}] {} ({}:{}): caught (cached)",
-                    i + 1,
-                    s.name,
-                    m.file,
-                    m.line
-                );
-                continue;
-            }
-        }
-        let sc = match &scratch {
-            Some(sc) => sc,
-            None => {
-                eprintln!("preparing scratch tree…");
-                scratch.insert(
-                    Scratch::prepare(root, &scratch_dir(opts, root))
-                        .map_err(|e| format!("preparing scratch: {e}"))?,
-                )
-            }
-        };
         let steps: Vec<Vec<String>> =
             s.kill.iter().map(|step| step.iter().map(|a| a.to_string()).collect()).collect();
         let per_mutant = opts.timeout.min(opts.budget.saturating_sub(started.elapsed()));
-        let r = sc
+        let r = scratch
             .run_mutant(m, &steps, per_mutant)
             .map_err(|e| format!("running sentinel {}: {e}", s.name))?;
         eprintln!(
@@ -328,12 +257,7 @@ fn gate(opts: &Opts, root: &Path) -> Result<ExitCode, String> {
             r.outcome.as_str(),
             r.secs
         );
-        if r.outcome == Outcome::Caught {
-            if !opts.no_cache {
-                cache.insert(&m.id, &r);
-                cache.save(&cache_path).map_err(|e| format!("saving cache: {e}"))?;
-            }
-        } else {
+        if r.outcome != Outcome::Caught {
             failures.push((s.name, r));
         }
     }

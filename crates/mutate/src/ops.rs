@@ -67,11 +67,6 @@ pub const OPERATORS: &[(&str, &str)] = &[
     ("sat-wrap", "swap saturating_* ↔ wrapping_* method calls"),
 ];
 
-/// True when `op` names a known operator.
-pub fn known_op(op: &str) -> bool {
-    OPERATORS.iter().any(|(o, _)| *o == op)
-}
-
 /// FNV-1a over a byte string, 64-bit.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

@@ -1,5 +1,4 @@
-//! Workspace enumeration, deterministic sampling, and the tree
-//! fingerprint that keys the result cache.
+//! Workspace enumeration and deterministic sampling.
 //!
 //! Mutation scope is the *product* code: the root crate's `src/` and
 //! the library crates the pipeline ships. The verification layer itself
@@ -7,18 +6,14 @@
 //! test-support crates are excluded — mutating the measuring stick
 //! tells us nothing about the suite's coverage of the product, and
 //! every survivor there would be noise in the burn-down list.
-//!
-//! The tree fingerprint is deliberately coarse: FNV-1a over every
-//! `*.rs`, `Cargo.toml` and `Cargo.lock` in the repo (tests, benches
-//! and vendor included — a verdict depends on the whole tree, not just
-//! the mutated file). Any change anywhere invalidates the whole cache;
-//! cheap to compute, impossible to be stale.
 
 use std::fs;
 use std::io;
 use std::path::Path;
 
-use crate::ops::{enumerate_source, fnv1a, Mutant};
+use ah_net::hash::mix64;
+
+use crate::ops::{enumerate_source, Mutant};
 
 /// Directory names under `crates/` that are in mutation scope.
 pub const PRODUCT_CRATES: &[&str] =
@@ -78,62 +73,6 @@ pub fn enumerate_workspace(root: &Path) -> Result<Vec<Mutant>, String> {
     Ok(out)
 }
 
-/// FNV-1a fingerprint of the whole tree's build-relevant inputs: every
-/// `*.rs`, `Cargo.toml` and `Cargo.lock` outside `target/`, `out/` and
-/// dot-directories, path and content both folded in, files in sorted
-/// order. Rendered as 16 hex chars.
-pub fn tree_fingerprint(root: &Path) -> io::Result<String> {
-    let mut files = Vec::new();
-    walk_inputs(root, root, &mut files)?;
-    files.sort();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for rel in &files {
-        h ^= fnv1a(rel.as_bytes());
-        h = h.wrapping_mul(0x100_0000_01b3);
-        let bytes = fs::read(root.join(rel))?;
-        h ^= fnv1a(&bytes);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    Ok(format!("{h:016x}"))
-}
-
-fn walk_inputs(dir: &Path, root: &Path, out: &mut Vec<String>) -> io::Result<()> {
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        let name = path.file_name().map(|n| n.to_string_lossy().to_string()).unwrap_or_default();
-        if path.is_dir() {
-            if name == "target" || name == "out" || name.starts_with('.') {
-                continue;
-            }
-            walk_inputs(&path, root, out)?;
-        } else if name == "Cargo.toml"
-            || name == "Cargo.lock"
-            || path.extension().is_some_and(|e| e == "rs")
-        {
-            if let Ok(rel) = path.strip_prefix(root) {
-                out.push(rel_string(rel));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// SplitMix64 — the repo's standard tiny deterministic generator (the
-/// same recurrence vendor/proptest uses), local so the harness stays
-/// dependency-free.
-pub struct SplitMix64(pub u64);
-
-impl SplitMix64 {
-    /// Next 64-bit output.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
-
 /// Deterministically sample `n` mutants from `all` with `seed`
 /// (partial Fisher–Yates over indices), preserving enumeration order
 /// among the chosen. `n >= all.len()` returns everything.
@@ -141,10 +80,12 @@ pub fn sample(all: Vec<Mutant>, n: usize, seed: u64) -> Vec<Mutant> {
     if n >= all.len() {
         return all;
     }
-    let mut rng = SplitMix64(seed);
+    // splitmix64 over the workspace's one finalizer.
+    let mut state = seed;
     let mut idx: Vec<usize> = (0..all.len()).collect();
     for i in 0..n {
-        let j = i + (rng.next_u64() as usize) % (idx.len() - i);
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let j = i + (mix64(state) as usize) % (idx.len() - i);
         idx.swap(i, j);
     }
     let mut chosen: Vec<usize> = idx.into_iter().take(n).collect();

@@ -2,9 +2,9 @@
 //! `ah-mutate/1`) and the markdown survivor table (`out/survivors.md`
 //! plus stdout).
 //!
-//! The JSON file is written one mutant per line (the same idiom as the
-//! cache and `tests/telemetry.rs`), so downstream line scanners need no
-//! JSON parser. BENCH.md documents the schema. The survivor table is
+//! The JSON file is written one mutant per line, so downstream line
+//! scanners need no JSON parser. EXPERIMENTS.md §Mutation testing
+//! documents the schema. The survivor table is
 //! the human deliverable: every surviving mutant is a test to write,
 //! with file:line, the exact token flip, and the source line attached.
 
@@ -13,7 +13,8 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use crate::cache::escape_json;
+use ah_obs::json::escape;
+
 use crate::ops::Mutant;
 use crate::runner::{Outcome, RunResult};
 
@@ -23,8 +24,6 @@ pub struct Classified {
     pub mutant: Mutant,
     /// Its verdict.
     pub result: RunResult,
-    /// True when the verdict came from the cache (not executed now).
-    pub cached: bool,
 }
 
 /// Outcome counts across a run.
@@ -38,8 +37,6 @@ pub struct Counts {
     pub timeout: usize,
     /// Mutants that failed to compile (excluded from scoring).
     pub build_broken: usize,
-    /// Verdicts served from the cache.
-    pub cached: usize,
 }
 
 /// Tally outcomes.
@@ -51,9 +48,6 @@ pub fn count(results: &[Classified]) -> Counts {
             Outcome::Survived => c.survived += 1,
             Outcome::Timeout => c.timeout += 1,
             Outcome::BuildBroken => c.build_broken += 1,
-        }
-        if r.cached {
-            c.cached += 1;
         }
     }
     c
@@ -70,19 +64,18 @@ pub fn kill_rate(c: &Counts) -> f64 {
 }
 
 /// Render the `ah-mutate/1` JSON report.
-pub fn render_json(tree_fp: &str, results: &[Classified]) -> String {
+pub fn render_json(results: &[Classified]) -> String {
     let c = count(results);
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{{\"schema\":\"ah-mutate/1\",\"tree_fp\":\"{tree_fp}\",\
+        "{{\"schema\":\"ah-mutate/1\",\
          \"caught\":{},\"survived\":{},\"timeout\":{},\"build_broken\":{},\
-         \"cached\":{},\"kill_rate\":{:.1},",
+         \"kill_rate\":{:.1},",
         c.caught,
         c.survived,
         c.timeout,
         c.build_broken,
-        c.cached,
         kill_rate(&c)
     );
     out.push_str("\"mutants\":[\n");
@@ -92,17 +85,16 @@ pub fn render_json(tree_fp: &str, results: &[Classified]) -> String {
             out,
             "{{\"id\":\"{}\",\"file\":\"{}\",\"line\":{},\"op\":\"{}\",\
              \"original\":\"{}\",\"replacement\":\"{}\",\"outcome\":\"{}\",\
-             \"cached\":{},\"secs\":{:.3},\"detail\":\"{}\"}}{}",
+             \"secs\":{:.3},\"detail\":\"{}\"}}{}",
             m.id,
-            escape_json(&m.file),
+            escape(&m.file),
             m.line,
             m.op,
-            escape_json(&m.original),
-            escape_json(&m.replacement),
+            escape(&m.original),
+            escape(&m.replacement),
             r.result.outcome.as_str(),
-            r.cached,
             r.result.secs,
-            escape_json(&r.result.detail),
+            escape(&r.result.detail),
             if i + 1 < results.len() { "," } else { "" }
         );
     }
@@ -118,13 +110,12 @@ pub fn render_survivors(results: &[Classified]) -> String {
     let _ = writeln!(
         out,
         "{} mutants: **{} caught**, **{} survived**, {} timeout, {} build-broken \
-         ({} from cache) — kill rate {:.1}%.\n",
+         — kill rate {:.1}%.\n",
         results.len(),
         c.caught,
         c.survived,
         c.timeout,
         c.build_broken,
-        c.cached,
         kill_rate(&c)
     );
     if c.survived == 0 {
@@ -164,9 +155,9 @@ fn md_code(s: &str) -> String {
 }
 
 /// Write both artifacts under `out_dir`.
-pub fn write_reports(out_dir: &Path, tree_fp: &str, results: &[Classified]) -> io::Result<()> {
+pub fn write_reports(out_dir: &Path, results: &[Classified]) -> io::Result<()> {
     fs::create_dir_all(out_dir)?;
-    fs::write(out_dir.join("mutants.json"), render_json(tree_fp, results))?;
+    fs::write(out_dir.join("mutants.json"), render_json(results))?;
     fs::write(out_dir.join("survivors.md"), render_survivors(results))
 }
 
@@ -175,24 +166,21 @@ mod tests {
     use super::*;
     use crate::ops::enumerate_source;
 
-    fn classified(outcome: Outcome, cached: bool) -> Classified {
+    fn classified(outcome: Outcome) -> Classified {
         let src = "//! d\nfn f(a: u64) -> bool {\n    a >= 10\n}\n";
         let mutant = enumerate_source("crates/x/src/lib.rs", src).remove(0);
         Classified {
             mutant,
             result: RunResult { outcome, detail: "step `x` said \"no\"".into(), secs: 2.5 },
-            cached,
         }
     }
 
     #[test]
     fn json_report_counts_and_escapes() {
-        let results = vec![classified(Outcome::Caught, true), classified(Outcome::Survived, false)];
-        let json = render_json("deadbeef00000000", &results);
+        let results = vec![classified(Outcome::Caught), classified(Outcome::Survived)];
+        let json = render_json(&results);
         assert!(json.contains("\"schema\":\"ah-mutate/1\""));
-        assert!(json.contains("\"tree_fp\":\"deadbeef00000000\""));
         assert!(json.contains("\"caught\":1,\"survived\":1,\"timeout\":0"));
-        assert!(json.contains("\"cached\":1"));
         assert!(json.contains("\\\"no\\\""), "details must be JSON-escaped");
         assert!(json.contains("\"kill_rate\":50.0"));
     }
@@ -200,9 +188,9 @@ mod tests {
     #[test]
     fn survivor_table_lists_only_survivors() {
         let results = vec![
-            classified(Outcome::Caught, false),
-            classified(Outcome::Survived, false),
-            classified(Outcome::BuildBroken, false),
+            classified(Outcome::Caught),
+            classified(Outcome::Survived),
+            classified(Outcome::BuildBroken),
         ];
         let md = render_survivors(&results);
         assert!(md.contains("| id | site |"));
@@ -212,7 +200,7 @@ mod tests {
 
     #[test]
     fn clean_run_elides_the_table() {
-        let md = render_survivors(&[classified(Outcome::Caught, false)]);
+        let md = render_survivors(&[classified(Outcome::Caught)]);
         assert!(md.contains("No survivors"));
         assert!(!md.contains("| id |"));
     }

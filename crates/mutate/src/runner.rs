@@ -42,24 +42,13 @@ pub enum Outcome {
 }
 
 impl Outcome {
-    /// Canonical lowercase name (used in JSON and the cache).
+    /// Canonical lowercase name (used in the JSON report).
     pub fn as_str(self) -> &'static str {
         match self {
             Outcome::Caught => "caught",
             Outcome::Survived => "survived",
             Outcome::Timeout => "timeout",
             Outcome::BuildBroken => "build-broken",
-        }
-    }
-
-    /// Inverse of [`Outcome::as_str`].
-    pub fn parse(s: &str) -> Option<Outcome> {
-        match s {
-            "caught" => Some(Outcome::Caught),
-            "survived" => Some(Outcome::Survived),
-            "timeout" => Some(Outcome::Timeout),
-            "build-broken" => Some(Outcome::BuildBroken),
-            _ => None,
         }
     }
 }
@@ -319,14 +308,6 @@ fn run_cargo(cwd: &Path, args: &[String], timeout: Duration) -> io::Result<(bool
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn outcome_names_round_trip() {
-        for o in [Outcome::Caught, Outcome::Survived, Outcome::Timeout, Outcome::BuildBroken] {
-            assert_eq!(Outcome::parse(o.as_str()), Some(o));
-        }
-        assert_eq!(Outcome::parse("unknown"), None);
-    }
 
     #[test]
     fn step_plans_scale_with_scope() {

@@ -25,8 +25,8 @@ use std::sync::OnceLock;
 /// The splitmix64 output finalizer: a bijective avalanche of 64 bits.
 ///
 /// The one copy of the mixer behind `ah_simnet::rng::{splitmix64,
-/// hash64}`, the flow samplers' phase, the HLL register choice and
-/// [`FastHasher::finish`].
+/// hash64}`, the flow samplers' phase, ah-trace's journey sampler,
+/// ah-mutate's `--sample` draw and [`FastHasher::finish`].
 #[inline]
 pub const fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -11,6 +11,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::{SystemTime, UNIX_EPOCH};
 
+use crate::json;
 use crate::recorder::Recorder;
 
 /// One instrument's value at snapshot time.
@@ -58,26 +59,10 @@ pub struct Snapshot {
     pub samples: Vec<Sample>,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn json_labels(labels: &[(String, String)]) -> String {
     let body: Vec<String> = labels
         .iter()
-        .map(|(k, v)| format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)))
+        .map(|(k, v)| format!("\"{}\":\"{}\"", json::escape(k), json::escape(v)))
         .collect();
     format!("{{{}}}", body.join(","))
 }
@@ -94,7 +79,7 @@ pub fn to_jsonl_line(snap: &Snapshot, seq: u64, pos: u64, ts_ms: u64) -> String 
     let mut parts: Vec<String> = Vec::with_capacity(snap.samples.len());
     for s in &snap.samples {
         let head =
-            format!("\"name\":\"{}\",\"labels\":{}", json_escape(&s.name), json_labels(&s.labels));
+            format!("\"name\":\"{}\",\"labels\":{}", json::escape(&s.name), json_labels(&s.labels));
         let body = match &s.value {
             Value::Counter(v) => format!("{head},\"type\":\"counter\",\"value\":{v}"),
             Value::Gauge(v) => format!("{head},\"type\":\"gauge\",\"value\":{v}"),
@@ -113,13 +98,13 @@ fn prom_labels(labels: &[(String, String)]) -> String {
         return String::new();
     }
     let body: Vec<String> =
-        labels.iter().map(|(k, v)| format!("{k}=\"{}\"", json_escape(v))).collect();
+        labels.iter().map(|(k, v)| format!("{k}=\"{}\"", json::escape(v))).collect();
     format!("{{{}}}", body.join(","))
 }
 
 fn prom_labels_with_le(labels: &[(String, String)], le: &str) -> String {
     let mut body: Vec<String> =
-        labels.iter().map(|(k, v)| format!("{k}=\"{}\"", json_escape(v))).collect();
+        labels.iter().map(|(k, v)| format!("{k}=\"{}\"", json::escape(v))).collect();
     body.push(format!("le=\"{le}\""));
     format!("{{{}}}", body.join(","))
 }

@@ -48,6 +48,7 @@
 #![warn(missing_docs)]
 
 mod export;
+pub mod json;
 mod recorder;
 
 pub use export::{

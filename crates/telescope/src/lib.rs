@@ -13,9 +13,7 @@
 //!   to pick its ~10-minute event expiration;
 //! * [`daily`] — per-day rollups of darknet activity;
 //! * [`dstset`] — a memory-adaptive exact distinct-counter used for
-//!   per-event destination dispersion;
-//! * [`hll`] — a HyperLogLog sketch, the constant-memory alternative
-//!   for much larger dark spaces (ablated in the bench suite).
+//!   per-event destination dispersion.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,7 +22,6 @@ pub mod capture;
 pub mod daily;
 pub mod dstset;
 pub mod event;
-pub mod hll;
 pub mod timeout;
 
 pub use capture::{CaptureStats, DarkSpace};

@@ -1,10 +1,9 @@
 //! First-party Chrome trace-event schema validator.
 //!
 //! CI must be able to assert that an emitted trace is loadable without
-//! reaching for external tooling, so this module carries a minimal
-//! recursive-descent JSON reader (the same spirit as the hand-rolled
-//! reader in `tests/telemetry.rs`) and a validator that enforces the
-//! subset of the trace-event format our exporter produces:
+//! reaching for external tooling, so this module reads the file back
+//! through the workspace's JSON reader ([`ah_obs::json`]) and enforces
+//! the subset of the trace-event format our exporter produces:
 //!
 //! * the root is an object with a `traceEvents` array;
 //! * every event has a `ph` phase string, and `B`/`E`/`i` events carry
@@ -12,7 +11,7 @@
 //! * per track (`pid`,`tid`), timestamps of `cat:"span"` events are
 //!   non-decreasing in array order and `B`/`E` events balance with
 //!   stack discipline (each `E` names the innermost open span);
-//! * span names satisfy [`crate::valid_trace_name`];
+//! * span names satisfy [`ah_obs::valid_metric_name`];
 //! * flow events (`s`/`t`/`f`) carry an `id`, and every flow chain has
 //!   a start and ≥ 2 points.
 //!
@@ -20,245 +19,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Minimal JSON value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (parsed as f64; trace timestamps fit losslessly).
-    Num(f64),
-    /// String.
-    Str(String),
-    /// Array.
-    Arr(Vec<Json>),
-    /// Object (insertion order preserved).
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member lookup on an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// String payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Numeric payload, if this is a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn err(&self, msg: &str) -> String {
-        format!("{msg} at byte {}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect_byte(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, val: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(val)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("non-utf8 number"))?;
-        text.parse::<f64>().map(Json::Num).map_err(|_| self.err("bad number"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect_byte(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("short \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("non-utf8 \\u escape"))?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(b) if b < 0x80 => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                Some(b) => {
-                    // Consume one multi-byte UTF-8 scalar. Validating only
-                    // the scalar's own bytes keeps the reader linear.
-                    let len = match b {
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        0xf0..=0xf7 => 4,
-                        _ => return Err(self.err("non-utf8 string")),
-                    };
-                    let chunk = self
-                        .bytes
-                        .get(self.pos..self.pos + len)
-                        .ok_or_else(|| self.err("truncated utf-8 scalar"))?;
-                    let s = std::str::from_utf8(chunk).map_err(|_| self.err("non-utf8 string"))?;
-                    out.push_str(s);
-                    self.pos += len;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect_byte(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect_byte(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect_byte(b':')?;
-            let val = self.value()?;
-            members.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-}
-
-/// Parse a complete JSON document.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut r = Reader { bytes: text.as_bytes(), pos: 0 };
-    let v = r.value()?;
-    r.skip_ws();
-    if r.pos != r.bytes.len() {
-        return Err(r.err("trailing garbage"));
-    }
-    Ok(v)
-}
+use ah_obs::json::{self, Json};
 
 /// Summary statistics of a validated trace.
 #[derive(Clone, Debug, Default)]
@@ -286,7 +47,7 @@ fn event_context(idx: usize, ev: &Json) -> String {
 /// module docs for the exact contract). Returns summary stats on
 /// success and a human-readable reason on the first violation.
 pub fn validate_chrome_trace(text: &str) -> Result<TraceStats, String> {
-    let root = parse_json(text)?;
+    let root = json::parse(text)?;
     let Some(Json::Arr(events)) = root.get("traceEvents") else {
         return Err("root object lacks a traceEvents array".to_string());
     };
@@ -327,7 +88,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceStats, String> {
                 }
                 last_ts.insert(track, ts);
                 let base = name.split('/').next().unwrap_or(name);
-                if !crate::valid_trace_name(base) {
+                if !ah_obs::valid_metric_name(base) {
                     return Err(format!("{ctx}: span name violates the naming scheme"));
                 }
                 stats.names.insert(name.to_string());
@@ -384,22 +145,6 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceStats, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parses_scalars_and_nesting() {
-        let v =
-            parse_json(r#"{"a":[1,2.5,-3e2],"b":"x\n\"y\"","c":true,"d":null}"#).expect("parse");
-        assert_eq!(v.get("b").and_then(Json::as_str), Some("x\n\"y\""));
-        let Some(Json::Arr(items)) = v.get("a") else { panic!("array") };
-        assert_eq!(items[2].as_num(), Some(-300.0));
-        assert_eq!(v.get("d"), Some(&Json::Null));
-    }
-
-    #[test]
-    fn rejects_trailing_garbage() {
-        assert!(parse_json("{} x").is_err());
-        assert!(parse_json("[1,]").is_err());
-    }
 
     fn wrap(events: &str) -> String {
         format!("{{\"traceEvents\":[{events}]}}")

@@ -2,9 +2,9 @@
 //! flamegraph text.
 //!
 //! Serialization is hand-rolled, exactly like ah-obs: the schema is
-//! small, names are constrained by [`crate::valid_trace_name`], and
-//! keeping ah-trace dependency-free means the pipeline never links a
-//! serde tree for its telemetry.
+//! small, names are constrained by [`ah_obs::valid_metric_name`], and
+//! the pipeline never links a serde tree for its telemetry; string
+//! payloads go through [`ah_obs::json::escape`].
 //!
 //! The Chrome export targets the trace-event format's JSON Object
 //! Format (`{"traceEvents":[...]}`), loadable in Perfetto and
@@ -18,6 +18,8 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
+
+use ah_obs::json;
 
 use crate::buffer::EventKind;
 
@@ -56,22 +58,6 @@ pub struct TraceSnapshot {
     pub dropped: u64,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Nanoseconds → the trace-event `ts` field (microseconds, fractional
 /// part kept so distinct events never collapse to one timestamp).
 fn ts_us(ts_ns: u64) -> String {
@@ -104,7 +90,7 @@ pub fn to_chrome_trace(snap: &TraceSnapshot) -> String {
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\
              \"args\":{{\"name\":\"{}\"}}}}",
             track.tid,
-            json_escape(&track.label)
+            json::escape(&track.label)
         ));
         events.push(format!(
             "{{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\
@@ -131,7 +117,7 @@ pub fn to_chrome_trace(snap: &TraceSnapshot) -> String {
                     events.push(format!(
                         "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"B\",\"ts\":{},\
                          \"pid\":1,\"tid\":{}{}}}",
-                        json_escape(&ev.name),
+                        json::escape(&ev.name),
                         ts_us(ev.ts_ns),
                         track.tid,
                         args
@@ -148,7 +134,7 @@ pub fn to_chrome_trace(snap: &TraceSnapshot) -> String {
                     events.push(format!(
                         "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"E\",\"ts\":{},\
                          \"pid\":1,\"tid\":{}{}}}",
-                        json_escape(&ev.name),
+                        json::escape(&ev.name),
                         ts_us(ev.ts_ns),
                         track.tid,
                         args
@@ -158,7 +144,7 @@ pub fn to_chrome_trace(snap: &TraceSnapshot) -> String {
                     events.push(format!(
                         "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"i\",\"s\":\"t\",\
                          \"ts\":{},\"pid\":1,\"tid\":{}{}}}",
-                        json_escape(&ev.name),
+                        json::escape(&ev.name),
                         ts_us(ev.ts_ns),
                         track.tid,
                         args
@@ -178,7 +164,7 @@ pub fn to_chrome_trace(snap: &TraceSnapshot) -> String {
             events.push(format!(
                 "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"E\",\"ts\":{},\
                  \"pid\":1,\"tid\":{}}}",
-                json_escape(name),
+                json::escape(name),
                 ts_us(last_ts),
                 track.tid
             ));

@@ -51,40 +51,19 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
 
+use ah_net::hash::mix64;
+use ah_obs::valid_metric_name;
 use buffer::{EventKind, TraceBuf};
 
 /// Salt for the journey-sampler derivation (distinct from the fault
 /// injector's `0xfa17_1e57` so the two decision streams never collide).
 const JOURNEY_SALT: u64 = 0x70ac_e704;
 
-/// splitmix64 finalizer — the same stateless mix
-/// `ah_simnet::rng::hash64` uses, duplicated here so ah-trace stays
-/// zero-dependency. Byte-for-byte the same function, pinned by a unit
-/// test below.
+/// One splitmix64 step from state `key` over the workspace's one
+/// finalizer — the value `ah_simnet::rng::hash64` returns (ah-simnet
+/// sits above this crate, so the two-line step is spelled here).
 fn hash64(key: u64) -> u64 {
-    let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Does `name` satisfy the `ah_<crate>_<subsystem>_<name>` scheme?
-///
-/// The predicate is intentionally identical to
-/// `ah_obs::valid_metric_name` (duplicated so ah-trace stays
-/// zero-dependency): at least four `_`-separated segments, the first
-/// exactly `ah`, every segment non-empty lowercase ASCII alphanumerics.
-/// ah-lint enforces it statically on span/track name literals; the
-/// Chrome-trace validator ([`check::validate_chrome_trace`]) enforces
-/// it on emitted traces.
-pub fn valid_trace_name(name: &str) -> bool {
-    let segments: Vec<&str> = name.split('_').collect();
-    if segments.len() < 4 || segments[0] != "ah" {
-        return false;
-    }
-    segments
-        .iter()
-        .all(|s| !s.is_empty() && s.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit()))
+    mix64(key.wrapping_add(0x9e37_79b9_7f4a_7c15))
 }
 
 /// Tracer configuration.
@@ -234,7 +213,7 @@ impl Tracer {
     /// naming scheme and is lint-checked like any other trace literal.
     pub fn set_track(&self, name: &'static str, index: u64) {
         let Some(inner) = &self.0 else { return };
-        debug_assert!(valid_trace_name(name), "track name {name:?} violates the naming scheme");
+        debug_assert!(valid_metric_name(name), "track name {name:?} violates the naming scheme");
         let (_, track_id) = thread_buf(inner);
         if let Ok(mut tracks) = inner.tracks.lock() {
             if let Some(track) = tracks.get_mut(track_id as usize) {
@@ -310,7 +289,7 @@ impl Tracer {
         name: &'static str,
         journey: u64,
     ) -> u32 {
-        debug_assert!(valid_trace_name(name), "span name {name:?} violates the naming scheme");
+        debug_assert!(valid_metric_name(name), "span name {name:?} violates the naming scheme");
         let name_id = intern(inner, name);
         let (buf, _) = thread_buf(inner);
         let ts_ns = inner.epoch.elapsed().as_nanos() as u64;
@@ -390,22 +369,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hash64_matches_simnet_idiom() {
-        // Pin the splitmix64 finalizer to the exact values
-        // ah_simnet::rng::hash64 produces, so the derivation idiom in
-        // the docs stays literally true.
-        assert_eq!(hash64(0), 0xe220_a839_7b1d_cdaf);
-        assert_eq!(hash64(1), 0x910a_2dec_8902_5cc1);
-    }
-
-    #[test]
-    fn name_scheme_matches_obs() {
-        assert!(valid_trace_name("ah_pipeline_dispatch_route"));
-        assert!(valid_trace_name("ah_wal_writer_fsync"));
-        assert!(!valid_trace_name("ah_pipeline_route")); // 3 segments
-        assert!(!valid_trace_name("xx_pipeline_dispatch_route"));
-        assert!(!valid_trace_name("ah_pipeline_dispatch_Route"));
-        assert!(!valid_trace_name("ah__dispatch_route"));
+    fn journey_ids_are_pinned() {
+        // The first three sampled sources per (seed, 1-in-N), captured
+        // before the sampler moved onto `ah_net::hash::mix64`: a change
+        // to the derivation changes which packets a trace follows.
+        for (seed, n, want) in
+            [(1, 4, [2u32, 4, 6]), (7, 64, [6, 14, 18]), (0xdead_beef, 32, [8, 72, 89])]
+        {
+            let tr = Tracer::new(TraceConfig { seed, sample_one_in: n, buf_capacity: 16 });
+            let got: Vec<u32> = (0..100).filter(|&s| tr.journey_id(s) != 0).take(3).collect();
+            assert_eq!(got, want, "seed {seed:#x}, 1-in-{n}");
+            assert_eq!(tr.journey_id(want[0]), u64::from(want[0]) + 1);
+        }
     }
 
     #[test]

@@ -21,6 +21,7 @@
 
 use aggressive_scanners::core::defs::Definition;
 use aggressive_scanners::net::pcap::{PcapWriter, DEFAULT_SNAPLEN, LINKTYPE_RAW};
+use aggressive_scanners::obs::json;
 use aggressive_scanners::pipeline::{self, RunOptions, Telemetry, WalRun};
 use aggressive_scanners::simnet::scenario::{ScenarioConfig, Year};
 use aggressive_scanners::wal;
@@ -38,25 +39,12 @@ struct Blocklist {
     acknowledged: Vec<String>,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn json_string_array(items: &[String], indent: &str) -> String {
     if items.is_empty() {
         return "[]".to_string();
     }
     let body: Vec<String> =
-        items.iter().map(|s| format!("{indent}  \"{}\"", json_escape(s))).collect();
+        items.iter().map(|s| format!("{indent}  \"{}\"", json::escape(s))).collect();
     format!("[\n{}\n{indent}]", body.join(",\n"))
 }
 
@@ -68,8 +56,8 @@ impl Blocklist {
             "{{\n  \"day\": {},\n  \"definition\": \"{}\",\n  \"threshold_note\": \"{}\",\n  \
              \"unacknowledged\": {},\n  \"acknowledged\": {}\n}}\n",
             self.day,
-            json_escape(self.definition),
-            json_escape(&self.threshold_note),
+            json::escape(self.definition),
+            json::escape(&self.threshold_note),
             json_string_array(&self.unacknowledged, "  "),
             json_string_array(&self.acknowledged, "  "),
         )

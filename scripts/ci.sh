@@ -36,14 +36,6 @@ cargo run -q --release -p ah-lint -- --md --deny-warnings
 echo "==> rustdoc (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-echo "==> doctests"
-# The public ring/WAL API examples in the rustdoc (SPSC Producer/Consumer,
-# WalWriter/recovery) are executable. The workspace test run below
-# already includes them; this named pass exists so a filtered
-# `cargo test` invocation elsewhere can never silently drop the
-# examples-stay-true gate.
-cargo test --workspace --doc -q
-
 echo "==> ablation tables run"
 # The one bench target left is a plain main() that prints the
 # EXPERIMENTS.md §Ablations tables; run it so the tables stay printable.
@@ -53,6 +45,8 @@ echo "==> build (release)"
 cargo build --release --workspace
 
 echo "==> tests"
+# Unit, integration and doc tests of every workspace member (the rustdoc
+# examples of the ring and WAL APIs are executable and run here).
 cargo test --workspace -q
 
 echo "==> telemetry determinism gate"
@@ -209,8 +203,7 @@ echo "==> mutation gate"
 # boundary comparisons — each applied to a scratch copy of the tree and
 # run against its explicit kill command. Every sentinel must come back
 # *caught*; a survivor (or a detached sentinel whose site moved) fails
-# the gate, under a hard wall-clock budget. Verdicts are cached by tree
-# fingerprint, so a re-run on an unchanged tree is seconds.
+# the gate, under a hard wall-clock budget.
 cargo run -q -p ah-mutate -- --budget 2400 \
   || { echo "error: mutation sentinel gate failed (see survivors above)"; exit 1; }
 

@@ -10,12 +10,14 @@
 //! Three steps: [`ObsFlags::accept`] while the binary walks its argument
 //! list, [`ObsFlags::telemetry`] once the seed is known, and
 //! [`ObsFlags::finish`] after the last run. Status lines go to stderr;
-//! stdout stays the binary's own report.
+//! stdout stays the binary's own report. An output path that cannot be
+//! written is a usage error (exit 2) in the second step, before any
+//! packet is generated; output lost mid-run is an `Err` from the third.
 
 use crate::pipeline::Telemetry;
 use ah_obs::{Exporter, Recorder};
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Usage line fragment for the flags parsed here.
 pub const OBS_USAGE: &str = "[--metrics PATH] [--metrics-interval N] [--trace-out PATH] [--trace-sample N] [--mem-report] [--mem-interval N]";
@@ -59,6 +61,20 @@ fn interval(args: &[String], i: &mut usize, flag: &str) -> Result<u64, String> {
 fn path(args: &[String], i: &mut usize, flag: &str, what: &str) -> Result<PathBuf, String> {
     *i += 1;
     args.get(*i).map(PathBuf::from).ok_or_else(|| format!("{flag} requires {what}"))
+}
+
+/// Create `path`'s directory and open `path` for writing, leaving any
+/// content in place, or exit with a [`usage_error`] naming `flag`.
+fn require_writable(flag: &str, path: &Path) {
+    let open = || {
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::create_dir_all(dir)?;
+        }
+        std::fs::OpenOptions::new().create(true).append(true).open(path)
+    };
+    if let Err(e) = open() {
+        usage_error(format!("{flag}: cannot write {}: {e}", path.display()));
+    }
 }
 
 /// The parsed observability flags.
@@ -114,15 +130,15 @@ impl ObsFlags {
 
     /// Build the run's [`Telemetry`] — disabled unless a flag turned a
     /// part on — and announce each live part. `seed` seeds the journey
-    /// sampler.
+    /// sampler. Every file the flags name is opened here; one that
+    /// cannot be is a [`usage_error`].
     pub fn telemetry(&self, seed: u64) -> Telemetry {
         let mut tel = match &self.metrics {
             Some(base) => {
-                if let Some(dir) = base.parent().filter(|d| !d.as_os_str().is_empty()) {
-                    std::fs::create_dir_all(dir).ok();
-                }
                 let rec = Recorder::new();
                 let exporter = Exporter::new(rec.clone(), base, self.metrics_interval);
+                require_writable("--metrics", &exporter.jsonl_path());
+                require_writable("--metrics", &exporter.prom_path());
                 eprintln!(
                     "[metrics] {} + {} every {} packets",
                     exporter.jsonl_path().display(),
@@ -133,7 +149,8 @@ impl ObsFlags {
             }
             None => Telemetry::disabled(),
         };
-        if self.trace_out.is_some() {
+        if let Some(path) = &self.trace_out {
+            require_writable("--trace-out", path);
             tel.tracer = ah_trace::Tracer::new(ah_trace::TraceConfig {
                 seed,
                 sample_one_in: self.trace_sample,
@@ -154,20 +171,19 @@ impl ObsFlags {
 
     /// Exit-time step: report the exporter's totals and write the trace
     /// artifacts (Chrome trace at `--trace-out`, folded stacks next to
-    /// it). `Err` is a failed trace write.
+    /// it). `Err` is a failed trace write, or metric snapshots the
+    /// exporter counted as lost to I/O errors during the run.
     pub fn finish(&self, tel: &Telemetry) -> io::Result<()> {
+        let mut lost = 0;
         if let Some(ex) = tel.exporter.as_ref() {
+            lost = ex.io_errors();
             eprintln!(
-                "[metrics] {} snapshots -> {} ({} io errors)",
+                "[metrics] {} snapshots -> {} ({lost} io errors)",
                 ex.snapshots_written(),
                 ex.jsonl_path().display(),
-                ex.io_errors()
             );
         }
         if let Some(path) = self.trace_out.as_ref() {
-            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                std::fs::create_dir_all(dir).ok();
-            }
             let snap = tel.tracer.snapshot();
             let folded = ah_trace::export::write_artifacts(&snap, path)?;
             eprintln!("[trace] chrome trace -> {}", path.display());
@@ -175,6 +191,9 @@ impl ObsFlags {
             if snap.dropped > 0 {
                 eprintln!("[trace] {} events dropped (buffers full)", snap.dropped);
             }
+        }
+        if lost > 0 {
+            return Err(io::Error::other(format!("{lost} metric snapshot writes failed")));
         }
         Ok(())
     }

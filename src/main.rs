@@ -183,7 +183,7 @@ fn main() {
         std::process::exit(1);
     }
     if let Err(e) = obs.finish(&tel) {
-        eprintln!("error: writing trace artifacts: {e}");
+        eprintln!("error: observability output: {e}");
         std::process::exit(1);
     }
     if obs.mem_report() {

@@ -657,11 +657,6 @@ struct Shards<'scope> {
     handles: Vec<std::thread::ScopedJoinHandle<'scope, ShardOut>>,
     m_stalls: ah_obs::Counter,
     m_stall_us: ah_obs::Histogram,
-    /// Stall timing needs a try-push-then-spin sequence instead of a
-    /// plain spinning push; both deliver the packet at the same stream
-    /// position, so the split is gated on the recorder rather than
-    /// always paid.
-    time_stalls: bool,
 }
 
 impl<'scope> Shards<'scope> {
@@ -723,7 +718,6 @@ impl<'scope> Shards<'scope> {
             handles,
             m_stalls: rec.counter("ah_pipeline_dispatch_stalls_total"),
             m_stall_us: rec.histogram("ah_pipeline_dispatch_stall_us", ah_obs::LATENCY_US_BUCKETS),
-            time_stalls: rec.is_enabled(),
         }
     }
 
@@ -733,16 +727,12 @@ impl<'scope> Shards<'scope> {
         let journey = tracer.journey_id(pkt.src.to_u32());
         let _route =
             (journey != 0).then(|| tracer.journey_span("ah_pipeline_dispatch_route", journey));
-        if self.time_stalls {
-            if let Err(back) = tx.try_push(*pkt) {
-                let t0 = std::time::Instant::now();
-                tracer.instant("ah_pipeline_dispatch_stall");
-                tx.push(back);
-                self.m_stalls.inc();
-                self.m_stall_us.observe(t0.elapsed().as_micros() as u64);
-            }
-        } else {
-            tx.push(*pkt);
+        if let Err(back) = tx.try_push(*pkt) {
+            let t0 = std::time::Instant::now();
+            tracer.instant("ah_pipeline_dispatch_stall");
+            tx.push(back);
+            self.m_stalls.inc();
+            self.m_stall_us.observe(t0.elapsed().as_micros() as u64);
         }
     }
 

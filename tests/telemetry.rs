@@ -14,224 +14,16 @@
 mod common;
 
 use aggressive_scanners::pipeline::{self, RunOutput, Telemetry, WalRun};
+use ah_obs::json::{self, Json};
 use ah_obs::{
     to_jsonl_line, valid_metric_name, Exporter, HistogramSnapshot, Recorder, Sample, Snapshot,
     Value,
 };
 
-// --- A tiny JSON reader -------------------------------------------------
-//
-// The workspace deliberately has no serde_json dependency (all JSON in
-// this repo is hand-rolled; see vendor/README.md), so the schema check
-// parses the exporter's JSONL output with a minimal recursive-descent
-// reader instead. Strict enough for the exporter's own output: objects,
-// arrays, strings with basic escapes, integer/float numbers,
-// true/false/null.
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(s: &'a str) -> Reader<'a> {
-        Reader { bytes: s.as_bytes(), pos: 0 }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek().ok_or("unexpected end of input")? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied().ok_or("unterminated string")? {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = self.bytes.get(self.pos).copied().ok_or("bad escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = std::str::from_utf8(
-                                self.bytes.get(self.pos..self.pos + 4).ok_or("bad \\u")?,
-                            )
-                            .map_err(|_| "bad \\u")?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("unsupported escape \\{}", other as char)),
-                    }
-                }
-                b => {
-                    // Multi-byte UTF-8 passes through unchanged.
-                    let ch_len = match b {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let chunk = self.bytes.get(self.pos..self.pos + ch_len).ok_or("bad utf8")?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|_| "bad utf8")?);
-                    self.pos += ch_len;
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            pairs.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(format!("bad object at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("bad array at byte {}", self.pos)),
-            }
-        }
-    }
-}
-
+/// Parse one line of the exporter's JSONL output through the
+/// workspace's JSON reader.
 fn parse_json(line: &str) -> Json {
-    let mut r = Reader::new(line);
-    let v = r.value().unwrap_or_else(|e| panic!("invalid JSON ({e}): {line}"));
-    r.skip_ws();
-    assert_eq!(r.pos, r.bytes.len(), "trailing garbage after JSON value: {line}");
-    v
+    json::parse(line).unwrap_or_else(|e| panic!("invalid JSON ({e}): {line}"))
 }
 
 // --- Shared run helpers -------------------------------------------------
