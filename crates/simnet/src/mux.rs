@@ -1,20 +1,44 @@
 //! Time-ordered traffic multiplexing.
 //!
 //! Every traffic source implements [`Actor`]; the [`TrafficMux`] merges
-//! their packet streams into one globally time-ordered stream using a
-//! binary heap with exactly one outstanding entry per live actor. The
-//! invariant is kept by replacement, not by pop-and-push: the actor at
-//! the top of the heap emits, and its entry is rewritten in place with
-//! its next timestamp (one sift-down) or popped when it has none left.
+//! their packet streams into one globally time-ordered stream. It is
+//! built from two parts:
+//!
+//! * **Lanes.** Each actor owns a fixed buffer of [`LANE`] packets that
+//!   it generates ahead of the merge, one [`Actor::fill`] call per
+//!   refill. The lookahead is invisible in the output: actors share no
+//!   mutable state (each owns its RNG and clock), so *when* an actor
+//!   generates a packet cannot change *what* it or any other actor
+//!   generates. What it buys is one virtual call per `LANE` packets
+//!   instead of two per packet, with `peek`/`emit` inlined into a loop
+//!   that stays inside one actor type.
+//! * **A flat key heap.** The merge is a binary min-heap of packed
+//!   `u128` keys `(ts.micros() << 64) | actor_index` — exactly the
+//!   `(timestamp, index)` order, lower index winning every tie — with
+//!   one key per actor that still has a packet. The key at the top is
+//!   replaced by its lane's next one (a single sift-down that picks the
+//!   smaller child without a branch) or removed when lane and actor are
+//!   both exhausted.
+//!
+//! [`TrafficMux::next_packet`] is that merge step;
+//! [`TrafficMux::next_batch`] and [`TrafficMux::drive`] loop it.
 
 use ah_mem::Tag;
 use ah_net::packet::PacketMeta;
 use ah_net::time::Ts;
-use std::cmp::Reverse;
-use std::collections::binary_heap::PeekMut;
-use std::collections::BinaryHeap;
+
+/// Packets an actor generates ahead of the merge per refill.
+pub const LANE: usize = 32;
+
+/// Packets per [`TrafficMux::next_batch`] pull in [`TrafficMux::drive`]
+/// and in the pipeline's feeder.
+pub const BATCH: usize = 256;
 
 /// A packet source with its own clock.
+///
+/// Actors are independent: an actor's stream is a function of its own
+/// state only, never of another actor's or of how far the merged stream
+/// has advanced. The mux relies on this to generate ahead.
 pub trait Actor {
     /// Time of the next packet, or `None` when the actor is finished.
     /// Must be non-decreasing across calls and stable between `emit`s.
@@ -24,50 +48,101 @@ pub trait Actor {
     ///
     /// Only called when `peek()` returned `Some`; the emitted packet's
     /// timestamp must equal that value, and the next `peek()` must not
-    /// be earlier. [`TrafficMux::next_packet`] debug-asserts both. Runs
-    /// once per packet: implementations do not allocate.
+    /// be earlier. [`Actor::fill`] debug-asserts both. Runs once per
+    /// packet: implementations do not allocate.
     fn emit(&mut self) -> PacketMeta;
-}
 
-#[derive(PartialEq, Eq)]
-struct HeapEntry {
-    ts: Reverse<Ts>,
-    /// Tie-break so the merge order is deterministic.
-    idx: Reverse<usize>,
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.ts, self.idx).cmp(&(other.ts, other.idx))
+    /// Append the actor's next packets to `out`, at most `max` of them,
+    /// stopping early when the actor finishes.
+    ///
+    /// A default method on purpose, and not one to override: it is
+    /// instantiated per actor type, so the `peek`/`emit` pair inside the
+    /// loop is dispatched statically and the mux pays one virtual call
+    /// per lane refill.
+    fn fill(&mut self, out: &mut Vec<PacketMeta>, max: usize) {
+        for _ in 0..max {
+            let Some(ts) = self.peek() else { break };
+            let pkt = self.emit();
+            debug_assert_eq!(pkt.ts, ts, "actor emitted at a different time than it peeked");
+            debug_assert!(self.peek().unwrap_or(ts) >= ts, "actor clock went backwards");
+            out.push(pkt);
+        }
     }
 }
 
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+/// One actor and the packets it has generated ahead of the merge;
+/// `buf[head..]` are still to merge.
+struct Lane {
+    actor: Box<dyn Actor>,
+    buf: Vec<PacketMeta>,
+    head: usize,
+}
+
+/// Heap key of lane `idx`'s packet at `ts`: `(ts, idx)` order as one integer.
+fn heap_key(ts: Ts, idx: usize) -> u128 {
+    (u128::from(ts.micros()) << 64) | idx as u128
+}
+
+/// Sift `key` down from the root of the min-heap `keys`, whose root slot
+/// is vacant. Keys are unique (they embed the lane index), so no tie
+/// can reorder.
+fn sift_down(keys: &mut [u128], key: u128) {
+    let n = keys.len();
+    let mut at = 0;
+    loop {
+        let l = 2 * at + 1;
+        if l >= n {
+            break;
+        }
+        let r = l + 1;
+        // The smaller child, chosen by arithmetic: which child wins is a
+        // coin flip the branch predictor loses.
+        let child = if r < n { l + usize::from(keys[r] < keys[l]) } else { l };
+        if key < keys[child] {
+            break;
+        }
+        keys[at] = keys[child];
+        at = child;
     }
+    keys[at] = key;
 }
 
 /// Merges actors into one time-ordered packet stream.
 pub struct TrafficMux {
-    actors: Vec<Box<dyn Actor>>,
-    heap: BinaryHeap<HeapEntry>,
+    /// One per actor, in the order they were added.
+    lanes: Vec<Lane>,
+    /// Min-heap of [`heap_key`]s: one per non-empty lane, keyed by that
+    /// lane's head packet.
+    heap: Vec<u128>,
     emitted: u64,
 }
 
 impl TrafficMux {
     /// An empty mux; add actors with [`TrafficMux::add`].
     pub fn new() -> TrafficMux {
-        TrafficMux { actors: Vec::new(), heap: BinaryHeap::new(), emitted: 0 }
+        TrafficMux { lanes: Vec::new(), heap: Vec::new(), emitted: 0 }
     }
 
     /// Add an actor; it is scheduled immediately if it has packets.
-    pub fn add(&mut self, actor: Box<dyn Actor>) {
-        let idx = self.actors.len();
-        if let Some(ts) = actor.peek() {
-            self.heap.push(HeapEntry { ts: Reverse(ts), idx: Reverse(idx) });
+    ///
+    /// The actor's lane is allocated and filled here, so the merge never
+    /// allocates.
+    pub fn add(&mut self, mut actor: Box<dyn Actor>) {
+        let idx = self.lanes.len();
+        let mut buf = Vec::with_capacity(LANE);
+        actor.fill(&mut buf, LANE);
+        if let Some(first) = buf.first() {
+            // Sift up from a new leaf.
+            let new = heap_key(first.ts, idx);
+            let mut at = self.heap.len();
+            self.heap.push(new);
+            while at > 0 && new < self.heap[(at - 1) / 2] {
+                self.heap[at] = self.heap[(at - 1) / 2];
+                at = (at - 1) / 2;
+            }
+            self.heap[at] = new;
         }
-        self.actors.push(actor);
+        self.lanes.push(Lane { actor, buf, head: 0 });
     }
 
     /// Total packets emitted so far.
@@ -75,37 +150,61 @@ impl TrafficMux {
         self.emitted
     }
 
-    /// Next packet in global time order.
+    /// Next packet in global time order. The merge step: take the packet
+    /// at the head of the top lane and re-key (or retire) that lane.
+    #[inline]
     pub fn next_packet(&mut self) -> Option<PacketMeta> {
-        let mut top = self.heap.peek_mut()?;
-        // Anything an actor allocates while emitting is the mux's own
-        // memory traffic (the zero-allocation gate in `tests/memory.rs`
-        // reads this tag); the caller's delivery path re-tags
-        // downstream. Manual swap, not a `MemScope` guard, on the
-        // per-packet path (see `ah_mem::tag_swap`).
-        let prev = ah_mem::tag_swap(Tag::Mux);
-        let actor = &mut self.actors[top.idx.0];
-        let pkt = actor.emit();
-        debug_assert_eq!(pkt.ts, top.ts.0, "actor emitted at a different time than it peeked");
-        match actor.peek() {
-            Some(ts) => {
-                debug_assert!(ts >= pkt.ts, "actor clock went backwards");
-                // Rewritten in place; dropping `top` sifts it down.
-                top.ts = Reverse(ts);
-            }
+        // The key's low half is the lane index; the cast drops the rest.
+        let idx = *self.heap.first()? as usize;
+        let lane = &mut self.lanes[idx];
+        let pkt = lane.buf[lane.head];
+        lane.head += 1;
+        if lane.head == lane.buf.len() {
+            lane.buf.clear();
+            lane.head = 0;
+            // Anything an actor allocates while emitting is the mux's
+            // own memory traffic (the zero-allocation gate in
+            // `tests/memory.rs` reads this tag); the caller's delivery
+            // path re-tags downstream. Manual swap, not a `MemScope`
+            // guard, on the packet path (see `ah_mem::tag_swap`).
+            let prev = ah_mem::tag_swap(Tag::Mux);
+            lane.actor.fill(&mut lane.buf, LANE);
+            ah_mem::tag_restore(prev);
+        }
+        match lane.buf.get(lane.head) {
+            Some(next) => sift_down(&mut self.heap, heap_key(next.ts, idx)),
             None => {
-                PeekMut::pop(top);
+                // Lane and actor are both exhausted: the last leaf
+                // takes over the vacated root.
+                self.heap.swap_remove(0);
+                if let Some(&moved) = self.heap.first() {
+                    sift_down(&mut self.heap, moved);
+                }
             }
         }
-        ah_mem::tag_restore(prev);
         self.emitted += 1;
         Some(pkt)
     }
 
+    /// Append the next packets in global time order to `out`, at most
+    /// `max` of them; returns how many were appended (0 once the mux is
+    /// dry). Equivalent to `max` calls of [`TrafficMux::next_packet`].
+    pub fn next_batch(&mut self, out: &mut Vec<PacketMeta>, max: usize) -> usize {
+        let mut n = 0;
+        while n < max {
+            let Some(pkt) = self.next_packet() else { break };
+            out.push(pkt);
+            n += 1;
+        }
+        n
+    }
+
     /// Run the whole simulation, passing every packet to `f`.
     pub fn drive(&mut self, mut f: impl FnMut(&PacketMeta)) {
-        while let Some(pkt) = self.next_packet() {
-            f(&pkt);
+        let mut batch = Vec::with_capacity(BATCH);
+        while self.next_batch(&mut batch, BATCH) > 0 {
+            batch.iter().for_each(&mut f);
+            batch.clear();
         }
     }
 }

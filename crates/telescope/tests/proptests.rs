@@ -6,29 +6,43 @@ use ah_net::time::{Dur, Ts};
 use ah_telescope::dstset::DstSet;
 use ah_telescope::event::EventAggregator;
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 proptest! {
-    /// DstSet behaves exactly like a HashSet across its representation
-    /// upgrades.
+    /// DstSet behaves exactly like a BTreeSet on every universe size that
+    /// picks a different upgrade path (none, straight to bitmap, through
+    /// the hash form, the entry ceiling), including the edges around one
+    /// bitmap word.
     #[test]
-    fn dstset_matches_hashset_model(
-        universe in 64u32..20_000,
-        ids in proptest::collection::vec(any::<u32>(), 1..6000),
+    fn dstset_matches_set_model(
+        which in 0usize..9,
+        ids in proptest::collection::vec(any::<u32>(), 0..6000),
+        split in any::<prop::sample::Index>(),
     ) {
-        let mut s = DstSet::new(universe);
-        let mut model: HashSet<u32> = HashSet::new();
-        for raw in ids {
-            let id = raw % universe;
-            let added = s.insert(id);
-            prop_assert_eq!(added, model.insert(id));
+        let universe = [0u32, 1, 63, 64, 65, 1024, 16_384, 1 << 16, 1 << 24][which];
+        // No id is inside an empty universe.
+        let ids: Vec<u32> =
+            if universe == 0 { Vec::new() } else { ids.iter().map(|raw| raw % universe).collect() };
+        let (left, right) = ids.split_at(split.index(ids.len() + 1));
+        let mut sets = [DstSet::new(universe), DstSet::new(universe)];
+        let mut models = [BTreeSet::new(), BTreeSet::new()];
+        for (side, half) in [left, right].into_iter().enumerate() {
+            for &id in half {
+                prop_assert_eq!(sets[side].insert(id), models[side].insert(id), "insert {}", id);
+            }
+            prop_assert_eq!(sets[side].count() as usize, models[side].len());
         }
-        prop_assert_eq!(s.count() as usize, model.len());
-        for &x in model.iter().take(100) {
-            prop_assert!(s.contains(x));
+        let [mut a, b] = sets;
+        let [mut model, other] = models;
+        a.union_with(&b);
+        model.extend(other);
+        prop_assert_eq!(a.count() as usize, model.len(), "union in {}", a.repr_name());
+        // Members, near misses, and ids outside the universe.
+        let probes = ids.iter().flat_map(|&id| [id, id ^ 1, id.wrapping_add(64)]);
+        for id in probes.chain([0, universe.wrapping_sub(1), universe, u32::MAX]) {
+            prop_assert_eq!(a.contains(id), model.contains(&id), "contains {}", id);
         }
-        let cov = s.coverage();
-        prop_assert!((0.0..=1.0).contains(&cov));
+        prop_assert!((0.0..=1.0).contains(&a.coverage()));
     }
 
     /// Event aggregation conserves packets and bytes: whatever goes in

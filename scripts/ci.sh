@@ -68,9 +68,12 @@ echo "==> packet-stream identity (release)"
 # Every field of every packet three scenarios emit, hashed against
 # constants pinned before the generator's per-packet cost work
 # (ARCHITECTURE.md §7): an RNG draw added, dropped or reordered, or a
-# mux tie resolved differently, moves a hash here. Named so a filtered
-# `cargo test` elsewhere can never drop it.
-cargo test --release -p ah-simnet --test stream_golden -q
+# mux tie resolved differently, moves a hash here. Beside it, the lane
+# mux against its 30-line reference merge over populations that sit on
+# the lane edges (empty, LANE-1, LANE, LANE+1, several lanes, ties
+# everywhere), packet by packet and batch by batch. Named so a filtered
+# `cargo test` elsewhere can never drop them.
+cargo test --release -p ah-simnet --test stream_golden --test mux_equivalence -q
 
 echo "==> WAL crash-recovery gate"
 # Durability drill with a real process kill: run the durable engine and

@@ -61,7 +61,7 @@ use ah_net::packet::{PacketMeta, ScanClass};
 use ah_net::time::Ts;
 use ah_obs::{Exporter, Recorder};
 use ah_simnet::faults::{FaultInjector, FaultPlan, InjectorStats};
-use ah_simnet::mux::TrafficMux;
+use ah_simnet::mux::{TrafficMux, BATCH};
 use ah_simnet::ring::{ring, Consumer, Producer};
 use ah_simnet::rng::hash64;
 use ah_simnet::scenario::{Scenario, ScenarioConfig};
@@ -408,6 +408,17 @@ fn event_sort_key(ev: &DarknetEvent) -> (u32, u16, u8, Ts, Ts, u64, u64, u32, u6
     )
 }
 
+/// [`event_sort_key`] order, decided on the four cheapest fields when they
+/// differ — `(src, dst_port, class, start)` is the key's own prefix, so
+/// the order is the same total order — and on the full key only for the
+/// rare pair that ties there.
+fn event_cmp(a: &DarknetEvent, b: &DarknetEvent) -> std::cmp::Ordering {
+    let head = |ev: &DarknetEvent| {
+        (ev.key.src.to_u32(), ev.key.dst_port, class_rank(ev.key.class), ev.start)
+    };
+    head(a).cmp(&head(b)).then_with(|| event_sort_key(a).cmp(&event_sort_key(b)))
+}
+
 /// All vantage-point state for one execution unit — the whole pipeline in
 /// the inline executor, one shard's slice of it in the sharded one.
 struct Vantage {
@@ -588,7 +599,10 @@ impl Vantage {
     /// Flush open state and reduce to plain mergeable data; `injector` is
     /// the ledger of the shard-local fault injector, if the shard owned one.
     fn into_shard_out(mut self, injector: Option<InjectorStats>) -> ShardOut {
-        let events = self.telescope.flush();
+        let mut events = self.telescope.flush();
+        // Canonical order per shard, on the shard's own thread and in
+        // place; `finalize_run` then only merges sorted runs.
+        events.sort_unstable_by(event_cmp);
         let agg = self.telescope.aggregator_stats();
         let filtered = self.telescope.filtered_packets();
         let capture = self.telescope.stats().clone();
@@ -810,8 +824,10 @@ fn finalize_run(
         }
 
         // Canonical ingest order: shard counts (and hash-map iteration)
-        // must not leak into the report's record table.
-        events.sort_by_key(event_sort_key);
+        // must not leak into the report's record table. Each shard's
+        // events arrive sorted (`Vantage::into_shard_out`), so the
+        // stable sort's run detection makes this an N-way merge.
+        events.sort_by(event_cmp);
     }
     let mut detector = {
         let _mem = MemScope::enter(Tag::Detectors);
@@ -1180,9 +1196,10 @@ impl Engine<'_, '_> {
         }
     }
 
-    /// Feeder: pull the traffic mux dry (or until the journal stops the
-    /// run), through the driver-side injector when `plan` is set. Returns
-    /// the generated total and the injector's ledger.
+    /// Feeder: pull the traffic mux dry, a `BATCH` of packets at a time
+    /// (or until the journal stops the run), through the driver-side
+    /// injector when `plan` is set. Returns the generated total and the
+    /// injector's ledger.
     fn pull(
         &mut self,
         mux: &mut TrafficMux,
@@ -1191,13 +1208,26 @@ impl Engine<'_, '_> {
         let mut injector = injector_for(plan, &self.tel.tracer);
         let mut generated = 0u64;
         let _drive = self.tel.tracer.span("ah_pipeline_mux_drive");
-        while self.halt.is_none() {
-            let Some(pkt) = mux.next_packet() else { break };
-            generated += 1;
-            match injector.as_mut() {
-                Some(inj) => inj.apply(&pkt, &mut |p| self.deliver(p)),
-                None => self.deliver(&pkt),
+        let mut batch = {
+            let _mem = MemScope::enter(Tag::Mux);
+            Vec::with_capacity(BATCH)
+        };
+        while self.halt.is_none() && mux.next_batch(&mut batch, BATCH) > 0 {
+            for pkt in &batch {
+                // Per packet, not per batch: a journaled run stops exactly
+                // at its interruption point. The rest of the batch is
+                // dropped and regenerated on resume, like everything
+                // past the point.
+                if self.halt.is_some() {
+                    break;
+                }
+                generated += 1;
+                match injector.as_mut() {
+                    Some(inj) => inj.apply(pkt, &mut |p| self.deliver(p)),
+                    None => self.deliver(pkt),
+                }
             }
+            batch.clear();
         }
         if self.halt.is_none() {
             if let Some(inj) = injector.as_mut() {
@@ -1776,6 +1806,42 @@ pub fn run_taps(cfg: ScenarioConfig, tap_router: RouterId, def: Definition) -> T
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ah_telescope::event::{EventKey, ToolCounts};
+    use std::cmp::Ordering;
+
+    /// An event whose twelve sort-key fields, in key order, are `f`.
+    fn event(f: [u64; 12]) -> DarknetEvent {
+        let class = [ScanClass::TcpSyn, ScanClass::Udp, ScanClass::IcmpEcho][f[2] as usize];
+        DarknetEvent {
+            key: EventKey { src: Ipv4Addr4(f[0] as u32), dst_port: f[1] as u16, class },
+            start: Ts(f[3]),
+            end: Ts(f[4]),
+            packets: f[5],
+            bytes: f[6],
+            unique_dsts: f[7] as u32,
+            dark_size: 1024,
+            tools: ToolCounts { zmap: f[8], masscan: f[9], mirai: f[10], other: f[11] },
+        }
+    }
+
+    /// For every tie length 0..=12: two events equal on the first `tie`
+    /// key fields, apart at field `tie`, and apart the *other* way on
+    /// every later field, so only the first difference may decide.
+    #[test]
+    fn event_cmp_is_the_sort_key_order() {
+        for tie in 0..=12 {
+            let a = [1u64; 12];
+            let mut b = a;
+            for (i, field) in b.iter_mut().enumerate().skip(tie) {
+                *field = if i == tie { 2 } else { 0 };
+            }
+            let (a, b) = (event(a), event(b));
+            let want = if tie == 12 { Ordering::Equal } else { Ordering::Less };
+            assert_eq!(event_sort_key(&a).cmp(&event_sort_key(&b)), want, "key order, tie {tie}");
+            assert_eq!(event_cmp(&a, &b), want, "tie {tie}");
+            assert_eq!(event_cmp(&b, &a), want.reverse(), "tie {tie}, swapped");
+        }
+    }
 
     #[test]
     fn darknet_only_run_detects_hitters() {

@@ -244,6 +244,43 @@ fn wal_live_replay_and_resume_are_bitwise_identical_under_faults() {
     check_wal_equivalence(22, Some(FaultPlan::uniform(0.01, 7)), "wal-faulty");
 }
 
+/// The feeder pulls the mux in 256-packet batches, but an interruption
+/// point names a packet, not a batch: the run must stop exactly there —
+/// on a batch edge or well inside the second batch, with the driver-side
+/// injector in between or not — and the log it leaves must resume and
+/// replay to the uninterrupted output.
+#[test]
+fn suspension_inside_and_between_pull_batches_resumes_identically() {
+    let cfg = || ScenarioConfig::tiny(1, 26);
+    let mut tel = Telemetry::disabled();
+    for (cut, faults) in [(256, None), (300, None), (300, Some(FaultPlan::uniform(0.01, 7)))] {
+        let opts = || {
+            let o = RunOptions::full().with_thresholds(test_thresholds());
+            faults.map_or(o, |plan| o.with_faults(plan))
+        };
+        let label = format!("suspend at {cut}, faults {}", faults.is_some());
+        let dir = common::temp_dir(&format!("determinism-batch-{cut}-{}", faults.is_some()));
+        let plain = pipeline::run(cfg(), opts());
+        let wal = WalRun::new(&dir).suspend_after(cut);
+        match pipeline::run_wal(cfg(), opts(), &wal, &mut tel) {
+            Ok(WalOutcome::Suspended { delivered, durable_seq }) => {
+                assert_eq!(delivered, cut, "{label}: stopped at the point, not the batch");
+                // The log holds the meta frame and one frame per delivery.
+                assert_eq!(durable_seq, cut + 1, "{label}: nothing journaled past the point");
+            }
+            Ok(WalOutcome::Completed(_)) => panic!("{label}: ran to completion"),
+            Err(e) => panic!("{label}: suspend run failed: {e}"),
+        }
+        let resumed =
+            finished(pipeline::resume_wal(cfg(), opts(), &WalRun::new(&dir), &mut tel), &label);
+        assert_equivalent(&plain, &resumed, &format!("{label}: resumed"));
+        let replayed = pipeline::replay_wal(cfg(), opts(), &dir, &mut tel)
+            .unwrap_or_else(|e| panic!("{label}: replay failed: {e}"));
+        assert_equivalent(&plain, &replayed, &format!("{label}: replayed"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// An interruption point fires after the delivery that reaches it, so
 /// point 0 can never fire: every journaled entry point must refuse it
 /// before the writer creates the log, and the shipped binary must exit
