@@ -189,7 +189,7 @@ pub fn top_ports(report: &AhReport, def: Definition, n: usize) -> Vec<PortRow> {
 }
 
 /// Packet shares per scanning class [TCP-SYN, UDP, ICMP-echo], in percent.
-pub type ProtocolMix = [f64; 3];
+pub(crate) type ProtocolMix = [f64; 3];
 
 /// Darknet-side protocol mix of a definition's hitters (Table 3 "D"
 /// columns), over events starting in `days` (pass `None` for the whole

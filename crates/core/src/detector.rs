@@ -70,7 +70,7 @@ impl EventRecord {
 
     /// Packets with neither ZMap nor Masscan fingerprints — Figure 4's
     /// "Other" bucket (includes Mirai).
-    pub fn other_packets(&self) -> u32 {
+    pub(crate) fn other_packets(&self) -> u32 {
         self.packets.saturating_sub(self.zmap).saturating_sub(self.masscan)
     }
 }
@@ -112,11 +112,6 @@ impl Detector {
     /// An empty detector with the given configuration.
     pub fn new(cfg: DetectorConfig) -> Detector {
         Detector { cfg, records: Vec::new(), port_tuples: Vec::new() }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> DetectorConfig {
-        self.cfg
     }
 
     /// Ingest one completed darknet event.

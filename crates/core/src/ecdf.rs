@@ -19,7 +19,6 @@ impl Ecdf {
     }
 
     /// Number of samples.
-    /// Number of samples.
     pub fn len(&self) -> usize {
         self.sorted.len()
     }
@@ -52,7 +51,7 @@ impl Ecdf {
 
     /// The top-α threshold: the (1 − α)-quantile. A sample is "top-α" when
     /// it strictly exceeds this value.
-    pub fn top_alpha_threshold(&self, alpha: f64) -> Option<u64> {
+    pub(crate) fn top_alpha_threshold(&self, alpha: f64) -> Option<u64> {
         self.quantile(1.0 - alpha)
     }
 
@@ -61,41 +60,9 @@ impl Ecdf {
         self.sorted.len() - self.sorted.partition_point(|&s| s <= x)
     }
 
-    /// Minimum sample.
-    pub fn min(&self) -> Option<u64> {
-        self.sorted.first().copied()
-    }
-
     /// Maximum sample.
     pub fn max(&self) -> Option<u64> {
         self.sorted.last().copied()
-    }
-
-    /// Arithmetic mean.
-    pub fn mean(&self) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        self.sorted.iter().map(|&x| x as f64).sum::<f64>() / self.sorted.len() as f64
-    }
-
-    /// Evenly-spaced (x, F(x)) points for plotting, at most `points` long.
-    pub fn curve(&self, points: usize) -> Vec<(u64, f64)> {
-        if self.sorted.is_empty() || points == 0 {
-            return Vec::new();
-        }
-        let n = self.sorted.len();
-        let step = (n.max(points) / points).max(1);
-        let mut out = Vec::with_capacity(points + 1);
-        let mut i = 0;
-        while i < n {
-            out.push((self.sorted[i], (i + 1) as f64 / n as f64));
-            i += step;
-        }
-        if out.last().map(|&(x, _)| x) != Some(self.sorted[n - 1]) {
-            out.push((self.sorted[n - 1], 1.0));
-        }
-        out
     }
 }
 
@@ -152,24 +119,12 @@ mod tests {
         assert_eq!(e.quantile(0.5), None);
         assert_eq!(e.cdf(5), 0.0);
         assert_eq!(e.count_above(0), 0);
-        assert!(e.curve(10).is_empty());
     }
 
     #[test]
-    fn stats() {
-        let e = Ecdf::from_samples(vec![2, 4, 6]);
-        assert_eq!(e.min(), Some(2));
-        assert_eq!(e.max(), Some(6));
-        assert!((e.mean() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn curve_is_nondecreasing_and_ends_at_one() {
-        let e = Ecdf::from_samples((0..1000).map(|i| i * i % 777).collect());
-        let c = e.curve(50);
-        assert!(c.len() <= 52);
-        assert!(c.windows(2).all(|w| w[0].1 <= w[1].1));
-        assert!((c.last().unwrap().1 - 1.0).abs() < 1e-12);
+    fn max_is_the_largest_sample() {
+        assert_eq!(Ecdf::from_samples(vec![4, 6, 2]).max(), Some(6));
+        assert_eq!(Ecdf::from_samples(vec![]).max(), None);
     }
 
     #[test]

@@ -57,7 +57,7 @@ impl StageHealth {
     }
 
     /// The stage-level conservation identity.
-    pub fn conserves(&self) -> bool {
+    pub(crate) fn conserves(&self) -> bool {
         self.received == self.accepted + self.quarantined + self.discarded_total()
     }
 }
@@ -88,11 +88,6 @@ impl PipelineHealth {
     /// Names of stages whose ledger does NOT balance (for diagnostics).
     pub fn violations(&self) -> Vec<&str> {
         self.stages.iter().filter(|s| !s.conserves()).map(|s| s.stage.as_str()).collect()
-    }
-
-    /// Total inputs discarded anywhere in the pipeline.
-    pub fn total_discarded(&self) -> u64 {
-        self.stages.iter().map(StageHealth::discarded_total).sum()
     }
 
     /// Export every stage ledger as gauges on `rec`, under
@@ -206,7 +201,6 @@ mod tests {
         h.push(flows);
         assert!(h.conserves());
         assert!(h.violations().is_empty());
-        assert_eq!(h.total_discarded(), 17);
         assert_eq!(h.stage("flow.merit").map(|s| s.received), Some(10));
         assert!(h.stage("missing").is_none());
         let text = h.render();

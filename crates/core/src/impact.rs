@@ -115,7 +115,7 @@ pub fn presence(
 /// (for the Table 3 darknet-vs-flow protocol comparison). Flow data has
 /// no per-packet flags, so a TCP flow whose OR'd flags are SYN-only is
 /// counted as TCP-SYN; ICMP flows count as echo probes.
-pub fn flow_scan_bucket(r: &FlowRecord) -> Option<usize> {
+pub(crate) fn flow_scan_bucket(r: &FlowRecord) -> Option<usize> {
     match r.key.protocol {
         6 if r.tcp_flags & 0x12 == 0x02 => Some(0),
         6 => None,

@@ -38,8 +38,3 @@ pub mod impact;
 pub mod lists;
 pub mod report;
 pub mod validate;
-
-pub use defs::{Definition, Thresholds};
-pub use detector::{AhReport, Detector, DetectorConfig, EventRecord};
-pub use ecdf::Ecdf;
-pub use health::{PipelineHealth, StageHealth};

@@ -28,16 +28,6 @@ impl TextTable {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Render with box-drawing rules.
     pub fn render(&self) -> String {
         let cols = self.headers.len().max(self.rows.iter().map(Vec::len).max().unwrap_or(0));
@@ -125,11 +115,6 @@ pub fn fmt_pct(x: f64) -> String {
     format!("{x:.2}%")
 }
 
-/// Format a packet count in millions with two decimals ("12.34 M").
-pub fn fmt_millions(n: u64) -> String {
-    format!("{:.2} M", n as f64 / 1e6)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,8 +132,7 @@ mod tests {
         let widths: Vec<usize> =
             s.lines().filter(|l| l.starts_with('|')).map(|l| l.chars().count()).collect();
         assert!(widths.windows(2).all(|w| w[0] == w[1]), "{s}");
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]
@@ -183,6 +167,5 @@ mod tests {
         assert_eq!(fmt_count(1234567), "1,234,567");
         assert_eq!(fmt_pct(7.777), "7.78%");
         assert_eq!(fmt_pct(0.1), "0.10%");
-        assert_eq!(fmt_millions(12_340_000), "12.34 M");
     }
 }

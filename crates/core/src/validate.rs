@@ -92,16 +92,6 @@ impl GnBreakdown {
     pub fn total(&self) -> u64 {
         self.benign + self.malicious + self.unknown + self.absent
     }
-
-    /// Fraction of the population present in GreyNoise.
-    pub fn overlap(&self) -> f64 {
-        let t = self.total();
-        if t == 0 {
-            1.0
-        } else {
-            (t - self.absent) as f64 / t as f64
-        }
-    }
 }
 
 /// Classify a hitter population against finalized honeypot entries.
@@ -252,7 +242,7 @@ mod tests {
     }
 
     #[test]
-    fn breakdown_and_overlap() {
+    fn breakdown_counts_each_class() {
         let hitters: HashSet<_> = [ip(1), ip(2), ip(3), ip(4)].into_iter().collect();
         let gn = gn_map(&[
             (ip(1), GnClassification::Benign, &[]),
@@ -261,7 +251,6 @@ mod tests {
         ]);
         let b = gn_breakdown(&hitters, &gn, &HashSet::new());
         assert_eq!((b.benign, b.malicious, b.unknown, b.absent), (1, 1, 1, 1));
-        assert!((b.overlap() - 0.75).abs() < 1e-12);
         // Excluding the acked IP removes the benign row.
         let excl: HashSet<_> = [ip(1)].into_iter().collect();
         let b2 = gn_breakdown(&hitters, &gn, &excl);

@@ -15,7 +15,7 @@
 //! Every merge/cut/duplicate decision — including the lateness verdict
 //! — depends only on the packet and its own flow entry, never on a
 //! cache-global clock; timed sweeps only expire entries that no future
-//! packet could merge into (see [`FlowCache::sweep`]). Together these
+//! packet could merge into (see `FlowCache::sweep`). Together these
 //! make the exported record multiset identical whether the cache sees
 //! the full sampled stream or any source-partitioned substream of it —
 //! the invariant the sharded parallel pipeline rides on
@@ -30,10 +30,10 @@ use ah_obs::{Counter, Gauge, Histogram, Recorder};
 
 /// Cisco-style default active timeout: a long-lived flow is cut and
 /// exported every 30 minutes even while packets keep arriving.
-pub const DEFAULT_ACTIVE_TIMEOUT: Dur = Dur::from_mins(30);
+pub(crate) const DEFAULT_ACTIVE_TIMEOUT: Dur = Dur::from_mins(30);
 /// Cisco-style default inactive timeout: a flow idle for 15 seconds is
 /// expired at the next sweep.
-pub const DEFAULT_INACTIVE_TIMEOUT: Dur = Dur::from_secs(15);
+pub(crate) const DEFAULT_INACTIVE_TIMEOUT: Dur = Dur::from_secs(15);
 
 /// Input-fate counters for one flow cache.
 ///
@@ -65,7 +65,8 @@ impl CacheStats {
     }
 
     /// The conservation identity.
-    pub fn conserves(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn conserves(&self) -> bool {
         self.received == self.accepted + self.duplicates_suppressed
     }
 }
@@ -114,7 +115,7 @@ impl FlowCache {
     }
 
     /// A cache with explicit timeouts.
-    pub fn with_timeouts(router: u8, active: Dur, inactive: Dur) -> FlowCache {
+    pub(crate) fn with_timeouts(router: u8, active: Dur, inactive: Dur) -> FlowCache {
         FlowCache {
             router,
             active_timeout: active,
@@ -140,7 +141,7 @@ impl FlowCache {
     /// Counters are shared across caches (they sum); the occupancy
     /// high-water mark is labeled by router id. Observation-only: flow
     /// accounting and export semantics are unchanged.
-    pub fn set_recorder(&mut self, rec: &Recorder) {
+    pub(crate) fn set_recorder(&mut self, rec: &Recorder) {
         let router = self.router.to_string();
         self.m_received = rec.counter("ah_flow_cache_packets_received_total");
         self.m_accepted = rec.counter("ah_flow_cache_packets_accepted_total");
@@ -155,7 +156,7 @@ impl FlowCache {
     }
 
     /// Input-fate counters (duplicate/reorder accounting).
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats
     }
 
@@ -264,7 +265,7 @@ impl FlowCache {
     /// exported, never their contents. Active-timeout chops are applied
     /// per-packet in [`FlowCache::observe`] (a pure per-flow decision),
     /// not here, for the same reason.
-    pub fn sweep(&mut self, now: Ts) {
+    pub(crate) fn sweep(&mut self, now: Ts) {
         self.m_sweeps.inc();
         let _span = self.m_sweep_us.time();
         self.last_sweep = now;
@@ -284,11 +285,6 @@ impl FlowCache {
         }
     }
 
-    /// Drain exported records.
-    pub fn drain(&mut self) -> Vec<FlowRecord> {
-        std::mem::take(&mut self.exported)
-    }
-
     /// Export everything remaining (end of trace) and drain.
     pub fn flush(&mut self) -> Vec<FlowRecord> {
         let router = self.router;
@@ -298,11 +294,6 @@ impl FlowCache {
             self.m_exported.inc();
         }
         out
-    }
-
-    /// Number of in-cache flows.
-    pub fn active_flows(&self) -> usize {
-        self.entries.len()
     }
 }
 
@@ -362,7 +353,7 @@ mod tests {
         let mut c = FlowCache::new(2);
         c.observe(&pkt(0, 80), Direction::Ingress);
         c.observe(&pkt(0, 443), Direction::Ingress);
-        assert_eq!(c.active_flows(), 2);
+        assert_eq!(c.entries.len(), 2);
         assert_eq!(c.flush().len(), 2);
     }
 
@@ -381,8 +372,9 @@ mod tests {
         let mut c = FlowCache::new(1);
         c.observe(&pkt(0, 80), Direction::Ingress);
         c.sweep(Ts::from_secs(100));
-        assert_eq!(c.active_flows(), 0);
-        assert_eq!(c.drain().len(), 1);
+        assert!(c.entries.is_empty());
+        assert_eq!(c.exported.len(), 1);
+        assert_eq!(c.flush().len(), 1);
     }
 
     #[test]

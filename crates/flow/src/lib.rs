@@ -26,8 +26,3 @@ pub mod record;
 pub mod router;
 pub mod sampler;
 pub mod v9;
-
-pub use cache::{CacheStats, FlowCache};
-pub use record::{FlowKey, FlowRecord};
-pub use router::{Direction, IspModel, RouterId};
-pub use sampler::Sampler;

@@ -23,7 +23,7 @@ pub struct FlowKey {
 
 impl FlowKey {
     /// Key for a packet (ports are 0 for port-less protocols).
-    pub fn of(pkt: &PacketMeta) -> FlowKey {
+    pub(crate) fn of(pkt: &PacketMeta) -> FlowKey {
         FlowKey {
             src: pkt.src,
             dst: pkt.dst,

@@ -59,7 +59,7 @@ fn sampler_phase(router: RouterId, src: Ipv4Addr4) -> u64 {
 }
 
 /// One border router: per-source samplers + flow cache + truth counters.
-pub struct BorderRouter {
+pub(crate) struct BorderRouter {
     /// Router identifier (1-based, as in the paper's tables).
     pub id: RouterId,
     /// NetFlow sampling rate (1:N), shared by every per-source sampler.
@@ -116,16 +116,6 @@ impl BorderRouter {
             self.cache.observe(pkt, direction);
         }
     }
-
-    /// Ground-truth counter for a day.
-    pub fn day_counter(&self, day: u64) -> RouterDayCounter {
-        self.day_counters.get(&day).cloned().unwrap_or_default()
-    }
-
-    /// This router's flow-cache input-fate counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
 }
 
 /// Where a packet went, from the ISP's point of view.
@@ -145,7 +135,7 @@ pub enum Disposition {
 /// Real ISPs pick the border by BGP best path, which depends on both the
 /// remote origin (which upstream announces it) and the local prefix (how
 /// the ISP announces itself per point of presence). Policies that only
-/// look at the external side can use [`PrefixRoutePolicy`].
+/// look at the external side can use [`IspConfig::with_prefix_routes`].
 pub trait RoutePolicy {
     /// The border router carrying traffic between `external` and `internal`.
     fn route(&self, external: Ipv4Addr4, internal: Ipv4Addr4) -> RouterId;
@@ -153,14 +143,17 @@ pub trait RoutePolicy {
 
 /// Longest-prefix policy over the external address only.
 #[derive(Debug, Clone)]
-pub struct PrefixRoutePolicy {
+pub(crate) struct PrefixRoutePolicy {
     routes: PrefixMap<RouterId>,
     default_router: RouterId,
 }
 
 impl PrefixRoutePolicy {
     /// A policy from explicit routes, falling back to `default_router`.
-    pub fn new(routes: Vec<(Prefix, RouterId)>, default_router: RouterId) -> PrefixRoutePolicy {
+    pub(crate) fn new(
+        routes: Vec<(Prefix, RouterId)>,
+        default_router: RouterId,
+    ) -> PrefixRoutePolicy {
         let mut map = PrefixMap::new();
         for (p, r) in routes {
             map.insert(p, r);
@@ -188,7 +181,7 @@ pub struct IspConfig {
 }
 
 impl IspConfig {
-    /// Convenience: external-prefix routing (see [`PrefixRoutePolicy`]).
+    /// Convenience: longest-prefix routing over the external address only.
     pub fn with_prefix_routes(
         internal: PrefixSet,
         routes: Vec<(Prefix, RouterId)>,
@@ -218,7 +211,7 @@ pub struct IspModel {
 }
 
 impl IspModel {
-    /// Build the ISP: one [`BorderRouter`] per configured id.
+    /// Build the ISP: one border router per configured id.
     pub fn new(cfg: IspConfig) -> IspModel {
         IspModel {
             internal: cfg.internal,
@@ -255,21 +248,15 @@ impl IspModel {
     }
 
     /// Attach a tracer: sampled packet journeys get an
-    /// `ah_flow_router_observe` instant as they cross a border router,
-    /// and cache sweeps get an `ah_flow_router_sweep` span.
+    /// `ah_flow_router_observe` instant as they cross a border router.
     /// Observation-only: routing, sampling and export are unchanged.
     pub fn set_tracer(&mut self, tracer: &ah_trace::Tracer) {
         self.tracer = tracer.clone();
     }
 
-    /// Border router by id.
-    pub fn router(&self, id: RouterId) -> Option<&BorderRouter> {
-        self.routers.iter().find(|r| r.id == id)
-    }
-
     /// Where this packet would go — a pure function of the address plan
     /// and routing policy, with no side effects on the model.
-    pub fn disposition(&self, pkt: &PacketMeta) -> Disposition {
+    pub(crate) fn disposition(&self, pkt: &PacketMeta) -> Disposition {
         let src_in = self.internal.contains(pkt.src);
         let dst_in = self.internal.contains(pkt.dst);
         match (src_in, dst_in) {
@@ -305,15 +292,6 @@ impl IspModel {
         disposition
     }
 
-    /// Sweep all flow caches as of `now`.
-    pub fn sweep(&mut self, now: Ts) {
-        let _mem = MemScope::enter(Tag::Flow);
-        let _trace = self.tracer.span("ah_flow_router_sweep");
-        for r in &mut self.routers {
-            r.cache.sweep(now);
-        }
-    }
-
     /// Flow-cache input-fate counters aggregated over all border routers.
     /// Read before [`IspModel::finish`] consumes the model.
     pub fn cache_stats(&self) -> CacheStats {
@@ -322,11 +300,6 @@ impl IspModel {
             total.merge(&r.cache.stats());
         }
         total
-    }
-
-    /// Internal (border-bypassing) packets for a day.
-    pub fn internal_packets(&self, day: u64) -> u64 {
-        self.internal_by_day.get(&day).copied().unwrap_or(0)
     }
 
     /// End the measurement: flush all caches into a dataset.
@@ -414,7 +387,6 @@ impl FlowDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ah_net::time::Dur;
 
     fn isp() -> IspModel {
         IspModel::new(IspConfig::with_prefix_routes(
@@ -473,7 +445,7 @@ mod tests {
     fn internal_traffic_bypasses_border() {
         let mut m = isp();
         assert_eq!(m.observe(&pkt(USER, CACHE, 0)), Disposition::Internal);
-        assert_eq!(m.internal_packets(0), 1);
+        assert_eq!(m.internal_by_day.get(&0), Some(&1));
         let ds = m.finish();
         assert_eq!(ds.router_day_packets(1, 0), 0);
         assert!(ds.records.is_empty());
@@ -523,10 +495,10 @@ mod tests {
         let mut m = isp();
         m.observe(&pkt(EU_SCANNER, USER, 10));
         m.observe(&pkt(EU_SCANNER, USER, 86_400 + 10));
-        let r = m.router(1).unwrap();
-        assert_eq!(r.day_counter(0).packets, 1);
-        assert_eq!(r.day_counter(1).packets, 1);
-        assert_eq!(r.day_counter(2).packets, 0);
+        let ds = m.finish();
+        assert_eq!(ds.router_day_packets(1, 0), 1);
+        assert_eq!(ds.router_day_packets(1, 1), 1);
+        assert_eq!(ds.router_day_packets(1, 2), 0);
     }
 
     #[test]
@@ -556,8 +528,8 @@ mod tests {
         assert_eq!(s.received, 3);
         assert_eq!(s.duplicates_suppressed, 1);
         assert!(s.conserves());
-        assert_eq!(m.router(1).unwrap().cache_stats().duplicates_suppressed, 1);
-        assert_eq!(m.router(2).unwrap().cache_stats().received, 1);
+        assert_eq!(m.routers[0].cache.stats().duplicates_suppressed, 1);
+        assert_eq!(m.routers[1].cache.stats().received, 1);
     }
 
     #[test]
@@ -569,9 +541,26 @@ mod tests {
             vec![1],
             1,
         ));
+        let rec = ah_obs::Recorder::new();
+        m.set_recorder(&rec);
         m.observe(&pkt(EU_SCANNER, USER, 0));
-        m.sweep(Ts::from_secs(0) + Dur::from_mins(5));
+        // No caller sweeps an ISP model: five minutes on, a packet of
+        // another flow moves the cache's watermark and the cache expires
+        // the idle flow itself.
+        m.observe(&pkt(US_HOST, USER, 300));
+        let evicted = rec
+            .snapshot()
+            .samples
+            .into_iter()
+            .find(|s| s.name == "ah_flow_cache_records_evicted_total")
+            .map(|s| s.value);
+        assert_eq!(evicted, Some(ah_obs::Value::Counter(1)));
         let ds = m.finish();
-        assert_eq!(ds.records.len(), 1);
+        assert_eq!(ds.records.len(), 2);
+        let idle = &ds.records[0];
+        assert_eq!(
+            (idle.key.src, idle.packets, idle.first, idle.last),
+            (EU_SCANNER, 1, Ts::ZERO, Ts::ZERO)
+        );
     }
 }

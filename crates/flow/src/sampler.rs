@@ -26,11 +26,6 @@ impl Sampler {
         Sampler { rate, counter: phase % rate, selected: 0, seen: 0 }
     }
 
-    /// Sampling rate N.
-    pub fn rate(&self) -> u64 {
-        self.rate
-    }
-
     /// Offer one packet; returns true when it is selected.
     pub fn sample(&mut self) -> bool {
         self.seen += 1;

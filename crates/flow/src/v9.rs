@@ -9,7 +9,7 @@
 //! arriving before its template is undecodable and reported as such).
 //!
 //! Data FlowSets that arrive before their template are *buffered* in a
-//! bounded FIFO ([`DEFAULT_PENDING_CAP`] sets) and replayed the moment
+//! bounded FIFO (`DEFAULT_PENDING_CAP` sets) and replayed the moment
 //! the template is learned, so a reordered template packet costs
 //! nothing. When the buffer is full the oldest set is evicted and
 //! counted in `evicted_sets` — bounded memory, accounted loss.
@@ -27,11 +27,11 @@ use ah_net::time::Ts;
 use std::collections::{HashMap, VecDeque};
 
 /// The template id we export under (ids < 256 are reserved).
-pub const TEMPLATE_ID: u16 = 260;
+pub(crate) const TEMPLATE_ID: u16 = 260;
 
 /// Default bound on data FlowSets buffered while waiting for their
 /// template.
-pub const DEFAULT_PENDING_CAP: usize = 64;
+pub(crate) const DEFAULT_PENDING_CAP: usize = 64;
 
 /// (field type, length) pairs of the exported template, in order.
 const FIELDS: &[(u16, u16)] = &[
@@ -140,14 +140,9 @@ impl Default for V9Decoder {
 }
 
 impl V9Decoder {
-    /// A decoder with the default data-before-template buffer cap.
-    pub fn new() -> V9Decoder {
-        V9Decoder::default()
-    }
-
     /// A decoder whose data-before-template buffer holds at most `cap`
     /// FlowSets.
-    pub fn with_pending_cap(cap: usize) -> V9Decoder {
+    pub(crate) fn with_pending_cap(cap: usize) -> V9Decoder {
         V9Decoder {
             templates: HashMap::new(),
             pending: VecDeque::new(),
@@ -172,12 +167,14 @@ impl V9Decoder {
     }
 
     /// Number of templates learned.
-    pub fn template_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn template_count(&self) -> usize {
         self.templates.len()
     }
 
     /// Data FlowSets currently buffered awaiting a template.
-    pub fn pending_sets(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending_sets(&self) -> usize {
         self.pending.len()
     }
 
@@ -369,7 +366,7 @@ mod tests {
 
     #[test]
     fn header_length_boundary_is_exact() {
-        let mut dec = V9Decoder::new();
+        let mut dec = V9Decoder::default();
         // 19 bytes is one short of the v9 export header.
         let short = [0u8; 19];
         match dec.decode(&short, 0) {
@@ -386,7 +383,7 @@ mod tests {
     fn roundtrip_with_template() {
         let records: Vec<_> = (0..5).map(rec).collect();
         let wire = encode_v9(&records, Ts::from_secs(50), 1, 2, true);
-        let mut dec = V9Decoder::new();
+        let mut dec = V9Decoder::default();
         let got = dec.decode(&wire, 2).unwrap();
         assert_eq!(dec.template_count(), 1);
         assert_eq!(got, records);
@@ -398,7 +395,7 @@ mod tests {
         let records: Vec<_> = (0..3).map(rec).collect();
         let data_only = encode_v9(&records, Ts::from_secs(1), 1, 2, false);
         let with_tpl = encode_v9(&records, Ts::from_secs(2), 2, 2, true);
-        let mut dec = V9Decoder::new();
+        let mut dec = V9Decoder::default();
         // First packet: no template yet — buffered, nothing returned.
         let got = dec.decode(&data_only, 2).unwrap();
         assert!(got.is_empty());
@@ -452,7 +449,7 @@ mod tests {
     #[test]
     fn template_only_packet() {
         let wire = encode_v9(&[], Ts::from_secs(1), 0, 7, true);
-        let mut dec = V9Decoder::new();
+        let mut dec = V9Decoder::default();
         assert!(dec.decode(&wire, 1).unwrap().is_empty());
         assert_eq!(dec.template_count(), 1);
     }
@@ -461,14 +458,14 @@ mod tests {
     fn rejects_wrong_version() {
         let mut wire = encode_v9(&[rec(0)], Ts::from_secs(1), 0, 1, true);
         wire[1] = 5;
-        let mut dec = V9Decoder::new();
+        let mut dec = V9Decoder::default();
         assert!(matches!(dec.decode(&wire, 1), Err(NetError::Unsupported { .. })));
     }
 
     #[test]
     fn truncation_is_an_error_not_a_panic() {
         let wire = encode_v9(&(0..4).map(rec).collect::<Vec<_>>(), Ts::from_secs(1), 0, 1, true);
-        let mut dec = V9Decoder::new();
+        let mut dec = V9Decoder::default();
         for cut in [0usize, 10, 21, wire.len() - 3] {
             let _ = dec.decode(&wire[..cut], 1); // may Err, must not panic
         }
@@ -479,7 +476,7 @@ mod tests {
         // One record: data FlowSet body = 34 bytes -> padded to 36.
         let records = vec![rec(1)];
         let wire = encode_v9(&records, Ts::from_secs(1), 0, 1, true);
-        let mut dec = V9Decoder::new();
+        let mut dec = V9Decoder::default();
         let got = dec.decode(&wire, 2).unwrap();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0], records[0]);

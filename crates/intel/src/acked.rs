@@ -90,11 +90,6 @@ impl AckedScanners {
         self.ip_index.len()
     }
 
-    /// All keyword strings, for reporting.
-    pub fn keyword_count(&self) -> usize {
-        self.keywords.len()
-    }
-
     /// The paper's two-stage match: exact IP first, then rDNS keyword.
     pub fn matches(&self, ip: Ipv4Addr4, rdns: &RdnsTable) -> Option<AckedMatch> {
         if let Some(&i) = self.ip_index.get(&ip) {
@@ -108,11 +103,6 @@ impl AckedScanners {
         // graceful no-match.
         let org_idx = self.keywords.iter().find(|(k, _)| k == hit).map(|(_, i)| *i)?;
         Some(AckedMatch::Domain { org: self.orgs[org_idx].name.clone(), keyword: hit.to_string() })
-    }
-
-    /// Organization names, in list order.
-    pub fn org_names(&self) -> Vec<&str> {
-        self.orgs.iter().map(|o| o.name.as_str()).collect()
     }
 }
 
@@ -176,7 +166,6 @@ mod tests {
         let acked = list();
         assert_eq!(acked.org_count(), 2);
         assert_eq!(acked.ip_count(), 3);
-        assert_eq!(acked.keyword_count(), 3);
-        assert_eq!(acked.org_names(), vec!["Censys-like", "ShadowLab"]);
+        assert_eq!(acked.keywords.len(), 3);
     }
 }

@@ -89,16 +89,6 @@ impl AsnDb {
     pub fn lookup(&self, addr: Ipv4Addr4) -> Option<&AsInfo> {
         self.map.lookup(addr)
     }
-
-    /// Number of announced prefixes.
-    pub fn prefix_count(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Iterate all announcements.
-    pub fn iter(&self) -> impl Iterator<Item = (Prefix, &AsInfo)> {
-        self.map.iter()
-    }
 }
 
 #[cfg(test)]
@@ -120,7 +110,6 @@ mod tests {
         let b = db.lookup(Ipv4Addr4::new(100, 200, 0, 1)).unwrap();
         assert_eq!(b.asn, 1);
         assert!(db.lookup(Ipv4Addr4::new(99, 0, 0, 1)).is_none());
-        assert_eq!(db.prefix_count(), 2);
     }
 
     #[test]
@@ -134,13 +123,5 @@ mod tests {
     fn country_display() {
         assert_eq!(CountryCode::new(b"TW").to_string(), "TW");
         assert_eq!(CountryCode([0xff, 0xff]).as_str(), "??");
-    }
-
-    #[test]
-    fn iter_returns_all() {
-        let mut db = AsnDb::new();
-        db.announce("10.0.0.0/8".parse().unwrap(), info(1, "A", AsType::Isp, b"US"));
-        db.announce("20.0.0.0/8".parse().unwrap(), info(2, "B", AsType::Cloud, b"DE"));
-        assert_eq!(db.iter().count(), 2);
     }
 }

@@ -46,49 +46,49 @@ pub enum PayloadHint {
 }
 
 /// Tags the paper's Table 9 vocabulary uses, plus Masscan.
-pub mod tags {
+pub(crate) mod tags {
     /// ZMap probe fingerprint.
-    pub const ZMAP: &str = "ZMap Client";
+    pub(crate) const ZMAP: &str = "ZMap Client";
     /// Masscan probe fingerprint.
-    pub const MASSCAN: &str = "Masscan Client";
+    pub(crate) const MASSCAN: &str = "Masscan Client";
     /// Generic web crawler behavior.
-    pub const WEB_CRAWLER: &str = "Web Crawler";
+    pub(crate) const WEB_CRAWLER: &str = "Web Crawler";
     /// Mirai-botnet TCP fingerprint.
-    pub const MIRAI: &str = "Mirai";
+    pub(crate) const MIRAI: &str = "Mirai";
     /// Docker API scanning.
-    pub const DOCKER: &str = "Docker Scanner";
+    pub(crate) const DOCKER: &str = "Docker Scanner";
     /// Kubernetes API scanning.
-    pub const KUBERNETES: &str = "Kubernetes Crawler";
+    pub(crate) const KUBERNETES: &str = "Kubernetes Crawler";
     /// SSH credential bruteforcing.
-    pub const SSH_BRUTE: &str = "SSH Bruteforcer";
+    pub(crate) const SSH_BRUTE: &str = "SSH Bruteforcer";
     /// TLS/SSL certificate harvesting.
-    pub const TLS_CRAWLER: &str = "TLS/SSL Crawler";
+    pub(crate) const TLS_CRAWLER: &str = "TLS/SSL Crawler";
     /// Self-propagating SSH malware.
-    pub const SSH_WORM: &str = "SSH Worm";
+    pub(crate) const SSH_WORM: &str = "SSH Worm";
     /// Shenzhen TVT DVR bruteforcing.
-    pub const TVT_BRUTE: &str = "Shenzhen TVT Bruteforcer";
+    pub(crate) const TVT_BRUTE: &str = "Shenzhen TVT Bruteforcer";
     /// Go default HTTP client payload.
-    pub const GO_HTTP: &str = "Go HTTP Client";
+    pub(crate) const GO_HTTP: &str = "Go HTTP Client";
     /// Python requests client payload.
-    pub const PY_REQUESTS: &str = "Python Requests Client";
+    pub(crate) const PY_REQUESTS: &str = "Python Requests Client";
     /// Telnet credential bruteforcing.
-    pub const TELNET_BRUTE: &str = "Telnet Bruteforcer";
+    pub(crate) const TELNET_BRUTE: &str = "Telnet Bruteforcer";
     /// JAWS webserver exploit attempts.
-    pub const JAWS_RCE: &str = "JAWS Webserver RCE";
+    pub(crate) const JAWS_RCE: &str = "JAWS Webserver RCE";
     /// ICMP echo sweeping.
-    pub const PING: &str = "Ping Scanner";
+    pub(crate) const PING: &str = "Ping Scanner";
     /// SIP scanner toolkit.
-    pub const SIPVICIOUS: &str = "Sipvicious";
+    pub(crate) const SIPVICIOUS: &str = "Sipvicious";
     /// RDP worm-like propagation.
-    pub const RDP_WORM: &str = "Looks Like RDP Worm";
+    pub(crate) const RDP_WORM: &str = "Looks Like RDP Worm";
     /// Requests carry an HTTP Referer.
-    pub const HTTP_REFERER: &str = "Carries HTTP Referer";
+    pub(crate) const HTTP_REFERER: &str = "Carries HTTP Referer";
     /// SMBv1 endpoint scanning.
-    pub const SMB_CRAWLER: &str = "SMBv1 Crawler";
+    pub(crate) const SMB_CRAWLER: &str = "SMBv1 Crawler";
     /// Hadoop YARN exploit propagation.
-    pub const HADOOP_WORM: &str = "Hadoop Yarn Worm";
+    pub(crate) const HADOOP_WORM: &str = "Hadoop Yarn Worm";
     /// Realtek miniigd UPnP exploit (CVE-2014-8361).
-    pub const UPNP_WORM: &str = "Miniigd UPnP Worm CVE-2014-8361";
+    pub(crate) const UPNP_WORM: &str = "Miniigd UPnP Worm CVE-2014-8361";
 }
 
 /// Tags implying malicious intent (worms, bruteforcers, exploit attempts).
@@ -150,7 +150,8 @@ pub struct IngestStats {
 
 impl IngestStats {
     /// The conservation identity.
-    pub fn conserves(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn conserves(&self) -> bool {
         self.received == self.accepted + self.ignored
     }
 }
@@ -249,16 +250,6 @@ impl GreyNoise {
         }
         self.m_profiles_hwm.set_max(self.profiles.len() as i64);
         true
-    }
-
-    /// Number of distinct sources observed.
-    pub fn observed_count(&self) -> usize {
-        self.profiles.len()
-    }
-
-    /// Has this source contacted any sensor?
-    pub fn has_seen(&self, src: Ipv4Addr4) -> bool {
-        self.profiles.contains_key(&src)
     }
 
     /// Run the tagger and classification over every profile.
@@ -410,8 +401,8 @@ mod tests {
         assert!(!g.observe(&miss, PayloadHint::None));
         let hit = PacketMeta::tcp_syn(Ts::ZERO, SRC, sensor(1), 1, 80);
         assert!(g.observe(&hit, PayloadHint::None));
-        assert_eq!(g.observed_count(), 1);
-        assert!(g.has_seen(SRC));
+        assert_eq!(g.profiles.len(), 1);
+        assert!(g.profiles.contains_key(&SRC));
         let s = g.ingest_stats();
         assert_eq!(s.received, 2);
         assert_eq!(s.accepted, 1);

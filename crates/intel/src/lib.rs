@@ -21,8 +21,3 @@ pub mod acked;
 pub mod asn;
 pub mod greynoise;
 pub mod rdns;
-
-pub use acked::{AckedMatch, AckedScanners};
-pub use asn::{AsInfo, AsType, AsnDb, CountryCode};
-pub use greynoise::{GnClassification, GreyNoise, IngestStats};
-pub use rdns::RdnsTable;

@@ -27,18 +27,8 @@ impl RdnsTable {
     }
 
     /// Look up the PTR record.
-    pub fn lookup(&self, addr: Ipv4Addr4) -> Option<&str> {
+    pub(crate) fn lookup(&self, addr: Ipv4Addr4) -> Option<&str> {
         self.records.get(&addr).map(String::as_str)
-    }
-
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the table holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
     }
 }
 
@@ -46,7 +36,7 @@ impl RdnsTable {
 ///
 /// Keywords are matched as substrings, like the paper's grep over PTR
 /// names; callers pre-lowercase their keyword lists.
-pub fn matches_keyword<'k>(name: &str, keywords: &'k [String]) -> Option<&'k str> {
+pub(crate) fn matches_keyword<'k>(name: &str, keywords: &'k [String]) -> Option<&'k str> {
     let lower = name.to_ascii_lowercase();
     keywords.iter().find(|k| !k.is_empty() && lower.contains(k.as_str())).map(String::as_str)
 }
@@ -62,8 +52,7 @@ mod tests {
         t.insert(a, "Scanner-07.Research.EXAMPLE.edu");
         assert_eq!(t.lookup(a), Some("scanner-07.research.example.edu"));
         assert_eq!(t.lookup(Ipv4Addr4::new(4, 3, 2, 1)), None);
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
+        assert_eq!(t.records.len(), 1);
     }
 
     #[test]

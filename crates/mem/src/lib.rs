@@ -104,11 +104,11 @@ pub enum Tag {
 }
 
 /// Number of [`Tag`] variants (accounts are a fixed array this size).
-pub const TAG_COUNT: usize = 9;
+pub(crate) const TAG_COUNT: usize = 9;
 
 impl Tag {
     /// All tags, in account order.
-    pub const ALL: [Tag; TAG_COUNT] = [
+    pub(crate) const ALL: [Tag; TAG_COUNT] = [
         Tag::Mux,
         Tag::Telescope,
         Tag::Flow,
@@ -141,11 +141,6 @@ impl Tag {
             Tag::Obs => "obs",
             Tag::Other => "other",
         }
-    }
-
-    /// Tag for a raw account index; out-of-range maps to [`Tag::Other`].
-    pub fn from_index(i: u8) -> Tag {
-        *Tag::ALL.get(i as usize).unwrap_or(&Tag::Other)
     }
 }
 
@@ -296,7 +291,7 @@ pub fn global_stats() -> TagStats {
 /// account, and the kernel's `VmHWM` when available.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemReport {
-    /// Per-tag snapshots, in [`Tag::ALL`] order.
+    /// Per-tag snapshots, in `Tag` declaration order.
     pub tags: [TagStats; TAG_COUNT],
     /// All-tags-combined account.
     pub global: TagStats,
@@ -438,12 +433,10 @@ mod tests {
     }
 
     #[test]
-    fn tag_roundtrip_and_names() {
+    fn tag_names_and_run_scope() {
         for tag in Tag::ALL {
-            assert_eq!(Tag::from_index(tag as u8), tag);
             assert!(!tag.name().is_empty());
         }
-        assert_eq!(Tag::from_index(200), Tag::Other);
         assert_eq!(Tag::RUN_SCOPED.len(), 6);
         assert!(!Tag::RUN_SCOPED.contains(&Tag::Trace));
         assert!(!Tag::RUN_SCOPED.contains(&Tag::Obs));

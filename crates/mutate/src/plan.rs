@@ -2,10 +2,11 @@
 //!
 //! Mutation scope is the *product* code: the root crate's `src/` and
 //! the library crates the pipeline ships. The verification layer itself
-//! (`crates/lint`, `crates/mutate`), the bench harness and the vendored
-//! test-support crates are excluded — mutating the measuring stick
-//! tells us nothing about the suite's coverage of the product, and
-//! every survivor there would be noise in the burn-down list.
+//! (`crates/lint`, `crates/mutate`), the experiment runner under
+//! `src/bin/` and the vendored test-support crates are excluded —
+//! mutating the measuring stick tells us nothing about the suite's
+//! coverage of the product, and every survivor there would be noise in
+//! the burn-down list.
 
 use std::fs;
 use std::io;
@@ -50,6 +51,8 @@ fn rel_string(rel: &Path) -> String {
 pub fn product_files(root: &Path) -> io::Result<Vec<String>> {
     let mut files = Vec::new();
     collect_rs(&root.join("src"), root, &mut files)?;
+    // The experiment runner prints tables; it is harness, not product.
+    files.retain(|f| !f.starts_with("src/bin/"));
     for dir in PRODUCT_CRATES {
         let src = root.join("crates").join(dir).join("src");
         if src.is_dir() {

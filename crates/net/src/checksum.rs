@@ -41,7 +41,7 @@ impl Sum16 {
     }
 
     /// Add a 16-bit word in host order (it is summed as big-endian).
-    pub fn add_u16(&mut self, w: u16) {
+    pub(crate) fn add_u16(&mut self, w: u16) {
         self.add(&w.to_be_bytes());
     }
 
@@ -72,7 +72,7 @@ pub fn verify(data: &[u8]) -> bool {
 }
 
 /// Pseudo-header sum used by TCP and UDP over IPv4 (RFC 793 / RFC 768).
-pub fn pseudo_header(src: Ipv4Addr4, dst: Ipv4Addr4, protocol: u8, l4_len: u16) -> Sum16 {
+pub(crate) fn pseudo_header(src: Ipv4Addr4, dst: Ipv4Addr4, protocol: u8, l4_len: u16) -> Sum16 {
     let mut s = Sum16::new();
     s.add(&src.octets());
     s.add(&dst.octets());

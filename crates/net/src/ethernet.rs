@@ -7,26 +7,20 @@ use crate::error::{NetError, Result};
 use std::fmt;
 
 /// Ethernet II header length.
-pub const HEADER_LEN: usize = 14;
+pub(crate) const HEADER_LEN: usize = 14;
 
 /// EtherType for IPv4.
-pub const ETHERTYPE_IPV4: u16 = 0x0800;
-/// EtherType for ARP (seen and skipped on taps).
-pub const ETHERTYPE_ARP: u16 = 0x0806;
-/// EtherType for IPv6 (out of scope per the paper; skipped).
-pub const ETHERTYPE_IPV6: u16 = 0x86dd;
+pub(crate) const ETHERTYPE_IPV4: u16 = 0x0800;
 
 /// A 48-bit MAC address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct MacAddr(pub [u8; 6]);
+pub(crate) struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
-    /// The all-ones broadcast address.
-    pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
-
     /// Locally administered unicast address derived from a small id —
     /// handy for giving simulated monitoring stations stable MACs.
-    pub fn local(id: u32) -> MacAddr {
+    #[cfg(test)]
+    pub(crate) fn local(id: u32) -> MacAddr {
         let b = id.to_be_bytes();
         MacAddr([0x02, 0x00, b[0], b[1], b[2], b[3]])
     }
@@ -41,7 +35,7 @@ impl fmt::Display for MacAddr {
 
 /// An owned Ethernet II header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EthernetHeader {
+pub(crate) struct EthernetHeader {
     /// Destination MAC.
     pub dst: MacAddr,
     /// Source MAC.
@@ -52,12 +46,13 @@ pub struct EthernetHeader {
 
 impl EthernetHeader {
     /// An IPv4 frame between two synthetic stations.
-    pub fn ipv4(src: MacAddr, dst: MacAddr) -> Self {
+    #[cfg(test)]
+    pub(crate) fn ipv4(src: MacAddr, dst: MacAddr) -> Self {
         EthernetHeader { dst, src, ethertype: ETHERTYPE_IPV4 }
     }
 
     /// Parse from the front of `data`; returns header + payload.
-    pub fn parse(data: &[u8]) -> Result<(EthernetHeader, &[u8])> {
+    pub(crate) fn parse(data: &[u8]) -> Result<(EthernetHeader, &[u8])> {
         if data.len() < HEADER_LEN {
             return Err(NetError::Truncated {
                 layer: "ethernet",
@@ -80,7 +75,8 @@ impl EthernetHeader {
     }
 
     /// Serialize into `out`.
-    pub fn emit(&self, out: &mut Vec<u8>) {
+    #[cfg(test)]
+    pub(crate) fn emit(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.dst.0);
         out.extend_from_slice(&self.src.0);
         out.extend_from_slice(&self.ethertype.to_be_bytes());
@@ -110,7 +106,6 @@ mod tests {
     #[test]
     fn mac_display() {
         assert_eq!(MacAddr::local(0x01020304).to_string(), "02:00:01:02:03:04");
-        assert_eq!(MacAddr::BROADCAST.to_string(), "ff:ff:ff:ff:ff:ff");
     }
 
     #[test]

@@ -30,17 +30,7 @@ pub enum Tool {
     Other,
 }
 
-impl Tool {
-    /// Display name as used in Figure 4's legend. Mirai probes count as
-    /// "Other" there (the figure only splits ZMap/Masscan/Other).
-    pub fn figure4_bucket(self) -> &'static str {
-        match self {
-            Tool::ZMap => "ZMap",
-            Tool::Masscan => "Masscan",
-            Tool::Mirai | Tool::Other => "Other",
-        }
-    }
-}
+impl Tool {}
 
 /// Compute the Masscan validation cookie for a probe.
 ///
@@ -56,7 +46,7 @@ pub fn masscan_ip_id(dst: crate::ipv4::Ipv4Addr4, dst_port: u16, tcp_seq: u32) -
 }
 
 /// The Mirai invariant: TCP sequence number equals destination address.
-pub fn mirai_seq(dst: crate::ipv4::Ipv4Addr4) -> u32 {
+pub(crate) fn mirai_seq(dst: crate::ipv4::Ipv4Addr4) -> u32 {
     dst.to_u32()
 }
 
@@ -147,14 +137,6 @@ mod tests {
         assert_eq!(classify(&m), Tool::Other);
         let u = PacketMeta::udp_probe(Ts::ZERO, S, D, 1, 2);
         assert_eq!(classify(&u), Tool::Other);
-    }
-
-    #[test]
-    fn figure4_buckets() {
-        assert_eq!(Tool::ZMap.figure4_bucket(), "ZMap");
-        assert_eq!(Tool::Masscan.figure4_bucket(), "Masscan");
-        assert_eq!(Tool::Mirai.figure4_bucket(), "Other");
-        assert_eq!(Tool::Other.figure4_bucket(), "Other");
     }
 
     #[test]

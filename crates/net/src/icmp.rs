@@ -9,16 +9,10 @@ use crate::checksum;
 use crate::error::{NetError, Result};
 
 /// ICMP header length in bytes (type, code, checksum, rest-of-header).
-pub const HEADER_LEN: usize = 8;
+pub(crate) const HEADER_LEN: usize = 8;
 
-/// ICMP type number: echo reply.
-pub const TYPE_ECHO_REPLY: u8 = 0;
-/// ICMP type number: destination unreachable.
-pub const TYPE_DEST_UNREACHABLE: u8 = 3;
 /// ICMP type number: echo request.
-pub const TYPE_ECHO_REQUEST: u8 = 8;
-/// ICMP type number: time exceeded.
-pub const TYPE_TIME_EXCEEDED: u8 = 11;
+pub(crate) const TYPE_ECHO_REQUEST: u8 = 8;
 
 /// An owned ICMP message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,14 +31,9 @@ pub struct IcmpMessage {
 
 impl IcmpMessage {
     /// An Echo Request as a ping scanner would send it.
-    pub fn echo_request(ident: u16, seq: u16) -> Self {
+    #[cfg(test)]
+    pub(crate) fn echo_request(ident: u16, seq: u16) -> Self {
         IcmpMessage { icmp_type: TYPE_ECHO_REQUEST, code: 0, ident, seq, payload: Vec::new() }
-    }
-
-    /// True if this is an Echo Request — the only ICMP type the telescope
-    /// counts as scanning.
-    pub fn is_echo_request(&self) -> bool {
-        self.icmp_type == TYPE_ECHO_REQUEST
     }
 
     /// Parse an ICMP message, verifying its checksum.
@@ -90,13 +79,6 @@ mod tests {
         m.emit(&mut buf);
         let parsed = IcmpMessage::parse(&buf).unwrap();
         assert_eq!(parsed, m);
-        assert!(parsed.is_echo_request());
-    }
-
-    #[test]
-    fn echo_reply_is_not_scanning() {
-        let m = IcmpMessage { icmp_type: TYPE_ECHO_REPLY, ..IcmpMessage::echo_request(1, 1) };
-        assert!(!m.is_echo_request());
     }
 
     #[test]
@@ -104,7 +86,7 @@ mod tests {
         let m = IcmpMessage::echo_request(7, 7);
         let mut buf = Vec::new();
         m.emit(&mut buf);
-        buf[0] = TYPE_ECHO_REPLY; // change type without fixing checksum
+        buf[0] = 0; // echo reply: change type without fixing checksum
         assert_eq!(IcmpMessage::parse(&buf), Err(NetError::BadChecksum { layer: "icmp" }));
     }
 

@@ -17,8 +17,6 @@ pub struct Ipv4Addr4(pub u32);
 impl Ipv4Addr4 {
     /// 0.0.0.0.
     pub const UNSPECIFIED: Ipv4Addr4 = Ipv4Addr4(0);
-    /// 255.255.255.255.
-    pub const BROADCAST: Ipv4Addr4 = Ipv4Addr4(u32::MAX);
 
     /// From dotted-quad octets.
     pub const fn new(a: u8, b: u8, c: u8, d: u8) -> Self {
@@ -49,11 +47,6 @@ impl Ipv4Addr4 {
     /// normalization in the impact analysis).
     pub const fn slash24(self) -> Ipv4Addr4 {
         Ipv4Addr4(self.0 & 0xffff_ff00)
-    }
-
-    /// The /16 network containing this address.
-    pub const fn slash16(self) -> Ipv4Addr4 {
-        Ipv4Addr4(self.0 & 0xffff_0000)
     }
 }
 
@@ -89,14 +82,14 @@ impl FromStr for Ipv4Addr4 {
 }
 
 /// IP protocol number: ICMP.
-pub const PROTO_ICMP: u8 = 1;
+pub(crate) const PROTO_ICMP: u8 = 1;
 /// IP protocol number: TCP.
-pub const PROTO_TCP: u8 = 6;
+pub(crate) const PROTO_TCP: u8 = 6;
 /// IP protocol number: UDP.
-pub const PROTO_UDP: u8 = 17;
+pub(crate) const PROTO_UDP: u8 = 17;
 
 /// Minimum IPv4 header length in bytes (no options).
-pub const HEADER_LEN: usize = 20;
+pub(crate) const HEADER_LEN: usize = 20;
 
 /// An owned IPv4 header ("repr" in smoltcp terms).
 ///
@@ -144,11 +137,6 @@ impl Ipv4Header {
             dst,
             options: Vec::new(),
         }
-    }
-
-    /// Header length in bytes including options.
-    pub fn header_len(&self) -> usize {
-        HEADER_LEN + self.options.len()
     }
 
     /// Parse from the front of `data`. Returns the header and the payload
@@ -262,7 +250,6 @@ mod tests {
     fn addr_masking() {
         let a = Ipv4Addr4::new(10, 20, 30, 40);
         assert_eq!(a.slash24(), Ipv4Addr4::new(10, 20, 30, 0));
-        assert_eq!(a.slash16(), Ipv4Addr4::new(10, 20, 0, 0));
     }
 
     #[test]

@@ -39,7 +39,7 @@
 
 pub mod checksum;
 pub mod error;
-pub mod ethernet;
+mod ethernet;
 pub mod fingerprint;
 pub mod hash;
 pub mod icmp;
@@ -51,9 +51,3 @@ pub mod prefix;
 pub mod tcp;
 pub mod time;
 pub mod udp;
-
-pub use error::{NetError, Result};
-pub use ipv4::Ipv4Addr4;
-pub use packet::{PacketMeta, Transport};
-pub use prefix::{Prefix, PrefixSet};
-pub use time::Ts;

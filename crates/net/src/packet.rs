@@ -7,7 +7,7 @@
 //! simulation can stay in decoded form.
 
 use crate::error::{NetError, Result};
-use crate::ethernet::{EthernetHeader, MacAddr, ETHERTYPE_IPV4};
+use crate::ethernet::{EthernetHeader, ETHERTYPE_IPV4};
 use crate::icmp::{IcmpMessage, TYPE_ECHO_REQUEST};
 use crate::ipv4::{Ipv4Addr4, Ipv4Header, PROTO_ICMP, PROTO_TCP, PROTO_UDP};
 use crate::tcp::{TcpFlags, TcpHeader};
@@ -29,15 +29,6 @@ pub enum ScanClass {
 impl ScanClass {
     /// All classes, in the order the paper tabulates them.
     pub const ALL: [ScanClass; 3] = [ScanClass::TcpSyn, ScanClass::Udp, ScanClass::IcmpEcho];
-
-    /// Display name as used in Table 3.
-    pub fn name(self) -> &'static str {
-        match self {
-            ScanClass::TcpSyn => "TCP-SYN",
-            ScanClass::Udp => "UDP",
-            ScanClass::IcmpEcho => "ICMP Ech Rqst",
-        }
-    }
 }
 
 /// Decoded transport layer of a packet.
@@ -217,14 +208,6 @@ impl PacketMeta {
         out
     }
 
-    /// Serialize as an Ethernet II frame.
-    pub fn to_frame(&self, src_mac: MacAddr, dst_mac: MacAddr) -> Vec<u8> {
-        let mut out = Vec::with_capacity(14 + usize::from(self.wire_len));
-        EthernetHeader { src: src_mac, dst: dst_mac, ethertype: ETHERTYPE_IPV4 }.emit(&mut out);
-        out.extend_from_slice(&self.to_bytes());
-        out
-    }
-
     /// Parse a standalone IPv4 packet captured at `ts`.
     ///
     /// Transport checksums are NOT verified here — the capture path keeps
@@ -294,6 +277,7 @@ impl PacketMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ethernet::MacAddr;
 
     const S: Ipv4Addr4 = Ipv4Addr4::new(203, 0, 113, 5);
     const D: Ipv4Addr4 = Ipv4Addr4::new(192, 0, 2, 200);
@@ -342,10 +326,18 @@ mod tests {
         assert_eq!(m.scan_class(), None);
     }
 
+    /// `m` as an Ethernet II frame between two synthetic stations.
+    fn frame_of(m: &PacketMeta) -> Vec<u8> {
+        let mut out = Vec::new();
+        EthernetHeader::ipv4(MacAddr::local(1), MacAddr::local(2)).emit(&mut out);
+        out.extend_from_slice(&m.to_bytes());
+        out
+    }
+
     #[test]
     fn frame_roundtrip() {
         let m = PacketMeta::tcp_syn(Ts::from_millis(1500), S, D, 1, 6379);
-        let frame = m.to_frame(MacAddr::local(1), MacAddr::local(2));
+        let frame = frame_of(&m);
         let p = PacketMeta::parse_frame(&frame, m.ts).unwrap();
         assert_eq!(p, m);
     }
@@ -353,8 +345,8 @@ mod tests {
     #[test]
     fn non_ipv4_frame_is_skipped() {
         let m = PacketMeta::tcp_syn(Ts::ZERO, S, D, 1, 2);
-        let mut frame = m.to_frame(MacAddr::local(1), MacAddr::local(2));
-        frame[12..14].copy_from_slice(&crate::ethernet::ETHERTYPE_IPV6.to_be_bytes());
+        let mut frame = frame_of(&m);
+        frame[12..14].copy_from_slice(&0x86dd_u16.to_be_bytes()); // IPv6
         assert!(matches!(
             PacketMeta::parse_frame(&frame, Ts::ZERO),
             Err(NetError::Unsupported { field: "ethertype", .. })
@@ -384,13 +376,5 @@ mod tests {
         let p = PacketMeta::parse_ip(&bytes, Ts::ZERO).unwrap();
         assert!(matches!(p.transport, Transport::Other { protocol: PROTO_TCP }));
         assert_eq!(p.scan_class(), None);
-    }
-
-    #[test]
-    fn scan_class_names() {
-        assert_eq!(ScanClass::TcpSyn.name(), "TCP-SYN");
-        assert_eq!(ScanClass::Udp.name(), "UDP");
-        assert_eq!(ScanClass::IcmpEcho.name(), "ICMP Ech Rqst");
-        assert_eq!(ScanClass::ALL.len(), 3);
     }
 }

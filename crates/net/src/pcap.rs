@@ -16,9 +16,9 @@ use crate::time::Ts;
 use std::io::{Read, Write};
 
 /// Magic for microsecond-resolution pcap, native order.
-pub const MAGIC_MICROS: u32 = 0xa1b2_c3d4;
+pub(crate) const MAGIC_MICROS: u32 = 0xa1b2_c3d4;
 /// The same magic as read on an opposite-endian machine.
-pub const MAGIC_MICROS_SWAPPED: u32 = 0xd4c3_b2a1;
+pub(crate) const MAGIC_MICROS_SWAPPED: u32 = 0xd4c3_b2a1;
 
 /// Link type: Ethernet frames.
 pub const LINKTYPE_ETHERNET: u32 = 1;
@@ -140,7 +140,7 @@ impl<R: Read> PcapReader<R> {
 
     /// Read the next record; `Ok(None)` at a clean end of file. A partial
     /// record header or body yields an error (truncated capture file).
-    pub fn next_record(&mut self) -> Result<Option<PcapRecord>> {
+    pub(crate) fn next_record(&mut self) -> Result<Option<PcapRecord>> {
         let mut rec = [0u8; 16];
         match self.inner.read_exact(&mut rec) {
             Ok(()) => {}

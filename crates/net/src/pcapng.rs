@@ -23,11 +23,11 @@ use std::io::{Read, Write};
 /// Block type: Section Header Block.
 pub const BT_SHB: u32 = 0x0A0D_0D0A;
 /// Block type: Interface Description Block.
-pub const BT_IDB: u32 = 0x0000_0001;
+pub(crate) const BT_IDB: u32 = 0x0000_0001;
 /// Block type: Enhanced Packet Block.
-pub const BT_EPB: u32 = 0x0000_0006;
+pub(crate) const BT_EPB: u32 = 0x0000_0006;
 /// Byte-order magic inside the SHB.
-pub const BYTE_ORDER_MAGIC: u32 = 0x1A2B_3C4D;
+pub(crate) const BYTE_ORDER_MAGIC: u32 = 0x1A2B_3C4D;
 
 /// One captured packet from a pcapng file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,7 +45,6 @@ pub struct PcapNgPacket {
 /// Streaming pcapng writer: one section, one interface.
 pub struct PcapNgWriter<W: Write> {
     inner: W,
-    packets: u64,
 }
 
 fn pad4(n: usize) -> usize {
@@ -74,7 +73,7 @@ impl<W: Write> PcapNgWriter<W> {
         idb.extend_from_slice(&snaplen.to_le_bytes());
         idb.extend_from_slice(&20u32.to_le_bytes());
         inner.write_all(&idb)?;
-        Ok(PcapNgWriter { inner, packets: 0 })
+        Ok(PcapNgWriter { inner })
     }
 
     /// Append one Enhanced Packet Block on interface 0.
@@ -94,13 +93,7 @@ impl<W: Write> PcapNgWriter<W> {
         epb.resize(32 + padded - 4, 0); // pad packet data
         epb.extend_from_slice(&(total as u32).to_le_bytes());
         self.inner.write_all(&epb)?;
-        self.packets += 1;
         Ok(())
-    }
-
-    /// Packets written so far.
-    pub fn packet_count(&self) -> u64 {
-        self.packets
     }
 
     /// Flush and return the inner writer.
@@ -161,13 +154,8 @@ impl<R: Read> PcapNgReader<R> {
         }
     }
 
-    /// Link type of interface `i`, if its IDB has been read.
-    pub fn interface_linktype(&self, i: u32) -> Option<u16> {
-        self.interfaces.get(i as usize).copied()
-    }
-
     /// Read blocks until the next packet; `Ok(None)` at a clean EOF.
-    pub fn next_packet(&mut self) -> Result<Option<PcapNgPacket>> {
+    pub(crate) fn next_packet(&mut self) -> Result<Option<PcapNgPacket>> {
         loop {
             let mut head = [0u8; 8];
             match self.inner.read_exact(&mut head) {
@@ -269,7 +257,6 @@ mod tests {
             for p in &pkts {
                 w.write_packet(p.ts, &p.to_bytes()).unwrap();
             }
-            assert_eq!(w.packet_count(), 3);
             w.finish().unwrap();
         }
         let mut r = PcapNgReader::new(&buf[..]).unwrap();
@@ -277,7 +264,7 @@ mod tests {
         while let Some(p) = r.next_packet().unwrap() {
             got.push(p);
         }
-        assert_eq!(r.interface_linktype(0), Some(101));
+        assert_eq!(r.interfaces, [101]);
         assert_eq!(got.len(), 3);
         for (rec, orig) in got.iter().zip(&pkts) {
             assert_eq!(rec.ts, orig.ts);

@@ -32,7 +32,7 @@ impl Prefix {
     }
 
     /// The netmask for a prefix length.
-    pub fn mask(len: u8) -> u32 {
+    pub(crate) fn mask(len: u8) -> u32 {
         if len == 0 {
             0
         } else {
@@ -77,12 +77,6 @@ impl Prefix {
     /// no failure case exists.
     pub fn addr_mod(&self, index: u32) -> Ipv4Addr4 {
         Ipv4Addr4(self.network.to_u32() + (u64::from(index) % self.size()) as u32)
-    }
-
-    /// Iterate over every address in the prefix (careful with short lengths).
-    pub fn iter(&self) -> impl Iterator<Item = Ipv4Addr4> {
-        let base = self.network.to_u32();
-        (0..self.size()).map(move |i| Ipv4Addr4(base + i as u32))
     }
 }
 
@@ -141,21 +135,6 @@ impl PrefixSet {
             Err(0) => false,
             Err(i) => self.ranges[i - 1].1 >= a,
         }
-    }
-
-    /// Total number of addresses covered.
-    pub fn size(&self) -> u64 {
-        self.ranges.iter().map(|&(s, e)| u64::from(e - s) + 1).sum()
-    }
-
-    /// Number of disjoint ranges (after merging).
-    pub fn range_count(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// True when no addresses are covered.
-    pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
     }
 }
 
@@ -234,37 +213,6 @@ impl<T> PrefixMap<T> {
         }
         None
     }
-
-    /// The matched prefix along with the value.
-    pub fn lookup_prefix(&self, addr: Ipv4Addr4) -> Option<(Prefix, &T)> {
-        let a = addr.to_u32();
-        for (len, map) in &self.by_len {
-            let masked = a & Prefix::mask(*len);
-            if let Some(v) = map.get(&masked) {
-                return Some((Prefix { network: Ipv4Addr4(masked), len: *len }, v));
-            }
-        }
-        None
-    }
-
-    /// Number of entries.
-    /// Number of prefix → value mappings.
-    pub fn len(&self) -> usize {
-        self.by_len.iter().map(|(_, m)| m.len()).sum()
-    }
-
-    /// Whether the map holds no mappings.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Iterate over all (prefix, value) pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (Prefix, &T)> {
-        self.by_len.iter().flat_map(|(len, map)| {
-            let len = *len;
-            map.iter().map(move |(net, v)| (Prefix { network: Ipv4Addr4(*net), len }, v))
-        })
-    }
 }
 
 #[cfg(test)]
@@ -305,7 +253,7 @@ mod tests {
     fn zero_length_prefix_covers_everything() {
         let pr = p("0.0.0.0/0");
         assert_eq!(pr.size(), 1 << 32);
-        assert!(pr.contains(Ipv4Addr4::BROADCAST));
+        assert!(pr.contains(Ipv4Addr4(u32::MAX)));
         assert!(pr.contains(Ipv4Addr4::UNSPECIFIED));
     }
 
@@ -321,20 +269,10 @@ mod tests {
     }
 
     #[test]
-    fn iter_covers_all() {
-        let pr = p("10.0.0.0/30");
-        let addrs: Vec<_> = pr.iter().collect();
-        assert_eq!(addrs.len(), 4);
-        assert_eq!(addrs[0], Ipv4Addr4::new(10, 0, 0, 0));
-        assert_eq!(addrs[3], Ipv4Addr4::new(10, 0, 0, 3));
-    }
-
-    #[test]
     fn prefix_set_merges_overlaps() {
         let set =
             PrefixSet::from_prefixes(vec![p("10.0.0.0/25"), p("10.0.0.128/25"), p("10.0.0.0/24")]);
-        assert_eq!(set.range_count(), 1);
-        assert_eq!(set.size(), 256);
+        assert_eq!(set.ranges, [(0x0a00_0000, 0x0a00_00ff)]);
         assert!(set.contains(Ipv4Addr4::new(10, 0, 0, 200)));
         assert!(!set.contains(Ipv4Addr4::new(10, 0, 1, 0)));
     }
@@ -342,7 +280,7 @@ mod tests {
     #[test]
     fn prefix_set_disjoint() {
         let set = PrefixSet::from_prefixes(vec![p("10.0.0.0/24"), p("172.16.0.0/16")]);
-        assert_eq!(set.range_count(), 2);
+        assert_eq!(set.ranges.len(), 2);
         assert!(set.contains(Ipv4Addr4::new(172, 16, 200, 1)));
         assert!(!set.contains(Ipv4Addr4::new(172, 17, 0, 0)));
         assert!(!set.contains(Ipv4Addr4::new(9, 255, 255, 255)));
@@ -351,8 +289,7 @@ mod tests {
     #[test]
     fn empty_set() {
         let set = PrefixSet::empty();
-        assert!(set.is_empty());
-        assert_eq!(set.size(), 0);
+        assert!(set.ranges.is_empty());
         assert!(!set.contains(Ipv4Addr4::new(1, 2, 3, 4)));
     }
 
@@ -366,9 +303,6 @@ mod tests {
         assert_eq!(m.lookup(Ipv4Addr4::new(10, 1, 9, 9)), Some(&"medium"));
         assert_eq!(m.lookup(Ipv4Addr4::new(10, 200, 0, 1)), Some(&"big"));
         assert_eq!(m.lookup(Ipv4Addr4::new(11, 0, 0, 1)), None);
-        let (pr, v) = m.lookup_prefix(Ipv4Addr4::new(10, 1, 2, 3)).unwrap();
-        assert_eq!((pr, *v), (p("10.1.2.0/24"), "small"));
-        assert_eq!(m.len(), 3);
     }
 
     #[test]
@@ -390,15 +324,5 @@ mod tests {
         for good in ["8.8.8.8", "1.1.1.1", "151.101.0.1", "205.0.0.1"] {
             assert!(!b.contains(good.parse().unwrap()), "{good}");
         }
-    }
-
-    #[test]
-    fn prefix_map_iter() {
-        let mut m = PrefixMap::new();
-        m.insert(p("10.0.0.0/8"), 1);
-        m.insert(p("20.0.0.0/8"), 2);
-        let mut got: Vec<_> = m.iter().map(|(p, v)| (p.to_string(), *v)).collect();
-        got.sort();
-        assert_eq!(got, vec![("10.0.0.0/8".to_string(), 1), ("20.0.0.0/8".to_string(), 2)]);
     }
 }

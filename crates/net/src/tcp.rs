@@ -5,37 +5,21 @@ use crate::error::{NetError, Result};
 use crate::ipv4::Ipv4Addr4;
 
 /// Minimum TCP header length (no options).
-pub const HEADER_LEN: usize = 20;
+pub(crate) const HEADER_LEN: usize = 20;
 
 /// TCP flag bits, as a transparent wrapper over the low 8 flag bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TcpFlags(pub u8);
 
 impl TcpFlags {
-    /// Connection teardown.
-    pub const FIN: TcpFlags = TcpFlags(0x01);
     /// Connection open (the scanning probe flag).
     pub const SYN: TcpFlags = TcpFlags(0x02);
     /// Connection reset.
     pub const RST: TcpFlags = TcpFlags(0x04);
-    /// Push.
-    pub const PSH: TcpFlags = TcpFlags(0x08);
     /// Acknowledgment.
     pub const ACK: TcpFlags = TcpFlags(0x10);
-    /// Urgent pointer significant.
-    pub const URG: TcpFlags = TcpFlags(0x20);
     /// SYN|ACK, the shape of DoS backscatter.
     pub const SYN_ACK: TcpFlags = TcpFlags(0x12);
-
-    /// True when every bit of `other` is set in `self`.
-    pub const fn contains(self, other: TcpFlags) -> bool {
-        self.0 & other.0 == other.0
-    }
-
-    /// Bitwise union of two flag sets.
-    pub const fn union(self, other: TcpFlags) -> TcpFlags {
-        TcpFlags(self.0 | other.0)
-    }
 
     /// A bare SYN: SYN set and ACK clear. This is the telescope's
     /// definition of a TCP scanning packet.
@@ -67,7 +51,7 @@ pub struct TcpHeader {
 
 impl TcpHeader {
     /// A conventional SYN probe as emitted by port scanners.
-    pub fn syn(src_port: u16, dst_port: u16, seq: u32) -> Self {
+    pub(crate) fn syn(src_port: u16, dst_port: u16, seq: u32) -> Self {
         TcpHeader {
             src_port,
             dst_port,
@@ -81,7 +65,7 @@ impl TcpHeader {
     }
 
     /// Header length in bytes including options.
-    pub fn header_len(&self) -> usize {
+    pub(crate) fn header_len(&self) -> usize {
         HEADER_LEN + self.options.len()
     }
 
@@ -158,10 +142,6 @@ mod tests {
         assert!(TcpFlags::SYN.is_bare_syn());
         assert!(!TcpFlags::SYN_ACK.is_bare_syn());
         assert!(!TcpFlags::ACK.is_bare_syn());
-        assert!(TcpFlags::SYN_ACK.contains(TcpFlags::SYN));
-        assert!(TcpFlags::SYN_ACK.contains(TcpFlags::ACK));
-        assert!(!TcpFlags::SYN.contains(TcpFlags::ACK));
-        assert_eq!(TcpFlags::SYN.union(TcpFlags::ACK), TcpFlags::SYN_ACK);
     }
 
     #[test]

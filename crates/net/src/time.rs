@@ -8,9 +8,9 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// Microseconds in one second.
-pub const MICROS_PER_SEC: u64 = 1_000_000;
+pub(crate) const MICROS_PER_SEC: u64 = 1_000_000;
 /// Seconds in one day.
-pub const SECS_PER_DAY: u64 = 86_400;
+pub(crate) const SECS_PER_DAY: u64 = 86_400;
 /// Microseconds in one day.
 pub const MICROS_PER_DAY: u64 = SECS_PER_DAY * MICROS_PER_SEC;
 
@@ -53,18 +53,13 @@ impl Ts {
     }
 
     /// Fractional-second remainder in microseconds.
-    pub const fn subsec_micros(self) -> u32 {
+    pub(crate) const fn subsec_micros(self) -> u32 {
         (self.0 % MICROS_PER_SEC) as u32
     }
 
     /// Index of the day this timestamp falls in (day 0 starts at the epoch).
     pub const fn day(self) -> u64 {
         self.0 / MICROS_PER_DAY
-    }
-
-    /// Start of this timestamp's day.
-    pub const fn day_start(self) -> Ts {
-        Ts(self.day() * MICROS_PER_DAY)
     }
 
     /// Seconds elapsed within the current day.
@@ -121,11 +116,6 @@ impl Dur {
     pub const fn secs(self) -> u64 {
         self.0 / MICROS_PER_SEC
     }
-
-    /// Seconds as a float, for rate computations.
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / MICROS_PER_SEC as f64
-    }
 }
 
 impl Add<Dur> for Ts {
@@ -164,7 +154,6 @@ mod tests {
         let t = Ts::from_days(3) + Dur::from_secs(7);
         assert_eq!(t.day(), 3);
         assert_eq!(t.second_of_day(), 7);
-        assert_eq!(t.day_start(), Ts::from_days(3));
     }
 
     #[test]
@@ -186,6 +175,5 @@ mod tests {
         assert_eq!(Ts::from_secs(10).secs(), 10);
         assert_eq!(Dur::from_mins(10).secs(), 600);
         assert_eq!(Ts::from_millis(1500).subsec_micros(), 500_000);
-        assert!((Dur::from_millis(2500).as_secs_f64() - 2.5).abs() < 1e-12);
     }
 }

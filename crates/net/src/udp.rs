@@ -5,7 +5,7 @@ use crate::error::{NetError, Result};
 use crate::ipv4::Ipv4Addr4;
 
 /// UDP header length in bytes.
-pub const HEADER_LEN: usize = 8;
+pub(crate) const HEADER_LEN: usize = 8;
 
 /// An owned UDP header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

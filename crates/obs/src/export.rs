@@ -114,7 +114,7 @@ fn prom_labels_with_le(labels: &[(String, String)], le: &str) -> String {
 /// Counters get a `_total`-style single line, gauges likewise, and
 /// histograms expand to cumulative `_bucket{le=...}` series plus `_sum`
 /// and `_count`, matching what a Prometheus scraper expects.
-pub fn to_prometheus(snap: &Snapshot) -> String {
+pub(crate) fn to_prometheus(snap: &Snapshot) -> String {
     let mut out = String::new();
     let mut last_name = "";
     for s in &snap.samples {

@@ -17,7 +17,7 @@
 //! * Instruments are plain atomics behind `Arc`s: [`Counter`] (monotone
 //!   add), [`Gauge`] (set / set-max), and [`Histogram`] (fixed upper
 //!   bounds chosen at registration, atomic bucket counts plus sum and
-//!   count). [`Histogram::time`] returns a [`SpanTimer`] guard that
+//!   count). [`Histogram::time`] returns a `SpanTimer` guard that
 //!   observes elapsed wall-clock microseconds on drop.
 //! * **Observation-only contract.** Instruments never feed back into the
 //!   code that updates them: no instrument has a read path the pipeline
@@ -51,10 +51,8 @@ mod export;
 pub mod json;
 mod recorder;
 
-pub use export::{
-    to_jsonl_line, to_prometheus, Exporter, HistogramSnapshot, Sample, Snapshot, Value,
-};
-pub use recorder::{Counter, Gauge, Histogram, Recorder, SpanTimer};
+pub use export::{to_jsonl_line, Exporter, HistogramSnapshot, Sample, Snapshot, Value};
+pub use recorder::{Counter, Gauge, Histogram, Recorder};
 
 /// Default bucket upper bounds for microsecond latency histograms:
 /// 1 µs … 10 s in a 1-2-5 ladder. Values above the last bound land in
@@ -63,11 +61,6 @@ pub const LATENCY_US_BUCKETS: &[u64] = &[
     1, 2, 5, 10, 20, 50, 100, 200, 500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000,
     1_000_000, 10_000_000,
 ];
-
-/// Default bucket upper bounds for size/occupancy histograms (1 … 1M in
-/// a power-of-4-ish ladder).
-pub const SIZE_BUCKETS: &[u64] =
-    &[1, 4, 16, 64, 256, 1_024, 4_096, 16_384, 65_536, 262_144, 1_048_576];
 
 /// True when `name` follows the workspace metric naming scheme
 /// `ah_<crate>_<subsystem>_<name>`: at least four `_`-separated

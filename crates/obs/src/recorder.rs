@@ -115,13 +115,18 @@ impl Recorder {
     ///
     /// `bounds` are inclusive upper bucket bounds in ascending order;
     /// values above the last bound land in the implicit `+Inf` bucket.
-    /// See [`crate::LATENCY_US_BUCKETS`] and [`crate::SIZE_BUCKETS`].
+    /// See [`crate::LATENCY_US_BUCKETS`].
     pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
         self.histogram_with(name, &[], bounds)
     }
 
     /// Register (or look up) a labeled fixed-bucket histogram.
-    pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)], bounds: &[u64]) -> Histogram {
+    pub(crate) fn histogram_with(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        bounds: &[u64],
+    ) -> Histogram {
         debug_assert!(crate::valid_metric_name(name), "bad metric name: {name}");
         let Some(inner) = &self.0 else { return Histogram(None) };
         let mut metrics = match inner.metrics.lock() {
@@ -187,7 +192,8 @@ impl Counter {
     }
 
     /// Current value (0 for inert handles).
-    pub fn get(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn get(&self) -> u64 {
         self.0.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
     }
 }
@@ -214,7 +220,8 @@ impl Gauge {
     }
 
     /// Current value (0 for inert handles).
-    pub fn get(&self) -> i64 {
+    #[cfg(test)]
+    pub(crate) fn get(&self) -> i64 {
         self.0.as_ref().map_or(0, |g| g.load(Ordering::Relaxed))
     }
 }
@@ -284,7 +291,8 @@ impl Histogram {
     }
 
     /// Total observation count (0 for inert handles).
-    pub fn count(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn count(&self) -> u64 {
         self.0.as_ref().map_or(0, |h| h.count.load(Ordering::Relaxed))
     }
 }

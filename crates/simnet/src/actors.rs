@@ -39,7 +39,7 @@ fn due(next: Option<Ts>) -> Ts {
 
 /// Scanning tool whose fingerprint a sweep stamps on its probes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ToolKind {
+pub(crate) enum ToolKind {
     /// ZMap (IP id 54321, fixed initial window).
     ZMap,
     /// Masscan (IP id derived from dst/port, distinctive seq).
@@ -50,7 +50,7 @@ pub enum ToolKind {
 
 /// Transport used for a probed port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanProto {
+pub(crate) enum ScanProto {
     /// TCP SYN probing.
     Tcp,
     /// UDP datagram probing.
@@ -61,7 +61,7 @@ pub enum ScanProto {
 
 /// One probed service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PortSpec {
+pub(crate) struct PortSpec {
     /// Destination port (ignored for ICMP).
     pub port: u16,
     /// Transport the probe uses.
@@ -70,17 +70,17 @@ pub struct PortSpec {
 
 impl PortSpec {
     /// A TCP port.
-    pub const fn tcp(port: u16) -> PortSpec {
+    pub(crate) const fn tcp(port: u16) -> PortSpec {
         PortSpec { port, proto: ScanProto::Tcp }
     }
 
     /// A UDP port.
-    pub const fn udp(port: u16) -> PortSpec {
+    pub(crate) const fn udp(port: u16) -> PortSpec {
         PortSpec { port, proto: ScanProto::Udp }
     }
 
     /// ICMP echo probing (portless).
-    pub const fn icmp() -> PortSpec {
+    pub(crate) const fn icmp() -> PortSpec {
         PortSpec { port: 0, proto: ScanProto::Icmp }
     }
 }
@@ -98,7 +98,7 @@ fn ephemeral_port(rng: &mut Rng64) -> u16 {
 /// in a keyed-permutation order, optionally repeating (daily research
 /// sweeps), optionally retrying each target several times (bruteforce-
 /// flavored scanning).
-pub struct SweepScanner {
+pub(crate) struct SweepScanner {
     src: Ipv4Addr4,
     tool: ToolKind,
     ports: Vec<PortSpec>,
@@ -122,7 +122,7 @@ pub struct SweepScanner {
 }
 
 /// Configuration for [`SweepScanner`].
-pub struct SweepConfig {
+pub(crate) struct SweepConfig {
     /// Source address probes are sent from.
     pub src: Ipv4Addr4,
     /// Tool fingerprint stamped on the probes.
@@ -147,7 +147,7 @@ pub struct SweepConfig {
 
 impl SweepScanner {
     /// A scanner from its config, probing targets drawn from `space`.
-    pub fn new(cfg: SweepConfig, space: Arc<ObservableSpace>) -> SweepScanner {
+    pub(crate) fn new(cfg: SweepConfig, space: Arc<ObservableSpace>) -> SweepScanner {
         assert!(cfg.coverage > 0.0 && cfg.coverage <= 1.0);
         assert!(!cfg.ports.is_empty());
         assert!(cfg.probes_per_target >= 1);
@@ -251,7 +251,7 @@ impl Actor for SweepScanner {
 /// `seq == dst` fingerprint, at a low per-bot rate, alive for a bounded
 /// window (botnet churn comes from populations of bots with staggered
 /// lifetimes and rotating source addresses).
-pub struct MiraiBot {
+pub(crate) struct MiraiBot {
     src: Ipv4Addr4,
     rate_pps: f64,
     end: Ts,
@@ -262,7 +262,7 @@ pub struct MiraiBot {
 
 impl MiraiBot {
     /// A bot probing from `src` at `rate_pps` between `start` and `end`.
-    pub fn new(
+    pub(crate) fn new(
         src: Ipv4Addr4,
         rate_pps: f64,
         start: Ts,
@@ -305,7 +305,7 @@ impl Actor for MiraiBot {
 
 /// A vertical port sweeper: walks thousands of destination ports on a
 /// small set of targets — the definition-3 population.
-pub struct PortSweeper {
+pub(crate) struct PortSweeper {
     src: Ipv4Addr4,
     targets: Vec<Ipv4Addr4>,
     port_count: u16,
@@ -320,7 +320,7 @@ impl PortSweeper {
     /// Sweeps ports `1..=port_count` on `target_count` targets drawn from
     /// the observable space, cycling indefinitely until `end`.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         src: Ipv4Addr4,
         target_count: usize,
         port_count: u16,
@@ -374,7 +374,7 @@ impl Actor for PortSweeper {
 /// DoS backscatter: victims of spoofed-source floods answer to random
 /// addresses. Emits SYN-ACK and RST packets that the telescope must
 /// capture but *not* classify as scanning.
-pub struct Backscatter {
+pub(crate) struct Backscatter {
     victims: Vec<Ipv4Addr4>,
     rate_pps: f64,
     end: Ts,
@@ -385,7 +385,7 @@ pub struct Backscatter {
 
 impl Backscatter {
     /// Backscatter from DoS `victims`, spread across the observable space.
-    pub fn new(
+    pub(crate) fn new(
         victims: Vec<Ipv4Addr4>,
         rate_pps: f64,
         start: Ts,
@@ -431,7 +431,7 @@ impl Actor for Backscatter {
 /// devices, one-off probes) each sending a handful of packets. Port mix
 /// is deliberately 445-heavy — the paper observes TCP/445 to be a
 /// small-scan port that aggressive hitters do *not* prefer.
-pub struct Radiation {
+pub(crate) struct Radiation {
     pool: Vec<Ipv4Addr4>,
     rate_pps: f64,
     end: Ts,
@@ -468,7 +468,7 @@ const RADIATION_WEIGHTS: [f64; RADIATION_PORTS.len()] = {
 impl Radiation {
     /// `pool_size` synthetic sources drawn from `source_org_hosts` (a
     /// function index → address, typically an org's `host`).
-    pub fn new(
+    pub(crate) fn new(
         pool: Vec<Ipv4Addr4>,
         rate_pps: f64,
         start: Ts,
@@ -525,7 +525,7 @@ impl Actor for Radiation {
 /// the bogon-sourced ones, and no single forged source ever sends enough
 /// to qualify as an aggressive hitter (the paper's false-positive
 /// robustness argument, §7).
-pub struct SpoofFlood {
+pub(crate) struct SpoofFlood {
     rate_pps: f64,
     end: Ts,
     space: Arc<ObservableSpace>,
@@ -535,7 +535,7 @@ pub struct SpoofFlood {
 
 impl SpoofFlood {
     /// A spoofed-source flood at `rate_pps` between `start` and `end`.
-    pub fn new(
+    pub(crate) fn new(
         rate_pps: f64,
         start: Ts,
         end: Ts,
@@ -591,7 +591,7 @@ impl Actor for SpoofFlood {
 /// When `caches` is set, a configurable fraction of *download* traffic is
 /// served by a cache host instead of the remote — producing internal ↔
 /// internal packets that never cross the border routers.
-pub struct Benign {
+pub(crate) struct Benign {
     users: Prefix,
     caches: Option<Prefix>,
     cache_fraction: f64,
@@ -623,7 +623,7 @@ impl Benign {
     /// Benign user sessions from `users` to `remotes`, a `cache_fraction`
     /// of which are served from `caches` instead of crossing the border.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         users: Prefix,
         caches: Option<Prefix>,
         cache_fraction: f64,
@@ -698,11 +698,6 @@ impl Benign {
             self.rate_cache = (sec, self.rate_of(ts));
         }
         self.rate_cache.1
-    }
-
-    /// True when `day` is a weekend under this actor's calendar.
-    pub fn is_weekend(&self, day: u64) -> bool {
-        (u64::from(self.day0_weekday) + day) % 7 >= 5
     }
 }
 
@@ -1008,8 +1003,6 @@ mod tests {
     #[test]
     fn weekend_rate_is_lower() {
         let b = benign(); // day 0 = Saturday, day 2 = Monday
-        assert!(b.is_weekend(0));
-        assert!(!b.is_weekend(2));
         let sat = b.rate_of(Ts::from_days(0) + Dur::from_secs(12 * 3600));
         let mon = b.rate_of(Ts::from_days(2) + Dur::from_secs(12 * 3600));
         assert!(mon > sat * 1.3, "mon {mon} vs sat {sat}");

@@ -16,16 +16,18 @@
 //! packet is delivered downstream only if a real capture stack would have
 //! accepted those bytes.
 //!
-//! Every packet's fate is counted in [`InjectorStats`], which satisfies
-//! the conservation identity checked by [`InjectorStats::conserves`]:
-//! nothing is ever silently lost or invented.
+//! Every packet's fate is counted in [`InjectorStats`], which after
+//! [`FaultInjector::flush`] satisfies the conservation identity
+//! `input + duplicated == delivered + dropped + outage_dropped +
+//! truncated_discarded + corrupt_discarded`: nothing is ever silently
+//! lost or invented.
 //!
 //! # Counter-based per-source decision streams
 //!
 //! Fault decisions are **not** drawn from one global RNG sequence in
 //! arrival order. Each offered packet gets its own decision RNG, seeded
 //! as a pure function of `(plan.seed, source IP, per-source packet
-//! counter)` — see [`packet_decision_seed`]. Packet *k* of source *S*
+//! counter)` — see `packet_decision_seed`. Packet *k* of source *S*
 //! therefore suffers exactly the same fate no matter which packets from
 //! *other* sources surround it. That is what lets the sharded parallel
 //! engine run one injector per shard over its per-source substreams and
@@ -38,11 +40,11 @@
 
 use crate::rng::{hash64, Rng64};
 use ah_mem::Tag;
+use ah_net::hash::FastMap;
 use ah_net::packet::{PacketMeta, Transport};
 use ah_net::time::{Dur, Ts};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::PathBuf;
@@ -119,17 +121,6 @@ impl FaultPlan {
         self.outage_len = len;
         self
     }
-
-    /// True when no category can ever fire.
-    pub fn is_clean(&self) -> bool {
-        self.drop == 0.0
-            && self.duplicate == 0.0
-            && self.reorder == 0.0
-            && self.truncate == 0.0
-            && self.bitflip == 0.0
-            && self.zero_payload == 0.0
-            && (self.outage_period.0 == 0 || self.outage_len.0 == 0)
-    }
 }
 
 /// Counters over every packet offered to a [`FaultInjector`].
@@ -166,7 +157,8 @@ impl InjectorStats {
     /// category. Holds after [`FaultInjector::flush`]; while packets are
     /// still held for reordering, add [`FaultInjector::pending`] to the
     /// right-hand side.
-    pub fn conserves(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn conserves(&self) -> bool {
         self.input + self.duplicated
             == self.delivered
                 + self.dropped
@@ -202,7 +194,7 @@ impl InjectorStats {
 /// `src` under `plan_seed`: a chained splitmix mix, so the stream is a
 /// pure function of `(plan_seed, src, n)` and nothing else. Public so
 /// tests (and the documentation) can state the derivation exactly.
-pub fn packet_decision_seed(plan_seed: u64, src: u32, n: u64) -> u64 {
+pub(crate) fn packet_decision_seed(plan_seed: u64, src: u32, n: u64) -> u64 {
     hash64(hash64(hash64(plan_seed ^ 0xfa17_1e57) ^ u64::from(src)) ^ n)
 }
 
@@ -241,7 +233,7 @@ pub struct FaultInjector {
     /// Per-source offered-packet counters: how many packets of each
     /// source have reached the decision point, feeding
     /// [`packet_decision_seed`].
-    counters: HashMap<u32, u64>,
+    counters: FastMap<u32, u64>,
     held: BinaryHeap<Reverse<Held>>,
     seq: u64,
     /// Phase offset of the outage schedule, derived from the seed.
@@ -263,7 +255,7 @@ impl FaultInjector {
         };
         FaultInjector {
             plan,
-            counters: HashMap::new(),
+            counters: FastMap::default(),
             held: BinaryHeap::new(),
             seq: 0,
             outage_phase,
@@ -280,18 +272,14 @@ impl FaultInjector {
         self.tracer = tracer.clone();
     }
 
-    /// The plan in force.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Counters so far.
     pub fn stats(&self) -> InjectorStats {
         self.stats
     }
 
     /// Packets currently held for reordering.
-    pub fn pending(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn pending(&self) -> u64 {
         self.held.len() as u64
     }
 
@@ -377,7 +365,7 @@ impl FaultInjector {
     ///
     /// Every random decision for this packet — drop, duplicate, the
     /// per-copy mutations, reorder and skew — is drawn, in a fixed
-    /// order, from a fresh [`Rng64`] seeded by [`packet_decision_seed`]
+    /// order, from a fresh [`Rng64`] seeded by `packet_decision_seed`
     /// from `(plan.seed, pkt.src, per-source counter)`. The fate of a
     /// packet is therefore independent of what other sources did,
     /// which is the property the sharded engine relies on.
@@ -606,8 +594,6 @@ mod tests {
         assert_eq!(stats.delivered, 500);
         assert_eq!(stats.total_discarded(), 0);
         assert!(stats.conserves());
-        assert!(FaultPlan::clean().is_clean());
-        assert!(!FaultPlan::uniform(0.01, 1).is_clean());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   conceptually sweep all of IPv4, but only packets landing in the
 //!   simulated observable prefixes (dark space, the two ISPs, honeypot
 //!   sensors) are ever materialized, with rates thinned accordingly;
-//! * [`actors`] — behavioral scanner models (ZMap, Masscan, Mirai bots,
+//! * `actors` — behavioral scanner models (ZMap, Masscan, Mirai bots,
 //!   bruteforcing scanners, acknowledged research sweeps, vertical port
 //!   sweeps, DoS backscatter, background radiation, benign user traffic);
 //! * [`mux`] — the time-ordered event-queue multiplexer;
@@ -33,7 +33,7 @@
 
 #![warn(missing_docs)]
 
-pub mod actors;
+mod actors;
 pub mod faults;
 pub mod mux;
 pub mod permute;
@@ -42,9 +42,3 @@ pub mod rng;
 pub mod scenario;
 pub mod space;
 pub mod world;
-
-pub use faults::{FaultInjector, FaultPlan, InjectorStats};
-pub use mux::TrafficMux;
-pub use rng::Rng64;
-pub use space::ObservableSpace;
-pub use world::World;

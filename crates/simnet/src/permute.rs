@@ -40,13 +40,8 @@ impl Permutation {
     }
 
     /// Domain size.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.n
-    }
-
-    /// Always false: the domain size is at least 1.
-    pub fn is_empty(&self) -> bool {
-        false // domain is always ≥ 1
     }
 
     fn round(&self, k: u64, x: u64) -> u64 {
@@ -77,13 +72,6 @@ impl Permutation {
             x = self.feistel(x);
         }
         x
-    }
-
-    /// Iterate the whole domain in permuted order starting at `offset`
-    /// (offsets let many scanner instances share one sweep).
-    pub fn iter_from(&self, offset: u64) -> impl Iterator<Item = u64> + '_ {
-        let n = self.n;
-        (0..n).map(move |i| self.apply((i + offset) % n))
     }
 }
 
@@ -128,16 +116,6 @@ mod tests {
     }
 
     #[test]
-    fn iter_from_wraps_and_covers() {
-        let p = Permutation::new(10, 3);
-        let xs: Vec<u64> = p.iter_from(7).collect();
-        assert_eq!(xs.len(), 10);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn deterministic() {
         let a = Permutation::new(500, 99);
         let b = Permutation::new(500, 99);
@@ -151,6 +129,5 @@ mod tests {
         let p = Permutation::new(1, 5);
         assert_eq!(p.apply(0), 0);
         assert_eq!(p.len(), 1);
-        assert!(!p.is_empty());
     }
 }

@@ -13,7 +13,7 @@
 //!   touches no foreign cache line at all.
 //! * **Batched two-phase writes.** `push` writes the slot immediately
 //!   (phase one) but publishes the new tail only every
-//!   [`PUBLISH_BATCH`] items or on [`Producer::flush`] (phase two), so
+//!   `PUBLISH_BATCH` items or on [`Producer::flush`] (phase two), so
 //!   the producer amortizes its release stores. Consumers see items in
 //!   FIFO order regardless of batching.
 //!
@@ -58,7 +58,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Producer publishes its tail after at most this many buffered writes.
-pub const PUBLISH_BATCH: usize = 32;
+pub(crate) const PUBLISH_BATCH: usize = 32;
 
 /// Facade over the synchronization primitives the ring uses, so the
 /// identical protocol code runs on real atomics ([`StdSync`]) or on a
@@ -359,7 +359,8 @@ pub fn ring_with<S: RingSync, T: Send>(
 
 impl<T: Send, S: RingSync> Producer<T, S> {
     /// Ring capacity in items.
-    pub fn capacity(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
         self.shared.mask + 1
     }
 
@@ -497,7 +498,8 @@ impl<T: Send, S: RingSync> Consumer<T, S> {
     }
 
     /// True when the producer has closed the stream (items may remain).
-    pub fn is_closed(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_closed(&self) -> bool {
         self.shared.closed.load(S::CLOSED_OBSERVE)
     }
 }

@@ -9,7 +9,7 @@
 use ah_net::hash::mix64;
 
 /// splitmix64 step — used for seeding and cheap stateless hashing.
-pub fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     mix64(*state)
 }
@@ -34,11 +34,6 @@ impl Rng64 {
         let s =
             [splitmix64(&mut sm), splitmix64(&mut sm), splitmix64(&mut sm), splitmix64(&mut sm)];
         Rng64 { s }
-    }
-
-    /// Derive an independent child stream (for per-actor RNGs).
-    pub fn fork(&mut self, salt: u64) -> Rng64 {
-        Rng64::new(self.next_u64() ^ hash64(salt))
     }
 
     /// Next raw 64 bits.
@@ -77,7 +72,7 @@ impl Rng64 {
     }
 
     /// Uniform in `[lo, hi)`.
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
+    pub(crate) fn range(&mut self, lo: u64, hi: u64) -> u64 {
         debug_assert!(lo < hi);
         lo + self.below(hi - lo)
     }
@@ -88,7 +83,7 @@ impl Rng64 {
     }
 
     /// Bernoulli trial.
-    pub fn chance(&mut self, p: f64) -> bool {
+    pub(crate) fn chance(&mut self, p: f64) -> bool {
         self.f64() < p
     }
 
@@ -101,7 +96,7 @@ impl Rng64 {
 
     /// Bounded Pareto (power-law) sample in `[lo, hi]` with shape `alpha`.
     /// Used for heavy-tailed flow sizes and per-scanner rates.
-    pub fn pareto(&mut self, lo: f64, hi: f64, alpha: f64) -> f64 {
+    pub(crate) fn pareto(&mut self, lo: f64, hi: f64, alpha: f64) -> f64 {
         debug_assert!(lo > 0.0 && hi > lo && alpha > 0.0);
         let u = self.f64();
         let la = lo.powf(alpha);
@@ -110,13 +105,13 @@ impl Rng64 {
     }
 
     /// Pick one element uniformly.
-    pub fn choice<'a, T>(&mut self, items: &'a [T]) -> &'a T {
+    pub(crate) fn choice<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         &items[self.below(items.len() as u64) as usize]
     }
 
     /// Weighted pick: returns an index with probability proportional to
     /// `weights[i]`.
-    pub fn weighted(&mut self, weights: &[f64]) -> usize {
+    pub(crate) fn weighted(&mut self, weights: &[f64]) -> usize {
         let total: f64 = weights.iter().sum();
         debug_assert!(total > 0.0);
         let mut x = self.f64() * total;
@@ -239,15 +234,6 @@ mod tests {
         }
         assert_eq!(counts[1], 0);
         assert!(counts[2] > counts[0] * 5, "{counts:?}");
-    }
-
-    #[test]
-    fn fork_streams_differ() {
-        let mut r = Rng64::new(10);
-        let mut a = r.fork(1);
-        let mut b = r.fork(2);
-        let same = (0..50).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert_eq!(same, 0);
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub struct Intensity {
 
 impl Intensity {
     /// The 2022 mix (Darknet-2).
-    pub fn year2022() -> Intensity {
+    pub(crate) fn year2022() -> Intensity {
         Intensity {
             cloud_sweepers_alive: 16.0,
             sweeper_lifetime_days: 5.0,
@@ -105,7 +105,7 @@ impl Intensity {
     }
 
     /// The 2021 mix (Darknet-1): ~20% fewer hitters, same structure.
-    pub fn year2021() -> Intensity {
+    pub(crate) fn year2021() -> Intensity {
         Intensity {
             cloud_sweepers_alive: 13.0,
             mirai_alive: 16.0,
@@ -119,7 +119,7 @@ impl Intensity {
     }
 
     /// Small population for tests (pairs with [`WorldConfig::tiny`]).
-    pub fn tiny() -> Intensity {
+    pub(crate) fn tiny() -> Intensity {
         Intensity {
             cloud_sweepers_alive: 3.0,
             sweeper_lifetime_days: 4.0,

@@ -29,9 +29,6 @@ pub(crate) fn wrap_index(i: u64, n: u64) -> u64 {
     }
 }
 
-/// Size of the IPv4 space, for rate thinning.
-pub const IPV4_SPACE: f64 = 4_294_967_296.0;
-
 /// The union of monitored prefixes with a dense index space.
 #[derive(Debug, Clone)]
 pub struct ObservableSpace {
@@ -64,11 +61,6 @@ impl ObservableSpace {
         self.total == 0
     }
 
-    /// The prefixes, in index order.
-    pub fn prefixes(&self) -> &[Prefix] {
-        &self.prefixes
-    }
-
     /// Address at a dense index.
     pub fn addr_at(&self, index: u64) -> Option<Ipv4Addr4> {
         if index >= self.total {
@@ -87,7 +79,7 @@ impl ObservableSpace {
     ///
     /// Actors draw `index` from `below(len)` or a permutation of
     /// `0..len`, so it is nearly always in range already.
-    pub fn addr_mod(&self, index: u64) -> Ipv4Addr4 {
+    pub(crate) fn addr_mod(&self, index: u64) -> Ipv4Addr4 {
         // ah-lint: allow(panic-path, reason = "index is reduced modulo the space size and every scenario monitors at least one prefix, so the space is non-empty")
         self.addr_at(wrap_index(index, self.total.max(1))).expect("non-empty observable space")
     }
@@ -98,22 +90,6 @@ impl ObservableSpace {
             .iter()
             .zip(&self.cum)
             .find_map(|(p, base)| p.index_of(addr).map(|i| base + u64::from(i)))
-    }
-
-    /// Thin a conceptual Internet-wide rate (pps over 2³²) to the rate at
-    /// which probes land in the observable space.
-    pub fn thin_rate(&self, internet_rate_pps: f64) -> f64 {
-        internet_rate_pps * self.total as f64 / IPV4_SPACE
-    }
-
-    /// The sub-range of dense indices covered by a particular prefix of
-    /// this space (for actors that target only one network).
-    pub fn range_of(&self, prefix: Prefix) -> Option<std::ops::Range<u64>> {
-        self.prefixes
-            .iter()
-            .zip(&self.cum)
-            .find(|(p, _)| **p == prefix)
-            .map(|(p, base)| *base..*base + p.size())
     }
 }
 
@@ -155,20 +131,5 @@ mod tests {
             assert_eq!(s.index_of(a), Some(i), "index {i} addr {a}");
         }
         assert_eq!(s.index_of(Ipv4Addr4::new(9, 9, 9, 9)), None);
-    }
-
-    #[test]
-    fn rate_thinning() {
-        let s = ObservableSpace::new(vec!["0.0.0.0/1".parse().unwrap()]); // half the net
-        let thinned = s.thin_rate(1000.0);
-        assert!((thinned - 500.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn range_of_prefix() {
-        let s = space();
-        let r = s.range_of("10.0.0.0/30".parse().unwrap()).unwrap();
-        assert_eq!(r, 256..260);
-        assert!(s.range_of("99.0.0.0/24".parse().unwrap()).is_none());
     }
 }

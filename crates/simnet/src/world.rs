@@ -38,7 +38,7 @@ pub enum Region {
 impl Region {
     /// Per-region probability (in percent) that a given internal block is
     /// reached via router 1, 2, 3. Rows sum to 100.
-    pub fn router_weights(self) -> [u32; 3] {
+    pub(crate) fn router_weights(self) -> [u32; 3] {
         match self {
             Region::AsiaEu => [62, 24, 14],
             Region::NorthAm => [30, 50, 20],
@@ -96,7 +96,7 @@ impl OrgDef {
     /// infallible, for scenario code indexing registry orgs — which
     /// always carry at least one prefix (see the registry tables in
     /// this module).
-    pub fn host_cycled(&self, i: u64) -> Ipv4Addr4 {
+    pub(crate) fn host_cycled(&self, i: u64) -> Ipv4Addr4 {
         // ah-lint: allow(panic-path, reason = "host() is None only for an org with zero prefixes; every registry org carries at least one, as the unit tests assert")
         self.host(i).expect("registry org has hosts")
     }
@@ -148,7 +148,7 @@ impl Default for WorldConfig {
 
 impl WorldConfig {
     /// Smaller world for unit/integration tests.
-    pub fn tiny() -> WorldConfig {
+    pub(crate) fn tiny() -> WorldConfig {
         WorldConfig {
             dark: static_prefix("20.0.0.0/22"),        // 1,024 dark IPs
             merit_users: static_prefix("10.0.0.0/22"), // 1,024
@@ -164,13 +164,13 @@ impl WorldConfig {
 pub struct World {
     /// The address plan the world was built from.
     pub config: WorldConfig,
-    /// External organizations, indexed by [`OrgId`].
+    /// External organizations, indexed by `OrgId`.
     pub orgs: Vec<OrgDef>,
     observable: ObservableSpace,
 }
 
 /// Index into [`World::orgs`].
-pub type OrgId = usize;
+pub(crate) type OrgId = usize;
 
 impl World {
     /// Build the world with the standard organization registry.
@@ -185,12 +185,12 @@ impl World {
     /// The scanner-observable space: the dark block, both ISPs' user
     /// spaces, and the sensors. Caches are excluded — they are content
     /// infrastructure, not scan targets of interest at this scale.
-    pub fn observable(&self) -> &ObservableSpace {
+    pub(crate) fn observable(&self) -> &ObservableSpace {
         &self.observable
     }
 
     /// Find an org by name; `None` when no org carries it.
-    pub fn org(&self, name: &str) -> Option<OrgId> {
+    pub(crate) fn org(&self, name: &str) -> Option<OrgId> {
         self.orgs.iter().position(|o| o.name == name)
     }
 
@@ -198,13 +198,13 @@ impl World {
     /// the static registry (where a miss is a typo, not a runtime
     /// condition). The panic path lives here, once and audited,
     /// instead of at every scenario call site.
-    pub fn registry_org(&self, name: &str) -> &OrgDef {
+    pub(crate) fn registry_org(&self, name: &str) -> &OrgDef {
         // ah-lint: allow(panic-path, reason = "scenario definitions name orgs from the static registry built in this module; a miss is a construction bug every scenario test catches immediately")
         self.org(name).map(|id| &self.orgs[id]).expect("org exists in the static registry")
     }
 
     /// Orgs filtered by predicate.
-    pub fn orgs_where(&self, pred: impl Fn(&OrgDef) -> bool) -> Vec<OrgId> {
+    pub(crate) fn orgs_where(&self, pred: impl Fn(&OrgDef) -> bool) -> Vec<OrgId> {
         self.orgs.iter().enumerate().filter(|(_, o)| pred(o)).map(|(i, _)| i).collect()
     }
 
@@ -284,7 +284,7 @@ impl World {
     /// their own prefixes and from these cloud slots.
     /// `None` when the registry has no "Umbra Cloud" org (custom
     /// registries) or the org has no prefixes.
-    pub fn acked_cloud_host(&self, acked_idx: usize, k: u64) -> Option<Ipv4Addr4> {
+    pub(crate) fn acked_cloud_host(&self, acked_idx: usize, k: u64) -> Option<Ipv4Addr4> {
         let umbra = &self.orgs[self.org("Umbra Cloud")?];
         umbra.host(50_000 + (acked_idx as u64) * 97 + k)
     }
@@ -420,7 +420,7 @@ fn org(
 /// origin mix (a dominant US cloud, Chinese ISPs/clouds/hosting, TW/KR/RU
 /// ISPs) plus research orgs for the acknowledged list and benign content
 /// and eyeball networks.
-pub fn standard_orgs() -> Vec<OrgDef> {
+pub(crate) fn standard_orgs() -> Vec<OrgDef> {
     vec![
         // -- Scanner-heavy clouds and ISPs (Table 5 shape) --
         org(

@@ -22,29 +22,14 @@ impl DarkSpace {
         DarkSpace { prefix }
     }
 
-    /// The monitored prefix.
-    pub fn prefix(&self) -> Prefix {
-        self.prefix
-    }
-
     /// Number of dark addresses.
     pub fn size(&self) -> u32 {
         self.prefix.size().min(u64::from(u32::MAX)) as u32
     }
 
-    /// True when `dst` is inside the dark space.
-    pub fn contains(&self, dst: Ipv4Addr4) -> bool {
-        self.prefix.contains(dst)
-    }
-
     /// Dense index of a dark destination.
     pub fn index_of(&self, dst: Ipv4Addr4) -> Option<u32> {
         self.prefix.index_of(dst)
-    }
-
-    /// The address at a dense index.
-    pub fn addr_at(&self, index: u32) -> Option<Ipv4Addr4> {
-        self.prefix.addr_at(index)
     }
 }
 
@@ -68,7 +53,7 @@ pub struct CaptureStats {
 
 impl CaptureStats {
     /// Empty statistics over a dark space of `dark_size` addresses.
-    pub fn new(dark_size: u32) -> CaptureStats {
+    pub(crate) fn new(dark_size: u32) -> CaptureStats {
         CaptureStats {
             total_packets: 0,
             total_bytes: 0,
@@ -98,7 +83,7 @@ impl CaptureStats {
     }
 
     /// Unique dark destinations touched.
-    pub fn unique_dsts(&self) -> u64 {
+    pub(crate) fn unique_dsts(&self) -> u64 {
         u64::from(self.dsts.count())
     }
 
@@ -377,7 +362,6 @@ mod tests {
         assert_eq!(d.index_of(Ipv4Addr4::new(192, 0, 0, 0)), Some(0));
         assert_eq!(d.index_of(Ipv4Addr4::new(192, 0, 255, 255)), Some(65535));
         assert_eq!(d.index_of(Ipv4Addr4::new(192, 1, 0, 0)), None);
-        assert_eq!(d.addr_at(256), Some(Ipv4Addr4::new(192, 0, 1, 0)));
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! Per-day rollups of darknet activity.
 //!
 //! Figure 3 and Table 1 need day-granular aggregates of the raw capture:
-//! how many scanning packets arrived, from how many unique sources, and
-//! which events started on which day.
+//! how many scanning packets arrived and from how many unique sources.
 
-use crate::event::DarknetEvent;
 use ah_net::hash::FastSet;
 use ah_net::ipv4::Ipv4Addr4;
 use ah_net::packet::PacketMeta;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Aggregates for one day of capture.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -67,11 +65,6 @@ impl DailyTracker {
             .collect()
     }
 
-    /// Days observed so far.
-    pub fn day_count(&self) -> usize {
-        self.days.len()
-    }
-
     /// Fold another shard's tracker into this one.
     ///
     /// Packet counters sum and per-day source sets take their union, so
@@ -87,53 +80,10 @@ impl DailyTracker {
     }
 }
 
-/// Group completed events by the day their scan *started* — the paper's
-/// "daily" attribution (footnote to Figure 3: packet statistics can only
-/// be computed for daily scanners because events carry their start day).
-pub fn events_by_start_day(events: &[DarknetEvent]) -> BTreeMap<u64, Vec<&DarknetEvent>> {
-    let mut map: BTreeMap<u64, Vec<&DarknetEvent>> = BTreeMap::new();
-    for ev in events {
-        map.entry(ev.start_day()).or_default().push(ev);
-    }
-    map
-}
-
-/// For each day, the set of sources with an event *active* that day
-/// (started on or before, ended on or after) — the paper's "active"
-/// scanner population.
-pub fn active_sources_by_day(events: &[DarknetEvent]) -> BTreeMap<u64, HashSet<Ipv4Addr4>> {
-    let mut map: BTreeMap<u64, HashSet<Ipv4Addr4>> = BTreeMap::new();
-    for ev in events {
-        for day in ev.days() {
-            map.entry(day).or_default().insert(ev.key.src);
-        }
-    }
-    map
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EventKey, ToolCounts};
-    use ah_net::packet::ScanClass;
     use ah_net::time::{Dur, Ts};
-
-    fn ev(src: u8, start_day: u64, end_day: u64) -> DarknetEvent {
-        DarknetEvent {
-            key: EventKey {
-                src: Ipv4Addr4::new(10, 0, 0, src),
-                dst_port: 23,
-                class: ScanClass::TcpSyn,
-            },
-            start: Ts::from_days(start_day) + Dur::from_secs(10),
-            end: Ts::from_days(end_day) + Dur::from_secs(20),
-            packets: 10,
-            bytes: 400,
-            unique_dsts: 10,
-            dark_size: 100,
-            tools: ToolCounts::default(),
-        }
-    }
 
     #[test]
     fn tracker_buckets_by_day() {
@@ -149,32 +99,5 @@ mod tests {
         assert_eq!(days[&0].unique_sources, 1);
         assert_eq!(days[&1].scan_packets, 0);
         assert_eq!(days[&1].total_packets, 1);
-        assert_eq!(t.day_count(), 2);
-    }
-
-    #[test]
-    fn start_day_grouping() {
-        let events = vec![ev(1, 0, 0), ev(2, 0, 1), ev(3, 2, 2)];
-        let by_day = events_by_start_day(&events);
-        assert_eq!(by_day[&0].len(), 2);
-        assert_eq!(by_day[&2].len(), 1);
-        assert!(!by_day.contains_key(&1));
-    }
-
-    #[test]
-    fn active_includes_span_days() {
-        let events = vec![ev(1, 0, 2), ev(2, 1, 1)];
-        let active = active_sources_by_day(&events);
-        assert_eq!(active[&0].len(), 1);
-        assert_eq!(active[&1].len(), 2);
-        assert_eq!(active[&2].len(), 1);
-    }
-
-    #[test]
-    fn active_dedupes_multiple_events_same_source() {
-        // One source with two events the same day counts once.
-        let events = vec![ev(1, 0, 0), ev(1, 0, 0)];
-        let active = active_sources_by_day(&events);
-        assert_eq!(active[&0].len(), 1);
     }
 }

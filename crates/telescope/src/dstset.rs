@@ -126,7 +126,8 @@ impl DstSet {
     }
 
     /// Size of the id universe.
-    pub fn universe(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn universe(&self) -> u32 {
         self.universe
     }
 

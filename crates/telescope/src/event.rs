@@ -27,7 +27,7 @@
 //! one shard in their serial relative order, so per-key decisions — and
 //! therefore event contents — are bitwise-identical at any thread
 //! count. Timed expiry stays content-neutral by carrying an extra
-//! `reorder_window` of slack (see [`EventAggregator::advance`]): by the
+//! `reorder_window` of slack (see `EventAggregator::advance`): by the
 //! time a sweep may close an event, any future packet for that key is
 //! guaranteed to start a fresh event anyway, provided the input's
 //! per-key disorder is bounded by `reorder_window` (the fault layer's
@@ -57,7 +57,7 @@ pub struct EventKey {
 
 impl EventKey {
     /// The key for a scanning packet.
-    pub fn of(pkt: &PacketMeta, class: ScanClass) -> EventKey {
+    pub(crate) fn of(pkt: &PacketMeta, class: ScanClass) -> EventKey {
         EventKey { src: pkt.src, dst_port: pkt.dst_port().unwrap_or(0), class }
     }
 }
@@ -77,7 +77,7 @@ pub struct ToolCounts {
 
 impl ToolCounts {
     /// Increment the counter for a tool.
-    pub fn add(&mut self, tool: Tool, n: u64) {
+    pub(crate) fn add(&mut self, tool: Tool, n: u64) {
         match tool {
             Tool::ZMap => self.zmap += n,
             Tool::Masscan => self.masscan += n,
@@ -89,33 +89,6 @@ impl ToolCounts {
     /// Total across tools.
     pub fn total(&self) -> u64 {
         self.zmap + self.masscan + self.mirai + self.other
-    }
-
-    /// The dominant tool (ties broken in ZMap→Masscan→Mirai→Other order);
-    /// `Tool::Other` for an empty counter.
-    pub fn dominant(&self) -> Tool {
-        let pairs = [
-            (self.zmap, Tool::ZMap),
-            (self.masscan, Tool::Masscan),
-            (self.mirai, Tool::Mirai),
-            (self.other, Tool::Other),
-        ];
-        // `max_by_key` keeps the *last* maximum; iterate reversed so that
-        // ties resolve to the earliest entry (ZMap first).
-        pairs
-            .iter()
-            .rev()
-            .max_by_key(|(n, _)| *n)
-            .filter(|(n, _)| *n > 0)
-            .map_or(Tool::Other, |(_, t)| *t)
-    }
-
-    /// Merge another counter into this one.
-    pub fn merge(&mut self, other: &ToolCounts) {
-        self.zmap += other.zmap;
-        self.masscan += other.masscan;
-        self.mirai += other.mirai;
-        self.other += other.other;
     }
 }
 
@@ -149,16 +122,6 @@ impl DarknetEvent {
         } else {
             f64::from(self.unique_dsts) / f64::from(self.dark_size)
         }
-    }
-
-    /// Day index the event started in.
-    pub fn start_day(&self) -> u64 {
-        self.start.day()
-    }
-
-    /// Inclusive range of day indices the event overlaps.
-    pub fn days(&self) -> std::ops::RangeInclusive<u64> {
-        self.start.day()..=self.end.day()
     }
 }
 
@@ -203,14 +166,15 @@ struct ActiveEvent {
 
 /// Streaming aggregator turning scanning packets into darknet events.
 ///
-/// Feed time-ordered packets with [`EventAggregator::observe`]; call
-/// [`EventAggregator::advance`] periodically (any granularity) to expire
-/// idle events, and [`EventAggregator::flush`] at end of trace.
+/// Feed time-ordered packets with [`EventAggregator::observe`], which
+/// also expires idle events on its own sweep schedule, and call
+/// [`EventAggregator::flush`] at end of trace.
 pub struct EventAggregator {
     timeout: Dur,
     dark_size: u32,
     active: FastMap<EventKey, ActiveEvent>,
-    /// Completed events are drained by the caller.
+    /// Completed events, held until [`EventAggregator::flush`] takes
+    /// them at the end of the trace (ROADMAP item 5).
     completed: Vec<DarknetEvent>,
     /// Watermark of the last periodic sweep.
     last_sweep: Ts,
@@ -247,7 +211,11 @@ impl EventAggregator {
 
     /// Like [`EventAggregator::new`], with an explicit reorder window
     /// instead of the `timeout / 2` default.
-    pub fn with_reorder_window(dark_size: u32, timeout: Dur, window: Dur) -> EventAggregator {
+    pub(crate) fn with_reorder_window(
+        dark_size: u32,
+        timeout: Dur,
+        window: Dur,
+    ) -> EventAggregator {
         EventAggregator {
             timeout,
             dark_size,
@@ -274,7 +242,7 @@ impl EventAggregator {
     ///
     /// Observation-only: instruments mirror the accounting the
     /// aggregator already does and never influence event semantics.
-    pub fn set_recorder(&mut self, rec: &Recorder) {
+    pub(crate) fn set_recorder(&mut self, rec: &Recorder) {
         self.m_received = rec.counter("ah_telescope_agg_packets_received_total");
         self.m_accepted = rec.counter("ah_telescope_agg_packets_accepted_total");
         self.m_quarantined = rec.counter("ah_telescope_agg_packets_quarantined_total");
@@ -290,12 +258,13 @@ impl EventAggregator {
     /// Attach a tracer: every timed expiry sweep emits an
     /// `ah_telescope_agg_sweep` span on the sweeping thread's track.
     /// Observation-only — sweep timing and event contents are unchanged.
-    pub fn set_tracer(&mut self, tracer: &ah_trace::Tracer) {
+    pub(crate) fn set_tracer(&mut self, tracer: &ah_trace::Tracer) {
         self.tracer = tracer.clone();
     }
 
     /// Number of currently active (unexpired) events.
-    pub fn active_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn active_count(&self) -> usize {
         self.active.len()
     }
 
@@ -408,7 +377,7 @@ impl EventAggregator {
     /// later, or never therefore changes *when* completed events are
     /// drained but never their contents — which is why serial runs and
     /// shards sweeping on independent local clocks agree bitwise.
-    pub fn advance(&mut self, now: Ts) {
+    pub(crate) fn advance(&mut self, now: Ts) {
         self.m_sweeps.inc();
         let _span = self.m_sweep_us.time();
         let _trace = self.tracer.span("ah_telescope_agg_sweep");
@@ -428,12 +397,6 @@ impl EventAggregator {
                 self.m_events_total.inc();
             }
         }
-    }
-
-    /// Drain events completed so far (ordering follows completion, not
-    /// event start).
-    pub fn drain_completed(&mut self) -> Vec<DarknetEvent> {
-        std::mem::take(&mut self.completed)
     }
 
     /// Close every remaining active event (end of trace) and drain all.
@@ -561,7 +524,7 @@ mod tests {
         assert_eq!(a.active_count(), 1, "within the slack: not yet expired");
         a.advance(Ts::from_secs(901));
         assert_eq!(a.active_count(), 0);
-        assert_eq!(a.drain_completed().len(), 1);
+        assert_eq!(a.completed.len(), 1);
     }
 
     #[test]
@@ -598,7 +561,6 @@ mod tests {
         let evs = a.flush();
         assert_eq!(evs[0].tools.zmap, 1);
         assert_eq!(evs[0].tools.total(), 2);
-        assert_eq!(evs[0].tools.dominant(), Tool::ZMap);
     }
 
     #[test]
@@ -680,37 +642,5 @@ mod tests {
         assert!(s.late_accepted >= 2);
         let total_pkts: u64 = a.flush().iter().map(|e| e.packets).sum();
         assert_eq!(total_pkts, s.accepted);
-    }
-
-    #[test]
-    fn tool_counts_merge_and_dominant_empty() {
-        let mut a = ToolCounts::default();
-        assert_eq!(a.dominant(), Tool::Other);
-        let mut b = ToolCounts::default();
-        b.add(Tool::Masscan, 3);
-        b.add(Tool::Other, 1);
-        a.merge(&b);
-        assert_eq!(a.total(), 4);
-        assert_eq!(a.dominant(), Tool::Masscan);
-    }
-
-    #[test]
-    fn event_day_helpers() {
-        let e = DarknetEvent {
-            key: EventKey {
-                src: Ipv4Addr4::new(1, 1, 1, 1),
-                dst_port: 23,
-                class: ScanClass::TcpSyn,
-            },
-            start: Ts::from_days(2) + Dur::from_secs(100),
-            end: Ts::from_days(4) + Dur::from_secs(5),
-            packets: 1,
-            bytes: 40,
-            unique_dsts: 1,
-            dark_size: 100,
-            tools: ToolCounts::default(),
-        };
-        assert_eq!(e.start_day(), 2);
-        assert_eq!(e.days().collect::<Vec<_>>(), vec![2, 3, 4]);
     }
 }

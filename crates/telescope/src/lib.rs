@@ -23,7 +23,3 @@ pub mod daily;
 pub mod dstset;
 pub mod event;
 pub mod timeout;
-
-pub use capture::{CaptureStats, DarkSpace};
-pub use event::{AggregatorStats, DarknetEvent, EventAggregator, EventKey};
-pub use timeout::TimeoutModel;

@@ -50,7 +50,7 @@ impl TimeoutModel {
     }
 
     /// Expected inter-arrival of the scanner's packets at the darknet.
-    pub fn expected_gap_secs(&self) -> f64 {
+    fn expected_gap_secs(&self) -> f64 {
         IPV4_SPACE / (self.scan_rate_pps * self.dark_size as f64)
     }
 
@@ -59,11 +59,6 @@ impl TimeoutModel {
         let delta = self.expected_gap_secs();
         let gaps = (self.scan_duration_secs / delta).max(1.0);
         delta * (gaps / self.split_probability).ln().max(1.0)
-    }
-
-    /// The derived timeout as a duration (microsecond resolution).
-    pub fn timeout(&self) -> Dur {
-        Dur::from_micros((self.timeout_secs() * 1e6) as u64)
     }
 }
 

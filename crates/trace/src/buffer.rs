@@ -72,7 +72,7 @@ impl EventKind {
 
 /// One decoded trace event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RawEvent {
+pub(crate) struct RawEvent {
     /// Begin/end/instant.
     pub kind: EventKind,
     /// Interned name id (resolve via the tracer's name table).
@@ -89,7 +89,7 @@ pub struct RawEvent {
 }
 
 /// Fixed-capacity single-writer trace buffer (see module docs).
-pub struct TraceBuf {
+pub(crate) struct TraceBuf {
     words: Vec<AtomicU64>,
     /// Published event count. Written only by the owning thread.
     len: AtomicU64,
@@ -109,7 +109,7 @@ impl std::fmt::Debug for TraceBuf {
 
 impl TraceBuf {
     /// Create a buffer holding at most `capacity` events.
-    pub fn new(capacity: usize) -> TraceBuf {
+    pub(crate) fn new(capacity: usize) -> TraceBuf {
         let mut words = Vec::with_capacity(capacity * WORDS);
         for _ in 0..capacity * WORDS {
             words.push(AtomicU64::new(0));
@@ -117,15 +117,10 @@ impl TraceBuf {
         TraceBuf { words, len: AtomicU64::new(0), dropped: AtomicU64::new(0), capacity }
     }
 
-    /// Event capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Append one event. Only the owning thread may call this (the
     /// single-writer invariant the module docs describe). Returns
     /// `false` — counting, not blocking — when the buffer is full.
-    pub fn push(&self, kind: EventKind, name_id: u32, ts_ns: u64, journey: u64) -> bool {
+    pub(crate) fn push(&self, kind: EventKind, name_id: u32, ts_ns: u64, journey: u64) -> bool {
         // ORDERING: `Relaxed` — `len` is written only by this thread,
         // so this load always sees the writer's own latest store.
         let n = self.len.load(Ordering::Relaxed) as usize;
@@ -145,7 +140,7 @@ impl TraceBuf {
     }
 
     /// Events dropped on overflow so far.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         // ORDERING: `Relaxed` — see the counter's comment in `push`.
         self.dropped.load(Ordering::Relaxed)
     }
@@ -153,7 +148,7 @@ impl TraceBuf {
     /// Snapshot the published prefix of the buffer. Safe from any
     /// thread: the acquire on `len` pairs with the writer's release,
     /// so every slot below the observed length is fully written.
-    pub fn snapshot(&self) -> Vec<RawEvent> {
+    pub(crate) fn snapshot(&self) -> Vec<RawEvent> {
         let n = self.len.load(LEN_OBSERVE) as usize;
         let mut out = Vec::with_capacity(n);
         for i in 0..n {

@@ -3,7 +3,7 @@
 //! ah-obs answers *"how much / how fast"*; this crate answers *"where
 //! did this packet's time go"*. It provides:
 //!
-//! * **Per-thread bounded lock-free buffers** ([`buffer::TraceBuf`]):
+//! * **Per-thread bounded lock-free buffers** (`buffer::TraceBuf`):
 //!   each tracing thread appends span begin/end and instant events to
 //!   its own fixed-capacity buffer, published with the same
 //!   single-writer Release/Acquire protocol as the SPSC ring. Full
@@ -42,7 +42,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod buffer;
+mod buffer;
 pub mod check;
 pub mod export;
 
@@ -222,15 +222,6 @@ impl Tracer {
         }
     }
 
-    /// Total events dropped across all tracks (buffer overflow).
-    pub fn dropped(&self) -> u64 {
-        let Some(inner) = &self.0 else { return 0 };
-        match inner.tracks.lock() {
-            Ok(tracks) => tracks.iter().map(|t| t.buf.dropped()).sum(),
-            Err(_) => 0,
-        }
-    }
-
     /// Snapshot every track's published events for export.
     pub fn snapshot(&self) -> export::TraceSnapshot {
         let Some(inner) = &self.0 else {
@@ -391,8 +382,8 @@ mod tests {
         let g = tr.span("ah_test_noop_span");
         drop(g);
         tr.instant("ah_test_noop_instant");
-        assert_eq!(tr.snapshot().tracks.len(), 0);
-        assert_eq!(tr.dropped(), 0);
+        let snap = tr.snapshot();
+        assert_eq!((snap.tracks.len(), snap.dropped), (0, 0));
     }
 
     #[test]

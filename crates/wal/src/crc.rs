@@ -29,7 +29,7 @@ const fn build_table() -> [u32; 256] {
 /// Streaming CRC32 state; feed spans with [`Crc32::update`] and read the
 /// final checksum with [`Crc32::finish`].
 #[derive(Debug, Clone, Copy)]
-pub struct Crc32(u32);
+pub(crate) struct Crc32(u32);
 
 impl Default for Crc32 {
     fn default() -> Self {
@@ -39,12 +39,12 @@ impl Default for Crc32 {
 
 impl Crc32 {
     /// Fresh state (all-ones preset, per the IEEE definition).
-    pub fn new() -> Crc32 {
+    pub(crate) fn new() -> Crc32 {
         Crc32(0xFFFF_FFFF)
     }
 
     /// Fold `bytes` into the running checksum.
-    pub fn update(&mut self, bytes: &[u8]) {
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
         let mut c = self.0;
         for &b in bytes {
             c = TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
@@ -53,13 +53,13 @@ impl Crc32 {
     }
 
     /// The final (bit-inverted) checksum.
-    pub fn finish(self) -> u32 {
+    pub(crate) fn finish(self) -> u32 {
         self.0 ^ 0xFFFF_FFFF
     }
 }
 
 /// One-shot CRC32 of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut c = Crc32::new();
     c.update(bytes);
     c.finish()

@@ -23,7 +23,7 @@ pub const FRAME_HEADER_BYTES: usize = 16;
 
 /// Upper bound on one frame's payload; anything larger in a length field
 /// is treated as corruption rather than attempted as an allocation.
-pub const MAX_FRAME_PAYLOAD: u32 = 1 << 20;
+pub(crate) const MAX_FRAME_PAYLOAD: u32 = 1 << 20;
 
 /// Append one encoded frame carrying `payload` to `out`.
 pub fn append_frame(out: &mut Vec<u8>, seq: u64, payload: &[u8]) {

@@ -11,15 +11,15 @@
 //!
 //! Layering, bottom up:
 //!
-//! * [`crc`] — hand-rolled CRC32 (the workspace has no third-party
+//! * `crc` — hand-rolled CRC32 (the workspace has no third-party
 //!   dependencies).
 //! * [`frame`] — length-prefixed, CRC-framed log entries with monotonic
 //!   sequence numbers.
 //! * [`record`] — the domain payloads: run meta, packets, and the
 //!   end-of-run seal.
-//! * [`segment`] — on-disk segment files; the log is exactly its
+//! * `segment` — on-disk segment files; the log is exactly its
 //!   `*.seg` files.
-//! * [`writer`] — batched group-commit appends, segment rotation, the
+//! * `writer` — batched group-commit appends, segment rotation, the
 //!   durable watermark, and a deliberate crash hook for fault drills.
 //! * [`mod@recover`] — the recovery scanner: validates every frame,
 //!   truncates at the first torn/corrupt one, drops unreachable
@@ -36,14 +36,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod crc;
+mod crc;
 pub mod frame;
 pub mod record;
 pub mod recover;
-pub mod segment;
-pub mod writer;
+mod segment;
+mod writer;
 
-pub use record::{RunMeta, RunSeal, WalRecord, FNV_OFFSET};
-pub use recover::{peek_meta, recover, RecoveredLog, RecoveryStats};
+pub use record::{RunSeal, WalRecord, FNV_OFFSET};
+pub use recover::{peek_meta, recover, RecoveredLog};
 pub use segment::segment_paths;
 pub use writer::{WalWriter, WalWriterConfig};

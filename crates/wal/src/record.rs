@@ -25,12 +25,12 @@ use ah_simnet::faults::{FaultPlan, InjectorStats};
 use ah_simnet::scenario::{BenignLevel, ScenarioConfig, Year};
 
 /// Frame-payload kind byte for [`RunMeta`].
-pub const KIND_META: u8 = 1;
+pub(crate) const KIND_META: u8 = 1;
 /// Frame-payload kind byte for a packet record.
-pub const KIND_PACKET: u8 = 2;
+pub(crate) const KIND_PACKET: u8 = 2;
 /// Frame-payload kind byte for [`RunSeal`]. Kinds 3 and 4 are unassigned
 /// and decode as unknown.
-pub const KIND_SEAL: u8 = 5;
+pub(crate) const KIND_SEAL: u8 = 5;
 
 /// The run configuration summary stored as the log's first record.
 #[derive(Debug, Clone)]

@@ -72,10 +72,10 @@ impl RecoveredLog {
 /// frame survives:
 ///
 /// ```
-/// use ah_net::{Ipv4Addr4, PacketMeta, Ts};
+/// use ah_net::{ipv4::Ipv4Addr4, packet::PacketMeta, time::Ts};
 /// use ah_obs::Recorder;
 /// use ah_wal::record::WalRecord;
-/// use ah_wal::writer::{WalWriter, WalWriterConfig};
+/// use ah_wal::{WalWriter, WalWriterConfig};
 ///
 /// let dir = std::env::temp_dir().join(format!("wal-doc-recover-{}", std::process::id()));
 /// # let _ = std::fs::remove_dir_all(&dir);

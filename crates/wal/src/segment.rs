@@ -14,14 +14,14 @@ use std::path::{Path, PathBuf};
 use crate::crc::{crc32, Crc32};
 
 /// Magic bytes opening every data segment.
-pub const SEGMENT_MAGIC: [u8; 8] = *b"AHWALSG1";
+pub(crate) const SEGMENT_MAGIC: [u8; 8] = *b"AHWALSG1";
 /// Fixed size of the segment header.
-pub const SEGMENT_HEADER_BYTES: usize = 24;
+pub(crate) const SEGMENT_HEADER_BYTES: usize = 24;
 /// Current on-disk format version.
-pub const FORMAT_VERSION: u32 = 1;
+pub(crate) const FORMAT_VERSION: u32 = 1;
 
 /// Encode a segment header for a segment whose first frame is `base_seq`.
-pub fn encode_segment_header(base_seq: u64) -> [u8; SEGMENT_HEADER_BYTES] {
+pub(crate) fn encode_segment_header(base_seq: u64) -> [u8; SEGMENT_HEADER_BYTES] {
     let mut out = [0u8; SEGMENT_HEADER_BYTES];
     out[0..8].copy_from_slice(&SEGMENT_MAGIC);
     out[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
@@ -33,7 +33,7 @@ pub fn encode_segment_header(base_seq: u64) -> [u8; SEGMENT_HEADER_BYTES] {
 }
 
 /// Decode and validate a segment header, returning its base sequence.
-pub fn decode_segment_header(buf: &[u8]) -> Option<u64> {
+pub(crate) fn decode_segment_header(buf: &[u8]) -> Option<u64> {
     if buf.len() < SEGMENT_HEADER_BYTES || buf[0..8] != SEGMENT_MAGIC {
         return None;
     }
@@ -50,12 +50,12 @@ pub fn decode_segment_header(buf: &[u8]) -> Option<u64> {
 }
 
 /// File name of the segment whose first frame is `base_seq`.
-pub fn segment_file_name(base_seq: u64) -> String {
+pub(crate) fn segment_file_name(base_seq: u64) -> String {
     format!("{base_seq:016x}.seg")
 }
 
 /// Parse a `<base_seq:016x>.seg` file name back to its base sequence.
-pub fn parse_segment_file_name(name: &str) -> Option<u64> {
+pub(crate) fn parse_segment_file_name(name: &str) -> Option<u64> {
     let stem = name.strip_suffix(".seg")?;
     if stem.len() != 16 {
         return None;

@@ -106,10 +106,10 @@ impl WalWriter {
     /// stream them back through recovery:
     ///
     /// ```
-    /// use ah_net::{Ipv4Addr4, PacketMeta, Ts};
+    /// use ah_net::{ipv4::Ipv4Addr4, packet::PacketMeta, time::Ts};
     /// use ah_obs::Recorder;
     /// use ah_wal::record::WalRecord;
-    /// use ah_wal::writer::{WalWriter, WalWriterConfig};
+    /// use ah_wal::{WalWriter, WalWriterConfig};
     ///
     /// let dir = std::env::temp_dir().join(format!("wal-doc-create-{}", std::process::id()));
     /// # let _ = std::fs::remove_dir_all(&dir);
@@ -219,25 +219,10 @@ impl WalWriter {
         self.tracer = tracer.clone();
     }
 
-    /// The WAL directory this writer appends to.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Sequence number the next append will receive.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Durability watermark: all frames with `seq < durable_seq` have
     /// been written and fsync'd.
     pub fn durable_seq(&self) -> u64 {
         self.durable_seq
-    }
-
-    /// True once [`WalWriter::seal`] has run.
-    pub fn is_sealed(&self) -> bool {
-        self.sealed
     }
 
     /// Append one record; returns its sequence number. Durable only
@@ -388,11 +373,11 @@ mod tests {
         let dir = tmp("basic");
         let rec = Recorder::new();
         let mut w = WalWriter::create(&dir, WalWriterConfig::default(), &rec).unwrap();
-        assert_eq!(w.next_seq(), 0);
+        assert_eq!(w.next_seq, 0);
         for _ in 0..10 {
             w.append_payload(b"\x02payload").unwrap();
         }
-        assert_eq!(w.next_seq(), 10);
+        assert_eq!(w.next_seq, 10);
         assert_eq!(w.durable_seq(), 0, "group commit threshold not reached");
         w.commit().unwrap();
         assert_eq!(w.durable_seq(), 10);
@@ -435,7 +420,7 @@ mod tests {
         let mut w = WalWriter::create(&dir, WalWriterConfig::default(), &rec).unwrap();
         w.append_payload(b"\x02payload").unwrap();
         w.seal(seal_rec()).unwrap();
-        assert!(w.is_sealed());
+        assert!(w.sealed);
         assert!(w.append_payload(b"\x02x").is_err());
         let _ = fs::remove_dir_all(&dir);
     }

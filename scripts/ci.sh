@@ -11,6 +11,9 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> clippy (lib + bins, unwrap_used denied)"
+# Also the "no capability without a caller" gate: everything below `pub`
+# in the product crates is `pub(crate)` or private, so `dead_code` under
+# `-D warnings` fails here when an item loses its last shipped caller.
 cargo clippy --workspace --lib --bins -- -D warnings -D clippy::unwrap_used
 
 echo "==> clippy (tests, benches, examples)"
@@ -39,7 +42,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "==> ablation tables run"
 # The one bench target left is a plain main() that prints the
 # EXPERIMENTS.md §Ablations tables; run it so the tables stay printable.
-cargo bench -q -p ah-bench --bench ablation >/dev/null
+cargo bench -q --bench ablation >/dev/null
 
 echo "==> build (release)"
 cargo build --release --workspace

@@ -39,8 +39,8 @@ use aggressive_scanners::core::report::{fmt_count, fmt_pct, write_csv, TextTable
 use aggressive_scanners::core::validate::{
     acked_validation, daily_gn_overlap, gn_breakdown, gn_tag_table,
 };
-use aggressive_scanners::pipeline::RunOutput;
-use ah_bench::{Runs, Spans};
+use aggressive_scanners::pipeline::{self, RunOptions, RunOutput, TapRun, Telemetry};
+use aggressive_scanners::simnet::scenario::{BenignLevel, ScenarioConfig, Year};
 use std::collections::HashSet;
 use std::path::PathBuf;
 
@@ -50,10 +50,138 @@ fn weekday(day0_weekday: u8, day: u64) -> &'static str {
     WEEKDAYS[((u64::from(day0_weekday) + day) % 7) as usize]
 }
 
+/// Span (in simulated days) of each dataset, scaled from the paper's
+/// 365 / 288 / 8 / 3 / 30 by roughly 1:9 so a full `experiment all`
+/// regenerates every artifact in minutes. Scale with `--days-scale`.
+#[derive(Clone, Copy)]
+struct Spans {
+    /// Darknet-1 (2021) characterization span.
+    darknet1_days: u64,
+    /// Darknet-2 (2022) characterization span.
+    darknet2_days: u64,
+    /// Flow-measurement week (excluding the warm-up day).
+    flow_days: u64,
+    /// Tap runs: 1 detection day + 3 tap days.
+    tap_days: u64,
+    /// Honeypot-validation month.
+    gn_days: u64,
+}
+
+impl Spans {
+    /// The default spans scaled by `f` (minimum sensible floors applied).
+    fn scaled(f: f64) -> Spans {
+        let s = |d: u64, min: u64| ((d as f64 * f) as u64).max(min);
+        Spans {
+            darknet1_days: s(40, 4),
+            darknet2_days: s(32, 4),
+            flow_days: s(8, 2),
+            tap_days: s(4, 2),
+            gn_days: s(21, 3),
+        }
+    }
+}
+
+/// Lazily-computed simulation runs, shared by every experiment of one
+/// invocation.
+struct Runs {
+    /// Spans used for every run.
+    spans: Spans,
+    /// Base RNG seed; each run derives its own by XOR.
+    seed: u64,
+    /// Worker shards for the parallel engine (`0`/`1` = serial).
+    threads: usize,
+    /// Observation-only: run outputs are bitwise identical with it on
+    /// or off.
+    telemetry: Telemetry,
+    darknet1: Option<RunOutput>,
+    darknet2: Option<RunOutput>,
+    flows: Option<RunOutput>,
+    gn: Option<RunOutput>,
+    taps: Option<TapRun>,
+}
+
+/// Run a scenario on the requested engine: the serial reference for
+/// `threads <= 1`, the sharded engine otherwise. Both produce bitwise
+/// identical output (see `tests/determinism.rs`), so the choice is a
+/// pure performance knob.
+fn execute(
+    cfg: ScenarioConfig,
+    opts: RunOptions,
+    threads: usize,
+    tel: &mut Telemetry,
+) -> RunOutput {
+    if threads > 1 {
+        pipeline::run_parallel_with_recorder(cfg, opts, threads, tel)
+    } else {
+        pipeline::run_with_recorder(cfg, opts, tel)
+    }
+}
+
+impl Runs {
+    /// Darknet-1 (2021) characterization run.
+    fn darknet1(&mut self) -> &RunOutput {
+        let (spans, seed, threads) = (self.spans, self.seed, self.threads);
+        let tel = &mut self.telemetry;
+        self.darknet1.get_or_insert_with(|| {
+            eprintln!("[run] darknet-1 ({} days)...", spans.darknet1_days);
+            let cfg = ScenarioConfig::darknet(Year::Y2021, spans.darknet1_days, seed ^ 0x2021);
+            execute(cfg, RunOptions::darknet_only(), threads, tel)
+        })
+    }
+
+    /// Darknet-2 (2022) characterization run.
+    fn darknet2(&mut self) -> &RunOutput {
+        let (spans, seed, threads) = (self.spans, self.seed, self.threads);
+        let tel = &mut self.telemetry;
+        self.darknet2.get_or_insert_with(|| {
+            eprintln!("[run] darknet-2 ({} days)...", spans.darknet2_days);
+            let cfg = ScenarioConfig::darknet(Year::Y2022, spans.darknet2_days, seed ^ 0x2022);
+            execute(cfg, RunOptions::darknet_only(), threads, tel)
+        })
+    }
+
+    /// The flow-measurement week (Merit benign + 3 border routers).
+    fn flows(&mut self) -> &RunOutput {
+        let (spans, seed, threads) = (self.spans, self.seed, self.threads);
+        let tel = &mut self.telemetry;
+        self.flows.get_or_insert_with(|| {
+            eprintln!("[run] flow week (1 warm-up + {} days, Merit benign)...", spans.flow_days);
+            let cfg = ScenarioConfig::flows(spans.flow_days + 1, seed ^ 0xf10f);
+            execute(cfg, RunOptions::with_flows(), threads, tel)
+        })
+    }
+
+    /// The honeypot-validation month (telescope + GreyNoise).
+    fn gn(&mut self) -> &RunOutput {
+        let (spans, seed, threads) = (self.spans, self.seed, self.threads);
+        let tel = &mut self.telemetry;
+        self.gn.get_or_insert_with(|| {
+            eprintln!("[run] greynoise month ({} days)...", spans.gn_days);
+            let mut cfg = ScenarioConfig::darknet(Year::Y2022, spans.gn_days, seed ^ 0x60e5);
+            cfg.label = "gn-month".into();
+            cfg.benign = BenignLevel::Off;
+            let opts = RunOptions { greynoise: true, ..RunOptions::darknet_only() };
+            execute(cfg, opts, threads, tel)
+        })
+    }
+
+    /// The 72-hour packet-tap experiment (two-phase).
+    fn taps(&mut self) -> &TapRun {
+        let (spans, seed) = (self.spans, self.seed);
+        self.taps.get_or_insert_with(|| {
+            eprintln!("[run] packet taps (1+{} days, Merit+CU benign)...", spans.tap_days - 1);
+            pipeline::run_taps(
+                ScenarioConfig::taps(spans.tap_days, seed ^ 0x7a9),
+                1,
+                Definition::AddressDispersion,
+            )
+        })
+    }
+}
+
 struct Ctx {
     runs: Runs,
     out: PathBuf,
-    seed: u64,
 }
 
 /// Exit with a diagnostic instead of panicking when a run output lacks a
@@ -158,16 +286,25 @@ fn main() {
     if ids.contains(&"all") {
         todo = EXPERIMENTS.iter().collect();
     }
-    let spans = Spans::default().scaled(scale);
-    let runs = Runs::new(spans, seed).with_threads(threads).with_telemetry(obs.telemetry(seed));
-    let mut ctx = Ctx { runs, out, seed };
+    let runs = Runs {
+        spans: Spans::scaled(scale),
+        seed,
+        threads,
+        telemetry: obs.telemetry(seed),
+        darknet1: None,
+        darknet2: None,
+        flows: None,
+        gn: None,
+        taps: None,
+    };
+    let mut ctx = Ctx { runs, out };
     std::fs::create_dir_all(&ctx.out).ok();
     for (id, run) in todo {
         let t0 = std::time::Instant::now();
         run(&mut ctx);
         eprintln!("[done] {id} in {:.1}s\n", t0.elapsed().as_secs_f64());
     }
-    if let Err(e) = obs.finish(ctx.runs.telemetry()) {
+    if let Err(e) = obs.finish(&ctx.runs.telemetry) {
         eprintln!("error: observability output: {e}");
         std::process::exit(1);
     }
@@ -867,22 +1004,20 @@ fn fig6(ctx: &mut Ctx) {
 /// a 1%-fault chaos run of the same scenario, side by side.
 fn health(ctx: &mut Ctx) {
     use aggressive_scanners::core::defs::Thresholds;
-    use aggressive_scanners::pipeline::{self, RunOptions};
     use aggressive_scanners::simnet::faults::FaultPlan;
-    use aggressive_scanners::simnet::scenario::ScenarioConfig;
     let thresholds =
         Thresholds { dispersion_fraction: 0.10, volume_alpha: 0.01, ports_alpha: 0.01 };
     let opts = RunOptions::full().with_thresholds(thresholds);
     let mut csv = Vec::new();
     for (label, faults) in
-        [("clean", None), ("faults-1pct", Some(FaultPlan::uniform(0.01, ctx.seed)))]
+        [("clean", None), ("faults-1pct", Some(FaultPlan::uniform(0.01, ctx.runs.seed)))]
     {
         eprintln!("[run] health {label} (3 days)...");
         let mut o = opts;
         if let Some(plan) = faults {
             o = o.with_faults(plan);
         }
-        let out = pipeline::run(ScenarioConfig::tiny(3, ctx.seed ^ 0x6ea1), o);
+        let out = pipeline::run(ScenarioConfig::tiny(3, ctx.runs.seed ^ 0x6ea1), o);
         println!("## Pipeline health ({label})");
         print!("{}", out.health.render());
         println!(

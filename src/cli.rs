@@ -1,5 +1,5 @@
 //! The observability command line both binaries share
-//! (`aggressive-scanners` and `crates/bench`'s `experiment`):
+//! (`aggressive-scanners` and `experiment`):
 //!
 //! ```text
 //! [--metrics PATH] [--metrics-interval N]

@@ -10,7 +10,7 @@
 //!   aggregation;
 //! * [`flow`] — NetFlow-style sampling, flow caches, and the border-
 //!   router/peering model;
-//! * [`intel`] — ASN registry, Acknowledged-Scanners list, reverse DNS,
+//! * [`ah_intel`] — ASN registry, Acknowledged-Scanners list, reverse DNS,
 //!   GreyNoise-style honeypot;
 //! * [`simnet`] — the synthetic internet standing in for the paper's
 //!   proprietary traces (see `DESIGN.md` for the substitution table);
@@ -19,8 +19,8 @@
 //! * [`obs`] — observation-only pipeline telemetry: atomic instruments
 //!   behind a cheap [`obs::Recorder`] handle plus JSONL/Prometheus
 //!   snapshot export (see `ARCHITECTURE.md` §Observability);
-//! * [`mem`] — tagged-allocator memory observability: per-subsystem
-//!   live/peak/cumulative accounting behind [`mem::MemScope`] tag
+//! * [`ah_mem`] — tagged-allocator memory observability: per-subsystem
+//!   live/peak/cumulative accounting behind [`ah_mem::MemScope`] tag
 //!   scopes, installed process-wide by this crate's
 //!   `#[global_allocator]` (see `ARCHITECTURE.md` §13);
 //! * [`wal`] — durable write-ahead event store: CRC-framed append-only
@@ -49,18 +49,16 @@
 
 pub use ah_core as core;
 pub use ah_flow as flow;
-pub use ah_intel as intel;
-pub use ah_mem as mem;
 pub use ah_net as net;
 pub use ah_obs as obs;
 pub use ah_simnet as simnet;
 pub use ah_telescope as telescope;
 pub use ah_wal as wal;
 
-/// The tagged system allocator (see [`mem`]). Installing it here puts
+/// The tagged system allocator (see [`ah_mem`]). Installing it here puts
 /// every binary, test, bench, and example linking this crate under
 /// per-subsystem memory accounting; until
-/// [`mem::set_accounting`]`(true)` is called the shim only pads each
+/// [`ah_mem::set_accounting`]`(true)` is called the shim only pads each
 /// allocation with its 8-byte header. Declaring the static is safe —
 /// all `unsafe` stays inside `ah-mem`'s allocator shim.
 #[global_allocator]

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! aggressive-scanners [--metrics PATH] [--metrics-interval N]
-//!                     [--threads N] [--days N] [--seed N] [--fault-rate F]
+//!                     [--threads N] [--days N] [--seed N]
 //!                     [--wal-dir DIR] [--resume] [--replay]
 //!                     [--suspend-after N] [--crash-after N]
 //!                     [--trace-out PATH] [--trace-sample N]
@@ -47,13 +47,12 @@
 //! Accounting, like metrics and tracing, is observation-only — the
 //! fingerprint is identical with it on or off (see `tests/memory.rs`).
 //!
-//! For the paper's tables and figures use the `experiment` binary in
-//! `crates/bench`, which takes the same observability flags (both parse
-//! them through `aggressive_scanners::cli`).
+//! For the paper's tables and figures use the `experiment` binary
+//! (`src/bin/experiment.rs`), which takes the same observability flags
+//! (both parse them through `aggressive_scanners::cli`).
 
 use aggressive_scanners::cli::{parse_flag, usage_error, ObsFlags, OBS_USAGE};
 use aggressive_scanners::pipeline::{self, RunOptions, RunOutput, WalOutcome, WalRun};
-use aggressive_scanners::simnet::faults::FaultPlan;
 use aggressive_scanners::simnet::scenario::ScenarioConfig;
 use std::path::PathBuf;
 
@@ -63,7 +62,6 @@ fn main() {
     let mut threads = 4usize;
     let mut days = 3u64;
     let mut seed = 7u64;
-    let mut fault_rate = 0.0f64;
     let mut wal_dir: Option<PathBuf> = None;
     let mut resume = false;
     let mut replay = false;
@@ -84,10 +82,6 @@ fn main() {
                 i += 1;
                 seed = parse_flag(&args, i, "--seed", "integer");
             }
-            "--fault-rate" => {
-                i += 1;
-                fault_rate = parse_flag(&args, i, "--fault-rate", "float");
-            }
             "--wal-dir" => {
                 i += 1;
                 let Some(dir) = args.get(i) else {
@@ -107,7 +101,7 @@ fn main() {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: aggressive-scanners [--threads N] [--days N] [--seed N] [--fault-rate F] [--wal-dir DIR] [--resume] [--replay] [--suspend-after N] [--crash-after N] {OBS_USAGE}"
+                    "usage: aggressive-scanners [--threads N] [--days N] [--seed N] [--wal-dir DIR] [--resume] [--replay] [--suspend-after N] [--crash-after N] {OBS_USAGE}"
                 );
                 return;
             }
@@ -125,10 +119,7 @@ fn main() {
 
     let mut tel = obs.telemetry(seed);
 
-    let mut opts = RunOptions::full();
-    if fault_rate > 0.0 {
-        opts = opts.with_faults(FaultPlan::uniform(fault_rate, seed));
-    }
+    let opts = RunOptions::full();
     let cfg = ScenarioConfig::tiny(days, seed);
     let t0 = std::time::Instant::now();
     let out: RunOutput = match wal_dir {

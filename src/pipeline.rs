@@ -209,7 +209,7 @@ pub struct MemPulse {
 
 impl MemPulse {
     /// Refresh every `every` stream positions (clamped to ≥1).
-    pub fn new(every: u64) -> MemPulse {
+    pub(crate) fn new(every: u64) -> MemPulse {
         let every = every.max(1);
         MemPulse { every, next: every, peak_seen: 0 }
     }
