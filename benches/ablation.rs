@@ -74,7 +74,6 @@ fn ablate_dispersion() {
             packets: 10,
             bytes: 400,
             unique_dsts: 1 + (i * 7919) % 16_384,
-            dark_size: 16_384,
             tools: ToolCounts::default(),
         })
         .collect();

@@ -135,9 +135,9 @@ fn ratio(a: u64, b: u64) -> f64 {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortRow {
     /// Traffic type of the service.
-    pub class: ScanClass,
+    class: ScanClass,
     /// Destination port (0 for ICMP).
-    pub port: u16,
+    port: u16,
     /// Packets with the ZMap fingerprint.
     pub zmap: u64,
     /// Packets with the Masscan fingerprint.
@@ -369,7 +369,6 @@ mod tests {
             packets,
             bytes: packets * 40,
             unique_dsts: unique,
-            dark_size: DARK,
             tools,
         }
     }

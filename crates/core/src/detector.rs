@@ -1,8 +1,8 @@
 //! Aggressive-hitter detection over darknet events.
 //!
-//! The [`Detector`] ingests completed darknet events (in any order),
-//! compacts them into fixed-size [`EventRecord`]s, and at
-//! [`Detector::finalize`] computes, for each of the three definitions:
+//! The [`Detector`] ingests completed darknet events, compacts them into
+//! fixed-size [`EventRecord`]s, and at [`Detector::finalize`] computes,
+//! for each of the three definitions:
 //!
 //! * the **yearly** hitter set (any qualifying event in the dataset),
 //! * the **daily** sets (hitters whose qualifying activity *started*
@@ -14,6 +14,10 @@
 //!
 //! Definitions 2 and 3 need dataset-wide ECDF thresholds, so detection is
 //! inherently two-phase: compact on ingest, qualify on finalize.
+//!
+//! Every set, threshold and per-day total is a function of the *set* of
+//! ingested events; only [`AhReport::records`] keeps ingest order, which
+//! a telescope flush makes canonical (`DarknetEvent`'s `Ord`).
 
 use crate::defs::{Definition, Thresholds};
 use crate::ecdf::Ecdf;
@@ -108,6 +112,25 @@ fn unpack_src_day(t: u64) -> (Ipv4Addr4, u16) {
     (Ipv4Addr4((t >> 32) as u32), ((t >> 16) & 0xffff) as u16)
 }
 
+/// Distinct ports per (src, day), from the packed tuples in any order.
+fn count_ports_per_srcday(tuples: &mut Vec<u64>) -> Vec<(Ipv4Addr4, u16, u64)> {
+    tuples.sort_unstable();
+    tuples.dedup();
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < tuples.len() {
+        let key = tuples[i] >> 16;
+        let mut j = i;
+        while j < tuples.len() && tuples[j] >> 16 == key {
+            j += 1;
+        }
+        let (src, day) = unpack_src_day(tuples[i]);
+        out.push((src, day, (j - i) as u64));
+        i = j;
+    }
+    out
+}
+
 impl Detector {
     /// An empty detector with the given configuration.
     pub fn new(cfg: DetectorConfig) -> Detector {
@@ -138,32 +161,17 @@ impl Detector {
         let dark = f64::from(self.cfg.dark_size.max(1));
 
         // --- ECDFs and thresholds ---------------------------------------
-        let volume_ecdf =
+        let volumes =
             Ecdf::from_samples(self.records.iter().map(|r| u64::from(r.packets)).collect());
-        let d2_threshold = volume_ecdf.top_alpha_threshold(t.volume_alpha).unwrap_or(u64::MAX);
+        let d2_threshold = volumes.top_alpha_threshold(t.volume_alpha).unwrap_or(u64::MAX);
 
-        // Distinct ports per (src, day).
-        self.port_tuples.sort_unstable();
-        self.port_tuples.dedup();
-        let mut ports_per_srcday: Vec<(Ipv4Addr4, u16, u64)> = Vec::new();
-        {
-            let mut i = 0;
-            while i < self.port_tuples.len() {
-                let key = self.port_tuples[i] >> 16;
-                let mut j = i;
-                while j < self.port_tuples.len() && self.port_tuples[j] >> 16 == key {
-                    j += 1;
-                }
-                let (src, day) = unpack_src_day(self.port_tuples[i]);
-                ports_per_srcday.push((src, day, (j - i) as u64));
-                i = j;
-            }
-        }
-        let ports_ecdf = Ecdf::from_samples(ports_per_srcday.iter().map(|&(_, _, c)| c).collect());
+        let ports_per_srcday = count_ports_per_srcday(&mut self.port_tuples);
+        let port_counts = Ecdf::from_samples(ports_per_srcday.iter().map(|&(_, _, c)| c).collect());
         // Floor of 2: a degenerate percentile of 1 port/day (possible in
         // small datasets where almost every source probes one port) would
         // otherwise declare the entire population aggressive.
-        let d3_threshold = ports_ecdf.top_alpha_threshold(t.ports_alpha).unwrap_or(u64::MAX).max(2);
+        let d3_threshold =
+            port_counts.top_alpha_threshold(t.ports_alpha).unwrap_or(u64::MAX).max(2);
 
         // --- Qualification ------------------------------------------------
         let mut yearly: [HashSet<Ipv4Addr4>; 3] = Default::default();
@@ -233,8 +241,6 @@ impl Detector {
             cfg: self.cfg,
             d2_threshold,
             d3_threshold,
-            volume_ecdf,
-            ports_ecdf,
             yearly,
             daily,
             active,
@@ -257,10 +263,6 @@ pub struct AhReport {
     pub d2_threshold: u64,
     /// Definition-3 distinct-ports-per-day threshold.
     pub d3_threshold: u64,
-    /// ECDF over per-event packet counts (definition 2's threshold base).
-    pub volume_ecdf: Ecdf,
-    /// ECDF over per-(source, day) distinct-port counts (definition 3).
-    pub ports_ecdf: Ecdf,
     yearly: [HashSet<Ipv4Addr4>; 3],
     daily: [BTreeMap<u64, HashSet<Ipv4Addr4>>; 3],
     active: [BTreeMap<u64, HashSet<Ipv4Addr4>>; 3],
@@ -344,7 +346,6 @@ mod tests {
             packets,
             bytes: packets * 40,
             unique_dsts: unique,
-            dark_size: DARK,
             tools: ToolCounts::default(),
         }
     }
@@ -406,9 +407,11 @@ mod tests {
         e_udp.key.class = ScanClass::Udp;
         d.ingest(&ev(1, 53, 0, 1, 1));
         d.ingest(&e_udp);
-        let r = d.finalize();
         // One (src, day) sample with exactly 1 distinct port.
-        assert_eq!(r.ports_ecdf.max(), Some(1));
+        assert_eq!(
+            count_ports_per_srcday(&mut d.port_tuples),
+            [(Ipv4Addr4::new(10, 0, 0, 1), 0, 1)]
+        );
     }
 
     #[test]
@@ -417,8 +420,7 @@ mod tests {
         let mut e = ev(1, 0, 0, 1, 1);
         e.key.class = ScanClass::IcmpEcho;
         d.ingest(&e);
-        let r = d.finalize();
-        assert!(r.ports_ecdf.is_empty());
+        assert!(count_ports_per_srcday(&mut d.port_tuples).is_empty());
     }
 
     #[test]

@@ -147,7 +147,7 @@ pub fn gn_tag_table(
 pub fn daily_gn_overlap(
     report: &AhReport,
     def: Definition,
-    gn_seen: &HashSet<Ipv4Addr4>,
+    gn: &HashMap<Ipv4Addr4, GnEntry>,
     days: std::ops::Range<u64>,
 ) -> f64 {
     let mut fracs = Vec::new();
@@ -156,7 +156,7 @@ pub fn daily_gn_overlap(
             if set.is_empty() {
                 continue;
             }
-            let hit = set.iter().filter(|ip| gn_seen.contains(ip)).count();
+            let hit = set.iter().filter(|ip| gn.contains_key(ip)).count();
             fracs.push(hit as f64 / set.len() as f64);
         }
     }
@@ -188,7 +188,6 @@ mod tests {
             packets,
             bytes: packets * 40,
             unique_dsts: unique,
-            dark_size: 1000,
             tools: ToolCounts::default(),
         }
     }
@@ -276,7 +275,10 @@ mod tests {
     #[test]
     fn daily_overlap_average() {
         let r = report();
-        let seen: HashSet<_> = [ip(1), ip(2)].into_iter().collect();
+        let seen = gn_map(&[
+            (ip(1), GnClassification::Unknown, &[]),
+            (ip(2), GnClassification::Malicious, &[]),
+        ]);
         // Day 0 daily hitters = {1,2,3}; two of three seen.
         let o = daily_gn_overlap(&r, Definition::AddressDispersion, &seen, 0..3);
         assert!((o - 2.0 / 3.0).abs() < 1e-9);

@@ -97,7 +97,6 @@ proptest! {
                 packets,
                 bytes: packets * 40,
                 unique_dsts: unique,
-                dark_size: dark,
                 tools: ToolCounts { other: packets, ..Default::default() },
             };
             if f64::from(unique) / f64::from(dark) >= 0.10 {

@@ -38,7 +38,7 @@ pub(crate) const DEFAULT_INACTIVE_TIMEOUT: Dur = Dur::from_secs(15);
 /// Input-fate counters for one flow cache.
 ///
 /// Conservation: `received == accepted + duplicates_suppressed`;
-/// `late_accepted` and `first_repaired` are subsets of `accepted`.
+/// `first_repaired` is a subset of `accepted`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Sampled packets offered via `observe`.
@@ -47,9 +47,6 @@ pub struct CacheStats {
     pub accepted: u64,
     /// Exact duplicates of the previous packet in their flow, suppressed.
     pub duplicates_suppressed: u64,
-    /// Accepted packets that arrived behind their own flow's newest
-    /// timestamp.
-    pub late_accepted: u64,
     /// Accepted packets that moved a flow's `first` timestamp earlier.
     pub first_repaired: u64,
 }
@@ -60,7 +57,6 @@ impl CacheStats {
         self.received += other.received;
         self.accepted += other.accepted;
         self.duplicates_suppressed += other.duplicates_suppressed;
-        self.late_accepted += other.late_accepted;
         self.first_repaired += other.first_repaired;
     }
 
@@ -193,9 +189,6 @@ impl FlowCache {
                 }
                 self.stats.accepted += 1;
                 self.m_accepted.inc();
-                if pkt.ts < e.get().last {
-                    self.stats.late_accepted += 1;
-                }
                 let needs_cut = {
                     let en = e.get();
                     pkt.ts.since(en.last) > self.inactive_timeout
@@ -413,7 +406,6 @@ mod tests {
         c.observe(&pkt(10, 80), Direction::Ingress);
         c.observe(&pkt(5, 80), Direction::Ingress); // arrives late
         let s = c.stats();
-        assert_eq!(s.late_accepted, 1);
         assert_eq!(s.first_repaired, 1);
         let recs = c.flush();
         assert_eq!(recs.len(), 1, "reordering must not split the flow");

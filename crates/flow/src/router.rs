@@ -21,14 +21,14 @@ use ah_net::hash::{mix64, FastMap};
 use ah_net::ipv4::Ipv4Addr4;
 use ah_net::packet::PacketMeta;
 use ah_net::prefix::{Prefix, PrefixMap, PrefixSet};
-use ah_net::time::Ts;
 use std::collections::HashMap;
 
 /// Identifier of a border router (1-based, as in the paper's tables).
 pub type RouterId = u8;
 
-/// Which way a packet crosses the ISP border.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Which way a packet crosses the ISP border. Variant order is part of
+/// [`FlowRecord`]'s canonical order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Direction {
     /// From the Internet into the ISP.
     Ingress,
@@ -61,7 +61,7 @@ fn sampler_phase(router: RouterId, src: Ipv4Addr4) -> u64 {
 /// One border router: per-source samplers + flow cache + truth counters.
 pub(crate) struct BorderRouter {
     /// Router identifier (1-based, as in the paper's tables).
-    pub id: RouterId,
+    id: RouterId,
     /// NetFlow sampling rate (1:N), shared by every per-source sampler.
     sampling_rate: u64,
     /// One systematic [`Sampler`] per source address, phase-staggered by
@@ -204,8 +204,6 @@ pub struct IspModel {
     policy: Box<dyn RoutePolicy>,
     routers: Vec<BorderRouter>,
     sampling_rate: u64,
-    /// Packets that stayed internal (cache-served etc.), per day.
-    internal_by_day: FastMap<u64, u64>,
     /// Trace handle (inert until [`IspModel::set_tracer`]).
     tracer: ah_trace::Tracer,
 }
@@ -222,7 +220,6 @@ impl IspModel {
                 .map(|id| BorderRouter::new(id, cfg.sampling_rate))
                 .collect(),
             sampling_rate: cfg.sampling_rate,
-            internal_by_day: FastMap::default(),
             tracer: ah_trace::Tracer::noop(),
         }
     }
@@ -274,20 +271,14 @@ impl IspModel {
         // `ah_mem::tag_swap` when accounting is on (see
         // `ah_telescope::Telescope::observe` for the rationale).
         let disposition = self.disposition(pkt);
-        match disposition {
-            Disposition::Border(id, dir) => {
-                let journey = self.tracer.journey_id(pkt.src.to_u32());
-                if journey != 0 {
-                    self.tracer.journey_instant("ah_flow_router_observe", journey);
-                }
-                if let Some(r) = self.router_mut(id) {
-                    r.observe(pkt, dir);
-                }
+        if let Disposition::Border(id, dir) = disposition {
+            let journey = self.tracer.journey_id(pkt.src.to_u32());
+            if journey != 0 {
+                self.tracer.journey_instant("ah_flow_router_observe", journey);
             }
-            Disposition::Internal => {
-                *self.internal_by_day.entry(pkt.ts.day()).or_default() += 1;
+            if let Some(r) = self.router_mut(id) {
+                r.observe(pkt, dir);
             }
-            Disposition::Transit => {}
         }
         disposition
     }
@@ -313,51 +304,19 @@ impl IspModel {
                 router_days.insert((r.id, *day), c.clone());
             }
         }
-        // Total order over record content: HashMap drain order must never
-        // leak into the dataset, so ties on (first, src, dst_port) are
-        // broken by every remaining field. Records identical in all sort
-        // fields are interchangeable, making the order canonical — the
-        // parallel pipeline relies on this to merge per-shard datasets
+        // HashMap drain order must never leak into the dataset: `FlowRecord`'s
+        // order is total over record content, so per-shard datasets merge
         // into the bitwise-identical serial result.
-        records.sort_by_key(canonical_record_key);
+        records.sort();
         FlowDataset { records, sampling_rate: self.sampling_rate, router_days }
     }
-}
-
-/// The canonical (total) sort key for exported flow records.
-///
-/// Covers every field of the record, so any two streams containing the
-/// same multiset of records sort to the same sequence — the invariant
-/// that makes per-shard flow datasets mergeable into a bitwise-identical
-/// serial result.
-#[allow(clippy::type_complexity)]
-pub fn canonical_record_key(
-    r: &FlowRecord,
-) -> (Ts, Ipv4Addr4, u16, Ipv4Addr4, u16, u8, RouterId, u8, Ts, u64, u64, u8) {
-    (
-        r.first,
-        r.key.src,
-        r.key.dst_port,
-        r.key.dst,
-        r.key.src_port,
-        r.key.protocol,
-        r.router,
-        match r.direction {
-            Direction::Ingress => 0,
-            Direction::Egress => 1,
-        },
-        r.last,
-        r.packets,
-        r.bytes,
-        r.tcp_flags,
-    )
 }
 
 /// A completed flow-measurement campaign: every exported record plus the
 /// ground-truth per-router-day totals.
 #[derive(Debug, Clone)]
 pub struct FlowDataset {
-    /// Every record exported by any router, in export order.
+    /// Every record exported by any router, in [`FlowRecord`]'s order.
     pub records: Vec<FlowRecord>,
     /// The 1:N sampling rate the routers ran at.
     pub sampling_rate: u64,
@@ -387,6 +346,7 @@ impl FlowDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ah_net::time::Ts;
 
     fn isp() -> IspModel {
         IspModel::new(IspConfig::with_prefix_routes(
@@ -445,7 +405,6 @@ mod tests {
     fn internal_traffic_bypasses_border() {
         let mut m = isp();
         assert_eq!(m.observe(&pkt(USER, CACHE, 0)), Disposition::Internal);
-        assert_eq!(m.internal_by_day.get(&0), Some(&1));
         let ds = m.finish();
         assert_eq!(ds.router_day_packets(1, 0), 0);
         assert!(ds.records.is_empty());

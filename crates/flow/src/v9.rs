@@ -121,11 +121,11 @@ pub struct V9Decoder {
     pending_cap: usize,
     /// Data FlowSets seen before their template arrived (whether later
     /// replayed, evicted, or still pending).
-    pub undecodable_sets: u64,
+    undecodable_sets: u64,
     /// Pending sets evicted because the buffer was full: permanent loss.
-    pub evicted_sets: u64,
+    evicted_sets: u64,
     /// Pending sets successfully decoded once their template arrived.
-    pub replayed_sets: u64,
+    replayed_sets: u64,
     /// Telemetry (inert until [`V9Decoder::set_recorder`]).
     m_records: ah_obs::Counter,
     m_pending_hwm: ah_obs::Gauge,

@@ -292,7 +292,7 @@ pub fn global_stats() -> TagStats {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemReport {
     /// Per-tag snapshots, in `Tag` declaration order.
-    pub tags: [TagStats; TAG_COUNT],
+    tags: [TagStats; TAG_COUNT],
     /// All-tags-combined account.
     pub global: TagStats,
     /// `/proc/self/status` `VmHWM` in bytes, when the platform exposes

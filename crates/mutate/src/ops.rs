@@ -17,6 +17,7 @@
 
 use ah_lint::lexer::{lex, Tok, Token};
 use ah_lint::lints::test_ranges;
+use ah_net::hash::{fnv1a_fold, FNV_OFFSET};
 
 /// One candidate mutation: a byte-range splice in one file.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -67,19 +68,9 @@ pub const OPERATORS: &[(&str, &str)] = &[
     ("sat-wrap", "swap saturating_* ↔ wrapping_* method calls"),
 ];
 
-/// FNV-1a over a byte string, 64-bit.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 fn mutant_id(file: &str, start: usize, op: &str, replacement: &str) -> String {
     let key = format!("{file}\u{0}{start}\u{0}{op}\u{0}{replacement}");
-    format!("{:016x}", fnv1a(key.as_bytes()))
+    format!("{:016x}", fnv1a_fold(FNV_OFFSET, key.as_bytes()))
 }
 
 /// A code atom: either a single non-punct token or a run of adjacent

@@ -133,6 +133,25 @@ mod tests {
         assert!(!verify(&data));
     }
 
+    /// The one failure a proptest harness ever saved for
+    /// `checksum_verifies_any_buffer`: a 149-byte, odd-length buffer.
+    #[test]
+    fn saved_odd_length_buffer_verifies_once_padded() {
+        #[rustfmt::skip]
+        let mut data = vec![
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0,
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 24, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 35, 119, 79, 134,
+            56, 88, 202, 58, 60, 17, 128, 250, 25, 55, 55, 253, 43, 27, 89, 17, 131, 230, 207,
+            183, 134, 84, 179, 110, 186, 19, 240, 4, 141, 177, 201, 248, 61, 14, 134, 68, 198,
+        ];
+        data.push(0);
+        let c = checksum(&data);
+        data.extend_from_slice(&c.to_be_bytes());
+        assert!(verify(&data));
+    }
+
     #[test]
     fn all_zero_has_ffff_checksum() {
         assert_eq!(checksum(&[0u8; 20]), 0xffff);

@@ -37,11 +37,11 @@ impl fmt::Display for MacAddr {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct EthernetHeader {
     /// Destination MAC.
-    pub dst: MacAddr,
+    dst: MacAddr,
     /// Source MAC.
-    pub src: MacAddr,
+    src: MacAddr,
     /// EtherType (0x0800 for IPv4).
-    pub ethertype: u16,
+    pub(crate) ethertype: u16,
 }
 
 impl EthernetHeader {

@@ -34,6 +34,20 @@ pub const fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// FNV-1a offset basis; the state every rolling FNV-1a hash starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into a rolling 64-bit FNV-1a state: the one *unkeyed* byte
+/// hash (WAL packet hash, output fingerprint, mutant ids, `stream_golden`),
+/// for values that must be equal across processes.
+pub fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
 /// Odd multiplier of the per-word fold (2⁶⁴ / φ).
 const FOLD: u64 = 0x9e37_79b9_7f4a_7c15;
 

@@ -106,19 +106,19 @@ pub struct Ipv4Header {
     /// Don't-fragment flag.
     pub dont_frag: bool,
     /// More-fragments flag.
-    pub more_frags: bool,
+    more_frags: bool,
     /// Fragment offset in 8-byte units.
-    pub frag_offset: u16,
+    pub(crate) frag_offset: u16,
     /// Time to live.
     pub ttl: u8,
     /// Payload protocol number.
-    pub protocol: u8,
+    pub(crate) protocol: u8,
     /// Source address.
-    pub src: Ipv4Addr4,
+    pub(crate) src: Ipv4Addr4,
     /// Destination address.
-    pub dst: Ipv4Addr4,
+    pub(crate) dst: Ipv4Addr4,
     /// Raw options bytes (empty when IHL = 5).
-    pub options: Vec<u8>,
+    options: Vec<u8>,
 }
 
 impl Ipv4Header {

@@ -37,7 +37,7 @@ pub struct PcapHeader {
     pub linktype: u32,
     /// True if the file's byte order is opposite to big-endian parse
     /// (i.e. records must be read little-endian).
-    pub little_endian: bool,
+    little_endian: bool,
 }
 
 /// One captured record.
@@ -47,7 +47,7 @@ pub struct PcapRecord {
     pub ts: Ts,
     /// Original length on the wire (may exceed `data.len()` if truncated
     /// by the snapshot length).
-    pub orig_len: u32,
+    orig_len: u32,
     /// Captured bytes.
     pub data: Vec<u8>,
 }

@@ -33,11 +33,11 @@ pub(crate) const BYTE_ORDER_MAGIC: u32 = 0x1A2B_3C4D;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PcapNgPacket {
     /// Interface the packet was captured on (index of its IDB).
-    pub interface: u32,
+    interface: u32,
     /// Capture timestamp.
     pub ts: Ts,
     /// Original wire length (may exceed `data.len()`).
-    pub orig_len: u32,
+    orig_len: u32,
     /// Captured bytes.
     pub data: Vec<u8>,
 }

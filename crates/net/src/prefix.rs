@@ -17,7 +17,7 @@ use std::str::FromStr;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Prefix {
     /// Network address, host bits zeroed.
-    pub network: Ipv4Addr4,
+    network: Ipv4Addr4,
     /// Prefix length, 0..=32.
     pub len: u8,
 }

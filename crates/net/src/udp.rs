@@ -11,11 +11,11 @@ pub(crate) const HEADER_LEN: usize = 8;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UdpHeader {
     /// Source port.
-    pub src_port: u16,
+    pub(crate) src_port: u16,
     /// Destination port.
-    pub dst_port: u16,
+    pub(crate) dst_port: u16,
     /// Length of header + payload.
-    pub length: u16,
+    length: u16,
 }
 
 impl UdpHeader {

@@ -63,9 +63,9 @@ pub(crate) enum ScanProto {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PortSpec {
     /// Destination port (ignored for ICMP).
-    pub port: u16,
+    pub(crate) port: u16,
     /// Transport the probe uses.
-    pub proto: ScanProto,
+    proto: ScanProto,
 }
 
 impl PortSpec {
@@ -124,25 +124,25 @@ pub(crate) struct SweepScanner {
 /// Configuration for [`SweepScanner`].
 pub(crate) struct SweepConfig {
     /// Source address probes are sent from.
-    pub src: Ipv4Addr4,
+    pub(crate) src: Ipv4Addr4,
     /// Tool fingerprint stamped on the probes.
-    pub tool: ToolKind,
+    pub(crate) tool: ToolKind,
     /// Ports rotated across sweeps (sweep *n* probes `ports[n % len]`).
-    pub ports: Vec<PortSpec>,
+    pub(crate) ports: Vec<PortSpec>,
     /// Observable-space packet rate (see [`ObservableSpace::thin_rate`]).
-    pub rate_pps: f64,
+    pub(crate) rate_pps: f64,
     /// Fraction of the observable space covered per sweep, in (0, 1].
-    pub coverage: f64,
+    pub(crate) coverage: f64,
     /// SYNs sent to each target (>1 looks like credential probing).
-    pub probes_per_target: u32,
+    pub(crate) probes_per_target: u32,
     /// First probe time.
-    pub start: Ts,
+    pub(crate) start: Ts,
     /// Re-sweep interval (`None` = a single sweep).
-    pub repeat_every: Option<Dur>,
+    pub(crate) repeat_every: Option<Dur>,
     /// Hard stop; no packets at or after this time.
-    pub end: Ts,
+    pub(crate) end: Ts,
     /// Seed for the permutation and timing jitter.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl SweepScanner {

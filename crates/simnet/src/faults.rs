@@ -463,20 +463,18 @@ pub enum StorageFaultKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StorageFaultPlan {
     /// The damage to inflict.
-    pub kind: StorageFaultKind,
+    kind: StorageFaultKind,
     /// Determinism seed for target/offset selection.
-    pub seed: u64,
+    seed: u64,
 }
 
 /// What [`StorageFaultPlan::apply`] actually did, for assertions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StorageFaultReport {
     /// The file that was damaged.
-    pub path: PathBuf,
-    /// File size before the damage.
-    pub len_before: u64,
+    path: PathBuf,
     /// Bytes removed from the tail (truncation kinds).
-    pub bytes_removed: u64,
+    bytes_removed: u64,
     /// Absolute bit index flipped, when the kind flips a bit.
     pub bit_flipped: Option<u64>,
 }
@@ -512,12 +510,7 @@ impl StorageFaultPlan {
                 let f = fs::OpenOptions::new().write(true).open(path)?;
                 f.set_len(len - cut)?;
                 f.sync_data()?;
-                Ok(StorageFaultReport {
-                    path: path.clone(),
-                    len_before: len,
-                    bytes_removed: cut,
-                    bit_flipped: None,
-                })
+                Ok(StorageFaultReport { path: path.clone(), bytes_removed: cut, bit_flipped: None })
             }
             StorageFaultKind::TruncatedTail => {
                 let path = data_files.last().ok_or_else(no_target)?;
@@ -531,7 +524,6 @@ impl StorageFaultPlan {
                 f.sync_data()?;
                 Ok(StorageFaultReport {
                     path: path.clone(),
-                    len_before: len,
                     bytes_removed: len - keep,
                     bit_flipped: None,
                 })
@@ -548,11 +540,9 @@ impl StorageFaultPlan {
                 let body_bits = (raw.len() as u64 - STORAGE_FILE_HEADER) * 8;
                 let bit = STORAGE_FILE_HEADER * 8 + rng.below(body_bits);
                 raw[(bit / 8) as usize] ^= 1 << (bit % 8);
-                let len = raw.len() as u64;
                 fs::write(path, &raw)?;
                 Ok(StorageFaultReport {
                     path: path.clone(),
-                    len_before: len,
                     bytes_removed: 0,
                     bit_flipped: Some(bit),
                 })

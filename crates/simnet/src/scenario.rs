@@ -13,8 +13,6 @@ use crate::actors::{
 };
 use crate::mux::TrafficMux;
 use crate::rng::Rng64;
-#[allow(unused_imports)]
-use crate::space::ObservableSpace;
 use crate::world::{World, WorldConfig};
 use ah_net::ipv4::Ipv4Addr4;
 use ah_net::time::{Dur, Ts, MICROS_PER_DAY};
@@ -46,39 +44,39 @@ pub enum BenignLevel {
 #[derive(Debug, Clone)]
 pub struct Intensity {
     /// Concurrently-alive aggressive cloud/ISP sweep scanners.
-    pub cloud_sweepers_alive: f64,
+    cloud_sweepers_alive: f64,
     /// Mean sweeper lifetime in days.
-    pub sweeper_lifetime_days: f64,
+    sweeper_lifetime_days: f64,
     /// Concurrently-alive Mirai-style bots.
-    pub mirai_alive: f64,
+    mirai_alive: f64,
     /// Mean bot lifetime in days (IP churn).
-    pub mirai_lifetime_days: f64,
+    mirai_lifetime_days: f64,
     /// Research (acknowledged) source IPs actively sweeping.
-    pub research_ips: usize,
+    research_ips: usize,
     /// Days between consecutive sweeps of one research IP.
-    pub research_cycle_days: f64,
+    research_cycle_days: f64,
     /// Concurrently-alive vertical port sweepers (definition-3 hitters).
-    pub port_sweepers_alive: f64,
+    port_sweepers_alive: f64,
     /// Mean port-sweeper lifetime in days.
-    pub port_sweeper_lifetime_days: f64,
+    port_sweeper_lifetime_days: f64,
     /// Aggregate background-radiation rate into the observable space (pps).
-    pub radiation_pps: f64,
+    radiation_pps: f64,
     /// Size of the radiation source window alive at any time.
-    pub radiation_window: u64,
+    radiation_window: u64,
     /// How many fresh radiation sources appear per day (DHCP-like churn).
-    pub radiation_drift_per_day: u64,
+    radiation_drift_per_day: u64,
     /// Concurrently-alive volume floods: high packet volume on few
     /// targets (definition-2-only hitters; the paper's 2022 D2
     /// population is ~2x D1 with D1 fully contained).
-    pub flood_alive: f64,
+    flood_alive: f64,
     /// Aggregate DoS-backscatter rate (pps).
-    pub backscatter_pps: f64,
+    backscatter_pps: f64,
     /// Merit benign border traffic (pps, before diurnal shaping).
     pub benign_merit_pps: f64,
     /// CU benign border traffic (pps).
-    pub benign_cu_pps: f64,
+    benign_cu_pps: f64,
     /// Growth of arrival rates across the run (0.3 = +30% by the end).
-    pub growth: f64,
+    growth: f64,
 }
 
 impl Intensity {
@@ -248,20 +246,12 @@ pub struct Scenario {
     pub world: World,
     /// The time-ordered traffic source, ready to drain.
     pub mux: TrafficMux,
-    /// Scenario length in days.
-    pub days: u64,
-    /// Measurement year (drives the actor mix).
-    pub year: Year,
-    /// Human-readable name ("darknet-2021", ...).
-    pub label: String,
-    /// Master seed everything was derived from.
-    pub seed: u64,
 }
 
 #[derive(Clone)]
 /// Builder inputs for [`Scenario::build`].
 pub struct ScenarioConfig {
-    /// Human-readable name carried into [`Scenario::label`].
+    /// Human-readable name ("darknet-2021", ...).
     pub label: String,
     /// Measurement year (drives the actor mix).
     pub year: Year,
@@ -365,9 +355,7 @@ impl Scenario {
             cfg.days,
             cfg.intensity.growth,
         );
-        let mut n = 0u64;
         while let Some((start_day, life_days)) = arrivals.next(&mut rng) {
-            n += 1;
             let org = world.registry_org(origins[rng.weighted(&origin_weights)].0);
             let src = org.host_cycled(rng.below(org.size()));
             // Rotate through 1-3 ports across sweeps; heavier hitters
@@ -411,7 +399,6 @@ impl Scenario {
                 space.clone(),
             )));
         }
-        let _cloud_sweepers = n;
 
         // --- Volume floods (definition-2-only hitters) ---------------------
         // High packet volume concentrated on a small slice of the space:
@@ -653,7 +640,7 @@ impl Scenario {
             )));
         }
 
-        Scenario { world, mux, days: cfg.days, year: cfg.year, label: cfg.label, seed: cfg.seed }
+        Scenario { world, mux }
     }
 }
 

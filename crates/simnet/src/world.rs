@@ -11,7 +11,6 @@
 //! ("Cloud (US)", "ISP (CN)", ...), and so do we.
 
 use crate::space::ObservableSpace;
-#[allow(unused_imports)]
 use ah_flow::router::{RoutePolicy, RouterId};
 use ah_intel::acked::{AckedOrg, AckedScanners};
 use ah_intel::asn::{AsInfo, AsType, AsnDb, CountryCode};
@@ -53,20 +52,20 @@ impl Region {
 #[derive(Debug, Clone)]
 pub struct OrgDef {
     /// Organization name (feeds rDNS and the acknowledged list).
-    pub name: String,
+    name: String,
     /// Autonomous system number.
-    pub asn: u32,
+    asn: u32,
     /// Business type (cloud, ISP, research, ...).
-    pub as_type: AsType,
+    as_type: AsType,
     /// Registration country.
-    pub country: CountryCode,
+    country: CountryCode,
     /// Geographic region the country rolls up to.
-    pub region: Region,
+    region: Region,
     /// Announced prefixes.
-    pub prefixes: Vec<Prefix>,
+    pub(crate) prefixes: Vec<Prefix>,
     /// Some orgs disclose their scanning (Acknowledged Scanners). The
     /// keywords feed the reverse-DNS match stage.
-    pub acked_keywords: Vec<String>,
+    acked_keywords: Vec<String>,
 }
 
 impl OrgDef {
@@ -119,14 +118,14 @@ pub struct WorldConfig {
     /// The telescope's dark block.
     pub dark: Prefix,
     /// Merit-like ISP user space.
-    pub merit_users: Prefix,
+    pub(crate) merit_users: Prefix,
     /// In-network content caches at Merit (internal; traffic to them
     /// never crosses the border routers).
-    pub merit_caches: Prefix,
+    pub(crate) merit_caches: Prefix,
     /// CU-like campus user space (no caches).
-    pub cu_users: Prefix,
+    pub(crate) cu_users: Prefix,
     /// GreyNoise-style sensor prefixes.
-    pub sensors: Vec<Prefix>,
+    sensors: Vec<Prefix>,
 }
 
 impl Default for WorldConfig {

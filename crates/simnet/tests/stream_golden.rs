@@ -7,19 +7,9 @@
 //! here before it moves a fingerprint three layers downstream. The
 //! failure messages carry the observed count and hash.
 
+use ah_net::hash::{fnv1a_fold as fold, FNV_OFFSET};
 use ah_net::packet::{PacketMeta, Transport};
 use ah_simnet::scenario::{Scenario, ScenarioConfig, Year};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// FNV-1a, the same fold `ah_wal::record::fnv1a_fold` journals with.
-fn fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// Every field of the packet, fixed-width little-endian, with a
 /// transport discriminant so equal bytes under different variants

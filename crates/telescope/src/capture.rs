@@ -40,11 +40,11 @@ pub struct CaptureStats {
     /// All packets that arrived at the dark space, scanning or not.
     pub total_packets: u64,
     /// Total wire bytes.
-    pub total_bytes: u64,
+    total_bytes: u64,
     /// Packets per scanning class (TCP-SYN / UDP / ICMP echo).
-    pub class_packets: [u64; 3],
+    class_packets: [u64; 3],
     /// Packets that were not classifiable as scanning (backscatter etc.).
-    pub non_scan_packets: u64,
+    non_scan_packets: u64,
     /// Unique source IPs seen (exact).
     sources: FastSet<Ipv4Addr4>,
     /// Unique dark destinations touched (exact, dense).
@@ -274,7 +274,7 @@ impl Telescope {
         }
     }
 
-    /// Close all active events and return everything outstanding.
+    /// Close all active events and return them all, in canonical order.
     pub fn flush(&mut self) -> Vec<crate::event::DarknetEvent> {
         let _mem = MemScope::enter(Tag::Telescope);
         self.aggregator.flush()

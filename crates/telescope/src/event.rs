@@ -44,8 +44,9 @@ use ah_obs::{Counter, Gauge, Histogram, Recorder};
 /// Key identifying a logical scan.
 ///
 /// ICMP has no ports; its events use port 0, mirroring how the darknet
-/// events dataset encodes them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// events dataset encodes them. Field order is the head of
+/// [`DarknetEvent`]'s canonical order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventKey {
     /// Scanning source address.
     pub src: Ipv4Addr4,
@@ -62,8 +63,9 @@ impl EventKey {
     }
 }
 
-/// Per-tool packet counters, indexed by [`Tool`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Per-tool packet counters, indexed by [`Tool`]. Field order is the tail
+/// of [`DarknetEvent`]'s canonical order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ToolCounts {
     /// Packets carrying the ZMap fingerprint.
     pub zmap: u64,
@@ -93,7 +95,13 @@ impl ToolCounts {
 }
 
 /// A completed darknet event.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The derived `Ord` is the canonical order of an event sequence —
+/// [`EventAggregator::flush`] returns it, the output fingerprint is taken
+/// over it — so **field order is part of the output**, [`ScanClass`]'s
+/// variant order included. Events equal in every field are
+/// interchangeable, so any multiset of events sorts to one sequence.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct DarknetEvent {
     /// The (source, port, type) identity of the logical scan.
     pub key: EventKey,
@@ -107,37 +115,20 @@ pub struct DarknetEvent {
     pub bytes: u64,
     /// Exact number of unique dark destinations contacted.
     pub unique_dsts: u32,
-    /// Size of the dark space the event was measured against.
-    pub dark_size: u32,
     /// Packets per tool fingerprint.
     pub tools: ToolCounts,
 }
 
-impl DarknetEvent {
-    /// Fraction of the dark space touched, in [0, 1] — the address
-    /// dispersion that Definition 1 thresholds at 10%.
-    pub fn dispersion(&self) -> f64 {
-        if self.dark_size == 0 {
-            0.0
-        } else {
-            f64::from(self.unique_dsts) / f64::from(self.dark_size)
-        }
-    }
-}
-
 /// Input-fate counters for the aggregator's reordering policy.
 ///
-/// Conservation: `received == accepted + quarantined`; `late_accepted`
-/// and `start_repaired` are subsets of `accepted`.
+/// Conservation: `received == accepted + quarantined`; `start_repaired`
+/// is a subset of `accepted`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AggregatorStats {
     /// Packets offered via `observe`.
     pub received: u64,
     /// Packets merged into an event.
     pub accepted: u64,
-    /// Accepted packets that arrived behind their event's newest
-    /// timestamp (within the reorder window).
-    pub late_accepted: u64,
     /// Accepted packets that moved an event's start earlier.
     pub start_repaired: u64,
     /// Packets older than the reorder window, counted and dropped.
@@ -149,7 +140,6 @@ impl AggregatorStats {
     pub fn merge(&mut self, other: &AggregatorStats) {
         self.received += other.received;
         self.accepted += other.accepted;
-        self.late_accepted += other.late_accepted;
         self.start_repaired += other.start_repaired;
         self.quarantined += other.quarantined;
     }
@@ -311,14 +301,10 @@ impl EventAggregator {
                 }
                 if pkt.ts.since(ev.last) > self.timeout {
                     // Gap exceeded: close the old event and start fresh.
-                    let done = Self::finish(key, e.remove(), self.dark_size);
-                    self.completed.push(done);
+                    self.completed.push(Self::finish(key, e.remove()));
                     self.m_events_total.inc();
                     self.active.insert(key, Self::fresh(pkt, tool, dst_index, self.dark_size));
                 } else {
-                    if pkt.ts < ev.last {
-                        self.stats.late_accepted += 1;
-                    }
                     if pkt.ts < ev.start {
                         ev.start = pkt.ts;
                         self.stats.start_repaired += 1;
@@ -354,7 +340,7 @@ impl EventAggregator {
         }
     }
 
-    fn finish(key: EventKey, ev: ActiveEvent, dark_size: u32) -> DarknetEvent {
+    fn finish(key: EventKey, ev: ActiveEvent) -> DarknetEvent {
         DarknetEvent {
             key,
             start: ev.start,
@@ -362,7 +348,6 @@ impl EventAggregator {
             packets: ev.packets,
             bytes: ev.bytes,
             unique_dsts: ev.dsts.count(),
-            dark_size,
             tools: ev.tools,
         }
     }
@@ -384,7 +369,6 @@ impl EventAggregator {
         self.last_sweep = now;
         self.watermark = self.watermark.max(now);
         let expire_after = Dur(self.timeout.0 + self.reorder_window.0);
-        let dark_size = self.dark_size;
         let expired: Vec<EventKey> = self
             .active
             .iter()
@@ -393,20 +377,21 @@ impl EventAggregator {
             .collect();
         for key in expired {
             if let Some(ev) = self.active.remove(&key) {
-                self.completed.push(Self::finish(key, ev, dark_size));
+                self.completed.push(Self::finish(key, ev));
                 self.m_events_total.inc();
             }
         }
     }
 
-    /// Close every remaining active event (end of trace) and drain all.
+    /// Close every remaining active event (end of trace) and drain all, in
+    /// [`DarknetEvent`]'s order, whatever order the map filled and swept in.
     pub fn flush(&mut self) -> Vec<DarknetEvent> {
-        let dark_size = self.dark_size;
         let mut done = std::mem::take(&mut self.completed);
         for (key, ev) in self.active.drain() {
-            done.push(Self::finish(key, ev, dark_size));
+            done.push(Self::finish(key, ev));
             self.m_events_total.inc();
         }
+        done.sort_unstable();
         done
     }
 }
@@ -445,6 +430,65 @@ mod tests {
                 assert_eq!(state.hash_one(key), state.hash_one((key.src, dst_port, class)));
             }
         }
+    }
+
+    /// An event whose twelve comparable fields, in canonical order, are `f`.
+    fn event(f: [u64; 12]) -> DarknetEvent {
+        DarknetEvent {
+            key: EventKey {
+                src: Ipv4Addr4(f[0] as u32),
+                dst_port: f[1] as u16,
+                class: ScanClass::ALL[f[2] as usize],
+            },
+            start: Ts(f[3]),
+            end: Ts(f[4]),
+            packets: f[5],
+            bytes: f[6],
+            unique_dsts: f[7] as u32,
+            tools: ToolCounts { zmap: f[8], masscan: f[9], mirai: f[10], other: f[11] },
+        }
+    }
+
+    /// The derived order decides on `src, dst_port, class, start, end,
+    /// packets, bytes, unique_dsts, zmap, masscan, mirai, other`, in that
+    /// order: for every tie length, two events equal on the first `tie`
+    /// fields, apart at field `tie`, and apart the *other* way on every
+    /// later field. A reordered field or `ScanClass` variant fails here.
+    #[test]
+    fn derived_order_walks_the_twelve_fields() {
+        use std::cmp::Ordering;
+        for tie in 0..=12 {
+            let a = [1u64; 12];
+            let mut b = a;
+            for (i, field) in b.iter_mut().enumerate().skip(tie) {
+                *field = if i == tie { 2 } else { 0 };
+            }
+            let (a, b) = (event(a), event(b));
+            let want = if tie == 12 { Ordering::Equal } else { Ordering::Less };
+            assert_eq!(a.cmp(&b), want, "tie {tie}");
+            assert_eq!(b.cmp(&a), want.reverse(), "tie {tie}, swapped");
+        }
+    }
+
+    #[test]
+    fn flush_is_independent_of_cross_key_interleaving() {
+        // Forty keys with the same packet train (bursts a timeout apart,
+        // so events complete by gap, by sweep and at flush), visited in
+        // opposite key orders: the maps fill and sweep differently.
+        let feed = |keys: &[u32]| {
+            let mut a = agg();
+            for t in [0u64, 5, 700, 705, 2000] {
+                for &k in keys {
+                    let (p, i) = syn(t + u64::from(k % 3), k, (k + t as u32) % 7, 23);
+                    a.observe(&p, ScanClass::TcpSyn, i);
+                }
+            }
+            a.flush()
+        };
+        let keys: Vec<u32> = (0..40).collect();
+        let fwd = feed(&keys);
+        assert!(fwd.len() == 120 && fwd.is_sorted());
+        assert_eq!(fwd, feed(&keys.iter().rev().copied().collect::<Vec<_>>()));
     }
 
     #[test]
@@ -540,17 +584,6 @@ mod tests {
     }
 
     #[test]
-    fn dispersion_fraction() {
-        let mut a = EventAggregator::new(1000, Dur::from_mins(10));
-        for i in 0..100u32 {
-            let (p, _) = syn(0, 1, i, 23);
-            a.observe(&p, ScanClass::TcpSyn, i);
-        }
-        let evs = a.flush();
-        assert!((evs[0].dispersion() - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
     fn tool_attribution_counted() {
         let mut a = agg();
         let (mut p, i) = syn(0, 1, 0, 23);
@@ -587,7 +620,6 @@ mod tests {
         let (p2, i2) = syn(50, 1, 1, 23); // 50s behind the event's newest ts
         a.observe(&p2, ScanClass::TcpSyn, i2);
         let stats = a.stats();
-        assert_eq!(stats.late_accepted, 1);
         assert_eq!(stats.start_repaired, 1);
         assert_eq!(stats.quarantined, 0);
         let evs = a.flush();
@@ -639,7 +671,6 @@ mod tests {
         assert_eq!(s.received, times.len() as u64);
         assert_eq!(s.received, s.accepted + s.quarantined);
         assert!(s.quarantined >= 1); // the t=10 packet 690s behind its event's last (700)
-        assert!(s.late_accepted >= 2);
         let total_pkts: u64 = a.flush().iter().map(|e| e.packets).sum();
         assert_eq!(total_pkts, s.accepted);
     }

@@ -29,13 +29,13 @@ const IPV4_SPACE: f64 = 4_294_967_296.0;
 #[derive(Debug, Clone, Copy)]
 pub struct TimeoutModel {
     /// Number of dark addresses monitored.
-    pub dark_size: u64,
+    dark_size: u64,
     /// Assumed scanning rate of the slowest "long scan" to preserve (pps).
-    pub scan_rate_pps: f64,
+    scan_rate_pps: f64,
     /// Assumed duration of the long scan (seconds).
-    pub scan_duration_secs: f64,
+    scan_duration_secs: f64,
     /// Acceptable probability of splitting such a scan.
-    pub split_probability: f64,
+    split_probability: f64,
 }
 
 impl TimeoutModel {

@@ -79,7 +79,7 @@ proptest! {
             prop_assert!(e.start <= e.end);
             prop_assert!(e.unique_dsts >= 1);
             prop_assert!(u64::from(e.unique_dsts) <= e.packets);
-            prop_assert!(e.dispersion() <= 1.0);
+            prop_assert!(e.unique_dsts <= dark);
             prop_assert_eq!(e.tools.total(), e.packets);
         }
     }

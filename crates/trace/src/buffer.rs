@@ -74,18 +74,18 @@ impl EventKind {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct RawEvent {
     /// Begin/end/instant.
-    pub kind: EventKind,
+    pub(crate) kind: EventKind,
     /// Interned name id (resolve via the tracer's name table).
-    pub name_id: u32,
+    pub(crate) name_id: u32,
     /// Wall-clock nanoseconds since the tracer epoch. Informational
     /// only — never read back by the pipeline.
-    pub ts_ns: u64,
+    pub(crate) ts_ns: u64,
     /// Deterministic logical sequence: the event's index in its buffer.
     /// Per-track event order is a pure function of the scenario, so
     /// this is reproducible across runs even though `ts_ns` is not.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Journey id (`0` = not part of a sampled packet journey).
-    pub journey: u64,
+    pub(crate) journey: u64,
 }
 
 /// Fixed-capacity single-writer trace buffer (see module docs).

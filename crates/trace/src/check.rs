@@ -15,7 +15,7 @@
 //! * flow events (`s`/`t`/`f`) carry an `id`, and every flow chain has
 //!   a start and ≥ 2 points.
 //!
-//! The `ah-trace` binary (`src/main.rs`) wraps this for `scripts/ci.sh`.
+//! The `ah-trace` binary (`src/main.rs`) wraps this for the command line.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -27,24 +27,24 @@ use crate::buffer::EventKind;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Begin/end/instant.
-    pub kind: EventKind,
+    pub(crate) kind: EventKind,
     /// Span name (`ah_<crate>_<subsystem>_<name>`).
-    pub name: String,
+    pub(crate) name: String,
     /// Wall-clock nanoseconds since the tracer epoch.
-    pub ts_ns: u64,
+    pub(crate) ts_ns: u64,
     /// Deterministic logical sequence (index in the track's buffer).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Journey id (`0` = none; otherwise `src + 1`).
-    pub journey: u64,
+    pub(crate) journey: u64,
 }
 
 /// One thread's track: label plus its events in emission order.
 #[derive(Clone, Debug, Default)]
 pub struct TrackSnapshot {
     /// Display label (`<scheme-name>/<index>`).
-    pub label: String,
+    pub(crate) label: String,
     /// Track id (registration order; the Chrome `tid`).
-    pub tid: u32,
+    pub(crate) tid: u32,
     /// Events in buffer order (timestamps non-decreasing).
     pub events: Vec<TraceEvent>,
 }

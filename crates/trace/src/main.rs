@@ -11,8 +11,8 @@
 //! `--require-journey` the trace must contain at least one sampled
 //! packet journey; each `--require NAME` asserts that a span or
 //! instant with that name is present. Exit status: 0 on success, 1 on
-//! validation failure, 2 on usage/IO errors. Used by the `trace` gate
-//! in `scripts/ci.sh`.
+//! validation failure, 2 on usage/IO errors. The trace gate in the
+//! root package's `tests/cli.rs` calls the same validator in process.
 
 use std::process::ExitCode;
 

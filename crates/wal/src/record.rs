@@ -128,17 +128,8 @@ pub enum WalRecord {
 
 // --- encoding ----------------------------------------------------------
 
-/// FNV-1a offset basis; the hash every rolling packet hash starts from.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Fold `bytes` into a rolling FNV-1a state.
-pub fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
+/// [`RunSeal::packet_hash`] is this fold from [`FNV_OFFSET`].
+pub use ah_net::hash::{fnv1a_fold, FNV_OFFSET};
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());

@@ -25,7 +25,7 @@ use crate::segment::{decode_segment_header, segment_paths, sync_dir, SEGMENT_HEA
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Segments visited (including any later dropped).
-    pub segments_scanned: u64,
+    segments_scanned: u64,
     /// Frames that validated and were delivered to the callback.
     pub frames_valid: u64,
     /// Torn (short) trailing writes discarded — 0 or 1.

@@ -25,7 +25,6 @@ fn main() {
     let run = pipeline::run(cfg, RunOptions { greynoise: true, ..RunOptions::darknet_only() });
 
     let entries = run.gn_entries.as_ref().expect("honeypot entries");
-    let seen = run.gn_seen.as_ref().expect("honeypot seen set");
     println!("honeypot observed {} distinct sources", entries.len());
 
     let def = Definition::AddressDispersion;
@@ -39,7 +38,7 @@ fn main() {
         v.total_ips
     );
 
-    let overlap = daily_gn_overlap(&run.report, def, seen, 0..days);
+    let overlap = daily_gn_overlap(&run.report, def, entries, 0..days);
     println!("daily hitters also present at the honeypot: {:.1}% (paper: 99.3%)", 100.0 * overlap);
 
     let b = gn_breakdown(hitters, entries, &v.ips);

@@ -7,6 +7,9 @@
 //!                    [--mem-report] [--mem-interval N]
 //!   ids: table1..table9  fig1..fig6  whatif  health  all
 //!
+//! `--days-scale F` multiplies every dataset's span (default 1; any finite
+//! F > 0; each span has a floor of 2 to 4 days).
+//!
 //! `--threads N` (N >= 2) routes the single-pass simulation runs through
 //! the sharded parallel engine; output is bitwise identical to serial.
 //!
@@ -242,6 +245,9 @@ fn main() {
             "--days-scale" => {
                 i += 1;
                 scale = parse_flag(&args, i, "--days-scale", "float");
+                if !(scale.is_finite() && scale > 0.0) {
+                    usage_error(format!("--days-scale must be finite and above 0, got {scale}"));
+                }
             }
             "--seed" => {
                 i += 1;
@@ -266,7 +272,7 @@ fn main() {
     }
     if ids.is_empty() {
         eprintln!(
-            "usage: experiment <table1..table9|fig1..fig6|whatif|health|all>... [--days-scale F] [--seed N] [--out DIR] [--threads N] {OBS_USAGE}"
+            "usage: experiment <table1..table9|fig1..fig6|whatif|health|all>... [--days-scale F (finite, > 0)] [--seed N] [--out DIR] [--threads N] {OBS_USAGE}"
         );
         std::process::exit(2);
     }
@@ -954,7 +960,6 @@ fn whatif(ctx: &mut Ctx) {
 fn fig6(ctx: &mut Ctx) {
     let run = ctx.runs.gn();
     let entries = require(run.gn_entries.as_ref(), "GreyNoise entries", "fig6");
-    let seen = require(run.gn_seen.as_ref(), "GreyNoise seen-set", "fig6");
     let acked = run.world.acked_list(8);
     let rdns = run.world.rdns(64);
     let v = acked_validation(&run.report, Definition::AddressDispersion, &acked, &rdns);
@@ -970,7 +975,8 @@ fn fig6(ctx: &mut Ctx) {
     t.row(&["benign", &b.benign.to_string(), &fmt_pct(100.0 * b.benign as f64 / total)]);
     t.row(&["not in GN", &b.absent.to_string(), &fmt_pct(100.0 * b.absent as f64 / total)]);
     println!("{}", t.render());
-    let overlap = daily_gn_overlap(&run.report, Definition::AddressDispersion, seen, 0..run.days);
+    let overlap =
+        daily_gn_overlap(&run.report, Definition::AddressDispersion, entries, 0..run.days);
     println!("Average daily AH∩GN overlap: {:.1}% (paper: 99.3%)\n", 100.0 * overlap);
 
     let z = zipf_concentration(&run.report, Definition::AddressDispersion);

@@ -24,8 +24,8 @@
 //! recovered prefix; `--replay` re-runs detection over a sealed log
 //! without re-simulating. `--suspend-after N` stops cleanly after `N`
 //! delivered packets (exit code 0, log left resumable); `--crash-after N`
-//! aborts the process with a deliberately torn tail — the CI
-//! crash-recovery gate uses the pair to prove that an interrupted run,
+//! aborts the process with a deliberately torn tail — the crash-recovery
+//! gate (`tests/cli.rs`) uses it to prove that an interrupted run,
 //! resumed, prints the same output fingerprint as an uninterrupted one.
 //!
 //! With `--trace-out PATH` every stage also emits structured spans into

@@ -52,12 +52,13 @@ use ah_core::health::{PipelineHealth, StageHealth};
 use ah_core::impact::{TapAnalyzer, TapSeries};
 use ah_flow::cache::CacheStats;
 use ah_flow::record::FlowRecord;
-use ah_flow::router::{canonical_record_key, FlowDataset, IspConfig, IspModel, RouterId};
+use ah_flow::router::{FlowDataset, IspConfig, IspModel, RouterId};
 use ah_flow::v9::{encode_v9, V9Decoder};
 use ah_intel::greynoise::{GnEntry, GreyNoise, IngestStats, PayloadHint};
 use ah_mem::{MemScope, Tag};
+use ah_net::hash::{fnv1a_fold, FNV_OFFSET};
 use ah_net::ipv4::Ipv4Addr4;
-use ah_net::packet::{PacketMeta, ScanClass};
+use ah_net::packet::PacketMeta;
 use ah_net::time::Ts;
 use ah_obs::{Exporter, Recorder};
 use ah_simnet::faults::{FaultInjector, FaultPlan, InjectorStats};
@@ -70,7 +71,7 @@ use ah_telescope::capture::{CaptureOutcome, CaptureStats, CaptureSummary, DarkSp
 use ah_telescope::daily::{DailyTracker, DayStats};
 use ah_telescope::event::{AggregatorStats, DarknetEvent};
 use ah_trace::Tracer;
-use ah_wal::record::{fnv1a_fold, RunMeta, RunSeal, WalRecord, FNV_OFFSET};
+use ah_wal::record::{RunMeta, RunSeal, WalRecord};
 use ah_wal::{RecoveredLog, WalWriter, WalWriterConfig};
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -145,7 +146,7 @@ impl RunOptions {
 /// holds every entry point to exactly this standard.
 pub struct Telemetry {
     /// Recorder every stage registers its instruments on.
-    pub recorder: Recorder,
+    pub(crate) recorder: Recorder,
     /// Periodic snapshot writer (JSONL + Prometheus text files); `None`
     /// means metrics are kept in memory only.
     pub exporter: Option<Exporter>,
@@ -158,7 +159,7 @@ pub struct Telemetry {
     /// gauges + peak-pressure trace instants), ticked at the same
     /// deterministic stream positions as the exporter. `None` means
     /// memory telemetry refreshes only once, at finalization.
-    pub mem: Option<MemPulse>,
+    pub(crate) mem: Option<MemPulse>,
 }
 
 impl Telemetry {
@@ -278,10 +279,9 @@ pub struct RunOutput {
     pub merit_flows: Option<FlowDataset>,
     /// CU flow dataset, when flows were enabled.
     pub cu_flows: Option<FlowDataset>,
-    /// GreyNoise-style honeypot profiles, when enabled.
+    /// GreyNoise-style honeypot profiles, one per source the fleet saw
+    /// at all, when enabled.
     pub gn_entries: Option<HashMap<Ipv4Addr4, GnEntry>>,
-    /// Sources the honeypot fleet saw at all, when enabled.
-    pub gn_seen: Option<HashSet<Ipv4Addr4>>,
     /// Simulated span in days.
     pub days: u64,
     /// Total packets generated by the scenario.
@@ -378,47 +378,6 @@ fn v9_loopback(records: &[FlowRecord], rec: &Recorder) -> StageHealth {
 
 // --- Shared vantage-point state (one copy per shard) -------------------
 
-fn class_rank(c: ScanClass) -> u8 {
-    match c {
-        ScanClass::TcpSyn => 0,
-        ScanClass::Udp => 1,
-        ScanClass::IcmpEcho => 2,
-    }
-}
-
-/// Total order over darknet-event *content*, used to canonicalize the
-/// detector's ingest order. Events with identical keys are interchangeable,
-/// so sorting by every field yields one canonical sequence no matter which
-/// shard (or hash-map iteration order) produced the events.
-#[allow(clippy::type_complexity)]
-fn event_sort_key(ev: &DarknetEvent) -> (u32, u16, u8, Ts, Ts, u64, u64, u32, u64, u64, u64, u64) {
-    (
-        ev.key.src.to_u32(),
-        ev.key.dst_port,
-        class_rank(ev.key.class),
-        ev.start,
-        ev.end,
-        ev.packets,
-        ev.bytes,
-        ev.unique_dsts,
-        ev.tools.zmap,
-        ev.tools.masscan,
-        ev.tools.mirai,
-        ev.tools.other,
-    )
-}
-
-/// [`event_sort_key`] order, decided on the four cheapest fields when they
-/// differ — `(src, dst_port, class, start)` is the key's own prefix, so
-/// the order is the same total order — and on the full key only for the
-/// rare pair that ties there.
-fn event_cmp(a: &DarknetEvent, b: &DarknetEvent) -> std::cmp::Ordering {
-    let head = |ev: &DarknetEvent| {
-        (ev.key.src.to_u32(), ev.key.dst_port, class_rank(ev.key.class), ev.start)
-    };
-    head(a).cmp(&head(b)).then_with(|| event_sort_key(a).cmp(&event_sort_key(b)))
-}
-
 /// All vantage-point state for one execution unit — the whole pipeline in
 /// the inline executor, one shard's slice of it in the sharded one.
 struct Vantage {
@@ -468,8 +427,11 @@ struct ShardOut {
     tracker: DailyTracker,
     merit: Option<(CacheStats, FlowDataset)>,
     cu: Option<(CacheStats, FlowDataset)>,
-    gn: Option<(HashMap<Ipv4Addr4, GnEntry>, IngestStats)>,
+    gn: Option<GnPart>,
 }
+
+/// One shard's honeypot profiles and ingest ledger.
+type GnPart = (HashMap<Ipv4Addr4, GnEntry>, IngestStats);
 
 impl Vantage {
     fn build(world: &World, opts: &RunOptions, rec: &Recorder, tracer: &Tracer) -> Vantage {
@@ -599,10 +561,8 @@ impl Vantage {
     /// Flush open state and reduce to plain mergeable data; `injector` is
     /// the ledger of the shard-local fault injector, if the shard owned one.
     fn into_shard_out(mut self, injector: Option<InjectorStats>) -> ShardOut {
-        let mut events = self.telescope.flush();
-        // Canonical order per shard, on the shard's own thread and in
-        // place; `finalize_run` then only merges sorted runs.
-        events.sort_unstable_by(event_cmp);
+        // Sorted here, on the shard's own thread; `finalize_run` only merges.
+        let events = self.telescope.flush();
         let agg = self.telescope.aggregator_stats();
         let filtered = self.telescope.filtered_packets();
         let capture = self.telescope.stats().clone();
@@ -823,11 +783,10 @@ fn finalize_run(
             gn_parts.extend(sh.gn);
         }
 
-        // Canonical ingest order: shard counts (and hash-map iteration)
-        // must not leak into the report's record table. Each shard's
-        // events arrive sorted (`Vantage::into_shard_out`), so the
+        // Canonical ingest order: shard counts must not leak into the
+        // report's record table. Each shard's flush arrives sorted, so the
         // stable sort's run detection makes this an N-way merge.
-        events.sort_by(event_cmp);
+        events.sort();
     }
     let mut detector = {
         let _mem = MemScope::enter(Tag::Detectors);
@@ -898,13 +857,6 @@ fn finalize_run(
         let _mem = MemScope::enter(Tag::Detectors);
         detector.finalize()
     };
-    let (gn_entries, gn_seen) = match gn {
-        Some((entries, _)) => {
-            let seen = entries.keys().copied().collect();
-            (Some(entries), Some(seen))
-        }
-        None => (None, None),
-    };
     let merit_flows = merit.map(|(_, d)| d);
     if let Some(flows) = merit_flows.as_ref() {
         health.push(v9_loopback(&flows.records, &tel.recorder));
@@ -941,8 +893,7 @@ fn finalize_run(
         daily: tracker.finalize(),
         merit_flows,
         cu_flows: cu.map(|(_, d)| d),
-        gn_entries,
-        gn_seen,
+        gn_entries: gn.map(|(entries, _)| entries),
         days,
         generated_packets: generated,
         health,
@@ -951,7 +902,7 @@ fn finalize_run(
 }
 
 /// Merge per-shard flow datasets: cache counters sum, records concatenate
-/// and re-sort by the canonical total order, truth counters sum.
+/// and re-sort into `FlowRecord`'s order, truth counters sum.
 fn merge_flow_parts(parts: Vec<(CacheStats, FlowDataset)>) -> Option<(CacheStats, FlowDataset)> {
     let mut parts = parts.into_iter();
     let (mut stats, mut ds) = parts.next()?;
@@ -964,16 +915,13 @@ fn merge_flow_parts(parts: Vec<(CacheStats, FlowDataset)>) -> Option<(CacheStats
             e.bytes += c.bytes;
         }
     }
-    ds.records.sort_by_key(canonical_record_key);
+    ds.records.sort();
     Some((stats, ds))
 }
 
 /// Merge per-shard honeypot output. Entry maps are keyed by source IP and
 /// sources are shard-disjoint, so the union is exact.
-#[allow(clippy::type_complexity)]
-fn merge_gn_parts(
-    parts: Vec<(HashMap<Ipv4Addr4, GnEntry>, IngestStats)>,
-) -> Option<(HashMap<Ipv4Addr4, GnEntry>, IngestStats)> {
+fn merge_gn_parts(parts: Vec<GnPart>) -> Option<GnPart> {
     let mut parts = parts.into_iter();
     let (mut map, mut stats) = parts.next()?;
     for (m, s) in parts {
@@ -989,11 +937,11 @@ fn merge_gn_parts(
 
 /// Durable-run configuration: where the write-ahead log lives, its
 /// group-commit/rotation tunables, and the optional interruption points
-/// used by chaos tests and the CI crash-recovery gate.
+/// used by chaos tests and the crash-recovery gate (`tests/cli.rs`).
 #[derive(Debug, Clone)]
 pub struct WalRun {
     /// Directory holding the log: its `*.seg` files and nothing else.
-    pub dir: PathBuf,
+    dir: PathBuf,
     /// Append-path tunables (group-commit batch, segment size).
     pub writer: WalWriterConfig,
     /// Suspend cleanly after this many delivered packets: commit the
@@ -1623,7 +1571,7 @@ impl RunOutput {
         for r in self.report.records() {
             word(u64::from(r.src.to_u32()));
             word(u64::from(r.dst_port));
-            word(u64::from(class_rank(r.class)));
+            word(r.class as u64);
             word(u64::from(r.start_day));
             word(u64::from(r.end_day));
             word(u64::from(r.packets));
@@ -1676,10 +1624,7 @@ impl RunOutput {
                 word(u64::from(r.key.dst_port));
                 word(u64::from(r.key.protocol));
                 word(u64::from(r.router));
-                word(match r.direction {
-                    ah_flow::router::Direction::Ingress => 0,
-                    ah_flow::router::Direction::Egress => 1,
-                });
+                word(r.direction as u64);
                 word(r.first.0);
                 word(r.last.0);
                 word(r.packets);
@@ -1737,8 +1682,6 @@ impl RunOutput {
 pub struct TapRun {
     /// The synthetic internet the scenario ran over.
     pub world: World,
-    /// Detection output of the first pass.
-    pub report: AhReport,
     /// The hitter list joined on the taps.
     pub ah_list: HashSet<Ipv4Addr4>,
     /// Per-second series at the Merit monitoring station (one core
@@ -1746,16 +1689,13 @@ pub struct TapRun {
     pub merit_tap: TapSeries,
     /// Per-second series of all CU border traffic.
     pub cu_tap: TapSeries,
-    /// Span of the tap phase in days.
-    pub tap_days: u64,
 }
 
 /// Two-phase tap experiment: detect on pass 1 (day 0), tap on pass 2
 /// (days 1..). `tap_router` selects which Merit router is mirrored
 /// (paper: one of the three core routers).
 pub fn run_taps(cfg: ScenarioConfig, tap_router: RouterId, def: Definition) -> TapRun {
-    let days = cfg.days;
-    assert!(days >= 2, "tap runs need a detection day plus tap days");
+    assert!(cfg.days >= 2, "tap runs need a detection day plus tap days");
     let rebuild = cfg.clone();
 
     // Pass 1: darknet detection only.
@@ -1769,17 +1709,13 @@ pub fn run_taps(cfg: ScenarioConfig, tap_router: RouterId, def: Definition) -> T
     }
 
     // Pass 2: identical traffic, measured at the taps from day 1 on.
-    let mut sc = Scenario::build(rebuild);
-    let world = {
-        let _mem = MemScope::enter(Tag::Mux);
-        sc.world.clone()
-    };
+    let Scenario { world, mut mux } = Scenario::build(rebuild);
     let mut merit = merit_isp(&world, 1);
     let mut cu = cu_isp(&world, 1);
     let tap_start = Ts::from_days(1);
     let mut merit_tap = TapAnalyzer::new(ah_list.clone(), tap_start);
     let mut cu_tap = TapAnalyzer::new(ah_list.clone(), tap_start);
-    sc.mux.drive(|pkt| {
+    mux.drive(|pkt| {
         if pkt.ts < tap_start {
             return;
         }
@@ -1793,55 +1729,12 @@ pub fn run_taps(cfg: ScenarioConfig, tap_router: RouterId, def: Definition) -> T
         }
     });
 
-    TapRun {
-        world,
-        report: pass1.report,
-        ah_list,
-        merit_tap: merit_tap.series(),
-        cu_tap: cu_tap.series(),
-        tap_days: days - 1,
-    }
+    TapRun { world, ah_list, merit_tap: merit_tap.series(), cu_tap: cu_tap.series() }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ah_telescope::event::{EventKey, ToolCounts};
-    use std::cmp::Ordering;
-
-    /// An event whose twelve sort-key fields, in key order, are `f`.
-    fn event(f: [u64; 12]) -> DarknetEvent {
-        let class = [ScanClass::TcpSyn, ScanClass::Udp, ScanClass::IcmpEcho][f[2] as usize];
-        DarknetEvent {
-            key: EventKey { src: Ipv4Addr4(f[0] as u32), dst_port: f[1] as u16, class },
-            start: Ts(f[3]),
-            end: Ts(f[4]),
-            packets: f[5],
-            bytes: f[6],
-            unique_dsts: f[7] as u32,
-            dark_size: 1024,
-            tools: ToolCounts { zmap: f[8], masscan: f[9], mirai: f[10], other: f[11] },
-        }
-    }
-
-    /// For every tie length 0..=12: two events equal on the first `tie`
-    /// key fields, apart at field `tie`, and apart the *other* way on
-    /// every later field, so only the first difference may decide.
-    #[test]
-    fn event_cmp_is_the_sort_key_order() {
-        for tie in 0..=12 {
-            let a = [1u64; 12];
-            let mut b = a;
-            for (i, field) in b.iter_mut().enumerate().skip(tie) {
-                *field = if i == tie { 2 } else { 0 };
-            }
-            let (a, b) = (event(a), event(b));
-            let want = if tie == 12 { Ordering::Equal } else { Ordering::Less };
-            assert_eq!(event_sort_key(&a).cmp(&event_sort_key(&b)), want, "key order, tie {tie}");
-            assert_eq!(event_cmp(&a, &b), want, "tie {tie}");
-            assert_eq!(event_cmp(&b, &a), want.reverse(), "tie {tie}, swapped");
-        }
-    }
 
     #[test]
     fn darknet_only_run_detects_hitters() {

@@ -1,5 +1,5 @@
-//! Shared scaffolding for the observation-only suites
-//! (`tests/telemetry.rs`, `tests/trace.rs`, `tests/memory.rs`).
+//! Shared scaffolding for the observation-only suites (`tests/telemetry.rs`,
+//! `tests/trace.rs`, `tests/memory.rs`; `tests/cli.rs` borrows [`temp_dir`]).
 //!
 //! All three hold the same contract from a different instrument: turning
 //! the instrument on must leave [`RunOutput::fingerprint`] bitwise

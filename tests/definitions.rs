@@ -2,6 +2,7 @@
 
 use aggressive_scanners::core::defs::{Definition, Thresholds};
 use aggressive_scanners::core::detector::{Detector, DetectorConfig};
+use aggressive_scanners::core::ecdf::Ecdf;
 use aggressive_scanners::pipeline::{self, RunOptions};
 use aggressive_scanners::simnet::scenario::{Scenario, ScenarioConfig};
 use aggressive_scanners::telescope::capture::Telescope;
@@ -44,7 +45,7 @@ fn active_covers_daily_for_event_definitions() {
 #[test]
 fn d2_threshold_sits_in_the_tail() {
     let out = run(33);
-    let e = &out.report.volume_ecdf;
+    let e = Ecdf::from_samples(out.report.records().iter().map(|r| u64::from(r.packets)).collect());
     let t = out.report.d2_threshold;
     assert!(t >= e.quantile(0.99).unwrap(), "threshold below the 99th percentile");
     assert!(t <= e.max().unwrap());

@@ -104,9 +104,10 @@ fn zipf_concentration_is_heavy_tailed() {
 #[test]
 fn greynoise_sees_nearly_all_hitters() {
     let run = tiny_run(3, 8);
-    let seen = run.gn_seen.as_ref().unwrap();
+    let seen = run.gn_entries.as_ref().unwrap();
     let d1 = run.report.hitters(Definition::AddressDispersion);
-    let overlap = d1.iter().filter(|ip| seen.contains(ip)).count() as f64 / d1.len().max(1) as f64;
+    let overlap =
+        d1.iter().filter(|ip| seen.contains_key(ip)).count() as f64 / d1.len().max(1) as f64;
     assert!(overlap > 0.9, "internet-wide hitters hit distributed sensors: {overlap}");
 }
 

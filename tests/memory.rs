@@ -9,7 +9,7 @@
 //! across a suspend/resume. On top of that, the
 //! run-scoped tags (mux, telescope, flow, wal, merge, detectors) must
 //! drain back to ~zero live bytes once the run's output is dropped —
-//! the leak gate `scripts/ci.sh` enforces on the release binary.
+//! the leak gate `tests/cli.rs` enforces on the shipped binary.
 //!
 //! Accounting state is process-global, so every test here serializes
 //! on one mutex; integration tests are their own binary, which makes

@@ -10,20 +10,6 @@ use aggressive_scanners::simnet::scenario::{Scenario, ScenarioConfig};
 use aggressive_scanners::telescope::capture::Telescope;
 use aggressive_scanners::telescope::timeout;
 
-fn events_signature(evs: &[aggressive_scanners::telescope::event::DarknetEvent]) -> Vec<String> {
-    let mut sigs: Vec<String> = evs
-        .iter()
-        .map(|e| {
-            format!(
-                "{}|{}|{:?}|{}|{}|{}|{}",
-                e.key.src, e.key.dst_port, e.key.class, e.start, e.end, e.packets, e.unique_dsts
-            )
-        })
-        .collect();
-    sigs.sort();
-    sigs
-}
-
 #[test]
 fn pcap_roundtrip_preserves_all_darknet_events() {
     let cfg = ScenarioConfig::tiny(1, 77);
@@ -59,7 +45,7 @@ fn pcap_roundtrip_preserves_all_darknet_events() {
     assert!(records > 1000, "the dark space must receive traffic: {records}");
     let replayed_events = replayed.flush();
 
-    assert_eq!(events_signature(&direct_events), events_signature(&replayed_events));
+    assert_eq!(direct_events, replayed_events);
     assert_eq!(direct.stats().scan_packets(), replayed.stats().scan_packets());
 }
 
