@@ -99,9 +99,6 @@ impl DetectorConfig {
 pub struct Detector {
     cfg: DetectorConfig,
     records: Vec<EventRecord>,
-    /// Packed (src, day, port) tuples for definition 3; deduped at
-    /// finalize. ICMP events carry no port and are excluded.
-    port_tuples: Vec<u64>,
 }
 
 fn pack_tuple(src: Ipv4Addr4, day: u16, port: u16) -> u64 {
@@ -112,8 +109,18 @@ fn unpack_src_day(t: u64) -> (Ipv4Addr4, u16) {
     (Ipv4Addr4((t >> 32) as u32), ((t >> 16) & 0xffff) as u16)
 }
 
-/// Distinct ports per (src, day), from the packed tuples in any order.
-fn count_ports_per_srcday(tuples: &mut Vec<u64>) -> Vec<(Ipv4Addr4, u16, u64)> {
+/// Distinct ports per (src, day) — definition 3's input, a function of
+/// the records: one packed (src, day, port) tuple per day an event
+/// spans, deduped, counted, and dropped on return. ICMP events carry no
+/// port and are excluded.
+fn count_ports_per_srcday(records: &[EventRecord]) -> Vec<(Ipv4Addr4, u16, u64)> {
+    let ported = || records.iter().filter(|r| r.class != ScanClass::IcmpEcho);
+    let mut tuples = Vec::with_capacity(ported().map(|r| (r.start_day..=r.end_day).len()).sum());
+    for r in ported() {
+        for day in r.start_day..=r.end_day {
+            tuples.push(pack_tuple(r.src, day, r.dst_port));
+        }
+    }
     tuples.sort_unstable();
     tuples.dedup();
     let mut out = Vec::new();
@@ -134,18 +141,12 @@ fn count_ports_per_srcday(tuples: &mut Vec<u64>) -> Vec<(Ipv4Addr4, u16, u64)> {
 impl Detector {
     /// An empty detector with the given configuration.
     pub fn new(cfg: DetectorConfig) -> Detector {
-        Detector { cfg, records: Vec::new(), port_tuples: Vec::new() }
+        Detector { cfg, records: Vec::new() }
     }
 
     /// Ingest one completed darknet event.
     pub fn ingest(&mut self, ev: &DarknetEvent) {
-        let rec = EventRecord::from_event(ev);
-        if rec.class != ScanClass::IcmpEcho {
-            for day in rec.start_day..=rec.end_day {
-                self.port_tuples.push(pack_tuple(rec.src, day, rec.dst_port));
-            }
-        }
-        self.records.push(rec);
+        self.records.push(EventRecord::from_event(ev));
     }
 
     /// Ingest a batch.
@@ -156,7 +157,7 @@ impl Detector {
     }
 
     /// Run qualification and build the report.
-    pub fn finalize(mut self) -> AhReport {
+    pub fn finalize(self) -> AhReport {
         let t = self.cfg.thresholds;
         let dark = f64::from(self.cfg.dark_size.max(1));
 
@@ -165,7 +166,7 @@ impl Detector {
             Ecdf::from_samples(self.records.iter().map(|r| u64::from(r.packets)).collect());
         let d2_threshold = volumes.top_alpha_threshold(t.volume_alpha).unwrap_or(u64::MAX);
 
-        let ports_per_srcday = count_ports_per_srcday(&mut self.port_tuples);
+        let ports_per_srcday = count_ports_per_srcday(&self.records);
         let port_counts = Ecdf::from_samples(ports_per_srcday.iter().map(|&(_, _, c)| c).collect());
         // Floor of 2: a degenerate percentile of 1 port/day (possible in
         // small datasets where almost every source probes one port) would
@@ -408,10 +409,7 @@ mod tests {
         d.ingest(&ev(1, 53, 0, 1, 1));
         d.ingest(&e_udp);
         // One (src, day) sample with exactly 1 distinct port.
-        assert_eq!(
-            count_ports_per_srcday(&mut d.port_tuples),
-            [(Ipv4Addr4::new(10, 0, 0, 1), 0, 1)]
-        );
+        assert_eq!(count_ports_per_srcday(&d.records), [(Ipv4Addr4::new(10, 0, 0, 1), 0, 1)]);
     }
 
     #[test]
@@ -420,7 +418,7 @@ mod tests {
         let mut e = ev(1, 0, 0, 1, 1);
         e.key.class = ScanClass::IcmpEcho;
         d.ingest(&e);
-        assert!(count_ports_per_srcday(&mut d.port_tuples).is_empty());
+        assert!(count_ports_per_srcday(&d.records).is_empty());
     }
 
     #[test]

@@ -253,7 +253,7 @@ impl IspModel {
 
     /// Where this packet would go — a pure function of the address plan
     /// and routing policy, with no side effects on the model.
-    pub(crate) fn disposition(&self, pkt: &PacketMeta) -> Disposition {
+    pub fn disposition(&self, pkt: &PacketMeta) -> Disposition {
         let src_in = self.internal.contains(pkt.src);
         let dst_in = self.internal.contains(pkt.dst);
         match (src_in, dst_in) {

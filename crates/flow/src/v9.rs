@@ -5,14 +5,14 @@
 //! exports. We implement the subset a flow
 //! collector for this pipeline needs: one template FlowSet describing
 //! our record layout, data FlowSets referencing it, and a decoder that
-//! learns templates from the stream (as real collectors must — data
-//! arriving before its template is undecodable and reported as such).
+//! learns templates from the stream, as real collectors must. A data
+//! FlowSet whose template is not known yet is undecodable: it is skipped
+//! and counted (`ah_flow_v9_sets_undecodable_total`). Nothing buffers it
+//! for a later template — every exporter here puts the template in its
+//! first packet, and the decoder holds no byte it was not asked to keep.
 //!
-//! Data FlowSets that arrive before their template are *buffered* in a
-//! bounded FIFO (`DEFAULT_PENDING_CAP` sets) and replayed the moment
-//! the template is learned, so a reordered template packet costs
-//! nothing. When the buffer is full the oldest set is evicted and
-//! counted in `evicted_sets` — bounded memory, accounted loss.
+//! The decoder is total on hostile bytes: any input is `Ok` or one
+//! `Err`, never a panic (`crates/flow/tests/proptests.rs`).
 //!
 //! Field types used (RFC 3954 §8): IN_BYTES(1), IN_PKTS(2), PROTOCOL(4),
 //! TCP_FLAGS(6), L4_SRC_PORT(7), IPV4_SRC_ADDR(8), L4_DST_PORT(11),
@@ -24,14 +24,10 @@ use crate::router::Direction;
 use ah_net::error::{NetError, Result};
 use ah_net::ipv4::Ipv4Addr4;
 use ah_net::time::Ts;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// The template id we export under (ids < 256 are reserved).
 pub(crate) const TEMPLATE_ID: u16 = 260;
-
-/// Default bound on data FlowSets buffered while waiting for their
-/// template.
-pub(crate) const DEFAULT_PENDING_CAP: usize = 64;
 
 /// (field type, length) pairs of the exported template, in order.
 const FIELDS: &[(u16, u16)] = &[
@@ -111,71 +107,29 @@ pub fn encode_v9(
 }
 
 /// A stateful v9 decoder: learns templates from the stream.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct V9Decoder {
     /// template id -> (field type, length) list.
     templates: HashMap<u16, Vec<(u16, u16)>>,
-    /// Data FlowSets waiting for their template: (template id, body,
-    /// router). Bounded FIFO.
-    pending: VecDeque<(u16, Vec<u8>, u8)>,
-    pending_cap: usize,
-    /// Data FlowSets seen before their template arrived (whether later
-    /// replayed, evicted, or still pending).
-    undecodable_sets: u64,
-    /// Pending sets evicted because the buffer was full: permanent loss.
-    evicted_sets: u64,
-    /// Pending sets successfully decoded once their template arrived.
-    replayed_sets: u64,
     /// Telemetry (inert until [`V9Decoder::set_recorder`]).
     m_records: ah_obs::Counter,
-    m_pending_hwm: ah_obs::Gauge,
     m_templates: ah_obs::Gauge,
-    m_evicted: ah_obs::Counter,
-}
-
-impl Default for V9Decoder {
-    fn default() -> V9Decoder {
-        V9Decoder::with_pending_cap(DEFAULT_PENDING_CAP)
-    }
+    m_undecodable: ah_obs::Counter,
 }
 
 impl V9Decoder {
-    /// A decoder whose data-before-template buffer holds at most `cap`
-    /// FlowSets.
-    pub(crate) fn with_pending_cap(cap: usize) -> V9Decoder {
-        V9Decoder {
-            templates: HashMap::new(),
-            pending: VecDeque::new(),
-            pending_cap: cap,
-            undecodable_sets: 0,
-            evicted_sets: 0,
-            replayed_sets: 0,
-            m_records: ah_obs::Counter::default(),
-            m_pending_hwm: ah_obs::Gauge::default(),
-            m_templates: ah_obs::Gauge::default(),
-            m_evicted: ah_obs::Counter::default(),
-        }
-    }
-
     /// Attach live telemetry instruments (`ah_flow_v9_*`).
     /// Observation-only: decoding semantics are unchanged.
     pub fn set_recorder(&mut self, rec: &ah_obs::Recorder) {
         self.m_records = rec.counter("ah_flow_v9_records_decoded_total");
-        self.m_pending_hwm = rec.gauge("ah_flow_v9_pending_sets_hwm");
         self.m_templates = rec.gauge("ah_flow_v9_templates_learned");
-        self.m_evicted = rec.counter("ah_flow_v9_pending_evicted_total");
+        self.m_undecodable = rec.counter("ah_flow_v9_sets_undecodable_total");
     }
 
     /// Number of templates learned.
     #[cfg(test)]
     pub(crate) fn template_count(&self) -> usize {
         self.templates.len()
-    }
-
-    /// Data FlowSets currently buffered awaiting a template.
-    #[cfg(test)]
-    pub(crate) fn pending_sets(&self) -> usize {
-        self.pending.len()
     }
 
     /// Decode one export packet, learning templates and returning the
@@ -204,17 +158,13 @@ impl V9Decoder {
             }
             let body = &data[off + 4..off + set_len];
             match set_id {
-                0 => {
-                    self.learn_templates(body)?;
-                    self.replay_pending(&mut records)?;
-                }
+                0 => self.learn_templates(body)?,
                 1 => {} // options templates: skipped
                 id if id >= 256 => {
-                    if let Some(fields) = self.templates.get(&id).cloned() {
-                        records.extend(self.decode_data(body, &fields, router)?);
+                    if let Some(fields) = self.templates.get(&id) {
+                        records.extend(self.decode_data(body, fields, router)?);
                     } else {
-                        self.undecodable_sets += 1;
-                        self.buffer_pending(id, body.to_vec(), router);
+                        self.m_undecodable.inc();
                     }
                 }
                 _ => {}
@@ -222,43 +172,8 @@ impl V9Decoder {
             off += set_len;
         }
         self.m_records.add(records.len() as u64);
-        self.m_pending_hwm.set_max(self.pending.len() as i64);
         self.m_templates.set(self.templates.len() as i64);
         Ok(records)
-    }
-
-    /// Buffer a data FlowSet until its template shows up, evicting the
-    /// oldest pending set when the bounded buffer is full.
-    fn buffer_pending(&mut self, template: u16, body: Vec<u8>, router: u8) {
-        if self.pending_cap == 0 {
-            self.evicted_sets += 1;
-            self.m_evicted.inc();
-            return;
-        }
-        if self.pending.len() >= self.pending_cap {
-            self.pending.pop_front();
-            self.evicted_sets += 1;
-            self.m_evicted.inc();
-        }
-        self.pending.push_back((template, body, router));
-    }
-
-    /// Decode every pending set whose template is now known, in arrival
-    /// order, appending the recovered records.
-    fn replay_pending(&mut self, records: &mut Vec<FlowRecord>) -> Result<()> {
-        let mut i = 0;
-        while i < self.pending.len() {
-            let template = self.pending[i].0;
-            let Some(fields) = self.templates.get(&template).cloned() else {
-                i += 1;
-                continue;
-            };
-            if let Some((_, body, router)) = self.pending.remove(i) {
-                records.extend(self.decode_data(&body, &fields, router)?);
-                self.replayed_sets += 1;
-            }
-        }
-        Ok(())
     }
 
     fn learn_templates(&mut self, mut body: &[u8]) -> Result<()> {
@@ -318,8 +233,10 @@ impl V9Decoder {
                     6 => flags = as_u64 as u8,
                     2 => pkts = as_u64,
                     1 => bytes = as_u64,
-                    22 => first = as_u64,
-                    21 => last = as_u64,
+                    // sysUptime ms is a 32-bit field; a template claiming a
+                    // wider one would overflow `Ts::from_millis`.
+                    22 if flen <= 4 => first = as_u64,
+                    21 if flen <= 4 => last = as_u64,
                     10 => input = as_u64 as u16,
                     _ => {} // unknown field: skipped (length still consumed)
                 }
@@ -381,69 +298,16 @@ mod tests {
 
     #[test]
     fn roundtrip_with_template() {
-        let records: Vec<_> = (0..5).map(rec).collect();
-        let wire = encode_v9(&records, Ts::from_secs(50), 1, 2, true);
-        let mut dec = V9Decoder::default();
-        let got = dec.decode(&wire, 2).unwrap();
-        assert_eq!(dec.template_count(), 1);
-        assert_eq!(got, records);
-        assert_eq!(dec.undecodable_sets, 0);
-    }
-
-    #[test]
-    fn data_before_template_is_buffered_then_replayed() {
-        let records: Vec<_> = (0..3).map(rec).collect();
-        let data_only = encode_v9(&records, Ts::from_secs(1), 1, 2, false);
-        let with_tpl = encode_v9(&records, Ts::from_secs(2), 2, 2, true);
-        let mut dec = V9Decoder::default();
-        // First packet: no template yet — buffered, nothing returned.
-        let got = dec.decode(&data_only, 2).unwrap();
-        assert!(got.is_empty());
-        assert_eq!(dec.undecodable_sets, 1);
-        assert_eq!(dec.pending_sets(), 1);
-        // Template arrives: the buffered set is replayed ahead of the
-        // packet's own records — nothing was lost to the reordering.
-        let got = dec.decode(&with_tpl, 2).unwrap();
-        assert_eq!(got.len(), 6);
-        assert_eq!(&got[..3], &records[..]);
-        assert_eq!(&got[3..], &records[..]);
-        assert_eq!(dec.replayed_sets, 1);
-        assert_eq!(dec.pending_sets(), 0);
-        assert_eq!(dec.evicted_sets, 0);
-        // And later data-only packets decode directly.
-        let got = dec.decode(&data_only, 2).unwrap();
-        assert_eq!(got, records);
-    }
-
-    #[test]
-    fn pending_buffer_evicts_oldest_beyond_cap() {
-        let mut dec = V9Decoder::with_pending_cap(2);
-        let packets: Vec<Vec<u8>> = (0..3)
-            .map(|n| encode_v9(&[rec(n)], Ts::from_secs(u64::from(n) + 1), u32::from(n), 2, false))
-            .collect();
-        for p in &packets {
-            assert!(dec.decode(p, 2).unwrap().is_empty());
+        // An odd count of 34-byte records pads the data FlowSet by two
+        // bytes, which are ignored; an even count needs none.
+        for n in [1, 2, 5] {
+            let records: Vec<_> = (0..n).map(rec).collect();
+            let wire = encode_v9(&records, Ts::from_secs(50), 1, 2, true);
+            let mut dec = V9Decoder::default();
+            let got = dec.decode(&wire, 2).unwrap();
+            assert_eq!(dec.template_count(), 1);
+            assert_eq!(got, records);
         }
-        assert_eq!(dec.undecodable_sets, 3);
-        assert_eq!(dec.pending_sets(), 2);
-        assert_eq!(dec.evicted_sets, 1, "oldest set evicted at the cap");
-        // Template arrives alone: only the two retained sets replay.
-        let tpl_only = encode_v9(&[], Ts::from_secs(9), 9, 2, true);
-        let got = dec.decode(&tpl_only, 2).unwrap();
-        assert_eq!(got, vec![rec(1), rec(2)]);
-        assert_eq!(dec.replayed_sets, 2);
-        assert_eq!(dec.pending_sets(), 0);
-        // Ledger: every undecodable set was either replayed or evicted.
-        assert_eq!(dec.undecodable_sets, dec.replayed_sets + dec.evicted_sets);
-    }
-
-    #[test]
-    fn zero_pending_cap_discards_immediately() {
-        let mut dec = V9Decoder::with_pending_cap(0);
-        let data_only = encode_v9(&[rec(0)], Ts::from_secs(1), 1, 2, false);
-        assert!(dec.decode(&data_only, 2).unwrap().is_empty());
-        assert_eq!(dec.pending_sets(), 0);
-        assert_eq!(dec.evicted_sets, 1);
     }
 
     #[test]
@@ -460,25 +324,5 @@ mod tests {
         wire[1] = 5;
         let mut dec = V9Decoder::default();
         assert!(matches!(dec.decode(&wire, 1), Err(NetError::Unsupported { .. })));
-    }
-
-    #[test]
-    fn truncation_is_an_error_not_a_panic() {
-        let wire = encode_v9(&(0..4).map(rec).collect::<Vec<_>>(), Ts::from_secs(1), 0, 1, true);
-        let mut dec = V9Decoder::default();
-        for cut in [0usize, 10, 21, wire.len() - 3] {
-            let _ = dec.decode(&wire[..cut], 1); // may Err, must not panic
-        }
-    }
-
-    #[test]
-    fn padding_is_ignored() {
-        // One record: data FlowSet body = 34 bytes -> padded to 36.
-        let records = vec![rec(1)];
-        let wire = encode_v9(&records, Ts::from_secs(1), 0, 1, true);
-        let mut dec = V9Decoder::default();
-        let got = dec.decode(&wire, 2).unwrap();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0], records[0]);
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! The paper's longitudinal story — years of telescope traffic,
 //! millions of tracked sources — is ultimately a *memory* story:
-//! ROADMAP item 1 ("bounded RSS with ≥10× more sources") cannot be
-//! judged without knowing where bytes live. This crate answers that
-//! with three small pieces:
+//! ROADMAP item "An event has one owner" (bounded-memory detection)
+//! cannot be judged without knowing where bytes live. This crate
+//! answers that with three small pieces:
 //!
 //! * [`TaggedSystem`] — a [`GlobalAlloc`](std::alloc::GlobalAlloc)
 //!   wrapper over the system allocator. Every allocation gets a small

@@ -2,8 +2,8 @@
 //!
 //! This crate implements, from scratch, everything the measurement pipeline
 //! needs to speak raw IPv4: zero-copy header parsing and owned header
-//! builders for Ethernet II, IPv4, TCP, UDP and ICMP; the classic libpcap
-//! file format (reader and writer, both endiannesses); CIDR prefixes and a
+//! builders for IPv4, TCP, UDP and ICMP; the classic libpcap file format
+//! over raw IP (reader and writer, both endiannesses); CIDR prefixes and a
 //! fast prefix-set for dark-space membership tests; and the wire-level
 //! fingerprints of the scanning tools the paper attributes traffic to
 //! (ZMap, Masscan, Mirai); and the keyed fast hasher ([`hash`]) every
@@ -39,14 +39,12 @@
 
 pub mod checksum;
 pub mod error;
-mod ethernet;
 pub mod fingerprint;
 pub mod hash;
 pub mod icmp;
 pub mod ipv4;
 pub mod packet;
 pub mod pcap;
-pub mod pcapng;
 pub mod prefix;
 pub mod tcp;
 pub mod time;

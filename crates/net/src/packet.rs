@@ -6,8 +6,7 @@
 //! experiment can exercise the byte-level path when desired, while bulk
 //! simulation can stay in decoded form.
 
-use crate::error::{NetError, Result};
-use crate::ethernet::{EthernetHeader, ETHERTYPE_IPV4};
+use crate::error::Result;
 use crate::icmp::{IcmpMessage, TYPE_ECHO_REQUEST};
 use crate::ipv4::{Ipv4Addr4, Ipv4Header, PROTO_ICMP, PROTO_TCP, PROTO_UDP};
 use crate::tcp::{TcpFlags, TcpHeader};
@@ -258,26 +257,11 @@ impl PacketMeta {
             transport,
         })
     }
-
-    /// Parse an Ethernet frame captured at `ts`. Non-IPv4 frames yield
-    /// `Unsupported` (the paper's pipelines skip them).
-    pub fn parse_frame(data: &[u8], ts: Ts) -> Result<PacketMeta> {
-        let (eth, payload) = EthernetHeader::parse(data)?;
-        if eth.ethertype != ETHERTYPE_IPV4 {
-            return Err(NetError::Unsupported {
-                layer: "ethernet",
-                field: "ethertype",
-                value: u64::from(eth.ethertype),
-            });
-        }
-        PacketMeta::parse_ip(payload, ts)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ethernet::MacAddr;
 
     const S: Ipv4Addr4 = Ipv4Addr4::new(203, 0, 113, 5);
     const D: Ipv4Addr4 = Ipv4Addr4::new(192, 0, 2, 200);
@@ -324,33 +308,6 @@ mod tests {
         let mut m = PacketMeta::icmp_echo(Ts::ZERO, S, D);
         m.transport = Transport::Icmp { icmp_type: 0, code: 0 };
         assert_eq!(m.scan_class(), None);
-    }
-
-    /// `m` as an Ethernet II frame between two synthetic stations.
-    fn frame_of(m: &PacketMeta) -> Vec<u8> {
-        let mut out = Vec::new();
-        EthernetHeader::ipv4(MacAddr::local(1), MacAddr::local(2)).emit(&mut out);
-        out.extend_from_slice(&m.to_bytes());
-        out
-    }
-
-    #[test]
-    fn frame_roundtrip() {
-        let m = PacketMeta::tcp_syn(Ts::from_millis(1500), S, D, 1, 6379);
-        let frame = frame_of(&m);
-        let p = PacketMeta::parse_frame(&frame, m.ts).unwrap();
-        assert_eq!(p, m);
-    }
-
-    #[test]
-    fn non_ipv4_frame_is_skipped() {
-        let m = PacketMeta::tcp_syn(Ts::ZERO, S, D, 1, 2);
-        let mut frame = frame_of(&m);
-        frame[12..14].copy_from_slice(&0x86dd_u16.to_be_bytes()); // IPv6
-        assert!(matches!(
-            PacketMeta::parse_frame(&frame, Ts::ZERO),
-            Err(NetError::Unsupported { field: "ethertype", .. })
-        ));
     }
 
     #[test]

@@ -8,8 +8,15 @@
 //! than `snaplen` are truncated on write and reported with their original
 //! length.
 //!
-//! Supported link types: `LINKTYPE_ETHERNET` (1) and `LINKTYPE_RAW` (101,
-//! bare IP packets — what a telescope typically stores).
+//! One link type is named: `LINKTYPE_RAW` (101, bare IP packets — what a
+//! telescope stores, and what [`crate::packet::PacketMeta::parse_ip`]
+//! takes). The reader hands back any link type's bytes; stripping another
+//! link layer is the caller's business.
+//!
+//! The reader is total on hostile bytes: every input ends in `Ok(None)`
+//! or one `Err`, no record may claim more than `MAX_SNAPLEN`, and a
+//! buffer grows with the bytes that arrive, never to a length the file
+//! merely claims (`crates/net/tests/proptests.rs` holds it to that).
 
 use crate::error::{NetError, Result};
 use crate::time::Ts;
@@ -20,20 +27,32 @@ pub(crate) const MAGIC_MICROS: u32 = 0xa1b2_c3d4;
 /// The same magic as read on an opposite-endian machine.
 pub(crate) const MAGIC_MICROS_SWAPPED: u32 = 0xd4c3_b2a1;
 
-/// Link type: Ethernet frames.
-pub const LINKTYPE_ETHERNET: u32 = 1;
 /// Link type: raw IP packets (no link header).
 pub const LINKTYPE_RAW: u32 = 101;
 
 /// Default snapshot length (the classic tcpdump value).
 pub const DEFAULT_SNAPLEN: u32 = 65_535;
 
+/// Largest record the reader accepts (tcpdump's maximum snaplen),
+/// whatever snaplen the file's own header claims.
+const MAX_SNAPLEN: u32 = 262_144;
+
+/// One 32-bit header field in the file's byte order.
+fn word(b: &[u8], little_endian: bool) -> u32 {
+    let arr = [b[0], b[1], b[2], b[3]];
+    if little_endian {
+        u32::from_le_bytes(arr)
+    } else {
+        u32::from_be_bytes(arr)
+    }
+}
+
 /// Global header of a pcap file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PcapHeader {
     /// Snapshot length: captured bytes per packet are capped here.
     pub snaplen: u32,
-    /// Link-layer type (1 = Ethernet).
+    /// Link-layer type (101 = raw IP).
     pub linktype: u32,
     /// True if the file's byte order is opposite to big-endian parse
     /// (i.e. records must be read little-endian).
@@ -45,9 +64,6 @@ pub struct PcapHeader {
 pub struct PcapRecord {
     /// Capture timestamp.
     pub ts: Ts,
-    /// Original length on the wire (may exceed `data.len()` if truncated
-    /// by the snapshot length).
-    orig_len: u32,
     /// Captured bytes.
     pub data: Vec<u8>,
 }
@@ -117,17 +133,9 @@ impl<R: Read> PcapReader<R> {
             MAGIC_MICROS_SWAPPED => false,
             other => return Err(NetError::BadMagic(other)),
         };
-        let read_u32 = |b: &[u8]| -> u32 {
-            let arr = [b[0], b[1], b[2], b[3]];
-            if little_endian {
-                u32::from_le_bytes(arr)
-            } else {
-                u32::from_be_bytes(arr)
-            }
-        };
         let header = PcapHeader {
-            snaplen: read_u32(&hdr[16..20]),
-            linktype: read_u32(&hdr[20..24]),
+            snaplen: word(&hdr[16..20], little_endian),
+            linktype: word(&hdr[20..24], little_endian),
             little_endian,
         };
         Ok(PcapReader { inner, header })
@@ -138,53 +146,53 @@ impl<R: Read> PcapReader<R> {
         self.header
     }
 
-    /// Read the next record; `Ok(None)` at a clean end of file. A partial
-    /// record header or body yields an error (truncated capture file).
+    /// Read the next record; `Ok(None)` at a clean end of file (zero
+    /// bytes where a record header would start). A partial record header
+    /// or body is a truncated capture file and yields `Truncated`.
     pub(crate) fn next_record(&mut self) -> Result<Option<PcapRecord>> {
+        // `read_exact` cannot tell zero bytes (end of file) from a few
+        // (truncation); a copy through `take` counts them.
         let mut rec = [0u8; 16];
-        match self.inner.read_exact(&mut rec) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-                // Distinguish "exactly at EOF" from "EOF mid-header": read_exact
-                // may have consumed some bytes; we cannot tell how many, but a
-                // clean EOF is by far the common case and a partial header also
-                // reports UnexpectedEof. Probe one more byte to confirm.
-                return Ok(None);
-            }
-            Err(e) => return Err(e.into()),
+        let got = std::io::copy(&mut self.inner.by_ref().take(16), &mut &mut rec[..])? as usize;
+        if got == 0 {
+            return Ok(None);
         }
-        let read_u32 = |b: &[u8]| -> u32 {
-            let arr = [b[0], b[1], b[2], b[3]];
-            if self.header.little_endian {
-                u32::from_le_bytes(arr)
-            } else {
-                u32::from_be_bytes(arr)
-            }
-        };
-        let ts_sec = read_u32(&rec[0..4]);
-        let ts_usec = read_u32(&rec[4..8]);
-        let incl_len = read_u32(&rec[8..12]);
-        let orig_len = read_u32(&rec[12..16]);
-        if incl_len > self.header.snaplen.max(DEFAULT_SNAPLEN) {
+        if got < 16 {
+            return Err(NetError::Truncated { layer: "pcap", needed: 16, got });
+        }
+        // The fourth field, the length on the wire, has no reader.
+        let field = |at: usize| word(&rec[at..at + 4], self.header.little_endian);
+        let (ts_sec, ts_usec, incl_len) = (field(0), field(4), field(8));
+        if incl_len > MAX_SNAPLEN {
             return Err(NetError::BadLength { layer: "pcap", value: incl_len as usize });
         }
-        let mut data = vec![0u8; incl_len as usize];
-        self.inner.read_exact(&mut data).map_err(|_| NetError::Truncated {
-            layer: "pcap",
-            needed: incl_len as usize,
-            got: 0,
-        })?;
+        // Grows with the bytes that arrive, not to the claimed length.
+        let mut data = Vec::new();
+        self.inner.by_ref().take(u64::from(incl_len)).read_to_end(&mut data)?;
+        if data.len() < incl_len as usize {
+            let (needed, got) = (incl_len as usize, data.len());
+            return Err(NetError::Truncated { layer: "pcap", needed, got });
+        }
         Ok(Some(PcapRecord {
             ts: Ts::from_secs(u64::from(ts_sec))
                 + crate::time::Dur::from_micros(u64::from(ts_usec)),
-            orig_len,
             data,
         }))
     }
 
-    /// Iterate over all remaining records, stopping at EOF or first error.
+    /// Iterate over the remaining records: the intact prefix, then at
+    /// most one `Err`, which is the last item — after a bad length the
+    /// stream position means nothing.
     pub fn records(mut self) -> impl Iterator<Item = Result<PcapRecord>> {
-        std::iter::from_fn(move || self.next_record().transpose())
+        let mut failed = false;
+        std::iter::from_fn(move || {
+            if failed {
+                return None;
+            }
+            let next = self.next_record().transpose();
+            failed = matches!(next, Some(Err(_)));
+            next
+        })
     }
 }
 
@@ -235,10 +243,10 @@ mod tests {
         let data = vec![7u8; 100];
         w.write_packet(Ts::from_secs(1), &data).unwrap();
         w.finish().unwrap();
+        assert_eq!(buf[24 + 12..24 + 16], 100u32.to_le_bytes(), "orig_len on the wire");
         let mut r = PcapReader::new(&buf[..]).unwrap();
         let rec = r.next_record().unwrap().unwrap();
         assert_eq!(rec.data.len(), 24);
-        assert_eq!(rec.orig_len, 100);
     }
 
     #[test]
@@ -250,7 +258,7 @@ mod tests {
         buf.extend_from_slice(&4u16.to_be_bytes());
         buf.extend_from_slice(&[0u8; 8]); // thiszone, sigfigs
         buf.extend_from_slice(&DEFAULT_SNAPLEN.to_be_bytes());
-        buf.extend_from_slice(&LINKTYPE_ETHERNET.to_be_bytes());
+        buf.extend_from_slice(&LINKTYPE_RAW.to_be_bytes());
         buf.extend_from_slice(&10u32.to_be_bytes()); // ts_sec
         buf.extend_from_slice(&99u32.to_be_bytes()); // ts_usec
         buf.extend_from_slice(&4u32.to_be_bytes()); // incl_len
@@ -258,7 +266,7 @@ mod tests {
         buf.extend_from_slice(b"abcd");
         let mut r = PcapReader::new(&buf[..]).unwrap();
         assert!(!r.header().little_endian);
-        assert_eq!(r.header().linktype, LINKTYPE_ETHERNET);
+        assert_eq!(r.header().linktype, LINKTYPE_RAW);
         let rec = r.next_record().unwrap().unwrap();
         assert_eq!(rec.ts, Ts::from_secs(10) + crate::time::Dur::from_micros(99));
         assert_eq!(rec.data, b"abcd");
@@ -272,27 +280,34 @@ mod tests {
     }
 
     #[test]
-    fn truncated_body_is_an_error() {
+    fn truncated_record_is_an_error_not_end_of_file() {
         let mut buf = Vec::new();
         let mut w = PcapWriter::new(&mut buf, LINKTYPE_RAW, DEFAULT_SNAPLEN).unwrap();
         w.write_packet(Ts::from_secs(1), &[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
         w.finish().unwrap();
-        // Chop the last 3 bytes of the packet body.
-        let cut = &buf[..buf.len() - 3];
-        let mut r = PcapReader::new(cut).unwrap();
-        assert!(r.next_record().is_err());
+        // Every cut inside the record: its 16-byte header, then its body.
+        for kept in 1..16 + 8 {
+            let (needed, got) = if kept < 16 { (16, kept) } else { (8, kept - 16) };
+            let mut r = PcapReader::new(&buf[..24 + kept]).unwrap();
+            assert_eq!(r.next_record(), Err(NetError::Truncated { layer: "pcap", needed, got }));
+        }
     }
 
     #[test]
     fn absurd_incl_len_rejected() {
-        let mut buf = Vec::new();
-        let mut w = PcapWriter::new(&mut buf, LINKTYPE_RAW, DEFAULT_SNAPLEN).unwrap();
-        w.write_packet(Ts::from_secs(1), &[0u8; 4]).unwrap();
-        w.finish().unwrap();
-        // Rewrite incl_len to a huge value.
-        buf[24 + 8..24 + 12].copy_from_slice(&0x7fff_ffffu32.to_le_bytes());
-        let mut r = PcapReader::new(&buf[..]).unwrap();
-        assert!(matches!(r.next_record(), Err(NetError::BadLength { .. })));
+        // Whatever snaplen the file's own header claims: under a bound
+        // taken from it, the second file asks for a 4 GiB buffer.
+        for claimed in [DEFAULT_SNAPLEN, u32::MAX] {
+            let mut buf = Vec::new();
+            let mut w = PcapWriter::new(&mut buf, LINKTYPE_RAW, claimed).unwrap();
+            w.write_packet(Ts::from_secs(1), &[0u8; 4]).unwrap();
+            w.finish().unwrap();
+            // Rewrite incl_len to a huge value.
+            buf[24 + 8..24 + 12].copy_from_slice(&u32::MAX.to_le_bytes());
+            let mut r = PcapReader::new(&buf[..]).unwrap();
+            assert_eq!(r.header().snaplen, claimed);
+            assert!(matches!(r.next_record(), Err(NetError::BadLength { .. })));
+        }
     }
 
     #[test]

@@ -164,7 +164,8 @@ pub struct EventAggregator {
     dark_size: u32,
     active: FastMap<EventKey, ActiveEvent>,
     /// Completed events, held until [`EventAggregator::flush`] takes
-    /// them at the end of the trace (ROADMAP item 5).
+    /// them at the end of the trace (ROADMAP item "An event has one
+    /// owner").
     completed: Vec<DarknetEvent>,
     /// Watermark of the last periodic sweep.
     last_sweep: Ts,

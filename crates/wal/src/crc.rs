@@ -3,9 +3,9 @@
 //! The workspace carries zero third-party dependencies (see
 //! `vendor/README.md`), so the frame checksum is implemented here from
 //! first principles: a compile-time 256-entry lookup table and a
-//! streaming update loop. This is the same CRC32 used by zlib, Ethernet
-//! and pcapng — any single-bit error in a checked span is detected, as
-//! are all burst errors up to 32 bits.
+//! streaming update loop. This is the same CRC32 used by zlib and
+//! Ethernet — any single-bit error in a checked span is detected, as are
+//! all burst errors up to 32 bits.
 
 /// Lookup table for the reflected polynomial, built at compile time.
 const TABLE: [u32; 256] = build_table();

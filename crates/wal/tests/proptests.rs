@@ -10,6 +10,13 @@
 //!    accepted as that frame (CRC32 detects all single-bit errors);
 //! 3. recovery is idempotent — after one repair pass over a damaged
 //!    log, a second pass finds nothing to do and rewrites nothing.
+//!
+//! This file is the WAL's third of the decoder-totality gate
+//! (`scripts/ci.sh` runs it by name beside `ah-net`'s pcap and
+//! `ah-flow`'s NetFlow v9 proptests): `record_decoder_is_total` is the
+//! arbitrary-bytes case, `recovery_truncation_is_idempotent` and
+//! `recovery_bitflip_is_idempotent` the mutated-valid-input cases, so
+//! nothing is duplicated for it elsewhere.
 
 use ah_net::ipv4::Ipv4Addr4;
 use ah_net::packet::PacketMeta;

@@ -57,43 +57,23 @@ fn main() {
         }
     };
 
-    // Auto-detect classic pcap vs pcapng by magic and normalize both to
-    // a (ts, linktype, bytes) record stream.
-    let records: Box<dyn Iterator<Item = (aggressive_scanners::net::time::Ts, u16, Vec<u8>)>> =
-        if bytes.len() >= 4 && bytes[0..4] == aggressive_scanners::net::pcapng::BT_SHB.to_le_bytes()
-        {
-            let r =
-                aggressive_scanners::net::pcapng::PcapNgReader::new(std::io::Cursor::new(bytes))
-                    .unwrap_or_else(|e| {
-                        eprintln!("not a pcapng file: {e}");
-                        std::process::exit(1);
-                    });
-            eprintln!("pcapng capture");
-            Box::new(r.packets().map_while(|p| p.ok()).map(|p| (p.ts, 101u16, p.data)))
-        } else {
-            let r = PcapReader::new(std::io::Cursor::new(bytes)).unwrap_or_else(|e| {
-                eprintln!("not a pcap file: {e}");
-                std::process::exit(1);
-            });
-            eprintln!(
-                "classic pcap, linktype {} snaplen {}",
-                r.header().linktype,
-                r.header().snaplen
-            );
-            let lt = r.header().linktype as u16;
-            Box::new(r.records().map_while(|p| p.ok()).map(move |p| (p.ts, lt, p.data)))
-        };
+    let reader = PcapReader::new(&bytes[..]).unwrap_or_else(|e| {
+        eprintln!("not a classic pcap file: {e}");
+        std::process::exit(1);
+    });
+    let header = reader.header();
+    if header.linktype != LINKTYPE_RAW {
+        eprintln!("link type {} is not raw IP ({LINKTYPE_RAW})", header.linktype);
+        std::process::exit(1);
+    }
+    eprintln!("classic pcap, raw IP, snaplen {}", header.snaplen);
 
     let mut telescope = Telescope::new(dark, timeout::paper_default());
     let mut parsed = 0u64;
     let mut skipped = 0u64;
-    for (ts, linktype, data) in records {
-        let pkt = if u32::from(linktype) == aggressive_scanners::net::pcap::LINKTYPE_ETHERNET {
-            PacketMeta::parse_frame(&data, ts)
-        } else {
-            PacketMeta::parse_ip(&data, ts)
-        };
-        match pkt {
+    for rec in reader.records() {
+        let Ok(rec) = rec.inspect_err(|e| eprintln!("capture ends early: {e}")) else { break };
+        match PacketMeta::parse_ip(&rec.data, rec.ts) {
             Ok(p) => {
                 parsed += 1;
                 telescope.observe(&p);

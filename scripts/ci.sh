@@ -79,6 +79,16 @@ echo "==> packet-stream identity (release)"
 # `cargo test` elsewhere can never drop them.
 cargo test --release -p ah-simnet --test stream_golden --test mux_equivalence -q
 
+echo "==> decoder totality (release)"
+# The three readers hostile bytes can reach — classic pcap (ah-net),
+# NetFlow v9 (ah-flow), the WAL frame/record codec and recovery scanner
+# (ah-wal): arbitrary bytes, and truncations and single-byte mutations
+# of valid input, must end in Ok or one Err — no panic, no loop, no
+# buffer sized by an untrusted length. By name, so a filtered `cargo
+# test` elsewhere can never drop them.
+cargo test --release -p ah-net --test proptests -p ah-flow --test proptests \
+  -p ah-wal --test proptests -q
+
 echo "==> trace and memory determinism gates"
 # The full determinism + schema matrix (tests/trace.rs) and determinism
 # + leak matrix (tests/memory.rs), by name like telemetry above.

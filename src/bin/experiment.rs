@@ -4,7 +4,7 @@
 //! experiment <id>... [--days-scale F] [--seed N] [--out DIR] [--threads N]
 //!                    [--metrics PATH] [--metrics-interval N]
 //!                    [--trace-out PATH] [--trace-sample N]
-//!                    [--mem-report] [--mem-interval N]
+//!                    [--mem-report]
 //!   ids: table1..table9  fig1..fig6  whatif  health  all
 //!
 //! `--days-scale F` multiplies every dataset's span (default 1; any finite
@@ -21,9 +21,9 @@
 //!
 //! `--mem-report` turns on the tagged allocator's per-subsystem
 //! accounting and prints a live/peak/cumulative memory table (plus the
-//! process peak RSS) after the last experiment. `--mem-interval N`
-//! refreshes the `ah_mem_*` gauges every N delivered packets (default
-//! 100000). Accounting is observation-only too.
+//! process peak RSS) after the last experiment; with `--metrics` the
+//! `ah_mem_*` gauges refresh at the export interval. Accounting is
+//! observation-only too.
 //! ```
 //!
 //! Each experiment prints a paper-mirroring text table and writes CSV

@@ -4,7 +4,7 @@
 //! ```text
 //! [--metrics PATH] [--metrics-interval N]
 //! [--trace-out PATH] [--trace-sample N]
-//! [--mem-report] [--mem-interval N]
+//! [--mem-report]
 //! ```
 //!
 //! Three steps: [`ObsFlags::accept`] while the binary walks its argument
@@ -20,7 +20,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Usage line fragment for the flags parsed here.
-pub const OBS_USAGE: &str = "[--metrics PATH] [--metrics-interval N] [--trace-out PATH] [--trace-sample N] [--mem-report] [--mem-interval N]";
+pub const OBS_USAGE: &str =
+    "[--metrics PATH] [--metrics-interval N] [--trace-out PATH] [--trace-sample N] [--mem-report]";
 
 /// Print a usage error and exit 2.
 pub fn usage_error(msg: String) -> ! {
@@ -46,8 +47,8 @@ pub fn parse_flag<T: std::str::FromStr>(args: &[String], i: usize, flag: &str, k
     flag_value(args, i, flag, kind).unwrap_or_else(|e| usage_error(e))
 }
 
-/// Step `*i` onto the flag's value and parse it as one of the three
-/// pacing intervals, none of which may be 0.
+/// Step `*i` onto the flag's value and parse it as one of the two
+/// pacing intervals, neither of which may be 0.
 fn interval(args: &[String], i: &mut usize, flag: &str) -> Result<u64, String> {
     *i += 1;
     match flag_value(args, *i, flag, "integer")? {
@@ -85,12 +86,12 @@ pub struct ObsFlags {
     trace_out: Option<PathBuf>,
     trace_sample: u64,
     mem_report: bool,
-    mem_interval: u64,
 }
 
 impl ObsFlags {
     /// Everything off; `metrics_interval` is the binary's default export
-    /// interval in packets.
+    /// interval in packets, which also paces the `ah_mem_*` gauge refresh
+    /// under `--mem-report` (the refresh exists to feed the exporter).
     pub fn new(metrics_interval: u64) -> ObsFlags {
         ObsFlags {
             metrics: None,
@@ -98,11 +99,10 @@ impl ObsFlags {
             trace_out: None,
             trace_sample: 64,
             mem_report: false,
-            mem_interval: 100_000,
         }
     }
 
-    /// If `args[*i]` is one of the six flags, record it — advancing `*i`
+    /// If `args[*i]` is one of the five flags, record it — advancing `*i`
     /// onto its value, if it takes one — and return `true`; `false`
     /// leaves the argument to the caller.
     pub fn accept(&mut self, args: &[String], i: &mut usize) -> Result<bool, String> {
@@ -117,7 +117,6 @@ impl ObsFlags {
             "--mem-report" => self.mem_report = true,
             "--metrics-interval" => self.metrics_interval = interval(args, i, flag)?,
             "--trace-sample" => self.trace_sample = interval(args, i, flag)?,
-            "--mem-interval" => self.mem_interval = interval(args, i, flag)?,
             _ => return Ok(false),
         }
         Ok(true)
@@ -160,10 +159,10 @@ impl ObsFlags {
         }
         if self.mem_report {
             ah_mem::set_accounting(true);
-            tel = tel.with_mem(self.mem_interval);
+            tel = tel.with_mem(self.metrics_interval);
             eprintln!(
                 "[mem] per-subsystem accounting on, refresh every {} packets",
-                self.mem_interval
+                self.metrics_interval
             );
         }
         tel
@@ -217,10 +216,7 @@ mod tests {
     #[test]
     fn defaults_leave_telemetry_disabled() {
         let flags = parse("").unwrap();
-        assert_eq!(
-            (flags.metrics_interval, flags.trace_sample, flags.mem_interval),
-            (10_000, 64, 100_000)
-        );
+        assert_eq!((flags.metrics_interval, flags.trace_sample), (10_000, 64));
         assert!(!flags.mem_report());
         let tel = flags.telemetry(1);
         assert!(tel.exporter.is_none() && !tel.tracer.is_enabled() && tel.mem.is_none());
@@ -229,10 +225,10 @@ mod tests {
 
     #[test]
     fn flags_and_values_are_consumed() {
-        let flags = parse("--metrics m/base --metrics-interval 5 --trace-out t.json --trace-sample 7 --mem-report --mem-interval 9").unwrap();
+        let flags = parse("--metrics m/base --metrics-interval 5 --trace-out t.json --trace-sample 7 --mem-report").unwrap();
         assert_eq!(flags.metrics.as_deref(), Some(std::path::Path::new("m/base")));
         assert_eq!(flags.trace_out.as_deref(), Some(std::path::Path::new("t.json")));
-        assert_eq!((flags.metrics_interval, flags.trace_sample, flags.mem_interval), (5, 7, 9));
+        assert_eq!((flags.metrics_interval, flags.trace_sample), (5, 7));
         assert!(flags.mem_report());
     }
 
@@ -246,7 +242,7 @@ mod tests {
 
     #[test]
     fn missing_and_malformed_values_are_errors() {
-        for line in ["--metrics", "--trace-out", "--metrics-interval", "--mem-interval"] {
+        for line in ["--metrics", "--trace-out", "--metrics-interval", "--trace-sample"] {
             let err = parse(line).unwrap_err();
             assert!(err.starts_with(line) && err.contains("requires"), "{line}: {err}");
         }
@@ -256,7 +252,7 @@ mod tests {
 
     #[test]
     fn zero_intervals_are_rejected() {
-        for flag in ["--metrics-interval", "--trace-sample", "--mem-interval"] {
+        for flag in ["--metrics-interval", "--trace-sample"] {
             let err = parse(&format!("{flag} 0")).unwrap_err();
             assert_eq!(
                 err,

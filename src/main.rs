@@ -7,7 +7,7 @@
 //!                     [--wal-dir DIR] [--resume] [--replay]
 //!                     [--suspend-after N] [--crash-after N]
 //!                     [--trace-out PATH] [--trace-sample N]
-//!                     [--mem-report] [--mem-interval N]
+//!                     [--mem-report]
 //! ```
 //!
 //! Runs one full-vantage scenario (telescope + both ISPs + honeypots) on
@@ -42,8 +42,8 @@
 //! the run prints a per-tag live/peak/cumulative table plus the
 //! process peak RSS, then verifies that every run-scoped tag drained
 //! back to ~zero live bytes (a leak fails the process with exit 1).
-//! `--mem-interval N` refreshes the `ah_mem_*` gauges every `N`
-//! delivered packets (default 100000) when metrics are also on.
+//! With metrics also on, the `ah_mem_*` gauges refresh at the export
+//! interval (`--metrics-interval`).
 //! Accounting, like metrics and tracing, is observation-only — the
 //! fingerprint is identical with it on or off (see `tests/memory.rs`).
 //!

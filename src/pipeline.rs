@@ -1710,8 +1710,9 @@ pub fn run_taps(cfg: ScenarioConfig, tap_router: RouterId, def: Definition) -> T
 
     // Pass 2: identical traffic, measured at the taps from day 1 on.
     let Scenario { world, mut mux } = Scenario::build(rebuild);
-    let mut merit = merit_isp(&world, 1);
-    let mut cu = cu_isp(&world, 1);
+    // The taps only ask where a packet crosses; no flow is exported.
+    let merit = merit_isp(&world, 1);
+    let cu = cu_isp(&world, 1);
     let tap_start = Ts::from_days(1);
     let mut merit_tap = TapAnalyzer::new(ah_list.clone(), tap_start);
     let mut cu_tap = TapAnalyzer::new(ah_list.clone(), tap_start);
@@ -1719,12 +1720,12 @@ pub fn run_taps(cfg: ScenarioConfig, tap_router: RouterId, def: Definition) -> T
         if pkt.ts < tap_start {
             return;
         }
-        if let ah_flow::router::Disposition::Border(r, _) = merit.observe(pkt) {
+        if let ah_flow::router::Disposition::Border(r, _) = merit.disposition(pkt) {
             if r == tap_router {
                 merit_tap.observe(pkt);
             }
         }
-        if let ah_flow::router::Disposition::Border(..) = cu.observe(pkt) {
+        if let ah_flow::router::Disposition::Border(..) = cu.disposition(pkt) {
             cu_tap.observe(pkt);
         }
     });
