@@ -29,10 +29,14 @@
 //! as a pure function of `(plan.seed, source IP, per-source packet
 //! counter)` — see `packet_decision_seed`. Packet *k* of source *S*
 //! therefore suffers exactly the same fate no matter which packets from
-//! *other* sources surround it. That is what lets the sharded parallel
-//! engine run one injector per shard over its per-source substreams and
-//! still reproduce the serial run bit for bit: the union of the shard
-//! decisions *is* the serial decision set (`ARCHITECTURE.md` §11).
+//! *other* sources surround it. That is what lets every execution unit
+//! of the pipeline — the inline one, or each shard over its per-source
+//! substream — own its injector and still reproduce the serial run bit
+//! for bit: the union of the shard decisions *is* the serial decision set
+//! (`ARCHITECTURE.md` §11). A journaled run is no exception: its log
+//! holds the stream *before* injection, and a replay or resume injects
+//! again from the same plan — so the injector is total on any timestamp
+//! a log file can hold.
 //! Burst outages are a pure function of the packet timestamp, and the
 //! reorder hold-back heap releases a held packet relative to its own
 //! source's later packets, so per-source delivered order is identical
@@ -288,7 +292,7 @@ impl FaultInjector {
         if period == 0 || self.plan.outage_len.0 == 0 {
             return false;
         }
-        (ts.0 + period - self.outage_phase) % period < self.plan.outage_len.0
+        ts.0.saturating_add(period - self.outage_phase) % period < self.plan.outage_len.0
     }
 
     fn deliver(&mut self, pkt: &PacketMeta, emit: &mut impl FnMut(&PacketMeta)) {
@@ -421,7 +425,8 @@ impl FaultInjector {
                 // The reorder buffer belongs to the injector, not to
                 // whatever stage the delivery callback runs next.
                 let prev = ah_mem::tag_swap(Tag::Mux);
-                self.held.push(Reverse(Held { release: pkt.ts + skew, seq: self.seq, pkt: out }));
+                let release = Ts(pkt.ts.0.saturating_add(skew.0));
+                self.held.push(Reverse(Held { release, seq: self.seq, pkt: out }));
                 ah_mem::tag_restore(prev);
             } else {
                 self.deliver(&out, emit);
@@ -692,6 +697,22 @@ mod tests {
             let (_, stats) = run(FaultPlan::uniform(rate, 9), &stream(2000));
             assert!(stats.conserves(), "rate {rate}: {stats:?}");
             assert_eq!(stats.input, 2000);
+        }
+    }
+
+    #[test]
+    fn timestamps_at_the_end_of_time_are_survived_and_conserved() {
+        // A WAL is CRC-checked, not authenticated: a logged packet can
+        // carry any `ts`, and replay passes it through `apply`.
+        let pkts: Vec<PacketMeta> =
+            (0..400).map(|_| PacketMeta::udp_probe(Ts(u64::MAX), S, D, 40_000, 53)).collect();
+        let outage = FaultPlan::clean().with_outage(Dur::from_secs(10), Dur::from_secs(1));
+        for plan in [FaultPlan::uniform(0.25, 9), outage] {
+            let (out, stats) = run(plan, &pkts);
+            assert_eq!(stats.input, 400);
+            assert_eq!(out.len() as u64, stats.delivered);
+            assert_eq!(stats.reordered > 0, plan.reorder > 0.0, "{plan:?}");
+            assert!(stats.conserves(), "{plan:?}: {stats:?}");
         }
     }
 

@@ -3,11 +3,12 @@
 //!
 //! The simulation pipeline is deterministic, but a run is only
 //! re-creatable while the code and seeds that produced it exist. This
-//! crate gives runs a durable form: every delivered packet is appended
-//! to an on-disk log that survives crashes, can be **resumed**
-//! mid-simulation, and can be **replayed** through the detectors without
-//! re-simulating — producing bitwise-identical daily aggressive-scanner
-//! lists.
+//! crate gives runs a durable form: every packet the feeder produces is
+//! appended to an on-disk log that survives crashes, can be **resumed**
+//! mid-simulation, and can be **replayed** through the vantage points
+//! without re-simulating — producing bitwise-identical daily
+//! aggressive-scanner lists. The log is the run's raw input: fault
+//! injection happens after it, from the plan in the meta record.
 //!
 //! Layering, bottom up:
 //!
@@ -44,6 +45,6 @@ mod segment;
 mod writer;
 
 pub use record::{RunSeal, WalRecord, FNV_OFFSET};
-pub use recover::{peek_meta, recover, RecoveredLog};
+pub use recover::{recover, RecoveredLog};
 pub use segment::segment_paths;
 pub use writer::{WalWriter, WalWriterConfig};

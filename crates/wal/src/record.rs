@@ -7,10 +7,12 @@
 //! * [`RunMeta`] — written once as frame 0 of a pipeline run: the
 //!   scenario/options summary the log was produced under, so a replay or
 //!   resume can verify it is being matched against the same world.
-//! * [`PacketMeta`] — one delivered darknet packet, the primary stream.
-//! * [`RunSeal`] — written last, after the stream ends: totals, the
-//!   rolling packet-payload hash, and the fault injector's final
-//!   counters. A log without a seal is a suspended or crashed run.
+//! * [`PacketMeta`] — one packet as the feeder produced it, before any
+//!   fault injection: the primary stream. A replay or resume re-injects
+//!   from the plan in [`RunMeta`].
+//! * [`RunSeal`] — written last, after the stream ends: the packet count
+//!   and the rolling packet-payload hash. A log without a seal is a
+//!   suspended or crashed run.
 //!
 //! All decoders are total: any payload that does not parse exactly (kind,
 //! lengths, enum tags, trailing bytes) yields `None` and is treated by
@@ -21,16 +23,15 @@ use ah_net::ipv4::Ipv4Addr4;
 use ah_net::packet::{PacketMeta, Transport};
 use ah_net::tcp::TcpFlags;
 use ah_net::time::{Dur, Ts};
-use ah_simnet::faults::{FaultPlan, InjectorStats};
-use ah_simnet::scenario::{BenignLevel, ScenarioConfig, Year};
+use ah_simnet::faults::FaultPlan;
+use ah_simnet::scenario::{BenignLevel, Year};
 
 /// Frame-payload kind byte for [`RunMeta`].
 pub(crate) const KIND_META: u8 = 1;
 /// Frame-payload kind byte for a packet record.
 pub(crate) const KIND_PACKET: u8 = 2;
-/// Frame-payload kind byte for [`RunSeal`]. Kinds 3 and 4 are unassigned
-/// and decode as unknown.
-pub(crate) const KIND_SEAL: u8 = 5;
+/// Frame-payload kind byte for [`RunSeal`].
+pub(crate) const KIND_SEAL: u8 = 3;
 
 /// The run configuration summary stored as the log's first record.
 #[derive(Debug, Clone)]
@@ -85,34 +86,16 @@ impl PartialEq for RunMeta {
     }
 }
 
-impl RunMeta {
-    /// True when this meta record was produced from `cfg` — same label,
-    /// seed, span and world presets — so the deterministic generator can
-    /// be fast-forwarded against this log.
-    pub fn matches_scenario(&self, cfg: &ScenarioConfig) -> bool {
-        self.label == cfg.label
-            && self.seed == cfg.seed
-            && self.days == cfg.days
-            && self.year == cfg.year
-            && self.benign == cfg.benign
-            && self.day0_weekday == cfg.day0_weekday
-    }
-}
-
 /// The final record of a completed run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunSeal {
-    /// Total packets the scenario generated.
+    /// Total packets the scenario generated (== packet frames in the
+    /// log).
     pub generated: u64,
-    /// Total packets delivered to the vantage points (== packet frames
-    /// in the log).
-    pub delivered: u64,
     /// Rolling FNV-1a over every packet record's encoded payload, in
-    /// delivery order — an end-to-end integrity check over the whole
+    /// log order — an end-to-end integrity check over the whole
     /// stream, independent of the per-frame CRCs.
     pub packet_hash: u64,
-    /// Final fault-injector counters, when a fault plan was active.
-    pub injector: Option<InjectorStats>,
 }
 
 /// One decoded WAL record.
@@ -120,7 +103,7 @@ pub struct RunSeal {
 pub enum WalRecord {
     /// Run configuration summary (first frame).
     Meta(RunMeta),
-    /// One delivered packet.
+    /// One generated packet.
     Packet(PacketMeta),
     /// End-of-run seal (last frame of a completed run).
     Seal(RunSeal),
@@ -350,44 +333,11 @@ fn decode_meta(c: &mut Cursor<'_>) -> Option<RunMeta> {
 
 fn encode_seal(out: &mut Vec<u8>, s: &RunSeal) {
     put_u64(out, s.generated);
-    put_u64(out, s.delivered);
     put_u64(out, s.packet_hash);
-    out.push(u8::from(s.injector.is_some()));
-    if let Some(i) = s.injector.as_ref() {
-        put_u64(out, i.input);
-        put_u64(out, i.delivered);
-        put_u64(out, i.dropped);
-        put_u64(out, i.duplicated);
-        put_u64(out, i.outage_dropped);
-        put_u64(out, i.truncated_discarded);
-        put_u64(out, i.corrupt_discarded);
-        put_u64(out, i.reordered);
-        put_u64(out, i.corrupted_delivered);
-        put_u64(out, i.zero_payload);
-    }
 }
 
 fn decode_seal(c: &mut Cursor<'_>) -> Option<RunSeal> {
-    let generated = c.u64()?;
-    let delivered = c.u64()?;
-    let packet_hash = c.u64()?;
-    let injector = match c.u8()? {
-        0 => None,
-        1 => Some(InjectorStats {
-            input: c.u64()?,
-            delivered: c.u64()?,
-            dropped: c.u64()?,
-            duplicated: c.u64()?,
-            outage_dropped: c.u64()?,
-            truncated_discarded: c.u64()?,
-            corrupt_discarded: c.u64()?,
-            reordered: c.u64()?,
-            corrupted_delivered: c.u64()?,
-            zero_payload: c.u64()?,
-        }),
-        _ => return None,
-    };
-    Some(RunSeal { generated, delivered, packet_hash, injector })
+    Some(RunSeal { generated: c.u64()?, packet_hash: c.u64()? })
 }
 
 impl WalRecord {

@@ -10,16 +10,22 @@
 //! which is what makes recovery idempotent: running it twice yields
 //! byte-identical state. The segments are the only thing recovery reads
 //! or writes; any other file in the directory is left alone.
+//!
+//! A log this build merely cannot read is not damage: an intact segment
+//! header (magic and CRC good) of another format version fails recovery
+//! with `InvalidData` before anything on disk is touched.
 
 use std::fs;
 use std::io::{self, Read};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use ah_obs::Recorder;
 
 use crate::frame::{check_frame, FrameCheck};
-use crate::record::{RunMeta, RunSeal, WalRecord};
-use crate::segment::{decode_segment_header, segment_paths, sync_dir, SEGMENT_HEADER_BYTES};
+use crate::record::{RunSeal, WalRecord};
+use crate::segment::{
+    decode_segment_header, segment_paths, sync_dir, FORMAT_VERSION, SEGMENT_HEADER_BYTES,
+};
 
 /// What the recovery scanner found and did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -42,8 +48,6 @@ pub struct RecoveryStats {
 /// A recovered log, ready for replay or resumption.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveredLog {
-    /// The run-meta frame, if the log has one (frame 0).
-    pub meta: Option<RunMeta>,
     /// The seal, when the log captured a completed run.
     pub seal: Option<RunSeal>,
     /// Durable watermark: sequence number the next append would get.
@@ -115,8 +119,8 @@ pub fn recover(
     // consumers re-tag via their own scopes.
     let _mem = ah_mem::MemScope::enter(ah_mem::Tag::Wal);
     let segs = segment_paths(dir)?;
-    let mut out =
-        RecoveredLog { meta: None, seal: None, next_seq: 0, stats: RecoveryStats::default() };
+    refuse_other_versions(&segs)?;
+    let mut out = RecoveredLog { seal: None, next_seq: 0, stats: RecoveryStats::default() };
     let mut damaged = false;
     let mut seal_at: Option<u64> = None;
 
@@ -131,7 +135,7 @@ pub fn recover(
         }
         let mut raw = Vec::new();
         fs::File::open(path)?.read_to_end(&mut raw)?;
-        if decode_segment_header(&raw) != Some(*base) {
+        if decode_segment_header(&raw) != Some((FORMAT_VERSION, *base)) {
             fs::remove_file(path)?;
             out.stats.segments_dropped += 1;
             damaged = true;
@@ -143,15 +147,9 @@ pub fn recover(
                 FrameCheck::Frame { payload, consumed } => {
                     match WalRecord::decode_payload(payload) {
                         Some(record) => {
-                            match &record {
-                                WalRecord::Meta(m) if out.next_seq == 0 => {
-                                    out.meta = Some(m.clone());
-                                }
-                                WalRecord::Seal(s) => {
-                                    out.seal = Some(*s);
-                                    seal_at = Some(out.next_seq);
-                                }
-                                _ => {}
+                            if let WalRecord::Seal(s) = &record {
+                                out.seal = Some(*s);
+                                seal_at = Some(out.next_seq);
                             }
                             on_record(out.next_seq, payload, record);
                             out.stats.frames_valid += 1;
@@ -207,26 +205,21 @@ pub fn recover(
     Ok(out)
 }
 
-/// Decode just the run-meta frame (frame 0) without scanning the whole
-/// log. `Ok(None)` when the directory is empty or frame 0 is damaged.
-pub fn peek_meta(dir: &Path) -> io::Result<Option<RunMeta>> {
-    let segs = segment_paths(dir)?;
-    let Some((base, path)) = segs.first() else { return Ok(None) };
-    if *base != 0 {
-        return Ok(None);
+/// Fail, before the scan repairs anything, if any segment is an intact
+/// log of another format version.
+fn refuse_other_versions(segs: &[(u64, PathBuf)]) -> io::Result<()> {
+    for (_, path) in segs {
+        let mut head = Vec::with_capacity(SEGMENT_HEADER_BYTES);
+        fs::File::open(path)?.take(SEGMENT_HEADER_BYTES as u64).read_to_end(&mut head)?;
+        if let Some((version, _)) = decode_segment_header(&head).filter(|h| h.0 != FORMAT_VERSION) {
+            let msg = format!(
+                "{} is a format-version {version} WAL segment; this build reads version {FORMAT_VERSION}",
+                path.display()
+            );
+            return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
+        }
     }
-    let mut raw = Vec::new();
-    fs::File::open(path)?.read_to_end(&mut raw)?;
-    if decode_segment_header(&raw) != Some(0) {
-        return Ok(None);
-    }
-    match check_frame(&raw[SEGMENT_HEADER_BYTES..], 0) {
-        FrameCheck::Frame { payload, .. } => match WalRecord::decode_payload(payload) {
-            Some(WalRecord::Meta(m)) => Ok(Some(m)),
-            _ => Ok(None),
-        },
-        _ => Ok(None),
-    }
+    Ok(())
 }
 
 /// Recovery metrics (`ah_wal_recover_*`).
@@ -259,7 +252,6 @@ mod tests {
     use ah_net::ipv4::Ipv4Addr4;
     use ah_net::packet::{PacketMeta, Transport};
     use ah_net::time::Ts;
-    use std::path::PathBuf;
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ah-wal-recover-{tag}-{}", std::process::id()));
@@ -386,7 +378,7 @@ mod tests {
 
     #[test]
     fn unknown_record_kind_is_a_corrupt_frame() {
-        for kind in [3u8, 4] {
+        for kind in [0u8, 4] {
             let dir = tmp(&format!("kind-{kind}"));
             let rec = Recorder::new();
             let mut w = WalWriter::create(&dir, WalWriterConfig::default(), &rec).unwrap();
@@ -420,7 +412,7 @@ mod tests {
         for i in 0..3 {
             w.append(&pkt(i)).unwrap();
         }
-        w.seal(RunSeal { generated: 3, delivered: 3, packet_hash: 7, injector: None }).unwrap();
+        w.seal(RunSeal { generated: 3, packet_hash: 7 }).unwrap();
         drop(w);
 
         // A seal sitting at the tail must survive recovery…
@@ -438,6 +430,38 @@ mod tests {
         let unsealed = recover(&dir, &rec, |_, _, _| {}).unwrap();
         assert!(!unsealed.is_sealed(), "a mid-log seal is not a seal");
         assert_eq!(unsealed.next_seq, 5, "the post-seal frame itself is valid");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn intact_log_of_another_version_is_refused_untouched() {
+        let dir = tmp("v1");
+        fs::create_dir_all(&dir).unwrap();
+        // A version-1 segment written by hand: good magic, good CRC, and
+        // frames this build would otherwise scan.
+        let mut raw = crate::segment::encode_segment_header(0).to_vec();
+        raw[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let crc = crate::crc::crc32(&raw[0..20]);
+        raw[20..24].copy_from_slice(&crc.to_le_bytes());
+        for i in 0..3 {
+            crate::frame::append_frame(&mut raw, i, &pkt_payload(i));
+        }
+        let seg = dir.join(format!("{:016x}.seg", 0));
+        fs::write(&seg, &raw).unwrap();
+
+        let err = recover(&dir, &Recorder::new(), |_, _, _| panic!("no frame may be delivered"))
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains("version 1") && msg.contains("version 2"), "{msg}");
+        assert_eq!(fs::read(&seg).unwrap(), raw, "the unreadable log must survive byte for byte");
+
+        // A *damaged* header is still dropped, as before.
+        raw[3] ^= 0x40;
+        fs::write(&seg, &raw).unwrap();
+        let out = recover(&dir, &Recorder::new(), |_, _, _| {}).unwrap();
+        assert_eq!((out.next_seq, out.stats.segments_dropped), (0, 1));
+        assert!(!seg.exists());
         let _ = fs::remove_dir_all(&dir);
     }
 }

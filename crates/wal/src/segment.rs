@@ -18,7 +18,7 @@ pub(crate) const SEGMENT_MAGIC: [u8; 8] = *b"AHWALSG1";
 /// Fixed size of the segment header.
 pub(crate) const SEGMENT_HEADER_BYTES: usize = 24;
 /// Current on-disk format version.
-pub(crate) const FORMAT_VERSION: u32 = 1;
+pub(crate) const FORMAT_VERSION: u32 = 2;
 
 /// Encode a segment header for a segment whose first frame is `base_seq`.
 pub(crate) fn encode_segment_header(base_seq: u64) -> [u8; SEGMENT_HEADER_BYTES] {
@@ -32,21 +32,16 @@ pub(crate) fn encode_segment_header(base_seq: u64) -> [u8; SEGMENT_HEADER_BYTES]
     out
 }
 
-/// Decode and validate a segment header, returning its base sequence.
-pub(crate) fn decode_segment_header(buf: &[u8]) -> Option<u64> {
+/// Decode a segment header: the `(version, base_seq)` of an intact one
+/// (magic and CRC good, whatever the version); `None` for anything damaged.
+pub(crate) fn decode_segment_header(buf: &[u8]) -> Option<(u32, u64)> {
     if buf.len() < SEGMENT_HEADER_BYTES || buf[0..8] != SEGMENT_MAGIC {
         return None;
     }
     let version = u32::from_le_bytes(buf[8..12].try_into().ok()?);
-    if version != FORMAT_VERSION {
-        return None;
-    }
     let base_seq = u64::from_le_bytes(buf[12..20].try_into().ok()?);
     let stored = u32::from_le_bytes(buf[20..24].try_into().ok()?);
-    if crc32(&buf[0..20]) != stored {
-        return None;
-    }
-    Some(base_seq)
+    (crc32(&buf[0..20]) == stored).then_some((version, base_seq))
 }
 
 /// File name of the segment whose first frame is `base_seq`.
@@ -98,7 +93,7 @@ mod tests {
     #[test]
     fn header_round_trip() {
         let h = encode_segment_header(42);
-        assert_eq!(decode_segment_header(&h), Some(42));
+        assert_eq!(decode_segment_header(&h), Some((FORMAT_VERSION, 42)));
         for bit in 0..SEGMENT_HEADER_BYTES * 8 {
             let mut m = h;
             m[bit / 8] ^= 1 << (bit % 8);

@@ -365,7 +365,7 @@ mod tests {
     }
 
     fn seal_rec() -> RunSeal {
-        RunSeal { generated: 1, delivered: 1, packet_hash: 2, injector: None }
+        RunSeal { generated: 1, packet_hash: 2 }
     }
 
     #[test]

@@ -78,13 +78,7 @@ fn write_log(dir: &Path, packets: &[PacketMeta], sealed: bool) -> PathBuf {
         w.append(&WalRecord::Packet(*p)).expect("append");
     }
     if sealed {
-        w.seal(RunSeal {
-            generated: packets.len() as u64,
-            delivered: packets.len() as u64,
-            packet_hash: 0,
-            injector: None,
-        })
-        .expect("seal");
+        w.seal(RunSeal { generated: packets.len() as u64, packet_hash: 0 }).expect("seal");
     } else {
         w.commit().expect("commit");
     }

@@ -7,7 +7,7 @@
 //! unacknowledged remainder. Also demonstrates the pcap writer by saving
 //! a capture excerpt of the first day's darknet traffic.
 //!
-//! The simulation is durable: the first invocation writes every delivered
+//! The simulation is durable: the first invocation writes every generated
 //! packet to a write-ahead log under `out/wal-blocklist/` and seals it.
 //! Every later invocation finds the sealed log and *replays* it — the
 //! detectors re-run over stored history without re-simulating the world,
@@ -24,7 +24,6 @@ use aggressive_scanners::net::pcap::{PcapWriter, DEFAULT_SNAPLEN, LINKTYPE_RAW};
 use aggressive_scanners::obs::json;
 use aggressive_scanners::pipeline::{self, RunOptions, Telemetry, WalRun};
 use aggressive_scanners::simnet::scenario::{ScenarioConfig, Year};
-use aggressive_scanners::wal;
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
@@ -74,31 +73,29 @@ fn main() -> std::io::Result<()> {
     let wal_dir = Path::new("out/wal-blocklist");
     let mut tel = Telemetry::disabled();
 
-    // Replay the sealed event log when one exists for this exact
-    // scenario; otherwise simulate once, durably, so the next run can.
+    // Replay the sealed log when one exists for this exact scenario
+    // (`replay_wal` refuses any other before feeding a packet);
+    // otherwise simulate once, durably, so the next run can.
     let t0 = std::time::Instant::now();
-    let replayable = matches!(
-        wal::peek_meta(wal_dir),
-        Ok(Some(meta)) if meta.matches_scenario(&cfg())
-    );
-    let (run, simulated) = if replayable {
-        println!("replaying {days} days of stored darknet history from {}...", wal_dir.display());
+    let (run, simulated) =
         match pipeline::replay_wal(cfg(), RunOptions::darknet_only(), wal_dir, &mut tel) {
-            Ok(out) => (*out, false),
+            Ok(out) => {
+                println!(
+                    "replayed {days} days of stored darknet history from {}",
+                    wal_dir.display()
+                );
+                (*out, false)
+            }
             Err(e) => {
-                // Unsealed (interrupted) or damaged log: start over.
-                println!("replay unavailable ({e}); re-simulating");
-                fs::remove_dir_all(wal_dir)?;
+                // No log yet, an unsealed (interrupted) or damaged one, or
+                // one of another scenario or format version: start over.
+                println!("replay unavailable ({e}); simulating");
+                if wal_dir.exists() {
+                    fs::remove_dir_all(wal_dir)?;
+                }
                 durable_simulation(cfg(), wal_dir, &mut tel)?
             }
-        }
-    } else {
-        if wal_dir.exists() {
-            println!("stored log does not match this scenario; re-simulating");
-            fs::remove_dir_all(wal_dir)?;
-        }
-        durable_simulation(cfg(), wal_dir, &mut tel)?
-    };
+        };
     let wall = t0.elapsed().as_secs_f64();
 
     let acked = run.world.acked_list(8);
@@ -175,7 +172,7 @@ fn main() -> std::io::Result<()> {
     Ok(())
 }
 
-/// Simulate the scenario while journaling every delivered packet to a
+/// Simulate the scenario while journaling every generated packet to a
 /// fresh write-ahead log, sealing it so later invocations can replay.
 fn durable_simulation(
     cfg: ScenarioConfig,

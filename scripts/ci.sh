@@ -94,6 +94,13 @@ echo "==> trace and memory determinism gates"
 # + leak matrix (tests/memory.rs), by name like telemetry above.
 cargo test --release --test trace --test memory -q
 
+echo "==> durable-run gates (release)"
+# Replay, resume, the storage-fault drills and every refusal of the
+# durable path (tests/determinism.rs, tests/chaos.rs) otherwise run only
+# inside the debug `cargo test --workspace` above; by name like the
+# others, so a filtered invocation elsewhere can never drop them.
+cargo test --release --test determinism --test chaos -q
+
 echo "==> binary-level gates (release)"
 # tests/cli.rs drives the shipped binaries: usage errors before any
 # run, then the WAL crash-recovery drill (a real mid-append abort,

@@ -16,7 +16,7 @@
 //! `--metrics PATH` turns on pipeline telemetry and writes snapshot files
 //! `PATH.jsonl` (one snapshot per line) and `PATH.prom` (Prometheus text
 //! exposition, latest snapshot). `--metrics-interval N` exports every N
-//! delivered packets (default 100000). Telemetry is observation-only:
+//! packets fed (default 100000). Telemetry is observation-only:
 //! all tables and figures are bitwise identical with it on or off.
 //!
 //! `--mem-report` turns on the tagged allocator's per-subsystem

@@ -18,12 +18,12 @@
 //! is observation-only: the run's output fingerprint is identical with
 //! metrics on or off (see `tests/telemetry.rs`).
 //!
-//! With `--wal-dir DIR` the run becomes durable: every delivered packet
-//! is appended to a write-ahead log in `DIR` before the vantage points
-//! consume it. `--resume` continues an interrupted durable run from its
+//! With `--wal-dir DIR` the run becomes durable: every generated packet
+//! is appended to a write-ahead log in `DIR` before the shards see it.
+//! `--resume` continues an interrupted durable run from its
 //! recovered prefix; `--replay` re-runs detection over a sealed log
 //! without re-simulating. `--suspend-after N` stops cleanly after `N`
-//! delivered packets (exit code 0, log left resumable); `--crash-after N`
+//! packets fed (exit code 0, log left resumable); `--crash-after N`
 //! aborts the process with a deliberately torn tail — the crash-recovery
 //! gate (`tests/cli.rs`) uses it to prove that an interrupted run,
 //! resumed, prints the same output fingerprint as an uninterrupted one.
@@ -147,9 +147,7 @@ fn main() {
             match outcome {
                 Ok(WalOutcome::Completed(out)) => *out,
                 Ok(WalOutcome::Suspended { delivered, durable_seq }) => {
-                    println!(
-                        "suspended at {delivered} delivered packets ({durable_seq} durable frames)"
-                    );
+                    println!("suspended at {delivered} packets fed ({durable_seq} durable frames)");
                     println!("resume with: --wal-dir {} --resume", dir.display());
                     return;
                 }

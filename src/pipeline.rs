@@ -9,13 +9,13 @@
 //! with some parts switched off (`ARCHITECTURE.md` §1 has the table):
 //!
 //! ```text
-//! feeder (mux | recovered log [+ mux]) → injector? → journal? → executor (inline | N shards) → finalize_run
+//! feeder (mux | recovered log [+ mux]) → journal? → executor (inline | N shards) → finalize_run
 //! ```
 //!
 //! * **Feeders.** The live traffic mux, and a recovered write-ahead log
 //!   ([`resume_wal`] feeds the log, then the mux; [`replay_wal`] the log
-//!   alone). Both end in one `deliver` step: count → journal → executor →
-//!   exporter tick.
+//!   alone). Both end in one `deliver` step, once per fed packet:
+//!   journal → executor → exporter tick.
 //! * **Executor.** [`run`] consumes on the driver thread — the serial
 //!   reference. [`run_parallel`] is a pure router: it hands each packet
 //!   to the worker shard owning its source IP over a lock-free SPSC ring
@@ -29,15 +29,13 @@
 //!   executors produce **bitwise identical** [`RunOutput`]s (see
 //!   `ARCHITECTURE.md` §11 for the proof sketch and
 //!   [`RunOutput::fingerprint`] for the check).
-//! * **Injector placement.** The shards own the fault injector iff the
-//!   run is sharded and unjournaled. Otherwise the driver owns it: a
-//!   journal must see the post-fault stream in serial delivery order,
-//!   which is what makes an N-thread log byte-identical to a serial one.
-//!   The exporter's tick position follows — post-fault deliveries when
-//!   the driver injects, generated packets when the shards do.
-//! * **Journal.** [`run_wal`] / [`run_parallel_wal`] append every
-//!   delivery to the log before the executor sees it; [`resume_wal`]
-//!   documents how a recovered prefix is re-joined to the live stream.
+//!   Every execution unit, inline or shard, owns the fault injector in
+//!   front of its vantage points.
+//! * **Journal.** [`run_wal`] / [`run_parallel_wal`] append every fed
+//!   packet to the log before the executor sees it: the log is the run's
+//!   input, before any fault, and a replay or resume injects again from
+//!   the plan in its meta record. [`resume_wal`] documents how a
+//!   recovered prefix is re-joined to the live stream.
 //!
 //! Tap experiments (Figures 1/2) are inherently two-phase: the paper
 //! derives the hitter list from darknet detection *before* counting
@@ -139,11 +137,10 @@ impl RunOptions {
 ///
 /// Telemetry is **observation-only**: nothing the pipeline computes ever
 /// reads an instrument back, and the exporter is ticked at deterministic
-/// *stream positions* (packets delivered, or packets generated when the
-/// shards own the fault injector), never wall-clock time — so a
-/// run with a live recorder produces a [`RunOutput`] bitwise identical
-/// to the same run with [`Telemetry::disabled`]. `tests/telemetry.rs`
-/// holds every entry point to exactly this standard.
+/// *stream positions* (packets fed to the executor), never wall-clock
+/// time — so a run with a live recorder produces a [`RunOutput`] bitwise
+/// identical to the same run with [`Telemetry::disabled`].
+/// `tests/telemetry.rs` holds every entry point to exactly this standard.
 pub struct Telemetry {
     /// Recorder every stage registers its instruments on.
     pub(crate) recorder: Recorder,
@@ -185,8 +182,8 @@ impl Telemetry {
         self
     }
 
-    /// Refresh memory-account telemetry every `every` delivered/generated
-    /// packets (builder-style). Meaningful only when [`ah_mem`]
+    /// Refresh memory-account telemetry every `every` fed packets
+    /// (builder-style). Meaningful only when [`ah_mem`]
     /// accounting is enabled and this process runs under the
     /// [`ah_mem::TaggedSystem`] allocator (the workspace binaries do).
     pub fn with_mem(mut self, every: u64) -> Telemetry {
@@ -378,8 +375,7 @@ fn v9_loopback(records: &[FlowRecord], rec: &Recorder) -> StageHealth {
 
 // --- Shared vantage-point state (one copy per shard) -------------------
 
-/// All vantage-point state for one execution unit — the whole pipeline in
-/// the inline executor, one shard's slice of it in the sharded one.
+/// All vantage-point state of one execution [`Unit`].
 struct Vantage {
     telescope: Telescope,
     tracker: DailyTracker,
@@ -421,8 +417,7 @@ struct ShardOut {
     not_dark: u64,
     /// Packets delivered to this shard's vantage points.
     delivered: u64,
-    /// Ledger of the shard-local fault injector (`None` on clean runs,
-    /// and whenever the driver owns the run's single injector).
+    /// Ledger of this unit's fault injector (`None` on clean runs).
     injector: Option<InjectorStats>,
     tracker: DailyTracker,
     merit: Option<(CacheStats, FlowDataset)>,
@@ -559,7 +554,7 @@ impl Vantage {
     }
 
     /// Flush open state and reduce to plain mergeable data; `injector` is
-    /// the ledger of the shard-local fault injector, if the shard owned one.
+    /// the ledger of the unit's fault injector, if the run has a plan.
     fn into_shard_out(mut self, injector: Option<InjectorStats>) -> ShardOut {
         // Sorted here, on the shard's own thread; `finalize_run` only merges.
         let events = self.telescope.flush();
@@ -597,30 +592,44 @@ impl Vantage {
 /// 1/N of the source space.
 const RING_CAPACITY: usize = 4096;
 
-/// Build the run's fault injector for whichever side of the rings owns
-/// it (module docs: injector placement); `None` on clean runs.
-fn injector_for(plan: Option<FaultPlan>, tracer: &Tracer) -> Option<FaultInjector> {
-    let mut injector = {
-        let _mem = MemScope::enter(Tag::Mux);
-        plan.map(FaultInjector::new)
-    };
-    if let Some(inj) = injector.as_mut() {
-        inj.set_tracer(tracer);
-    }
-    injector
+/// One execution unit — the whole pipeline in the inline executor, one
+/// shard's slice of it in the sharded one: a vantage stack behind the
+/// run's fault injector, if any. Verdicts are a pure function of (source,
+/// per-source index), so a shard's substream yields the serial decisions.
+struct Unit {
+    injector: Option<FaultInjector>,
+    vantage: Vantage,
 }
 
-/// Sum the shard-local injector ledgers; `None` when no shard owned one.
-/// Every [`InjectorStats`] field is a plain count over a disjoint slice
-/// of the source space, so the per-shard ledgers sum to exactly the
-/// serial injector's.
-fn merge_injector_stats(shards: &[ShardOut]) -> Option<InjectorStats> {
-    let mut it = shards.iter().filter_map(|sh| sh.injector.as_ref());
-    let mut acc = *it.next()?;
-    for s in it {
-        acc.merge(s);
+impl Unit {
+    fn build(world: &World, opts: &RunOptions, rec: &Recorder, tracer: &Tracer) -> Unit {
+        let injector = opts.faults.map(|plan| {
+            let _mem = MemScope::enter(Tag::Mux);
+            let mut inj = FaultInjector::new(plan);
+            inj.set_tracer(tracer);
+            inj
+        });
+        Unit { injector, vantage: Vantage::build(world, opts, rec, tracer) }
     }
-    Some(acc)
+
+    /// The vantage points consume what the injector delivers at `pkt`.
+    #[inline]
+    fn offer(&mut self, pkt: &PacketMeta) {
+        let Unit { injector, vantage } = self;
+        match injector {
+            Some(inj) => inj.apply(pkt, &mut |p| vantage.consume_dyn(p)),
+            None => vantage.consume_dyn(pkt),
+        }
+    }
+
+    /// End of stream: release what the injector still holds, then reduce.
+    fn finish(self) -> ShardOut {
+        let Unit { mut injector, mut vantage } = self;
+        if let Some(inj) = injector.as_mut() {
+            inj.flush(&mut |p| vantage.consume_dyn(p));
+        }
+        vantage.into_shard_out(injector.map(|i| i.stats()))
+    }
 }
 
 /// Driver-side half of the sharded executor: the SPSC producers and the
@@ -635,11 +644,8 @@ struct Shards<'scope> {
 
 impl<'scope> Shards<'scope> {
     /// Spawn `threads` shard workers. Each pops its slice of the source
-    /// space off its SPSC ring, feeds it to a shard-local vantage stack,
-    /// and returns the reduced result from its thread. With a `plan` the
-    /// shards also own the fault injection: verdicts are a pure function
-    /// of (source, per-source index), so a shard's substream yields
-    /// exactly the serial decisions for its slice.
+    /// space off its SPSC ring, feeds it to a shard-local [`Unit`], and
+    /// returns the reduced result from its thread.
     fn spawn(
         scope: &'scope std::thread::Scope<'scope, '_>,
         threads: usize,
@@ -647,7 +653,6 @@ impl<'scope> Shards<'scope> {
         opts: &'scope RunOptions,
         rec: &'scope Recorder,
         tracer: &'scope Tracer,
-        plan: Option<FaultPlan>,
     ) -> Shards<'scope> {
         let mut producers = Vec::with_capacity(threads);
         let mut consumers = Vec::with_capacity(threads);
@@ -664,23 +669,15 @@ impl<'scope> Shards<'scope> {
                 let _mem = MemScope::enter(Tag::Trace);
                 tracer.set_track("ah_pipeline_shard_worker", i as u64 + 1);
             }
-            let mut vantage = Vantage::build(world, opts, rec, tracer);
-            let mut injector = injector_for(plan, tracer);
-            let mut consume = |pkt: &PacketMeta| vantage.consume_dyn(pkt);
+            let mut unit = Unit::build(world, opts, rec, tracer);
             while let Some(pkt) = rx.pop_wait() {
                 let journey = tracer.journey_id(pkt.src.to_u32());
                 let _pop = (journey != 0)
                     .then(|| tracer.journey_span("ah_pipeline_shard_consume", journey));
-                match injector.as_mut() {
-                    Some(inj) => inj.apply(&pkt, &mut consume),
-                    None => consume(&pkt),
-                }
-            }
-            if let Some(inj) = injector.as_mut() {
-                inj.flush(&mut consume);
+                unit.offer(&pkt);
             }
             let _mem = MemScope::enter(Tag::Merge);
-            vantage.into_shard_out(injector.map(|i| i.stats()))
+            unit.finish()
         };
         let handles = consumers
             .into_iter()
@@ -732,10 +729,10 @@ impl<'scope> Shards<'scope> {
     }
 }
 
-/// Where delivered packets are consumed: on the driver thread, or on N
-/// shard threads behind SPSC rings. One predictable `match` per packet.
+/// Where fed packets are injected and consumed: on the driver thread, or
+/// on N shard threads behind SPSC rings. One predictable `match` per packet.
 enum Executor<'scope> {
-    Inline(Box<Vantage>),
+    Inline(Box<Unit>),
     Sharded(Shards<'scope>),
 }
 
@@ -745,7 +742,6 @@ fn finalize_run(
     world: World,
     days: u64,
     generated: u64,
-    injector: Option<InjectorStats>,
     shards: Vec<ShardOut>,
     opts: &RunOptions,
     tel: &mut Telemetry,
@@ -759,6 +755,8 @@ fn finalize_run(
     // ah-lint: allow(panic-path, reason = "both executors hand over at least one shard: the inline one exactly one, the sharded one max(threads, 1)")
     let first = shards.next().expect("at least one shard");
     let mut delivered = first.delivered;
+    // Counts over disjoint source slices: they sum to the serial ledger.
+    let mut injector = first.injector;
     let mut capture_stats = first.capture;
     let mut agg = first.agg;
     let mut filtered = first.filtered;
@@ -772,6 +770,9 @@ fn finalize_run(
         let _mem = MemScope::enter(Tag::Merge);
         for sh in shards {
             delivered += sh.delivered;
+            if let (Some(acc), Some(s)) = (injector.as_mut(), sh.injector.as_ref()) {
+                acc.merge(s);
+            }
             capture_stats.merge(&sh.capture);
             agg.merge(&sh.agg);
             filtered += sh.filtered;
@@ -879,12 +880,7 @@ fn finalize_run(
     // files always cover the completed run.
     health.export_metrics(&tel.recorder);
     if let Some(ex) = tel.exporter.as_mut() {
-        // The closing snapshot's position must not run backwards past any
-        // periodic tick. Ticks follow the driver's stream position:
-        // *delivered* packets when the driver owns the injector (duplication
-        // faults can push it past `generated`), *generated* packets when the
-        // shards do (drop faults can push it past `delivered`).
-        ex.export_now(delivered.max(generated));
+        ex.export_now(generated);
     }
     RunOutput {
         world,
@@ -944,11 +940,11 @@ pub struct WalRun {
     dir: PathBuf,
     /// Append-path tunables (group-commit batch, segment size).
     pub writer: WalWriterConfig,
-    /// Suspend cleanly after this many delivered packets: commit the
-    /// log, leave it unsealed, and return [`WalOutcome::Suspended`].
+    /// Suspend cleanly after this many fed (and logged) packets: commit
+    /// the log, leave it unsealed, and return [`WalOutcome::Suspended`].
     pub suspend_after: Option<u64>,
     /// Abort the process with a deliberately torn tail after this many
-    /// delivered packets (crash drills; the process does not return).
+    /// fed packets (crash drills; the process does not return).
     pub crash_after: Option<u64>,
 }
 
@@ -964,13 +960,13 @@ impl WalRun {
         }
     }
 
-    /// Suspend after `n` delivered packets.
+    /// Suspend after `n` fed packets.
     pub fn suspend_after(mut self, n: u64) -> WalRun {
         self.suspend_after = Some(n);
         self
     }
 
-    /// Crash (abort) with a torn tail after `n` delivered packets.
+    /// Crash (abort) with a torn tail after `n` fed packets.
     pub fn crash_after(mut self, n: u64) -> WalRun {
         self.crash_after = Some(n);
         self
@@ -983,9 +979,9 @@ impl WalRun {
 pub enum WalOutcome {
     /// The run finished; the log is sealed and replayable.
     Completed(Box<RunOutput>),
-    /// The run suspended at `delivered` packets.
+    /// The run suspended after `delivered` packets were fed and logged.
     Suspended {
-        /// Packets delivered (and logged) before suspension.
+        /// Packets fed (generated, pre-fault) and logged before suspension.
         delivered: u64,
         /// Frames durable on disk at suspension (meta frame included).
         durable_seq: u64,
@@ -1027,10 +1023,7 @@ fn invalid(msg: impl Into<String>) -> io::Error {
 /// Reject a resume/replay whose scenario or options differ from the ones
 /// the log was written under — silently mixing them would "recover" into
 /// a run that never happened.
-fn check_meta(logged: Option<&RunMeta>, want: &RunMeta) -> io::Result<()> {
-    let Some(meta) = logged else {
-        return Err(invalid("WAL holds no meta record"));
-    };
+fn check_meta(meta: &RunMeta, want: &RunMeta) -> io::Result<()> {
     if meta != want {
         return Err(invalid(format!(
             "WAL was written under a different scenario/options (log meta: {meta:?}, requested: {want:?})"
@@ -1046,9 +1039,9 @@ fn check_meta(logged: Option<&RunMeta>, want: &RunMeta) -> io::Result<()> {
 struct Journal {
     writer: WalWriter,
     scratch: Vec<u8>,
-    /// Rolling FNV over every (re-)driven delivery's frame payload.
+    /// Rolling FNV over every (re-)driven packet's frame payload.
     hash: u64,
-    /// Deliveries of the re-driven stream still inside the recovered
+    /// Packets of the re-driven stream still inside the recovered
     /// prefix (0 on a fresh run). They are hashed and dropped: the
     /// executor already consumed them from the log.
     skip: u64,
@@ -1061,22 +1054,20 @@ struct Journal {
 
 /// How feeding the engine ended.
 enum Fed {
-    /// All delivered: `generated`, and the driver's (or seal's) injector ledger.
-    Finished(u64, Option<InjectorStats>),
+    /// All fed: the generated total.
+    Finished(u64),
     /// The journal reached its suspension point.
-    Suspended { delivered: u64, durable_seq: u64 },
+    Suspended { fed: u64, durable_seq: u64 },
 }
 
 /// The one execution engine (see the module docs for the picture). Both
-/// feeders end in [`Engine::deliver`], the only place a packet is counted,
-/// journaled, handed to the executor and ticked on the exporter.
+/// feeders end in [`Engine::deliver`], the only place a packet is
+/// journaled, counted, handed to the executor and ticked on the exporter.
 struct Engine<'a, 'scope> {
     exec: Executor<'scope>,
     journal: Option<Journal>,
     tel: &'a mut Telemetry,
-    /// Stream position: packets handed to the executor so far. Post-fault
-    /// deliveries when the driver owns the injector, generated packets
-    /// when the shards do.
+    /// Stream position: packets fed to the executor so far.
     pos: u64,
     /// Set once, by the journal only: `Ok` at the suspension point, `Err`
     /// when the log failed. Either way the stream stops there.
@@ -1084,18 +1075,11 @@ struct Engine<'a, 'scope> {
 }
 
 impl Engine<'_, '_> {
-    /// The single per-packet step: count → journal → executor → exporter
-    /// and memory-pulse tick.
+    /// The single per-packet step, once per fed packet: journal → count →
+    /// executor → exporter and memory-pulse tick.
     #[inline]
     fn deliver(&mut self, pkt: &PacketMeta) {
         if let Some(j) = self.journal.as_mut() {
-            if self.halt.is_some() {
-                // An injector apply/flush can emit several packets per
-                // call; everything past the interruption point is dropped
-                // from this process and regenerated deterministically on
-                // resume.
-                return;
-            }
             {
                 let _mem = MemScope::enter(Tag::Wal);
                 j.scratch.clear();
@@ -1133,7 +1117,7 @@ impl Engine<'_, '_> {
         }
         self.pos += 1;
         match &mut self.exec {
-            Executor::Inline(vantage) => vantage.consume_dyn(pkt),
+            Executor::Inline(unit) => unit.offer(pkt),
             Executor::Sharded(shards) => shards.route(pkt, &self.tel.tracer),
         }
         if let Some(ex) = self.tel.exporter.as_mut() {
@@ -1145,16 +1129,8 @@ impl Engine<'_, '_> {
     }
 
     /// Feeder: pull the traffic mux dry, a `BATCH` of packets at a time
-    /// (or until the journal stops the run), through the driver-side
-    /// injector when `plan` is set. Returns the generated total and the
-    /// injector's ledger.
-    fn pull(
-        &mut self,
-        mux: &mut TrafficMux,
-        plan: Option<FaultPlan>,
-    ) -> (u64, Option<InjectorStats>) {
-        let mut injector = injector_for(plan, &self.tel.tracer);
-        let mut generated = 0u64;
+    /// (or until the journal stops the run).
+    fn pull(&mut self, mux: &mut TrafficMux) {
         let _drive = self.tel.tracer.span("ah_pipeline_mux_drive");
         let mut batch = {
             let _mem = MemScope::enter(Tag::Mux);
@@ -1169,33 +1145,25 @@ impl Engine<'_, '_> {
                 if self.halt.is_some() {
                     break;
                 }
-                generated += 1;
-                match injector.as_mut() {
-                    Some(inj) => inj.apply(pkt, &mut |p| self.deliver(p)),
-                    None => self.deliver(pkt),
-                }
+                self.deliver(pkt);
             }
             batch.clear();
         }
-        if self.halt.is_none() {
-            if let Some(inj) = injector.as_mut() {
-                inj.flush(&mut |p| self.deliver(p));
-            }
-        }
-        (generated, injector.map(|i| i.stats()))
     }
 
     /// Feeder: recover the log in `dir` (truncating any torn/corrupt
-    /// tail) and deliver every durable packet frame — already post-fault,
-    /// so straight into [`Engine::deliver`]. Returns the log summary and
-    /// the rolling FNV over the packet payloads.
-    fn recover(&mut self, dir: &Path) -> io::Result<(RecoveredLog, u64)> {
+    /// tail) and deliver every durable packet frame — none at all unless
+    /// frame 0 is the meta record of this very run (`want`). Returns the
+    /// log summary and the rolling FNV over the packet payloads.
+    fn recover(&mut self, dir: &Path, want: &RunMeta) -> io::Result<(RecoveredLog, u64)> {
         let (rec, tracer) = (self.tel.recorder.clone(), self.tel.tracer.clone());
         let m_replay = rec.counter("ah_wal_replay_packets_total");
         let _scan = tracer.span("ah_wal_recover_scan");
         let mut hash = FNV_OFFSET;
-        let log = ah_wal::recover(dir, &rec, |_, payload, record| {
-            if let WalRecord::Packet(p) = record {
+        let mut meta_ok = Err(invalid("WAL holds no meta record"));
+        let log = ah_wal::recover(dir, &rec, |seq, payload, record| match record {
+            WalRecord::Meta(m) if seq == 0 => meta_ok = check_meta(&m, want),
+            WalRecord::Packet(p) if meta_ok.is_ok() => {
                 hash = fnv1a_fold(hash, payload);
                 let journey = tracer.journey_id(p.src.to_u32());
                 if journey != 0 {
@@ -1204,38 +1172,38 @@ impl Engine<'_, '_> {
                 m_replay.inc();
                 self.deliver(&p);
             }
+            _ => {}
         })?;
+        if log.next_seq > 0 {
+            meta_ok?;
+        }
         Ok((log, hash))
     }
 
     /// Run the feeders the inputs call for: the recovered log (resume,
     /// replay), then — unless that log was sealed, which ends the run
     /// there — the live mux built from `cfg`, journaled when `journal_to`
-    /// is set. `driver_plan` is the fault plan when the driver owns the
-    /// injector.
+    /// is set.
     fn feed(
         &mut self,
         recover_from: Option<&Path>,
         journal_to: Option<&WalRun>,
         cfg: ScenarioConfig,
         meta: &RunMeta,
-        driver_plan: Option<FaultPlan>,
     ) -> io::Result<Fed> {
         let mut prefix_hash = FNV_OFFSET;
         // The recovered watermark when the journal continues an existing log.
         let mut resume_at = None;
         if let Some(dir) = recover_from {
-            let (log, hash) = self.recover(dir)?;
+            let (log, hash) = self.recover(dir, meta)?;
             prefix_hash = hash;
             match (log.seal, journal_to) {
-                // A sealed log is the whole run: the generated total and
-                // the injector ledger come from the seal itself.
+                // A sealed log is the whole run.
                 (Some(seal), _) => {
-                    check_meta(log.meta.as_ref(), meta)?;
-                    if seal.delivered != self.pos {
+                    if seal.generated != self.pos {
                         return Err(invalid(format!(
-                            "seal records {} delivered packets but the log holds {}",
-                            seal.delivered, self.pos
+                            "seal records {} generated packets but the log holds {}",
+                            seal.generated, self.pos
                         )));
                     }
                     if seal.packet_hash != hash {
@@ -1243,21 +1211,24 @@ impl Engine<'_, '_> {
                             "sealed packet-stream hash does not match the log contents",
                         ));
                     }
-                    return Ok(Fed::Finished(seal.generated, seal.injector));
+                    return Ok(Fed::Finished(seal.generated));
+                }
+                (None, None) if log.next_seq == 0 => {
+                    return Err(invalid(format!(
+                        "there is no WAL in {}: nothing to replay",
+                        dir.display()
+                    )));
                 }
                 (None, None) => {
                     return Err(invalid("WAL is not sealed (interrupted run?) — use resume_wal"));
                 }
                 // An empty directory resumes as a fresh journaled run.
                 (None, Some(_)) if log.next_seq == 0 => {}
-                (None, Some(_)) => {
-                    check_meta(log.meta.as_ref(), meta)?;
-                    resume_at = Some(log.next_seq);
-                }
+                (None, Some(_)) => resume_at = Some(log.next_seq),
             }
         }
         if let Some(wal) = journal_to {
-            // An interruption point fires after the delivery that reaches
+            // An interruption point fires after the packet that reaches
             // it, and the fast-forward over a recovered prefix evaluates
             // none: one at or inside the prefix — 0 on a fresh log — could
             // never fire at the position it names.
@@ -1294,22 +1265,17 @@ impl Engine<'_, '_> {
                 crash_after: wal.crash_after,
             });
         }
-        let (generated, injector) = self.pull(&mut Scenario::build(cfg).mux, driver_plan);
+        self.pull(&mut Scenario::build(cfg).mux);
         let suspended = self.halt.take().transpose()?.is_some();
         if let Some(j) = self.journal.as_mut() {
             j.writer.commit()?;
             if suspended {
                 let durable_seq = j.writer.durable_seq();
-                return Ok(Fed::Suspended { delivered: self.pos, durable_seq });
+                return Ok(Fed::Suspended { fed: self.pos, durable_seq });
             }
-            j.writer.seal(RunSeal {
-                generated,
-                delivered: self.pos,
-                packet_hash: j.hash,
-                injector,
-            })?;
+            j.writer.seal(RunSeal { generated: self.pos, packet_hash: j.hash })?;
         }
-        Ok(Fed::Finished(generated, injector))
+        Ok(Fed::Finished(self.pos))
     }
 
     /// Assemble and run the engine for one public entry point:
@@ -1335,13 +1301,6 @@ impl Engine<'_, '_> {
         };
         let rec = tel.recorder.clone();
         let tracer = tel.tracer.clone();
-        // The one placement rule (module docs): shards own the injector iff
-        // the run is sharded and unjournaled; otherwise the driver does.
-        let (shard_plan, driver_plan) = match (threads, journal_to) {
-            (Some(_), None) => (opts.faults, None),
-            _ => (None, opts.faults),
-        };
-
         let (fed, shards) = std::thread::scope(|s| -> io::Result<_> {
             {
                 // Pre-warm this thread's trace buffer under the Trace tag
@@ -1354,44 +1313,34 @@ impl Engine<'_, '_> {
                 }
             }
             let exec = match threads {
-                None => Executor::Inline(Box::new(Vantage::build(&world, &opts, &rec, &tracer))),
-                Some(n) => Executor::Sharded(Shards::spawn(
-                    s,
-                    n.max(1),
-                    &world,
-                    &opts,
-                    &rec,
-                    &tracer,
-                    shard_plan,
-                )),
+                None => Executor::Inline(Box::new(Unit::build(&world, &opts, &rec, &tracer))),
+                Some(n) => {
+                    Executor::Sharded(Shards::spawn(s, n.max(1), &world, &opts, &rec, &tracer))
+                }
             };
             let mut engine = Engine { exec, journal: None, tel: &mut *tel, pos: 0, halt: None };
             // On error or suspension the executor is just dropped: dropped
             // producers close their rings and the scope joins the workers.
-            let fed = engine.feed(recover_from, journal_to, cfg, &meta, driver_plan)?;
+            let fed = engine.feed(recover_from, journal_to, cfg, &meta)?;
             let shards = match (&fed, engine.exec) {
                 (Fed::Suspended { .. }, _) => Vec::new(),
-                (Fed::Finished(..), Executor::Inline(vantage)) => {
-                    vec![vantage.into_shard_out(None)]
-                }
-                (Fed::Finished(..), Executor::Sharded(shards)) => shards.join(&rec, &tracer),
+                (Fed::Finished(_), Executor::Inline(unit)) => vec![unit.finish()],
+                (Fed::Finished(_), Executor::Sharded(shards)) => shards.join(&rec, &tracer),
             };
             Ok((fed, shards))
         })?;
-        let (generated, injector) = match fed {
-            Fed::Suspended { delivered, durable_seq } => {
-                return Ok(WalOutcome::Suspended { delivered, durable_seq });
+        match fed {
+            Fed::Suspended { fed, durable_seq } => {
+                Ok(WalOutcome::Suspended { delivered: fed, durable_seq })
             }
-            Fed::Finished(generated, injector) => (generated, injector),
-        };
-        // Shard-owned injectors report through their shards.
-        let injector = injector.or_else(|| merge_injector_stats(&shards));
-        let out = finalize_run(world, days, generated, injector, shards, &opts, tel);
-        Ok(WalOutcome::Completed(Box::new(out)))
+            Fed::Finished(generated) => Ok(WalOutcome::Completed(Box::new(finalize_run(
+                world, days, generated, shards, &opts, tel,
+            )))),
+        }
     }
 }
 
-// --- Public entry points: eight constructors over the engine ------------
+// --- Public entry points: constructors over the engine ------------------
 
 /// An unjournaled run: no log to fail on, no interruption point to stop at.
 fn run_unjournaled(
@@ -1424,7 +1373,7 @@ pub fn run_with_recorder(cfg: ScenarioConfig, opts: RunOptions, tel: &mut Teleme
 ///
 /// The dispatcher is a pure router: it drives the traffic mux and pushes
 /// each raw packet onto the SPSC ring of the shard owning the packet's
-/// source IP. Each shard runs its *own* fault injector (fault verdicts
+/// source IP. Each shard runs its own fault injector (fault verdicts
 /// are keyed by source and per-source sequence number, so a shard's
 /// substream reproduces the serial verdicts exactly — see
 /// [`ah_simnet::faults`]) and its own vantage stack, whose reordering,
@@ -1454,9 +1403,9 @@ pub fn run_parallel_with_recorder(
     run_unjournaled(cfg, opts, Some(threads), tel)
 }
 
-/// Serial durable run: like [`run_with_recorder`], but every delivered
-/// packet is appended to a write-ahead log before the vantage points
-/// consume it. A completed run seals the log (making it replayable via
+/// Serial durable run: like [`run_with_recorder`], but every packet the
+/// mux generates is appended to a write-ahead log before the executor
+/// sees it. A completed run seals the log (making it replayable via
 /// [`replay_wal`]); an interrupted one leaves a committed prefix that
 /// [`resume_wal`] picks up mid-simulation.
 pub fn run_wal(
@@ -1468,10 +1417,11 @@ pub fn run_wal(
     Engine::run(cfg, opts, None, None, Some(wal), tel)
 }
 
-/// Re-run detection over a sealed log without re-simulating: the vantage
-/// points consume the stored packet stream, then finalization runs with
-/// the seal's totals. Produces a [`RunOutput`] bitwise identical to the
-/// live run that wrote the log — same fingerprint, same daily AH lists.
+/// Re-run detection over a sealed log without re-simulating: the stored
+/// stream takes the mux's place in front of the executor, and the seal's
+/// count and hash are held to what the log contained. Produces a
+/// [`RunOutput`] bitwise identical to the live run that wrote the log —
+/// same fingerprint, same daily AH lists.
 pub fn replay_wal(
     cfg: ScenarioConfig,
     opts: RunOptions,
@@ -1487,11 +1437,11 @@ pub fn replay_wal(
 /// Resume an interrupted durable run mid-simulation.
 ///
 /// The durable prefix is recovered (truncating any torn/corrupt tail)
-/// and fed into a fresh vantage stack; the deterministic generator and
-/// fault injector are then re-driven from the seed with the first
-/// `prefix` deliveries skipped — verified against the log via a rolling
-/// payload hash at the crossing — and the run continues appending where
-/// the crash or suspension left off. Resuming a *sealed* log degenerates
+/// and fed into a fresh executor, which rebuilds its injector and vantage
+/// state by passing through it; the deterministic generator is then
+/// re-driven from the seed with its first `prefix` packets skipped —
+/// verified against the log via a rolling payload hash at the crossing —
+/// and the run continues appending where the crash or suspension left off. Resuming a *sealed* log degenerates
 /// to [`replay_wal`]; resuming an empty directory is a fresh [`run_wal`].
 /// The continuation is serial; its output is still bitwise identical to
 /// an uninterrupted run at any thread count.
@@ -1510,19 +1460,11 @@ pub fn resume_wal(
     Engine::run(cfg, opts, None, Some(&wal.dir), Some(wal), tel)
 }
 
-/// Parallel durable run: the sharded engine with the dispatcher owning
-/// the run's *single* fault injector and appending every delivered
-/// packet to the write-ahead log before shipping it — already post-fault
-/// — to the shard owning its source. The shards are pure consumers.
-///
-/// Keeping the injector on the dispatcher here (unlike
-/// [`run_parallel_with_recorder`], where it is sharded) preserves the
-/// journaling invariant: dispatcher append order equals serial delivered
-/// order, so the log is *byte-identical* to the one [`run_wal`] writes —
-/// a log written at 8 threads resumes and replays exactly like one
-/// written at 1, and the determinism suite pins the segment bytes
-/// themselves. The vantage points downstream are per-key pure, so the
-/// shards reproduce the serial output from their post-fault substreams.
+/// Parallel durable run: the dispatcher appends every generated packet to
+/// the write-ahead log before routing it to the shard owning its source.
+/// The log is written in mux order, before any fault, so it is
+/// *byte-identical* to the one [`run_wal`] writes (the determinism suite
+/// pins the segment bytes) and resumes and replays at any thread count.
 pub fn run_parallel_wal(
     cfg: ScenarioConfig,
     opts: RunOptions,

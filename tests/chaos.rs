@@ -175,9 +175,13 @@ fn storage_fault_case(kind: StorageFaultKind, label: &str, plain: &RunOutput) {
 
     // First recovery repairs; it must never invent frames, and every
     // damage kind must cost at least one.
-    let repaired = recover_quiet(&dir);
+    let mut meta_survives = false;
+    let repaired = wal::recover(&dir, &Recorder::new(), |seq, _, record| {
+        meta_survives |= seq == 0 && matches!(record, wal::WalRecord::Meta(_));
+    })
+    .expect("recovery succeeds");
     assert!(repaired.next_seq <= intact.next_seq, "{label}: recovery must not invent frames");
-    assert!(repaired.meta.is_some(), "{label}: run metadata survives");
+    assert!(meta_survives, "{label}: run metadata survives");
     assert!(!repaired.is_sealed(), "{label}: suspended log stays unsealed");
     match kind {
         StorageFaultKind::TornFinalWrite => {

@@ -11,8 +11,12 @@ mod common;
 
 use aggressive_scanners::pipeline::{self, RunOptions, RunOutput};
 use ah_core::defs::{Definition, Thresholds};
+use ah_net::packet::PacketMeta;
+use ah_obs::{Recorder, Value};
 use ah_simnet::faults::FaultPlan;
-use ah_simnet::scenario::ScenarioConfig;
+use ah_simnet::scenario::{Scenario, ScenarioConfig};
+use ah_wal::{WalRecord, WalWriter, WalWriterConfig};
+use std::path::Path;
 
 /// Looser tail cuts so tiny scenarios yield non-trivial hitter lists.
 fn test_thresholds() -> Thresholds {
@@ -110,7 +114,7 @@ fn fingerprint_is_sensitive_to_inputs() {
 // --- Durable-run equivalence ---------------------------------------------
 //
 // The write-ahead log must be observation-only: a run that logs every
-// delivered packet, a replay of that log, and a run suspended mid-stream
+// generated packet, a replay of that log, and a run suspended mid-stream
 // and resumed all produce bitwise identical output to a plain in-memory
 // run — at any thread count, with or without fault injection.
 
@@ -192,46 +196,266 @@ fn journal_bytes(dir: &PathBuf) -> Vec<(String, Vec<u8>)> {
     files
 }
 
-/// The sharded engine journals in **dispatcher order**, before packets
-/// fan out to shards — so the log a parallel run writes is not merely
-/// equivalent to the serial one, it is the same bytes. This is what
-/// makes a log resumable and replayable at any thread count: the WAL
-/// never records how many shards produced it. Compare every file in
-/// the log directory, byte for byte.
+/// The engine journals what the feeder produced, in mux order, before
+/// any fault and before packets fan out to shards — so the log a parallel
+/// run writes is not merely equivalent to the serial one, it is the same
+/// bytes, faults or no faults. This is what makes a log resumable and
+/// replayable at any thread count: the WAL never records how many shards
+/// produced it. Compare every file in the log directory, byte for byte.
 #[test]
 fn parallel_wal_journal_is_byte_identical_to_serial() {
-    let opts = || {
-        RunOptions::full()
-            .with_thresholds(test_thresholds())
-            .with_faults(FaultPlan::uniform(0.01, 7))
-    };
-    let cfg = || ScenarioConfig::tiny(2, 24);
     let mut tel = Telemetry::disabled();
+    for (days, plan) in [(2, FaultPlan::uniform(0.01, 7)), (1, FaultPlan::uniform(0.05, 9))] {
+        let opts = || RunOptions::full().with_thresholds(test_thresholds()).with_faults(plan);
+        let cfg = || ScenarioConfig::tiny(days, 24);
 
-    let serial_dir = common::temp_dir("determinism-journal-serial");
-    finished(
-        pipeline::run_wal(cfg(), opts(), &WalRun::new(&serial_dir), &mut tel),
-        "journal: serial",
-    );
-    let serial = journal_bytes(&serial_dir);
-    assert!(!serial.is_empty(), "serial run wrote no journal files");
-
-    for threads in [2, 8] {
-        let par_dir = common::temp_dir(&format!("determinism-journal-par{threads}"));
+        let serial_dir = common::temp_dir("determinism-journal-serial");
         finished(
-            pipeline::run_parallel_wal(cfg(), opts(), threads, &WalRun::new(&par_dir), &mut tel),
-            &format!("journal: {threads} threads"),
+            pipeline::run_wal(cfg(), opts(), &WalRun::new(&serial_dir), &mut tel),
+            "journal: serial",
         );
-        let parallel = journal_bytes(&par_dir);
-        let serial_names: Vec<&String> = serial.iter().map(|(n, _)| n).collect();
-        let parallel_names: Vec<&String> = parallel.iter().map(|(n, _)| n).collect();
-        assert_eq!(serial_names, parallel_names, "{threads} threads: journal file set");
-        for ((name, want), (_, got)) in serial.iter().zip(parallel.iter()) {
-            assert_eq!(want, got, "{threads} threads: {name} bytes diverged from serial");
+        let serial = journal_bytes(&serial_dir);
+        assert!(!serial.is_empty(), "serial run wrote no journal files");
+
+        for threads in [1, 2, 8] {
+            let par_dir = common::temp_dir(&format!("determinism-journal-par{threads}"));
+            let wal = WalRun::new(&par_dir);
+            finished(
+                pipeline::run_parallel_wal(cfg(), opts(), threads, &wal, &mut tel),
+                &format!("journal: {threads} threads"),
+            );
+            let parallel = journal_bytes(&par_dir);
+            let serial_names: Vec<&String> = serial.iter().map(|(n, _)| n).collect();
+            let parallel_names: Vec<&String> = parallel.iter().map(|(n, _)| n).collect();
+            assert_eq!(serial_names, parallel_names, "{threads} threads: journal file set");
+            for ((name, want), (_, got)) in serial.iter().zip(parallel.iter()) {
+                assert_eq!(want, got, "{threads} threads: {name} bytes diverged from serial");
+            }
+            let _ = std::fs::remove_dir_all(&par_dir);
         }
-        let _ = std::fs::remove_dir_all(&par_dir);
+        let _ = std::fs::remove_dir_all(&serial_dir);
     }
-    let _ = std::fs::remove_dir_all(&serial_dir);
+}
+
+/// The log *is* the generated stream: read a faulted sharded run's log
+/// back and hold it, packet for packet, to a fresh mux of the same
+/// scenario. The seal counts exactly those packets.
+#[test]
+fn faulted_runs_log_is_the_mux_stream_packet_for_packet() {
+    let cfg = || ScenarioConfig::tiny(1, 28);
+    let opts = RunOptions::full().with_faults(FaultPlan::uniform(0.05, 9));
+    let dir = common::temp_dir("determinism-log-is-input");
+    let wal = WalRun::new(&dir);
+    let out = finished(
+        pipeline::run_parallel_wal(cfg(), opts, 2, &wal, &mut Telemetry::disabled()),
+        "log is input",
+    );
+    let inj = out.health.stage("faults.injector").expect("injector stage present");
+    assert!(inj.discarded_total() > 0, "the plan must have cost the run packets");
+
+    let mut mux = Scenario::build(cfg()).mux;
+    let mut packet_frames = 0u64;
+    let log = ah_wal::recover(&dir, &Recorder::noop(), |seq, _, record| {
+        if let WalRecord::Packet(p) = record {
+            assert_eq!(Some(p), mux.next_packet(), "frame {seq} is not the mux's next packet");
+            packet_frames += 1;
+        }
+    })
+    .expect("recover the sealed log");
+    assert_eq!(mux.next_packet(), None, "the mux holds packets the log does not");
+    let seal = log.seal.expect("a completed run seals its log");
+    assert_eq!(seal.generated, packet_frames, "seal count vs packet frames");
+    assert_eq!(seal.generated, out.generated_packets, "seal count vs the run's own total");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// --- Every refusal of the durable path -------------------------------------
+
+/// The message of the `InvalidData` refusal a durable run must end in.
+fn refusal<T>(outcome: std::io::Result<T>, label: &str) -> String {
+    match outcome {
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidData => e.to_string(),
+        Err(e) => panic!("{label}: refused with {:?}, not InvalidData: {e}", e.kind()),
+        Ok(_) => panic!("{label}: accepted"),
+    }
+}
+
+/// Sum of the counter `name` over every label set on `rec`.
+fn counter(rec: &Recorder, name: &str) -> u64 {
+    let value = |v: &Value| if let Value::Counter(n) = v { *n } else { 0 };
+    rec.snapshot().samples.iter().filter(|s| s.name == name).map(|s| value(&s.value)).sum()
+}
+
+/// A one-day faulted scenario's log: sealed, or suspended at packet 5000.
+fn refusal_log(tag: &str, sealed: bool) -> PathBuf {
+    let dir = common::temp_dir(&format!("determinism-refusal-{tag}"));
+    let wal = if sealed { WalRun::new(&dir) } else { WalRun::new(&dir).suspend_after(5_000) };
+    let outcome =
+        pipeline::run_wal(refusal_cfg(), refusal_opts(), &wal, &mut Telemetry::disabled())
+            .unwrap_or_else(|e| panic!("{tag}: durable run failed: {e}"));
+    assert_eq!(outcome.completed().is_some(), sealed, "{tag}: run ended the wrong way");
+    dir
+}
+
+fn refusal_cfg() -> ScenarioConfig {
+    ScenarioConfig::tiny(1, 27)
+}
+
+fn refusal_opts() -> RunOptions {
+    RunOptions::darknet_only().with_faults(FaultPlan::uniform(0.01, 7))
+}
+
+/// Copy the log in `src` to `dst` through the writer's public surface,
+/// passing packet number `n` (0-based) through `edit`; `None` drops it.
+/// Meta and seal frames are copied as they are.
+fn rewrite_log(src: &Path, dst: &Path, edit: impl Fn(u64, PacketMeta) -> Option<PacketMeta>) {
+    let rec = Recorder::noop();
+    let mut w = WalWriter::create(dst, WalWriterConfig::default(), &rec).expect("create copy");
+    let mut n = 0u64;
+    ah_wal::recover(src, &rec, |_, _, record| {
+        let record = match record {
+            WalRecord::Packet(p) => {
+                n += 1;
+                edit(n - 1, p).map(WalRecord::Packet)
+            }
+            other => Some(other),
+        };
+        if let Some(record) = record {
+            w.append(&record).expect("append to copy");
+        }
+    })
+    .expect("read the original");
+    w.commit().expect("commit copy");
+}
+
+/// A log is checked against the run before it is fed: another seed,
+/// option or fault plan is `InvalidData` on replay and on resume, without
+/// one packet reaching the executor and without touching the log.
+#[test]
+fn log_of_another_run_is_refused_before_a_packet_is_fed() {
+    let sealed = refusal_log("meta-sealed", true);
+    let suspended = refusal_log("meta-suspended", false);
+    let others: [(&str, ScenarioConfig, RunOptions); 4] = [
+        ("seed", ScenarioConfig::tiny(1, 28), refusal_opts()),
+        ("option", refusal_cfg(), RunOptions { sampling_rate: 50, ..refusal_opts() }),
+        ("fault plan", refusal_cfg(), refusal_opts().with_faults(FaultPlan::uniform(0.01, 8))),
+        ("no fault plan", refusal_cfg(), RunOptions::darknet_only()),
+    ];
+    for (what, cfg, opts) in others {
+        for (dir, resume) in [(&sealed, false), (&sealed, true), (&suspended, true)] {
+            let label = format!("other {what}, resume {resume}, {}", dir.display());
+            let before = journal_bytes(dir);
+            let rec = Recorder::new();
+            let mut tel = Telemetry::new(rec.clone());
+            let msg = if resume {
+                refusal(
+                    pipeline::resume_wal(cfg.clone(), opts, &WalRun::new(dir), &mut tel),
+                    &label,
+                )
+            } else {
+                refusal(pipeline::replay_wal(cfg.clone(), opts, dir, &mut tel), &label)
+            };
+            assert!(msg.contains("different scenario/options"), "{label}: {msg}");
+            for name in ["ah_wal_replay_packets_total", "ah_pipeline_mux_packets_delivered_total"] {
+                assert_eq!(counter(&rec, name), 0, "{label}: {name} moved before the refusal");
+            }
+            assert_eq!(journal_bytes(dir), before, "{label}: the refused log was modified");
+        }
+    }
+    // The same logs under their own run are accepted (the refusals above
+    // are not a blanket "no").
+    let mut tel = Telemetry::disabled();
+    let replayed = pipeline::replay_wal(refusal_cfg(), refusal_opts(), &sealed, &mut tel);
+    let resumed =
+        pipeline::resume_wal(refusal_cfg(), refusal_opts(), &WalRun::new(&suspended), &mut tel);
+    assert_eq!(
+        replayed.expect("replay own log").fingerprint(),
+        finished(resumed, "resume own log").fingerprint()
+    );
+    let _ = std::fs::remove_dir_all(&sealed);
+    let _ = std::fs::remove_dir_all(&suspended);
+}
+
+/// Replay needs a sealed log, and says which of the two ways it lacks one.
+#[test]
+fn replay_refuses_an_unsealed_log_and_names_a_missing_one() {
+    let mut tel = Telemetry::disabled();
+    let suspended = refusal_log("unsealed", false);
+    let msg = refusal(
+        pipeline::replay_wal(refusal_cfg(), refusal_opts(), &suspended, &mut tel),
+        "replay of an unsealed log",
+    );
+    assert!(msg.contains("not sealed") && msg.contains("resume_wal"), "{msg}");
+
+    let missing = common::temp_dir("determinism-refusal-missing");
+    for create in [false, true] {
+        if create {
+            std::fs::create_dir_all(&missing).expect("create empty dir");
+        }
+        let msg = refusal(
+            pipeline::replay_wal(refusal_cfg(), refusal_opts(), &missing, &mut tel),
+            "replay of no log",
+        );
+        assert!(msg.contains("there is no WAL"), "dir exists {create}: {msg}");
+        assert!(msg.contains(&missing.display().to_string()), "dir not named: {msg}");
+    }
+    let _ = std::fs::remove_dir_all(&suspended);
+    let _ = std::fs::remove_dir_all(&missing);
+}
+
+/// Frames that pass every CRC can still not be the run's stream: resume
+/// proves the prefix by hash at the crossing, replay holds the seal's
+/// count and hash to what the log contained.
+#[test]
+fn rewritten_logs_are_refused_by_prefix_hash_seal_count_and_seal_hash() {
+    let mut tel = Telemetry::disabled();
+    let alter = |n: u64, mut p: PacketMeta| {
+        if n == 1_234 {
+            p.ip_id ^= 1;
+        }
+        Some(p)
+    };
+    let drop_one = |n: u64, p: PacketMeta| (n != 1_234).then_some(p);
+    let copy = common::temp_dir("determinism-refusal-copy");
+
+    let suspended = refusal_log("tamper-suspended", false);
+    rewrite_log(&suspended, &copy, alter);
+    let msg = refusal(
+        pipeline::resume_wal(refusal_cfg(), refusal_opts(), &WalRun::new(&copy), &mut tel),
+        "resume of an altered prefix",
+    );
+    assert!(msg.contains("diverges from the deterministic packet stream"), "{msg}");
+    let _ = std::fs::remove_dir_all(&copy);
+
+    let sealed = refusal_log("tamper-sealed", true);
+    rewrite_log(&sealed, &copy, drop_one);
+    let msg = refusal(
+        pipeline::replay_wal(refusal_cfg(), refusal_opts(), &copy, &mut tel),
+        "replay with a packet dropped",
+    );
+    assert!(msg.contains("seal records") && msg.contains("but the log holds"), "{msg}");
+    let _ = std::fs::remove_dir_all(&copy);
+
+    rewrite_log(&sealed, &copy, alter);
+    let msg = refusal(
+        pipeline::replay_wal(refusal_cfg(), refusal_opts(), &copy, &mut tel),
+        "replay with a packet altered",
+    );
+    assert!(msg.contains("hash does not match"), "{msg}");
+
+    // An unedited copy is the original: the rewrite itself is not what
+    // the three refusals above caught.
+    let _ = std::fs::remove_dir_all(&copy);
+    rewrite_log(&sealed, &copy, |_, p| Some(p));
+    let original = pipeline::replay_wal(refusal_cfg(), refusal_opts(), &sealed, &mut tel);
+    let rewritten = pipeline::replay_wal(refusal_cfg(), refusal_opts(), &copy, &mut tel);
+    assert_eq!(
+        original.expect("replay original").fingerprint(),
+        rewritten.expect("replay identity rewrite").fingerprint()
+    );
+    for dir in [&copy, &sealed, &suspended] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 #[test]
@@ -246,8 +470,8 @@ fn wal_live_replay_and_resume_are_bitwise_identical_under_faults() {
 
 /// The feeder pulls the mux in 256-packet batches, but an interruption
 /// point names a packet, not a batch: the run must stop exactly there —
-/// on a batch edge or well inside the second batch, with the driver-side
-/// injector in between or not — and the log it leaves must resume and
+/// on a batch edge or well inside the second batch, faulted or not — and
+/// the log it leaves must resume and
 /// replay to the uninterrupted output.
 #[test]
 fn suspension_inside_and_between_pull_batches_resumes_identically() {
@@ -265,7 +489,7 @@ fn suspension_inside_and_between_pull_batches_resumes_identically() {
         match pipeline::run_wal(cfg(), opts(), &wal, &mut tel) {
             Ok(WalOutcome::Suspended { delivered, durable_seq }) => {
                 assert_eq!(delivered, cut, "{label}: stopped at the point, not the batch");
-                // The log holds the meta frame and one frame per delivery.
+                // The log holds the meta frame and one frame per fed packet.
                 assert_eq!(durable_seq, cut + 1, "{label}: nothing journaled past the point");
             }
             Ok(WalOutcome::Completed(_)) => panic!("{label}: ran to completion"),
@@ -281,7 +505,7 @@ fn suspension_inside_and_between_pull_batches_resumes_identically() {
     }
 }
 
-/// An interruption point fires after the delivery that reaches it, so
+/// An interruption point fires after the packet that reaches it, so
 /// point 0 can never fire: every journaled entry point must refuse it
 /// before the writer creates the log, and the shipped binary must exit
 /// non-zero.
