@@ -7,7 +7,10 @@
 //! function here must be allocation-free and panic-free: plain atomic
 //! arithmetic only.
 //
-// ah-lint: allow-file(atomic-ordering, reason = "ORDERING: accounts are observation-only monotone aggregates — nothing derives inter-thread ordering from them, they are read only at snapshot/report time, and Relaxed keeps the allocator hot path to uncontended RMWs")
+// ORDERING: accounts are observation-only monotone aggregates — nothing
+// derives inter-thread ordering from them, they are read only at
+// snapshot/report time, and `Relaxed` keeps the allocator hot path to
+// uncontended RMWs.
 
 use crate::{TagStats, TAG_COUNT};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};

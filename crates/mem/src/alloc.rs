@@ -28,6 +28,11 @@
 //! atomics ([`account`](crate::account)) and the thread-local tag is a
 //! const-initialized `Cell` read with `try_with`.
 
+#![allow(
+    unsafe_code,
+    reason = "this module IS the allocator shim; every unsafe block carries a SAFETY comment, and the public scope/account API is safe"
+)]
+
 use crate::account;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::ptr;

@@ -59,8 +59,7 @@
 //!
 //! `unsafe` is confined to the allocator shim (the private `alloc`
 //! module behind [`TaggedSystem`]) with per-site SAFETY arguments.
-//
-// ah-lint: allow-file(unsafe-forbid, reason = "this crate IS the allocator shim; all unsafe is confined to src/alloc.rs with per-site SAFETY comments, and the public scope/account API is safe")
+
 #![warn(missing_docs)]
 
 mod account;

@@ -1,12 +1,12 @@
 //! A small token-level lexer for Rust source.
 //!
-//! This is deliberately *not* a parser: the lints in this crate are
-//! token-pattern checks, so all the lexer must get right is the hard
+//! This is deliberately *not* a parser: the mutation operators are
+//! token-pattern rewrites, so all the lexer must get right is the hard
 //! part of tokenization — knowing what is code and what is not.
 //! Comments (line, nested block, doc), string literals (cooked, raw,
 //! byte, raw byte), char literals versus lifetimes, and raw
-//! identifiers are all recognized exactly, so an `unwrap` inside a
-//! string or a `panic!` inside a comment can never trip a lint.
+//! identifiers are all recognized exactly, so a `<` inside a string or
+//! an `&&` inside a comment can never become a mutation site.
 
 /// What a token is.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -16,34 +16,29 @@ pub enum Tok {
     Ident(String),
     /// Single punctuation character.
     Punct(char),
-    /// String literal (cooked, raw, byte, or raw byte); the content
-    /// between the quotes, escapes left as written.
-    Str(String),
+    /// String literal (cooked, raw, byte, or raw byte).
+    Str,
     /// Character or byte literal.
     Char,
     /// Lifetime (`'a`) or the placeholder lifetime (`'_`).
     Lifetime,
     /// Numeric literal.
     Num,
-    /// Non-doc comment (`//` or `/* */`); the text without delimiters.
-    Comment(String),
-    /// Doc comment (`///`, `//!`, `/** */`, `/*! */`); text without
-    /// delimiters.
-    DocComment(String),
+    /// Comment of any form: line, nested block, or doc.
+    Comment,
 }
 
 /// A token plus the 1-based line it starts on and its byte span.
 #[derive(Clone, Debug)]
 pub struct Token {
-    /// Token kind and payload.
+    /// Token kind (and an identifier's name).
     pub kind: Tok,
     /// 1-based source line of the token's first character.
     pub line: u32,
     /// Byte offset of the token's first character in the source.
     pub start: usize,
     /// Byte offset one past the token's last character (so
-    /// `&src[start..end]` is the token's exact source text, including
-    /// any delimiters a payload-carrying kind strips).
+    /// `&src[start..end]` is the token's exact source text).
     pub end: usize,
 }
 
@@ -57,7 +52,7 @@ fn is_ident_continue(b: u8) -> bool {
 
 /// Tokenize `src`. The lexer is total: any byte sequence produces a
 /// token stream (unterminated literals run to end of file), because a
-/// linter must keep going where a compiler would stop.
+/// site enumerator must keep going where a compiler would stop.
 pub fn lex(src: &str) -> Vec<Token> {
     Lexer { b: src.as_bytes(), src, i: 0, line: 1, out: Vec::new() }.run()
 }
@@ -86,8 +81,8 @@ impl Lexer<'_> {
                 b'/' if self.peek(1) == Some(b'/') => self.line_comment(line),
                 b'/' if self.peek(1) == Some(b'*') => self.block_comment(line),
                 b'"' => {
-                    let s = self.cooked_string();
-                    self.push(Tok::Str(s), line);
+                    self.cooked_string();
+                    self.push(Tok::Str, line);
                 }
                 b'\'' => self.char_or_lifetime(line),
                 b'r' | b'b' if self.literal_prefix() => self.prefixed_literal(line),
@@ -131,26 +126,15 @@ impl Lexer<'_> {
     }
 
     fn line_comment(&mut self, line: u32) {
-        let start = self.i;
         while self.i < self.b.len() && self.b[self.i] != b'\n' {
             self.i += 1;
         }
-        let text = &self.src[start..self.i];
-        // `////…` separators count as plain comments, like rustdoc does.
-        let kind =
-            if (text.starts_with("///") && !text.starts_with("////")) || text.starts_with("//!") {
-                Tok::DocComment(text[3..].to_string())
-            } else {
-                Tok::Comment(text.trim_start_matches('/').to_string())
-            };
-        self.push(kind, line);
+        self.push(Tok::Comment, line);
     }
 
     fn block_comment(&mut self, line: u32) {
         let start = self.i;
         self.i += 2;
-        let doc =
-            matches!(self.b.get(self.i), Some(&b'*') | Some(&b'!')) && self.peek(1) != Some(b'/'); // `/**/` is not a doc comment
         let mut depth = 1u32;
         while self.i < self.b.len() && depth > 0 {
             if self.b[self.i] == b'/' && self.peek(1) == Some(b'*') {
@@ -163,17 +147,12 @@ impl Lexer<'_> {
                 self.i += 1;
             }
         }
-        let text = self.src[start..self.i]
-            .trim_start_matches("/*")
-            .trim_start_matches(['*', '!'])
-            .trim_end_matches("*/")
-            .to_string();
         self.bump_line_counter(start, self.i);
-        self.push(if doc { Tok::DocComment(text) } else { Tok::Comment(text) }, line);
+        self.push(Tok::Comment, line);
     }
 
-    /// Cooked string starting at the opening quote; returns the content.
-    fn cooked_string(&mut self) -> String {
+    /// Cooked string starting at the opening quote.
+    fn cooked_string(&mut self) {
         let start = self.i + 1;
         self.i += 1;
         while self.i < self.b.len() {
@@ -184,10 +163,8 @@ impl Lexer<'_> {
             }
         }
         let end = self.i.min(self.b.len());
-        let content = self.src[start..end].to_string();
         self.bump_line_counter(start, end);
         self.i = (end + 1).min(self.b.len());
-        content
     }
 
     /// True when the `r`/`b` at the cursor starts a literal rather than
@@ -223,8 +200,8 @@ impl Lexer<'_> {
         if !raw {
             // b"…" cooked byte string or b'…' byte char.
             if self.b.get(self.i) == Some(&b'"') {
-                let s = self.cooked_string();
-                self.push(Tok::Str(s), line);
+                self.cooked_string();
+                self.push(Tok::Str, line);
             } else {
                 self.byte_char();
                 self.push(Tok::Char, line);
@@ -245,10 +222,9 @@ impl Lexer<'_> {
             self.i += 1;
         }
         let end = self.i.min(self.b.len());
-        let content = self.src[start..end].to_string();
         self.bump_line_counter(start, end);
         self.i = (end + closer.len()).min(self.b.len());
-        self.push(Tok::Str(content), line);
+        self.push(Tok::Str, line);
     }
 
     /// Byte char `b'x'` starting at the quote.
@@ -323,6 +299,90 @@ impl Lexer<'_> {
     }
 }
 
+/// Compute the (inclusive) line ranges covered by `#[cfg(test)]` /
+/// `#[test]` items, so test code is never a mutation site. Works on
+/// tokens, so braces in strings or comments cannot confuse the
+/// tracker.
+pub fn test_ranges(tokens: &[Token]) -> Vec<(u32, u32)> {
+    let code: Vec<&Token> = tokens.iter().filter(|t| t.kind != Tok::Comment).collect();
+    let mut ranges = Vec::new();
+    let mut i = 0;
+    while i < code.len() {
+        if code[i].kind != Tok::Punct('#')
+            || code.get(i + 1).map(|t| &t.kind) != Some(&Tok::Punct('['))
+        {
+            i += 1;
+            continue;
+        }
+        let attr_start_line = code[i].line;
+        // Collect idents to the matching `]`.
+        let mut j = i + 2;
+        let mut depth = 1i32;
+        let mut idents: Vec<&str> = Vec::new();
+        while j < code.len() && depth > 0 {
+            match &code[j].kind {
+                Tok::Punct('[') => depth += 1,
+                Tok::Punct(']') => depth -= 1,
+                Tok::Ident(s) => idents.push(s),
+                _ => {}
+            }
+            j += 1;
+        }
+        let is_test = idents.contains(&"test")
+            && !idents.contains(&"not")
+            && idents.first() != Some(&"cfg_attr");
+        if !is_test {
+            i = j;
+            continue;
+        }
+        // Skip any further attributes, then span the item itself: to the
+        // matching `}` of its first top-level `{`, or to a `;` if one
+        // comes first (e.g. a use declaration).
+        while j + 1 < code.len()
+            && code[j].kind == Tok::Punct('#')
+            && code[j + 1].kind == Tok::Punct('[')
+        {
+            let mut d = 1i32;
+            let mut k = j + 2;
+            while k < code.len() && d > 0 {
+                match code[k].kind {
+                    Tok::Punct('[') => d += 1,
+                    Tok::Punct(']') => d -= 1,
+                    _ => {}
+                }
+                k += 1;
+            }
+            j = k;
+        }
+        let mut brace = 0i32;
+        let mut end_line = code.get(j.saturating_sub(1)).map_or(attr_start_line, |t| t.line);
+        while j < code.len() {
+            match code[j].kind {
+                Tok::Punct('{') => brace += 1,
+                Tok::Punct('}') => {
+                    brace -= 1;
+                    if brace == 0 {
+                        end_line = code[j].line;
+                        j += 1;
+                        break;
+                    }
+                }
+                Tok::Punct(';') if brace == 0 => {
+                    end_line = code[j].line;
+                    j += 1;
+                    break;
+                }
+                _ => {}
+            }
+            end_line = code[j].line;
+            j += 1;
+        }
+        ranges.push((attr_start_line, end_line));
+        i = j;
+    }
+    ranges
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,11 +430,10 @@ mod tests {
     }
 
     #[test]
-    fn doc_comments_are_distinguished() {
+    fn every_comment_form_is_one_comment_token() {
         let toks = lex("/// doc\n//! inner\n// plain\n//// separator\n/** block */\n/*!inner*/");
-        let docs = toks.iter().filter(|t| matches!(t.kind, Tok::DocComment(_))).count();
-        let plain = toks.iter().filter(|t| matches!(t.kind, Tok::Comment(_))).count();
-        assert_eq!((docs, plain), (4, 2));
+        assert_eq!(toks.len(), 6);
+        assert!(toks.iter().all(|t| t.kind == Tok::Comment));
     }
 
     #[test]
@@ -386,9 +445,9 @@ mod tests {
             let text = &src[t.start..t.end];
             match &t.kind {
                 Tok::Ident(s) => assert_eq!(text, s),
-                Tok::Str(s) => assert!(text.contains(s.as_str()), "{text} vs {s}"),
+                Tok::Str => assert!(text.starts_with("r#\"") && text.ends_with("\"#"), "{text}"),
                 Tok::Punct(c) => assert_eq!(text, c.to_string()),
-                Tok::Comment(_) => assert!(text.starts_with("//")),
+                Tok::Comment => assert!(text.starts_with("//")),
                 _ => {}
             }
         }
@@ -431,7 +490,7 @@ mod tests {
         assert!(texts.contains(&r#"b"y""#), "{texts:?}");
         assert!(texts.contains(&r"b'\''"), "{texts:?}");
         assert_eq!(texts.iter().filter(|t| **t == "'l").count(), 2);
-        let strs = toks.iter().filter(|t| matches!(t.kind, Tok::Str(_))).count();
+        let strs = toks.iter().filter(|t| t.kind == Tok::Str).count();
         let lifetimes = toks.iter().filter(|t| matches!(t.kind, Tok::Lifetime)).count();
         assert_eq!((strs, lifetimes), (2, 2));
     }
@@ -442,7 +501,7 @@ mod tests {
         let toks = lex(src);
         assert_eq!(toks.len(), 3);
         assert_eq!(&src[toks[1].start..toks[1].end], "/* o /* i */ still */");
-        assert!(matches!(toks[1].kind, Tok::Comment(_)));
+        assert_eq!(toks[1].kind, Tok::Comment);
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //! fail. A mutant the suite kills is evidence; one that *survives* is a
 //! blind spot with a file:line attached.
 //!
-//! The harness is zero-dependency and token-level, built on the
-//! [`ah_lint`] lexer (see [`ops`] for the operator set), so mutations
-//! never land in strings, comments, or `#[cfg(test)]` code. The
-//! pipeline:
+//! The harness is zero-dependency and token-level, built on its own
+//! small lexer (see [`ops`] for the operator set), so mutations never
+//! land in strings, comments, or `#[cfg(test)]` code. The pipeline:
 //!
+//! * `lexer` — tokens with byte spans and line numbers, plus the line
+//!   ranges of `#[cfg(test)]`/`#[test]` items;
 //! * [`ops`] — mutation operators + per-file site enumeration; every
 //!   mutant gets a stable content-derived id (FNV-1a over
 //!   `path ‖ offset ‖ operator ‖ replacement`) so reports diff cleanly
@@ -35,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod lexer;
 pub mod ops;
 pub mod plan;
 pub mod report;

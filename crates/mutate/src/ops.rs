@@ -1,6 +1,6 @@
 //! Token-level mutation operators and the per-file site enumerator.
 //!
-//! Mutants are byte-range edits derived from the `ah-lint` lexer's
+//! Mutants are byte-range edits derived from the `lexer` module's
 //! token stream, so a mutation can never land inside a string literal,
 //! comment, or `#[cfg(test)]` region. The operators target the failure
 //! classes the workspace actually fears (see ARCHITECTURE.md §14):
@@ -15,9 +15,9 @@
 //! skipped); the few misfires that slip through fail to compile and are
 //! classified `build-broken` by the runner — noisy, never wrong.
 
-use ah_lint::lexer::{lex, Tok, Token};
-use ah_lint::lints::test_ranges;
 use ah_net::hash::{fnv1a_fold, FNV_OFFSET};
+
+use crate::lexer::{lex, test_ranges, Tok, Token};
 
 /// One candidate mutation: a byte-range splice in one file.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -126,11 +126,11 @@ fn combine(tokens: &[&Token], src: &str) -> Vec<Atom> {
             }
             Tok::Ident(s) => (1, AtomKind::Ident(s.clone())),
             Tok::Num => (1, AtomKind::Num),
-            Tok::Str(_) => (1, AtomKind::Str),
+            Tok::Str => (1, AtomKind::Str),
             Tok::Char => (1, AtomKind::Char),
             Tok::Lifetime => (1, AtomKind::Lifetime),
             // Comments were filtered out by the caller.
-            Tok::Comment(_) | Tok::DocComment(_) => (1, AtomKind::Op),
+            Tok::Comment => (1, AtomKind::Op),
         };
         let end = tokens[i + n - 1].end;
         atoms.push(Atom {
@@ -214,8 +214,7 @@ pub fn enumerate_source(rel_path: &str, src: &str) -> Vec<Mutant> {
     let tokens = lex(src);
     let tests = test_ranges(&tokens);
     let in_test = |line: u32| tests.iter().any(|&(a, b)| a <= line && line <= b);
-    let code: Vec<&Token> =
-        tokens.iter().filter(|t| !matches!(t.kind, Tok::Comment(_) | Tok::DocComment(_))).collect();
+    let code: Vec<&Token> = tokens.iter().filter(|t| t.kind != Tok::Comment).collect();
     let atoms = combine(&code, src);
     let mut out = Vec::new();
     let mut push = |op: &'static str, start: usize, end: usize, line: u32, replacement: String| {

@@ -2,7 +2,7 @@
 //!
 //! Mutation scope is the *product* code: the root crate's `src/` and
 //! the library crates the pipeline ships. The verification layer itself
-//! (`crates/lint`, `crates/mutate`), the experiment runner under
+//! (`crates/mutate`, `crates/perf`), the experiment runner under
 //! `src/bin/` and the vendored test-support crates are excluded —
 //! mutating the measuring stick tells us nothing about the suite's
 //! coverage of the product, and every survivor there would be noise in

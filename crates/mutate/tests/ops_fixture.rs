@@ -1,7 +1,7 @@
 //! Fixture-driven enumeration test: `fixtures/sites.rs` marks every
 //! line that must produce mutation sites with `//~ <op>…` (distinct
 //! operators, order-free), and every unmarked line must produce none —
-//! the same marker idiom as `ah-lint`'s fixture suite.
+//! the marker idiom of rustc's UI tests.
 
 use std::collections::BTreeSet;
 

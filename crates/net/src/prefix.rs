@@ -143,6 +143,10 @@ impl PrefixSet {
 /// telescopes filter these before detection — a spoofing attacker can
 /// trivially send probes with such sources, and counting them would
 /// pollute scanner lists (the paper's "quality lists" goal, §7).
+#[expect(
+    clippy::expect_used,
+    reason = "static RFC bogon literals below; a typo fails the standard_bogons unit test immediately"
+)]
 pub fn standard_bogons() -> PrefixSet {
     PrefixSet::from_prefixes(
         [
@@ -162,7 +166,6 @@ pub fn standard_bogons() -> PrefixSet {
             "240.0.0.0/4",     // reserved
         ]
         .iter()
-        // ah-lint: allow(panic-path, reason = "static RFC bogon literals above; a typo fails the standard_bogons unit test immediately")
         .map(|s| s.parse().expect("static bogon prefix")),
     )
 }

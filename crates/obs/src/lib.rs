@@ -25,7 +25,8 @@
 //!   identical to one without (`tests/telemetry.rs` in the workspace
 //!   root holds the engines to exactly this).
 //! * Metric names follow `ah_<crate>_<subsystem>_<name>` (validated by
-//!   [`valid_metric_name`]; CI lints every exported name against it).
+//!   [`valid_metric_name`]: every registration `debug_assert!`s it, and
+//!   the binary-level tests check every exported name against it).
 //!   Wall-clock derived values (span timers) are exported for operators
 //!   but never folded into run output, so determinism of results is
 //!   unaffected by scheduler noise.

@@ -6,7 +6,9 @@
 //! branch on an `Option` discriminant — cheap enough to leave the
 //! instrumentation compiled into release hot paths unconditionally.
 
-// ah-lint: allow-file(atomic-ordering, reason = "ORDERING: instruments are monotone counters/gauges read only at snapshot time; Relaxed is the documented contract (see the crate docs) and keeps hot-path updates to a single uncontended RMW")
+// ORDERING: instruments are monotone counters/gauges read only at
+// snapshot time; `Relaxed` is the documented contract (see the crate
+// docs) and keeps hot-path updates to a single uncontended RMW.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};

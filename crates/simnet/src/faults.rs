@@ -677,6 +677,17 @@ mod tests {
         assert!(stats.outage_dropped < 400, "outage_dropped {}", stats.outage_dropped);
         assert_eq!(out.len() as u64, stats.delivered);
         assert!(stats.conserves());
+        // A sampled journey records each outage drop as a trace instant.
+        let cfg = ah_trace::TraceConfig { sample_one_in: 1, ..Default::default() };
+        let tracer = ah_trace::Tracer::new(cfg);
+        let mut inj = FaultInjector::new(plan);
+        inj.set_tracer(&tracer);
+        for p in &pkts {
+            inj.apply(p, &mut |_| {});
+        }
+        let trace = ah_trace::export::to_chrome_trace(&tracer.snapshot());
+        let names = ah_trace::check::validate_chrome_trace(&trace).expect("valid trace").names;
+        assert!(names.contains("ah_simnet_faults_outage"), "{names:?}");
     }
 
     #[test]

@@ -29,8 +29,6 @@
 //!   (2022), the flow weeks, the 72-hour packet taps, the GreyNoise
 //!   month.
 
-// ah-lint: allow-file(unsafe-forbid, reason = "the SPSC ring uses UnsafeCell slots; every unsafe block carries a SAFETY comment and the ring is exhaustively model-checked (see tests/model_check.rs)")
-
 #![warn(missing_docs)]
 
 mod actors;

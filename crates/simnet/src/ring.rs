@@ -52,6 +52,11 @@
 //! item, or deadlock) with a replayable schedule. See
 //! `ARCHITECTURE.md` §9.
 
+#![allow(
+    unsafe_code,
+    reason = "the SPSC ring uses UnsafeCell slots; every unsafe block carries a SAFETY comment and the ring is exhaustively model-checked (see tests/model_check.rs)"
+)]
+
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

@@ -466,12 +466,15 @@ impl Scenario {
             // (Table 5's ACKed-inside-the-cloud rows). Host indices
             // beyond the disclosed-list size exercise the rDNS match
             // stage (see World::acked_list).
+            #[expect(
+                clippy::expect_used,
+                reason = "acked registry orgs and the cloud pool are non-empty by construction; World::acked_list tests pin this"
+            )]
             let src = if i % 3 == 2 {
                 world.acked_cloud_host(acked_idx, (i / research.len()) as u64)
             } else {
                 org.host((i / research.len()) as u64 * 7 + (i % 5) as u64)
             }
-            // ah-lint: allow(panic-path, reason = "acked registry orgs and the cloud pool are non-empty by construction; World::acked_list tests pin this")
             .expect("acked org addresses exist");
             let port = ports[rng.weighted(&port_weights)].0;
             mux.add(Box::new(SweepScanner::new(

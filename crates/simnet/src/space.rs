@@ -79,8 +79,11 @@ impl ObservableSpace {
     ///
     /// Actors draw `index` from `below(len)` or a permutation of
     /// `0..len`, so it is nearly always in range already.
+    #[expect(
+        clippy::expect_used,
+        reason = "index is reduced modulo the space size and every scenario monitors at least one prefix, so the space is non-empty"
+    )]
     pub(crate) fn addr_mod(&self, index: u64) -> Ipv4Addr4 {
-        // ah-lint: allow(panic-path, reason = "index is reduced modulo the space size and every scenario monitors at least one prefix, so the space is non-empty")
         self.addr_at(wrap_index(index, self.total.max(1))).expect("non-empty observable space")
     }
 

@@ -95,8 +95,11 @@ impl OrgDef {
     /// infallible, for scenario code indexing registry orgs — which
     /// always carry at least one prefix (see the registry tables in
     /// this module).
+    #[expect(
+        clippy::expect_used,
+        reason = "host() is None only for an org with zero prefixes; every registry org carries at least one, as the unit tests assert"
+    )]
     pub(crate) fn host_cycled(&self, i: u64) -> Ipv4Addr4 {
-        // ah-lint: allow(panic-path, reason = "host() is None only for an org with zero prefixes; every registry org carries at least one, as the unit tests assert")
         self.host(i).expect("registry org has hosts")
     }
 
@@ -107,8 +110,11 @@ impl OrgDef {
 }
 
 /// Parse a CIDR literal from this module's static tables.
+#[expect(
+    clippy::expect_used,
+    reason = "applied only to compile-time CIDR literals in the static world registry; every table is exercised by unit tests"
+)]
 fn static_prefix(s: &str) -> Prefix {
-    // ah-lint: allow(panic-path, reason = "applied only to compile-time CIDR literals in the static world registry; every table is exercised by unit tests")
     s.parse().expect("static prefix literal")
 }
 
@@ -197,8 +203,11 @@ impl World {
     /// the static registry (where a miss is a typo, not a runtime
     /// condition). The panic path lives here, once and audited,
     /// instead of at every scenario call site.
+    #[expect(
+        clippy::expect_used,
+        reason = "scenario definitions name orgs from the static registry built in this module; a miss is a construction bug every scenario test catches immediately"
+    )]
     pub(crate) fn registry_org(&self, name: &str) -> &OrgDef {
-        // ah-lint: allow(panic-path, reason = "scenario definitions name orgs from the static registry built in this module; a miss is a construction bug every scenario test catches immediately")
         self.org(name).map(|id| &self.orgs[id]).expect("org exists in the static registry")
     }
 

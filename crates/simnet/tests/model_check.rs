@@ -18,9 +18,6 @@
 //! virtual-threaded execution), so capacities stay tiny; the protocol
 //! is capacity-oblivious (masked monotone counters), so the small
 //! instances carry the proof. See `ARCHITECTURE.md` §9.
-//
-// ah-lint: allow-file(panic-path, reason = "test code: assertions and expects are the test oracle")
-// ah-lint: allow-file(atomic-ordering, reason = "test code: the mutant facades deliberately name forbidden orderings to prove the checker rejects them")
 
 use std::mem::MaybeUninit;
 use std::sync::atomic::Ordering;

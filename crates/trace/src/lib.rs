@@ -210,10 +210,10 @@ impl Tracer {
 
     /// Name the current thread's track `<name>/<index>` (e.g.
     /// `ah_pipeline_shard_worker/3`). The base name follows the span
-    /// naming scheme and is lint-checked like any other trace literal.
+    /// naming scheme and is checked like any span name.
     pub fn set_track(&self, name: &'static str, index: u64) {
-        let Some(inner) = &self.0 else { return };
         debug_assert!(valid_metric_name(name), "track name {name:?} violates the naming scheme");
+        let Some(inner) = &self.0 else { return };
         let (_, track_id) = thread_buf(inner);
         if let Ok(mut tracks) = inner.tracks.lock() {
             if let Some(track) = tracks.get_mut(track_id as usize) {
@@ -262,12 +262,14 @@ impl Tracer {
     }
 
     fn begin(&self, name: &'static str, journey: u64) -> SpanGuard {
+        debug_assert!(valid_metric_name(name), "span name {name:?} violates the naming scheme");
         let Some(inner) = &self.0 else { return SpanGuard { end: None } };
         let name_id = self.emit_inner(inner, EventKind::Begin, name, journey);
         SpanGuard { end: Some((Arc::clone(inner), name_id, journey)) }
     }
 
     fn emit(&self, kind: EventKind, name: &'static str, journey: u64) {
+        debug_assert!(valid_metric_name(name), "span name {name:?} violates the naming scheme");
         if let Some(inner) = &self.0 {
             self.emit_inner(inner, kind, name, journey);
         }
@@ -280,7 +282,6 @@ impl Tracer {
         name: &'static str,
         journey: u64,
     ) -> u32 {
-        debug_assert!(valid_metric_name(name), "span name {name:?} violates the naming scheme");
         let name_id = intern(inner, name);
         let (buf, _) = thread_buf(inner);
         let ts_ns = inner.epoch.elapsed().as_nanos() as u64;

@@ -64,11 +64,14 @@ pub fn check_frame(buf: &[u8], expect_seq: u64) -> FrameCheck<'_> {
     if buf.len() < FRAME_HEADER_BYTES {
         return FrameCheck::Torn;
     }
-    // ah-lint: allow(panic-path, reason = "slice bounds proven by the length check above; try_into on a 4/8-byte slice of a checked prefix cannot fail")
+    #[expect(
+        clippy::expect_used,
+        reason = "slice bounds proven by the length check above; try_into on a 4/8-byte slice of a checked prefix cannot fail"
+    )]
     let len = u32::from_le_bytes(buf[0..4].try_into().expect("4-byte slice"));
-    // ah-lint: allow(panic-path, reason = "same bounds argument as above")
+    #[expect(clippy::expect_used, reason = "same bounds argument as above")]
     let seq = u64::from_le_bytes(buf[4..12].try_into().expect("8-byte slice"));
-    // ah-lint: allow(panic-path, reason = "same bounds argument as above")
+    #[expect(clippy::expect_used, reason = "same bounds argument as above")]
     let stored_crc = u32::from_le_bytes(buf[12..16].try_into().expect("4-byte slice"));
     if len == 0 || len > MAX_FRAME_PAYLOAD {
         return FrameCheck::Corrupt;

@@ -110,6 +110,9 @@ fn main() {
         }
         i += 1;
     }
+    if days == 0 {
+        usage_error("--days must be at least 1".into());
+    }
     if (resume || replay || suspend_after.is_some() || crash_after.is_some()) && wal_dir.is_none() {
         usage_error("--resume/--replay/--suspend-after/--crash-after need --wal-dir".into());
     }

@@ -225,7 +225,7 @@ impl MemPulse {
         // the feeder is under (log recovery runs under Wal).
         let _mem = MemScope::enter(Tag::Obs);
         refresh_mem_metrics(rec);
-        mem_counter("ah_mem_refresh_ticks_total", rec).inc();
+        rec.counter("ah_mem_refresh_ticks_total").inc();
         let peak = ah_mem::global_stats().peak_bytes;
         if peak > self.peak_seen {
             self.peak_seen = peak;
@@ -234,32 +234,20 @@ impl MemPulse {
     }
 }
 
-/// Set one per-tag memory gauge. The metric-name literal comes first so
-/// ah-lint's metric-name pass (MEM_FNS) can check it like any
-/// counter/gauge/histogram registration.
-fn mem_gauge(name: &'static str, rec: &Recorder, tag: &str, value: i64) {
-    rec.gauge_with(name, &[("tag", tag)]).set(value);
-}
-
-/// Register/fetch an untagged memory counter (name first; see
-/// [`mem_gauge`]).
-fn mem_counter(name: &'static str, rec: &Recorder) -> ah_obs::Counter {
-    rec.counter(name)
-}
-
 /// Copy every [`ah_mem`] account into `ah_mem_*` gauges on `rec`.
 fn refresh_mem_metrics(rec: &Recorder) {
     let report = ah_mem::report();
     for (tag, st) in report.tags() {
-        let label = tag.name();
-        mem_gauge("ah_mem_tag_live_bytes", rec, label, st.live_bytes);
-        mem_gauge("ah_mem_tag_live_allocs", rec, label, st.live_allocs);
-        mem_gauge("ah_mem_tag_peak_bytes", rec, label, st.peak_bytes);
-        mem_gauge("ah_mem_tag_total_bytes", rec, label, st.total_bytes as i64);
+        let tag = [("tag", tag.name())];
+        rec.gauge_with("ah_mem_tag_live_bytes", &tag).set(st.live_bytes);
+        rec.gauge_with("ah_mem_tag_live_allocs", &tag).set(st.live_allocs);
+        rec.gauge_with("ah_mem_tag_peak_bytes", &tag).set(st.peak_bytes);
+        rec.gauge_with("ah_mem_tag_total_bytes", &tag).set(st.total_bytes as i64);
     }
-    mem_gauge("ah_mem_global_live_bytes", rec, "all", report.global.live_bytes);
-    mem_gauge("ah_mem_global_peak_bytes", rec, "all", report.global.peak_bytes);
-    mem_gauge("ah_mem_peak_rss_bytes", rec, "all", report.peak_rss_bytes() as i64);
+    let all = [("tag", "all")];
+    rec.gauge_with("ah_mem_global_live_bytes", &all).set(report.global.live_bytes);
+    rec.gauge_with("ah_mem_global_peak_bytes", &all).set(report.global.peak_bytes);
+    rec.gauge_with("ah_mem_peak_rss_bytes", &all).set(report.peak_rss_bytes() as i64);
 }
 
 /// Output of a single-pass run.
@@ -318,11 +306,14 @@ fn merit_isp(world: &World, sampling_rate: u64) -> IspModel {
 /// (RFC 1918 for the ISPs, benchmarking space for the sensors), so the
 /// filter lists only bogons that cannot collide with it. Real deployments
 /// would pass `ah_net::prefix::standard_bogons()`.
+#[expect(
+    clippy::expect_used,
+    reason = "static prefix literals below; a typo fails every pipeline test at startup"
+)]
 fn bogon_filter() -> ah_net::prefix::PrefixSet {
     ah_net::prefix::PrefixSet::from_prefixes(
         ["0.0.0.0/8", "127.0.0.0/8", "169.254.0.0/16", "224.0.0.0/4", "240.0.0.0/4"]
             .iter()
-            // ah-lint: allow(panic-path, reason = "static prefix literals above; a typo fails every pipeline test at startup")
             .map(|p| p.parse().expect("static prefix")),
     )
 }
@@ -710,6 +701,10 @@ impl<'scope> Shards<'scope> {
     /// Close the rings, then join the shard threads in shard-index order;
     /// each join yields that shard's result. A shard panic propagates
     /// through the `expect` below.
+    #[expect(
+        clippy::expect_used,
+        reason = "a panicking shard thread must propagate the panic rather than silently drop a shard's output"
+    )]
     fn join(self, rec: &Recorder, tracer: &Tracer) -> Vec<ShardOut> {
         for (i, p) in self.producers.into_iter().enumerate() {
             // Read the peak occupancy before close() consumes the
@@ -721,11 +716,7 @@ impl<'scope> Shards<'scope> {
         }
         let _trace = tracer.span("ah_pipeline_merge_collect");
         let _mem = MemScope::enter(Tag::Merge);
-        self.handles
-            .into_iter()
-            // ah-lint: allow(panic-path, reason = "a panicking shard thread must propagate the panic rather than silently drop a shard's output")
-            .map(|h| h.join().expect("pipeline shard thread"))
-            .collect()
+        self.handles.into_iter().map(|h| h.join().expect("pipeline shard thread")).collect()
     }
 }
 
@@ -752,7 +743,10 @@ fn finalize_run(
     let merge_span =
         tel.recorder.histogram("ah_pipeline_merge_duration_us", ah_obs::LATENCY_US_BUCKETS).time();
     let mut shards = shards.into_iter();
-    // ah-lint: allow(panic-path, reason = "both executors hand over at least one shard: the inline one exactly one, the sharded one max(threads, 1)")
+    #[expect(
+        clippy::expect_used,
+        reason = "both executors hand over at least one shard: the inline one exactly one, the sharded one max(threads, 1)"
+    )]
     let first = shards.next().expect("at least one shard");
     let mut delivered = first.delivered;
     // Counts over disjoint source slices: they sum to the serial ledger.
@@ -1351,7 +1345,10 @@ fn run_unjournaled(
 ) -> RunOutput {
     match Engine::run(cfg, opts, threads, None, None, tel) {
         Ok(WalOutcome::Completed(out)) => *out,
-        // ah-lint: allow(panic-path, reason = "every Err and every Suspended in Engine::run originates in the recovered log or the journal, and this run has neither")
+        #[expect(
+            clippy::unreachable,
+            reason = "every Err and every Suspended in Engine::run originates in the recovered log or the journal, and this run has neither"
+        )]
         _ => unreachable!("an unjournaled run can neither fail on I/O nor suspend"),
     }
 }

@@ -69,6 +69,15 @@ fn bad_arguments_exit_2_before_any_run_starts() {
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
         assert!(!stderr.contains("[run]"), "{args:?} started a run before failing:\n{stderr}");
     }
+    // The scanner binary's own flags (the WAL directory is never created:
+    // each case fails before the run would open it).
+    let wal = scratch("bad-args");
+    for args in [&["--days", "0"][..], &["--resume"], &["--wal-dir", &wal, "--resume", "--replay"]]
+    {
+        let Run { code, stderr, .. } = spawn(Command::new(BIN).args(args));
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(!stderr.contains("[run]"), "{args:?} started a run before failing:\n{stderr}");
+    }
 }
 
 /// Fault injection is `experiment health` and `RunOptions::with_faults`;
@@ -137,7 +146,8 @@ fn crashed_durable_run_resumes_and_replays_to_the_same_fingerprint() {
 }
 
 /// Every metric name in the files the binary wrote follows the naming
-/// scheme — dynamically built names included, which `ah-lint` cannot see.
+/// scheme — checked on the output, so it holds in release builds too,
+/// where the registration-time `debug_assert!`s are compiled out.
 #[test]
 fn exported_metric_files_follow_the_naming_scheme() {
     use ah_obs::json::Json;

@@ -1,7 +1,7 @@
 //! First-party markdown link and anchor checker (`doc-link`).
 //!
 //! The repo's documentation layer (README, ARCHITECTURE, DESIGN,
-//! BENCH, …) cross-references itself heavily; a renamed file or
+//! EXPERIMENTS, …) cross-references itself heavily; a renamed file or
 //! section silently strands those links because nothing compiles
 //! markdown. This pass walks every `*.md` in the workspace and checks,
 //! for each inline link or reference definition:
@@ -16,14 +16,14 @@
 //!
 //! Fenced code blocks and inline code spans are excluded, so shell
 //! snippets and `[i]` indexing in example code are never parsed as
-//! links. Like the Rust-side lints this is deliberately token-level
+//! links. Like the rest of `repo_rules` this is deliberately text-level
 //! and dependency-free: a small scanner, not a markdown parser.
 
 use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::lints::Diagnostic;
+use crate::Diagnostic;
 
 /// Every `*.md` under `root`, recursively, skipping VCS metadata and
 /// build output (`.git`, `target`, any hidden directory).
