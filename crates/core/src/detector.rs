@@ -26,8 +26,14 @@ use ah_net::packet::ScanClass;
 use ah_telescope::event::DarknetEvent;
 use std::collections::{BTreeMap, HashSet};
 
-/// Compact summary of one darknet event (32 bytes + padding) — the
-/// detector's working set for multi-month runs.
+/// The longest run span, in days, the detector can represent: day
+/// indices `0..MAX_DAYS` fit [`EventRecord`]'s `u16` day fields. A longer
+/// span would silently merge its later days, so the binaries refuse one.
+pub const MAX_DAYS: u64 = u16::MAX as u64 + 1;
+
+/// Compact summary of one darknet event — what D1/D2/D3 and the
+/// characterization read, and nothing else: the detector's working set
+/// for multi-month runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventRecord {
     /// Scanning source address.
@@ -42,18 +48,15 @@ pub struct EventRecord {
     pub end_day: u16,
     /// Scanning packets in the event (saturating at `u32::MAX`).
     pub packets: u32,
-    /// Total wire bytes.
-    pub bytes: u64,
     /// Exact distinct dark destinations contacted.
     pub unique_dsts: u32,
     /// Packets carrying the ZMap fingerprint.
     pub zmap: u32,
     /// Packets carrying the Masscan fingerprint.
     pub masscan: u32,
-    /// Packets carrying the Mirai fingerprint (bucketed as "Other" in
-    /// Figure 4, tracked separately for tagging analyses).
-    pub mirai: u32,
 }
+
+const _: () = assert!(size_of::<EventRecord>() == 28);
 
 impl EventRecord {
     fn from_event(ev: &DarknetEvent) -> EventRecord {
@@ -64,11 +67,9 @@ impl EventRecord {
             start_day: ev.start.day().min(u64::from(u16::MAX)) as u16,
             end_day: ev.end.day().min(u64::from(u16::MAX)) as u16,
             packets: ev.packets.min(u64::from(u32::MAX)) as u32,
-            bytes: ev.bytes,
             unique_dsts: ev.unique_dsts,
             zmap: ev.tools.zmap.min(u64::from(u32::MAX)) as u32,
             masscan: ev.tools.masscan.min(u64::from(u32::MAX)) as u32,
-            mirai: ev.tools.mirai.min(u64::from(u32::MAX)) as u32,
         }
     }
 

@@ -233,7 +233,7 @@ impl TapSeries {
 mod tests {
     use super::*;
     use ah_flow::cache::FlowCache;
-    use ah_flow::router::{Direction, RouterDayCounter};
+    use ah_flow::router::Direction;
     use ah_net::time::Dur;
     use std::collections::HashMap;
 
@@ -267,14 +267,7 @@ mod tests {
         for (_, mut c) in caches {
             records.extend(c.flush());
         }
-        FlowDataset {
-            records,
-            sampling_rate: 10,
-            router_days: totals
-                .iter()
-                .map(|&(k, v)| (k, RouterDayCounter { packets: v, bytes: v * 40 }))
-                .collect(),
-        }
+        FlowDataset { records, sampling_rate: 10, router_days: totals.iter().copied().collect() }
     }
 
     #[test]

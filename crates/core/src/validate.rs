@@ -231,9 +231,6 @@ mod tests {
                     GnEntry {
                         classification: *c,
                         tags: tags.iter().map(|s| s.to_string()).collect(),
-                        first_seen: Ts::ZERO,
-                        last_seen: Ts::ZERO,
-                        packets: 1,
                     },
                 )
             })

@@ -36,17 +36,6 @@ pub enum Direction {
     Egress,
 }
 
-/// Per-day ground-truth counters for one router (the "all routed packets"
-/// denominator of Tables 2 and 4 — what an unsampled line-card counter
-/// would report).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RouterDayCounter {
-    /// Packets routed that day.
-    pub packets: u64,
-    /// Bytes routed that day.
-    pub bytes: u64,
-}
-
 /// Per-(router, source) sampler phase.
 ///
 /// Staggers where each source's systematic 1:N pattern starts so
@@ -71,8 +60,10 @@ pub(crate) struct BorderRouter {
     /// exactly; aggregate selection is still ~1:N.
     samplers: FastMap<u32, Sampler>,
     cache: FlowCache,
-    /// Ground truth packets per day index.
-    day_counters: FastMap<u64, RouterDayCounter>,
+    /// Ground truth packets per day index (the "all routed packets"
+    /// denominator of Tables 2 and 4 — what an unsampled line-card
+    /// counter would report).
+    day_counters: FastMap<u64, u64>,
     /// Telemetry for sampler decisions (inert until
     /// [`IspModel::set_recorder`]).
     m_seen: ah_obs::Counter,
@@ -102,9 +93,7 @@ impl BorderRouter {
     }
 
     fn observe(&mut self, pkt: &PacketMeta, direction: Direction) {
-        let c = self.day_counters.entry(pkt.ts.day()).or_default();
-        c.packets += 1;
-        c.bytes += u64::from(pkt.wire_len);
+        *self.day_counters.entry(pkt.ts.day()).or_default() += 1;
         self.m_seen.inc();
         let (id, rate) = (self.id, self.sampling_rate);
         let sampler = self
@@ -300,8 +289,8 @@ impl IspModel {
         let mut router_days = HashMap::new();
         for r in &mut self.routers {
             records.extend(r.cache.flush());
-            for (day, c) in &r.day_counters {
-                router_days.insert((r.id, *day), c.clone());
+            for (&day, &n) in &r.day_counters {
+                router_days.insert((r.id, day), n);
             }
         }
         // HashMap drain order must never leak into the dataset: `FlowRecord`'s
@@ -320,14 +309,14 @@ pub struct FlowDataset {
     pub records: Vec<FlowRecord>,
     /// The 1:N sampling rate the routers ran at.
     pub sampling_rate: u64,
-    /// Ground truth (router, day) → processed packet counters.
-    pub router_days: HashMap<(RouterId, u64), RouterDayCounter>,
+    /// Ground truth (router, day) → packets the router processed.
+    pub router_days: HashMap<(RouterId, u64), u64>,
 }
 
 impl FlowDataset {
     /// Ground-truth packets a router processed in a day.
     pub fn router_day_packets(&self, router: RouterId, day: u64) -> u64 {
-        self.router_days.get(&(router, day)).map_or(0, |c| c.packets)
+        self.router_days.get(&(router, day)).copied().unwrap_or(0)
     }
 
     /// Estimated wire packets for a sampled count.

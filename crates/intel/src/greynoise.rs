@@ -18,7 +18,6 @@ use ah_net::hash::FastMap;
 use ah_net::ipv4::Ipv4Addr4;
 use ah_net::packet::{PacketMeta, Transport};
 use ah_net::prefix::PrefixSet;
-use ah_net::time::Ts;
 use std::collections::{HashMap, HashSet};
 
 /// GreyNoise's three-way IP classification.
@@ -112,12 +111,6 @@ pub struct GnEntry {
     pub classification: GnClassification,
     /// Behavior tags (Table 9 vocabulary).
     pub tags: Vec<String>,
-    /// First packet timestamp across all sensors.
-    pub first_seen: Ts,
-    /// Last packet timestamp across all sensors.
-    pub last_seen: Ts,
-    /// Total packets this source sent to the sensor fleet.
-    pub packets: u64,
 }
 
 #[derive(Debug, Default)]
@@ -127,12 +120,10 @@ struct SrcProfile {
     udp: u64,
     icmp: u64,
     tool_counts: [u64; 4], // ZMap, Masscan, Mirai, Other
-    ports: HashSet<u16>,
+    /// Packets per targeted TCP/UDP port; its key set is the ports touched.
     port_packets: HashMap<u16, u64>,
     sensors_hit: HashSet<Ipv4Addr4>,
     payload_hints: HashSet<PayloadHint>,
-    first_seen: Ts,
-    last_seen: Ts,
 }
 
 /// Ingest counters: every packet offered to the fleet is either accepted
@@ -212,28 +203,19 @@ impl GreyNoise {
         }
         self.ingest.accepted += 1;
         self.m_accepted.inc();
-        let p = self.profiles.entry(pkt.src).or_insert_with(|| SrcProfile {
-            first_seen: pkt.ts,
-            last_seen: pkt.ts,
-            ..SrcProfile::default()
-        });
+        let p = self.profiles.entry(pkt.src).or_default();
         p.packets += 1;
-        p.first_seen = p.first_seen.min(pkt.ts);
-        p.last_seen = p.last_seen.max(pkt.ts);
         p.sensors_hit.insert(pkt.dst);
         match pkt.transport {
             Transport::Tcp { dst_port, flags, .. } if flags.is_bare_syn() => {
                 p.tcp_syn += 1;
-                p.ports.insert(dst_port);
                 *p.port_packets.entry(dst_port).or_default() += 1;
             }
             Transport::Tcp { dst_port, .. } => {
-                p.ports.insert(dst_port);
                 *p.port_packets.entry(dst_port).or_default() += 1;
             }
             Transport::Udp { dst_port, .. } => {
                 p.udp += 1;
-                p.ports.insert(dst_port);
                 *p.port_packets.entry(dst_port).or_default() += 1;
             }
             Transport::Icmp { .. } => p.icmp += 1,
@@ -265,16 +247,7 @@ impl GreyNoise {
                 } else {
                     GnClassification::Unknown
                 };
-                (
-                    *src,
-                    GnEntry {
-                        classification,
-                        tags: tag_list,
-                        first_seen: p.first_seen,
-                        last_seen: p.last_seen,
-                        packets: p.packets,
-                    },
-                )
+                (*src, GnEntry { classification, tags: tag_list })
             })
             .collect()
     }
@@ -323,7 +296,7 @@ impl GreyNoise {
                 push(tags::SSH_BRUTE);
             }
         }
-        if touches(80) && touches(443) && p.ports.len() <= 8 {
+        if touches(80) && touches(443) && p.port_packets.len() <= 8 {
             push(tags::WEB_CRAWLER);
         }
         if touches(443) && (touches(465) || touches(993) || touches(8443)) {
@@ -379,6 +352,7 @@ mod tests {
     use super::*;
     use ah_net::fingerprint::{masscan_ip_id, ZMAP_IP_ID};
     use ah_net::prefix::Prefix;
+    use ah_net::time::Ts;
 
     fn sensors() -> PrefixSet {
         PrefixSet::from_prefixes(vec!["50.0.0.0/24".parse::<Prefix>().unwrap()])
@@ -547,17 +521,5 @@ mod tests {
         let e = &g.finalize()[&SRC];
         assert!(e.tags.iter().any(|t| t == tags::DOCKER));
         assert!(e.tags.iter().any(|t| t == tags::KUBERNETES));
-    }
-
-    #[test]
-    fn entry_timestamps_and_packets() {
-        let mut g = gn();
-        g.observe(&PacketMeta::tcp_syn(Ts::from_secs(5), SRC, sensor(1), 1, 80), PayloadHint::None);
-        g.observe(&PacketMeta::tcp_syn(Ts::from_secs(2), SRC, sensor(1), 1, 80), PayloadHint::None);
-        g.observe(&PacketMeta::tcp_syn(Ts::from_secs(9), SRC, sensor(1), 1, 80), PayloadHint::None);
-        let e = &g.finalize()[&SRC];
-        assert_eq!(e.first_seen, Ts::from_secs(2));
-        assert_eq!(e.last_seen, Ts::from_secs(9));
-        assert_eq!(e.packets, 3);
     }
 }

@@ -39,8 +39,6 @@ impl DarkSpace {
 pub struct CaptureStats {
     /// All packets that arrived at the dark space, scanning or not.
     pub total_packets: u64,
-    /// Total wire bytes.
-    total_bytes: u64,
     /// Packets per scanning class (TCP-SYN / UDP / ICMP echo).
     class_packets: [u64; 3],
     /// Packets that were not classifiable as scanning (backscatter etc.).
@@ -56,7 +54,6 @@ impl CaptureStats {
     pub(crate) fn new(dark_size: u32) -> CaptureStats {
         CaptureStats {
             total_packets: 0,
-            total_bytes: 0,
             class_packets: [0; 3],
             non_scan_packets: 0,
             sources: FastSet::default(),
@@ -66,7 +63,6 @@ impl CaptureStats {
 
     fn record(&mut self, pkt: &PacketMeta, class: Option<ScanClass>, dst_index: u32) {
         self.total_packets += 1;
-        self.total_bytes += u64::from(pkt.wire_len);
         self.sources.insert(pkt.src);
         self.dsts.insert(dst_index);
         match class {
@@ -100,7 +96,6 @@ impl CaptureStats {
     /// any merge order.
     pub fn merge(&mut self, other: &CaptureStats) {
         self.total_packets += other.total_packets;
-        self.total_bytes += other.total_bytes;
         for (a, b) in self.class_packets.iter_mut().zip(other.class_packets.iter()) {
             *a += *b;
         }
@@ -115,8 +110,6 @@ impl CaptureStats {
 pub struct CaptureSummary {
     /// All packets that arrived at the dark space.
     pub total_packets: u64,
-    /// Total wire bytes.
-    pub total_bytes: u64,
     /// Packets classified as scanning.
     pub scan_packets: u64,
     /// Packets not classifiable as scanning (backscatter etc.).
@@ -131,7 +124,6 @@ impl From<&CaptureStats> for CaptureSummary {
     fn from(s: &CaptureStats) -> CaptureSummary {
         CaptureSummary {
             total_packets: s.total_packets,
-            total_bytes: s.total_bytes,
             scan_packets: s.scan_packets(),
             non_scan_packets: s.non_scan_packets,
             unique_sources: s.unique_sources(),
@@ -379,7 +371,6 @@ mod tests {
         assert_eq!(s.total_packets, 1);
         assert_eq!(s.scan_packets, 1);
         assert_eq!(s.unique_sources, 1);
-        assert_eq!(s.total_bytes, 48);
     }
 
     #[test]

@@ -1,23 +1,18 @@
-//! Per-day rollups of darknet activity.
+//! Per-day packet tally of the raw capture — kept only for the benchmark.
 //!
-//! Figure 3 and Table 1 need day-granular aggregates of the raw capture:
-//! how many scanning packets arrived and from how many unique sources.
+//! The paper's per-day quantities (Figure 3, Table 1) come from darknet
+//! events attributed by start day, which the detector builds
+//! (`ah_core::detector::AhReport::day_all_sources`). No run, table or
+//! figure reads a packet-level daily rollup, so the engine keeps none.
+//! [`DailyTracker::new`] and [`DailyTracker::record`] remain because the
+//! benchmark's staged rebuild (`crates/perf/src/adapter.rs`) names them
+//! and times them as part of the telescope stage; they go when that
+//! rebuild does.
 
 use ah_net::hash::FastSet;
 use ah_net::ipv4::Ipv4Addr4;
 use ah_net::packet::PacketMeta;
 use std::collections::BTreeMap;
-
-/// Aggregates for one day of capture.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DayStats {
-    /// Scanning packets captured this day.
-    pub scan_packets: u64,
-    /// All packets captured this day (incl. backscatter).
-    pub total_packets: u64,
-    /// Unique source IPs that sent scanning packets this day.
-    pub unique_sources: u64,
-}
 
 /// Streaming per-day tracker. Feed every captured packet.
 #[derive(Debug, Default)]
@@ -47,37 +42,6 @@ impl DailyTracker {
             acc.sources.insert(pkt.src);
         }
     }
-
-    /// Per-day statistics, ordered by day index.
-    pub fn finalize(&self) -> BTreeMap<u64, DayStats> {
-        self.days
-            .iter()
-            .map(|(day, acc)| {
-                (
-                    *day,
-                    DayStats {
-                        scan_packets: acc.scan_packets,
-                        total_packets: acc.total_packets,
-                        unique_sources: acc.sources.len() as u64,
-                    },
-                )
-            })
-            .collect()
-    }
-
-    /// Fold another shard's tracker into this one.
-    ///
-    /// Packet counters sum and per-day source sets take their union, so
-    /// the merged tracker finalizes to exactly what a single tracker fed
-    /// the concatenated streams would produce — in any merge order.
-    pub fn absorb(&mut self, other: DailyTracker) {
-        for (day, acc) in other.days {
-            let mine = self.days.entry(day).or_default();
-            mine.scan_packets += acc.scan_packets;
-            mine.total_packets += acc.total_packets;
-            mine.sources.extend(acc.sources);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -93,11 +57,10 @@ mod tests {
         t.record(&PacketMeta::tcp_syn(Ts::from_days(0), src, dst, 1, 23), true);
         t.record(&PacketMeta::tcp_syn(Ts::from_days(0) + Dur::from_secs(5), src, dst, 1, 23), true);
         t.record(&PacketMeta::tcp_syn(Ts::from_days(1), src, dst, 1, 23), false);
-        let days = t.finalize();
-        assert_eq!(days.len(), 2);
-        assert_eq!(days[&0].scan_packets, 2);
-        assert_eq!(days[&0].unique_sources, 1);
-        assert_eq!(days[&1].scan_packets, 0);
-        assert_eq!(days[&1].total_packets, 1);
+        assert_eq!(t.days.len(), 2);
+        assert_eq!(t.days[&0].scan_packets, 2);
+        assert_eq!(t.days[&0].sources.len(), 1);
+        assert_eq!(t.days[&1].scan_packets, 0);
+        assert_eq!(t.days[&1].total_packets, 1);
     }
 }

@@ -11,7 +11,8 @@
 //!   are computed;
 //! * [`timeout`] — the Moore et al. flow-timeout derivation the paper uses
 //!   to pick its ~10-minute event expiration;
-//! * [`daily`] — per-day rollups of darknet activity;
+//! * [`daily`] — a per-day packet tally that only the benchmark's staged
+//!   rebuild uses;
 //! * [`dstset`] — a memory-adaptive exact distinct-counter used for
 //!   per-event destination dispersion.
 

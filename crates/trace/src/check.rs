@@ -15,7 +15,8 @@
 //! * flow events (`s`/`t`/`f`) carry an `id`, and every flow chain has
 //!   a start and ≥ 2 points.
 //!
-//! The `ah-trace` binary (`src/main.rs`) wraps this for the command line.
+//! `tests/cli.rs` and `tests/trace.rs` of the root package run it over
+//! the traces the binaries and the engine write.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -24,14 +25,10 @@ use ah_obs::json::{self, Json};
 /// Summary statistics of a validated trace.
 #[derive(Clone, Debug, Default)]
 pub struct TraceStats {
-    /// Total trace events (including metadata and flows).
-    pub events: usize,
     /// Distinct (pid, tid) tracks that carried span events.
     pub tracks: usize,
     /// Span count (`B` events).
     pub spans: usize,
-    /// Instant count (`i` events, `cat:"span"` only).
-    pub instants: usize,
     /// Distinct flow (journey) ids.
     pub flow_ids: BTreeSet<u64>,
     /// Distinct span/instant names seen.
@@ -51,7 +48,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceStats, String> {
     let Some(Json::Arr(events)) = root.get("traceEvents") else {
         return Err("root object lacks a traceEvents array".to_string());
     };
-    let mut stats = TraceStats { events: events.len(), ..TraceStats::default() };
+    let mut stats = TraceStats::default();
     // Per (pid, tid): open-span name stack + last span-event timestamp.
     let mut stacks: BTreeMap<(u64, u64), Vec<String>> = BTreeMap::new();
     let mut last_ts: BTreeMap<(u64, u64), f64> = BTreeMap::new();
@@ -107,7 +104,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceStats, String> {
                         }
                         None => return Err(format!("{ctx}: E with no open span")),
                     },
-                    _ => stats.instants += 1,
+                    _ => {}
                 }
             }
             "s" | "t" | "f" => {

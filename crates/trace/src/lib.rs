@@ -23,9 +23,9 @@
 //!   arrows linking each journey across tracks) and folded-stack
 //!   flamegraph text (the no-`perf` fallback for
 //!   `scripts/flamegraph.sh`).
-//! * **A schema validator** ([`check`], plus the `ah-trace` binary) so
-//!   CI can gate on balanced begin/end events, per-track timestamp
-//!   monotonicity and journey presence without any external tooling.
+//! * **A schema validator** ([`check`]) so CI can gate on balanced
+//!   begin/end events, per-track timestamp monotonicity and journey
+//!   presence without any external tooling.
 //!
 //! ## Why tracing cannot perturb determinism
 //!

@@ -104,7 +104,10 @@ cargo test --release --test determinism --test chaos -q
 
 echo "==> binary-level gates (release)"
 # tests/cli.rs drives the shipped binaries: usage errors before any
-# run, then the WAL crash-recovery drill (a real mid-append abort,
+# run (spans past the detector's MAX_DAYS among them), the output pin
+# (`output_fingerprint_is_pinned`: `aggressive-scanners --days 1` at 4
+# shards and at 1 prints the fingerprint ROADMAP.md "Output pins"
+# names), then the WAL crash-recovery drill (a real mid-append abort,
 # resumed and replayed to the uninterrupted fingerprint), the metrics
 # schema lint on the files written to disk, the traced durable run
 # through the first-party trace validator, and the --mem-report leak

@@ -8,7 +8,8 @@
 //!   ids: table1..table9  fig1..fig6  whatif  health  all
 //!
 //! `--days-scale F` multiplies every dataset's span (default 1; any finite
-//! F > 0; each span has a floor of 2 to 4 days).
+//! F > 0; each span has a floor of 2 to 4 days and a ceiling of
+//! `MAX_DAYS`, the longest span the detector can represent).
 //!
 //! `--threads N` (N >= 2) routes the single-pass simulation runs through
 //! the sharded parallel engine; output is bitwise identical to serial.
@@ -36,6 +37,7 @@ use aggressive_scanners::core::characterize::{
     zipf_concentration,
 };
 use aggressive_scanners::core::defs::Definition;
+use aggressive_scanners::core::detector::MAX_DAYS;
 use aggressive_scanners::core::impact::{flow_impact, presence};
 use aggressive_scanners::core::lists::{intersect, intersect3, jaccard, level_counts};
 use aggressive_scanners::core::report::{fmt_count, fmt_pct, write_csv, TextTable};
@@ -81,6 +83,20 @@ impl Spans {
             tap_days: s(4, 2),
             gn_days: s(21, 3),
         }
+    }
+
+    /// The longest run these spans build, in days (the flow run adds
+    /// its warm-up day).
+    fn longest(&self) -> u64 {
+        [
+            self.darknet1_days,
+            self.darknet2_days,
+            self.flow_days.saturating_add(1),
+            self.tap_days,
+            self.gn_days,
+        ]
+        .into_iter()
+        .fold(0, u64::max)
     }
 }
 
@@ -292,8 +308,15 @@ fn main() {
     if ids.contains(&"all") {
         todo = EXPERIMENTS.iter().collect();
     }
+    let spans = Spans::scaled(scale);
+    if spans.longest() > MAX_DAYS {
+        usage_error(format!(
+            "--days-scale makes a {}-day run; the detector can represent at most {MAX_DAYS} days",
+            spans.longest()
+        ));
+    }
     let runs = Runs {
-        spans: Spans::scaled(scale),
+        spans,
         seed,
         threads,
         telemetry: obs.telemetry(seed),
@@ -348,7 +371,7 @@ fn table1(ctx: &mut Ctx) {
     {
         let f = ctx.runs.flows();
         let ds = require(f.merit_flows.as_ref(), "merit flows", "table1");
-        f_pkts = ds.router_days.values().map(|c| c.packets).sum::<u64>();
+        f_pkts = ds.router_days.values().sum::<u64>();
         let srcs: HashSet<_> = ds.records.iter().map(|r| r.key.src).collect();
         let dsts: HashSet<_> = ds.records.iter().map(|r| r.key.dst).collect();
         f_src = srcs.len() as u64;

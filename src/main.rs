@@ -52,6 +52,7 @@
 //! (both parse them through `aggressive_scanners::cli`).
 
 use aggressive_scanners::cli::{parse_flag, usage_error, ObsFlags, OBS_USAGE};
+use aggressive_scanners::core::detector::MAX_DAYS;
 use aggressive_scanners::pipeline::{self, RunOptions, RunOutput, WalOutcome, WalRun};
 use aggressive_scanners::simnet::scenario::ScenarioConfig;
 use std::path::PathBuf;
@@ -112,6 +113,11 @@ fn main() {
     }
     if days == 0 {
         usage_error("--days must be at least 1".into());
+    }
+    if days > MAX_DAYS {
+        usage_error(format!(
+            "--days {days} exceeds the {MAX_DAYS} days the detector can represent"
+        ));
     }
     if (resume || replay || suspend_after.is_some() || crash_after.is_some()) && wal_dir.is_none() {
         usage_error("--resume/--replay/--suspend-after/--crash-after need --wal-dir".into());

@@ -66,13 +66,12 @@ use ah_simnet::rng::hash64;
 use ah_simnet::scenario::{Scenario, ScenarioConfig};
 use ah_simnet::world::World;
 use ah_telescope::capture::{CaptureOutcome, CaptureStats, CaptureSummary, DarkSpace, Telescope};
-use ah_telescope::daily::{DailyTracker, DayStats};
 use ah_telescope::event::{AggregatorStats, DarknetEvent};
 use ah_trace::Tracer;
 use ah_wal::record::{RunMeta, RunSeal, WalRecord};
 use ah_wal::{RecoveredLog, WalWriter, WalWriterConfig};
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -258,8 +257,6 @@ pub struct RunOutput {
     pub report: AhReport,
     /// Whole-run darknet capture statistics.
     pub capture: CaptureSummary,
-    /// Per-day darknet capture statistics.
-    pub daily: BTreeMap<u64, DayStats>,
     /// Merit flow dataset, when flows were enabled.
     pub merit_flows: Option<FlowDataset>,
     /// CU flow dataset, when flows were enabled.
@@ -369,7 +366,6 @@ fn v9_loopback(records: &[FlowRecord], rec: &Recorder) -> StageHealth {
 /// All vantage-point state of one execution [`Unit`].
 struct Vantage {
     telescope: Telescope,
-    tracker: DailyTracker,
     merit: Option<IspModel>,
     cu: Option<IspModel>,
     gn: Option<GreyNoise>,
@@ -410,7 +406,6 @@ struct ShardOut {
     delivered: u64,
     /// Ledger of this unit's fault injector (`None` on clean runs).
     injector: Option<InjectorStats>,
-    tracker: DailyTracker,
     merit: Option<(CacheStats, FlowDataset)>,
     cu: Option<(CacheStats, FlowDataset)>,
     gn: Option<GnPart>,
@@ -472,7 +467,6 @@ impl Vantage {
         });
         Vantage {
             telescope,
-            tracker: DailyTracker::new(),
             merit,
             cu,
             gn,
@@ -482,15 +476,6 @@ impl Vantage {
             m_packets: rec.counter("ah_pipeline_mux_packets_delivered_total"),
             m_bytes: rec.counter("ah_pipeline_mux_bytes_delivered_total"),
             tracer: tracer.clone(),
-        }
-    }
-
-    fn track(&mut self, pkt: &PacketMeta, outcome: CaptureOutcome) {
-        match outcome {
-            CaptureOutcome::Scan(_) => self.tracker.record(pkt, true),
-            CaptureOutcome::NonScan => self.tracker.record(pkt, false),
-            CaptureOutcome::NotDark => self.not_dark += 1,
-            CaptureOutcome::FilteredSource => {}
         }
     }
 
@@ -518,7 +503,9 @@ impl Vantage {
         let _trace = (journey != 0)
             .then(|| self.tracer.journey_span("ah_pipeline_vantage_consume", journey));
         let outcome = tagged::<TAGGED, _>(Tag::Telescope, || self.telescope.observe(pkt));
-        self.track(pkt, outcome);
+        if outcome == CaptureOutcome::NotDark {
+            self.not_dark += 1;
+        }
         if let Some(m) = self.merit.as_mut() {
             tagged::<TAGGED, _>(Tag::Flow, || m.observe(pkt));
         }
@@ -569,7 +556,6 @@ impl Vantage {
             not_dark: self.not_dark,
             delivered: self.delivered,
             injector,
-            tracker: self.tracker,
             merit,
             cu,
             gn,
@@ -755,7 +741,6 @@ fn finalize_run(
     let mut agg = first.agg;
     let mut filtered = first.filtered;
     let mut not_dark = first.not_dark;
-    let mut tracker = first.tracker;
     let mut events = first.events;
     let mut merit_parts: Vec<_> = first.merit.into_iter().collect();
     let mut cu_parts: Vec<_> = first.cu.into_iter().collect();
@@ -771,7 +756,6 @@ fn finalize_run(
             agg.merge(&sh.agg);
             filtered += sh.filtered;
             not_dark += sh.not_dark;
-            tracker.absorb(sh.tracker);
             events.extend(sh.events);
             merit_parts.extend(sh.merit);
             cu_parts.extend(sh.cu);
@@ -880,7 +864,6 @@ fn finalize_run(
         world,
         report,
         capture,
-        daily: tracker.finalize(),
         merit_flows,
         cu_flows: cu.map(|(_, d)| d),
         gn_entries: gn.map(|(entries, _)| entries),
@@ -899,10 +882,8 @@ fn merge_flow_parts(parts: Vec<(CacheStats, FlowDataset)>) -> Option<(CacheStats
     for (s, d) in parts {
         stats.merge(&s);
         ds.records.extend(d.records);
-        for (k, c) in d.router_days {
-            let e = ds.router_days.entry(k).or_default();
-            e.packets += c.packets;
-            e.bytes += c.bytes;
+        for (k, n) in d.router_days {
+            *ds.router_days.entry(k).or_default() += n;
         }
     }
     ds.records.sort();
@@ -1476,8 +1457,8 @@ pub fn run_parallel_wal(
 
 impl RunOutput {
     /// A content fingerprint over every externally meaningful field —
-    /// detection report, capture summary, daily rollups, flow datasets,
-    /// honeypot entries, and the health ledgers.
+    /// detection report, capture summary, flow datasets, honeypot
+    /// entries, and the health ledgers.
     ///
     /// Two runs with equal fingerprints produced bitwise-identical
     /// results; the determinism suite holds `run` and [`run_parallel`] to
@@ -1492,18 +1473,10 @@ impl RunOutput {
         word(self.days);
 
         word(self.capture.total_packets);
-        word(self.capture.total_bytes);
         word(self.capture.scan_packets);
         word(self.capture.non_scan_packets);
         word(self.capture.unique_sources);
         word(self.capture.unique_dsts);
-
-        for (day, s) in &self.daily {
-            word(*day);
-            word(s.scan_packets);
-            word(s.total_packets);
-            word(s.unique_sources);
-        }
 
         word(self.report.d2_threshold);
         word(self.report.d3_threshold);
@@ -1514,11 +1487,9 @@ impl RunOutput {
             word(u64::from(r.start_day));
             word(u64::from(r.end_day));
             word(u64::from(r.packets));
-            word(r.bytes);
             word(u64::from(r.unique_dsts));
             word(u64::from(r.zmap));
             word(u64::from(r.masscan));
-            word(u64::from(r.mirai));
         }
         for def in Definition::ALL {
             let mut yearly: Vec<u32> =
@@ -1571,13 +1542,12 @@ impl RunOutput {
                 word(u64::from(r.tcp_flags));
             }
             let mut truth: Vec<_> =
-                flows.router_days.iter().map(|((r, d), c)| (*r, *d, c.packets, c.bytes)).collect();
+                flows.router_days.iter().map(|(&(r, d), &p)| (r, d, p)).collect();
             truth.sort_unstable();
-            for (r, d, p, b) in truth {
+            for (r, d, p) in truth {
                 word(u64::from(r));
                 word(d);
                 word(p);
-                word(b);
             }
         }
 
@@ -1596,9 +1566,6 @@ impl RunOutput {
                 for tag in &e.tags {
                     bytes(tag.as_bytes());
                 }
-                word(e.first_seen.0);
-                word(e.last_seen.0);
-                word(e.packets);
             }
         }
 
@@ -1684,7 +1651,6 @@ mod tests {
         assert!(out.capture.scan_packets > 0);
         assert!(out.merit_flows.is_none());
         assert!(!out.report.hitters(Definition::AddressDispersion).is_empty());
-        assert_eq!(out.daily.len() as u64, out.days);
     }
 
     #[test]

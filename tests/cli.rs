@@ -62,6 +62,10 @@ fn bad_arguments_exit_2_before_any_run_starts() {
         &["table1", "--days-scale", "nan"],
         &["table1", "--days-scale", "0"],
         &["table1", "--days-scale", "-1"],
+        // Spans past the detector's `MAX_DAYS`: darknet-1 at 80,000 days,
+        // and a scale whose spans saturate to `u64::MAX` days.
+        &["table1", "--days-scale", "2000"],
+        &["table1", "--days-scale", "1e300"],
         &["table1", "--metrics", &metrics],
         &["table1", "--trace-out", &trace],
     ] {
@@ -72,8 +76,12 @@ fn bad_arguments_exit_2_before_any_run_starts() {
     // The scanner binary's own flags (the WAL directory is never created:
     // each case fails before the run would open it).
     let wal = scratch("bad-args");
-    for args in [&["--days", "0"][..], &["--resume"], &["--wal-dir", &wal, "--resume", "--replay"]]
-    {
+    for args in [
+        &["--days", "0"][..],
+        &["--days", "70000"],
+        &["--resume"],
+        &["--wal-dir", &wal, "--resume", "--replay"],
+    ] {
         let Run { code, stderr, .. } = spawn(Command::new(BIN).args(args));
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
         assert!(!stderr.contains("[run]"), "{args:?} started a run before failing:\n{stderr}");
@@ -124,6 +132,19 @@ fn snapshots_lost_to_io_errors_exit_1() {
 }
 
 // --- Binary-level gates ---------------------------------------------------
+
+/// The output pin: `aggressive-scanners --days 1` prints this fingerprint
+/// on the sharded engine and on one shard. A change that moves it says so
+/// and re-pins here, with the reason, in the same change.
+#[test]
+fn output_fingerprint_is_pinned() {
+    const PIN: &str = "2250227e126e53f2";
+    for threads in ["4", "1"] {
+        let run = fingerprint_of(&["--threads", threads]);
+        assert_eq!(run.code, Some(0), "--threads {threads}: {}", run.stderr);
+        assert_eq!(run.fingerprint.as_deref(), Some(PIN), "--threads {threads}");
+    }
+}
 
 /// Durability drill with a real process kill (`ARCHITECTURE.md` §10): an
 /// abort mid-append leaves a torn, unsynced tail; the recovered log resumes

@@ -12,7 +12,7 @@ fn sampled_estimates_track_ground_truth() {
         RunOptions { sampling_rate: 10, ..RunOptions::with_flows() },
     );
     let ds = run.merit_flows.as_ref().unwrap();
-    let truth: u64 = ds.router_days.values().map(|c| c.packets).sum();
+    let truth: u64 = ds.router_days.values().sum();
     let sampled: u64 = ds.records.iter().map(|r| r.packets).sum();
     let estimate = ds.estimate(sampled);
     assert!(truth > 1000, "needs traffic: {truth}");
@@ -29,7 +29,7 @@ fn unsampled_dataset_is_exact() {
         RunOptions { sampling_rate: 1, ..RunOptions::with_flows() },
     );
     let ds = run.merit_flows.as_ref().unwrap();
-    let truth: u64 = ds.router_days.values().map(|c| c.packets).sum();
+    let truth: u64 = ds.router_days.values().sum();
     let sampled: u64 = ds.records.iter().map(|r| r.packets).sum();
     assert_eq!(truth, sampled, "1:1 sampling conserves every packet");
 }
@@ -59,7 +59,7 @@ fn routers_split_the_border_exhaustively() {
         }
     }
     let ds = isp.finish();
-    let counted: u64 = ds.router_days.values().map(|c| c.packets).sum();
+    let counted: u64 = ds.router_days.values().sum();
     assert_eq!(border, counted);
     assert!(border > 1000);
 }
