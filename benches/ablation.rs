@@ -46,13 +46,8 @@ fn ablate_sampling() {
     // estimator's error grows with the rate.
     for rate in [1u64, 10, 100, 1000] {
         let mut s = ah_flow::sampler::Sampler::new(rate, 3);
-        let mut sampled = 0u64;
-        for _ in 0..10_000 {
-            if s.sample() {
-                sampled += 1;
-            }
-        }
-        let est = s.estimate(sampled);
+        let sampled = (0..10_000).filter(|_| s.sample(rate)).count() as u64;
+        let est = sampled * rate;
         println!(
             "[ablation] sampling 1:{rate} -> estimate {est} of 10000 true ({}% error)",
             (est as i64 - 10_000).abs() * 100 / 10_000

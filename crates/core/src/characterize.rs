@@ -384,26 +384,28 @@ mod tests {
     }
 
     fn db() -> AsnDb {
-        let mut db = AsnDb::new();
-        db.announce(
-            "100.64.0.0/25".parse().unwrap(),
-            AsInfo {
-                asn: 1,
-                org: "CloudA".into(),
-                as_type: AsType::Cloud,
-                country: CountryCode::new(b"US"),
-            },
-        );
-        db.announce(
-            "100.64.0.128/25".parse().unwrap(),
-            AsInfo {
-                asn: 2,
-                org: "IspB".into(),
-                as_type: AsType::Isp,
-                country: CountryCode::new(b"CN"),
-            },
-        );
-        db
+        [
+            (
+                "100.64.0.0/25".parse().unwrap(),
+                AsInfo {
+                    asn: 1,
+                    org: "CloudA".into(),
+                    as_type: AsType::Cloud,
+                    country: CountryCode::new(b"US"),
+                },
+            ),
+            (
+                "100.64.0.128/25".parse().unwrap(),
+                AsInfo {
+                    asn: 2,
+                    org: "IspB".into(),
+                    as_type: AsType::Isp,
+                    country: CountryCode::new(b"CN"),
+                },
+            ),
+        ]
+        .into_iter()
+        .collect()
     }
 
     #[test]

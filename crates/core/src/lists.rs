@@ -99,25 +99,28 @@ mod tests {
 
     #[test]
     fn level_counting() {
-        let mut db = AsnDb::new();
-        db.announce(
-            "100.64.0.0/25".parse().unwrap(),
-            AsInfo {
-                asn: 1,
-                org: "A".into(),
-                as_type: AsType::Cloud,
-                country: CountryCode::new(b"US"),
-            },
-        );
-        db.announce(
-            "100.64.0.128/25".parse().unwrap(),
-            AsInfo {
-                asn: 2,
-                org: "B".into(),
-                as_type: AsType::Isp,
-                country: CountryCode::new(b"US"),
-            },
-        );
+        let db: AsnDb = [
+            (
+                "100.64.0.0/25".parse().unwrap(),
+                AsInfo {
+                    asn: 1,
+                    org: "A".into(),
+                    as_type: AsType::Cloud,
+                    country: CountryCode::new(b"US"),
+                },
+            ),
+            (
+                "100.64.0.128/25".parse().unwrap(),
+                AsInfo {
+                    asn: 2,
+                    org: "B".into(),
+                    as_type: AsType::Isp,
+                    country: CountryCode::new(b"US"),
+                },
+            ),
+        ]
+        .into_iter()
+        .collect();
         let s = set(&[1, 2, 130, 131]);
         let c = level_counts(&s, &db);
         assert_eq!(c.ips, 4);
@@ -128,7 +131,7 @@ mod tests {
 
     #[test]
     fn unattributed_ips_count_as_ips_only() {
-        let db = AsnDb::new();
+        let db = AsnDb::default();
         let c = level_counts(&set(&[1, 2]), &db);
         assert_eq!(c.ips, 2);
         assert_eq!(c.asns, 0);

@@ -66,7 +66,7 @@ proptest! {
     #[test]
     fn level_counts_bounds(ips in proptest::collection::hash_set(any::<u32>(), 0..100)) {
         let set: HashSet<Ipv4Addr4> = ips.iter().map(|&x| Ipv4Addr4(x)).collect();
-        let db = AsnDb::new();
+        let db = AsnDb::default();
         let c = level_counts(&set, &db);
         prop_assert_eq!(c.ips as usize, set.len());
         prop_assert!(c.asns <= c.ips);

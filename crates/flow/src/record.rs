@@ -38,7 +38,7 @@ impl FlowKey {
 /// One exported flow record.
 ///
 /// `packets`/`bytes` count *sampled* packets; multiply by the sampling
-/// rate (or use [`crate::sampler::Sampler::estimate`]) for wire totals.
+/// rate (or use [`crate::router::FlowDataset::estimate`]) for wire totals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowRecord {
     /// The flow's 5-tuple.

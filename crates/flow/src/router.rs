@@ -100,7 +100,7 @@ impl BorderRouter {
             .samplers
             .entry(pkt.src.to_u32())
             .or_insert_with(|| Sampler::new(rate, sampler_phase(id, pkt.src)));
-        if sampler.sample() {
+        if sampler.sample(rate) {
             self.m_selected.inc();
             self.cache.observe(pkt, direction);
         }
@@ -143,11 +143,7 @@ impl PrefixRoutePolicy {
         routes: Vec<(Prefix, RouterId)>,
         default_router: RouterId,
     ) -> PrefixRoutePolicy {
-        let mut map = PrefixMap::new();
-        for (p, r) in routes {
-            map.insert(p, r);
-        }
-        PrefixRoutePolicy { routes: map, default_router }
+        PrefixRoutePolicy { routes: routes.into_iter().collect(), default_router }
     }
 }
 

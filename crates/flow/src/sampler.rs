@@ -7,51 +7,36 @@
 //! source of the small-flow quantization the paper validates against
 //! unsampled taps (our `sampling_ablation` bench measures exactly this).
 
-/// Systematic 1:N sampler.
+/// Systematic 1:N sampler: one word, the position in the current cycle.
+///
+/// The rate is not stored: every sampler of a border router runs at the
+/// router's rate, so [`Sampler::sample`] takes it from the caller.
 #[derive(Debug, Clone)]
 pub struct Sampler {
-    rate: u64,
-    counter: u64,
-    selected: u64,
-    seen: u64,
+    /// Packets offered since the last selection, in `0..rate`.
+    pos: u64,
 }
 
 impl Sampler {
-    /// A 1:`rate` sampler. `rate = 1` selects everything.
+    /// A sampler for 1:`rate` sampling (`rate = 1` selects everything).
     ///
     /// `phase` staggers the first selected packet (routers don't all pick
     /// packet 0); it is reduced modulo `rate`.
     pub fn new(rate: u64, phase: u64) -> Sampler {
         assert!(rate >= 1, "sampling rate must be >= 1");
-        Sampler { rate, counter: phase % rate, selected: 0, seen: 0 }
+        Sampler { pos: phase % rate }
     }
 
-    /// Offer one packet; returns true when it is selected.
-    pub fn sample(&mut self) -> bool {
-        self.seen += 1;
-        self.counter += 1;
-        if self.counter >= self.rate {
-            self.counter = 0;
-            self.selected += 1;
+    /// Offer one packet at the sampler's 1:`rate`; returns true when it is
+    /// selected.
+    pub fn sample(&mut self, rate: u64) -> bool {
+        self.pos += 1;
+        if self.pos >= rate {
+            self.pos = 0;
             true
         } else {
             false
         }
-    }
-
-    /// Packets offered so far.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// Packets selected so far.
-    pub fn selected(&self) -> u64 {
-        self.selected
-    }
-
-    /// The inverse estimator: scale a sampled count back to a wire count.
-    pub fn estimate(&self, sampled: u64) -> u64 {
-        sampled * self.rate
     }
 }
 
@@ -59,28 +44,26 @@ impl Sampler {
 mod tests {
     use super::*;
 
+    /// How many of `n` packets a fresh 1:`rate` sampler at `phase` picks.
+    fn picked(rate: u64, phase: u64, n: u64) -> u64 {
+        let mut s = Sampler::new(rate, phase);
+        (0..n).map(|_| u64::from(s.sample(rate))).sum()
+    }
+
     #[test]
     fn one_in_one_selects_all() {
-        let mut s = Sampler::new(1, 0);
-        for _ in 0..100 {
-            assert!(s.sample());
-        }
-        assert_eq!(s.selected(), 100);
+        assert_eq!(picked(1, 0, 100), 100);
     }
 
     #[test]
     fn exact_fraction_selected() {
-        let mut s = Sampler::new(10, 0);
-        let picked = (0..1000).filter(|_| s.sample()).count();
-        assert_eq!(picked, 100);
-        assert_eq!(s.seen(), 1000);
-        assert_eq!(s.estimate(s.selected()), 1000);
+        assert_eq!(picked(10, 0, 1000), 100);
     }
 
     #[test]
     fn selection_is_evenly_spaced() {
         let mut s = Sampler::new(4, 0);
-        let picks: Vec<bool> = (0..12).map(|_| s.sample()).collect();
+        let picks: Vec<bool> = (0..12).map(|_| s.sample(4)).collect();
         assert_eq!(
             picks,
             vec![false, false, false, true, false, false, false, true, false, false, false, true]
@@ -90,7 +73,7 @@ mod tests {
     #[test]
     fn phase_shifts_first_selection() {
         let mut s = Sampler::new(4, 3);
-        let picks: Vec<bool> = (0..8).map(|_| s.sample()).collect();
+        let picks: Vec<bool> = (0..8).map(|_| s.sample(4)).collect();
         assert_eq!(picks, vec![true, false, false, false, true, false, false, false]);
     }
 
@@ -99,7 +82,7 @@ mod tests {
         let mut a = Sampler::new(4, 7);
         let mut b = Sampler::new(4, 3);
         for _ in 0..16 {
-            assert_eq!(a.sample(), b.sample());
+            assert_eq!(a.sample(4), b.sample(4));
         }
     }
 
@@ -112,13 +95,14 @@ mod tests {
     #[test]
     fn estimator_is_unbiased_over_rate_multiples() {
         // For any stream length that is a multiple of the rate, the
-        // estimate is exact regardless of phase.
+        // inverse estimate is exact regardless of phase.
         for phase in 0..5 {
-            let mut s = Sampler::new(5, phase);
-            for _ in 0..2000 {
-                s.sample();
-            }
-            assert_eq!(s.estimate(s.selected()), 2000);
+            assert_eq!(picked(5, phase, 2000) * 5, 2000);
         }
+    }
+
+    #[test]
+    fn sampler_is_one_word() {
+        assert_eq!(std::mem::size_of::<Sampler>(), 8);
     }
 }

@@ -67,24 +67,21 @@ pub struct AsInfo {
     pub country: CountryCode,
 }
 
-/// A registry mapping announced prefixes to AS metadata.
+/// A registry mapping announced prefixes to AS metadata, built once
+/// from its announcements. A later announcement of the exact same prefix
+/// replaces an earlier one.
 #[derive(Debug, Clone, Default)]
 pub struct AsnDb {
     map: PrefixMap<AsInfo>,
 }
 
+impl FromIterator<(Prefix, AsInfo)> for AsnDb {
+    fn from_iter<I: IntoIterator<Item = (Prefix, AsInfo)>>(announcements: I) -> AsnDb {
+        AsnDb { map: announcements.into_iter().collect() }
+    }
+}
+
 impl AsnDb {
-    /// An empty registry.
-    pub fn new() -> AsnDb {
-        AsnDb::default()
-    }
-
-    /// Register one announced prefix. Later registrations of the exact
-    /// same prefix replace earlier ones.
-    pub fn announce(&mut self, prefix: Prefix, info: AsInfo) {
-        self.map.insert(prefix, info);
-    }
-
     /// Longest-prefix attribution for an address.
     pub fn lookup(&self, addr: Ipv4Addr4) -> Option<&AsInfo> {
         self.map.lookup(addr)
@@ -101,9 +98,12 @@ mod tests {
 
     #[test]
     fn lookup_longest_prefix() {
-        let mut db = AsnDb::new();
-        db.announce("100.0.0.0/8".parse().unwrap(), info(1, "BigCloud", AsType::Cloud, b"US"));
-        db.announce("100.1.0.0/16".parse().unwrap(), info(2, "SubISP", AsType::Isp, b"CN"));
+        let db: AsnDb = [
+            ("100.0.0.0/8".parse().unwrap(), info(1, "BigCloud", AsType::Cloud, b"US")),
+            ("100.1.0.0/16".parse().unwrap(), info(2, "SubISP", AsType::Isp, b"CN")),
+        ]
+        .into_iter()
+        .collect();
         let a = db.lookup(Ipv4Addr4::new(100, 1, 2, 3)).unwrap();
         assert_eq!(a.asn, 2);
         assert_eq!(a.country.as_str(), "CN");

@@ -51,6 +51,8 @@ const WAL_TEST: &[&str] = &["test", "-q", "-p", "ah-wal"];
 const CORE_BUILD: &[&str] = &["build", "-q", "-p", "ah-core"];
 const CORE_TEST: &[&str] = &["test", "-q", "-p", "ah-core"];
 const TELE_TEST: &[&str] = &["test", "-q", "-p", "ah-telescope"];
+const NET_BUILD: &[&str] = &["build", "-q", "-p", "ah-net"];
+const NET_TEST: &[&str] = &["test", "-q", "-p", "ah-net"];
 const SPSC_CLEAN: &[&str] =
     &["test", "-q", "-p", "ah-simnet", "--test", "model_check", "real_ring_is_clean_capacity_2"];
 
@@ -164,7 +166,7 @@ pub const SENTINELS: &[Sentinel] = &[
         original: "saturating_sub",
         contains: "earlier.0",
         pick: 0,
-        kill: &[&["build", "-q", "-p", "ah-net"], &["test", "-q", "-p", "ah-net"], TELE_TEST],
+        kill: &[NET_BUILD, NET_TEST, TELE_TEST],
         why: "Ts::since underpins every watermark/lag decision; wrapping turns \
               a slightly-early packet into a ~584-year gap",
     },
@@ -183,10 +185,21 @@ pub const SENTINELS: &[Sentinel] = &[
         file: "crates/flow/src/sampler.rs",
         op: "cmp-swap",
         original: ">=",
-        contains: ">= self.rate",
+        contains: "self.pos >= rate",
         pick: 0,
         kill: &[&["build", "-q", "-p", "ah-flow"], &["test", "-q", "-p", "ah-flow"]],
         why: ">= → > silently turns 1-in-N sampling into 1-in-(N+1)",
+    },
+    Sentinel {
+        name: "prefix-map-boundary",
+        file: "crates/net/src/prefix.rs",
+        op: "cmp-swap",
+        original: "<=",
+        contains: "partition_point(|&s| s <= a)",
+        pick: 0,
+        kill: &[NET_BUILD, NET_TEST],
+        why: "<= → < hands the first address of every range to the range before it, \
+              so a route or an AS attribution moves at each prefix boundary",
     },
     Sentinel {
         name: "ring-tail-publish",

@@ -5,10 +5,9 @@
 //! longest-prefix matching for IP → AS attribution. Both are built here on
 //! a sorted-range representation: prefixes become disjoint `[start, end]`
 //! ranges, membership is a binary search, and longest-prefix match is a
-//! per-length probe over a hash of masked addresses.
+//! binary search over ranges each already resolved to its longest prefix.
 
 use crate::error::{NetError, Result};
-use crate::hash::FastMap;
 use crate::ipv4::Ipv4Addr4;
 use std::fmt;
 use std::str::FromStr;
@@ -172,49 +171,91 @@ pub fn standard_bogons() -> PrefixSet {
 
 /// Longest-prefix-match table mapping prefixes to values of type `T`.
 ///
-/// Lookup probes each populated prefix length from longest to shortest —
-/// at most 33 hash probes, in practice 3–5 because registries only use a
-/// handful of lengths.
+/// Built once from its entries ([`FromIterator`]); a later entry for a
+/// prefix replaces an earlier one. The build resolves longest match ahead
+/// of time: it cuts the address space into disjoint ranges, each owned by
+/// the longest prefix covering it (or by none), so a lookup is one binary
+/// search over the range starts. The table is built from a registry,
+/// never from addresses a sender chooses, so it needs no keyed hash.
 #[derive(Debug, Clone)]
 pub struct PrefixMap<T> {
-    /// maps (masked address) -> value, one map per populated prefix length.
-    by_len: Vec<(u8, FastMap<u32, T>)>,
+    /// First address of each range, ascending from 0.0.0.0; a range runs
+    /// up to the next start.
+    starts: Vec<u32>,
+    /// Index into `values` of the prefix owning each range, or
+    /// [`NO_OWNER`] where no prefix covers it.
+    owners: Vec<u32>,
+    values: Vec<T>,
 }
+
+/// The owner of a range no prefix covers: no index into `values`.
+const NO_OWNER: u32 = u32::MAX;
 
 impl<T> Default for PrefixMap<T> {
     fn default() -> Self {
-        PrefixMap { by_len: Vec::new() }
+        std::iter::empty().collect()
+    }
+}
+
+impl<T> FromIterator<(Prefix, T)> for PrefixMap<T> {
+    fn from_iter<I: IntoIterator<Item = (Prefix, T)>>(entries: I) -> Self {
+        // `Prefix`'s order puts a prefix before every prefix it contains
+        // (lower network first, then shorter length). Reversed before a
+        // stable sort, the latest of repeated entries for one prefix sorts
+        // first, and `dedup` keeps it.
+        let mut entries: Vec<(Prefix, T)> = entries.into_iter().collect();
+        entries.reverse();
+        entries.sort_by_key(|&(p, _)| p);
+        entries.dedup_by_key(|&mut (p, _)| p);
+
+        let mut table = PrefixMap { starts: Vec::new(), owners: Vec::new(), values: Vec::new() };
+        table.cut(0, NO_OWNER);
+        // Two prefixes are nested or disjoint, so the ones covering the
+        // sweep point form a stack: (one past its last address, owner).
+        let mut open: Vec<(u64, u32)> = Vec::new();
+        for (p, value) in entries {
+            let first = u64::from(p.first().to_u32());
+            table.close(&mut open, first);
+            let owner = table.values.len() as u32;
+            table.values.push(value);
+            open.push((u64::from(p.last().to_u32()) + 1, owner));
+            table.cut(first, owner);
+        }
+        table.close(&mut open, 1 << 32);
+        table
     }
 }
 
 impl<T> PrefixMap<T> {
-    /// An empty map.
-    pub fn new() -> Self {
-        Self::default()
+    /// Pop every open prefix that ends at or before `until`, handing each
+    /// range it leaves behind back to the prefix it was nested in.
+    fn close(&mut self, open: &mut Vec<(u64, u32)>, until: u64) {
+        while let Some(&(end, _)) = open.last().filter(|&&(end, _)| end <= until) {
+            open.pop();
+            self.cut(end, open.last().map_or(NO_OWNER, |&(_, owner)| owner));
+        }
     }
 
-    /// Insert a prefix → value mapping. Returns the previous value if the
-    /// exact prefix was already present.
-    pub fn insert(&mut self, prefix: Prefix, value: T) -> Option<T> {
-        let pos = match self.by_len.binary_search_by(|(l, _)| prefix.len.cmp(l)) {
-            Ok(i) => i,
-            Err(i) => {
-                self.by_len.insert(i, (prefix.len, FastMap::default()));
-                i
-            }
-        };
-        self.by_len[pos].1.insert(prefix.network.to_u32(), value)
+    /// Start a range at `start` owned by `owner`: it replaces a range that
+    /// would be left empty and extends one of the same owner.
+    fn cut(&mut self, start: u64, owner: u32) {
+        // A prefix ending at 255.255.255.255 closes past the space.
+        let Ok(start) = u32::try_from(start) else { return };
+        if self.starts.last() == Some(&start) {
+            self.starts.pop();
+            self.owners.pop();
+        }
+        if self.owners.last() != Some(&owner) {
+            self.starts.push(start);
+            self.owners.push(owner);
+        }
     }
 
     /// Longest-prefix match for `addr`.
     pub fn lookup(&self, addr: Ipv4Addr4) -> Option<&T> {
         let a = addr.to_u32();
-        for (len, map) in &self.by_len {
-            if let Some(v) = map.get(&(a & Prefix::mask(*len))) {
-                return Some(v);
-            }
-        }
-        None
+        let range = self.starts.partition_point(|&s| s <= a);
+        self.values.get(*self.owners.get(range.wrapping_sub(1))? as usize)
     }
 }
 
@@ -298,10 +339,10 @@ mod tests {
 
     #[test]
     fn prefix_map_longest_match_wins() {
-        let mut m = PrefixMap::new();
-        m.insert(p("10.0.0.0/8"), "big");
-        m.insert(p("10.1.0.0/16"), "medium");
-        m.insert(p("10.1.2.0/24"), "small");
+        let m: PrefixMap<_> =
+            [(p("10.0.0.0/8"), "big"), (p("10.1.0.0/16"), "medium"), (p("10.1.2.0/24"), "small")]
+                .into_iter()
+                .collect();
         assert_eq!(m.lookup(Ipv4Addr4::new(10, 1, 2, 3)), Some(&"small"));
         assert_eq!(m.lookup(Ipv4Addr4::new(10, 1, 9, 9)), Some(&"medium"));
         assert_eq!(m.lookup(Ipv4Addr4::new(10, 200, 0, 1)), Some(&"big"));
@@ -309,11 +350,51 @@ mod tests {
     }
 
     #[test]
-    fn prefix_map_replace() {
-        let mut m = PrefixMap::new();
-        assert_eq!(m.insert(p("10.0.0.0/8"), 1), None);
-        assert_eq!(m.insert(p("10.0.0.0/8"), 2), Some(1));
+    fn prefix_map_range_edges() {
+        let m: PrefixMap<_> = [(p("10.0.0.0/8"), 8), (p("10.1.0.0/16"), 16)].into_iter().collect();
+        for (addr, want) in [
+            ("9.255.255.255", None),
+            ("10.0.0.0", Some(8)),
+            ("10.0.255.255", Some(8)),
+            ("10.1.0.0", Some(16)),
+            ("10.1.255.255", Some(16)),
+            ("10.2.0.0", Some(8)),
+            ("10.255.255.255", Some(8)),
+            ("11.0.0.0", None),
+        ] {
+            assert_eq!(m.lookup(addr.parse().unwrap()).copied(), want, "{addr}");
+        }
+        assert_eq!(m.starts, [0, 0x0a00_0000, 0x0a01_0000, 0x0a02_0000, 0x0b00_0000]);
+        // A nested prefix starting where its parent starts leaves no empty
+        // range behind.
+        let m: PrefixMap<_> = [(p("10.0.0.0/8"), 8), (p("10.0.0.0/16"), 16)].into_iter().collect();
+        assert_eq!(m.starts, [0, 0x0a00_0000, 0x0a01_0000, 0x0b00_0000]);
+        assert_eq!(m.lookup(Ipv4Addr4::new(10, 0, 0, 0)), Some(&16));
+    }
+
+    #[test]
+    fn prefix_map_covers_the_whole_space() {
+        let m: PrefixMap<_> =
+            [(p("255.255.255.255/32"), "top"), (p("0.0.0.0/0"), "all"), (p("0.0.0.0/32"), "zero")]
+                .into_iter()
+                .collect();
+        assert_eq!(m.lookup(Ipv4Addr4(u32::MAX)), Some(&"top"));
+        assert_eq!(m.lookup(Ipv4Addr4(u32::MAX - 1)), Some(&"all"));
+        assert_eq!(m.lookup(Ipv4Addr4::UNSPECIFIED), Some(&"zero"));
+        assert_eq!(m.lookup(Ipv4Addr4(1)), Some(&"all"));
+    }
+
+    #[test]
+    fn prefix_map_later_entry_replaces() {
+        let m: PrefixMap<_> = [(p("10.0.0.0/8"), 1), (p("10.0.0.0/8"), 2)].into_iter().collect();
         assert_eq!(m.lookup(Ipv4Addr4::new(10, 0, 0, 1)), Some(&2));
+    }
+
+    #[test]
+    fn empty_prefix_map_matches_nothing() {
+        let m = PrefixMap::<u8>::default();
+        assert_eq!(m.lookup(Ipv4Addr4::UNSPECIFIED), None);
+        assert_eq!(m.lookup(Ipv4Addr4(u32::MAX)), None);
     }
 
     #[test]

@@ -195,27 +195,43 @@ proptest! {
         }
     }
 
+    /// The range table against a naive longest match, at the edges a
+    /// range table can get wrong: every entry's first and last address and
+    /// the one after it, both ends of the space, every prefix length,
+    /// nested prefixes, and repeated ones (the later entry wins).
     #[test]
     fn prefix_map_matches_naive_lpm(
-        entries in proptest::collection::vec((any::<u32>(), 8u8..=28), 1..16),
+        entries in proptest::collection::vec((any::<u32>(), 0u8..=32, any::<u8>()), 1..=64),
         probes in proptest::collection::vec(any::<u32>(), 30),
     ) {
-        let mut map = PrefixMap::new();
-        let mut naive: Vec<(Prefix, usize)> = Vec::new();
-        for (i, (a, l)) in entries.iter().enumerate() {
-            let p = Prefix::new(Ipv4Addr4(*a), *l).unwrap();
-            map.insert(p, i);
-            naive.retain(|(q, _)| *q != p);
-            naive.push((p, i));
+        let mut built: Vec<(Prefix, usize)> = Vec::new();
+        for (i, &(a, l, reuse)) in entries.iter().enumerate() {
+            // A quarter repeat an earlier prefix; a quarter sit on an
+            // earlier prefix's network, so they nest in it or around it.
+            let earlier = built.get(usize::from(reuse) % i.max(1)).map(|&(p, _)| p);
+            let p = match (reuse % 4, earlier) {
+                (0, Some(q)) => q,
+                (1, Some(q)) => Prefix::new(q.first(), l).unwrap(),
+                _ => Prefix::new(Ipv4Addr4(a), l).unwrap(),
+            };
+            built.push((p, i));
         }
-        for probe in probes {
+        let map: PrefixMap<usize> = built.iter().copied().collect();
+        let edges: Vec<u32> = built
+            .iter()
+            .flat_map(|(p, _)| {
+                let last = p.last().to_u32();
+                [p.first().to_u32(), last, last.wrapping_add(1)]
+            })
+            .collect();
+        for probe in probes.into_iter().chain(edges).chain([0, u32::MAX]) {
             let addr = Ipv4Addr4(probe);
-            let expect = naive
+            let expect = built
                 .iter()
                 .filter(|(p, _)| p.contains(addr))
-                .max_by_key(|(p, _)| p.len)
-                .map(|(_, v)| *v);
-            prop_assert_eq!(map.lookup(addr).copied(), expect);
+                .max_by_key(|&&(p, i)| (p.len, i))
+                .map(|&(_, v)| v);
+            prop_assert_eq!(map.lookup(addr).copied(), expect, "addr {}", addr);
         }
     }
 

@@ -250,39 +250,31 @@ impl World {
 
     /// Build the ASN registry over all orgs plus the monitored networks.
     pub fn asn_db(&self) -> AsnDb {
-        let mut db = AsnDb::new();
-        for o in &self.orgs {
-            for p in &o.prefixes {
-                db.announce(
-                    *p,
-                    AsInfo {
-                        asn: o.asn,
-                        org: o.name.clone(),
-                        as_type: o.as_type,
-                        country: o.country,
-                    },
-                );
-            }
-        }
+        let orgs = self.orgs.iter().flat_map(|o| {
+            let info =
+                AsInfo { asn: o.asn, org: o.name.clone(), as_type: o.as_type, country: o.country };
+            o.prefixes.iter().map(move |&p| (p, info.clone()))
+        });
         let merit = AsInfo {
             asn: 237,
             org: "Merit-like ISP".into(),
             as_type: AsType::Education,
             country: CountryCode::new(b"US"),
         };
-        db.announce(self.config.merit_users, merit.clone());
-        db.announce(self.config.merit_caches, merit.clone());
-        db.announce(self.config.dark, merit);
-        db.announce(
-            self.config.cu_users,
-            AsInfo {
-                asn: 104,
-                org: "CU-like Campus".into(),
-                as_type: AsType::Education,
-                country: CountryCode::new(b"US"),
-            },
-        );
-        db
+        let cu = AsInfo {
+            asn: 104,
+            org: "CU-like Campus".into(),
+            as_type: AsType::Education,
+            country: CountryCode::new(b"US"),
+        };
+        let c = &self.config;
+        orgs.chain([
+            (c.merit_users, merit.clone()),
+            (c.merit_caches, merit.clone()),
+            (c.dark, merit),
+            (c.cu_users, cu),
+        ])
+        .collect()
     }
 
     /// The `k`-th *cloud-hosted* scanning address of the `acked_idx`-th
@@ -344,12 +336,8 @@ impl World {
 
     /// The Merit routing policy (see [`RegionRoutePolicy`]).
     pub fn merit_policy(&self) -> RegionRoutePolicy {
-        let mut regions = PrefixMap::new();
-        for o in &self.orgs {
-            for p in &o.prefixes {
-                regions.insert(*p, o.region);
-            }
-        }
+        let regions =
+            self.orgs.iter().flat_map(|o| o.prefixes.iter().map(|&p| (p, o.region))).collect();
         RegionRoutePolicy { regions, salt: 0x4d45_5249 }
     }
 }
@@ -813,6 +801,26 @@ mod tests {
             let int = Ipv4Addr4(Ipv4Addr4::new(10, 0, 0, 0).to_u32() + i * 4096);
             assert_eq!(p1.route(ext, int), p2.route(ext, int));
         }
+    }
+
+    #[test]
+    fn merit_routes_are_unchanged_over_the_range_table() {
+        // FNV-1a over the router picked for the first and last address of
+        // every org prefix against 64 internal /22 blocks, taken while
+        // `PrefixMap` still probed one hash per prefix length. A moved
+        // route moves every Table 2/4/8 share.
+        let w = world();
+        let policy = w.merit_policy();
+        let mut h = ah_net::hash::FNV_OFFSET;
+        for p in w.orgs.iter().flat_map(|o| &o.prefixes) {
+            for external in [p.first(), p.last()] {
+                for block in 0..64u32 {
+                    let internal = Ipv4Addr4(Ipv4Addr4::new(10, 0, 0, 0).to_u32() + (block << 10));
+                    h = ah_net::hash::fnv1a_fold(h, &[policy.route(external, internal)]);
+                }
+            }
+        }
+        assert_eq!(h, 0xacaf_7903_7af3_2b49, "{h:#018x}");
     }
 
     #[test]

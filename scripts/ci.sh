@@ -116,7 +116,7 @@ echo "==> binary-level gates (release)"
 cargo test --release --test cli -q
 
 echo "==> mutation gate"
-# The curated sentinel set (ARCHITECTURE.md §14): 15 token-level
+# The curated sentinel set (ARCHITECTURE.md §14): 16 token-level
 # mutants at the load-bearing decision points — ring memory orderings,
 # WAL CRC/truncation/seal handling, detector thresholds, aggregator
 # boundary comparisons — each applied to a scratch copy of the tree and
