@@ -4,8 +4,8 @@
 //! A full sweep is too slow for every CI run (one CPU, minutes per
 //! mutant), so the gate runs a hand-picked set of mutants at the
 //! system's load-bearing decision points — ring memory orderings, WAL
-//! CRC/truncation handling, detector thresholds, aggregator boundary
-//! comparisons — each with an explicit, narrow kill command so the
+//! CRC/truncation handling, the log-to-run match, detector thresholds,
+//! aggregator boundary comparisons — each with an explicit, narrow kill command so the
 //! whole set classifies in a bounded time budget. Every sentinel must
 //! come back **caught**; anything else fails the gate.
 //!
@@ -222,6 +222,25 @@ pub const SENTINELS: &[Sentinel] = &[
         kill: &[&["build", "-q", "-p", "ah-simnet"], SPSC_CLEAN],
         why: "PR 5's seeded mutant: Relaxed head observe lets the producer \
               overwrite a slot still being read",
+    },
+    Sentinel {
+        name: "wal-run-mismatch",
+        file: "src/pipeline.rs",
+        op: "cmp-swap",
+        original: "!=",
+        contains: "meta != want",
+        pick: 0,
+        kill: &[
+            &["build", "-q", "-p", "aggressive-scanners"],
+            &[
+                "test",
+                "-q",
+                "--test",
+                "determinism",
+                "log_of_another_run_is_refused_before_a_packet_is_fed",
+            ],
+        ],
+        why: "!= → == replays a log of another run and refuses the log of this one",
     },
 ];
 

@@ -248,7 +248,7 @@ pub struct Scenario {
     pub mux: TrafficMux,
 }
 
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 /// Builder inputs for [`Scenario::build`].
 pub struct ScenarioConfig {
     /// Human-readable name ("darknet-2021", ...).

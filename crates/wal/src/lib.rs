@@ -8,7 +8,9 @@
 //! mid-simulation, and can be **replayed** through the vantage points
 //! without re-simulating — producing bitwise-identical daily
 //! aggressive-scanner lists. The log is the run's raw input: fault
-//! injection happens after it, from the plan in the meta record.
+//! injection happens after it, from the caller's plan. The crate knows
+//! nothing of scenarios: frame 0 holds the caller's description of the
+//! run as opaque bytes, and the caller compares it.
 //!
 //! Layering, bottom up:
 //!
@@ -16,8 +18,8 @@
 //!   dependencies).
 //! * [`frame`] — length-prefixed, CRC-framed log entries with monotonic
 //!   sequence numbers.
-//! * [`record`] — the domain payloads: run meta, packets, and the
-//!   end-of-run seal.
+//! * [`record`] — the domain payloads: an opaque run description,
+//!   packets, and the end-of-run seal.
 //! * `segment` — on-disk segment files; the log is exactly its
 //!   `*.seg` files.
 //! * `writer` — batched group-commit appends, segment rotation, the

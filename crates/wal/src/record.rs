@@ -4,12 +4,12 @@
 //! a fixed, hand-rolled little-endian body (the workspace has no
 //! serialization dependency; see `vendor/README.md`). Three kinds exist:
 //!
-//! * [`RunMeta`] — written once as frame 0 of a pipeline run: the
-//!   scenario/options summary the log was produced under, so a replay or
-//!   resume can verify it is being matched against the same world.
+//! * [`WalRecord::Meta`] — written once as frame 0 of a pipeline run:
+//!   the caller's description of the run, stored as opaque
+//!   length-prefixed bytes. This crate never looks inside it; a replay
+//!   or resume compares it with its own description byte for byte.
 //! * [`PacketMeta`] — one packet as the feeder produced it, before any
-//!   fault injection: the primary stream. A replay or resume re-injects
-//!   from the plan in [`RunMeta`].
+//!   fault injection: the primary stream.
 //! * [`RunSeal`] — written last, after the stream ends: the packet count
 //!   and the rolling packet-payload hash. A log without a seal is a
 //!   suspended or crashed run.
@@ -18,73 +18,17 @@
 //! lengths, enum tags, trailing bytes) yields `None` and is treated by
 //! recovery as a corrupt frame.
 
-use ah_core::defs::Thresholds;
 use ah_net::ipv4::Ipv4Addr4;
 use ah_net::packet::{PacketMeta, Transport};
 use ah_net::tcp::TcpFlags;
-use ah_net::time::{Dur, Ts};
-use ah_simnet::faults::FaultPlan;
-use ah_simnet::scenario::{BenignLevel, Year};
+use ah_net::time::Ts;
 
-/// Frame-payload kind byte for [`RunMeta`].
+/// Frame-payload kind byte for [`WalRecord::Meta`].
 pub(crate) const KIND_META: u8 = 1;
 /// Frame-payload kind byte for a packet record.
 pub(crate) const KIND_PACKET: u8 = 2;
 /// Frame-payload kind byte for [`RunSeal`].
 pub(crate) const KIND_SEAL: u8 = 3;
-
-/// The run configuration summary stored as the log's first record.
-#[derive(Debug, Clone)]
-pub struct RunMeta {
-    /// Scenario label (`"tiny"`, `"darknet-2"`, …).
-    pub label: String,
-    /// Master scenario seed.
-    pub seed: u64,
-    /// Scenario length in days.
-    pub days: u64,
-    /// Measurement year preset.
-    pub year: Year,
-    /// Benign-traffic level preset.
-    pub benign: BenignLevel,
-    /// Weekday of day 0.
-    pub day0_weekday: u8,
-    /// Whether the Merit ISP vantage point was built.
-    pub merit_isp: bool,
-    /// Whether the CU campus vantage point was built.
-    pub cu_isp: bool,
-    /// Whether the honeypot fleet was fed.
-    pub greynoise: bool,
-    /// NetFlow sampling rate of the ISP vantage points.
-    pub sampling_rate: u64,
-    /// Detection thresholds the run finalized with.
-    pub thresholds: Thresholds,
-    /// Packet-fault plan applied between mux and vantage points, if any.
-    pub faults: Option<FaultPlan>,
-}
-
-impl PartialEq for RunMeta {
-    fn eq(&self, other: &Self) -> bool {
-        // `Thresholds` holds plain f64s without a PartialEq impl;
-        // compare by bit pattern so round-tripping through `to_bits`
-        // encoding is exact (NaN-safe, -0.0 != 0.0 — which is what we
-        // want for "same configuration").
-        let t = |x: &Thresholds| {
-            (x.dispersion_fraction.to_bits(), x.volume_alpha.to_bits(), x.ports_alpha.to_bits())
-        };
-        self.label == other.label
-            && self.seed == other.seed
-            && self.days == other.days
-            && self.year == other.year
-            && self.benign == other.benign
-            && self.day0_weekday == other.day0_weekday
-            && self.merit_isp == other.merit_isp
-            && self.cu_isp == other.cu_isp
-            && self.greynoise == other.greynoise
-            && self.sampling_rate == other.sampling_rate
-            && t(&self.thresholds) == t(&other.thresholds)
-            && self.faults == other.faults
-    }
-}
 
 /// The final record of a completed run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,8 +45,8 @@ pub struct RunSeal {
 /// One decoded WAL record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
-    /// Run configuration summary (first frame).
-    Meta(RunMeta),
+    /// The run's description, opaque to the log (first frame).
+    Meta(Vec<u8>),
     /// One generated packet.
     Packet(PacketMeta),
     /// End-of-run seal (last frame of a completed run).
@@ -124,10 +68,6 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
 }
 
 /// Bounds-checked little-endian reader over a record body.
@@ -165,10 +105,6 @@ impl<'a> Cursor<'a> {
 
     fn u64(&mut self) -> Option<u64> {
         self.take(8).and_then(|s| s.try_into().ok()).map(u64::from_le_bytes)
-    }
-
-    fn f64(&mut self) -> Option<f64> {
-        self.u64().map(f64::from_bits)
     }
 
     fn done(&self) -> bool {
@@ -230,107 +166,6 @@ fn decode_packet(c: &mut Cursor<'_>) -> Option<PacketMeta> {
     Some(PacketMeta { ts, src, dst, ip_id, ttl, wire_len, transport })
 }
 
-fn encode_meta(out: &mut Vec<u8>, m: &RunMeta) {
-    let label = m.label.as_bytes();
-    put_u16(out, label.len() as u16);
-    out.extend_from_slice(label);
-    put_u64(out, m.seed);
-    put_u64(out, m.days);
-    out.push(match m.year {
-        Year::Y2021 => 0,
-        Year::Y2022 => 1,
-    });
-    out.push(match m.benign {
-        BenignLevel::Off => 0,
-        BenignLevel::Merit => 1,
-        BenignLevel::MeritAndCu => 2,
-    });
-    out.push(m.day0_weekday);
-    let mut flags = 0u8;
-    if m.merit_isp {
-        flags |= 1;
-    }
-    if m.cu_isp {
-        flags |= 2;
-    }
-    if m.greynoise {
-        flags |= 4;
-    }
-    if m.faults.is_some() {
-        flags |= 8;
-    }
-    out.push(flags);
-    put_u64(out, m.sampling_rate);
-    put_f64(out, m.thresholds.dispersion_fraction);
-    put_f64(out, m.thresholds.volume_alpha);
-    put_f64(out, m.thresholds.ports_alpha);
-    if let Some(p) = m.faults.as_ref() {
-        put_f64(out, p.drop);
-        put_f64(out, p.duplicate);
-        put_f64(out, p.reorder);
-        put_u64(out, p.max_skew.0);
-        put_f64(out, p.truncate);
-        put_f64(out, p.bitflip);
-        put_f64(out, p.zero_payload);
-        put_u64(out, p.outage_period.0);
-        put_u64(out, p.outage_len.0);
-        put_u64(out, p.seed);
-    }
-}
-
-fn decode_meta(c: &mut Cursor<'_>) -> Option<RunMeta> {
-    let label_len = c.u16()? as usize;
-    let label = String::from_utf8(c.take(label_len)?.to_vec()).ok()?;
-    let seed = c.u64()?;
-    let days = c.u64()?;
-    let year = match c.u8()? {
-        0 => Year::Y2021,
-        1 => Year::Y2022,
-        _ => return None,
-    };
-    let benign = match c.u8()? {
-        0 => BenignLevel::Off,
-        1 => BenignLevel::Merit,
-        2 => BenignLevel::MeritAndCu,
-        _ => return None,
-    };
-    let day0_weekday = c.u8()?;
-    let flags = c.u8()?;
-    let sampling_rate = c.u64()?;
-    let thresholds =
-        Thresholds { dispersion_fraction: c.f64()?, volume_alpha: c.f64()?, ports_alpha: c.f64()? };
-    let faults = if flags & 8 != 0 {
-        Some(FaultPlan {
-            drop: c.f64()?,
-            duplicate: c.f64()?,
-            reorder: c.f64()?,
-            max_skew: Dur(c.u64()?),
-            truncate: c.f64()?,
-            bitflip: c.f64()?,
-            zero_payload: c.f64()?,
-            outage_period: Dur(c.u64()?),
-            outage_len: Dur(c.u64()?),
-            seed: c.u64()?,
-        })
-    } else {
-        None
-    };
-    Some(RunMeta {
-        label,
-        seed,
-        days,
-        year,
-        benign,
-        day0_weekday,
-        merit_isp: flags & 1 != 0,
-        cu_isp: flags & 2 != 0,
-        greynoise: flags & 4 != 0,
-        sampling_rate,
-        thresholds,
-        faults,
-    })
-}
-
 fn encode_seal(out: &mut Vec<u8>, s: &RunSeal) {
     put_u64(out, s.generated);
     put_u64(out, s.packet_hash);
@@ -346,7 +181,8 @@ impl WalRecord {
         match self {
             WalRecord::Meta(m) => {
                 out.push(KIND_META);
-                encode_meta(out, m);
+                put_u32(out, m.len() as u32);
+                out.extend_from_slice(m);
             }
             WalRecord::Packet(p) => {
                 out.push(KIND_PACKET);
@@ -365,7 +201,10 @@ impl WalRecord {
     pub fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
         let mut c = Cursor::new(payload);
         let rec = match c.u8()? {
-            KIND_META => WalRecord::Meta(decode_meta(&mut c)?),
+            KIND_META => {
+                let len = c.u32()? as usize;
+                WalRecord::Meta(c.take(len)?.to_vec())
+            }
             KIND_PACKET => WalRecord::Packet(decode_packet(&mut c)?),
             KIND_SEAL => WalRecord::Seal(decode_seal(&mut c)?),
             _ => return None,

@@ -435,12 +435,13 @@ mod tests {
 
     #[test]
     fn intact_log_of_another_version_is_refused_untouched() {
-        let dir = tmp("v1");
+        let dir = tmp("older-version");
         fs::create_dir_all(&dir).unwrap();
-        // A version-1 segment written by hand: good magic, good CRC, and
-        // frames this build would otherwise scan.
+        // A segment of the previous version written by hand: good magic,
+        // good CRC, and frames this build would otherwise scan.
+        let old = FORMAT_VERSION - 1;
         let mut raw = crate::segment::encode_segment_header(0).to_vec();
-        raw[8..12].copy_from_slice(&1u32.to_le_bytes());
+        raw[8..12].copy_from_slice(&old.to_le_bytes());
         let crc = crate::crc::crc32(&raw[0..20]);
         raw[20..24].copy_from_slice(&crc.to_le_bytes());
         for i in 0..3 {
@@ -453,7 +454,11 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let msg = err.to_string();
-        assert!(msg.contains("version 1") && msg.contains("version 2"), "{msg}");
+        assert!(
+            msg.contains(&format!("version {old}"))
+                && msg.contains(&format!("version {FORMAT_VERSION}")),
+            "{msg}"
+        );
         assert_eq!(fs::read(&seg).unwrap(), raw, "the unreadable log must survive byte for byte");
 
         // A *damaged* header is still dropped, as before.

@@ -18,7 +18,7 @@ pub(crate) const SEGMENT_MAGIC: [u8; 8] = *b"AHWALSG1";
 /// Fixed size of the segment header.
 pub(crate) const SEGMENT_HEADER_BYTES: usize = 24;
 /// Current on-disk format version.
-pub(crate) const FORMAT_VERSION: u32 = 2;
+pub(crate) const FORMAT_VERSION: u32 = 3;
 
 /// Encode a segment header for a segment whose first frame is `base_seq`.
 pub(crate) fn encode_segment_header(base_seq: u64) -> [u8; SEGMENT_HEADER_BYTES] {

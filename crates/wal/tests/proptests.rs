@@ -149,11 +149,22 @@ proptest! {
         prop_assert_eq!(check_frame(&buf[..at], seq), FrameCheck::Torn);
     }
 
-    /// The record codec round-trips any delivered packet, and the
-    /// decoder rejects any trailing garbage.
+    /// The record codec round-trips every kind — any delivered packet,
+    /// any run description, any seal — and the decoder rejects any
+    /// trailing garbage.
     #[test]
-    fn packet_record_roundtrip(m in arb_packet(), junk in any::<u8>()) {
-        let rec = WalRecord::Packet(m);
+    fn packet_record_roundtrip(
+        m in arb_packet(),
+        description in proptest::collection::vec(any::<u8>(), 0..2048),
+        seal in (any::<u64>(), any::<u64>()),
+        kind in 0u8..3,
+        junk in any::<u8>(),
+    ) {
+        let rec = match kind {
+            0 => WalRecord::Packet(m),
+            1 => WalRecord::Meta(description),
+            _ => WalRecord::Seal(RunSeal { generated: seal.0, packet_hash: seal.1 }),
+        };
         let mut payload = Vec::new();
         rec.encode_payload(&mut payload);
         prop_assert_eq!(WalRecord::decode_payload(&payload), Some(rec));

@@ -116,13 +116,14 @@ echo "==> binary-level gates (release)"
 cargo test --release --test cli -q
 
 echo "==> mutation gate"
-# The curated sentinel set (ARCHITECTURE.md §14): 16 token-level
+# The curated sentinel set (ARCHITECTURE.md §14): 17 token-level
 # mutants at the load-bearing decision points — ring memory orderings,
-# WAL CRC/truncation/seal handling, detector thresholds, aggregator
-# boundary comparisons — each applied to a scratch copy of the tree and
-# run against its explicit kill command. Every sentinel must come back
-# *caught*; a survivor (or a detached sentinel whose site moved) fails
-# the gate, under a hard wall-clock budget.
+# WAL CRC/truncation/seal handling, the log-to-run match, detector
+# thresholds, aggregator boundary comparisons — each applied to a
+# scratch copy of the tree and run against its explicit kill command.
+# Every sentinel must come back *caught*; a survivor (or a detached
+# sentinel whose site moved) fails the gate, under a hard wall-clock
+# budget.
 cargo run -q -p ah-mutate -- --budget 2400 \
   || { echo "error: mutation sentinel gate failed (see survivors above)"; exit 1; }
 

@@ -34,7 +34,8 @@
 //! * **Journal.** [`run_wal`] / [`run_parallel_wal`] append every fed
 //!   packet to the log before the executor sees it: the log is the run's
 //!   input, before any fault, and a replay or resume injects again from
-//!   the plan in its meta record. [`resume_wal`] documents how a
+//!   the caller's plan, which frame 0 (the run's own rendering) proves
+//!   equal to the writer's. [`resume_wal`] documents how a
 //!   recovered prefix is re-joined to the live stream.
 //!
 //! Tap experiments (Figures 1/2) are inherently two-phase: the paper
@@ -68,7 +69,7 @@ use ah_simnet::world::World;
 use ah_telescope::capture::{CaptureOutcome, CaptureStats, CaptureSummary, DarkSpace, Telescope};
 use ah_telescope::event::{AggregatorStats, DarknetEvent};
 use ah_trace::Tracer;
-use ah_wal::record::{RunMeta, RunSeal, WalRecord};
+use ah_wal::record::{RunSeal, WalRecord};
 use ah_wal::{RecoveredLog, WalWriter, WalWriterConfig};
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
@@ -973,22 +974,10 @@ impl WalOutcome {
     }
 }
 
-/// The meta record a durable run writes as frame 0.
-fn wal_meta(cfg: &ScenarioConfig, opts: &RunOptions) -> RunMeta {
-    RunMeta {
-        label: cfg.label.clone(),
-        seed: cfg.seed,
-        days: cfg.days,
-        year: cfg.year,
-        benign: cfg.benign,
-        day0_weekday: cfg.day0_weekday,
-        merit_isp: opts.merit_isp,
-        cu_isp: opts.cu_isp,
-        greynoise: opts.greynoise,
-        sampling_rate: opts.sampling_rate,
-        thresholds: opts.thresholds,
-        faults: opts.faults,
-    }
+/// What a durable run writes as frame 0: the run's own `Debug`
+/// rendering, which covers every scenario and option field.
+fn run_description(cfg: &ScenarioConfig, opts: &RunOptions) -> Vec<u8> {
+    format!("{cfg:?} | {opts:?}").into_bytes()
 }
 
 fn invalid(msg: impl Into<String>) -> io::Error {
@@ -998,10 +987,12 @@ fn invalid(msg: impl Into<String>) -> io::Error {
 /// Reject a resume/replay whose scenario or options differ from the ones
 /// the log was written under — silently mixing them would "recover" into
 /// a run that never happened.
-fn check_meta(meta: &RunMeta, want: &RunMeta) -> io::Result<()> {
+fn check_meta(meta: &[u8], want: &[u8]) -> io::Result<()> {
     if meta != want {
         return Err(invalid(format!(
-            "WAL was written under a different scenario/options (log meta: {meta:?}, requested: {want:?})"
+            "WAL was written under a different scenario/options (log: {}, requested: {})",
+            String::from_utf8_lossy(meta),
+            String::from_utf8_lossy(want)
         )));
     }
     Ok(())
@@ -1128,9 +1119,9 @@ impl Engine<'_, '_> {
 
     /// Feeder: recover the log in `dir` (truncating any torn/corrupt
     /// tail) and deliver every durable packet frame — none at all unless
-    /// frame 0 is the meta record of this very run (`want`). Returns the
+    /// frame 0 is the description of this very run (`want`). Returns the
     /// log summary and the rolling FNV over the packet payloads.
-    fn recover(&mut self, dir: &Path, want: &RunMeta) -> io::Result<(RecoveredLog, u64)> {
+    fn recover(&mut self, dir: &Path, want: &[u8]) -> io::Result<(RecoveredLog, u64)> {
         let (rec, tracer) = (self.tel.recorder.clone(), self.tel.tracer.clone());
         let m_replay = rec.counter("ah_wal_replay_packets_total");
         let _scan = tracer.span("ah_wal_recover_scan");
@@ -1164,7 +1155,7 @@ impl Engine<'_, '_> {
         recover_from: Option<&Path>,
         journal_to: Option<&WalRun>,
         cfg: ScenarioConfig,
-        meta: &RunMeta,
+        meta: &[u8],
     ) -> io::Result<Fed> {
         let mut prefix_hash = FNV_OFFSET;
         // The recovered watermark when the journal continues an existing log.
@@ -1224,7 +1215,7 @@ impl Engine<'_, '_> {
                 }
                 None => {
                     let mut w = WalWriter::create(&wal.dir, wal.writer, &self.tel.recorder)?;
-                    w.append(&WalRecord::Meta(meta.clone()))?;
+                    w.append(&WalRecord::Meta(meta.to_vec()))?;
                     w.commit()?;
                     w
                 }
@@ -1269,7 +1260,7 @@ impl Engine<'_, '_> {
         tel: &mut Telemetry,
     ) -> io::Result<WalOutcome> {
         let days = cfg.days;
-        let meta = wal_meta(&cfg, &opts);
+        let meta = run_description(&cfg, &opts);
         let world = {
             let _mem = MemScope::enter(Tag::Mux);
             World::new(cfg.world.clone())

@@ -328,17 +328,24 @@ fn rewrite_log(src: &Path, dst: &Path, edit: impl Fn(u64, PacketMeta) -> Option<
 }
 
 /// A log is checked against the run before it is fed: another seed,
-/// option or fault plan is `InvalidData` on replay and on resume, without
-/// one packet reaching the executor and without touching the log.
+/// option, fault plan, world or intensity is `InvalidData` on replay and
+/// on resume, without one packet reaching the executor and without
+/// touching the log.
 #[test]
 fn log_of_another_run_is_refused_before_a_packet_is_fed() {
     let sealed = refusal_log("meta-sealed", true);
     let suspended = refusal_log("meta-suspended", false);
-    let others: [(&str, ScenarioConfig, RunOptions); 4] = [
+    let mut other_world = refusal_cfg();
+    other_world.world.dark = "20.0.4.0/22".parse().expect("dark prefix");
+    let mut other_intensity = refusal_cfg();
+    other_intensity.intensity.benign_merit_pps *= 2.0;
+    let others: [(&str, ScenarioConfig, RunOptions); 6] = [
         ("seed", ScenarioConfig::tiny(1, 28), refusal_opts()),
         ("option", refusal_cfg(), RunOptions { sampling_rate: 50, ..refusal_opts() }),
         ("fault plan", refusal_cfg(), refusal_opts().with_faults(FaultPlan::uniform(0.01, 8))),
         ("no fault plan", refusal_cfg(), RunOptions::darknet_only()),
+        ("world", other_world, refusal_opts()),
+        ("intensity", other_intensity, refusal_opts()),
     ];
     for (what, cfg, opts) in others {
         for (dir, resume) in [(&sealed, false), (&sealed, true), (&suspended, true)] {

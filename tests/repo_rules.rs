@@ -14,7 +14,9 @@
 //!    comment before the first line of code;
 //! 3. every `#[expect(…)]` / `#![expect(…)]` carries a `reason = …`;
 //! 4. every relative link and `#anchor` in every markdown file of the
-//!    repo resolves ([`mdcheck`]).
+//!    repo resolves ([`mdcheck`]);
+//! 5. the storage crate `ah-wal` depends on the instrument crates only,
+//!    never on the simulator or the analysis crates.
 
 mod mdcheck;
 
@@ -160,4 +162,28 @@ fn markdown_links_and_anchors_resolve() {
     assert!(files > 0 && links > 0, "{files} markdown files, {links} links");
     let bad: Vec<String> = diags.iter().map(Diagnostic::human).collect();
     assert_none("broken markdown links", &bad);
+}
+
+/// Storage holds bytes: `ah-wal` may lean on the instrument crates, and
+/// anything it needs to know of a run arrives as opaque bytes.
+#[test]
+fn wal_depends_on_the_instrument_crates_only() {
+    const ALLOWED: [&str; 4] = ["ah-mem", "ah-trace", "ah-net", "ah-obs"];
+    let manifest =
+        fs::read_to_string(root().join("crates/wal/Cargo.toml")).expect("ah-wal manifest");
+    let deps: Vec<&str> = manifest
+        .lines()
+        .skip_while(|l| l.trim() != "[dependencies]")
+        .skip(1)
+        .take_while(|l| !l.trim_start().starts_with('['))
+        .filter(|l| !l.trim().is_empty() && !l.trim_start().starts_with('#'))
+        .map(|l| l.split(['.', '=']).next().unwrap_or(l).trim())
+        .collect();
+    assert!(!deps.is_empty(), "no [dependencies] table in crates/wal/Cargo.toml");
+    let bad: Vec<String> = deps
+        .iter()
+        .filter(|d| !ALLOWED.contains(d))
+        .map(|d| format!("crates/wal/Cargo.toml: `{d}` is not one of {ALLOWED:?}"))
+        .collect();
+    assert_none("ah-wal dependencies outside the instrument crates", &bad);
 }
