@@ -11,7 +11,7 @@ use ah_net::ipv4::Ipv4Addr4;
 use ah_net::packet::{PacketMeta, ScanClass};
 use ah_net::time::{Dur, Ts};
 use ah_telescope::capture::Telescope;
-use ah_telescope::event::{DarknetEvent, EventKey, ToolCounts};
+use ah_telescope::event::{DarknetEvent, EventKey};
 
 /// A slow scanner whose darknet hits arrive ~2 minutes apart: short
 /// timeouts shred it into many events.
@@ -64,12 +64,12 @@ fn ablate_dispersion() {
                 dst_port: 23,
                 class: ScanClass::TcpSyn,
             },
-            start: Ts::from_secs(u64::from(i)),
-            end: Ts::from_secs(u64::from(i) + 10),
+            start_day: 0,
+            end_day: 0,
             packets: 10,
-            bytes: 400,
             unique_dsts: 1 + (i * 7919) % 16_384,
-            tools: ToolCounts::default(),
+            zmap: 0,
+            masscan: 0,
         })
         .collect();
     for pct in [5u32, 10, 20, 50] {

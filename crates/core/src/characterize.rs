@@ -74,7 +74,7 @@ pub fn origin_table(
     // Packets per source, over hitter events only.
     let mut pkts_by_src: HashMap<Ipv4Addr4, u64> = HashMap::new();
     for r in report.hitter_records(def) {
-        *pkts_by_src.entry(r.src).or_default() += u64::from(r.packets);
+        *pkts_by_src.entry(r.key.src).or_default() += u64::from(r.packets);
     }
     for ip in report.hitters(def) {
         let pkts = pkts_by_src.get(ip).copied().unwrap_or(0);
@@ -167,7 +167,8 @@ impl PortRow {
 pub fn top_ports(report: &AhReport, def: Definition, n: usize) -> Vec<PortRow> {
     let mut map: HashMap<(ScanClass, u16), (u64, u64, u64)> = HashMap::new();
     for r in report.hitter_records(def) {
-        let key = (r.class, if r.class == ScanClass::IcmpEcho { 0 } else { r.dst_port });
+        let key =
+            (r.key.class, if r.key.class == ScanClass::IcmpEcho { 0 } else { r.key.dst_port });
         let e = map.entry(key).or_default();
         e.0 += u64::from(r.zmap);
         e.1 += u64::from(r.masscan);
@@ -206,7 +207,7 @@ pub fn protocol_mix_darknet(
                 continue;
             }
         }
-        let i = match r.class {
+        let i = match r.key.class {
             ScanClass::TcpSyn => 0,
             ScanClass::Udp => 1,
             ScanClass::IcmpEcho => 2,
@@ -288,13 +289,13 @@ pub fn port_overlap(
     let hitters = report.daily_hitters(def, day).unwrap_or(&empty);
     let mut dark: BTreeMap<(u8, u16), u64> = BTreeMap::new();
     for r in report.records() {
-        if u64::from(r.start_day) == day && hitters.contains(&r.src) {
-            let proto = match r.class {
+        if u64::from(r.start_day) == day && hitters.contains(&r.key.src) {
+            let proto = match r.key.class {
                 ScanClass::TcpSyn => 6u8,
                 ScanClass::Udp => 17,
                 ScanClass::IcmpEcho => 1,
             };
-            *dark.entry((proto, r.dst_port)).or_default() += u64::from(r.packets);
+            *dark.entry((proto, r.key.dst_port)).or_default() += u64::from(r.packets);
         }
     }
     let mut flow: BTreeMap<(u8, u16), u64> = BTreeMap::new();
@@ -322,7 +323,7 @@ pub fn port_overlap(
 pub fn zipf_concentration(report: &AhReport, def: Definition) -> Vec<f64> {
     let mut pkts_by_src: HashMap<Ipv4Addr4, u64> = HashMap::new();
     for r in report.hitter_records(def) {
-        *pkts_by_src.entry(r.src).or_default() += u64::from(r.packets);
+        *pkts_by_src.entry(r.key.src).or_default() += u64::from(r.packets);
     }
     let mut counts: Vec<u64> = pkts_by_src.into_values().collect();
     counts.sort_unstable_by(|a, b| b.cmp(a));
@@ -346,17 +347,18 @@ mod tests {
     use crate::detector::{Detector, DetectorConfig};
     use ah_intel::asn::{AsInfo, AsType, CountryCode};
     use ah_net::time::{Dur, Ts};
-    use ah_telescope::event::{DarknetEvent, EventKey, ToolCounts};
+    use ah_telescope::event::{DarknetEvent, EventKey};
 
     const DARK: u32 = 1000;
 
+    /// A TCP SYN event; the last argument is its (ZMap, Masscan) packets.
     fn event(
         src: u8,
         port: u16,
-        day: u64,
-        packets: u64,
+        day: u16,
+        packets: u32,
         unique: u32,
-        tools: ToolCounts,
+        (zmap, masscan): (u32, u32),
     ) -> DarknetEvent {
         DarknetEvent {
             key: EventKey {
@@ -364,17 +366,13 @@ mod tests {
                 dst_port: port,
                 class: ScanClass::TcpSyn,
             },
-            start: Ts::from_days(day) + Dur::from_secs(30),
-            end: Ts::from_days(day) + Dur::from_secs(90),
+            start_day: day,
+            end_day: day,
             packets,
-            bytes: packets * 40,
             unique_dsts: unique,
-            tools,
+            zmap,
+            masscan,
         }
-    }
-
-    fn zmap_tools(n: u64) -> ToolCounts {
-        ToolCounts { zmap: n, ..Default::default() }
     }
 
     fn report_with(evts: Vec<DarknetEvent>) -> AhReport {
@@ -412,9 +410,9 @@ mod tests {
     fn origins_aggregate_and_rank() {
         // Two hitters in CloudA, one in IspB.
         let r = report_with(vec![
-            event(1, 23, 0, 900, 200, zmap_tools(900)),
-            event(2, 23, 0, 500, 150, ToolCounts::default()),
-            event(200, 23, 0, 700, 180, ToolCounts::default()),
+            event(1, 23, 0, 900, 200, (900, 0)),
+            event(2, 23, 0, 500, 150, (0, 0)),
+            event(200, 23, 0, 700, 180, (0, 0)),
         ]);
         let acked = AckedScanners::new(vec![]);
         let rdns = RdnsTable::new();
@@ -433,9 +431,9 @@ mod tests {
     #[test]
     fn top_ports_with_tool_split() {
         let r = report_with(vec![
-            event(1, 6379, 0, 900, 200, zmap_tools(900)),
-            event(2, 6379, 0, 600, 150, ToolCounts { masscan: 600, ..Default::default() }),
-            event(3, 23, 0, 500, 150, ToolCounts { mirai: 500, ..Default::default() }),
+            event(1, 6379, 0, 900, 200, (900, 0)),
+            event(2, 6379, 0, 600, 150, (0, 600)),
+            event(3, 23, 0, 500, 150, (0, 0)),
         ]);
         let rows = top_ports(&r, Definition::AddressDispersion, 10);
         assert_eq!(rows[0].port, 6379);
@@ -450,9 +448,9 @@ mod tests {
 
     #[test]
     fn darknet_protocol_mix() {
-        let mut udp_ev = event(1, 53, 0, 100, 150, ToolCounts::default());
+        let mut udp_ev = event(1, 53, 0, 100, 150, (0, 0));
         udp_ev.key.class = ScanClass::Udp;
-        let r = report_with(vec![event(1, 23, 0, 900, 200, ToolCounts::default()), udp_ev]);
+        let r = report_with(vec![event(1, 23, 0, 900, 200, (0, 0)), udp_ev]);
         let mix = protocol_mix_darknet(&r, Definition::AddressDispersion, None);
         assert!((mix[0] - 90.0).abs() < 1e-9);
         assert!((mix[1] - 10.0).abs() < 1e-9);
@@ -462,9 +460,9 @@ mod tests {
     #[test]
     fn trend_series() {
         let r = report_with(vec![
-            event(1, 23, 0, 900, 200, ToolCounts::default()),
-            event(2, 23, 1, 800, 180, ToolCounts::default()),
-            event(3, 23, 1, 10, 2, ToolCounts::default()), // non-hitter
+            event(1, 23, 0, 900, 200, (0, 0)),
+            event(2, 23, 1, 800, 180, (0, 0)),
+            event(3, 23, 1, 10, 2, (0, 0)), // non-hitter
         ]);
         let t = trends(&r, Definition::AddressDispersion, 3);
         assert_eq!(t.len(), 3);
@@ -479,9 +477,9 @@ mod tests {
     #[test]
     fn zipf_is_monotone_to_100() {
         let r = report_with(vec![
-            event(1, 23, 0, 1000, 200, ToolCounts::default()),
-            event(2, 23, 0, 600, 180, ToolCounts::default()),
-            event(3, 23, 0, 400, 150, ToolCounts::default()),
+            event(1, 23, 0, 1000, 200, (0, 0)),
+            event(2, 23, 0, 600, 180, (0, 0)),
+            event(3, 23, 0, 400, 150, (0, 0)),
         ]);
         let z = zipf_concentration(&r, Definition::AddressDispersion);
         assert_eq!(z.len(), 3);
@@ -495,7 +493,7 @@ mod tests {
         use ah_flow::record::FlowKey;
         use ah_flow::router::Direction;
 
-        let r = report_with(vec![event(1, 23, 0, 900, 200, zmap_tools(900))]);
+        let r = report_with(vec![event(1, 23, 0, 900, 200, (900, 0))]);
         let hitter = Ipv4Addr4::new(100, 64, 0, 1);
         let stranger = Ipv4Addr4::new(100, 64, 0, 77);
         let flow = |src: Ipv4Addr4, day: u64, tcp_flags: u8, packets: u64| FlowRecord {

@@ -1,8 +1,8 @@
 //! Aggressive-hitter detection over darknet events.
 //!
-//! The [`Detector`] ingests completed darknet events, compacts them into
-//! fixed-size [`EventRecord`]s, and at [`Detector::finalize`] computes,
-//! for each of the three definitions:
+//! The [`Detector`] holds completed darknet events — the 28-byte
+//! [`DarknetEvent`] records the telescope closes — and at
+//! [`Detector::finalize`] computes, for each of the three definitions:
 //!
 //! * the **yearly** hitter set (any qualifying event in the dataset),
 //! * the **daily** sets (hitters whose qualifying activity *started*
@@ -13,11 +13,11 @@
 //! * per-day packet totals attributable to daily hitters.
 //!
 //! Definitions 2 and 3 need dataset-wide ECDF thresholds, so detection is
-//! inherently two-phase: compact on ingest, qualify on finalize.
+//! inherently two-phase: hold on ingest, qualify on finalize.
 //!
 //! Every set, threshold and per-day total is a function of the *set* of
 //! ingested events; only [`AhReport::records`] keeps ingest order, which
-//! a telescope flush makes canonical (`DarknetEvent`'s `Ord`).
+//! a telescope flush makes canonical (by key, then in close order).
 
 use crate::defs::{Definition, Thresholds};
 use crate::ecdf::Ecdf;
@@ -25,60 +25,6 @@ use ah_net::ipv4::Ipv4Addr4;
 use ah_net::packet::ScanClass;
 use ah_telescope::event::DarknetEvent;
 use std::collections::{BTreeMap, HashSet};
-
-/// The longest run span, in days, the detector can represent: day
-/// indices `0..MAX_DAYS` fit [`EventRecord`]'s `u16` day fields. A longer
-/// span would silently merge its later days, so the binaries refuse one.
-pub const MAX_DAYS: u64 = u16::MAX as u64 + 1;
-
-/// Compact summary of one darknet event — what D1/D2/D3 and the
-/// characterization read, and nothing else: the detector's working set
-/// for multi-month runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventRecord {
-    /// Scanning source address.
-    pub src: Ipv4Addr4,
-    /// Targeted destination port (0 for ICMP).
-    pub dst_port: u16,
-    /// Traffic type (TCP SYN / UDP / ICMP echo).
-    pub class: ScanClass,
-    /// Day index of the event's first packet.
-    pub start_day: u16,
-    /// Day index of the event's last packet.
-    pub end_day: u16,
-    /// Scanning packets in the event (saturating at `u32::MAX`).
-    pub packets: u32,
-    /// Exact distinct dark destinations contacted.
-    pub unique_dsts: u32,
-    /// Packets carrying the ZMap fingerprint.
-    pub zmap: u32,
-    /// Packets carrying the Masscan fingerprint.
-    pub masscan: u32,
-}
-
-const _: () = assert!(size_of::<EventRecord>() == 28);
-
-impl EventRecord {
-    fn from_event(ev: &DarknetEvent) -> EventRecord {
-        EventRecord {
-            src: ev.key.src,
-            dst_port: ev.key.dst_port,
-            class: ev.key.class,
-            start_day: ev.start.day().min(u64::from(u16::MAX)) as u16,
-            end_day: ev.end.day().min(u64::from(u16::MAX)) as u16,
-            packets: ev.packets.min(u64::from(u32::MAX)) as u32,
-            unique_dsts: ev.unique_dsts,
-            zmap: ev.tools.zmap.min(u64::from(u32::MAX)) as u32,
-            masscan: ev.tools.masscan.min(u64::from(u32::MAX)) as u32,
-        }
-    }
-
-    /// Packets with neither ZMap nor Masscan fingerprints — Figure 4's
-    /// "Other" bucket (includes Mirai).
-    pub(crate) fn other_packets(&self) -> u32 {
-        self.packets.saturating_sub(self.zmap).saturating_sub(self.masscan)
-    }
-}
 
 /// Detector configuration.
 #[derive(Debug, Clone, Copy)]
@@ -99,7 +45,7 @@ impl DetectorConfig {
 /// Streaming event consumer.
 pub struct Detector {
     cfg: DetectorConfig,
-    records: Vec<EventRecord>,
+    records: Vec<DarknetEvent>,
 }
 
 fn pack_tuple(src: Ipv4Addr4, day: u16, port: u16) -> u64 {
@@ -114,12 +60,12 @@ fn unpack_src_day(t: u64) -> (Ipv4Addr4, u16) {
 /// the records: one packed (src, day, port) tuple per day an event
 /// spans, deduped, counted, and dropped on return. ICMP events carry no
 /// port and are excluded.
-fn count_ports_per_srcday(records: &[EventRecord]) -> Vec<(Ipv4Addr4, u16, u64)> {
-    let ported = || records.iter().filter(|r| r.class != ScanClass::IcmpEcho);
+fn count_ports_per_srcday(records: &[DarknetEvent]) -> Vec<(Ipv4Addr4, u16, u64)> {
+    let ported = || records.iter().filter(|r| r.key.class != ScanClass::IcmpEcho);
     let mut tuples = Vec::with_capacity(ported().map(|r| (r.start_day..=r.end_day).len()).sum());
     for r in ported() {
         for day in r.start_day..=r.end_day {
-            tuples.push(pack_tuple(r.src, day, r.dst_port));
+            tuples.push(pack_tuple(r.key.src, day, r.key.dst_port));
         }
     }
     tuples.sort_unstable();
@@ -142,19 +88,23 @@ fn count_ports_per_srcday(records: &[EventRecord]) -> Vec<(Ipv4Addr4, u16, u64)>
 impl Detector {
     /// An empty detector with the given configuration.
     pub fn new(cfg: DetectorConfig) -> Detector {
-        Detector { cfg, records: Vec::new() }
+        Detector::with_events(cfg, Vec::new())
+    }
+
+    /// A detector that takes ownership of a run's events, in the order
+    /// the report's record table keeps.
+    pub fn with_events(cfg: DetectorConfig, records: Vec<DarknetEvent>) -> Detector {
+        Detector { cfg, records }
     }
 
     /// Ingest one completed darknet event.
     pub fn ingest(&mut self, ev: &DarknetEvent) {
-        self.records.push(EventRecord::from_event(ev));
+        self.records.push(*ev);
     }
 
     /// Ingest a batch.
     pub fn ingest_all(&mut self, evs: &[DarknetEvent]) {
-        for ev in evs {
-            self.ingest(ev);
-        }
+        self.records.extend_from_slice(evs);
     }
 
     /// Run qualification and build the report.
@@ -192,10 +142,10 @@ impl Detector {
                     continue;
                 }
                 let i = def.index();
-                yearly[i].insert(r.src);
-                daily[i].entry(u64::from(r.start_day)).or_default().insert(r.src);
+                yearly[i].insert(r.key.src);
+                daily[i].entry(u64::from(r.start_day)).or_default().insert(r.key.src);
                 for day in r.start_day..=r.end_day {
-                    active[i].entry(u64::from(day)).or_default().insert(r.src);
+                    active[i].entry(u64::from(day)).or_default().insert(r.key.src);
                 }
             }
         }
@@ -221,8 +171,8 @@ impl Detector {
             for def in Definition::ALL {
                 let i = def.index();
                 let qualifies_today = match def {
-                    Definition::DistinctPorts => d3_srcdays.contains(&(r.src, day)),
-                    _ => daily[i].get(&day).is_some_and(|s| s.contains(&r.src)),
+                    Definition::DistinctPorts => d3_srcdays.contains(&(r.key.src, day)),
+                    _ => daily[i].get(&day).is_some_and(|s| s.contains(&r.key.src)),
                 };
                 if qualifies_today {
                     *day_ah_packets[i].entry(day).or_default() += u64::from(r.packets);
@@ -235,7 +185,7 @@ impl Detector {
         let mut day_all_packets: BTreeMap<u64, u64> = BTreeMap::new();
         for r in &self.records {
             let day = u64::from(r.start_day);
-            day_all_sources.entry(day).or_default().insert(r.src);
+            day_all_sources.entry(day).or_default().insert(r.key.src);
             *day_all_packets.entry(day).or_default() += u64::from(r.packets);
         }
 
@@ -273,7 +223,7 @@ pub struct AhReport {
     pub day_all_sources: BTreeMap<u64, u64>,
     /// Scanning packets in events starting each day (all scanners).
     pub day_all_packets: BTreeMap<u64, u64>,
-    records: Vec<EventRecord>,
+    records: Vec<DarknetEvent>,
 }
 
 impl AhReport {
@@ -302,15 +252,15 @@ impl AhReport {
         self.day_ah_packets[def.index()].get(&day).copied().unwrap_or(0)
     }
 
-    /// The compact event records (all scanners, not just hitters).
-    pub fn records(&self) -> &[EventRecord] {
+    /// The event records (all scanners, not just hitters).
+    pub fn records(&self) -> &[DarknetEvent] {
         &self.records
     }
 
     /// Event records whose source is a hitter under `def`.
-    pub fn hitter_records(&self, def: Definition) -> impl Iterator<Item = &EventRecord> {
+    pub fn hitter_records(&self, def: Definition) -> impl Iterator<Item = &DarknetEvent> {
         let set = &self.yearly[def.index()];
-        self.records.iter().filter(move |r| set.contains(&r.src))
+        self.records.iter().filter(move |r| set.contains(&r.key.src))
     }
 
     /// Mean daily and active hitter counts over the observed span.
@@ -327,28 +277,27 @@ impl AhReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ah_net::time::{Dur, Ts};
-    use ah_telescope::event::{EventKey, ToolCounts};
+    use ah_telescope::event::EventKey;
 
     const DARK: u32 = 1000;
 
-    fn ev(src: u8, port: u16, day: u64, packets: u64, unique: u32) -> DarknetEvent {
+    fn ev(src: u8, port: u16, day: u16, packets: u32, unique: u32) -> DarknetEvent {
         ev_span(src, port, day, day, packets, unique)
     }
 
-    fn ev_span(src: u8, port: u16, d0: u64, d1: u64, packets: u64, unique: u32) -> DarknetEvent {
+    fn ev_span(src: u8, port: u16, d0: u16, d1: u16, packets: u32, unique: u32) -> DarknetEvent {
         DarknetEvent {
             key: EventKey {
                 src: Ipv4Addr4::new(10, 0, 0, src),
                 dst_port: port,
                 class: ScanClass::TcpSyn,
             },
-            start: Ts::from_days(d0) + Dur::from_secs(60),
-            end: Ts::from_days(d1) + Dur::from_secs(120),
+            start_day: d0,
+            end_day: d1,
             packets,
-            bytes: packets * 40,
             unique_dsts: unique,
-            tools: ToolCounts::default(),
+            zmap: 0,
+            masscan: 0,
         }
     }
 
@@ -373,7 +322,7 @@ mod tests {
         // 99,999 small events and one giant: with α = 1e-4 only the giant
         // is above the 99.99th percentile.
         for i in 0..9_999u32 {
-            d.ingest(&ev((i % 200) as u8, 23, 0, 10 + u64::from(i % 7), 5));
+            d.ingest(&ev((i % 200) as u8, 23, 0, 10 + i % 7, 5));
         }
         d.ingest(&ev(250, 23, 0, 1_000_000, 5));
         let r = d.finalize();
@@ -479,17 +428,5 @@ mod tests {
         assert!(r.hitters(Definition::AddressDispersion).is_empty());
         assert_eq!(r.d2_threshold, u64::MAX);
         assert!(r.records().is_empty());
-    }
-
-    #[test]
-    fn event_record_other_packets() {
-        let mut e = ev(1, 23, 0, 100, 5);
-        e.tools = ToolCounts { zmap: 60, masscan: 10, mirai: 20, other: 10 };
-        let mut d = detector();
-        d.ingest(&e);
-        let r = d.finalize();
-        let rec = &r.records()[0];
-        assert_eq!(rec.other_packets(), 30); // mirai + other
-        assert_eq!(rec.zmap, 60);
     }
 }

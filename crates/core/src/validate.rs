@@ -55,7 +55,7 @@ pub fn acked_validation(
     let mut all_packets = 0u64;
     for r in report.hitter_records(def) {
         all_packets += u64::from(r.packets);
-        if ips.contains(&r.src) {
+        if ips.contains(&r.key.src) {
             acked_packets += u64::from(r.packets);
         }
     }
@@ -173,22 +173,21 @@ mod tests {
     use crate::detector::{Detector, DetectorConfig};
     use ah_intel::acked::AckedOrg;
     use ah_net::packet::ScanClass;
-    use ah_net::time::{Dur, Ts};
-    use ah_telescope::event::{DarknetEvent, EventKey, ToolCounts};
+    use ah_telescope::event::{DarknetEvent, EventKey};
 
     fn ip(n: u8) -> Ipv4Addr4 {
         Ipv4Addr4::new(104, 0, 0, n)
     }
 
-    fn event(src: Ipv4Addr4, day: u64, packets: u64, unique: u32) -> DarknetEvent {
+    fn event(src: Ipv4Addr4, day: u16, packets: u32, unique: u32) -> DarknetEvent {
         DarknetEvent {
             key: EventKey { src, dst_port: 443, class: ScanClass::TcpSyn },
-            start: Ts::from_days(day) + Dur::from_secs(5),
-            end: Ts::from_days(day) + Dur::from_secs(65),
+            start_day: day,
+            end_day: day,
             packets,
-            bytes: packets * 40,
             unique_dsts: unique,
-            tools: ToolCounts::default(),
+            zmap: 0,
+            masscan: 0,
         }
     }
 

@@ -7,8 +7,7 @@ use ah_core::lists::{intersect, jaccard, level_counts};
 use ah_intel::asn::AsnDb;
 use ah_net::ipv4::Ipv4Addr4;
 use ah_net::packet::ScanClass;
-use ah_net::time::{Dur, Ts};
-use ah_telescope::event::{DarknetEvent, EventKey, ToolCounts};
+use ah_telescope::event::{DarknetEvent, EventKey};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -80,7 +79,7 @@ proptest! {
     #[test]
     fn detector_invariants(
         events in proptest::collection::vec(
-            (0u8..40, 0u16..100, 0u64..10, 0u64..3, 1u64..5000, 1u32..1500),
+            (0u8..40, 0u16..100, 0u16..10, 0u16..3, 1u32..5000, 1u32..1500),
             1..400,
         ),
     ) {
@@ -88,16 +87,16 @@ proptest! {
         let mut det = Detector::new(DetectorConfig::new(dark));
         let mut naive_d1: HashSet<Ipv4Addr4> = HashSet::new();
         for (src, port, day, span, packets, unique) in events {
-            let unique = unique.min(packets as u32);
+            let unique = unique.min(packets);
             let src_ip = Ipv4Addr4::new(10, 0, 0, src);
             let ev = DarknetEvent {
                 key: EventKey { src: src_ip, dst_port: port, class: ScanClass::TcpSyn },
-                start: Ts::from_days(day) + Dur::from_secs(10),
-                end: Ts::from_days(day + span) + Dur::from_secs(20),
+                start_day: day,
+                end_day: day + span,
                 packets,
-                bytes: packets * 40,
                 unique_dsts: unique,
-                tools: ToolCounts { other: packets, ..Default::default() },
+                zmap: 0,
+                masscan: 0,
             };
             if f64::from(unique) / f64::from(dark) >= 0.10 {
                 naive_d1.insert(src_ip);

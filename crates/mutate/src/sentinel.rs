@@ -181,6 +181,18 @@ pub const SENTINELS: &[Sentinel] = &[
         why: "a gap of exactly the quiet timeout must extend the event, not split it",
     },
     Sentinel {
+        name: "agg-sweep-slack",
+        file: "crates/telescope/src/event.rs",
+        op: "arith-swap",
+        original: "+",
+        contains: "self.timeout.0 + self.reorder_window.0",
+        pick: 0,
+        kill: &[&["build", "-q", "-p", "ah-telescope"], TELE_TEST],
+        why: "+ → - lets a sweep close an event a late packet could still join: \
+              sweep timing then splits events, and a key's close order stops being \
+              its start order",
+    },
+    Sentinel {
         name: "sampler-rollover",
         file: "crates/flow/src/sampler.rs",
         op: "cmp-swap",

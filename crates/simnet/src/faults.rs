@@ -60,29 +60,29 @@ pub struct FaultPlan {
     /// Probability a packet is silently dropped (capture loss).
     pub drop: f64,
     /// Probability a packet is delivered twice (mirror duplication).
-    pub duplicate: f64,
+    pub(crate) duplicate: f64,
     /// Probability a packet is held back and delivered out of order.
-    pub reorder: f64,
+    pub(crate) reorder: f64,
     /// Maximum delivery delay for reordered packets; the consumer-visible
     /// timestamp skew is bounded by this.
-    pub max_skew: Dur,
+    pub(crate) max_skew: Dur,
     /// Probability the packet's bytes are truncated at a random offset
     /// (snaplen/framing faults). Truncated packets that no longer parse
     /// are discarded, as a capture stack would.
-    pub truncate: f64,
+    pub(crate) truncate: f64,
     /// Probability a single random bit of the packet's bytes is flipped.
     /// Flips that break the IP header checksum are discarded; flips the
     /// wire would accept are delivered corrupted.
-    pub bitflip: f64,
+    pub(crate) bitflip: f64,
     /// Probability the packet's payload is stripped to a bare header
     /// (zero-length payload capture).
-    pub zero_payload: f64,
+    pub(crate) zero_payload: f64,
     /// Period of recurring burst outages; `Dur::ZERO` disables them.
-    pub outage_period: Dur,
+    pub(crate) outage_period: Dur,
     /// Length of each outage window (every packet inside is dropped).
-    pub outage_len: Dur,
+    pub(crate) outage_len: Dur,
     /// Seed for all fault decisions.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl FaultPlan {
@@ -146,13 +146,13 @@ pub struct InjectorStats {
     /// Bit-flipped packets whose bytes no longer parsed.
     pub corrupt_discarded: u64,
     /// Packets delayed for out-of-order delivery (subset of `delivered`).
-    pub reordered: u64,
+    pub(crate) reordered: u64,
     /// Bit-flipped packets that still parsed and were delivered (subset
     /// of `delivered`).
-    pub corrupted_delivered: u64,
+    pub(crate) corrupted_delivered: u64,
     /// Packets delivered with their payload stripped (subset of
     /// `delivered`).
-    pub zero_payload: u64,
+    pub(crate) zero_payload: u64,
 }
 
 impl InjectorStats {

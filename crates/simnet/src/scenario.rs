@@ -254,7 +254,7 @@ pub struct ScenarioConfig {
     /// Human-readable name ("darknet-2021", ...).
     pub label: String,
     /// Measurement year (drives the actor mix).
-    pub year: Year,
+    pub(crate) year: Year,
     /// Scenario length in days.
     pub days: u64,
     /// Address plan to build the world from.
@@ -264,10 +264,10 @@ pub struct ScenarioConfig {
     /// Benign-traffic volume.
     pub benign: BenignLevel,
     /// Master seed; all actor seeds derive from it.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Weekday of day 0 (0 = Monday .. 6 = Sunday). The paper's flow week
     /// starts Saturday 2022-01-15.
-    pub day0_weekday: u8,
+    pub(crate) day0_weekday: u8,
 }
 
 impl ScenarioConfig {

@@ -21,7 +21,7 @@ use ah_net::prefix::{Prefix, PrefixMap, PrefixSet};
 /// Routing regions: which cluster of upstream peers announces an external
 /// prefix toward the ISP. Determines the Table 2 router skew.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Region {
+pub(crate) enum Region {
     /// Europe/Asia — enters mostly at router-1 (its tier-1 upstreams).
     AsiaEu,
     /// North America — mostly router-2.

@@ -266,7 +266,8 @@ impl Telescope {
         }
     }
 
-    /// Close all active events and return them all, in canonical order.
+    /// Close all active events and return them all, stable-sorted by key
+    /// (see [`crate::event::EventAggregator::flush`]).
     pub fn flush(&mut self) -> Vec<crate::event::DarknetEvent> {
         let _mem = MemScope::enter(Tag::Telescope);
         self.aggregator.flush()

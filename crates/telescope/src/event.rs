@@ -3,9 +3,10 @@
 //! Following Durumeric et al. and the paper's Section 2.A, a *darknet
 //! event* summarizes the activity of one source IP toward one destination
 //! port and traffic type. An event ends when no packet has been seen for
-//! more than the idle timeout; the completed event records its start/end
-//! timestamps, packet and byte totals, the number of *unique dark
-//! destinations* contacted, and per-tool fingerprint attribution.
+//! more than the idle timeout; the completed event records its start and
+//! end days, its packet count, the number of *unique dark destinations*
+//! contacted, and how many of its packets carry the ZMap and Masscan
+//! fingerprints.
 //!
 //! # Reordering policy — per-key, not global
 //!
@@ -44,8 +45,9 @@ use ah_obs::{Counter, Gauge, Histogram, Recorder};
 /// Key identifying a logical scan.
 ///
 /// ICMP has no ports; its events use port 0, mirroring how the darknet
-/// events dataset encodes them. Field order is the head of
-/// [`DarknetEvent`]'s canonical order.
+/// events dataset encodes them. The derived `Ord` is the order of an
+/// event sequence ([`EventAggregator::flush`]), so **field order is part
+/// of the output**, [`ScanClass`]'s variant order included.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventKey {
     /// Scanning source address.
@@ -63,60 +65,41 @@ impl EventKey {
     }
 }
 
-/// Per-tool packet counters, indexed by [`Tool`]. Field order is the tail
-/// of [`DarknetEvent`]'s canonical order.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
-pub struct ToolCounts {
-    /// Packets carrying the ZMap fingerprint.
-    pub zmap: u64,
-    /// Packets carrying the Masscan fingerprint.
-    pub masscan: u64,
-    /// Packets carrying the Mirai fingerprint.
-    pub mirai: u64,
-    /// Packets with no known tool fingerprint.
-    pub other: u64,
-}
+/// The longest run span, in days, an event can represent: day indices
+/// `0..MAX_DAYS` fit [`DarknetEvent`]'s `u16` day fields. A longer span
+/// would silently merge its later days, so the binaries refuse one.
+pub const MAX_DAYS: u64 = u16::MAX as u64 + 1;
 
-impl ToolCounts {
-    /// Increment the counter for a tool.
-    pub(crate) fn add(&mut self, tool: Tool, n: u64) {
-        match tool {
-            Tool::ZMap => self.zmap += n,
-            Tool::Masscan => self.masscan += n,
-            Tool::Mirai => self.mirai += n,
-            Tool::Other => self.other += n,
-        }
-    }
-
-    /// Total across tools.
-    pub fn total(&self) -> u64 {
-        self.zmap + self.masscan + self.mirai + self.other
-    }
-}
-
-/// A completed darknet event.
-///
-/// The derived `Ord` is the canonical order of an event sequence —
-/// [`EventAggregator::flush`] returns it, the output fingerprint is taken
-/// over it — so **field order is part of the output**, [`ScanClass`]'s
-/// variant order included. Events equal in every field are
-/// interchangeable, so any multiset of events sorts to one sequence.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+/// A completed darknet event: what D1/D2/D3 and the characterization
+/// read, and nothing else. It is the one per-event record from the
+/// aggregator to the detector's report, so its 28 bytes are the
+/// per-event working set of a multi-month run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DarknetEvent {
     /// The (source, port, type) identity of the logical scan.
     pub key: EventKey,
-    /// Timestamp of the event's first packet.
-    pub start: Ts,
-    /// Timestamp of the event's last packet.
-    pub end: Ts,
-    /// Total scanning packets in the event.
-    pub packets: u64,
-    /// Total wire bytes.
-    pub bytes: u64,
+    /// Day index of the event's first packet (clamped to `u16::MAX`).
+    pub start_day: u16,
+    /// Day index of the event's last packet (clamped to `u16::MAX`).
+    pub end_day: u16,
+    /// Scanning packets in the event (saturating at `u32::MAX`).
+    pub packets: u32,
     /// Exact number of unique dark destinations contacted.
     pub unique_dsts: u32,
-    /// Packets per tool fingerprint.
-    pub tools: ToolCounts,
+    /// Packets carrying the ZMap fingerprint (saturating).
+    pub zmap: u32,
+    /// Packets carrying the Masscan fingerprint (saturating).
+    pub masscan: u32,
+}
+
+const _: () = assert!(size_of::<DarknetEvent>() == 28);
+
+impl DarknetEvent {
+    /// Packets with neither ZMap nor Masscan fingerprints — Figure 4's
+    /// "Other" bucket (includes Mirai).
+    pub fn other_packets(&self) -> u32 {
+        self.packets.saturating_sub(self.zmap).saturating_sub(self.masscan)
+    }
 }
 
 /// Input-fate counters for the aggregator's reordering policy.
@@ -149,9 +132,22 @@ struct ActiveEvent {
     start: Ts,
     last: Ts,
     packets: u64,
-    bytes: u64,
+    zmap: u64,
+    masscan: u64,
     dsts: DstSet,
-    tools: ToolCounts,
+}
+
+impl ActiveEvent {
+    /// Count one accepted packet.
+    fn add(&mut self, tool: Tool, dst_index: u32) {
+        self.packets += 1;
+        match tool {
+            Tool::ZMap => self.zmap += 1,
+            Tool::Masscan => self.masscan += 1,
+            Tool::Mirai | Tool::Other => {}
+        }
+        self.dsts.insert(dst_index);
+    }
 }
 
 /// Streaming aggregator turning scanning packets into darknet events.
@@ -311,10 +307,7 @@ impl EventAggregator {
                         self.stats.start_repaired += 1;
                     }
                     ev.last = ev.last.max(pkt.ts);
-                    ev.packets += 1;
-                    ev.bytes += u64::from(pkt.wire_len);
-                    ev.dsts.insert(dst_index);
-                    ev.tools.add(tool, 1);
+                    ev.add(tool, dst_index);
                 }
             }
             std::collections::hash_map::Entry::Vacant(v) => {
@@ -327,29 +320,31 @@ impl EventAggregator {
     }
 
     fn fresh(pkt: &PacketMeta, tool: Tool, dst_index: u32, dark_size: u32) -> ActiveEvent {
-        let mut dsts = DstSet::new(dark_size);
-        dsts.insert(dst_index);
-        let mut tools = ToolCounts::default();
-        tools.add(tool, 1);
-        ActiveEvent {
+        let mut ev = ActiveEvent {
             start: pkt.ts,
             last: pkt.ts,
-            packets: 1,
-            bytes: u64::from(pkt.wire_len),
-            dsts,
-            tools,
-        }
+            packets: 0,
+            zmap: 0,
+            masscan: 0,
+            dsts: DstSet::new(dark_size),
+        };
+        ev.add(tool, dst_index);
+        ev
     }
 
+    /// Close an event into its record: day indices clamp to `u16`
+    /// ([`MAX_DAYS`]), counts saturate at `u32::MAX`.
     fn finish(key: EventKey, ev: ActiveEvent) -> DarknetEvent {
+        let day = |ts: Ts| u16::try_from(ts.day()).unwrap_or(u16::MAX);
+        let count = |n: u64| u32::try_from(n).unwrap_or(u32::MAX);
         DarknetEvent {
             key,
-            start: ev.start,
-            end: ev.last,
-            packets: ev.packets,
-            bytes: ev.bytes,
+            start_day: day(ev.start),
+            end_day: day(ev.last),
+            packets: count(ev.packets),
             unique_dsts: ev.dsts.count(),
-            tools: ev.tools,
+            zmap: count(ev.zmap),
+            masscan: count(ev.masscan),
         }
     }
 
@@ -384,15 +379,21 @@ impl EventAggregator {
         }
     }
 
-    /// Close every remaining active event (end of trace) and drain all, in
-    /// [`DarknetEvent`]'s order, whatever order the map filled and swept in.
+    /// Close every remaining active event (end of trace) and drain all,
+    /// stable-sorted by [`EventKey`]: whatever order the map filled and
+    /// swept in, the sequence is keys in order, and each key's events in
+    /// the order they closed.
+    ///
+    /// Close order is start order: a key has at most one live event, and
+    /// under the sweep slack (see `advance`) the next one starts after the
+    /// previous one ended (`ARCHITECTURE.md` §4).
     pub fn flush(&mut self) -> Vec<DarknetEvent> {
         let mut done = std::mem::take(&mut self.completed);
         for (key, ev) in self.active.drain() {
             done.push(Self::finish(key, ev));
             self.m_events_total.inc();
         }
-        done.sort_unstable();
+        done.sort_by_key(|e| e.key);
         done
     }
 }
@@ -433,44 +434,6 @@ mod tests {
         }
     }
 
-    /// An event whose twelve comparable fields, in canonical order, are `f`.
-    fn event(f: [u64; 12]) -> DarknetEvent {
-        DarknetEvent {
-            key: EventKey {
-                src: Ipv4Addr4(f[0] as u32),
-                dst_port: f[1] as u16,
-                class: ScanClass::ALL[f[2] as usize],
-            },
-            start: Ts(f[3]),
-            end: Ts(f[4]),
-            packets: f[5],
-            bytes: f[6],
-            unique_dsts: f[7] as u32,
-            tools: ToolCounts { zmap: f[8], masscan: f[9], mirai: f[10], other: f[11] },
-        }
-    }
-
-    /// The derived order decides on `src, dst_port, class, start, end,
-    /// packets, bytes, unique_dsts, zmap, masscan, mirai, other`, in that
-    /// order: for every tie length, two events equal on the first `tie`
-    /// fields, apart at field `tie`, and apart the *other* way on every
-    /// later field. A reordered field or `ScanClass` variant fails here.
-    #[test]
-    fn derived_order_walks_the_twelve_fields() {
-        use std::cmp::Ordering;
-        for tie in 0..=12 {
-            let a = [1u64; 12];
-            let mut b = a;
-            for (i, field) in b.iter_mut().enumerate().skip(tie) {
-                *field = if i == tie { 2 } else { 0 };
-            }
-            let (a, b) = (event(a), event(b));
-            let want = if tie == 12 { Ordering::Equal } else { Ordering::Less };
-            assert_eq!(a.cmp(&b), want, "tie {tie}");
-            assert_eq!(b.cmp(&a), want.reverse(), "tie {tie}, swapped");
-        }
-    }
-
     #[test]
     fn flush_is_independent_of_cross_key_interleaving() {
         // Forty keys with the same packet train (bursts a timeout apart,
@@ -488,7 +451,7 @@ mod tests {
         };
         let keys: Vec<u32> = (0..40).collect();
         let fwd = feed(&keys);
-        assert!(fwd.len() == 120 && fwd.is_sorted());
+        assert!(fwd.len() == 120 && fwd.is_sorted_by_key(|e| e.key));
         assert_eq!(fwd, feed(&keys.iter().rev().copied().collect::<Vec<_>>()));
     }
 
@@ -504,9 +467,45 @@ mod tests {
         let e = &evs[0];
         assert_eq!(e.packets, 100);
         assert_eq!(e.unique_dsts, 100);
-        assert_eq!(e.start, Ts::from_secs(0));
-        assert_eq!(e.end, Ts::from_secs(99));
-        assert_eq!(e.bytes, 100 * 40);
+        assert_eq!((e.start_day, e.end_day), (0, 0));
+    }
+
+    #[test]
+    fn events_of_one_key_flush_in_start_order() {
+        // Three events of one key on day 0, bursts a timeout apart, each
+        // smaller than the last: a sort on content after the key (day,
+        // then packets) would put them backwards.
+        let mut a = agg();
+        for (start, n) in [(0u64, 30u32), (1000, 20), (2000, 10)] {
+            for i in 0..n {
+                let (p, idx) = syn(start + u64::from(i), 1, i, 23);
+                a.observe(&p, ScanClass::TcpSyn, idx);
+            }
+        }
+        let packets: Vec<u32> = a.flush().iter().map(|e| e.packets).collect();
+        assert_eq!(packets, [30, 20, 10]);
+    }
+
+    #[test]
+    fn source_disjoint_flushes_merge_to_the_whole_flush() {
+        // Eight sources, two ports, bursts that close by gap, by sweep and
+        // at flush; odd sources to one aggregator, even to another. Their
+        // flushes, concatenated and stable-sorted by key, are the flush of
+        // one aggregator over the whole stream.
+        let (mut whole, mut parts) = (agg(), [agg(), agg()]);
+        for t in [0u64, 5, 700, 705, 2000, 2003] {
+            for src in 0..8u32 {
+                for port in [23u16, 80] {
+                    let (p, i) = syn(t + u64::from(src), src, src * 3 + t as u32, port);
+                    whole.observe(&p, ScanClass::TcpSyn, i);
+                    parts[(src % 2) as usize].observe(&p, ScanClass::TcpSyn, i);
+                }
+            }
+        }
+        let mut merged = parts[0].flush();
+        merged.extend(parts[1].flush());
+        merged.sort_by_key(|e| e.key);
+        assert_eq!(merged, whole.flush());
     }
 
     #[test]
@@ -593,8 +592,7 @@ mod tests {
         let (p2, i2) = syn(1, 1, 1, 23);
         a.observe(&p2, ScanClass::TcpSyn, i2);
         let evs = a.flush();
-        assert_eq!(evs[0].tools.zmap, 1);
-        assert_eq!(evs[0].tools.total(), 2);
+        assert_eq!((evs[0].zmap, evs[0].masscan, evs[0].other_packets()), (1, 0, 1));
     }
 
     #[test]
@@ -614,19 +612,21 @@ mod tests {
 
     #[test]
     fn late_packet_within_window_repairs_event_start() {
-        // Default reorder window is timeout/2 = 300s.
+        // Default reorder window is timeout/2 = 300s. The event's newest
+        // packet is 100s into day 1; the late one, 150s behind it, falls on
+        // day 0, so the repaired start shows in the start day.
         let mut a = agg();
-        let (p1, i1) = syn(100, 1, 0, 23);
+        let day1 = 86_400;
+        let (p1, i1) = syn(day1 + 100, 1, 0, 23);
         a.observe(&p1, ScanClass::TcpSyn, i1);
-        let (p2, i2) = syn(50, 1, 1, 23); // 50s behind the event's newest ts
+        let (p2, i2) = syn(day1 - 50, 1, 1, 23);
         a.observe(&p2, ScanClass::TcpSyn, i2);
         let stats = a.stats();
         assert_eq!(stats.start_repaired, 1);
         assert_eq!(stats.quarantined, 0);
         let evs = a.flush();
         assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].start, Ts::from_secs(50));
-        assert_eq!(evs[0].end, Ts::from_secs(100));
+        assert_eq!((evs[0].start_day, evs[0].end_day), (0, 1));
         assert_eq!(evs[0].packets, 2);
     }
 
@@ -645,7 +645,6 @@ mod tests {
         let evs = a.flush();
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].packets, 1);
-        assert_eq!(evs[0].start, Ts::from_secs(1000));
     }
 
     #[test]
@@ -672,7 +671,7 @@ mod tests {
         assert_eq!(s.received, times.len() as u64);
         assert_eq!(s.received, s.accepted + s.quarantined);
         assert!(s.quarantined >= 1); // the t=10 packet 690s behind its event's last (700)
-        let total_pkts: u64 = a.flush().iter().map(|e| e.packets).sum();
+        let total_pkts: u64 = a.flush().iter().map(|e| u64::from(e.packets)).sum();
         assert_eq!(total_pkts, s.accepted);
     }
 }

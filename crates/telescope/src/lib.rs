@@ -9,8 +9,8 @@
 //!   (source IP, destination port, traffic type) aggregation with an idle
 //!   timeout, the unit over which all three aggressive-hitter definitions
 //!   are computed;
-//! * [`timeout`] — the Moore et al. flow-timeout derivation the paper uses
-//!   to pick its ~10-minute event expiration;
+//! * [`timeout`] — the paper's ~10-minute event expiration, with the
+//!   Moore et al. flow-timeout derivation behind it in its tests;
 //! * [`daily`] — a per-day packet tally that only the benchmark's staged
 //!   rebuild uses;
 //! * [`dstset`] — a memory-adaptive exact distinct-counter used for

@@ -18,49 +18,11 @@
 //!
 //! With the paper's parameters (n ≈ 475k dark IPs, r = 100 pps, D = 2
 //! days) this lands in the several-hundred-seconds range — "around 10
-//! minutes" — which is also the crate-wide default.
+//! minutes" — which is also the crate-wide default. The derivation lives
+//! in this module's tests (`TimeoutModel`); the engine only ever uses
+//! [`paper_default`].
 
 use ah_net::time::Dur;
-
-/// Size of the IPv4 address space.
-const IPV4_SPACE: f64 = 4_294_967_296.0;
-
-/// Parameters of the timeout derivation.
-#[derive(Debug, Clone, Copy)]
-pub struct TimeoutModel {
-    /// Number of dark addresses monitored.
-    dark_size: u64,
-    /// Assumed scanning rate of the slowest "long scan" to preserve (pps).
-    scan_rate_pps: f64,
-    /// Assumed duration of the long scan (seconds).
-    scan_duration_secs: f64,
-    /// Acceptable probability of splitting such a scan.
-    split_probability: f64,
-}
-
-impl TimeoutModel {
-    /// The paper's assumptions: ORION-sized darknet, 100 pps, 2 days.
-    pub fn paper() -> TimeoutModel {
-        TimeoutModel {
-            dark_size: 475_000,
-            scan_rate_pps: 100.0,
-            scan_duration_secs: 2.0 * 86_400.0,
-            split_probability: 0.05,
-        }
-    }
-
-    /// Expected inter-arrival of the scanner's packets at the darknet.
-    fn expected_gap_secs(&self) -> f64 {
-        IPV4_SPACE / (self.scan_rate_pps * self.dark_size as f64)
-    }
-
-    /// The derived timeout in seconds.
-    pub fn timeout_secs(&self) -> f64 {
-        let delta = self.expected_gap_secs();
-        let gaps = (self.scan_duration_secs / delta).max(1.0);
-        delta * (gaps / self.split_probability).ln().max(1.0)
-    }
-}
 
 /// The paper's operational choice: "around 10 minutes".
 pub fn paper_default() -> Dur {
@@ -70,6 +32,46 @@ pub fn paper_default() -> Dur {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Size of the IPv4 address space.
+    const IPV4_SPACE: f64 = 4_294_967_296.0;
+
+    /// Parameters of the timeout derivation.
+    #[derive(Debug, Clone, Copy)]
+    struct TimeoutModel {
+        /// Number of dark addresses monitored.
+        dark_size: u64,
+        /// Assumed scanning rate of the slowest "long scan" to preserve (pps).
+        scan_rate_pps: f64,
+        /// Assumed duration of the long scan (seconds).
+        scan_duration_secs: f64,
+        /// Acceptable probability of splitting such a scan.
+        split_probability: f64,
+    }
+
+    impl TimeoutModel {
+        /// The paper's assumptions: ORION-sized darknet, 100 pps, 2 days.
+        fn paper() -> TimeoutModel {
+            TimeoutModel {
+                dark_size: 475_000,
+                scan_rate_pps: 100.0,
+                scan_duration_secs: 2.0 * 86_400.0,
+                split_probability: 0.05,
+            }
+        }
+
+        /// Expected inter-arrival of the scanner's packets at the darknet.
+        fn expected_gap_secs(&self) -> f64 {
+            IPV4_SPACE / (self.scan_rate_pps * self.dark_size as f64)
+        }
+
+        /// The derived timeout in seconds.
+        fn timeout_secs(&self) -> f64 {
+            let delta = self.expected_gap_secs();
+            let gaps = (self.scan_duration_secs / delta).max(1.0);
+            delta * (gaps / self.split_probability).ln().max(1.0)
+        }
+    }
 
     #[test]
     fn paper_parameters_land_near_ten_minutes() {

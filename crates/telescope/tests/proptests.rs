@@ -45,17 +45,16 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&a.coverage()));
     }
 
-    /// Event aggregation conserves packets and bytes: whatever goes in
-    /// comes out across completed events, regardless of timing patterns.
+    /// Event aggregation conserves packets: whatever goes in comes out
+    /// across completed events, regardless of timing patterns.
     #[test]
-    fn aggregation_conserves_packets_and_bytes(
+    fn aggregation_conserves_packets(
         steps in proptest::collection::vec((0u64..100_000, 0u8..8, 1u32..500, 0u8..3), 1..300),
     ) {
         let dark = 1u32 << 12;
         let mut agg = EventAggregator::new(dark, Dur::from_mins(10));
         let mut t = Ts::ZERO;
         let mut packets_in = 0u64;
-        let mut bytes_in = 0u64;
         for (gap_ms, src, dst, class) in steps {
             t += Dur::from_millis(gap_ms);
             let src_ip = Ipv4Addr4::new(10, 0, 0, src);
@@ -66,21 +65,18 @@ proptest! {
                 _ => (PacketMeta::icmp_echo(t, src_ip, dst_ip), ScanClass::IcmpEcho),
             };
             packets_in += 1;
-            bytes_in += u64::from(pkt.wire_len);
             agg.observe(&pkt, cls, dst % dark);
         }
         let events = agg.flush();
-        let packets_out: u64 = events.iter().map(|e| e.packets).sum();
-        let bytes_out: u64 = events.iter().map(|e| e.bytes).sum();
+        let packets_out: u64 = events.iter().map(|e| u64::from(e.packets)).sum();
         prop_assert_eq!(packets_in, packets_out);
-        prop_assert_eq!(bytes_in, bytes_out);
         // Structural sanity on every event.
         for e in &events {
-            prop_assert!(e.start <= e.end);
+            prop_assert!(e.start_day <= e.end_day);
             prop_assert!(e.unique_dsts >= 1);
-            prop_assert!(u64::from(e.unique_dsts) <= e.packets);
+            prop_assert!(e.unique_dsts <= e.packets);
             prop_assert!(e.unique_dsts <= dark);
-            prop_assert_eq!(e.tools.total(), e.packets);
+            prop_assert!(u64::from(e.zmap) + u64::from(e.masscan) <= u64::from(e.packets));
         }
     }
 

@@ -42,7 +42,7 @@ const LEN_OBSERVE: Ordering = Ordering::Acquire;
 
 /// What an event marks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EventKind {
+pub(crate) enum EventKind {
     /// Span begin (matched by a later [`EventKind::End`] on the same
     /// track).
     Begin,

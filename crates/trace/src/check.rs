@@ -28,7 +28,7 @@ pub struct TraceStats {
     /// Distinct (pid, tid) tracks that carried span events.
     pub tracks: usize,
     /// Span count (`B` events).
-    pub spans: usize,
+    pub(crate) spans: usize,
     /// Distinct flow (journey) ids.
     pub flow_ids: BTreeSet<u64>,
     /// Distinct span/instant names seen.

@@ -37,7 +37,6 @@ use aggressive_scanners::core::characterize::{
     zipf_concentration,
 };
 use aggressive_scanners::core::defs::Definition;
-use aggressive_scanners::core::detector::MAX_DAYS;
 use aggressive_scanners::core::impact::{flow_impact, presence};
 use aggressive_scanners::core::lists::{intersect, intersect3, jaccard, level_counts};
 use aggressive_scanners::core::report::{fmt_count, fmt_pct, write_csv, TextTable};
@@ -46,6 +45,7 @@ use aggressive_scanners::core::validate::{
 };
 use aggressive_scanners::pipeline::{self, RunOptions, RunOutput, TapRun, Telemetry};
 use aggressive_scanners::simnet::scenario::{BenignLevel, ScenarioConfig, Year};
+use aggressive_scanners::telescope::event::MAX_DAYS;
 use std::collections::HashSet;
 use std::path::PathBuf;
 
@@ -936,7 +936,7 @@ fn whatif(ctx: &mut Ctx) {
     // Rank hitters by darknet packets (what the telescope operator knows).
     let mut pkts_by_src: HashMap<aggressive_scanners::net::ipv4::Ipv4Addr4, u64> = HashMap::new();
     for r in flows.report.hitter_records(def) {
-        *pkts_by_src.entry(r.src).or_default() += u64::from(r.packets);
+        *pkts_by_src.entry(r.key.src).or_default() += u64::from(r.packets);
     }
     let mut ranked: Vec<_> = pkts_by_src.into_iter().collect();
     ranked.sort_by_key(|&(_, p)| std::cmp::Reverse(p));

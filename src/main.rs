@@ -52,9 +52,9 @@
 //! (both parse them through `aggressive_scanners::cli`).
 
 use aggressive_scanners::cli::{parse_flag, usage_error, ObsFlags, OBS_USAGE};
-use aggressive_scanners::core::detector::MAX_DAYS;
 use aggressive_scanners::pipeline::{self, RunOptions, RunOutput, WalOutcome, WalRun};
 use aggressive_scanners::simnet::scenario::ScenarioConfig;
+use aggressive_scanners::telescope::event::MAX_DAYS;
 use std::path::PathBuf;
 
 fn main() {
@@ -124,6 +124,9 @@ fn main() {
     }
     if resume && replay {
         usage_error("--resume and --replay are mutually exclusive".into());
+    }
+    if replay && (suspend_after.is_some() || crash_after.is_some()) {
+        usage_error("--replay takes no --suspend-after or --crash-after".into());
     }
 
     let mut tel = obs.telemetry(seed);

@@ -199,7 +199,7 @@ impl Telemetry {
 /// positions — never wall-clock — and reads nothing back, so it cannot
 /// perturb the run.
 #[derive(Debug)]
-pub struct MemPulse {
+pub(crate) struct MemPulse {
     every: u64,
     next: u64,
     peak_seen: i64,
@@ -764,18 +764,12 @@ fn finalize_run(
         }
 
         // Canonical ingest order: shard counts must not leak into the
-        // report's record table. Each shard's flush arrives sorted, so the
-        // stable sort's run detection makes this an N-way merge.
-        events.sort();
+        // report's record table. Each shard's flush arrives sorted by key,
+        // and sources are shard-disjoint, so the stable sort's run
+        // detection makes this an N-way merge into the serial sequence.
+        events.sort_by_key(|e| e.key);
     }
-    let mut detector = {
-        let _mem = MemScope::enter(Tag::Detectors);
-        Detector::new(DetectorConfig {
-            thresholds: opts.thresholds,
-            dark_size: DarkSpace::new(world.config.dark).size(),
-        })
-    };
-    {
+    let detector = {
         let _pass = tel.tracer.span("ah_pipeline_detector_pass");
         let _mem = MemScope::enter(Tag::Detectors);
         for ev in &events {
@@ -785,9 +779,13 @@ fn finalize_run(
                 // darknet events and land in the detector here.
                 tel.tracer.journey_instant("ah_pipeline_detector_ingest", journey);
             }
-            detector.ingest(ev);
         }
-    }
+        let cfg = DetectorConfig {
+            thresholds: opts.thresholds,
+            dark_size: DarkSpace::new(world.config.dark).size(),
+        };
+        Detector::with_events(cfg, events)
+    };
 
     let (merit, cu, gn) = {
         let _mem = MemScope::enter(Tag::Merge);
@@ -1472,9 +1470,9 @@ impl RunOutput {
         word(self.report.d2_threshold);
         word(self.report.d3_threshold);
         for r in self.report.records() {
-            word(u64::from(r.src.to_u32()));
-            word(u64::from(r.dst_port));
-            word(r.class as u64);
+            word(u64::from(r.key.src.to_u32()));
+            word(u64::from(r.key.dst_port));
+            word(r.key.class as u64);
             word(u64::from(r.start_day));
             word(u64::from(r.end_day));
             word(u64::from(r.packets));

@@ -81,6 +81,8 @@ fn bad_arguments_exit_2_before_any_run_starts() {
         &["--days", "70000"],
         &["--resume"],
         &["--wal-dir", &wal, "--resume", "--replay"],
+        &["--wal-dir", &wal, "--replay", "--suspend-after", "5"],
+        &["--wal-dir", &wal, "--replay", "--crash-after", "5"],
     ] {
         let Run { code, stderr, .. } = spawn(Command::new(BIN).args(args));
         assert_eq!(code, Some(2), "{args:?}: {stderr}");

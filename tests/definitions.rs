@@ -64,7 +64,7 @@ fn dispersion_qualification_matches_event_records() {
     let mut qualified_srcs = HashSet::new();
     for r in out.report.records() {
         if f64::from(r.unique_dsts) / dark >= 0.10 {
-            qualified_srcs.insert(r.src);
+            qualified_srcs.insert(r.key.src);
         }
     }
     assert_eq!(&qualified_srcs, d1);
