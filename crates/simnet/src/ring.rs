@@ -16,6 +16,12 @@
 //!   `PUBLISH_BATCH` items or on [`Producer::flush`] (phase two), so
 //!   the producer amortizes its release stores. Consumers see items in
 //!   FIFO order regardless of batching.
+//! * **One backoff, ending in a nap.** A producer facing a full ring and
+//!   a consumer facing an empty one wait the same way: `SPINS` busy
+//!   spins, then `YIELDS` scheduler yields, then [`RingSync::nap`] on
+//!   every further round. The nap only lowers the rate at which the
+//!   waiting side re-reads the other side's cursor; the wake is the same
+//!   cursor load as before, so no flag, unpark or ordering is added.
 //!
 //! # Memory-ordering contract
 //!
@@ -61,9 +67,20 @@ use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Producer publishes its tail after at most this many buffered writes.
 pub(crate) const PUBLISH_BATCH: usize = 32;
+
+/// Busy spins a waiting side makes before it starts yielding.
+const SPINS: u32 = 64;
+/// Scheduler yields after the spins, before a waiting side naps.
+const YIELDS: u32 = 16;
+/// How long [`StdSync::nap`] sleeps. Plus the kernel's timer slack, a
+/// nap stays under a quarter of the ~410 µs a feeder needs to fill a
+/// 4,096-packet ring at 10 Mpps, so a napping shard wakes long before
+/// its ring can fill.
+const NAP: Duration = Duration::from_micros(50);
 
 /// Facade over the synchronization primitives the ring uses, so the
 /// identical protocol code runs on real atomics ([`StdSync`]) or on a
@@ -101,6 +118,10 @@ pub trait RingSync: 'static {
     fn spin_loop();
     /// Yield to the OS scheduler (park under a model checker).
     fn yield_now();
+    /// Give the CPU away for a while: the last stage of the backoff,
+    /// taken once spinning and yielding have not ended the wait (a
+    /// scheduler park under a model checker, like `yield_now`).
+    fn nap();
 }
 
 /// Operations the ring needs from an atomic `usize`: load and store only.
@@ -171,6 +192,11 @@ impl RingSync for StdSync {
     #[inline]
     fn yield_now() {
         std::thread::yield_now();
+    }
+
+    #[inline]
+    fn nap() {
+        std::thread::sleep(NAP);
     }
 }
 
@@ -252,6 +278,34 @@ impl<T: Send> RingSlot<T> for StdSlot<T> {
     }
 }
 
+/// The one wait of [`Producer::push`] and [`Consumer::pop_wait`]: each
+/// call is one round of spin, then yield, then nap.
+struct Backoff {
+    rounds: u32,
+}
+
+impl Backoff {
+    fn new() -> Backoff {
+        Backoff { rounds: 0 }
+    }
+
+    /// Wait one round; true when the round was a nap.
+    #[inline]
+    fn wait<S: RingSync>(&mut self) -> bool {
+        self.rounds = self.rounds.saturating_add(1);
+        if self.rounds <= SPINS {
+            S::spin_loop();
+            false
+        } else if self.rounds <= SPINS + YIELDS {
+            S::yield_now();
+            false
+        } else {
+            S::nap();
+            true
+        }
+    }
+}
+
 /// A 128-byte-aligned wrapper that keeps its contents on a private cache
 /// line (two 64-byte lines, covering adjacent-line prefetching).
 #[repr(align(128))]
@@ -303,6 +357,8 @@ pub struct Consumer<T: Send, S: RingSync = StdSync> {
     head: usize,
     /// Stale copy of the producer's published tail.
     cached_tail: usize,
+    /// Naps taken in [`Consumer::pop_wait`] (see [`Consumer::naps`]).
+    naps: u64,
 }
 
 /// Create a bounded SPSC ring holding at least `capacity` items
@@ -358,7 +414,7 @@ pub fn ring_with<S: RingSync, T: Send>(
             batch: batch.max(1),
             hwm: 0,
         },
-        Consumer { shared, head: 0, cached_tail: 0 },
+        Consumer { shared, head: 0, cached_tail: 0, naps: 0 },
     )
 }
 
@@ -407,15 +463,45 @@ impl<T: Send, S: RingSync> Producer<T, S> {
     /// assert_eq!(tx.try_push(3), Ok(()), "freed slot is reusable");
     /// ```
     pub fn try_push(&mut self, value: T) -> Result<(), T> {
+        if !self.has_room() {
+            return Err(value);
+        }
+        self.write(value);
+        Ok(())
+    }
+
+    /// Enqueue, waiting through the backoff while the ring is full. The
+    /// value is written once, when a slot is free, so a large item is
+    /// not moved on every round of the wait.
+    pub fn push(&mut self, value: T) {
+        let mut backoff = Backoff::new();
+        while !self.has_room() {
+            backoff.wait::<S>();
+        }
+        self.write(value);
+    }
+
+    /// Is a slot free? Re-reads the consumer's head only when the ring
+    /// looks full, and on a full ring publishes every buffered write so
+    /// the consumer can drain.
+    #[inline]
+    fn has_room(&mut self) -> bool {
         let cap = self.shared.mask + 1;
         if self.local_tail - self.cached_head >= cap {
             self.cached_head = self.shared.head.0.load(S::HEAD_OBSERVE);
             if self.local_tail - self.cached_head >= cap {
-                // Make buffered items visible so the consumer can drain.
                 self.flush();
-                return Err(value);
+                return false;
             }
         }
+        true
+    }
+
+    /// Phase one of the two-phase write, into the slot
+    /// [`Producer::has_room`] just found free; phase two follows once a
+    /// publish batch is full.
+    #[inline]
+    fn write(&mut self, value: T) {
         // SAFETY: the slot is free (local_tail - head < capacity) and no
         // other thread writes it; publication below synchronizes the read.
         unsafe { self.shared.slots[self.local_tail & self.shared.mask].write(value) };
@@ -423,25 +509,6 @@ impl<T: Send, S: RingSync> Producer<T, S> {
         self.hwm = self.hwm.max(self.local_tail - self.cached_head);
         if self.local_tail - self.published >= self.batch {
             self.flush();
-        }
-        Ok(())
-    }
-
-    /// Enqueue, spinning (with escalating yields) while the ring is full.
-    pub fn push(&mut self, value: T) {
-        let mut v = value;
-        let mut spins = 0u32;
-        loop {
-            match self.try_push(v) {
-                Ok(()) => return,
-                Err(back) => v = back,
-            }
-            spins += 1;
-            if spins < 64 {
-                S::spin_loop();
-            } else {
-                S::yield_now();
-            }
         }
     }
 
@@ -481,10 +548,11 @@ impl<T: Send, S: RingSync> Consumer<T, S> {
         Some(value)
     }
 
-    /// Dequeue, waiting (spin, then yield) for an item; `None` only after
-    /// the producer closed the ring *and* every item has been drained.
+    /// Dequeue, waiting through the backoff for an item; `None` only
+    /// after the producer closed the ring *and* every item has been
+    /// drained.
     pub fn pop_wait(&mut self) -> Option<T> {
-        let mut spins = 0u32;
+        let mut backoff = Backoff::new();
         loop {
             if let Some(v) = self.pop() {
                 return Some(v);
@@ -493,13 +561,17 @@ impl<T: Send, S: RingSync> Consumer<T, S> {
                 // Re-check: the final flush happens-before `closed`.
                 return self.pop();
             }
-            spins += 1;
-            if spins < 64 {
-                S::spin_loop();
-            } else {
-                S::yield_now();
+            if backoff.wait::<S>() {
+                self.naps += 1;
             }
         }
+    }
+
+    /// Naps [`Consumer::pop_wait`] has taken so far: how often this
+    /// consumer waited past its spins and yields. Plain field, like
+    /// [`Producer::high_water_mark`].
+    pub fn naps(&self) -> u64 {
+        self.naps
     }
 
     /// True when the producer has closed the stream (items may remain).
@@ -610,6 +682,49 @@ mod tests {
         tx.flush();
         drop(rx);
         drop(tx);
+    }
+
+    #[test]
+    fn a_starved_consumer_naps_and_still_gets_everything_in_order() {
+        const N: u32 = 40;
+        let (mut tx, mut rx) = ring_with::<StdSync, u32>(8, 1);
+        let producer = std::thread::spawn(move || {
+            for i in 0..N {
+                // Far longer than the consumer's spins and yields.
+                std::thread::sleep(Duration::from_millis(1));
+                tx.push(i);
+            }
+            tx.close();
+        });
+        let mut seen = Vec::new();
+        while let Some(v) = rx.pop_wait() {
+            seen.push(v);
+        }
+        producer.join().expect("producer thread");
+        assert_eq!(seen, (0..N).collect::<Vec<_>>(), "items reordered or lost");
+        assert!(rx.naps() > 0, "a consumer starved for milliseconds never napped");
+    }
+
+    #[test]
+    fn a_blocked_producer_backs_off_and_loses_nothing() {
+        const N: u32 = 40;
+        let (mut tx, mut rx) = ring_with::<StdSync, [u32; 4]>(2, 1);
+        let consumer = std::thread::spawn(move || {
+            let mut seen = Vec::new();
+            while let Some(v) = rx.pop_wait() {
+                // Keeps the 2-slot ring full, so `push` runs its backoff
+                // through to the nap.
+                std::thread::sleep(Duration::from_millis(1));
+                seen.push(v);
+            }
+            seen
+        });
+        for i in 0..N {
+            tx.push([i; 4]);
+        }
+        tx.close();
+        let seen = consumer.join().expect("consumer thread");
+        assert_eq!(seen, (0..N).map(|i| [i; 4]).collect::<Vec<_>>(), "items reordered or lost");
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!
 //! * the real contract (all the default orderings) is proved clean at
 //!   capacities 2 and 4 with wrap, back-pressure, batched publication,
-//!   and the close/drain handshake all exercised;
+//!   and the close/drain handshake all exercised, and again on the
+//!   multi-word batch slot the sharded engine pushes;
 //! * seeded mutants — demoting one `Release`/`Acquire` in the facade
 //!   to `Relaxed` — must each be *caught*, with the counterexample
 //!   schedule printed, proving the checker has the power to reject
@@ -113,6 +114,10 @@ macro_rules! model_sync {
             fn yield_now() {
                 shadow::yield_now();
             }
+
+            fn nap() {
+                shadow::yield_now();
+            }
         }
     };
 }
@@ -162,11 +167,14 @@ model_sync!(
 /// exact FIFO completeness — any lost, duplicated, or reordered item
 /// panics, any unprotected slot access is a data race, any lost close
 /// wakeup is a deadlock.
-fn spsc_lifecycle<S: RingSync>(capacity: usize, n: u64, batch: usize) {
-    let (mut tx, mut rx) = ring_with::<S, u64>(capacity, batch);
+fn spsc_lifecycle<S: RingSync, T>(capacity: usize, n: u64, batch: usize, item: fn(u64) -> T)
+where
+    T: Send + PartialEq + std::fmt::Debug + 'static,
+{
+    let (mut tx, mut rx) = ring_with::<S, T>(capacity, batch);
     let producer = shadow::thread::spawn(move || {
         for i in 0..n {
-            tx.push(i);
+            tx.push(item(i));
         }
         tx.close();
     });
@@ -175,11 +183,11 @@ fn spsc_lifecycle<S: RingSync>(capacity: usize, n: u64, batch: usize) {
         got.push(v);
     }
     producer.join();
-    assert_eq!(got, (0..n).collect::<Vec<_>>(), "items lost, duplicated, or reordered");
+    assert_eq!(got, (0..n).map(item).collect::<Vec<_>>(), "items lost, duplicated, or reordered");
 }
 
 fn check<S: RingSync>(capacity: usize, n: u64, batch: usize) -> Outcome {
-    Checker::new().check(move || spsc_lifecycle::<S>(capacity, n, batch))
+    Checker::new().check(move || spsc_lifecycle::<S, u64>(capacity, n, batch, |i| i))
 }
 
 /// A mutant must be refuted, and the counterexample must be a real
@@ -230,6 +238,19 @@ fn real_ring_is_clean_capacity_4() {
     let outcome = check::<ModelSync>(4, 5, 3);
     outcome.assert_exhaustive_clean();
     println!("capacity 4: clean across {} schedules", outcome.schedules);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "exhaustive run is release-only; scripts/ci.sh runs it")]
+fn real_ring_is_clean_on_batch_slots() {
+    // The slot shape the sharded engine uses: every item is a
+    // multi-word batch, published as soon as it is pushed. Each item
+    // moves as a whole, so a torn or stale batch is a race or a failed
+    // FIFO check like a lost `u64` would be.
+    let outcome = Checker::new()
+        .check(|| spsc_lifecycle::<ModelSync, [u64; 2]>(2, 3, 1, |i| [2 * i, 2 * i + 1]));
+    outcome.assert_exhaustive_clean();
+    println!("capacity 2, [u64; 2] batches: clean across {} schedules", outcome.schedules);
 }
 
 // ------------------------------------------------------------------ mutants

@@ -19,10 +19,11 @@
 //! * **Executor.** [`run`] consumes on the driver thread — the serial
 //!   reference. [`run_parallel`] is a pure router: it hands each packet
 //!   to the worker shard owning its source IP over a lock-free SPSC ring
-//!   ([`ah_simnet::ring`]). Every decision that once required global
-//!   stream order — fault injection, aggregator reordering verdicts,
-//!   per-router sampling, flow-cache lateness — is a pure function of
-//!   the *per-source* (or per-key) subsequence, so each shard recomputes
+//!   ([`ah_simnet::ring`]) whose slots carry `BATCH`-packet batches.
+//!   Every decision that once required global stream order — fault
+//!   injection, aggregator reordering verdicts, per-router sampling,
+//!   flow-cache lateness — is a pure function of the *per-source* (or
+//!   per-key) subsequence, so each shard recomputes
 //!   its own slice of them independently. Each shard thread returns its
 //!   reduced result through its join handle, collected in shard-index
 //!   order and folded with order-insensitive operators, so both
@@ -62,10 +63,10 @@ use ah_net::time::Ts;
 use ah_obs::{Exporter, Recorder};
 use ah_simnet::faults::{FaultInjector, FaultPlan, InjectorStats};
 use ah_simnet::mux::{TrafficMux, BATCH};
-use ah_simnet::ring::{ring, Consumer, Producer};
+use ah_simnet::ring::{ring_with, Consumer, Producer, StdSync};
 use ah_simnet::rng::hash64;
 use ah_simnet::scenario::{Scenario, ScenarioConfig};
-use ah_simnet::world::World;
+use ah_simnet::world::{World, WorldConfig};
 use ah_telescope::capture::{CaptureOutcome, CaptureStats, CaptureSummary, DarkSpace, Telescope};
 use ah_telescope::event::{AggregatorStats, DarknetEvent};
 use ah_trace::Tracer;
@@ -566,9 +567,23 @@ impl Vantage {
 
 // --- The executor: one inline vantage stack, or N shards ----------------
 
-/// Per-shard SPSC ring slot count; each ring carries the raw packets of
-/// 1/N of the source space.
+/// Packets in flight per shard ring; each ring carries the raw packets
+/// of 1/N of the source space, `BATCH` packets to a slot.
 const RING_CAPACITY: usize = 4096;
+
+/// One ring slot: up to `BATCH` packets of one shard, in feed order.
+/// The packets past `len` are filler and never read.
+#[derive(Clone, Copy)]
+struct Batch {
+    len: usize,
+    items: [PacketMeta; BATCH],
+}
+
+impl Batch {
+    fn empty() -> Batch {
+        Batch { len: 0, items: [PacketMeta::icmp_echo(Ts(0), Ipv4Addr4(0), Ipv4Addr4(0)); BATCH] }
+    }
+}
 
 /// One execution unit — the whole pipeline in the inline executor, one
 /// shard's slice of it in the sharded one: a vantage stack behind the
@@ -610,11 +625,14 @@ impl Unit {
     }
 }
 
-/// Driver-side half of the sharded executor: the SPSC producers and the
-/// worker handles, each of which joins to its shard's [`ShardOut`]. The
-/// driver is a pure router — `hash64(src) mod N`, then a ring push.
+/// Driver-side half of the sharded executor: the SPSC producers, one
+/// staging batch per shard, and the worker handles, each of which joins
+/// to its shard's [`ShardOut`]. The driver is a pure router —
+/// `hash64(src) mod N`, a copy into that shard's batch, and a ring push
+/// per full batch.
 struct Shards<'scope> {
-    producers: Vec<Producer<PacketMeta>>,
+    producers: Vec<Producer<Batch>>,
+    staged: Vec<Batch>,
     handles: Vec<std::thread::ScopedJoinHandle<'scope, ShardOut>>,
     m_stalls: ah_obs::Counter,
     m_stall_us: ah_obs::Histogram,
@@ -634,26 +652,35 @@ impl<'scope> Shards<'scope> {
     ) -> Shards<'scope> {
         let mut producers = Vec::with_capacity(threads);
         let mut consumers = Vec::with_capacity(threads);
-        {
+        let staged = {
             let _mem = MemScope::enter(Tag::Mux);
             for _ in 0..threads {
-                let (tx, rx) = ring::<PacketMeta>(RING_CAPACITY);
+                // Publish batch 1: a slot is visible as soon as it is pushed.
+                let (tx, rx) = ring_with::<StdSync, Batch>(RING_CAPACITY / BATCH, 1);
                 producers.push(tx);
                 consumers.push(rx);
             }
-        }
-        let worker = move |i: usize, mut rx: Consumer<PacketMeta>| {
+            vec![Batch::empty(); threads]
+        };
+        let worker = move |i: usize, mut rx: Consumer<Batch>| {
             {
                 let _mem = MemScope::enter(Tag::Trace);
                 tracer.set_track("ah_pipeline_shard_worker", i as u64 + 1);
             }
+            let naps = {
+                let _mem = MemScope::enter(Tag::Obs);
+                rec.counter_with("ah_pipeline_shard_naps_total", &[("shard", &i.to_string())])
+            };
             let mut unit = Unit::build(world, opts, rec, tracer);
-            while let Some(pkt) = rx.pop_wait() {
-                let journey = tracer.journey_id(pkt.src.to_u32());
-                let _pop = (journey != 0)
-                    .then(|| tracer.journey_span("ah_pipeline_shard_consume", journey));
-                unit.offer(&pkt);
+            while let Some(batch) = rx.pop_wait() {
+                for pkt in &batch.items[..batch.len] {
+                    let journey = tracer.journey_id(pkt.src.to_u32());
+                    let _pop = (journey != 0)
+                        .then(|| tracer.journey_span("ah_pipeline_shard_consume", journey));
+                    unit.offer(pkt);
+                }
             }
+            naps.add(rx.naps());
             let _mem = MemScope::enter(Tag::Merge);
             unit.finish()
         };
@@ -664,6 +691,7 @@ impl<'scope> Shards<'scope> {
             .collect();
         Shards {
             producers,
+            staged,
             handles,
             m_stalls: rec.counter("ah_pipeline_dispatch_stalls_total"),
             m_stall_us: rec.histogram("ah_pipeline_dispatch_stall_us", ah_obs::LATENCY_US_BUCKETS),
@@ -672,11 +700,23 @@ impl<'scope> Shards<'scope> {
 
     fn route(&mut self, pkt: &PacketMeta, tracer: &Tracer) {
         let shard = (hash64(u64::from(pkt.src.to_u32())) % self.producers.len() as u64) as usize;
-        let tx = &mut self.producers[shard];
         let journey = tracer.journey_id(pkt.src.to_u32());
         let _route =
             (journey != 0).then(|| tracer.journey_span("ah_pipeline_dispatch_route", journey));
-        if let Err(back) = tx.try_push(*pkt) {
+        let batch = &mut self.staged[shard];
+        batch.items[batch.len] = *pkt;
+        batch.len += 1;
+        if batch.len == BATCH {
+            self.send(shard, tracer);
+        }
+    }
+
+    /// Push shard `shard`'s staged batch onto its ring and start a new one.
+    fn send(&mut self, shard: usize, tracer: &Tracer) {
+        let batch = self.staged[shard];
+        self.staged[shard].len = 0;
+        let tx = &mut self.producers[shard];
+        if let Err(back) = tx.try_push(batch) {
             let t0 = std::time::Instant::now();
             tracer.instant("ah_pipeline_dispatch_stall");
             tx.push(back);
@@ -692,13 +732,19 @@ impl<'scope> Shards<'scope> {
         clippy::expect_used,
         reason = "a panicking shard thread must propagate the panic rather than silently drop a shard's output"
     )]
-    fn join(self, rec: &Recorder, tracer: &Tracer) -> Vec<ShardOut> {
+    fn join(mut self, rec: &Recorder, tracer: &Tracer) -> Vec<ShardOut> {
+        for shard in 0..self.staged.len() {
+            if self.staged[shard].len > 0 {
+                self.send(shard, tracer);
+            }
+        }
         for (i, p) in self.producers.into_iter().enumerate() {
             // Read the peak occupancy before close() consumes the
-            // producer; one gauge per shard, labeled by shard index.
+            // producer; one gauge per shard, labeled by shard index, in
+            // packets (full slots times `BATCH`).
             let shard = i.to_string();
             rec.gauge_with("ah_pipeline_ring_occupancy_hwm", &[("shard", shard.as_str())])
-                .set(p.high_water_mark() as i64);
+                .set((p.high_water_mark() * BATCH) as i64);
             p.close();
         }
         let _trace = tracer.span("ah_pipeline_merge_collect");
@@ -1257,11 +1303,26 @@ impl Engine<'_, '_> {
         journal_to: Option<&WalRun>,
         tel: &mut Telemetry,
     ) -> io::Result<WalOutcome> {
-        let days = cfg.days;
         let meta = run_description(&cfg, &opts);
+        let (world, days) = (cfg.world.clone(), cfg.days);
+        Engine::execute(world, days, opts, threads, tel, |engine| {
+            engine.feed(recover_from, journal_to, cfg, &meta)
+        })
+    }
+
+    /// Hand a fresh executor to `feed`, then collect and finalize what it
+    /// was fed.
+    fn execute(
+        world: WorldConfig,
+        days: u64,
+        opts: RunOptions,
+        threads: Option<usize>,
+        tel: &mut Telemetry,
+        feed: impl FnOnce(&mut Engine<'_, '_>) -> io::Result<Fed>,
+    ) -> io::Result<WalOutcome> {
         let world = {
             let _mem = MemScope::enter(Tag::Mux);
-            World::new(cfg.world.clone())
+            World::new(world)
         };
         let rec = tel.recorder.clone();
         let tracer = tel.tracer.clone();
@@ -1285,7 +1346,7 @@ impl Engine<'_, '_> {
             let mut engine = Engine { exec, journal: None, tel: &mut *tel, pos: 0, halt: None };
             // On error or suspension the executor is just dropped: dropped
             // producers close their rings and the scope joins the workers.
-            let fed = engine.feed(recover_from, journal_to, cfg, &meta)?;
+            let fed = feed(&mut engine)?;
             let shards = match (&fed, engine.exec) {
                 (Fed::Suspended { .. }, _) => Vec::new(),
                 (Fed::Finished(_), Executor::Inline(unit)) => vec![unit.finish()],
@@ -1338,11 +1399,12 @@ pub fn run_with_recorder(cfg: ScenarioConfig, opts: RunOptions, tel: &mut Teleme
 
 /// Run the same pipeline on `threads` worker shards.
 ///
-/// The dispatcher is a pure router: it drives the traffic mux and pushes
-/// each raw packet onto the SPSC ring of the shard owning the packet's
-/// source IP. Each shard runs its own fault injector (fault verdicts
-/// are keyed by source and per-source sequence number, so a shard's
-/// substream reproduces the serial verdicts exactly — see
+/// The dispatcher is a pure router: it drives the traffic mux and stages
+/// each raw packet into a batch for the shard owning the packet's source
+/// IP, pushing each full batch (and, at the end, each partial one) onto
+/// that shard's SPSC ring. Each shard runs its own fault injector (fault
+/// verdicts are keyed by source and per-source sequence number, so a
+/// shard's substream reproduces the serial verdicts exactly — see
 /// [`ah_simnet::faults`]) and its own vantage stack, whose reordering,
 /// sampling, and lateness decisions are all per-key pure. Each shard
 /// thread returns its result through its join handle; the results fold
@@ -1357,7 +1419,8 @@ pub fn run_parallel(cfg: ScenarioConfig, opts: RunOptions, threads: usize) -> Ru
 
 /// [`run_parallel`] with live telemetry. Dispatcher-side instruments add
 /// stall timing (how long the dispatcher blocked on a full shard ring)
-/// and per-shard dispatch-ring occupancy high-water marks on top
+/// and per-shard dispatch-ring occupancy high-water marks (in packets),
+/// and each shard counts the naps its idle waits took, on top
 /// of the stage instruments the shards register themselves. Packet order
 /// on every ring is identical with telemetry on or off, so the output
 /// stays bitwise identical to [`run`] / [`run_parallel`].
@@ -1694,6 +1757,36 @@ mod tests {
             b.report.hitters(Definition::AddressDispersion)
         );
         assert_eq!(a.fingerprint(), b.fingerprint());
+    }
+
+    /// Deliver `pkts`, and nothing else, to a fresh executor.
+    fn run_stream(cfg: &ScenarioConfig, pkts: &[PacketMeta], threads: Option<usize>) -> RunOutput {
+        let feed = |engine: &mut Engine<'_, '_>| {
+            pkts.iter().for_each(|p| engine.deliver(p));
+            Ok(Fed::Finished(pkts.len() as u64))
+        };
+        let tel = &mut Telemetry::disabled();
+        match Engine::execute(cfg.world.clone(), cfg.days, RunOptions::full(), threads, tel, feed) {
+            Ok(WalOutcome::Completed(out)) => *out,
+            _ => panic!("an unjournaled stream runs to completion"),
+        }
+    }
+
+    #[test]
+    fn streams_shorter_than_a_batch_per_shard_match_serial() {
+        // Every length is under one batch per shard at 8 shards, so most
+        // rings carry only the partial tail `join` pushes, and at the
+        // short lengths most carry nothing at all.
+        let cfg = ScenarioConfig::tiny(1, 21);
+        let mut pkts = Vec::new();
+        Scenario::build(cfg.clone()).mux.next_batch(&mut pkts, 8 * BATCH - 1);
+        assert_eq!(pkts.len(), 8 * BATCH - 1, "the scenario is long enough");
+        for n in [0, 1, 7, BATCH - 1, BATCH, BATCH + 1, pkts.len()] {
+            let serial = run_stream(&cfg, &pkts[..n], None);
+            assert_eq!(serial.generated_packets, n as u64);
+            let sharded = run_stream(&cfg, &pkts[..n], Some(8));
+            assert_eq!(sharded.fingerprint(), serial.fingerprint(), "{n} packets");
+        }
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! 4. every relative link and `#anchor` in every markdown file of the
 //!    repo resolves ([`mdcheck`]);
 //! 5. the storage crate `ah-wal` depends on the instrument crates only,
-//!    never on the simulator or the analysis crates.
+//!    never on the simulator or the analysis crates;
+//! 6. the SPSC ring waits only through its `RingSync` facade, so every
+//!    wait the engine makes is one the model checker schedules.
 
 mod mdcheck;
 
@@ -186,4 +188,45 @@ fn wal_depends_on_the_instrument_crates_only() {
         .map(|d| format!("crates/wal/Cargo.toml: `{d}` is not one of {ALLOWED:?}"))
         .collect();
     assert_none("ah-wal dependencies outside the instrument crates", &bad);
+}
+
+/// A spin, yield, sleep or park written straight into the ring would be
+/// a wait the model checker never sees: the production facade is the one
+/// place allowed to name the OS primitives, and the protocol calls them
+/// as `S::…` hooks.
+#[test]
+fn ring_waits_go_through_the_facade() {
+    const WAITS: [&str; 4] = ["sleep", "yield_now", "spin_loop", "park"];
+    let (_, lines) = sources()
+        .into_iter()
+        .find(|(path, _)| path == "crates/simnet/src/ring.rs")
+        .expect("crates/simnet/src/ring.rs is a shipped source");
+    let start = lines
+        .iter()
+        .position(|l| l.trim() == "impl RingSync for StdSync {")
+        .expect("the production facade `impl RingSync for StdSync`");
+    let end = start + lines[start..].iter().position(|l| l == "}").expect("end of the impl");
+    assert!(
+        lines[start..end].iter().any(|l| l.contains("thread::sleep")),
+        "the production facade no longer naps with thread::sleep: update this rule"
+    );
+    let mut bad = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        if (start..=end).contains(&i) || is_comment(line) {
+            continue;
+        }
+        for wait in WAITS {
+            for (at, _) in line.match_indices(wait) {
+                let before = &line[..at];
+                if !(before.ends_with("S::") || before.ends_with("fn ")) {
+                    bad.push(format!(
+                        "crates/simnet/src/ring.rs:{}: `{wait}` outside the StdSync facade \
+                         — wait through an `S::` hook of RingSync",
+                        i + 1
+                    ));
+                }
+            }
+        }
+    }
+    assert_none("ring waits that bypass the RingSync facade", &bad);
 }

@@ -91,14 +91,20 @@ fn journaled_sharded_run_publishes_dispatcher_instruments() {
         .completed()
         .expect("run completed");
     let snap = rec.snapshot();
-    let mut shards: Vec<&str> = snap
-        .samples
-        .iter()
-        .filter(|s| s.name == "ah_pipeline_ring_occupancy_hwm")
-        .flat_map(|s| s.labels.iter().filter(|(k, _)| k == "shard").map(|(_, v)| v.as_str()))
-        .collect();
-    shards.sort_unstable();
+    let shards_of = |name: &str| {
+        let mut shards: Vec<&str> = snap
+            .samples
+            .iter()
+            .filter(|s| s.name == name)
+            .flat_map(|s| s.labels.iter().filter(|(k, _)| k == "shard").map(|(_, v)| v.as_str()))
+            .collect();
+        shards.sort_unstable();
+        shards
+    };
+    let shards = shards_of("ah_pipeline_ring_occupancy_hwm");
     assert_eq!(shards, ["0", "1", "2", "3"], "one ring-occupancy gauge per shard label");
+    let naps = shards_of("ah_pipeline_shard_naps_total");
+    assert_eq!(naps, ["0", "1", "2", "3"], "one naps counter per shard label");
     for name in ["ah_pipeline_dispatch_stalls_total", "ah_pipeline_dispatch_stall_us"] {
         assert!(snap.samples.iter().any(|s| s.name == name), "{name} not published");
     }
