@@ -75,6 +75,22 @@ impl PipelineHealth {
         self.stages.push(stage);
     }
 
+    /// Sum another execution unit's ledger into this one, stage by stage.
+    /// Both list the same stages in the same order, as every unit of one
+    /// run does; the identity is linear, so the sum conserves.
+    pub fn merge(&mut self, other: &PipelineHealth) {
+        for (a, b) in self.stages.iter_mut().zip(&other.stages) {
+            debug_assert_eq!(a.stage, b.stage, "ledgers list different stages");
+            a.received += b.received;
+            a.accepted += b.accepted;
+            a.repaired += b.repaired;
+            a.quarantined += b.quarantined;
+            for (category, n) in &b.discarded {
+                a.discard(category, *n);
+            }
+        }
+    }
+
     /// Look up a stage by name.
     pub fn stage(&self, name: &str) -> Option<&StageHealth> {
         self.stages.iter().find(|s| s.stage == name)

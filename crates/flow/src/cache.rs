@@ -26,7 +26,7 @@ use crate::router::Direction;
 use ah_net::hash::FastMap;
 use ah_net::packet::{PacketMeta, Transport};
 use ah_net::time::{Dur, Ts};
-use ah_obs::{Counter, Gauge, Histogram, Recorder};
+use ah_obs::{Histogram, Recorder};
 
 /// Cisco-style default active timeout: a long-lived flow is cut and
 /// exported every 30 minutes even while packets keep arriving.
@@ -35,7 +35,8 @@ pub(crate) const DEFAULT_ACTIVE_TIMEOUT: Dur = Dur::from_mins(30);
 /// expired at the next sweep.
 pub(crate) const DEFAULT_INACTIVE_TIMEOUT: Dur = Dur::from_secs(15);
 
-/// Input-fate counters for one flow cache.
+/// Input-fate counters for one flow cache, plus its housekeeping: sweeps,
+/// evictions, the entry map's high-water mark, the records it holds.
 ///
 /// Conservation: `received == accepted + duplicates_suppressed`;
 /// `first_repaired` is a subset of `accepted`.
@@ -49,6 +50,14 @@ pub struct CacheStats {
     pub duplicates_suppressed: u64,
     /// Accepted packets that moved a flow's `first` timestamp earlier.
     pub first_repaired: u64,
+    /// Expiry sweeps run.
+    pub sweeps: u64,
+    /// Idle entries those sweeps exported.
+    pub evicted: u64,
+    /// Most flows ever active at once.
+    pub active_hwm: u64,
+    /// Records cut and held for [`FlowCache::flush`] when read.
+    pub cut: u64,
 }
 
 impl CacheStats {
@@ -58,6 +67,10 @@ impl CacheStats {
         self.accepted += other.accepted;
         self.duplicates_suppressed += other.duplicates_suppressed;
         self.first_repaired += other.first_repaired;
+        self.sweeps += other.sweeps;
+        self.evicted += other.evicted;
+        self.active_hwm = self.active_hwm.max(other.active_hwm);
+        self.cut += other.cut;
     }
 
     /// The conservation identity.
@@ -93,14 +106,7 @@ pub struct FlowCache {
     /// the implicit sweep schedule, never a per-flow decision.
     watermark: Ts,
     stats: CacheStats,
-    /// Telemetry (inert until [`FlowCache::set_recorder`]).
-    m_received: Counter,
-    m_accepted: Counter,
-    m_duplicates: Counter,
-    m_exported: Counter,
-    m_evicted: Counter,
-    m_occupancy_hwm: Gauge,
-    m_sweeps: Counter,
+    /// Sweep-duration telemetry (inert until [`FlowCache::set_recorder`]).
     m_sweep_us: Histogram,
 }
 
@@ -121,39 +127,21 @@ impl FlowCache {
             last_sweep: Ts::ZERO,
             watermark: Ts::ZERO,
             stats: CacheStats::default(),
-            m_received: Counter::default(),
-            m_accepted: Counter::default(),
-            m_duplicates: Counter::default(),
-            m_exported: Counter::default(),
-            m_evicted: Counter::default(),
-            m_occupancy_hwm: Gauge::default(),
-            m_sweeps: Counter::default(),
             m_sweep_us: Histogram::default(),
         }
     }
 
-    /// Attach live telemetry instruments (`ah_flow_cache_*`).
-    ///
-    /// Counters are shared across caches (they sum); the occupancy
-    /// high-water mark is labeled by router id. Observation-only: flow
-    /// accounting and export semantics are unchanged.
+    /// Attach the sweep-duration histogram, the one distribution no count
+    /// in [`CacheStats`] stands in for. Observation-only: flow accounting
+    /// and export semantics are unchanged.
     pub(crate) fn set_recorder(&mut self, rec: &Recorder) {
-        let router = self.router.to_string();
-        self.m_received = rec.counter("ah_flow_cache_packets_received_total");
-        self.m_accepted = rec.counter("ah_flow_cache_packets_accepted_total");
-        self.m_duplicates = rec.counter("ah_flow_cache_duplicates_suppressed_total");
-        self.m_exported = rec.counter("ah_flow_cache_records_exported_total");
-        self.m_evicted = rec.counter("ah_flow_cache_records_evicted_total");
-        self.m_occupancy_hwm =
-            rec.gauge_with("ah_flow_cache_active_flows_hwm", &[("router", &router)]);
-        self.m_sweeps = rec.counter("ah_flow_cache_sweeps_total");
         self.m_sweep_us =
             rec.histogram("ah_flow_cache_sweep_duration_us", ah_obs::LATENCY_US_BUCKETS);
     }
 
     /// Input-fate counters (duplicate/reorder accounting).
     pub(crate) fn stats(&self) -> CacheStats {
-        self.stats
+        CacheStats { cut: self.exported.len() as u64, ..self.stats }
     }
 
     /// Account one *sampled* packet. Exact duplicates of the previous
@@ -173,7 +161,6 @@ impl FlowCache {
             self.sweep(self.watermark);
         }
         self.stats.received += 1;
-        self.m_received.inc();
         let key = FlowKey::of(pkt);
         let flags = match pkt.transport {
             Transport::Tcp { flags, .. } => flags.0,
@@ -184,11 +171,9 @@ impl FlowCache {
             std::collections::hash_map::Entry::Occupied(mut e) => {
                 if e.get().last_sig == sig && e.get().direction == direction {
                     self.stats.duplicates_suppressed += 1;
-                    self.m_duplicates.inc();
                     return;
                 }
                 self.stats.accepted += 1;
-                self.m_accepted.inc();
                 let needs_cut = {
                     let en = e.get();
                     pkt.ts.since(en.last) > self.inactive_timeout
@@ -198,7 +183,6 @@ impl FlowCache {
                 if needs_cut {
                     let (k, en) = (key, e.remove());
                     self.exported.push(Self::export(self.router, k, en));
-                    self.m_exported.inc();
                     self.entries.insert(key, Self::fresh(pkt, flags, direction, sig));
                 } else {
                     let en = e.get_mut();
@@ -215,11 +199,11 @@ impl FlowCache {
             }
             std::collections::hash_map::Entry::Vacant(v) => {
                 self.stats.accepted += 1;
-                self.m_accepted.inc();
                 v.insert(Self::fresh(pkt, flags, direction, sig));
+                // Only a new key grows the map, so the mark is exact.
+                self.stats.active_hwm = self.stats.active_hwm.max(self.entries.len() as u64);
             }
         }
-        self.m_occupancy_hwm.set_max(self.entries.len() as i64);
     }
 
     fn fresh(pkt: &PacketMeta, flags: u8, direction: Direction, sig: PacketSig) -> Entry {
@@ -259,7 +243,7 @@ impl FlowCache {
     /// per-packet in [`FlowCache::observe`] (a pure per-flow decision),
     /// not here, for the same reason.
     pub(crate) fn sweep(&mut self, now: Ts) {
-        self.m_sweeps.inc();
+        self.stats.sweeps += 1;
         let _span = self.m_sweep_us.time();
         self.last_sweep = now;
         let expire_after = Dur(self.inactive_timeout.0 * 2);
@@ -272,8 +256,7 @@ impl FlowCache {
         for k in expired {
             if let Some(e) = self.entries.remove(&k) {
                 self.exported.push(Self::export(self.router, k, e));
-                self.m_exported.inc();
-                self.m_evicted.inc();
+                self.stats.evicted += 1;
             }
         }
     }
@@ -284,7 +267,6 @@ impl FlowCache {
         let mut out = std::mem::take(&mut self.exported);
         for (k, e) in self.entries.drain() {
             out.push(Self::export(router, k, e));
-            self.m_exported.inc();
         }
         out
     }

@@ -64,10 +64,6 @@ pub(crate) struct BorderRouter {
     /// denominator of Tables 2 and 4 — what an unsampled line-card
     /// counter would report).
     day_counters: FastMap<u64, u64>,
-    /// Telemetry for sampler decisions (inert until
-    /// [`IspModel::set_recorder`]).
-    m_seen: ah_obs::Counter,
-    m_selected: ah_obs::Counter,
 }
 
 impl BorderRouter {
@@ -78,30 +74,17 @@ impl BorderRouter {
             samplers: FastMap::default(),
             cache: FlowCache::new(id),
             day_counters: FastMap::default(),
-            m_seen: ah_obs::Counter::default(),
-            m_selected: ah_obs::Counter::default(),
         }
-    }
-
-    fn set_recorder(&mut self, rec: &ah_obs::Recorder) {
-        let router = self.id.to_string();
-        self.m_seen =
-            rec.counter_with("ah_flow_sampler_packets_seen_total", &[("router", &router)]);
-        self.m_selected =
-            rec.counter_with("ah_flow_sampler_packets_selected_total", &[("router", &router)]);
-        self.cache.set_recorder(rec);
     }
 
     fn observe(&mut self, pkt: &PacketMeta, direction: Direction) {
         *self.day_counters.entry(pkt.ts.day()).or_default() += 1;
-        self.m_seen.inc();
         let (id, rate) = (self.id, self.sampling_rate);
         let sampler = self
             .samplers
             .entry(pkt.src.to_u32())
             .or_insert_with(|| Sampler::new(rate, sampler_phase(id, pkt.src)));
         if sampler.sample(rate) {
-            self.m_selected.inc();
             self.cache.observe(pkt, direction);
         }
     }
@@ -217,15 +200,15 @@ impl IspModel {
         self.routers.iter_mut().find(|r| r.id == id)
     }
 
-    /// Attach live telemetry instruments (`ah_flow_sampler_*` per router
-    /// and `ah_flow_cache_*` for every router's flow cache).
+    /// Attach every flow cache's sweep-duration histogram. The counts
+    /// live in [`IspModel::routers`], where the engine reads them.
     /// Observation-only: routing, sampling and export are unchanged.
     pub fn set_recorder(&mut self, rec: &ah_obs::Recorder) {
         // Instruments are interned in the recorder, which outlives any
         // run — charge them to Obs, not the run-scoped Flow tag.
         let _mem = MemScope::enter(Tag::Obs);
         for r in &mut self.routers {
-            r.set_recorder(rec);
+            r.cache.set_recorder(rec);
         }
     }
 
@@ -266,6 +249,13 @@ impl IspModel {
             }
         }
         disposition
+    }
+
+    /// Each border router in configuration order: its id, the packets
+    /// that crossed it so far, and its cache's counters (`received` is
+    /// what its samplers selected).
+    pub fn routers(&self) -> impl Iterator<Item = (RouterId, u64, CacheStats)> + '_ {
+        self.routers.iter().map(|r| (r.id, r.day_counters.values().sum(), r.cache.stats()))
     }
 
     /// Flow-cache input-fate counters aggregated over all border routers.
@@ -407,6 +397,8 @@ mod tests {
         for i in 0..95 {
             m.observe(&pkt(EU_SCANNER, USER, i / 10));
         }
+        let seen: Vec<_> = m.routers().map(|(id, seen, _)| (id, seen)).collect();
+        assert_eq!(seen, [(1, 95), (2, 0), (3, 0)]);
         let ds = m.finish();
         let total: u64 = (0..10).map(|d| ds.router_day_packets(1, d)).sum();
         assert_eq!(total, 95);
@@ -485,20 +477,12 @@ mod tests {
             vec![1],
             1,
         ));
-        let rec = ah_obs::Recorder::new();
-        m.set_recorder(&rec);
         m.observe(&pkt(EU_SCANNER, USER, 0));
         // No caller sweeps an ISP model: five minutes on, a packet of
         // another flow moves the cache's watermark and the cache expires
         // the idle flow itself.
         m.observe(&pkt(US_HOST, USER, 300));
-        let evicted = rec
-            .snapshot()
-            .samples
-            .into_iter()
-            .find(|s| s.name == "ah_flow_cache_records_evicted_total")
-            .map(|s| s.value);
-        assert_eq!(evicted, Some(ah_obs::Value::Counter(1)));
+        assert_eq!(m.cache_stats().evicted, 1);
         let ds = m.finish();
         assert_eq!(ds.records.len(), 2);
         let idle = &ds.records[0];

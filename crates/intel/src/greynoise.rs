@@ -137,6 +137,8 @@ pub struct IngestStats {
     pub accepted: u64,
     /// Packets whose destination is not a sensor.
     pub ignored: u64,
+    /// Sources profiled, when read: only ever added, so also their peak.
+    pub profiles: u64,
 }
 
 impl IngestStats {
@@ -153,11 +155,6 @@ pub struct GreyNoise {
     profiles: FastMap<Ipv4Addr4, SrcProfile>,
     benign_vetted: HashSet<Ipv4Addr4>,
     ingest: IngestStats,
-    /// Telemetry (inert until [`GreyNoise::set_recorder`]).
-    m_received: ah_obs::Counter,
-    m_accepted: ah_obs::Counter,
-    m_ignored: ah_obs::Counter,
-    m_profiles_hwm: ah_obs::Gauge,
 }
 
 impl GreyNoise {
@@ -170,39 +167,23 @@ impl GreyNoise {
             profiles: FastMap::default(),
             benign_vetted,
             ingest: IngestStats::default(),
-            m_received: ah_obs::Counter::default(),
-            m_accepted: ah_obs::Counter::default(),
-            m_ignored: ah_obs::Counter::default(),
-            m_profiles_hwm: ah_obs::Gauge::default(),
         }
-    }
-
-    /// Attach live telemetry instruments (`ah_intel_greynoise_*`).
-    /// Observation-only: ingest and tagging semantics are unchanged.
-    pub fn set_recorder(&mut self, rec: &ah_obs::Recorder) {
-        self.m_received = rec.counter("ah_intel_greynoise_packets_received_total");
-        self.m_accepted = rec.counter("ah_intel_greynoise_packets_accepted_total");
-        self.m_ignored = rec.counter("ah_intel_greynoise_packets_ignored_total");
-        self.m_profiles_hwm = rec.gauge("ah_intel_greynoise_profiles_hwm");
     }
 
     /// Ingest counters so far.
     pub fn ingest_stats(&self) -> IngestStats {
-        self.ingest
+        IngestStats { profiles: self.profiles.len() as u64, ..self.ingest }
     }
 
     /// Offer one packet; only packets to sensors are recorded. Returns
     /// true when the packet hit a sensor.
     pub fn observe(&mut self, pkt: &PacketMeta, hint: PayloadHint) -> bool {
         self.ingest.received += 1;
-        self.m_received.inc();
         if !self.sensors.contains(pkt.dst) {
             self.ingest.ignored += 1;
-            self.m_ignored.inc();
             return false;
         }
         self.ingest.accepted += 1;
-        self.m_accepted.inc();
         let p = self.profiles.entry(pkt.src).or_default();
         p.packets += 1;
         p.sensors_hit.insert(pkt.dst);
@@ -230,7 +211,6 @@ impl GreyNoise {
         if hint != PayloadHint::None {
             p.payload_hints.insert(hint);
         }
-        self.m_profiles_hwm.set_max(self.profiles.len() as i64);
         true
     }
 

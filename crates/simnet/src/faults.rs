@@ -175,23 +175,6 @@ impl InjectorStats {
     pub fn total_discarded(&self) -> u64 {
         self.dropped + self.outage_dropped + self.truncated_discarded + self.corrupt_discarded
     }
-
-    /// Fold another injector's counters into this one. Because every
-    /// field is a plain per-packet tally, per-shard stats summed across
-    /// shards equal the serial injector's stats exactly — the parallel
-    /// engine's `faults.injector` health ledger is built this way.
-    pub fn merge(&mut self, other: &InjectorStats) {
-        self.input += other.input;
-        self.delivered += other.delivered;
-        self.dropped += other.dropped;
-        self.duplicated += other.duplicated;
-        self.outage_dropped += other.outage_dropped;
-        self.truncated_discarded += other.truncated_discarded;
-        self.corrupt_discarded += other.corrupt_discarded;
-        self.reordered += other.reordered;
-        self.corrupted_delivered += other.corrupted_delivered;
-        self.zero_payload += other.zero_payload;
-    }
 }
 
 /// The decision-RNG seed for packet number `n` (0-based) of source

@@ -33,12 +33,19 @@ impl DarkSpace {
     }
 }
 
-/// Running statistics over everything the telescope captured — the raw
-/// material of Table 1 (packets, unique sources, unique destinations).
+/// Running statistics over everything offered to the telescope — what it
+/// captured is the raw material of Table 1 (packets, unique sources,
+/// unique destinations).
 #[derive(Debug, Clone)]
 pub struct CaptureStats {
+    /// Offered packets whose destination is not dark.
+    pub not_dark: u64,
+    /// Dark-space packets the source filter dropped before detection.
+    pub filtered: u64,
     /// All packets that arrived at the dark space, scanning or not.
     pub total_packets: u64,
+    /// Their wire bytes.
+    pub bytes: u64,
     /// Packets per scanning class (TCP-SYN / UDP / ICMP echo).
     class_packets: [u64; 3],
     /// Packets that were not classifiable as scanning (backscatter etc.).
@@ -53,7 +60,10 @@ impl CaptureStats {
     /// Empty statistics over a dark space of `dark_size` addresses.
     pub(crate) fn new(dark_size: u32) -> CaptureStats {
         CaptureStats {
+            not_dark: 0,
+            filtered: 0,
             total_packets: 0,
+            bytes: 0,
             class_packets: [0; 3],
             non_scan_packets: 0,
             sources: FastSet::default(),
@@ -63,6 +73,7 @@ impl CaptureStats {
 
     fn record(&mut self, pkt: &PacketMeta, class: Option<ScanClass>, dst_index: u32) {
         self.total_packets += 1;
+        self.bytes += u64::from(pkt.wire_len);
         self.sources.insert(pkt.src);
         self.dsts.insert(dst_index);
         match class {
@@ -95,7 +106,10 @@ impl CaptureStats {
     /// instance would have computed over the concatenated streams — in
     /// any merge order.
     pub fn merge(&mut self, other: &CaptureStats) {
+        self.not_dark += other.not_dark;
+        self.filtered += other.filtered;
         self.total_packets += other.total_packets;
+        self.bytes += other.bytes;
         for (a, b) in self.class_packets.iter_mut().zip(other.class_packets.iter()) {
             *a += *b;
         }
@@ -139,12 +153,6 @@ pub struct Telescope {
     aggregator: crate::event::EventAggregator,
     /// Source prefixes dropped before detection (bogons/martians).
     source_filter: ah_net::prefix::PrefixSet,
-    /// Packets dropped by the source filter.
-    filtered_packets: u64,
-    /// Telemetry (inert until [`Telescope::set_recorder`]).
-    m_packets: ah_obs::Counter,
-    m_bytes: ah_obs::Counter,
-    m_filtered: ah_obs::Counter,
     /// Trace handle (inert until [`Telescope::set_tracer`]).
     tracer: ah_trace::Tracer,
 }
@@ -186,24 +194,18 @@ impl Telescope {
             stats: CaptureStats::new(dark.size()),
             aggregator: crate::event::EventAggregator::new(dark.size(), timeout),
             source_filter: filter,
-            filtered_packets: 0,
-            m_packets: ah_obs::Counter::default(),
-            m_bytes: ah_obs::Counter::default(),
-            m_filtered: ah_obs::Counter::default(),
             tracer: ah_trace::Tracer::noop(),
         }
     }
 
-    /// Attach live telemetry instruments (`ah_telescope_capture_*`) to
-    /// this telescope and `ah_telescope_agg_*` to its event aggregator.
+    /// Attach the event aggregator's distributions (watermark lag, sweep
+    /// duration). The counts live in [`Telescope::stats`] and
+    /// [`Telescope::aggregator_stats`], where the engine reads them.
     /// Observation-only: capture and event semantics are unchanged.
     pub fn set_recorder(&mut self, rec: &ah_obs::Recorder) {
         // Instruments are interned in the recorder, which outlives any
         // run — charge them to Obs, not the run-scoped Telescope tag.
         let _mem = MemScope::enter(Tag::Obs);
-        self.m_packets = rec.counter("ah_telescope_capture_packets_total");
-        self.m_bytes = rec.counter("ah_telescope_capture_bytes_total");
-        self.m_filtered = rec.counter("ah_telescope_capture_filtered_total");
         self.aggregator.set_recorder(rec);
     }
 
@@ -215,11 +217,6 @@ impl Telescope {
     pub fn set_tracer(&mut self, tracer: &ah_trace::Tracer) {
         self.tracer = tracer.clone();
         self.aggregator.set_tracer(tracer);
-    }
-
-    /// Packets dropped by the source filter so far.
-    pub fn filtered_packets(&self) -> u64 {
-        self.filtered_packets
     }
 
     /// The monitored dark space.
@@ -242,6 +239,7 @@ impl Telescope {
         // (`pipeline::Vantage::consume::<true>`) brackets this call
         // with `ah_mem::tag_swap` when accounting is on.
         let Some(idx) = self.dark.index_of(pkt.dst) else {
+            self.stats.not_dark += 1;
             return CaptureOutcome::NotDark;
         };
         let journey = self.tracer.journey_id(pkt.src.to_u32());
@@ -249,14 +247,11 @@ impl Telescope {
             self.tracer.journey_instant("ah_telescope_capture_observe", journey);
         }
         if self.source_filter.contains(pkt.src) {
-            self.filtered_packets += 1;
-            self.m_filtered.inc();
+            self.stats.filtered += 1;
             return CaptureOutcome::FilteredSource;
         }
         let class = pkt.scan_class();
         self.stats.record(pkt, class, idx);
-        self.m_packets.inc();
-        self.m_bytes.add(u64::from(pkt.wire_len));
         match class {
             Some(c) => {
                 self.aggregator.observe(pkt, c, idx);
@@ -393,7 +388,7 @@ mod tests {
             23,
         );
         assert_eq!(t.observe(&spoofed), CaptureOutcome::FilteredSource);
-        assert_eq!(t.filtered_packets(), 1);
+        assert_eq!(t.stats().filtered, 1);
         assert_eq!(t.stats().total_packets, 0, "filtered packets never reach stats");
         assert!(t.flush().is_empty());
         // Legitimate sources still pass.

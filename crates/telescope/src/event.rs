@@ -40,7 +40,7 @@ use ah_net::hash::FastMap;
 use ah_net::ipv4::Ipv4Addr4;
 use ah_net::packet::{PacketMeta, ScanClass};
 use ah_net::time::{Dur, Ts};
-use ah_obs::{Counter, Gauge, Histogram, Recorder};
+use ah_obs::{Histogram, Recorder};
 
 /// Key identifying a logical scan.
 ///
@@ -102,7 +102,8 @@ impl DarknetEvent {
     }
 }
 
-/// Input-fate counters for the aggregator's reordering policy.
+/// Input-fate counters for the aggregator's reordering policy, plus its
+/// housekeeping: sweeps, the active map's high-water mark, held events.
 ///
 /// Conservation: `received == accepted + quarantined`; `start_repaired`
 /// is a subset of `accepted`.
@@ -116,16 +117,12 @@ pub struct AggregatorStats {
     pub start_repaired: u64,
     /// Packets older than the reorder window, counted and dropped.
     pub quarantined: u64,
-}
-
-impl AggregatorStats {
-    /// Sum another shard's counters into this one (order-insensitive).
-    pub fn merge(&mut self, other: &AggregatorStats) {
-        self.received += other.received;
-        self.accepted += other.accepted;
-        self.start_repaired += other.start_repaired;
-        self.quarantined += other.quarantined;
-    }
+    /// Expiry sweeps run.
+    pub sweeps: u64,
+    /// Most events ever active at once.
+    pub active_hwm: u64,
+    /// Events closed and held for [`EventAggregator::flush`] when read.
+    pub closed: u64,
 }
 
 struct ActiveEvent {
@@ -176,13 +173,7 @@ pub struct EventAggregator {
     reorder_window: Dur,
     stats: AggregatorStats,
     /// Telemetry (inert until [`EventAggregator::set_recorder`]).
-    m_received: Counter,
-    m_accepted: Counter,
-    m_quarantined: Counter,
     m_lag_us: Histogram,
-    m_active_hwm: Gauge,
-    m_events_total: Counter,
-    m_sweeps: Counter,
     m_sweep_us: Histogram,
     /// Trace handle (inert until [`EventAggregator::set_tracer`]).
     tracer: ah_trace::Tracer,
@@ -213,31 +204,19 @@ impl EventAggregator {
             watermark: Ts::ZERO,
             reorder_window: window,
             stats: AggregatorStats::default(),
-            m_received: Counter::default(),
-            m_accepted: Counter::default(),
-            m_quarantined: Counter::default(),
             m_lag_us: Histogram::default(),
-            m_active_hwm: Gauge::default(),
-            m_events_total: Counter::default(),
-            m_sweeps: Counter::default(),
             m_sweep_us: Histogram::default(),
             tracer: ah_trace::Tracer::noop(),
         }
     }
 
-    /// Attach live telemetry instruments (`ah_telescope_agg_*`).
+    /// Attach the two distributions no count can stand in for: watermark
+    /// lag per packet and sweep duration.
     ///
-    /// Observation-only: instruments mirror the accounting the
-    /// aggregator already does and never influence event semantics.
+    /// Observation-only: nothing reads them back into event semantics.
     pub(crate) fn set_recorder(&mut self, rec: &Recorder) {
-        self.m_received = rec.counter("ah_telescope_agg_packets_received_total");
-        self.m_accepted = rec.counter("ah_telescope_agg_packets_accepted_total");
-        self.m_quarantined = rec.counter("ah_telescope_agg_packets_quarantined_total");
         self.m_lag_us =
             rec.histogram("ah_telescope_agg_watermark_lag_us", ah_obs::LATENCY_US_BUCKETS);
-        self.m_active_hwm = rec.gauge("ah_telescope_agg_active_events_hwm");
-        self.m_events_total = rec.counter("ah_telescope_agg_events_completed_total");
-        self.m_sweeps = rec.counter("ah_telescope_agg_sweeps_total");
         self.m_sweep_us =
             rec.histogram("ah_telescope_agg_sweep_duration_us", ah_obs::LATENCY_US_BUCKETS);
     }
@@ -257,7 +236,7 @@ impl EventAggregator {
 
     /// Input-fate counters (reordering policy accounting).
     pub fn stats(&self) -> AggregatorStats {
-        self.stats
+        AggregatorStats { closed: self.completed.len() as u64, ..self.stats }
     }
 
     /// Observe one scanning packet. `dst_index` is the packet's dense
@@ -273,7 +252,6 @@ impl EventAggregator {
     /// parallel engine relies on (`ARCHITECTURE.md` §11).
     pub fn observe(&mut self, pkt: &PacketMeta, class: ScanClass, dst_index: u32) {
         self.stats.received += 1;
-        self.m_received.inc();
         self.m_lag_us.observe(self.watermark.since(pkt.ts).0);
         self.watermark = self.watermark.max(pkt.ts);
         // Implicit periodic sweep keeps the active map bounded even if the
@@ -293,13 +271,11 @@ impl EventAggregator {
                     // Older than this event's own reorder window: count
                     // and drop, never merge.
                     self.stats.quarantined += 1;
-                    self.m_quarantined.inc();
                     return;
                 }
                 if pkt.ts.since(ev.last) > self.timeout {
                     // Gap exceeded: close the old event and start fresh.
                     self.completed.push(Self::finish(key, e.remove()));
-                    self.m_events_total.inc();
                     self.active.insert(key, Self::fresh(pkt, tool, dst_index, self.dark_size));
                 } else {
                     if pkt.ts < ev.start {
@@ -312,11 +288,11 @@ impl EventAggregator {
             }
             std::collections::hash_map::Entry::Vacant(v) => {
                 v.insert(Self::fresh(pkt, tool, dst_index, self.dark_size));
+                // Only a new key grows the map, so the mark is exact.
+                self.stats.active_hwm = self.stats.active_hwm.max(self.active.len() as u64);
             }
         }
         self.stats.accepted += 1;
-        self.m_accepted.inc();
-        self.m_active_hwm.set_max(self.active.len() as i64);
     }
 
     fn fresh(pkt: &PacketMeta, tool: Tool, dst_index: u32, dark_size: u32) -> ActiveEvent {
@@ -359,7 +335,7 @@ impl EventAggregator {
     /// drained but never their contents — which is why serial runs and
     /// shards sweeping on independent local clocks agree bitwise.
     pub(crate) fn advance(&mut self, now: Ts) {
-        self.m_sweeps.inc();
+        self.stats.sweeps += 1;
         let _span = self.m_sweep_us.time();
         let _trace = self.tracer.span("ah_telescope_agg_sweep");
         self.last_sweep = now;
@@ -374,7 +350,6 @@ impl EventAggregator {
         for key in expired {
             if let Some(ev) = self.active.remove(&key) {
                 self.completed.push(Self::finish(key, ev));
-                self.m_events_total.inc();
             }
         }
     }
@@ -391,7 +366,6 @@ impl EventAggregator {
         let mut done = std::mem::take(&mut self.completed);
         for (key, ev) in self.active.drain() {
             done.push(Self::finish(key, ev));
-            self.m_events_total.inc();
         }
         done.sort_by_key(|e| e.key);
         done

@@ -17,8 +17,8 @@
 //! `--metrics PATH` turns on pipeline telemetry and writes snapshot files
 //! `PATH.jsonl` (one snapshot per line) and `PATH.prom` (Prometheus text
 //! exposition, latest snapshot). `--metrics-interval N` exports every N
-//! packets fed (default 100000). Telemetry is observation-only:
-//! all tables and figures are bitwise identical with it on or off.
+//! packets fed (default 100000), at a 256-packet batch boundary. Telemetry
+//! is observation-only: tables and figures are bitwise identical either way.
 //!
 //! `--mem-report` turns on the tagged allocator's per-subsystem
 //! accounting and prints a live/peak/cumulative memory table (plus the

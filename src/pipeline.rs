@@ -15,7 +15,9 @@
 //! * **Feeders.** The live traffic mux, and a recovered write-ahead log
 //!   ([`resume_wal`] feeds the log, then the mux; [`replay_wal`] the log
 //!   alone). Both end in one `deliver` step, once per fed packet:
-//!   journal → executor → exporter tick.
+//!   journal → executor; every `BATCH` positions it also reaches the
+//!   batch boundary, where the inline unit publishes its stage counts
+//!   and the exporter ticks.
 //! * **Executor.** [`run`] consumes on the driver thread — the serial
 //!   reference. [`run_parallel`] is a pure router: it hands each packet
 //!   to the worker shard owning its source IP over a lock-free SPSC ring
@@ -54,21 +56,21 @@ use ah_flow::cache::CacheStats;
 use ah_flow::record::FlowRecord;
 use ah_flow::router::{FlowDataset, IspConfig, IspModel, RouterId};
 use ah_flow::v9::{encode_v9, V9Decoder};
-use ah_intel::greynoise::{GnEntry, GreyNoise, IngestStats, PayloadHint};
+use ah_intel::greynoise::{GnEntry, GreyNoise, PayloadHint};
 use ah_mem::{MemScope, Tag};
 use ah_net::hash::{fnv1a_fold, FNV_OFFSET};
 use ah_net::ipv4::Ipv4Addr4;
 use ah_net::packet::PacketMeta;
 use ah_net::time::Ts;
 use ah_obs::{Exporter, Recorder};
-use ah_simnet::faults::{FaultInjector, FaultPlan, InjectorStats};
+use ah_simnet::faults::{FaultInjector, FaultPlan};
 use ah_simnet::mux::{TrafficMux, BATCH};
 use ah_simnet::ring::{ring_with, Consumer, Producer, StdSync};
 use ah_simnet::rng::hash64;
 use ah_simnet::scenario::{Scenario, ScenarioConfig};
 use ah_simnet::world::{World, WorldConfig};
-use ah_telescope::capture::{CaptureOutcome, CaptureStats, CaptureSummary, DarkSpace, Telescope};
-use ah_telescope::event::{AggregatorStats, DarknetEvent};
+use ah_telescope::capture::{CaptureStats, CaptureSummary, DarkSpace, Telescope};
+use ah_telescope::event::DarknetEvent;
 use ah_trace::Tracer;
 use ah_wal::record::{RunSeal, WalRecord};
 use ah_wal::{RecoveredLog, WalWriter, WalWriterConfig};
@@ -213,7 +215,7 @@ impl MemPulse {
         MemPulse { every, next: every, peak_seen: 0 }
     }
 
-    /// Called with the current stream position from `Engine::deliver`.
+    /// Called with the stream position at every batch boundary.
     fn tick(&mut self, pos: u64, rec: &Recorder, tracer: &Tracer) {
         if pos < self.next {
             return;
@@ -332,16 +334,6 @@ fn payload_hint(src: Ipv4Addr4, dst_port: Option<u16>) -> PayloadHint {
     }
 }
 
-/// Health ledger for one ISP's flow caches.
-fn cache_stage(name: &str, s: CacheStats) -> StageHealth {
-    let mut st = StageHealth::new(name);
-    st.received = s.received;
-    st.accepted = s.accepted;
-    st.repaired = s.first_repaired;
-    st.discard("duplicate", s.duplicates_suppressed);
-    st
-}
-
 /// Round-trip the exported flow records through the NetFlow v9 wire
 /// format and ledger the result. The v9 path is a validation loopback:
 /// the in-memory dataset (µs resolution) stays authoritative, but every
@@ -371,13 +363,11 @@ struct Vantage {
     merit: Option<IspModel>,
     cu: Option<IspModel>,
     gn: Option<GreyNoise>,
-    not_dark: u64,
     /// The `consume::<TAGGED>` flavor, picked once per run (at build).
     tagged_run: bool,
-    /// Packets consumed, mirrored on the run-wide throughput counters.
+    /// Packets consumed, and their wire bytes.
     delivered: u64,
-    m_packets: ah_obs::Counter,
-    m_bytes: ah_obs::Counter,
+    delivered_bytes: u64,
     tracer: Tracer,
 }
 
@@ -401,20 +391,12 @@ fn tagged<const TAGGED: bool, R>(tag: Tag, f: impl FnOnce() -> R) -> R {
 struct ShardOut {
     events: Vec<DarknetEvent>,
     capture: CaptureStats,
-    agg: AggregatorStats,
-    filtered: u64,
-    not_dark: u64,
-    /// Packets delivered to this shard's vantage points.
-    delivered: u64,
-    /// Ledger of this unit's fault injector (`None` on clean runs).
-    injector: Option<InjectorStats>,
-    merit: Option<(CacheStats, FlowDataset)>,
-    cu: Option<(CacheStats, FlowDataset)>,
-    gn: Option<GnPart>,
+    /// This unit's stage ledgers, injector to honeypot.
+    health: PipelineHealth,
+    merit: Option<FlowDataset>,
+    cu: Option<FlowDataset>,
+    gn: Option<HashMap<Ipv4Addr4, GnEntry>>,
 }
-
-/// One shard's honeypot profiles and ingest ledger.
-type GnPart = (HashMap<Ipv4Addr4, GnEntry>, IngestStats);
 
 impl Vantage {
     fn build(world: &World, opts: &RunOptions, rec: &Recorder, tracer: &Tracer) -> Vantage {
@@ -443,40 +425,29 @@ impl Vantage {
             c
         });
         let gn = opts.greynoise.then(|| {
-            let mut g = {
-                let _mem = MemScope::enter(Tag::Detectors);
-                // GN's vetting knows the acknowledged orgs' addresses.
-                let acked = world.acked_list(64);
-                let rdns = world.rdns(64);
-                let mut vetted: HashSet<Ipv4Addr4> = HashSet::new();
-                for org in world.orgs.iter().filter(|o| o.is_acked()) {
-                    for i in 0..64.min(org.size()) {
-                        let Some(ip) = org.host(i) else { continue };
-                        if acked.matches(ip, &rdns).is_some() {
-                            vetted.insert(ip);
-                        }
+            let _mem = MemScope::enter(Tag::Detectors);
+            // GN's vetting knows the acknowledged orgs' addresses.
+            let acked = world.acked_list(64);
+            let rdns = world.rdns(64);
+            let mut vetted: HashSet<Ipv4Addr4> = HashSet::new();
+            for org in world.orgs.iter().filter(|o| o.is_acked()) {
+                for i in 0..64.min(org.size()) {
+                    let Some(ip) = org.host(i) else { continue };
+                    if acked.matches(ip, &rdns).is_some() {
+                        vetted.insert(ip);
                     }
                 }
-                GreyNoise::new(world.sensor_set(), vetted)
-            };
-            {
-                // Instruments live in the recorder, which outlives the
-                // run — charge them to Obs, not the run-scoped tag.
-                let _mem = MemScope::enter(Tag::Obs);
-                g.set_recorder(rec);
             }
-            g
+            GreyNoise::new(world.sensor_set(), vetted)
         });
         Vantage {
             telescope,
             merit,
             cu,
             gn,
-            not_dark: 0,
             tagged_run: ah_mem::accounting_enabled(),
             delivered: 0,
-            m_packets: rec.counter("ah_pipeline_mux_packets_delivered_total"),
-            m_bytes: rec.counter("ah_pipeline_mux_bytes_delivered_total"),
+            delivered_bytes: 0,
             tracer: tracer.clone(),
         }
     }
@@ -497,17 +468,13 @@ impl Vantage {
     /// themselves carry no scopes for the same reason.
     fn consume<const TAGGED: bool>(&mut self, pkt: &PacketMeta) {
         self.delivered += 1;
-        self.m_packets.inc();
-        self.m_bytes.add(u64::from(pkt.wire_len));
+        self.delivered_bytes += u64::from(pkt.wire_len);
         // Journey sampling is a pure hash of the source address: it draws
         // no randomness and feeds nothing back into the pipeline.
         let journey = self.tracer.journey_id(pkt.src.to_u32());
         let _trace = (journey != 0)
             .then(|| self.tracer.journey_span("ah_pipeline_vantage_consume", journey));
-        let outcome = tagged::<TAGGED, _>(Tag::Telescope, || self.telescope.observe(pkt));
-        if outcome == CaptureOutcome::NotDark {
-            self.not_dark += 1;
-        }
+        tagged::<TAGGED, _>(Tag::Telescope, || self.telescope.observe(pkt));
         if let Some(m) = self.merit.as_mut() {
             tagged::<TAGGED, _>(Tag::Flow, || m.observe(pkt));
         }
@@ -533,37 +500,87 @@ impl Vantage {
         }
     }
 
-    /// Flush open state and reduce to plain mergeable data; `injector` is
-    /// the ledger of the unit's fault injector, if the run has a plan.
-    fn into_shard_out(mut self, injector: Option<InjectorStats>) -> ShardOut {
-        // Sorted here, on the shard's own thread; `finalize_run` only merges.
-        let events = self.telescope.flush();
-        let agg = self.telescope.aggregator_stats();
-        let filtered = self.telescope.filtered_packets();
-        let capture = self.telescope.stats().clone();
-        // Cache stats are snapshotted before `finish` flushes the caches,
-        // mirroring the serial health-ledger read order.
-        let merit = self.merit.map(|m| (m.cache_stats(), m.finish()));
-        let cu = self.cu.map(|c| (c.cache_stats(), c.finish()));
-        let gn = self.gn.map(|g| {
-            let _mem = MemScope::enter(Tag::Detectors);
-            let stats = g.ingest_stats();
-            (g.finalize(), stats)
-        });
-        ShardOut {
-            events,
-            capture,
-            agg,
-            filtered,
-            not_dark: self.not_dark,
-            delivered: self.delivered,
-            injector,
-            merit,
-            cu,
-            gn,
+    /// Every count this unit's stages hold in their own stats, each as
+    /// `f(metric, router label, count)`, always in the same order; a stage
+    /// the run does not build names nothing.
+    fn counts(&self, f: &mut impl FnMut(&'static str, Option<RouterId>, u64)) {
+        let (cap, agg) = (self.telescope.stats(), self.telescope.aggregator_stats());
+        f("ah_pipeline_mux_packets_delivered_total", None, self.delivered);
+        f("ah_pipeline_mux_bytes_delivered_total", None, self.delivered_bytes);
+        f("ah_telescope_capture_packets_total", None, cap.total_packets);
+        f("ah_telescope_capture_bytes_total", None, cap.bytes);
+        f("ah_telescope_capture_filtered_total", None, cap.filtered);
+        f("ah_telescope_agg_packets_received_total", None, agg.received);
+        f("ah_telescope_agg_packets_accepted_total", None, agg.accepted);
+        f("ah_telescope_agg_packets_quarantined_total", None, agg.quarantined);
+        f("ah_telescope_agg_sweeps_total", None, agg.sweeps);
+        f("ah_telescope_agg_active_events_hwm", None, agg.active_hwm);
+        f(EVENTS_COMPLETED, None, agg.closed);
+        let mut cache = CacheStats::default();
+        for (id, seen, c) in self.merit.iter().chain(&self.cu).flat_map(IspModel::routers) {
+            f("ah_flow_sampler_packets_seen_total", Some(id), seen);
+            f("ah_flow_sampler_packets_selected_total", Some(id), c.received);
+            f("ah_flow_cache_active_flows_hwm", Some(id), c.active_hwm);
+            cache.merge(&c);
+        }
+        if self.merit.is_some() || self.cu.is_some() {
+            f("ah_flow_cache_packets_received_total", None, cache.received);
+            f("ah_flow_cache_packets_accepted_total", None, cache.accepted);
+            f("ah_flow_cache_duplicates_suppressed_total", None, cache.duplicates_suppressed);
+            f("ah_flow_cache_records_evicted_total", None, cache.evicted);
+            f("ah_flow_cache_sweeps_total", None, cache.sweeps);
+            f(RECORDS_EXPORTED, None, cache.cut);
+        }
+        if let Some(g) = self.gn.as_ref() {
+            let s = g.ingest_stats();
+            f("ah_intel_greynoise_packets_received_total", None, s.received);
+            f("ah_intel_greynoise_packets_accepted_total", None, s.accepted);
+            f("ah_intel_greynoise_packets_ignored_total", None, s.ignored);
+            f("ah_intel_greynoise_profiles_hwm", None, s.profiles);
         }
     }
 }
+
+// --- Stage metrics: counted once, in the stages' stats -----------------
+
+/// One instrument a unit publishes a stage count on (`ARCHITECTURE.md`
+/// §8); every unit registering a name shares its series.
+enum Published {
+    /// A `_total` counter, and this unit's count at its last publish: the
+    /// counter gets the difference, so the units' shares sum to the run's.
+    Counter(ah_obs::Counter, u64),
+    /// A `_hwm` gauge: the units' maximum.
+    Mark(ah_obs::Gauge),
+}
+
+impl Published {
+    fn register(rec: &Recorder, name: &str, router: Option<RouterId>) -> Published {
+        // The recorder outlives the run: its instruments are charged to Obs.
+        let _mem = MemScope::enter(Tag::Obs);
+        let id = router.map_or_else(String::new, |r| r.to_string());
+        let labels = &[("router", id.as_str())][..usize::from(router.is_some())];
+        if name.ends_with("_hwm") {
+            Published::Mark(rec.gauge_with(name, labels))
+        } else {
+            Published::Counter(rec.counter_with(name, labels), 0)
+        }
+    }
+
+    fn publish(&mut self, count: u64) {
+        match self {
+            Published::Counter(counter, sent) => {
+                counter.add(count - *sent);
+                *sent = count;
+            }
+            Published::Mark(gauge) => gauge.set_max(count as i64),
+        }
+    }
+}
+
+/// The counts the end-of-stream reduction still moves: it closes every
+/// open event and cuts every open flow.
+const EVENTS_COMPLETED: &str = "ah_telescope_agg_events_completed_total";
+const RECORDS_EXPORTED: &str = "ah_flow_cache_records_exported_total";
 
 // --- The executor: one inline vantage stack, or N shards ----------------
 
@@ -592,6 +609,9 @@ impl Batch {
 struct Unit {
     injector: Option<FaultInjector>,
     vantage: Vantage,
+    /// One per count of [`Vantage::counts`], in its order; none when the
+    /// recorder is disabled, so that a run without metrics reads nothing.
+    metrics: Vec<(&'static str, Published)>,
 }
 
 impl Unit {
@@ -602,26 +622,107 @@ impl Unit {
             inj.set_tracer(tracer);
             inj
         });
-        Unit { injector, vantage: Vantage::build(world, opts, rec, tracer) }
+        let vantage = Vantage::build(world, opts, rec, tracer);
+        let mut metrics = Vec::new();
+        if rec.is_enabled() {
+            vantage.counts(&mut |name, router, _| {
+                metrics.push((name, Published::register(rec, name, router)));
+            });
+        }
+        Unit { injector, vantage, metrics }
+    }
+
+    /// Publish the stage counts: at every batch boundary, and on exit.
+    fn publish(&mut self) {
+        if self.metrics.is_empty() {
+            return;
+        }
+        let mut metrics = self.metrics.iter_mut();
+        self.vantage.counts(&mut |_, _, count| {
+            if let Some((_, m)) = metrics.next() {
+                m.publish(count);
+            }
+        });
     }
 
     /// The vantage points consume what the injector delivers at `pkt`.
     #[inline]
     fn offer(&mut self, pkt: &PacketMeta) {
-        let Unit { injector, vantage } = self;
+        let Unit { injector, vantage, .. } = self;
         match injector {
             Some(inj) => inj.apply(pkt, &mut |p| vantage.consume_dyn(p)),
             None => vantage.consume_dyn(pkt),
         }
     }
 
-    /// End of stream: release what the injector still holds, then reduce.
-    fn finish(self) -> ShardOut {
-        let Unit { mut injector, mut vantage } = self;
-        if let Some(inj) = injector.as_mut() {
-            inj.flush(&mut |p| vantage.consume_dyn(p));
+    /// End of stream: release what the injector still holds, publish, then
+    /// reduce to plain mergeable data — the unit's ledger, in pipeline
+    /// order, and what its stages produced.
+    fn finish(mut self) -> ShardOut {
+        if let Some(inj) = self.injector.as_mut() {
+            inj.flush(&mut |p| self.vantage.consume_dyn(p));
         }
-        vantage.into_shard_out(injector.map(|i| i.stats()))
+        self.publish();
+        let Unit { injector, mut vantage, mut metrics } = self;
+        // Sorted here, on the shard's own thread; `finalize_run` only merges.
+        let events = vantage.telescope.flush();
+        let mut health = PipelineHealth::default();
+        if let Some(s) = injector.map(|i| i.stats()) {
+            let mut st = StageHealth::new("faults.injector");
+            st.received = s.input + s.duplicated;
+            st.accepted = s.delivered;
+            st.discard("dropped", s.dropped);
+            st.discard("outage", s.outage_dropped);
+            st.discard("truncated", s.truncated_discarded);
+            st.discard("corrupt", s.corrupt_discarded);
+            health.push(st);
+        }
+        let mut cap = StageHealth::new("telescope.capture");
+        cap.received = vantage.delivered;
+        let stats = vantage.telescope.stats();
+        cap.accepted = stats.total_packets;
+        cap.discard("not_dark", stats.not_dark);
+        cap.discard("filtered_source", stats.filtered);
+        health.push(cap);
+        let agg = vantage.telescope.aggregator_stats();
+        let mut ev = StageHealth::new("telescope.events");
+        ev.received = agg.received;
+        ev.accepted = agg.accepted;
+        ev.repaired = agg.start_repaired;
+        ev.quarantined = agg.quarantined;
+        health.push(ev);
+        // Cache stats are read before `IspModel::finish` flushes the caches.
+        let mut flows = |stage, isp: Option<IspModel>| {
+            isp.map(|m| {
+                let (s, mut st) = (m.cache_stats(), StageHealth::new(stage));
+                st.received = s.received;
+                st.accepted = s.accepted;
+                st.repaired = s.first_repaired;
+                st.discard("duplicate", s.duplicates_suppressed);
+                health.push(st);
+                m.finish()
+            })
+        };
+        let (merit, cu) = (flows("flow.merit", vantage.merit), flows("flow.cu", vantage.cu));
+        let gn = vantage.gn.map(|g| {
+            let s = g.ingest_stats();
+            let mut st = StageHealth::new("intel.greynoise");
+            st.received = s.received;
+            st.accepted = s.accepted;
+            st.discard("non_sensor_dst", s.ignored);
+            health.push(st);
+            let _mem = MemScope::enter(Tag::Detectors);
+            g.finalize()
+        });
+        let records: usize = merit.iter().chain(&cu).map(|ds| ds.records.len()).sum();
+        for (name, m) in &mut metrics {
+            match *name {
+                EVENTS_COMPLETED => m.publish(events.len() as u64),
+                RECORDS_EXPORTED => m.publish(records as u64),
+                _ => {}
+            }
+        }
+        ShardOut { events, capture: vantage.telescope.stats().clone(), health, merit, cu, gn }
     }
 }
 
@@ -679,6 +780,7 @@ impl<'scope> Shards<'scope> {
                         .then(|| tracer.journey_span("ah_pipeline_shard_consume", journey));
                     unit.offer(pkt);
                 }
+                unit.publish();
             }
             naps.add(rx.naps());
             let _mem = MemScope::enter(Tag::Merge);
@@ -781,13 +883,10 @@ fn finalize_run(
         reason = "both executors hand over at least one shard: the inline one exactly one, the sharded one max(threads, 1)"
     )]
     let first = shards.next().expect("at least one shard");
-    let mut delivered = first.delivered;
-    // Counts over disjoint source slices: they sum to the serial ledger.
-    let mut injector = first.injector;
+    // Counts over disjoint source slices: the units' ledgers sum to the
+    // serial ledger (`ARCHITECTURE.md` §6).
+    let mut health = first.health;
     let mut capture_stats = first.capture;
-    let mut agg = first.agg;
-    let mut filtered = first.filtered;
-    let mut not_dark = first.not_dark;
     let mut events = first.events;
     let mut merit_parts: Vec<_> = first.merit.into_iter().collect();
     let mut cu_parts: Vec<_> = first.cu.into_iter().collect();
@@ -795,14 +894,8 @@ fn finalize_run(
     {
         let _mem = MemScope::enter(Tag::Merge);
         for sh in shards {
-            delivered += sh.delivered;
-            if let (Some(acc), Some(s)) = (injector.as_mut(), sh.injector.as_ref()) {
-                acc.merge(s);
-            }
+            health.merge(&sh.health);
             capture_stats.merge(&sh.capture);
-            agg.merge(&sh.agg);
-            filtered += sh.filtered;
-            not_dark += sh.not_dark;
             events.extend(sh.events);
             merit_parts.extend(sh.merit);
             cu_parts.extend(sh.cu);
@@ -833,55 +926,21 @@ fn finalize_run(
         Detector::with_events(cfg, events)
     };
 
-    let (merit, cu, gn) = {
+    let (merit_flows, cu_flows, gn_entries) = {
         let _mem = MemScope::enter(Tag::Merge);
-        (merge_flow_parts(merit_parts), merge_flow_parts(cu_parts), merge_gn_parts(gn_parts))
+        // Honeypot entries are keyed by source IP and sources are
+        // shard-disjoint, so the union is exact.
+        let gn = gn_parts.into_iter().reduce(|mut all, part| {
+            all.extend(part);
+            all
+        });
+        (merge_flow_parts(merit_parts), merge_flow_parts(cu_parts), gn)
     };
-
-    // --- Health ledger, in pipeline order ------------------------------
-    let mut health = PipelineHealth::default();
-    if let Some(s) = injector {
-        let mut st = StageHealth::new("faults.injector");
-        st.received = s.input + s.duplicated;
-        st.accepted = s.delivered;
-        st.discard("dropped", s.dropped);
-        st.discard("outage", s.outage_dropped);
-        st.discard("truncated", s.truncated_discarded);
-        st.discard("corrupt", s.corrupt_discarded);
-        health.push(st);
-    }
-    let mut cap = StageHealth::new("telescope.capture");
-    cap.received = delivered;
-    cap.accepted = capture_stats.total_packets;
-    cap.discard("not_dark", not_dark);
-    cap.discard("filtered_source", filtered);
-    health.push(cap);
-    let mut ev = StageHealth::new("telescope.events");
-    ev.received = agg.received;
-    ev.accepted = agg.accepted;
-    ev.repaired = agg.start_repaired;
-    ev.quarantined = agg.quarantined;
-    health.push(ev);
-    if let Some((s, _)) = merit.as_ref() {
-        health.push(cache_stage("flow.merit", *s));
-    }
-    if let Some((s, _)) = cu.as_ref() {
-        health.push(cache_stage("flow.cu", *s));
-    }
-    if let Some((_, s)) = gn.as_ref() {
-        let mut st = StageHealth::new("intel.greynoise");
-        st.received = s.received;
-        st.accepted = s.accepted;
-        st.discard("non_sensor_dst", s.ignored);
-        health.push(st);
-    }
-
     let capture = CaptureSummary::from(&capture_stats);
     let report = {
         let _mem = MemScope::enter(Tag::Detectors);
         detector.finalize()
     };
-    let merit_flows = merit.map(|(_, d)| d);
     if let Some(flows) = merit_flows.as_ref() {
         health.push(v9_loopback(&flows.records, &tel.recorder));
     }
@@ -910,8 +969,8 @@ fn finalize_run(
         report,
         capture,
         merit_flows,
-        cu_flows: cu.map(|(_, d)| d),
-        gn_entries: gn.map(|(entries, _)| entries),
+        cu_flows,
+        gn_entries,
         days,
         generated_packets: generated,
         health,
@@ -919,34 +978,19 @@ fn finalize_run(
     }
 }
 
-/// Merge per-shard flow datasets: cache counters sum, records concatenate
-/// and re-sort into `FlowRecord`'s order, truth counters sum.
-fn merge_flow_parts(parts: Vec<(CacheStats, FlowDataset)>) -> Option<(CacheStats, FlowDataset)> {
+/// Merge per-shard flow datasets: records concatenate and re-sort into
+/// `FlowRecord`'s order, truth counters sum.
+fn merge_flow_parts(parts: Vec<FlowDataset>) -> Option<FlowDataset> {
     let mut parts = parts.into_iter();
-    let (mut stats, mut ds) = parts.next()?;
-    for (s, d) in parts {
-        stats.merge(&s);
+    let mut ds = parts.next()?;
+    for d in parts {
         ds.records.extend(d.records);
         for (k, n) in d.router_days {
             *ds.router_days.entry(k).or_default() += n;
         }
     }
     ds.records.sort();
-    Some((stats, ds))
-}
-
-/// Merge per-shard honeypot output. Entry maps are keyed by source IP and
-/// sources are shard-disjoint, so the union is exact.
-fn merge_gn_parts(parts: Vec<GnPart>) -> Option<GnPart> {
-    let mut parts = parts.into_iter();
-    let (mut map, mut stats) = parts.next()?;
-    for (m, s) in parts {
-        map.extend(m);
-        stats.received += s.received;
-        stats.accepted += s.accepted;
-        stats.ignored += s.ignored;
-    }
-    Some((map, stats))
+    Some(ds)
 }
 
 // --- Durable runs: configuration and outcome ----------------------------
@@ -1072,7 +1116,8 @@ enum Fed {
 
 /// The one execution engine (see the module docs for the picture). Both
 /// feeders end in [`Engine::deliver`], the only place a packet is
-/// journaled, counted, handed to the executor and ticked on the exporter.
+/// journaled, counted and handed to the executor, and the only caller of
+/// the batch boundary [`Engine::tick`].
 struct Engine<'a, 'scope> {
     exec: Executor<'scope>,
     journal: Option<Journal>,
@@ -1086,7 +1131,7 @@ struct Engine<'a, 'scope> {
 
 impl Engine<'_, '_> {
     /// The single per-packet step, once per fed packet: journal → count →
-    /// executor → exporter and memory-pulse tick.
+    /// executor, and the batch boundary every `BATCH` positions.
     #[inline]
     fn deliver(&mut self, pkt: &PacketMeta) {
         if let Some(j) = self.journal.as_mut() {
@@ -1129,6 +1174,19 @@ impl Engine<'_, '_> {
         match &mut self.exec {
             Executor::Inline(unit) => unit.offer(pkt),
             Executor::Sharded(shards) => shards.route(pkt, &self.tel.tracer),
+        }
+        if self.pos.is_multiple_of(BATCH as u64) {
+            self.tick();
+        }
+    }
+
+    /// The batch boundary, every `BATCH` fed positions: the inline unit
+    /// publishes its stage counts, then the exporter and the memory pulse
+    /// tick, so an inline snapshot is exact at its position. Shards
+    /// publish on their own threads, after each ring batch.
+    fn tick(&mut self) {
+        if let Executor::Inline(unit) = &mut self.exec {
+            unit.publish();
         }
         if let Some(ex) = self.tel.exporter.as_mut() {
             ex.maybe_export(self.pos);
@@ -1344,15 +1402,19 @@ impl Engine<'_, '_> {
                 }
             };
             let mut engine = Engine { exec, journal: None, tel: &mut *tel, pos: 0, halt: None };
-            // On error or suspension the executor is just dropped: dropped
-            // producers close their rings and the scope joins the workers.
-            let fed = feed(&mut engine)?;
+            let fed = feed(&mut engine);
+            // Every unit publishes on every exit. Shards drain their staged
+            // tails on suspension and error too; only a finished run keeps
+            // what they return.
             let shards = match (&fed, engine.exec) {
-                (Fed::Suspended { .. }, _) => Vec::new(),
-                (Fed::Finished(_), Executor::Inline(unit)) => vec![unit.finish()],
-                (Fed::Finished(_), Executor::Sharded(shards)) => shards.join(&rec, &tracer),
+                (Ok(Fed::Finished(_)), Executor::Inline(unit)) => vec![unit.finish()],
+                (_, Executor::Inline(mut unit)) => {
+                    unit.publish();
+                    Vec::new()
+                }
+                (_, Executor::Sharded(shards)) => shards.join(&rec, &tracer),
             };
-            Ok((fed, shards))
+            Ok((fed?, shards))
         })?;
         match fed {
             Fed::Suspended { fed, durable_seq } => {
@@ -1389,9 +1451,9 @@ pub fn run(cfg: ScenarioConfig, opts: RunOptions) -> RunOutput {
     run_with_recorder(cfg, opts, &mut Telemetry::disabled())
 }
 
-/// [`run`] with live telemetry: every stage registers its instruments on
-/// `tel.recorder`, and `tel.exporter` (if any) is ticked at deterministic
-/// stream positions. The returned [`RunOutput`] is bitwise identical to a
+/// [`run`] with live telemetry: the unit publishes its stages' counts on
+/// `tel.recorder` at every batch boundary and on exit, and `tel.exporter`
+/// (if any) is ticked at the same deterministic stream positions. The returned [`RunOutput`] is bitwise identical to a
 /// [`run`] of the same inputs.
 pub fn run_with_recorder(cfg: ScenarioConfig, opts: RunOptions, tel: &mut Telemetry) -> RunOutput {
     run_unjournaled(cfg, opts, None, tel)
@@ -1421,7 +1483,7 @@ pub fn run_parallel(cfg: ScenarioConfig, opts: RunOptions, threads: usize) -> Ru
 /// stall timing (how long the dispatcher blocked on a full shard ring)
 /// and per-shard dispatch-ring occupancy high-water marks (in packets),
 /// and each shard counts the naps its idle waits took, on top
-/// of the stage instruments the shards register themselves. Packet order
+/// of the stage counts each shard publishes after every ring batch. Packet order
 /// on every ring is identical with telemetry on or off, so the output
 /// stays bitwise identical to [`run`] / [`run_parallel`].
 pub fn run_parallel_with_recorder(
@@ -1759,13 +1821,19 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
-    /// Deliver `pkts`, and nothing else, to a fresh executor.
-    fn run_stream(cfg: &ScenarioConfig, pkts: &[PacketMeta], threads: Option<usize>) -> RunOutput {
+    /// Deliver `pkts`, and nothing else, to a fresh executor recording on
+    /// `rec`.
+    fn run_stream(
+        cfg: &ScenarioConfig,
+        pkts: &[PacketMeta],
+        threads: Option<usize>,
+        rec: &Recorder,
+    ) -> RunOutput {
         let feed = |engine: &mut Engine<'_, '_>| {
             pkts.iter().for_each(|p| engine.deliver(p));
             Ok(Fed::Finished(pkts.len() as u64))
         };
-        let tel = &mut Telemetry::disabled();
+        let tel = &mut Telemetry::new(rec.clone());
         match Engine::execute(cfg.world.clone(), cfg.days, RunOptions::full(), threads, tel, feed) {
             Ok(WalOutcome::Completed(out)) => *out,
             _ => panic!("an unjournaled stream runs to completion"),
@@ -1776,16 +1844,26 @@ mod tests {
     fn streams_shorter_than_a_batch_per_shard_match_serial() {
         // Every length is under one batch per shard at 8 shards, so most
         // rings carry only the partial tail `join` pushes, and at the
-        // short lengths most carry nothing at all.
+        // short lengths most carry nothing at all. Most lengths end off a
+        // batch boundary, so every packet is published only if each unit
+        // publishes on exit.
         let cfg = ScenarioConfig::tiny(1, 21);
         let mut pkts = Vec::new();
         Scenario::build(cfg.clone()).mux.next_batch(&mut pkts, 8 * BATCH - 1);
         assert_eq!(pkts.len(), 8 * BATCH - 1, "the scenario is long enough");
         for n in [0, 1, 7, BATCH - 1, BATCH, BATCH + 1, pkts.len()] {
-            let serial = run_stream(&cfg, &pkts[..n], None);
+            let (serial_rec, sharded_rec) = (Recorder::new(), Recorder::new());
+            let serial = run_stream(&cfg, &pkts[..n], None, &serial_rec);
             assert_eq!(serial.generated_packets, n as u64);
-            let sharded = run_stream(&cfg, &pkts[..n], Some(8));
+            let sharded = run_stream(&cfg, &pkts[..n], Some(8), &sharded_rec);
             assert_eq!(sharded.fingerprint(), serial.fingerprint(), "{n} packets");
+            for rec in [serial_rec, sharded_rec] {
+                let samples = rec.snapshot().samples.into_iter();
+                let mut delivered =
+                    samples.filter(|s| s.name.starts_with("ah_pipeline_mux_packets"));
+                let want = ah_obs::Value::Counter(n as u64);
+                assert_eq!(delivered.next().map(|s| s.value), Some(want), "{n} packets");
+            }
         }
     }
 

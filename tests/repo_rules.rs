@@ -18,7 +18,11 @@
 //! 5. the storage crate `ah-wal` depends on the instrument crates only,
 //!    never on the simulator or the analysis crates;
 //! 6. the SPSC ring waits only through its `RingSync` facade, so every
-//!    wait the engine makes is one the model checker schedules.
+//!    wait the engine makes is one the model checker schedules;
+//! 7. every metric or span name the documentation (README.md and the
+//!    markdown files it names) spells out in full is one the sources name;
+//! 8. the stage crates hold no `Counter` or `Gauge`: a stage counts in
+//!    its own stats, and the engine publishes them (ARCHITECTURE.md §8).
 
 mod mdcheck;
 
@@ -229,4 +233,99 @@ fn ring_waits_go_through_the_facade() {
         }
     }
     assert_none("ring waits that bypass the RingSync facade", &bad);
+}
+
+/// Each backticked `ah_…` name with the four segments of the naming
+/// scheme in `line`, skipping prefixes that stop at `_`, `…` or `*`
+/// (`ah_mem_*`, `ah_flow_cache_…`) and reading a name through to any
+/// `{labels}`.
+fn documented_names(line: &str) -> Vec<&str> {
+    let spans = line.split('`').skip(1).step_by(2);
+    spans
+        .filter(|span| span.starts_with("ah_"))
+        .filter_map(|span| {
+            let end = span
+                .find(|c: char| !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'))
+                .unwrap_or(span.len());
+            let (name, rest) = span.split_at(end);
+            let prefix = name.ends_with('_') || rest.starts_with(['…', '*']);
+            (!prefix && ah_obs::valid_metric_name(name)).then_some(name)
+        })
+        .collect()
+}
+
+/// The documentation set: README.md and every markdown file it names. Plans
+/// and change records stay out: they may name instruments that are yet to
+/// be built or have been retired.
+fn documentation() -> Vec<String> {
+    let readme = fs::read_to_string(root().join("README.md")).expect("README.md");
+    let mut docs = vec!["README.md".to_string()];
+    let path_char = |c: char| c.is_ascii_alphanumeric() || matches!(c, '/' | '.' | '_' | '-');
+    for word in readme.split(|c: char| !path_char(c)) {
+        let word = word.trim_end_matches('.');
+        if word.ends_with(".md") && root().join(word).is_file() && !docs.iter().any(|d| d == word) {
+            docs.push(word.to_string());
+        }
+    }
+    docs
+}
+
+/// A metric or span the documentation names must exist: a renamed or
+/// retired instrument strands every sentence that still spells it.
+#[test]
+fn documented_metric_names_exist() {
+    let shipped: Vec<String> = sources()
+        .into_iter()
+        .filter(|(path, _)| path.starts_with("src") || path.starts_with("crates"))
+        .map(|(_, lines)| lines.join("\n"))
+        .collect();
+    let named = |name: &str| {
+        let literal = format!("\"{name}\"");
+        shipped.iter().any(|text| text.contains(&literal))
+    };
+    let docs = documentation();
+    assert!(docs.len() > 3, "README.md names only {docs:?}");
+    let mut bad = Vec::new();
+    for rel in docs {
+        let text = fs::read_to_string(root().join(&rel)).expect("markdown file");
+        for (i, line) in text.lines().enumerate() {
+            for name in documented_names(line) {
+                if !named(name) {
+                    bad.push(format!(
+                        "{rel}:{}: `{name}` is no string literal in the sources",
+                        i + 1
+                    ));
+                }
+            }
+        }
+    }
+    assert_none("documented names the sources never register", &bad);
+}
+
+/// A stage counts in its own stats and never touches a recorder per
+/// packet: the engine reads those stats at its batch boundary and
+/// publishes them. The stage crates therefore hold no `Counter` or
+/// `Gauge` — the NetFlow v9 decoder's, which count at finalization,
+/// excepted — and `ah-intel` needs no `ah-obs` at all.
+#[test]
+fn stage_crates_hold_no_counters() {
+    const STAGES: [&str; 3] = ["crates/telescope/src/", "crates/flow/src/", "crates/intel/src/"];
+    let mut bad = Vec::new();
+    for (path, lines) in sources() {
+        if !STAGES.iter().any(|s| path.starts_with(s)) || path == "crates/flow/src/v9.rs" {
+            continue;
+        }
+        for (i, line) in lines.iter().enumerate().filter(|(_, l)| !is_comment(l)) {
+            let mut words = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
+            if let Some(ty) = words.find(|w| matches!(*w, "Counter" | "Gauge")) {
+                bad.push(format!("{path}:{}: a stage holds an ah_obs::{ty}", i + 1));
+            }
+        }
+    }
+    let manifest =
+        fs::read_to_string(root().join("crates/intel/Cargo.toml")).expect("ah-intel manifest");
+    if manifest.contains("ah-obs") {
+        bad.push("crates/intel/Cargo.toml: ah-intel depends on ah-obs".to_string());
+    }
+    assert_none("stage instruments outside the engine", &bad);
 }

@@ -7,13 +7,14 @@
 //! 1 and 8 threads, clean or faulted, in memory, journaled or replayed.
 //! On top of that, the exported files must follow their documented
 //! schemas, every metric name must follow the
-//! `ah_<crate>_<subsystem>_<name>` scheme, and the exported
+//! `ah_<crate>_<subsystem>_<name>` scheme, the exported
 //! `ah_core_health_*` gauges must mirror the run's `PipelineHealth`
-//! ledger field by field.
+//! ledger field by field, and the stage counters the execution units
+//! publish must add up to the same ledger — suspended runs included.
 
 mod common;
 
-use aggressive_scanners::pipeline::{self, RunOutput, Telemetry, WalRun};
+use aggressive_scanners::pipeline::{self, RunOutput, Telemetry, WalOutcome, WalRun};
 use ah_obs::json::{self, Json};
 use ah_obs::{
     to_jsonl_line, valid_metric_name, Exporter, HistogramSnapshot, Recorder, Sample, Snapshot,
@@ -43,6 +44,17 @@ fn instrumented_run(base: &std::path::Path, interval: u64) -> (RunOutput, Record
 
 fn temp_base(tag: &str) -> std::path::PathBuf {
     common::temp_dir(&format!("telemetry-{tag}")).join("metrics")
+}
+
+/// The sum of counter `name` over all its label sets.
+fn counter_total(snap: &Snapshot, name: &str) -> u64 {
+    let values = snap.samples.iter().filter(|s| s.name == name).map(|s| match s.value {
+        Value::Counter(v) => v,
+        _ => panic!("{name} is not a counter"),
+    });
+    let values: Vec<u64> = values.collect();
+    assert!(!values.is_empty(), "no exported {name}");
+    values.into_iter().sum()
 }
 
 /// The `pos` of every JSONL snapshot line in `text`, in file order.
@@ -292,11 +304,18 @@ fn prometheus_file_follows_text_exposition_format() {
 
 #[test]
 fn health_gauges_mirror_the_pipeline_ledger() {
-    let rec = Recorder::new();
-    let mut tel = Telemetry::new(rec.clone());
-    let out = run_with(&mut tel, 8, true);
-    assert!(out.health.conserves());
-    let snap = rec.snapshot();
+    for threads in [1, 8] {
+        let rec = Recorder::new();
+        let mut tel = Telemetry::new(rec.clone());
+        let out = run_with(&mut tel, threads, true);
+        assert!(out.health.conserves());
+        let snap = rec.snapshot();
+        health_gauges_match(&snap, &out);
+        stage_counters_match(&snap, &out, threads);
+    }
+}
+
+fn health_gauges_match(snap: &Snapshot, out: &RunOutput) {
     let gauge = |name: &str, stage: &str| -> i64 {
         snap.samples
             .iter()
@@ -323,6 +342,68 @@ fn health_gauges_mirror_the_pipeline_ledger() {
             "exported ledger does not balance for {}",
             st.stage
         );
+    }
+}
+
+/// The stage counters the units publish add up to the ledger the run
+/// reduced from the same stats.
+fn stage_counters_match(snap: &Snapshot, out: &RunOutput, threads: usize) {
+    let counter = |name: &str| counter_total(snap, name);
+    let stage = |name: &str| out.health.stage(name).unwrap_or_else(|| panic!("no stage {name}"));
+    // A ledger lists only the discard categories that discarded something.
+    let discarded =
+        |name: &str, category: &str| stage(name).discarded.get(category).copied().unwrap_or(0);
+    let cap = stage("telescope.capture");
+    let ev = stage("telescope.events");
+    let gn = stage("intel.greynoise");
+    let flows = || ["flow.merit", "flow.cu"].into_iter();
+    let cache_received = flows().map(|f| stage(f).received).sum::<u64>();
+    for (name, want) in [
+        ("ah_pipeline_mux_packets_delivered_total", cap.received),
+        ("ah_telescope_capture_packets_total", cap.accepted),
+        ("ah_telescope_capture_filtered_total", discarded("telescope.capture", "filtered_source")),
+        ("ah_telescope_agg_packets_received_total", ev.received),
+        ("ah_telescope_agg_packets_accepted_total", ev.accepted),
+        ("ah_telescope_agg_packets_quarantined_total", ev.quarantined),
+        ("ah_flow_cache_packets_received_total", cache_received),
+        (
+            "ah_flow_cache_duplicates_suppressed_total",
+            flows().map(|f| discarded(f, "duplicate")).sum(),
+        ),
+        ("ah_flow_sampler_packets_selected_total", cache_received),
+        ("ah_intel_greynoise_packets_received_total", gn.received),
+        ("ah_intel_greynoise_packets_accepted_total", gn.accepted),
+        (
+            "ah_intel_greynoise_packets_ignored_total",
+            discarded("intel.greynoise", "non_sensor_dst"),
+        ),
+    ] {
+        assert_eq!(counter(name), want, "{name} at {threads} threads");
+    }
+}
+
+/// A suspended run has published every packet it fed, on both executors:
+/// the inline unit on its exit, each shard after draining the tail the
+/// dispatcher had staged for it.
+#[test]
+fn suspended_runs_publish_every_packet_they_fed() {
+    const AT: u64 = 5_000;
+    for threads in [None, Some(1), Some(4)] {
+        let dir = common::temp_dir(&format!("telemetry-suspend-{}", threads.unwrap_or(0)));
+        let rec = Recorder::new();
+        let mut tel = Telemetry::new(rec.clone());
+        let wal = WalRun::new(&dir).suspend_after(AT);
+        let outcome = match threads {
+            None => pipeline::run_wal(scenario(), opts(false), &wal, &mut tel),
+            Some(n) => pipeline::run_parallel_wal(scenario(), opts(false), n, &wal, &mut tel),
+        };
+        assert!(
+            matches!(outcome, Ok(WalOutcome::Suspended { delivered: AT, .. })),
+            "{threads:?}: the run did not suspend at {AT}"
+        );
+        let delivered = counter_total(&rec.snapshot(), "ah_pipeline_mux_packets_delivered_total");
+        assert_eq!(delivered, AT, "{threads:?} threads");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
