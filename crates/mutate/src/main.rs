@@ -266,7 +266,7 @@ fn gate(opts: &Opts, root: &Path) -> Result<ExitCode, String> {
     if failures.is_empty() {
         println!(
             "mutation gate: all {} sentinels caught in {secs}s ({} curated: ring orderings, \
-             WAL integrity, detector thresholds, aggregator boundaries)",
+             WAL integrity, the suspension trim, detector thresholds, aggregator boundaries)",
             total,
             SENTINELS.len(),
         );

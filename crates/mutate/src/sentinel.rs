@@ -4,8 +4,9 @@
 //! A full sweep is too slow for every CI run (one CPU, minutes per
 //! mutant), so the gate runs a hand-picked set of mutants at the
 //! system's load-bearing decision points — ring memory orderings, WAL
-//! CRC/truncation handling, the log-to-run match, detector thresholds,
-//! aggregator boundary comparisons — each with an explicit, narrow kill command so the
+//! CRC/truncation handling, the log-to-run match, where a journaled run
+//! stops, detector thresholds, aggregator boundary comparisons — each
+//! with an explicit, narrow kill command so the
 //! whole set classifies in a bounded time budget. Every sentinel must
 //! come back **caught**; anything else fails the gate.
 //!
@@ -253,6 +254,20 @@ pub const SENTINELS: &[Sentinel] = &[
             ],
         ],
         why: "!= → == replays a log of another run and refuses the log of this one",
+    },
+    Sentinel {
+        name: "engine-suspend-trim",
+        file: "src/pipeline.rs",
+        op: "arith-swap",
+        original: "+",
+        contains: "start..i + 1",
+        pick: 0,
+        kill: &[
+            &["build", "-q", "-p", "aggressive-scanners"],
+            &["test", "-q", "--test", "telemetry", "suspended_runs_publish_every_packet_they_fed"],
+        ],
+        why: "+ → - drops the packet a journaled run suspends on (and the one before it) \
+              from the executed slice, though the log holds both",
     },
 ];
 

@@ -43,7 +43,6 @@
 //! in every sharding.
 
 use crate::rng::{hash64, Rng64};
-use ah_mem::Tag;
 use ah_net::hash::FastMap;
 use ah_net::packet::{PacketMeta, Transport};
 use ah_net::time::{Dur, Ts};
@@ -356,6 +355,9 @@ impl FaultInjector {
     /// from `(plan.seed, pkt.src, per-source counter)`. The fate of a
     /// packet is therefore independent of what other sources did,
     /// which is the property the sharded engine relies on.
+    ///
+    /// The injector's state is charged to the caller's memory tag: the
+    /// engine runs whole slices through here under [`ah_mem::Tag::Mux`].
     pub fn apply(&mut self, pkt: &PacketMeta, emit: &mut impl FnMut(&PacketMeta)) {
         self.stats.input += 1;
         self.release_until(pkt.ts, emit);
@@ -369,15 +371,7 @@ impl FaultInjector {
             }
             return;
         }
-        // The per-source decision counters are the injector's own
-        // state; the `emit` delivery path re-tags downstream. Manual
-        // tag swap on the per-packet path (see `ah_mem::tag_swap`).
-        let n = {
-            let prev = ah_mem::tag_swap(Tag::Mux);
-            let n = self.counters.entry(pkt.src.to_u32()).or_insert(0);
-            ah_mem::tag_restore(prev);
-            n
-        };
+        let n = self.counters.entry(pkt.src.to_u32()).or_insert(0);
         let draw = *n;
         *n += 1;
         let mut rng = Rng64::new(packet_decision_seed(self.plan.seed, pkt.src.to_u32(), draw));
@@ -405,12 +399,8 @@ impl FaultInjector {
                 }
                 let skew = Dur(rng.range(1, self.plan.max_skew.0 + 1));
                 self.seq += 1;
-                // The reorder buffer belongs to the injector, not to
-                // whatever stage the delivery callback runs next.
-                let prev = ah_mem::tag_swap(Tag::Mux);
                 let release = Ts(pkt.ts.0.saturating_add(skew.0));
                 self.held.push(Reverse(Held { release, seq: self.seq, pkt: out }));
-                ah_mem::tag_restore(prev);
             } else {
                 self.deliver(&out, emit);
             }

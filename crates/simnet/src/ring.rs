@@ -11,11 +11,11 @@
 //!   and only re-reads the atomic when the ring *looks* full; the
 //!   consumer does the same with `tail`. In the common case a push/pop
 //!   touches no foreign cache line at all.
-//! * **Batched two-phase writes.** `push` writes the slot immediately
-//!   (phase one) but publishes the new tail only every
-//!   `PUBLISH_BATCH` items or on [`Producer::flush`] (phase two), so
-//!   the producer amortizes its release stores. Consumers see items in
-//!   FIFO order regardless of batching.
+//! * **Every push publishes.** A push writes its slot, then stores the
+//!   new tail with `Release`: an item is visible the moment it is
+//!   pushed. Batching is the caller's business — the sharded engine's
+//!   slot holds a whole batch of packets, so one release store already
+//!   covers `BATCH` of them, and the ring keeps no second layer.
 //! * **One backoff, ending in a nap.** A producer facing a full ring and
 //!   a consumer facing an empty one wait the same way: `SPINS` busy
 //!   spins, then `YIELDS` scheduler yields, then [`RingSync::nap`] on
@@ -37,9 +37,9 @@
 //! (`tail == head`) unambiguous without a reserved slot.
 //!
 //! The stream is closed by dropping or [`Producer::close`]-ing the
-//! producer: `closed` is set with `Release` *after* the final flush, so
-//! a consumer that observes `closed` with `Acquire` and then finds the
-//! ring empty has seen every item.
+//! producer: `closed` is set with `Release` *after* the final tail
+//! publish, so a consumer that observes `closed` with `Acquire` and then
+//! finds the ring empty has seen every item.
 //!
 //! # Machine-checked, not just argued
 //!
@@ -68,9 +68,6 @@ use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Producer publishes its tail after at most this many buffered writes.
-pub(crate) const PUBLISH_BATCH: usize = 32;
 
 /// Busy spins a waiting side makes before it starts yielding.
 const SPINS: u32 = 64;
@@ -108,10 +105,10 @@ pub trait RingSync: 'static {
     /// Producer observes `head` with this ordering (contract: `Acquire`).
     const HEAD_OBSERVE: Ordering = Ordering::Acquire;
     /// Producer publishes `closed` with this ordering (contract:
-    /// `Release` — ordered after the final flush).
+    /// `Release` — ordered after the final tail publish).
     const CLOSED_PUBLISH: Ordering = Ordering::Release;
     /// Consumer observes `closed` with this ordering (contract:
-    /// `Acquire` — the post-close re-check must see the final flush).
+    /// `Acquire` — the post-close re-check must see the final push).
     const CLOSED_OBSERVE: Ordering = Ordering::Acquire;
 
     /// Busy-wait hint (maps to a scheduler park under a model checker).
@@ -337,14 +334,10 @@ impl<T: Send, S: RingSync> Drop for Shared<T, S> {
 /// The write half of a ring; see [`ring`].
 pub struct Producer<T: Send, S: RingSync = StdSync> {
     shared: Arc<Shared<T, S>>,
-    /// Next index to write (may run ahead of the published tail).
+    /// Next index to write; every index below it is published.
     local_tail: usize,
-    /// Last published tail value.
-    published: usize,
     /// Stale copy of the consumer's head.
     cached_head: usize,
-    /// Publish the tail after this many buffered writes.
-    batch: usize,
     /// Highest producer-observed occupancy (see
     /// [`Producer::high_water_mark`]).
     hwm: usize,
@@ -375,7 +368,7 @@ pub struct Consumer<T: Send, S: RingSync = StdSync> {
 ///     for i in 0..100 {
 ///         tx.push(i); // spins only while the ring is full
 ///     }
-///     tx.close(); // close implies flush
+///     tx.close();
 /// });
 /// let mut got = Vec::new();
 /// while let Some(v) = rx.pop_wait() {
@@ -385,17 +378,13 @@ pub struct Consumer<T: Send, S: RingSync = StdSync> {
 /// assert_eq!(got, (0..100).collect::<Vec<u64>>());
 /// ```
 pub fn ring<T: Send>(capacity: usize) -> (Producer<T>, Consumer<T>) {
-    ring_with::<StdSync, T>(capacity, PUBLISH_BATCH)
+    ring_with::<StdSync, T>(capacity)
 }
 
-/// Create a ring over an explicit [`RingSync`] facade with an explicit
-/// publish batch — the entry point the model-check suite uses to run
-/// the production protocol on shadow atomics at tiny capacities and
-/// batches. `batch` is clamped to at least 1.
-pub fn ring_with<S: RingSync, T: Send>(
-    capacity: usize,
-    batch: usize,
-) -> (Producer<T, S>, Consumer<T, S>) {
+/// Create a ring over an explicit [`RingSync`] facade — the entry point
+/// the model-check suite uses to run the production protocol on shadow
+/// atomics at tiny capacities.
+pub fn ring_with<S: RingSync, T: Send>(capacity: usize) -> (Producer<T, S>, Consumer<T, S>) {
     let cap = capacity.max(2).next_power_of_two();
     let slots: Box<[S::Slot<T>]> = (0..cap).map(|_| S::Slot::vacant()).collect();
     let shared = Arc::new(Shared::<T, S> {
@@ -406,14 +395,7 @@ pub fn ring_with<S: RingSync, T: Send>(
         closed: S::AtomicBool::new(false),
     });
     (
-        Producer {
-            shared: Arc::clone(&shared),
-            local_tail: 0,
-            published: 0,
-            cached_head: 0,
-            batch: batch.max(1),
-            hwm: 0,
-        },
+        Producer { shared: Arc::clone(&shared), local_tail: 0, cached_head: 0, hwm: 0 },
         Consumer { shared, head: 0, cached_tail: 0, naps: 0 },
     )
 }
@@ -435,27 +417,20 @@ impl<T: Send, S: RingSync> Producer<T, S> {
         self.hwm
     }
 
-    /// Publish every buffered write to the consumer (phase two of the
-    /// two-phase write).
-    pub fn flush(&mut self) {
-        if self.published != self.local_tail {
-            self.shared.tail.0.store(self.local_tail, S::TAIL_PUBLISH);
-            self.published = self.local_tail;
-        }
-    }
+    /// Kept for callers written against a batching ring: every push
+    /// already publishes, so there is nothing left to flush.
+    pub fn flush(&mut self) {}
 
     /// Try to enqueue without blocking; returns the value back when the
     /// ring is full.
     ///
     /// # Examples
     ///
-    /// Back-pressure is a return value, not a blocked thread (batch 1
-    /// so every accepted item is immediately visible to the consumer):
+    /// Back-pressure is a return value, not a blocked thread, and every
+    /// accepted item is immediately visible to the consumer:
     ///
     /// ```
-    /// use ah_simnet::ring::{ring_with, StdSync};
-    ///
-    /// let (mut tx, mut rx) = ring_with::<StdSync, u32>(2, 1);
+    /// let (mut tx, mut rx) = ah_simnet::ring::ring::<u32>(2);
     /// tx.try_push(1).unwrap();
     /// tx.try_push(2).unwrap();
     /// assert_eq!(tx.try_push(3), Err(3), "full ring hands the item back");
@@ -482,24 +457,18 @@ impl<T: Send, S: RingSync> Producer<T, S> {
     }
 
     /// Is a slot free? Re-reads the consumer's head only when the ring
-    /// looks full, and on a full ring publishes every buffered write so
-    /// the consumer can drain.
+    /// looks full.
     #[inline]
     fn has_room(&mut self) -> bool {
         let cap = self.shared.mask + 1;
         if self.local_tail - self.cached_head >= cap {
             self.cached_head = self.shared.head.0.load(S::HEAD_OBSERVE);
-            if self.local_tail - self.cached_head >= cap {
-                self.flush();
-                return false;
-            }
         }
-        true
+        self.local_tail - self.cached_head < cap
     }
 
-    /// Phase one of the two-phase write, into the slot
-    /// [`Producer::has_room`] just found free; phase two follows once a
-    /// publish batch is full.
+    /// Write into the slot [`Producer::has_room`] just found free, then
+    /// publish it.
     #[inline]
     fn write(&mut self, value: T) {
         // SAFETY: the slot is free (local_tail - head < capacity) and no
@@ -507,26 +476,17 @@ impl<T: Send, S: RingSync> Producer<T, S> {
         unsafe { self.shared.slots[self.local_tail & self.shared.mask].write(value) };
         self.local_tail += 1;
         self.hwm = self.hwm.max(self.local_tail - self.cached_head);
-        if self.local_tail - self.published >= self.batch {
-            self.flush();
-        }
+        self.shared.tail.0.store(self.local_tail, S::TAIL_PUBLISH);
     }
 
-    /// Flush and mark the stream finished; the consumer's
-    /// [`Consumer::pop_wait`] returns `None` once the ring drains.
-    pub fn close(mut self) {
-        self.flush();
-        self.shared.closed.store(true, S::CLOSED_PUBLISH);
-    }
+    /// Mark the stream finished; the consumer's [`Consumer::pop_wait`]
+    /// returns `None` once the ring drains.
+    pub fn close(self) {}
 }
 
 impl<T: Send, S: RingSync> Drop for Producer<T, S> {
     fn drop(&mut self) {
-        // A dropped producer behaves like close(): publish and finish.
-        if self.published != self.local_tail {
-            self.shared.tail.0.store(self.local_tail, S::TAIL_PUBLISH);
-            self.published = self.local_tail;
-        }
+        // Closing is dropping: every push is already published.
         self.shared.closed.store(true, S::CLOSED_PUBLISH);
     }
 }
@@ -558,7 +518,7 @@ impl<T: Send, S: RingSync> Consumer<T, S> {
                 return Some(v);
             }
             if self.shared.closed.load(S::CLOSED_OBSERVE) {
-                // Re-check: the final flush happens-before `closed`.
+                // Re-check: the final push happens-before `closed`.
                 return self.pop();
             }
             if backoff.wait::<S>() {
@@ -592,34 +552,10 @@ mod tests {
         for i in 0..5 {
             tx.try_push(i).unwrap();
         }
-        tx.flush();
         for i in 0..5 {
             assert_eq!(rx.pop(), Some(i));
         }
         assert_eq!(rx.pop(), None);
-    }
-
-    #[test]
-    fn unflushed_items_are_invisible_until_batch_or_flush() {
-        let (mut tx, mut rx) = ring::<u32>(64);
-        tx.try_push(1).unwrap();
-        assert_eq!(rx.pop(), None, "phase-one write must not be visible");
-        tx.flush();
-        assert_eq!(rx.pop(), Some(1));
-        // A full batch self-publishes.
-        for i in 0..PUBLISH_BATCH as u32 {
-            tx.try_push(i).unwrap();
-        }
-        assert_eq!(rx.pop(), Some(0));
-    }
-
-    #[test]
-    fn custom_publish_batch_is_respected() {
-        let (mut tx, mut rx) = ring_with::<StdSync, u32>(8, 2);
-        tx.try_push(1).unwrap();
-        assert_eq!(rx.pop(), None, "below batch: invisible");
-        tx.try_push(2).unwrap();
-        assert_eq!(rx.pop(), Some(1), "batch of 2 self-publishes");
     }
 
     #[test]
@@ -631,7 +567,6 @@ mod tests {
         assert_eq!(tx.try_push(99), Err(99));
         assert_eq!(rx.pop(), Some(0));
         tx.try_push(4).unwrap();
-        tx.flush();
         assert_eq!((1..=4).map(|_| rx.pop().unwrap()).collect::<Vec<_>>(), vec![1, 2, 3, 4]);
     }
 
@@ -657,7 +592,7 @@ mod tests {
     fn close_drains_then_ends() {
         let (mut tx, mut rx) = ring::<u32>(8);
         tx.try_push(7).unwrap();
-        tx.close(); // close implies flush
+        tx.close();
         assert_eq!(rx.pop_wait(), Some(7));
         assert_eq!(rx.pop_wait(), None);
         assert!(rx.is_closed());
@@ -679,7 +614,6 @@ mod tests {
         let (mut tx, rx) = ring::<Box<u64>>(8);
         tx.try_push(Box::new(1)).unwrap();
         tx.try_push(Box::new(2)).unwrap();
-        tx.flush();
         drop(rx);
         drop(tx);
     }
@@ -687,7 +621,7 @@ mod tests {
     #[test]
     fn a_starved_consumer_naps_and_still_gets_everything_in_order() {
         const N: u32 = 40;
-        let (mut tx, mut rx) = ring_with::<StdSync, u32>(8, 1);
+        let (mut tx, mut rx) = ring::<u32>(8);
         let producer = std::thread::spawn(move || {
             for i in 0..N {
                 // Far longer than the consumer's spins and yields.
@@ -708,7 +642,7 @@ mod tests {
     #[test]
     fn a_blocked_producer_backs_off_and_loses_nothing() {
         const N: u32 = 40;
-        let (mut tx, mut rx) = ring_with::<StdSync, [u32; 4]>(2, 1);
+        let (mut tx, mut rx) = ring::<[u32; 4]>(2);
         let consumer = std::thread::spawn(move || {
             let mut seen = Vec::new();
             while let Some(v) = rx.pop_wait() {

@@ -7,7 +7,7 @@
 //! tiny capacities:
 //!
 //! * the real contract (all the default orderings) is proved clean at
-//!   capacities 2 and 4 with wrap, back-pressure, batched publication,
+//!   capacities 2 and 4 with wrap, back-pressure, per-push publication
 //!   and the close/drain handshake all exercised, and again on the
 //!   multi-word batch slot the sharded engine pushes;
 //! * seeded mutants — demoting one `Release`/`Acquire` in the facade
@@ -162,16 +162,16 @@ model_sync!(
 
 /// The full producer/consumer lifecycle on the real ring code: one
 /// producer virtual thread pushes `n` items (spinning through
-/// back-pressure), flushes via batching and `close`; the main virtual
-/// thread drains with `pop_wait` until end-of-stream. The oracle is
+/// back-pressure), each published as it is pushed, then `close`s; the
+/// main virtual thread drains with `pop_wait` until end-of-stream. The oracle is
 /// exact FIFO completeness — any lost, duplicated, or reordered item
 /// panics, any unprotected slot access is a data race, any lost close
 /// wakeup is a deadlock.
-fn spsc_lifecycle<S: RingSync, T>(capacity: usize, n: u64, batch: usize, item: fn(u64) -> T)
+fn spsc_lifecycle<S: RingSync, T>(capacity: usize, n: u64, item: fn(u64) -> T)
 where
     T: Send + PartialEq + std::fmt::Debug + 'static,
 {
-    let (mut tx, mut rx) = ring_with::<S, T>(capacity, batch);
+    let (mut tx, mut rx) = ring_with::<S, T>(capacity);
     let producer = shadow::thread::spawn(move || {
         for i in 0..n {
             tx.push(item(i));
@@ -186,8 +186,8 @@ where
     assert_eq!(got, (0..n).map(item).collect::<Vec<_>>(), "items lost, duplicated, or reordered");
 }
 
-fn check<S: RingSync>(capacity: usize, n: u64, batch: usize) -> Outcome {
-    Checker::new().check(move || spsc_lifecycle::<S, u64>(capacity, n, batch, |i| i))
+fn check<S: RingSync>(capacity: usize, n: u64) -> Outcome {
+    Checker::new().check(move || spsc_lifecycle::<S, u64>(capacity, n, |i| i))
 }
 
 /// A mutant must be refuted, and the counterexample must be a real
@@ -211,10 +211,10 @@ fn assert_caught(name: &str, outcome: Outcome, expect: &[FailureKind]) {
 
 #[test]
 fn real_ring_is_clean_capacity_2() {
-    // Capacity 2, three items, batch 2: exercises wrap, a full-ring
-    // spin on the producer side, batch publication, and the close
-    // handshake publishing the final unbatched item.
-    let outcome = check::<ModelSync>(2, 3, 2);
+    // Capacity 2, three items: exercises wrap, a full-ring spin on the
+    // producer side, per-push publication, and the close handshake
+    // after the final push.
+    let outcome = check::<ModelSync>(2, 3);
     outcome.assert_exhaustive_clean();
     println!("capacity 2: clean across {} schedules", outcome.schedules);
     assert!(outcome.schedules > 100, "state space implausibly small");
@@ -222,20 +222,10 @@ fn real_ring_is_clean_capacity_2() {
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "exhaustive run is release-only; scripts/ci.sh runs it")]
-fn real_ring_is_clean_capacity_2_unbatched() {
-    // Batch 1 publishes every push: different publication cadence,
-    // same contract.
-    let outcome = check::<ModelSync>(2, 3, 1);
-    outcome.assert_exhaustive_clean();
-    println!("capacity 2 unbatched: clean across {} schedules", outcome.schedules);
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "exhaustive run is release-only; scripts/ci.sh runs it")]
 fn real_ring_is_clean_capacity_4() {
-    // Capacity 4, five items, batch 3: wrap plus a batch boundary that
-    // does not divide the item count, so close() flushes a remainder.
-    let outcome = check::<ModelSync>(4, 5, 3);
+    // Capacity 4, five items: wrap with more items in flight than the
+    // capacity-2 case.
+    let outcome = check::<ModelSync>(4, 5);
     outcome.assert_exhaustive_clean();
     println!("capacity 4: clean across {} schedules", outcome.schedules);
 }
@@ -248,7 +238,7 @@ fn real_ring_is_clean_on_batch_slots() {
     // moves as a whole, so a torn or stale batch is a race or a failed
     // FIFO check like a lost `u64` would be.
     let outcome = Checker::new()
-        .check(|| spsc_lifecycle::<ModelSync, [u64; 2]>(2, 3, 1, |i| [2 * i, 2 * i + 1]));
+        .check(|| spsc_lifecycle::<ModelSync, [u64; 2]>(2, 3, |i| [2 * i, 2 * i + 1]));
     outcome.assert_exhaustive_clean();
     println!("capacity 2, [u64; 2] batches: clean across {} schedules", outcome.schedules);
 }
@@ -261,7 +251,7 @@ fn mutant_tail_publish_relaxed_is_caught() {
     // unordered after the producer's slot write: a data race.
     assert_caught(
         "TAIL_PUBLISH=Relaxed",
-        check::<TailPublishRelaxed>(2, 3, 2),
+        check::<TailPublishRelaxed>(2, 3),
         &[FailureKind::DataRace],
     );
 }
@@ -270,7 +260,7 @@ fn mutant_tail_publish_relaxed_is_caught() {
 fn mutant_tail_observe_relaxed_is_caught() {
     assert_caught(
         "TAIL_OBSERVE=Relaxed",
-        check::<TailObserveRelaxed>(2, 3, 2),
+        check::<TailObserveRelaxed>(2, 3),
         &[FailureKind::DataRace],
     );
 }
@@ -281,7 +271,7 @@ fn mutant_head_observe_relaxed_is_caught() {
     // slot with no happens-before edge from the consumer's read of it.
     assert_caught(
         "HEAD_OBSERVE=Relaxed",
-        check::<HeadObserveRelaxed>(2, 3, 2),
+        check::<HeadObserveRelaxed>(2, 3),
         &[FailureKind::DataRace],
     );
 }
@@ -290,7 +280,7 @@ fn mutant_head_observe_relaxed_is_caught() {
 fn mutant_head_publish_relaxed_is_caught() {
     assert_caught(
         "HEAD_PUBLISH=Relaxed",
-        check::<HeadPublishRelaxed>(2, 3, 2),
+        check::<HeadPublishRelaxed>(2, 3),
         &[FailureKind::DataRace],
     );
 }
@@ -304,7 +294,7 @@ fn mutant_closed_observe_relaxed_is_caught() {
     // mutant must not survive.
     assert_caught(
         "CLOSED_OBSERVE=Relaxed",
-        check::<ClosedObserveRelaxed>(2, 3, 2),
+        check::<ClosedObserveRelaxed>(2, 3),
         &[FailureKind::Panic, FailureKind::DataRace],
     );
 }
@@ -313,7 +303,7 @@ fn mutant_closed_observe_relaxed_is_caught() {
 fn mutant_closed_publish_relaxed_is_caught() {
     assert_caught(
         "CLOSED_PUBLISH=Relaxed",
-        check::<ClosedPublishRelaxed>(2, 3, 2),
+        check::<ClosedPublishRelaxed>(2, 3),
         &[FailureKind::Panic, FailureKind::DataRace],
     );
 }

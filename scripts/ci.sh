@@ -116,9 +116,10 @@ echo "==> binary-level gates (release)"
 cargo test --release --test cli -q
 
 echo "==> mutation gate"
-# The curated sentinel set (ARCHITECTURE.md §14): 18 token-level
+# The curated sentinel set (ARCHITECTURE.md §14): 19 token-level
 # mutants at the load-bearing decision points — ring memory orderings,
-# WAL CRC/truncation/seal handling, the log-to-run match, detector
+# WAL CRC/truncation/seal handling, the log-to-run match, where a
+# journaled run stops, detector
 # thresholds, aggregator boundary comparisons and sweep slack — each applied to a
 # scratch copy of the tree and run against its explicit kill command.
 # Every sentinel must come back *caught*; a survivor (or a detached

@@ -14,10 +14,12 @@
 //!
 //! * **Feeders.** The live traffic mux, and a recovered write-ahead log
 //!   ([`resume_wal`] feeds the log, then the mux; [`replay_wal`] the log
-//!   alone). Both end in one `deliver` step, once per fed packet:
-//!   journal → executor; every `BATCH` positions it also reaches the
-//!   batch boundary, where the inline unit publishes its stage counts
-//!   and the exporter ticks.
+//!   alone). Both end in one `deliver` step, once per fed slice of up to
+//!   `BATCH` packets: the journal logs the slice packet by packet and
+//!   trims it where the stream stops, and the executor takes what is
+//!   left. Whenever the stream position crosses a multiple of `BATCH`
+//!   the engine reaches the batch boundary, where the inline unit
+//!   publishes its stage counts and the exporter ticks.
 //! * **Executor.** [`run`] consumes on the driver thread — the serial
 //!   reference. [`run_parallel`] is a pure router: it hands each packet
 //!   to the worker shard owning its source IP over a lock-free SPSC ring
@@ -33,7 +35,8 @@
 //!   `ARCHITECTURE.md` §11 for the proof sketch and
 //!   [`RunOutput::fingerprint`] for the check).
 //!   Every execution unit, inline or shard, owns the fault injector in
-//!   front of its vantage points.
+//!   front of its vantage points, and takes packets only as a slice:
+//!   each stage runs over the whole slice before the next one starts.
 //! * **Journal.** [`run_wal`] / [`run_parallel_wal`] append every fed
 //!   packet to the log before the executor sees it: the log is the run's
 //!   input, before any fault, and a replay or resume injects again from
@@ -77,6 +80,7 @@ use ah_wal::{RecoveredLog, WalWriter, WalWriterConfig};
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// Which vantage points to instantiate for a run.
@@ -363,27 +367,24 @@ struct Vantage {
     merit: Option<IspModel>,
     cu: Option<IspModel>,
     gn: Option<GreyNoise>,
-    /// The `consume::<TAGGED>` flavor, picked once per run (at build).
-    tagged_run: bool,
     /// Packets consumed, and their wire bytes.
     delivered: u64,
     delivered_bytes: u64,
     tracer: Tracer,
 }
 
-/// Run `f` under `tag` when the engine's `TAGGED` consume flavor is
-/// active; compiles to a plain call in the untagged flavor. A manual
-/// [`ah_mem::tag_swap`] pair, not a [`MemScope`] guard, so even the
-/// tagged flavor adds no drop glue or unwind paths per packet.
-#[inline(always)]
-fn tagged<const TAGGED: bool, R>(tag: Tag, f: impl FnOnce() -> R) -> R {
-    if TAGGED {
-        let prev = ah_mem::tag_swap(tag);
-        let r = f();
-        ah_mem::tag_restore(prev);
-        r
-    } else {
-        f()
+/// Mark every sampled packet of `pkts` with a `name` journey instant;
+/// nothing at all when tracing is off. Journey sampling is a pure hash
+/// of the source address: it draws no randomness and feeds nothing back
+/// into the pipeline.
+fn journey_instants(tracer: &Tracer, name: &'static str, pkts: &[PacketMeta]) {
+    if tracer.is_enabled() {
+        for pkt in pkts {
+            let journey = tracer.journey_id(pkt.src.to_u32());
+            if journey != 0 {
+                tracer.journey_instant(name, journey);
+            }
+        }
     }
 }
 
@@ -445,58 +446,42 @@ impl Vantage {
             merit,
             cu,
             gn,
-            tagged_run: ah_mem::accounting_enabled(),
             delivered: 0,
             delivered_bytes: 0,
             tracer: tracer.clone(),
         }
     }
 
-    /// Feed one delivered packet to every vantage point. Both executors
-    /// run this exact path: every downstream decision is a pure function
-    /// of the per-source (or per-key) subsequence, so a shard consuming
-    /// only its sources computes exactly what the inline executor does
-    /// (see `ARCHITECTURE.md` §11).
-    ///
-    /// `TAGGED` selects the memory-attribution flavor, once per run
-    /// (`ARCHITECTURE.md` §13): the `true` instantiation brackets each
-    /// stage call with an [`ah_mem::tag_swap`] pair so per-subsystem
-    /// accounts see every allocation; the `false` instantiation
-    /// compiles to exactly the pre-accounting hot path — zero added
-    /// per-packet instructions, which is what keeps the accounting-off
-    /// overhead inside its ≤1% budget. The subsystem `observe` methods
-    /// themselves carry no scopes for the same reason.
-    fn consume<const TAGGED: bool>(&mut self, pkt: &PacketMeta) {
-        self.delivered += 1;
-        self.delivered_bytes += u64::from(pkt.wire_len);
-        // Journey sampling is a pure hash of the source address: it draws
-        // no randomness and feeds nothing back into the pipeline.
-        let journey = self.tracer.journey_id(pkt.src.to_u32());
-        let _trace = (journey != 0)
-            .then(|| self.tracer.journey_span("ah_pipeline_vantage_consume", journey));
-        tagged::<TAGGED, _>(Tag::Telescope, || self.telescope.observe(pkt));
-        if let Some(m) = self.merit.as_mut() {
-            tagged::<TAGGED, _>(Tag::Flow, || m.observe(pkt));
+    /// Feed a slice of delivered packets to every vantage point, stage
+    /// by stage: the telescope runs over the whole slice, then Merit, CU
+    /// and the honeypots, each under one memory scope of its own
+    /// (`ARCHITECTURE.md` §13). The stages share no state, so each sees
+    /// exactly the packet sequence a packet-by-packet loop would show it.
+    /// Both executors run this exact path: every downstream decision is a
+    /// pure function of the per-source (or per-key) subsequence, so a
+    /// shard consuming only its sources computes exactly what the inline
+    /// executor does (see `ARCHITECTURE.md` §11).
+    fn consume(&mut self, pkts: &[PacketMeta]) {
+        self.delivered += pkts.len() as u64;
+        self.delivered_bytes += pkts.iter().map(|p| u64::from(p.wire_len)).sum::<u64>();
+        journey_instants(&self.tracer, "ah_pipeline_vantage_consume", pkts);
+        {
+            let _mem = MemScope::enter(Tag::Telescope);
+            for pkt in pkts {
+                self.telescope.observe(pkt);
+            }
         }
-        if let Some(c) = self.cu.as_mut() {
-            tagged::<TAGGED, _>(Tag::Flow, || c.observe(pkt));
+        for isp in [self.merit.as_mut(), self.cu.as_mut()].into_iter().flatten() {
+            let _mem = MemScope::enter(Tag::Flow);
+            for pkt in pkts {
+                isp.observe(pkt);
+            }
         }
         if let Some(g) = self.gn.as_mut() {
-            tagged::<TAGGED, _>(Tag::Detectors, || {
-                g.observe(pkt, payload_hint(pkt.src, pkt.dst_port()))
-            });
-        }
-    }
-
-    /// Monomorphization dispatch for [`Vantage::consume`]: one
-    /// predictable branch per packet on a run-constant bool, instead
-    /// of tag checks inside every stage.
-    #[inline]
-    fn consume_dyn(&mut self, pkt: &PacketMeta) {
-        if self.tagged_run {
-            self.consume::<true>(pkt);
-        } else {
-            self.consume::<false>(pkt);
+            let _mem = MemScope::enter(Tag::Detectors);
+            for pkt in pkts {
+                g.observe(pkt, payload_hint(pkt.src, pkt.dst_port()));
+            }
         }
     }
 
@@ -608,6 +593,10 @@ impl Batch {
 /// per-source index), so a shard's substream yields the serial decisions.
 struct Unit {
     injector: Option<FaultInjector>,
+    /// What the injector delivered from the slice on offer, handed to the
+    /// vantage points whole. It grows only inside the injector's `Mux`
+    /// scope, and never without an injector.
+    faulted: Vec<PacketMeta>,
     vantage: Vantage,
     /// One per count of [`Vantage::counts`], in its order; none when the
     /// recorder is disabled, so that a run without metrics reads nothing.
@@ -629,7 +618,7 @@ impl Unit {
                 metrics.push((name, Published::register(rec, name, router)));
             });
         }
-        Unit { injector, vantage, metrics }
+        Unit { injector, faulted: Vec::new(), vantage, metrics }
     }
 
     /// Publish the stage counts: at every batch boundary, and on exit.
@@ -645,14 +634,17 @@ impl Unit {
         });
     }
 
-    /// The vantage points consume what the injector delivers at `pkt`.
-    #[inline]
-    fn offer(&mut self, pkt: &PacketMeta) {
-        let Unit { injector, vantage, .. } = self;
-        match injector {
-            Some(inj) => inj.apply(pkt, &mut |p| vantage.consume_dyn(p)),
-            None => vantage.consume_dyn(pkt),
+    /// The injector, if any, runs over the whole slice, then the vantage
+    /// points consume what it delivered.
+    fn offer(&mut self, pkts: &[PacketMeta]) {
+        let Unit { injector, faulted, vantage, .. } = self;
+        let Some(inj) = injector else { return vantage.consume(pkts) };
+        {
+            let _mem = MemScope::enter(Tag::Mux);
+            pkts.iter().for_each(|pkt| inj.apply(pkt, &mut |p| faulted.push(*p)));
         }
+        vantage.consume(faulted);
+        faulted.clear();
     }
 
     /// End of stream: release what the injector still holds, publish, then
@@ -660,10 +652,14 @@ impl Unit {
     /// order, and what its stages produced.
     fn finish(mut self) -> ShardOut {
         if let Some(inj) = self.injector.as_mut() {
-            inj.flush(&mut |p| self.vantage.consume_dyn(p));
+            {
+                let _mem = MemScope::enter(Tag::Mux);
+                inj.flush(&mut |p| self.faulted.push(*p));
+            }
+            self.vantage.consume(&self.faulted);
         }
         self.publish();
-        let Unit { injector, mut vantage, mut metrics } = self;
+        let Unit { injector, mut vantage, mut metrics, .. } = self;
         // Sorted here, on the shard's own thread; `finalize_run` only merges.
         let events = vantage.telescope.flush();
         let mut health = PipelineHealth::default();
@@ -756,8 +752,7 @@ impl<'scope> Shards<'scope> {
         let staged = {
             let _mem = MemScope::enter(Tag::Mux);
             for _ in 0..threads {
-                // Publish batch 1: a slot is visible as soon as it is pushed.
-                let (tx, rx) = ring_with::<StdSync, Batch>(RING_CAPACITY / BATCH, 1);
+                let (tx, rx) = ring_with::<StdSync, Batch>(RING_CAPACITY / BATCH);
                 producers.push(tx);
                 consumers.push(rx);
             }
@@ -774,12 +769,9 @@ impl<'scope> Shards<'scope> {
             };
             let mut unit = Unit::build(world, opts, rec, tracer);
             while let Some(batch) = rx.pop_wait() {
-                for pkt in &batch.items[..batch.len] {
-                    let journey = tracer.journey_id(pkt.src.to_u32());
-                    let _pop = (journey != 0)
-                        .then(|| tracer.journey_span("ah_pipeline_shard_consume", journey));
-                    unit.offer(pkt);
-                }
+                let pkts = &batch.items[..batch.len];
+                journey_instants(tracer, "ah_pipeline_shard_consume", pkts);
+                unit.offer(pkts);
                 unit.publish();
             }
             naps.add(rx.naps());
@@ -800,16 +792,19 @@ impl<'scope> Shards<'scope> {
         }
     }
 
-    fn route(&mut self, pkt: &PacketMeta, tracer: &Tracer) {
-        let shard = (hash64(u64::from(pkt.src.to_u32())) % self.producers.len() as u64) as usize;
-        let journey = tracer.journey_id(pkt.src.to_u32());
-        let _route =
-            (journey != 0).then(|| tracer.journey_span("ah_pipeline_dispatch_route", journey));
-        let batch = &mut self.staged[shard];
-        batch.items[batch.len] = *pkt;
-        batch.len += 1;
-        if batch.len == BATCH {
-            self.send(shard, tracer);
+    fn route(&mut self, pkts: &[PacketMeta], tracer: &Tracer) {
+        for pkt in pkts {
+            let src = pkt.src.to_u32();
+            let shard = (hash64(u64::from(src)) % self.producers.len() as u64) as usize;
+            let journey = tracer.journey_id(src);
+            let _route =
+                (journey != 0).then(|| tracer.journey_span("ah_pipeline_dispatch_route", journey));
+            let batch = &mut self.staged[shard];
+            batch.items[batch.len] = *pkt;
+            batch.len += 1;
+            if batch.len == BATCH {
+                self.send(shard, tracer);
+            }
         }
     }
 
@@ -856,7 +851,7 @@ impl<'scope> Shards<'scope> {
 }
 
 /// Where fed packets are injected and consumed: on the driver thread, or
-/// on N shard threads behind SPSC rings. One predictable `match` per packet.
+/// on N shard threads behind SPSC rings. One `match` per fed slice.
 enum Executor<'scope> {
     Inline(Box<Unit>),
     Sharded(Shards<'scope>),
@@ -1088,6 +1083,12 @@ fn check_meta(meta: &[u8], want: &[u8]) -> io::Result<()> {
 
 // --- The engine ---------------------------------------------------------
 
+/// A feeder's reusable slice buffer, `BATCH` packets long.
+fn feeder_batch() -> Vec<PacketMeta> {
+    let _mem = MemScope::enter(Tag::Mux);
+    Vec::with_capacity(BATCH)
+}
+
 /// The engine's journal part: the log writer plus everything needed to
 /// prove, on resume, that the re-driven stream is the one the log holds.
 struct Journal {
@@ -1106,6 +1107,60 @@ struct Journal {
     crash_after: Option<u64>,
 }
 
+impl Journal {
+    /// Journal a fed slice packet by packet, the first packet it hands on
+    /// taking stream position `pos + 1`. Returns the part of `pkts` the
+    /// executor runs, and why the stream stops, if it stops inside the
+    /// slice: the recovered prefix is hashed and left out, and the
+    /// slice ends at a log error or just after the suspension point.
+    fn log(
+        &mut self,
+        pkts: &[PacketMeta],
+        pos: u64,
+        tracer: &Tracer,
+    ) -> (Range<usize>, Option<io::Result<()>>) {
+        let mut start = 0;
+        for (i, pkt) in pkts.iter().enumerate() {
+            {
+                let _mem = MemScope::enter(Tag::Wal);
+                self.scratch.clear();
+                WalRecord::Packet(*pkt).encode_payload(&mut self.scratch);
+            }
+            self.hash = fnv1a_fold(self.hash, &self.scratch);
+            if self.skip > 0 {
+                // Fast-forward over the recovered prefix. At the crossing,
+                // the rolling hash over the re-generated stream must equal
+                // the hash over what the log actually held.
+                self.skip -= 1;
+                start = i + 1;
+                if self.skip == 0 && self.hash != self.prefix_hash {
+                    let diverged =
+                        "recovered WAL prefix diverges from the deterministic packet stream";
+                    return (start..start, Some(Err(invalid(diverged))));
+                }
+                continue;
+            }
+            if let Err(e) = self.writer.append_payload(&self.scratch) {
+                return (start..i, Some(Err(e)));
+            }
+            let journey = tracer.journey_id(pkt.src.to_u32());
+            if journey != 0 {
+                tracer.journey_instant("ah_pipeline_wal_append", journey);
+            }
+            let at = pos + (i - start) as u64 + 1;
+            if self.crash_after == Some(at) {
+                self.writer.crash_with_torn_tail();
+            }
+            if self.suspend_after == Some(at) {
+                // This packet is in the log, so it is still executed; the
+                // stream stops after it.
+                return (start..i + 1, Some(Ok(())));
+            }
+        }
+        (start..pkts.len(), None)
+    }
+}
+
 /// How feeding the engine ended.
 enum Fed {
     /// All fed: the generated total.
@@ -1115,7 +1170,7 @@ enum Fed {
 }
 
 /// The one execution engine (see the module docs for the picture). Both
-/// feeders end in [`Engine::deliver`], the only place a packet is
+/// feeders end in [`Engine::deliver`], the only place a slice is
 /// journaled, counted and handed to the executor, and the only caller of
 /// the batch boundary [`Engine::tick`].
 struct Engine<'a, 'scope> {
@@ -1130,52 +1185,28 @@ struct Engine<'a, 'scope> {
 }
 
 impl Engine<'_, '_> {
-    /// The single per-packet step, once per fed packet: journal → count →
-    /// executor, and the batch boundary every `BATCH` positions.
-    #[inline]
-    fn deliver(&mut self, pkt: &PacketMeta) {
-        if let Some(j) = self.journal.as_mut() {
-            {
-                let _mem = MemScope::enter(Tag::Wal);
-                j.scratch.clear();
-                WalRecord::Packet(*pkt).encode_payload(&mut j.scratch);
+    /// The single step, once per fed slice: journal → count → executor,
+    /// and the batch boundary whenever the position crosses a multiple
+    /// of `BATCH`. The inline unit runs the feeder's slice itself, uncopied.
+    fn deliver(&mut self, pkts: &[PacketMeta]) {
+        let pkts = match self.journal.as_mut() {
+            Some(j) => {
+                let (run, halt) = j.log(pkts, self.pos, &self.tel.tracer);
+                self.halt = halt;
+                &pkts[run]
             }
-            j.hash = fnv1a_fold(j.hash, &j.scratch);
-            if j.skip > 0 {
-                // Fast-forward over the recovered prefix. At the crossing,
-                // the rolling hash over the re-generated stream must equal
-                // the hash over what the log actually held.
-                j.skip -= 1;
-                if j.skip == 0 && j.hash != j.prefix_hash {
-                    self.halt = Some(Err(invalid(
-                        "recovered WAL prefix diverges from the deterministic packet stream",
-                    )));
-                }
-                return;
-            }
-            if let Err(e) = j.writer.append_payload(&j.scratch) {
-                self.halt = Some(Err(e));
-                return;
-            }
-            let journey = self.tel.tracer.journey_id(pkt.src.to_u32());
-            if journey != 0 {
-                self.tel.tracer.journey_instant("ah_pipeline_wal_append", journey);
-            }
-            if j.crash_after == Some(self.pos + 1) {
-                j.writer.crash_with_torn_tail();
-            }
-            if j.suspend_after == Some(self.pos + 1) {
-                // This packet is in the log, so it is still executed and
-                // ticked below; the stream stops after it.
-                self.halt = Some(Ok(()));
-            }
+            None => pkts,
+        };
+        if pkts.is_empty() {
+            return;
         }
-        self.pos += 1;
+        let before = self.pos / BATCH as u64;
+        self.pos += pkts.len() as u64;
         match &mut self.exec {
-            Executor::Inline(unit) => unit.offer(pkt),
-            Executor::Sharded(shards) => shards.route(pkt, &self.tel.tracer),
+            Executor::Inline(unit) => unit.offer(pkts),
+            Executor::Sharded(shards) => shards.route(pkts, &self.tel.tracer),
         }
-        if self.pos.is_multiple_of(BATCH as u64) {
+        if self.pos / BATCH as u64 != before {
             self.tick();
         }
     }
@@ -1197,38 +1228,30 @@ impl Engine<'_, '_> {
     }
 
     /// Feeder: pull the traffic mux dry, a `BATCH` of packets at a time
-    /// (or until the journal stops the run).
+    /// (or until the journal stops the run). A journaled run stops exactly
+    /// at its interruption point: `deliver` trims the batch there, and the
+    /// rest of it is regenerated on resume, like everything past the point.
     fn pull(&mut self, mux: &mut TrafficMux) {
         let _drive = self.tel.tracer.span("ah_pipeline_mux_drive");
-        let mut batch = {
-            let _mem = MemScope::enter(Tag::Mux);
-            Vec::with_capacity(BATCH)
-        };
+        let mut batch = feeder_batch();
         while self.halt.is_none() && mux.next_batch(&mut batch, BATCH) > 0 {
-            for pkt in &batch {
-                // Per packet, not per batch: a journaled run stops exactly
-                // at its interruption point. The rest of the batch is
-                // dropped and regenerated on resume, like everything
-                // past the point.
-                if self.halt.is_some() {
-                    break;
-                }
-                self.deliver(pkt);
-            }
+            self.deliver(&batch);
             batch.clear();
         }
     }
 
     /// Feeder: recover the log in `dir` (truncating any torn/corrupt
-    /// tail) and deliver every durable packet frame — none at all unless
-    /// frame 0 is the description of this very run (`want`). Returns the
-    /// log summary and the rolling FNV over the packet payloads.
+    /// tail) and deliver every durable packet frame, `BATCH` to a slice —
+    /// none at all unless frame 0 is the description of this very run
+    /// (`want`). Returns the log summary and the rolling FNV over the
+    /// packet payloads.
     fn recover(&mut self, dir: &Path, want: &[u8]) -> io::Result<(RecoveredLog, u64)> {
         let (rec, tracer) = (self.tel.recorder.clone(), self.tel.tracer.clone());
         let m_replay = rec.counter("ah_wal_replay_packets_total");
         let _scan = tracer.span("ah_wal_recover_scan");
         let mut hash = FNV_OFFSET;
         let mut meta_ok = Err(invalid("WAL holds no meta record"));
+        let mut batch = feeder_batch();
         let log = ah_wal::recover(dir, &rec, |seq, payload, record| match record {
             WalRecord::Meta(m) if seq == 0 => meta_ok = check_meta(&m, want),
             WalRecord::Packet(p) if meta_ok.is_ok() => {
@@ -1238,10 +1261,15 @@ impl Engine<'_, '_> {
                     tracer.journey_instant("ah_wal_replay_packet", journey);
                 }
                 m_replay.inc();
-                self.deliver(&p);
+                batch.push(p);
+                if batch.len() == BATCH {
+                    self.deliver(&batch);
+                    batch.clear();
+                }
             }
             _ => {}
         })?;
+        self.deliver(&batch);
         if log.next_seq > 0 {
             meta_ok?;
         }
@@ -1821,16 +1849,30 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
+    /// How a stream is cut into the slices fed to `Engine::deliver`: the
+    /// slice lengths, repeated in turn. The mux feeder's own cut is
+    /// `[BATCH]`.
+    const SPLITS: [&[usize]; 4] = [&[1], &[7], &[BATCH - 1, BATCH, BATCH + 1], &[BATCH]];
+
     /// Deliver `pkts`, and nothing else, to a fresh executor recording on
-    /// `rec`.
+    /// `rec`, in slices cut by `split`.
     fn run_stream(
         cfg: &ScenarioConfig,
         pkts: &[PacketMeta],
+        split: &[usize],
         threads: Option<usize>,
         rec: &Recorder,
     ) -> RunOutput {
         let feed = |engine: &mut Engine<'_, '_>| {
-            pkts.iter().for_each(|p| engine.deliver(p));
+            let mut rest = pkts;
+            for &len in split.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (slice, tail) = rest.split_at(len.min(rest.len()));
+                engine.deliver(slice);
+                rest = tail;
+            }
             Ok(Fed::Finished(pkts.len() as u64))
         };
         let tel = &mut Telemetry::new(rec.clone());
@@ -1846,23 +1888,31 @@ mod tests {
         // rings carry only the partial tail `join` pushes, and at the
         // short lengths most carry nothing at all. Most lengths end off a
         // batch boundary, so every packet is published only if each unit
-        // publishes on exit.
+        // publishes on exit. Every length is fed in every split, whose
+        // slices straddle batch boundaries in every way: one cut of the
+        // stream must not compute anything another does not.
         let cfg = ScenarioConfig::tiny(1, 21);
         let mut pkts = Vec::new();
         Scenario::build(cfg.clone()).mux.next_batch(&mut pkts, 8 * BATCH - 1);
         assert_eq!(pkts.len(), 8 * BATCH - 1, "the scenario is long enough");
         for n in [0, 1, 7, BATCH - 1, BATCH, BATCH + 1, pkts.len()] {
-            let (serial_rec, sharded_rec) = (Recorder::new(), Recorder::new());
-            let serial = run_stream(&cfg, &pkts[..n], None, &serial_rec);
-            assert_eq!(serial.generated_packets, n as u64);
-            let sharded = run_stream(&cfg, &pkts[..n], Some(8), &sharded_rec);
-            assert_eq!(sharded.fingerprint(), serial.fingerprint(), "{n} packets");
-            for rec in [serial_rec, sharded_rec] {
-                let samples = rec.snapshot().samples.into_iter();
-                let mut delivered =
-                    samples.filter(|s| s.name.starts_with("ah_pipeline_mux_packets"));
-                let want = ah_obs::Value::Counter(n as u64);
-                assert_eq!(delivered.next().map(|s| s.value), Some(want), "{n} packets");
+            let mut fingerprint = None;
+            for split in SPLITS {
+                let (serial_rec, sharded_rec) = (Recorder::new(), Recorder::new());
+                let serial = run_stream(&cfg, &pkts[..n], split, None, &serial_rec);
+                assert_eq!(serial.generated_packets, n as u64);
+                let sharded = run_stream(&cfg, &pkts[..n], split, Some(8), &sharded_rec);
+                let at = format!("{n} packets in slices of {split:?}");
+                assert_eq!(sharded.fingerprint(), serial.fingerprint(), "{at}");
+                let first = *fingerprint.get_or_insert(serial.fingerprint());
+                assert_eq!(serial.fingerprint(), first, "{at}: not the first split's run");
+                for rec in [serial_rec, sharded_rec] {
+                    let samples = rec.snapshot().samples.into_iter();
+                    let mut delivered =
+                        samples.filter(|s| s.name.starts_with("ah_pipeline_mux_packets"));
+                    let want = ah_obs::Value::Counter(n as u64);
+                    assert_eq!(delivered.next().map(|s| s.value), Some(want), "{at}");
+                }
             }
         }
     }

@@ -384,26 +384,31 @@ fn stage_counters_match(snap: &Snapshot, out: &RunOutput, threads: usize) {
 
 /// A suspended run has published every packet it fed, on both executors:
 /// the inline unit on its exit, each shard after draining the tail the
-/// dispatcher had staged for it.
+/// dispatcher had staged for it. The suspension points sit at the first
+/// packet, on both sides of the first 256-packet feeder slice's edge, and
+/// deep inside the stream: the packet a run suspends on is executed, and
+/// nothing after it.
 #[test]
 fn suspended_runs_publish_every_packet_they_fed() {
-    const AT: u64 = 5_000;
-    for threads in [None, Some(1), Some(4)] {
-        let dir = common::temp_dir(&format!("telemetry-suspend-{}", threads.unwrap_or(0)));
-        let rec = Recorder::new();
-        let mut tel = Telemetry::new(rec.clone());
-        let wal = WalRun::new(&dir).suspend_after(AT);
-        let outcome = match threads {
-            None => pipeline::run_wal(scenario(), opts(false), &wal, &mut tel),
-            Some(n) => pipeline::run_parallel_wal(scenario(), opts(false), n, &wal, &mut tel),
-        };
-        assert!(
-            matches!(outcome, Ok(WalOutcome::Suspended { delivered: AT, .. })),
-            "{threads:?}: the run did not suspend at {AT}"
-        );
-        let delivered = counter_total(&rec.snapshot(), "ah_pipeline_mux_packets_delivered_total");
-        assert_eq!(delivered, AT, "{threads:?} threads");
-        std::fs::remove_dir_all(&dir).ok();
+    for at in [1, 255, 256, 257, 5_000] {
+        for threads in [None, Some(1), Some(4)] {
+            let dir = common::temp_dir(&format!("telemetry-suspend-{at}-{}", threads.unwrap_or(0)));
+            let rec = Recorder::new();
+            let mut tel = Telemetry::new(rec.clone());
+            let wal = WalRun::new(&dir).suspend_after(at);
+            let outcome = match threads {
+                None => pipeline::run_wal(scenario(), opts(false), &wal, &mut tel),
+                Some(n) => pipeline::run_parallel_wal(scenario(), opts(false), n, &wal, &mut tel),
+            };
+            assert!(
+                matches!(outcome, Ok(WalOutcome::Suspended { delivered, .. }) if delivered == at),
+                "{threads:?}: the run did not suspend at {at}"
+            );
+            let delivered =
+                counter_total(&rec.snapshot(), "ah_pipeline_mux_packets_delivered_total");
+            assert_eq!(delivered, at, "{threads:?} threads, suspended at {at}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }
 
