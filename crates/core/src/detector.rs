@@ -15,6 +15,13 @@
 //! Definitions 2 and 3 need dataset-wide ECDF thresholds, so detection is
 //! inherently two-phase: hold on ingest, qualify on finalize.
 //!
+//! Beside the events, finalize holds no per-event sample vector. D2's
+//! ECDF is a value→count histogram of packets per event ([`Ecdf`]).
+//! D3 sorts one packed (src, day, port) tuple per distinct port a
+//! source probed on a day and streams its (src, day) runs twice: once
+//! into the port-count histogram, and once, after the threshold is
+//! known, into the qualifying sets.
+//!
 //! Every set, threshold and per-day total is a function of the *set* of
 //! ingested events; only [`AhReport::records`] keeps ingest order, which
 //! a telescope flush makes canonical (by key, then in close order).
@@ -56,11 +63,10 @@ fn unpack_src_day(t: u64) -> (Ipv4Addr4, u16) {
     (Ipv4Addr4((t >> 32) as u32), ((t >> 16) & 0xffff) as u16)
 }
 
-/// Distinct ports per (src, day) — definition 3's input, a function of
-/// the records: one packed (src, day, port) tuple per day an event
-/// spans, deduped, counted, and dropped on return. ICMP events carry no
-/// port and are excluded.
-fn count_ports_per_srcday(records: &[DarknetEvent]) -> Vec<(Ipv4Addr4, u16, u64)> {
+/// Definition 3's input, a function of the records: one packed (src,
+/// day, port) tuple per distinct port a source probed on a day an event
+/// spans, ascending. ICMP events carry no port and are excluded.
+fn srcday_ports(records: &[DarknetEvent]) -> Vec<u64> {
     let ported = || records.iter().filter(|r| r.key.class != ScanClass::IcmpEcho);
     let mut tuples = Vec::with_capacity(ported().map(|r| (r.start_day..=r.end_day).len()).sum());
     for r in ported() {
@@ -70,19 +76,17 @@ fn count_ports_per_srcday(records: &[DarknetEvent]) -> Vec<(Ipv4Addr4, u16, u64)
     }
     tuples.sort_unstable();
     tuples.dedup();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < tuples.len() {
-        let key = tuples[i] >> 16;
-        let mut j = i;
-        while j < tuples.len() && tuples[j] >> 16 == key {
-            j += 1;
-        }
-        let (src, day) = unpack_src_day(tuples[i]);
-        out.push((src, day, (j - i) as u64));
-        i = j;
-    }
-    out
+    tuples
+}
+
+/// Distinct ports per (src, day) — definition 3's statistic — streamed
+/// off [`srcday_ports`]'s tuples, one `(src, day, count)` per run that
+/// shares a (src, day).
+fn ports_per_srcday(tuples: &[u64]) -> impl Iterator<Item = (Ipv4Addr4, u16, u64)> + '_ {
+    tuples.chunk_by(|a, b| a >> 16 == b >> 16).map(|run| {
+        let (src, day) = unpack_src_day(run[0]);
+        (src, day, run.len() as u64)
+    })
 }
 
 impl Detector {
@@ -113,12 +117,11 @@ impl Detector {
         let dark = f64::from(self.cfg.dark_size.max(1));
 
         // --- ECDFs and thresholds ---------------------------------------
-        let volumes =
-            Ecdf::from_samples(self.records.iter().map(|r| u64::from(r.packets)).collect());
+        let volumes = Ecdf::from_values(self.records.iter().map(|r| u64::from(r.packets)));
         let d2_threshold = volumes.top_alpha_threshold(t.volume_alpha).unwrap_or(u64::MAX);
 
-        let ports_per_srcday = count_ports_per_srcday(&self.records);
-        let port_counts = Ecdf::from_samples(ports_per_srcday.iter().map(|&(_, _, c)| c).collect());
+        let srcday_ports = srcday_ports(&self.records);
+        let port_counts = Ecdf::from_values(ports_per_srcday(&srcday_ports).map(|(_, _, c)| c));
         // Floor of 2: a degenerate percentile of 1 port/day (possible in
         // small datasets where almost every source probes one port) would
         // otherwise declare the entire population aggressive.
@@ -150,12 +153,13 @@ impl Detector {
             }
         }
 
-        // D3 qualifies (src, day) pairs. Note the paper's asymmetric
-        // wording: D2 hitters *cross* the threshold (strictly above),
-        // D3 hitters scan "more than or equal to" the threshold.
+        // D3 qualifies (src, day) pairs, on a second pass over the same
+        // runs. Note the paper's asymmetric wording: D2 hitters *cross*
+        // the threshold (strictly above), D3 hitters scan "more than or
+        // equal to" the threshold.
         let i3 = Definition::DistinctPorts.index();
         let mut d3_srcdays: HashSet<(Ipv4Addr4, u64)> = HashSet::new();
-        for &(src, day, count) in &ports_per_srcday {
+        for (src, day, count) in ports_per_srcday(&srcday_ports) {
             if count >= d3_threshold {
                 yearly[i3].insert(src);
                 daily[i3].entry(u64::from(day)).or_default().insert(src);
@@ -163,6 +167,8 @@ impl Detector {
                 d3_srcdays.insert((src, u64::from(day)));
             }
         }
+        // The tuples are D3's alone: free them before the per-day passes.
+        drop(srcday_ports);
 
         // --- Per-day packets from daily hitters ---------------------------
         // Packets are attributable to an event's start day only.
@@ -359,7 +365,8 @@ mod tests {
         d.ingest(&ev(1, 53, 0, 1, 1));
         d.ingest(&e_udp);
         // One (src, day) sample with exactly 1 distinct port.
-        assert_eq!(count_ports_per_srcday(&d.records), [(Ipv4Addr4::new(10, 0, 0, 1), 0, 1)]);
+        let counts: Vec<_> = ports_per_srcday(&srcday_ports(&d.records)).collect();
+        assert_eq!(counts, [(Ipv4Addr4::new(10, 0, 0, 1), 0, 1)]);
     }
 
     #[test]
@@ -368,7 +375,7 @@ mod tests {
         let mut e = ev(1, 0, 0, 1, 1);
         e.key.class = ScanClass::IcmpEcho;
         d.ingest(&e);
-        assert!(count_ports_per_srcday(&d.records).is_empty());
+        assert!(srcday_ports(&d.records).is_empty());
     }
 
     #[test]

@@ -3,50 +3,85 @@
 //! Definitions 2 and 3 declare a scanner aggressive when a statistic
 //! (packets per event, distinct ports per day) exceeds the empirical
 //! (1 − α)-quantile of that statistic's distribution, with α = 10⁻⁴.
+//!
+//! An [`Ecdf`] is a value→count histogram, not a sample vector: one
+//! `(value, samples ≤ value)` step per distinct value. Both statistics
+//! are small integers with heavy ties, so a run's D2 and D3
+//! distributions take a few thousand steps however many events feed
+//! them, and every answer is the one the sorted samples would give.
+
+use ah_net::hash::FastMap;
 
 /// An ECDF over `u64` samples.
 #[derive(Debug, Clone, Default)]
 pub struct Ecdf {
-    /// Sorted samples.
-    sorted: Vec<u64>,
+    /// Distinct sample values, ascending, each with the number of
+    /// samples at or below it; the last count is the sample count.
+    steps: Vec<(u64, usize)>,
 }
 
 impl Ecdf {
+    /// Build from a stream of samples, holding one count per distinct
+    /// value. The counts go through a hash map; sorting the steps by
+    /// value removes its iteration order.
+    pub fn from_values(values: impl IntoIterator<Item = u64>) -> Ecdf {
+        let mut counts: FastMap<u64, usize> = FastMap::default();
+        for v in values {
+            *counts.entry(v).or_default() += 1;
+        }
+        let mut steps: Vec<(u64, usize)> = counts.into_iter().collect();
+        steps.sort_unstable();
+        let mut at_most = 0;
+        for (_, n) in &mut steps {
+            at_most += *n;
+            *n = at_most;
+        }
+        Ecdf { steps }
+    }
+
     /// Build from any sample collection.
-    pub fn from_samples(mut samples: Vec<u64>) -> Ecdf {
-        samples.sort_unstable();
-        Ecdf { sorted: samples }
+    pub fn from_samples(samples: Vec<u64>) -> Ecdf {
+        Ecdf::from_values(samples)
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.sorted.len()
+        self.steps.last().map_or(0, |&(_, n)| n)
     }
 
     /// True when no samples were added.
     pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
+        self.steps.is_empty()
+    }
+
+    /// Number of samples ≤ x.
+    fn at_most(&self, x: u64) -> usize {
+        match self.steps.partition_point(|&(v, _)| v <= x) {
+            0 => 0,
+            i => self.steps[i - 1].1,
+        }
     }
 
     /// F(x): fraction of samples ≤ x.
     pub fn cdf(&self, x: u64) -> f64 {
-        if self.sorted.is_empty() {
+        if self.steps.is_empty() {
             return 0.0;
         }
-        let idx = self.sorted.partition_point(|&s| s <= x);
-        idx as f64 / self.sorted.len() as f64
+        self.at_most(x) as f64 / self.len() as f64
     }
 
     /// The q-quantile (0 ≤ q ≤ 1): smallest sample value v such that at
     /// least a `q` fraction of samples are ≤ v.
     pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.sorted.is_empty() {
+        if self.steps.is_empty() {
             return None;
         }
         let q = q.clamp(0.0, 1.0);
-        let n = self.sorted.len();
+        let n = self.len();
         let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-        Some(self.sorted[rank - 1])
+        // The first step whose count reaches the rank; the last step's
+        // count is n, so there is one.
+        Some(self.steps[self.steps.partition_point(|&(_, at_most)| at_most < rank)].0)
     }
 
     /// The top-α threshold: the (1 − α)-quantile. A sample is "top-α" when
@@ -57,12 +92,12 @@ impl Ecdf {
 
     /// Count of samples strictly above `x`.
     pub fn count_above(&self, x: u64) -> usize {
-        self.sorted.len() - self.sorted.partition_point(|&s| s <= x)
+        self.len() - self.at_most(x)
     }
 
     /// Maximum sample.
     pub fn max(&self) -> Option<u64> {
-        self.sorted.last().copied()
+        self.steps.last().map(|&(v, _)| v)
     }
 }
 
@@ -119,6 +154,13 @@ mod tests {
         assert_eq!(e.quantile(0.5), None);
         assert_eq!(e.cdf(5), 0.0);
         assert_eq!(e.count_above(0), 0);
+    }
+
+    #[test]
+    fn size_is_bounded_by_distinct_values() {
+        let e = Ecdf::from_values((0..100_000u64).map(|i| i % 3));
+        assert_eq!((e.len(), e.steps.len()), (100_000, 3));
+        assert_eq!(e.steps, [(0, 33_334), (1, 66_667), (2, 100_000)]);
     }
 
     #[test]

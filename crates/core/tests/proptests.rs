@@ -36,6 +36,55 @@ proptest! {
         }
     }
 
+    /// The histogram ECDF answers every query as the sorted sample
+    /// vector it stands for. `shape` 0 is the empty set and 1 a single
+    /// value repeated; otherwise the samples come from a domain of
+    /// 2^`bits` values, narrow enough in most cases for heavy duplicates,
+    /// and `high` moves them to the top of the `u64` range.
+    #[test]
+    fn histogram_ecdf_matches_sorted_samples(
+        shape in 0u8..4,
+        bits in 0u32..17,
+        high in any::<bool>(),
+        raw in proptest::collection::vec(any::<u64>(), 1..1500),
+    ) {
+        let bits = if shape == 1 { 0 } else { bits };
+        let samples: Vec<u64> = match shape {
+            0 => Vec::new(),
+            _ => raw
+                .iter()
+                .map(|&r| r % (1u64 << bits))
+                .map(|v| if high { u64::MAX - v } else { v })
+                .collect(),
+        };
+        let e = Ecdf::from_values(samples.iter().copied());
+
+        let mut sorted = samples.clone();
+        sorted.sort_unstable();
+        let n = sorted.len();
+        let at_most = |x: u64| sorted.partition_point(|&s| s <= x);
+        prop_assert_eq!(e.len(), n);
+        prop_assert_eq!(e.is_empty(), n == 0);
+        prop_assert_eq!(e.max(), sorted.last().copied());
+        let probes = sorted
+            .iter()
+            .flat_map(|&v| [v.saturating_sub(1), v, v.saturating_add(1)])
+            .chain([0, u64::MAX / 2, u64::MAX]);
+        for x in probes {
+            let cdf = if n == 0 { 0.0 } else { at_most(x) as f64 / n as f64 };
+            prop_assert_eq!(e.cdf(x).to_bits(), cdf.to_bits(), "cdf({})", x);
+            prop_assert_eq!(e.count_above(x), n - at_most(x), "count_above({})", x);
+        }
+        // The top-α rank at α = 10⁻⁴ is the cut D2 and D3 take.
+        for q in [0.0, 1e-9, 0.1, 0.25, 0.5, 0.9, 0.99, 1.0 - 1e-4, 1.0 - 1e-9, 1.0] {
+            let naive = (n > 0).then(|| {
+                let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
+                sorted[rank - 1]
+            });
+            prop_assert_eq!(e.quantile(q), naive, "quantile({})", q);
+        }
+    }
+
     /// Jaccard similarity: bounded, symmetric, and 1.0 iff sets equal
     /// (for nonempty sets).
     #[test]

@@ -235,8 +235,8 @@ impl IspModel {
     /// Process one packet through the ISP.
     pub fn observe(&mut self, pkt: &PacketMeta) -> Disposition {
         // Deliberately NO memory scope on this per-packet path; the
-        // engine's tagged consume path brackets the call with
-        // `ah_mem::tag_swap` when accounting is on (see
+        // engine runs each ISP over a whole slice under one
+        // `MemScope` of `Tag::Flow` (see
         // `ah_telescope::Telescope::observe` for the rationale).
         let disposition = self.disposition(pkt);
         if let Disposition::Border(id, dir) = disposition {
@@ -281,8 +281,10 @@ impl IspModel {
         }
         // HashMap drain order must never leak into the dataset: `FlowRecord`'s
         // order is total over record content, so per-shard datasets merge
-        // into the bitwise-identical serial result.
-        records.sort();
+        // into the bitwise-identical serial result. Records it calls equal
+        // are identical, so an unstable sort, which needs no scratch copy
+        // of the records, orders them exactly as a stable one would.
+        records.sort_unstable();
         FlowDataset { records, sampling_rate: self.sampling_rate, router_days }
     }
 }

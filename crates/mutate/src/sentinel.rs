@@ -155,7 +155,7 @@ pub const SENTINELS: &[Sentinel] = &[
         file: "crates/core/src/ecdf.rs",
         op: "arith-swap",
         original: "-",
-        contains: "partition_point",
+        contains: "self.len() - self.at_most(x)",
         pick: 0,
         kill: &[CORE_BUILD, CORE_TEST],
         why: "count_above feeds the D2/D3 threshold derivation",

@@ -3,14 +3,15 @@
 //! The parallel pipeline's determinism proof leans on exactly two ring
 //! properties: every pushed item is popped exactly once (completeness),
 //! and items come out in push order (FIFO) — regardless of capacity,
-//! batch-flush positions, or how pushes and pops interleave.
+//! back-pressure, or how pushes and pops interleave.
 
 use ah_simnet::ring::ring;
 use proptest::prelude::*;
 
 proptest! {
     /// Single-threaded interleaving: an arbitrary schedule of pushes,
-    /// pops and flushes never loses, duplicates or reorders items.
+    /// pops and fills to back-pressure never loses, duplicates or
+    /// reorders items.
     #[test]
     fn interleaved_ops_preserve_fifo_and_completeness(
         capacity in 1usize..64,
@@ -32,11 +33,27 @@ proptest! {
                         expected += 1;
                     }
                 }
-                _ => tx.flush(),
+                _ => {
+                    // Fill until the ring pushes back: the refused value
+                    // comes back unchanged, and only once at least the
+                    // requested capacity is in flight.
+                    let refused = loop {
+                        match tx.try_push(next) {
+                            Ok(()) => next += 1,
+                            Err(v) => break v,
+                        }
+                    };
+                    prop_assert_eq!(refused, next, "a full ring must hand the value back");
+                    prop_assert!(
+                        next - expected >= capacity as u64,
+                        "refused with {} of {} in flight",
+                        next - expected,
+                        capacity
+                    );
+                }
             }
         }
-        // Drain: after a final flush everything pushed must come out.
-        tx.flush();
+        // Drain: everything pushed must come out.
         while let Some(v) = rx.pop() {
             prop_assert_eq!(v, expected);
             expected += 1;

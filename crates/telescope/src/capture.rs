@@ -235,9 +235,10 @@ impl Telescope {
     pub fn observe(&mut self, pkt: &PacketMeta) -> CaptureOutcome {
         // Deliberately NO memory scope here: this is the hottest
         // function in the pipeline, and even a disabled tag check per
-        // packet is measurable. The engine's tagged consume path
-        // (`pipeline::Vantage::consume::<true>`) brackets this call
-        // with `ah_mem::tag_swap` when accounting is on.
+        // packet is measurable. The engine enters one `MemScope` per
+        // stage per slice instead: `pipeline::Vantage::consume` runs
+        // the telescope over a whole slice under `Tag::Telescope`
+        // (`ARCHITECTURE.md` §13).
         let Some(idx) = self.dark.index_of(pkt.dst) else {
             self.stats.not_dark += 1;
             return CaptureOutcome::NotDark;

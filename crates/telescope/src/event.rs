@@ -354,21 +354,64 @@ impl EventAggregator {
         }
     }
 
-    /// Close every remaining active event (end of trace) and drain all,
-    /// stable-sorted by [`EventKey`]: whatever order the map filled and
-    /// swept in, the sequence is keys in order, and each key's events in
-    /// the order they closed.
+    /// Close every remaining active event (end of trace) and drain all
+    /// in canonical order: whatever order the map filled and swept in,
+    /// the sequence is keys in order, and each key's events in the order
+    /// they closed.
     ///
     /// Close order is start order: a key has at most one live event, and
     /// under the sweep slack (see `advance`) the next one starts after the
     /// previous one ended (`ARCHITECTURE.md` §4).
+    ///
+    /// Close order scatters keys, so this sorts with std's stable
+    /// `sort_by_cached_key`: one 12-byte `(key, position)` pair per event,
+    /// then an in-place permutation. On scattered keys that is faster
+    /// than [`sort_canonical`]'s positions, which reach each key through
+    /// its event (`EXPERIMENTS.md` §Memory).
     pub fn flush(&mut self) -> Vec<DarknetEvent> {
         let mut done = std::mem::take(&mut self.completed);
         for (key, ev) in self.active.drain() {
             done.push(Self::finish(key, ev));
         }
-        done.sort_by_key(|e| e.key);
+        done.sort_by_cached_key(|e| e.key);
         done
+    }
+}
+
+/// Put a concatenation of canonical runs, such as the units' flushes
+/// end to end, in canonical order: by [`EventKey`], each key's events
+/// keeping their relative order. Input already in key order, such as a
+/// single unit's flush, is left as it is, so it is never sorted twice.
+/// Anything else is ordered through one 4-byte position per event,
+/// stable-sorted by the key it points at (std's sort finds the runs and
+/// merges them, O(n log k) for k runs), and then the 28-byte events are
+/// permuted in place. A stable `sort_by_key` over the events would copy
+/// all of them into scratch. Any input comes out right, but somewhere
+/// between 16 and 32 runs [`EventAggregator::flush`]'s
+/// `sort_by_cached_key` becomes faster (`EXPERIMENTS.md` §Memory).
+pub fn sort_canonical(events: &mut [DarknetEvent]) {
+    if events.is_sorted_by_key(|e| e.key) {
+        return;
+    }
+    let Ok(len) = u32::try_from(events.len()) else {
+        return events.sort_by_key(|e| e.key);
+    };
+    let mut order: Vec<u32> = (0..len).collect();
+    order.sort_by_key(|&i| events[i as usize].key);
+    permute(events, order);
+}
+
+/// Move the event at position `order[i]` to `i` for every `i`, in place:
+/// each step finds where that event went when an earlier step swapped
+/// it away.
+fn permute(events: &mut [DarknetEvent], mut order: Vec<u32>) {
+    for i in 0..order.len() {
+        let mut from = order[i];
+        while (from as usize) < i {
+            from = order[from as usize];
+        }
+        order[i] = from;
+        events.swap(i, from as usize);
     }
 }
 
@@ -478,8 +521,55 @@ mod tests {
         }
         let mut merged = parts[0].flush();
         merged.extend(parts[1].flush());
-        merged.sort_by_key(|e| e.key);
+        sort_canonical(&mut merged);
         assert_eq!(merged, whole.flush());
+    }
+
+    #[test]
+    fn sort_canonical_is_a_stable_sort_by_key() {
+        // Keys from a small space, so runs share keys; `packets` numbers
+        // the events, so a reordering within a key shows. Inputs are 0 to
+        // 40 canonical runs end to end, then a shuffle.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let event = |packets: u32, r: u64| DarknetEvent {
+            key: EventKey {
+                src: Ipv4Addr4((r % 7) as u32),
+                dst_port: (r >> 8) as u16 % 3,
+                class: ScanClass::ALL[(r >> 16) as usize % 3],
+            },
+            start_day: 0,
+            end_day: 0,
+            packets,
+            unique_dsts: 1,
+            zmap: 0,
+            masscan: 0,
+        };
+        let mut id = 0;
+        for runs in (0..=40).chain([usize::MAX]) {
+            let mut events: Vec<DarknetEvent> = Vec::new();
+            for _ in 0..runs.min(400) {
+                let mut run: Vec<_> = (0..next() % 30)
+                    .map(|_| {
+                        id += 1;
+                        event(id, next())
+                    })
+                    .collect();
+                if runs != usize::MAX {
+                    run.sort_by_key(|e| e.key);
+                }
+                events.extend(run);
+            }
+            let mut want = events.clone();
+            want.sort_by_key(|e| e.key);
+            sort_canonical(&mut events);
+            assert_eq!(events, want, "{runs} runs");
+        }
     }
 
     #[test]

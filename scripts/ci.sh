@@ -92,7 +92,8 @@ cargo test --release -p ah-net --test proptests -p ah-flow --test proptests \
 
 echo "==> trace and memory determinism gates"
 # The full determinism + schema matrix (tests/trace.rs) and determinism
-# + leak matrix (tests/memory.rs), by name like telemetry above.
+# + leak matrix + flush-transient bound (tests/memory.rs), by name like
+# telemetry above.
 cargo test --release --test trace --test memory -q
 
 echo "==> durable-run gates (release)"

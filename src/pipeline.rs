@@ -73,7 +73,7 @@ use ah_simnet::rng::hash64;
 use ah_simnet::scenario::{Scenario, ScenarioConfig};
 use ah_simnet::world::{World, WorldConfig};
 use ah_telescope::capture::{CaptureStats, CaptureSummary, DarkSpace, Telescope};
-use ah_telescope::event::DarknetEvent;
+use ah_telescope::event::{sort_canonical, DarknetEvent};
 use ah_trace::Tracer;
 use ah_wal::record::{RunSeal, WalRecord};
 use ah_wal::{RecoveredLog, WalWriter, WalWriterConfig};
@@ -898,10 +898,12 @@ fn finalize_run(
         }
 
         // Canonical ingest order: shard counts must not leak into the
-        // report's record table. Each shard's flush arrives sorted by key,
-        // and sources are shard-disjoint, so the stable sort's run
-        // detection makes this an N-way merge into the serial sequence.
-        events.sort_by_key(|e| e.key);
+        // report's record table. Each shard's flush arrives sorted by key
+        // and sources are shard-disjoint, so ordering the concatenation
+        // by key keeps every key's events in close order: the serial
+        // sequence. A single unit's flush is already canonical and is
+        // not sorted again.
+        sort_canonical(&mut events);
     }
     let detector = {
         let _pass = tel.tracer.span("ah_pipeline_detector_pass");
@@ -974,7 +976,8 @@ fn finalize_run(
 }
 
 /// Merge per-shard flow datasets: records concatenate and re-sort into
-/// `FlowRecord`'s order, truth counters sum.
+/// `FlowRecord`'s order, truth counters sum. The sort is unstable, so it
+/// copies no record: records that order calls equal are identical.
 fn merge_flow_parts(parts: Vec<FlowDataset>) -> Option<FlowDataset> {
     let mut parts = parts.into_iter();
     let mut ds = parts.next()?;
@@ -984,7 +987,7 @@ fn merge_flow_parts(parts: Vec<FlowDataset>) -> Option<FlowDataset> {
             *ds.router_days.entry(k).or_default() += n;
         }
     }
-    ds.records.sort();
+    ds.records.sort_unstable();
     Some(ds)
 }
 

@@ -9,7 +9,9 @@
 //! across a suspend/resume. On top of that, the
 //! run-scoped tags (mux, telescope, flow, wal, merge, detectors) must
 //! drain back to ~zero live bytes once the run's output is dropped —
-//! the leak gate `tests/cli.rs` enforces on the shipped binary.
+//! the leak gate `tests/cli.rs` enforces on the shipped binary. And
+//! the end-of-run flush must order its events through a 12-byte index
+//! per event, not a second copy of them (`ARCHITECTURE.md` §4).
 //!
 //! Accounting state is process-global, so every test here serializes
 //! on one mutex; integration tests are their own binary, which makes
@@ -17,9 +19,14 @@
 
 mod common;
 
+use aggressive_scanners::net::fingerprint::ZMAP_IP_ID;
+use aggressive_scanners::net::ipv4::Ipv4Addr4;
+use aggressive_scanners::net::packet::{PacketMeta, ScanClass};
+use aggressive_scanners::net::time::{Dur, Ts};
 use aggressive_scanners::pipeline::{self, Telemetry, WalOutcome, WalRun};
 use aggressive_scanners::simnet::scenario::{Scenario, ScenarioConfig, Year};
-use ah_mem::Tag;
+use aggressive_scanners::telescope::event::{DarknetEvent, EventAggregator, EventKey};
+use ah_mem::{MemScope, Tag};
 use common::{opts, run_with, scenario};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -159,6 +166,86 @@ fn generator_does_not_allocate_per_packet() {
         "actors and the mux heap allocated {} times while emitting {packets} packets",
         drained - built
     );
+}
+
+// --- Flush transient ------------------------------------------------------
+
+/// `EventAggregator::flush` orders its events through one 12-byte
+/// `(key, position)` index entry per event, never a second copy of the
+/// 28-byte events (`ARCHITECTURE.md` §4): while it runs, the telescope
+/// tag rises at most one index above what it holds before and after.
+#[test]
+fn flush_orders_events_through_an_index_not_a_copy() {
+    let _g = lock();
+    ah_mem::set_accounting(true);
+    let scope = MemScope::enter(Tag::Telescope);
+
+    // 1,000 sources on two ports, eight bursts 700 s apart on day 0.
+    // That is past the 600 s idle timeout, so every burst is its own
+    // event, closed by the gap before the key's next burst; a key that
+    // sits a burst out is idle 1,400 s, and a sweep (timeout plus the
+    // 300 s reorder window) closes it instead. Each burst is one packet
+    // shorter than the last, so a key's events differ in content and
+    // only close order puts them right. `made` lists the events burst
+    // by burst: within each key, the order they close in.
+    let mut agg = EventAggregator::new(1 << 16, Dur::from_mins(10));
+    let mut made = Vec::new();
+    let mut feed = |agg: &mut EventAggregator, burst: u64, keys: &[(u32, u16)], packets: u32| {
+        for i in 0..packets {
+            for &(src, port) in keys {
+                let mut p = PacketMeta::tcp_syn(
+                    Ts::from_secs(burst * 700 + u64::from(i)),
+                    Ipv4Addr4(0x0a00_0000 + src),
+                    Ipv4Addr4(0xc000_0000 + i),
+                    40000,
+                    port,
+                );
+                p.ip_id = ZMAP_IP_ID;
+                agg.observe(&p, ScanClass::TcpSyn, (src * 7 + i) % (1 << 16));
+            }
+        }
+        made.extend(keys.iter().map(|&(src, port)| DarknetEvent {
+            key: EventKey {
+                src: Ipv4Addr4(0x0a00_0000 + src),
+                dst_port: port,
+                class: ScanClass::TcpSyn,
+            },
+            start_day: 0,
+            end_day: 0,
+            packets,
+            unique_dsts: packets,
+            zmap: packets,
+            masscan: 0,
+        }));
+    };
+    for burst in 0..8u32 {
+        let keys: Vec<(u32, u16)> = (0..1000u32)
+            .filter(|src| (src + burst) % 3 != 0)
+            .flat_map(|src| [(src, 23), (src, 80)])
+            .collect();
+        feed(&mut agg, u64::from(burst), &keys, 8 - burst);
+    }
+    // A last packet long after the rest: its sweep closes every event
+    // the bursts left open, and it stays the one active event.
+    feed(&mut agg, 10, &[(5000, 23)], 1);
+    let n = made.len();
+    assert_eq!(agg.stats().closed, n as u64 - 1, "every burst's event closed before the flush");
+
+    ah_mem::reset_window();
+    let before = ah_mem::tag_stats(Tag::Telescope).live_bytes;
+    let events = agg.flush();
+    let after = ah_mem::tag_stats(Tag::Telescope);
+    drop(scope);
+    ah_mem::set_accounting(false);
+
+    let transient = after.peak_bytes - before.max(after.live_bytes);
+    let bound = 12 * n as i64 + 4096;
+    assert!(
+        transient <= bound,
+        "flush of {n} events rose {transient} bytes above its resting level (bound {bound}: one 12-byte index entry per event)"
+    );
+    made.sort_by_key(|e| e.key);
+    assert_eq!(events, made);
 }
 
 // --- Leak gate ----------------------------------------------------------
