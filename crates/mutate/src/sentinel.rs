@@ -215,6 +215,21 @@ pub const SENTINELS: &[Sentinel] = &[
               so a route or an AS attribution moves at each prefix boundary",
     },
     Sentinel {
+        name: "mux-window-end",
+        file: "crates/simnet/src/mux.rs",
+        op: "cmp-swap",
+        original: ">=",
+        contains: "if ts >= end",
+        pick: 0,
+        kill: &[
+            &["build", "-q", "-p", "ah-simnet"],
+            &["test", "-q", "-p", "ah-simnet", "--test", "mux_equivalence"],
+        ],
+        why: ">= → > puts an actor's packet on a window's end into that window while \
+              a lower-index actor's packet at the same time waits for the next one, \
+              so the tie comes out in the wrong order",
+    },
+    Sentinel {
         name: "ring-tail-publish",
         file: "crates/simnet/src/ring.rs",
         op: "ord-relax",

@@ -17,7 +17,7 @@
 //! * `actors` — behavioral scanner models (ZMap, Masscan, Mirai bots,
 //!   bruteforcing scanners, acknowledged research sweeps, vertical port
 //!   sweeps, DoS backscatter, background radiation, benign user traffic);
-//! * [`mux`] — the time-ordered event-queue multiplexer;
+//! * [`mux`] — the time-ordered multiplexer, merging a time window at a time;
 //! * [`ring`] — a bounded lock-free SPSC ring buffer used by the
 //!   sharded parallel pipeline to fan packets out to worker threads;
 //! * [`faults`] — seeded fault injection (drops, duplicates, bounded

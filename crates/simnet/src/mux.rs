@@ -1,44 +1,67 @@
 //! Time-ordered traffic multiplexing.
 //!
 //! Every traffic source implements [`Actor`]; the [`TrafficMux`] merges
-//! their packet streams into one globally time-ordered stream. It is
-//! built from two parts:
+//! their packet streams into one globally time-ordered stream, a time
+//! window at a time:
 //!
-//! * **Lanes.** Each actor owns a fixed buffer of [`LANE`] packets that
-//!   it generates ahead of the merge, one [`Actor::fill`] call per
-//!   refill. The lookahead is invisible in the output: actors share no
-//!   mutable state (each owns its RNG and clock), so *when* an actor
-//!   generates a packet cannot change *what* it or any other actor
-//!   generates. What it buys is one virtual call per `LANE` packets
-//!   instead of two per packet, with `peek`/`emit` inlined into a loop
-//!   that stays inside one actor type.
-//! * **A flat key heap.** The merge is a binary min-heap of packed
-//!   `u128` keys `(ts.micros() << 64) | actor_index` — exactly the
-//!   `(timestamp, index)` order, lower index winning every tie — with
-//!   one key per actor that still has a packet. The key at the top is
-//!   replaced by its lane's next one (a single sift-down that picks the
-//!   smaller child without a branch) or removed when lane and actor are
-//!   both exhausted.
+//! * **Fill.** A window starts at the earliest pending [`Actor::peek`]
+//!   and ends `span` µs later. Every actor, in the order it was added,
+//!   appends all its packets before the end through one
+//!   [`Actor::fill_until`] call: one virtual call per actor and window,
+//!   with `peek`/`emit` inlined into a loop that stays inside one actor
+//!   type. An actor whose next packet lies past the end is not called.
+//! * **Order.** One stable LSD radix sort orders the window's keys
+//!   `(ts − start) << k | gather position`. It passes only over the
+//!   offset bits in use, in digits of up to 11 bits; the position rides
+//!   below them unsorted, and stability keeps gather order among equal
+//!   timestamps. Packets are gathered actor by actor, so the sort yields
+//!   timestamp order, then actor order, then each actor's own emission
+//!   order — the order of the least `(peek(), index)` merge.
+//! * **Serve.** [`TrafficMux::next_packet`], [`TrafficMux::next_batch`]
+//!   and [`TrafficMux::drive`] read the sorted window; the next window
+//!   is filled when it is spent.
 //!
-//! [`TrafficMux::next_packet`] is that merge step;
-//! [`TrafficMux::next_batch`] and [`TrafficMux::drive`] loop it.
+//! Windows cannot change the output. Actors share no mutable state (each
+//! owns its RNG and clock), so *when* an actor generates a packet cannot
+//! change *what* it or any other actor generates; a window holds every
+//! packet before its end and none after, and the next one starts where
+//! it ended, so any partition of time into windows concatenates to the
+//! same sequence. `span` only sets how much each sort orders: it doubles
+//! after a window of under half of [`WINDOW`] packets and halves after
+//! one of over twice that, within 1 µs to `MAX_SPAN` (about 71 minutes).
+//! The window buffers are reserved for `RESERVE` = 16 × `WINDOW` packets
+//! when the mux is built, four times the largest window measured on the
+//! shipped scenarios (ARCHITECTURE.md §7); a window beyond that still
+//! merges exactly but grows the buffers, which `tests/memory.rs` fails.
 
 use ah_mem::Tag;
 use ah_net::packet::PacketMeta;
 use ah_net::time::Ts;
 
-/// Packets an actor generates ahead of the merge per refill.
-pub const LANE: usize = 32;
-
 /// Packets per [`TrafficMux::next_batch`] pull in [`TrafficMux::drive`]
 /// and in the pipeline's feeder.
 pub const BATCH: usize = 256;
+
+/// Packets a window aims to hold: `span` doubles after a window of
+/// under half of it and halves after one of over twice it.
+pub const WINDOW: usize = 4096;
+
+/// Packets the window buffers are reserved for.
+const RESERVE: usize = 16 * WINDOW;
+
+/// The longest window, in µs (about 71 minutes): a time offset in a
+/// window fits 32 bits, which leaves the sort key 32 bits of gather
+/// position.
+const MAX_SPAN: u64 = 1 << 32;
+
+/// The first window's span, in µs; later ones adapt.
+const FIRST_SPAN: u64 = 1 << 10;
 
 /// A packet source with its own clock.
 ///
 /// Actors are independent: an actor's stream is a function of its own
 /// state only, never of another actor's or of how far the merged stream
-/// has advanced. The mux relies on this to generate ahead.
+/// has advanced. The mux relies on this to generate a window ahead.
 pub trait Actor {
     /// Time of the next packet, or `None` when the actor is finished.
     /// Must be non-decreasing across calls and stable between `emit`s.
@@ -48,20 +71,24 @@ pub trait Actor {
     ///
     /// Only called when `peek()` returned `Some`; the emitted packet's
     /// timestamp must equal that value, and the next `peek()` must not
-    /// be earlier. [`Actor::fill`] debug-asserts both. Runs once per
-    /// packet: implementations do not allocate.
+    /// be earlier. [`Actor::fill_until`] debug-asserts both. Runs once
+    /// per packet: implementations do not allocate.
     fn emit(&mut self) -> PacketMeta;
 
-    /// Append the actor's next packets to `out`, at most `max` of them,
-    /// stopping early when the actor finishes.
+    /// Append every packet the actor has before `end` to `out`; returns
+    /// the time of the next one (at or after `end`), or `None` once the
+    /// actor is finished.
     ///
     /// A default method on purpose, and not one to override: it is
     /// instantiated per actor type, so the `peek`/`emit` pair inside the
     /// loop is dispatched statically and the mux pays one virtual call
-    /// per lane refill.
-    fn fill(&mut self, out: &mut Vec<PacketMeta>, max: usize) {
-        for _ in 0..max {
-            let Some(ts) = self.peek() else { break };
+    /// per actor and window.
+    fn fill_until(&mut self, out: &mut Vec<PacketMeta>, end: Ts) -> Option<Ts> {
+        loop {
+            let ts = self.peek()?;
+            if ts >= end {
+                return Some(ts);
+            }
             let pkt = self.emit();
             debug_assert_eq!(pkt.ts, ts, "actor emitted at a different time than it peeked");
             debug_assert!(self.peek().unwrap_or(ts) >= ts, "actor clock went backwards");
@@ -70,79 +97,102 @@ pub trait Actor {
     }
 }
 
-/// One actor and the packets it has generated ahead of the merge;
-/// `buf[head..]` are still to merge.
-struct Lane {
+/// An actor that still has packets, and the time of its next one.
+struct Slot {
+    next: Ts,
     actor: Box<dyn Actor>,
-    buf: Vec<PacketMeta>,
-    head: usize,
 }
 
-/// Heap key of lane `idx`'s packet at `ts`: `(ts, idx)` order as one integer.
-fn heap_key(ts: Ts, idx: usize) -> u128 {
-    (u128::from(ts.micros()) << 64) | idx as u128
-}
+/// Bits of the widest radix digit: 2,048 counters a pass.
+const DIGIT: u32 = 11;
 
-/// Sift `key` down from the root of the min-heap `keys`, whose root slot
-/// is vacant. Keys are unique (they embed the lane index), so no tie
-/// can reorder.
-fn sift_down(keys: &mut [u128], key: u128) {
-    let n = keys.len();
-    let mut at = 0;
-    loop {
-        let l = 2 * at + 1;
-        if l >= n {
-            break;
-        }
-        let r = l + 1;
-        // The smaller child, chosen by arithmetic: which child wins is a
-        // coin flip the branch predictor loses.
-        let child = if r < n { l + usize::from(keys[r] < keys[l]) } else { l };
-        if key < keys[child] {
-            break;
-        }
-        keys[at] = keys[child];
-        at = child;
+/// Stable LSD radix sort of `keys` by the `bits` bits above their low
+/// `low` bits, in as few passes of at most [`DIGIT`] bits as cover
+/// them, through the second buffer `scratch`. Keys equal in those bits
+/// keep their order; a digit every key shares costs no pass.
+fn radix_sort(keys: &mut Vec<u64>, scratch: &mut Vec<u64>, low: u32, bits: u32) {
+    let passes = bits.div_ceil(DIGIT);
+    if passes == 0 {
+        return;
     }
-    keys[at] = key;
+    let width = bits.div_ceil(passes);
+    let mask = (1 << width) - 1;
+    let mut counts = [[0u32; 1 << DIGIT]; 64usize.div_ceil(DIGIT as usize)];
+    let counts = &mut counts[..passes as usize];
+    for &key in keys.iter() {
+        for (pass, count) in counts.iter_mut().enumerate() {
+            count[(key >> (low + width * pass as u32)) as usize & mask] += 1;
+        }
+    }
+    let n = keys.len();
+    scratch.resize(n, 0);
+    for (pass, count) in counts.iter_mut().enumerate() {
+        let count = &mut count[..=mask];
+        if count.iter().any(|&c| c as usize == n) {
+            continue;
+        }
+        let mut at = 0;
+        for c in count.iter_mut() {
+            (*c, at) = (at, at + *c);
+        }
+        let shift = low + width * pass as u32;
+        for &key in keys.iter() {
+            let digit = (key >> shift) as usize & mask;
+            scratch[count[digit] as usize] = key;
+            count[digit] += 1;
+        }
+        std::mem::swap(keys, scratch);
+    }
 }
 
 /// Merges actors into one time-ordered packet stream.
 pub struct TrafficMux {
-    /// One per actor, in the order they were added.
-    lanes: Vec<Lane>,
-    /// Min-heap of [`heap_key`]s: one per non-empty lane, keyed by that
-    /// lane's head packet.
-    heap: Vec<u128>,
+    /// Actors with packets left, in the order they were added.
+    slots: Vec<Slot>,
+    /// The earliest `next` over `slots`: where the next window starts.
+    next: Option<Ts>,
+    /// The next window's length in µs.
+    span: u64,
+    /// The current window's packets, in gather order.
+    packets: Vec<PacketMeta>,
+    /// The current window's sort keys, sorted; the low bits under
+    /// `mask` are a packet's position in `packets`.
+    order: Vec<u64>,
+    /// The radix sort's second buffer.
+    scratch: Vec<u64>,
+    mask: u64,
+    /// `order[head..]` are still to serve.
+    head: usize,
+    windows: u64,
     emitted: u64,
 }
 
 impl TrafficMux {
-    /// An empty mux; add actors with [`TrafficMux::add`].
+    /// An empty mux with its window buffers reserved; add actors with
+    /// [`TrafficMux::add`].
     pub fn new() -> TrafficMux {
-        TrafficMux { lanes: Vec::new(), heap: Vec::new(), emitted: 0 }
+        TrafficMux {
+            slots: Vec::new(),
+            next: None,
+            span: FIRST_SPAN,
+            packets: Vec::with_capacity(RESERVE),
+            order: Vec::with_capacity(RESERVE),
+            scratch: Vec::with_capacity(RESERVE),
+            mask: 0,
+            head: 0,
+            windows: 0,
+            emitted: 0,
+        }
     }
 
-    /// Add an actor; it is scheduled immediately if it has packets.
-    ///
-    /// The actor's lane is allocated and filled here, so the merge never
-    /// allocates.
-    pub fn add(&mut self, mut actor: Box<dyn Actor>) {
-        let idx = self.lanes.len();
-        let mut buf = Vec::with_capacity(LANE);
-        actor.fill(&mut buf, LANE);
-        if let Some(first) = buf.first() {
-            // Sift up from a new leaf.
-            let new = heap_key(first.ts, idx);
-            let mut at = self.heap.len();
-            self.heap.push(new);
-            while at > 0 && new < self.heap[(at - 1) / 2] {
-                self.heap[at] = self.heap[(at - 1) / 2];
-                at = (at - 1) / 2;
-            }
-            self.heap[at] = new;
+    /// Add an actor, before the first packet is drawn; an actor without
+    /// packets is dropped here.
+    pub fn add(&mut self, actor: Box<dyn Actor>) {
+        debug_assert!(self.order.is_empty(), "actor added after the merge began");
+        if let Some(next) = actor.peek() {
+            self.next = Some(self.next.map_or(next, |t| t.min(next)));
+            self.slots.push(Slot { next, actor });
         }
-        self.lanes.push(Lane { actor, buf, head: 0 });
     }
 
     /// Total packets emitted so far.
@@ -150,38 +200,80 @@ impl TrafficMux {
         self.emitted
     }
 
-    /// Next packet in global time order. The merge step: take the packet
-    /// at the head of the top lane and re-key (or retire) that lane.
-    #[inline]
-    pub fn next_packet(&mut self) -> Option<PacketMeta> {
-        // The key's low half is the lane index; the cast drops the rest.
-        let idx = *self.heap.first()? as usize;
-        let lane = &mut self.lanes[idx];
-        let pkt = lane.buf[lane.head];
-        lane.head += 1;
-        if lane.head == lane.buf.len() {
-            lane.buf.clear();
-            lane.head = 0;
-            // Anything an actor allocates while emitting is the mux's
-            // own memory traffic (the zero-allocation gate in
-            // `tests/memory.rs` reads this tag); the caller's delivery
-            // path re-tags downstream. Manual swap, not a `MemScope`
-            // guard, on the packet path (see `ah_mem::tag_swap`).
-            let prev = ah_mem::tag_swap(Tag::Mux);
-            lane.actor.fill(&mut lane.buf, LANE);
-            ah_mem::tag_restore(prev);
-        }
-        match lane.buf.get(lane.head) {
-            Some(next) => sift_down(&mut self.heap, heap_key(next.ts, idx)),
-            None => {
-                // Lane and actor are both exhausted: the last leaf
-                // takes over the vacated root.
-                self.heap.swap_remove(0);
-                if let Some(&moved) = self.heap.first() {
-                    sift_down(&mut self.heap, moved);
+    /// Windows filled so far.
+    pub fn windows(&self) -> u64 {
+        self.windows
+    }
+
+    /// Fill, sort and arm the next window; `false` once every actor is
+    /// finished. Only called when the current window is spent.
+    #[inline(never)]
+    fn refill(&mut self) -> bool {
+        let Some(start) = self.next else { return false };
+        let end = Ts(start.micros().saturating_add(self.span));
+        self.packets.clear();
+        let mut next: Option<Ts> = None;
+        // Anything an actor allocates while emitting, and any growth of
+        // a window past its reserve, is the mux's own memory traffic
+        // (the zero-allocation gates in `tests/memory.rs` read this
+        // tag); the caller's delivery path re-tags downstream.
+        let prev = ah_mem::tag_swap(Tag::Mux);
+        let packets = &mut self.packets;
+        self.slots.retain_mut(|slot| {
+            if slot.next < end {
+                match slot.actor.fill_until(packets, end) {
+                    Some(ts) => slot.next = ts,
+                    None => return false,
                 }
             }
+            next = Some(next.map_or(slot.next, |t| t.min(slot.next)));
+            true
+        });
+        ah_mem::tag_restore(prev);
+        self.next = next;
+
+        let n = self.packets.len();
+        // Only a window that starts at `Ts(u64::MAX)`, where `end`
+        // saturates, is empty: the stream ends before such a packet.
+        if n == 0 {
+            return false;
         }
+        // 2^32 packets would take 128 GiB: positions and counts fit `u32`.
+        debug_assert!(n <= u32::MAX as usize, "a window of {n} packets");
+        if n < WINDOW / 2 {
+            self.span = (self.span * 2).min(MAX_SPAN);
+        } else if n > 2 * WINDOW {
+            self.span = (self.span / 2).max(1);
+        }
+        let k = usize::BITS - (n - 1).leading_zeros();
+        let mut used = 0;
+        self.order.clear();
+        self.order.extend(self.packets.iter().enumerate().map(|(at, p)| {
+            let offset = p.ts.micros() - start.micros();
+            used |= offset;
+            (offset << k) | at as u64
+        }));
+        radix_sort(&mut self.order, &mut self.scratch, k, u64::BITS - used.leading_zeros());
+        self.mask = (1 << k) - 1;
+        self.head = 0;
+        self.windows += 1;
+        true
+    }
+
+    /// The packet `key` of the current window names.
+    #[inline]
+    fn packet(&self, key: u64) -> PacketMeta {
+        self.packets[(key & self.mask) as usize]
+    }
+
+    /// Next packet in global time order.
+    #[inline]
+    pub fn next_packet(&mut self) -> Option<PacketMeta> {
+        if self.head == self.order.len() && !self.refill() {
+            return None;
+        }
+        let pkt = self.packet(self.order[self.head]);
+        self.head += 1;
         self.emitted += 1;
         Some(pkt)
     }
@@ -191,20 +283,25 @@ impl TrafficMux {
     /// dry). Equivalent to `max` calls of [`TrafficMux::next_packet`].
     pub fn next_batch(&mut self, out: &mut Vec<PacketMeta>, max: usize) -> usize {
         let mut n = 0;
-        while n < max {
-            let Some(pkt) = self.next_packet() else { break };
-            out.push(pkt);
-            n += 1;
+        while n < max && (self.head < self.order.len() || self.refill()) {
+            let take = (max - n).min(self.order.len() - self.head);
+            let keys = &self.order[self.head..self.head + take];
+            out.extend(keys.iter().map(|&key| self.packet(key)));
+            self.head += take;
+            n += take;
         }
+        self.emitted += n as u64;
         n
     }
 
     /// Run the whole simulation, passing every packet to `f`.
     pub fn drive(&mut self, mut f: impl FnMut(&PacketMeta)) {
-        let mut batch = Vec::with_capacity(BATCH);
-        while self.next_batch(&mut batch, BATCH) > 0 {
-            batch.iter().for_each(&mut f);
-            batch.clear();
+        while self.head < self.order.len() || self.refill() {
+            for &key in &self.order[self.head..] {
+                f(&self.packet(key));
+            }
+            self.emitted += (self.order.len() - self.head) as u64;
+            self.head = self.order.len();
         }
     }
 }
@@ -285,20 +382,21 @@ mod tests {
     }
 
     #[test]
-    fn finished_actor_leaves_the_heap() {
+    fn finished_actor_leaves_the_merge() {
         let mut mux = TrafficMux::new();
         mux.add(Box::new(Ticker { start: 0, step: 1, count: 1, sent: 0, src: 1 }));
         mux.add(Box::new(Ticker { start: 0, step: 2, count: 3, sent: 0, src: 2 }));
         mux.add(Box::new(Ticker { start: 1, step: 1, count: 2, sent: 0, src: 3 }));
-        assert_eq!(mux.heap.len(), 3);
-        // t=0: actor 1 emits its only packet and is popped, not re-armed.
+        assert_eq!(mux.slots.len(), 3);
+        // t=0: actor 1 emits its only packet, and the window that took
+        // it drops the actor.
         assert_eq!(mux.next_packet().map(|p| p.src.octets()[3]), Some(1));
-        assert_eq!(mux.heap.len(), 2);
+        assert_eq!(mux.slots.len(), 2);
         let rest: Vec<(u64, u8)> = std::iter::from_fn(|| mux.next_packet())
             .map(|p| (p.ts.secs(), p.src.octets()[3]))
             .collect();
         assert_eq!(rest, [(0, 2), (1, 3), (2, 2), (2, 3), (4, 2)]);
-        assert!(mux.heap.is_empty(), "every finished actor left the heap");
+        assert!(mux.slots.is_empty(), "every finished actor left the merge");
         assert_eq!(mux.emitted(), 6);
         assert!(mux.next_packet().is_none());
     }

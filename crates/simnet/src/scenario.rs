@@ -335,8 +335,9 @@ impl ScenarioConfig {
 impl Scenario {
     /// Assemble the world and actor population.
     pub fn build(cfg: ScenarioConfig) -> Scenario {
-        // The whole substrate — world model, actor population, mux lanes
-        // and heap — is charged to the mux account.
+        // The whole substrate — world model, actor population and the
+        // mux's window buffers, reserved in `TrafficMux::new` — is
+        // charged to the mux account.
         let _mem = ah_mem::MemScope::enter(ah_mem::Tag::Mux);
         let world = World::new(cfg.world.clone());
         let space = Arc::new(world.observable().clone());

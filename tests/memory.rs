@@ -9,9 +9,12 @@
 //! across a suspend/resume. On top of that, the
 //! run-scoped tags (mux, telescope, flow, wal, merge, detectors) must
 //! drain back to ~zero live bytes once the run's output is dropped —
-//! the leak gate `tests/cli.rs` enforces on the shipped binary. And
-//! the end-of-run flush must order its events through a 12-byte index
-//! per event, not a second copy of them (`ARCHITECTURE.md` §4).
+//! the leak gate `tests/cli.rs` enforces on the shipped binary. The
+//! generator must not allocate while draining: no actor per packet, and
+//! no mux window past the buffers `Scenario::build` reserves
+//! (`ARCHITECTURE.md` §7). And the end-of-run flush must order its
+//! events through a 12-byte index per event, not a second copy of them
+//! (`ARCHITECTURE.md` §4).
 //!
 //! Accounting state is process-global, so every test here serializes
 //! on one mutex; integration tests are their own binary, which makes
@@ -24,6 +27,7 @@ use aggressive_scanners::net::ipv4::Ipv4Addr4;
 use aggressive_scanners::net::packet::{PacketMeta, ScanClass};
 use aggressive_scanners::net::time::{Dur, Ts};
 use aggressive_scanners::pipeline::{self, Telemetry, WalOutcome, WalRun};
+use aggressive_scanners::simnet::mux::BATCH;
 use aggressive_scanners::simnet::scenario::{Scenario, ScenarioConfig, Year};
 use aggressive_scanners::telescope::event::{DarknetEvent, EventAggregator, EventKey};
 use ah_mem::{MemScope, Tag};
@@ -141,9 +145,10 @@ fn accounting_is_invariant_on_durable_paths() {
 
 // --- Generator allocation gate --------------------------------------------
 
-/// `Actor::emit` and the mux heap allocate nothing while draining. An
-/// optimized build can elide a short-lived per-packet `Vec` on its own,
-/// so it is the unoptimized `cargo test` run that catches one.
+/// `Actor::emit` and the mux's windows allocate nothing while
+/// draining. An optimized build can elide a short-lived per-packet `Vec`
+/// on its own, so it is the unoptimized `cargo test` run that catches
+/// one.
 #[test]
 fn generator_does_not_allocate_per_packet() {
     let _g = lock();
@@ -166,6 +171,41 @@ fn generator_does_not_allocate_per_packet() {
         "actors and the mux heap allocated {} times while emitting {packets} packets",
         drained - built
     );
+}
+
+/// Every window the mux fills fits the buffers `Scenario::build`
+/// reserved (`ARCHITECTURE.md` §7), on the other scenario shapes too:
+/// benign-heavy `flows` (one day, about 60 million packets; the largest
+/// window over seeds 1–8 held 8,299) and `tiny`'s small world over eight
+/// days (11,468), two seeds each. A window that outgrew the reserve
+/// would allocate under `Tag::Mux`.
+#[test]
+fn mux_windows_fit_their_reserve_on_every_scenario_shape() {
+    let _g = lock();
+    ah_mem::set_accounting(true);
+    for seed in [6, 42] {
+        for cfg in [ScenarioConfig::flows(1, seed), ScenarioConfig::tiny(8, seed)] {
+            let label = format!("{} seed {seed}", cfg.label);
+            let mut batch = Vec::with_capacity(BATCH);
+            let mut sc = Scenario::build(cfg);
+            let built = ah_mem::tag_stats(Tag::Mux).total_allocs;
+            let mut packets = 0u64;
+            while sc.mux.next_batch(&mut batch, BATCH) > 0 {
+                packets += batch.len() as u64;
+                batch.clear();
+            }
+            let drained = ah_mem::tag_stats(Tag::Mux).total_allocs;
+            assert!(sc.mux.windows() > 100, "{label}: only {} windows", sc.mux.windows());
+            assert_eq!(
+                drained - built,
+                0,
+                "{label}: the mux allocated {} times over {packets} packets in {} windows",
+                drained - built,
+                sc.mux.windows()
+            );
+        }
+    }
+    ah_mem::set_accounting(false);
 }
 
 // --- Flush transient ------------------------------------------------------
