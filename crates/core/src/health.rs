@@ -70,27 +70,6 @@ pub struct PipelineHealth {
 }
 
 impl PipelineHealth {
-    /// Append the next stage's ledger.
-    pub fn push(&mut self, stage: StageHealth) {
-        self.stages.push(stage);
-    }
-
-    /// Sum another execution unit's ledger into this one, stage by stage.
-    /// Both list the same stages in the same order, as every unit of one
-    /// run does; the identity is linear, so the sum conserves.
-    pub fn merge(&mut self, other: &PipelineHealth) {
-        for (a, b) in self.stages.iter_mut().zip(&other.stages) {
-            debug_assert_eq!(a.stage, b.stage, "ledgers list different stages");
-            a.received += b.received;
-            a.accepted += b.accepted;
-            a.repaired += b.repaired;
-            a.quarantined += b.quarantined;
-            for (category, n) in &b.discarded {
-                a.discard(category, *n);
-            }
-        }
-    }
-
     /// Look up a stage by name.
     pub fn stage(&self, name: &str) -> Option<&StageHealth> {
         self.stages.iter().find(|s| s.stage == name)
@@ -104,34 +83,6 @@ impl PipelineHealth {
     /// Names of stages whose ledger does NOT balance (for diagnostics).
     pub fn violations(&self) -> Vec<&str> {
         self.stages.iter().filter(|s| !s.conserves()).map(|s| s.stage.as_str()).collect()
-    }
-
-    /// Export every stage ledger as gauges on `rec`, under
-    /// `ah_core_health_*` with a `stage` label (and a `category` label
-    /// for per-category discards).
-    ///
-    /// Gauges rather than counters because a ledger is a point-in-time
-    /// absolute snapshot, not an increment stream; re-exporting the same
-    /// ledger is idempotent. Values mirror the `PipelineHealth` struct
-    /// exactly, so `tests/telemetry.rs` cross-checks the exported
-    /// metrics against the end-of-run ledger field by field.
-    pub fn export_metrics(&self, rec: &ah_obs::Recorder) {
-        for s in &self.stages {
-            let labels = [("stage", s.stage.as_str())];
-            rec.gauge_with("ah_core_health_received_count", &labels).set(s.received as i64);
-            rec.gauge_with("ah_core_health_accepted_count", &labels).set(s.accepted as i64);
-            rec.gauge_with("ah_core_health_repaired_count", &labels).set(s.repaired as i64);
-            rec.gauge_with("ah_core_health_quarantined_count", &labels).set(s.quarantined as i64);
-            rec.gauge_with("ah_core_health_discarded_count", &labels)
-                .set(s.discarded_total() as i64);
-            for (cat, n) in &s.discarded {
-                rec.gauge_with(
-                    "ah_core_health_discarded_by_category_count",
-                    &[("stage", s.stage.as_str()), ("category", cat.as_str())],
-                )
-                .set(*n as i64);
-            }
-        }
     }
 
     /// Human-readable ledger, one stage per line plus discard breakdown.
@@ -190,8 +141,8 @@ mod tests {
         s.accepted -= 1; // one input vanished without a ledger entry
         assert!(!s.conserves());
         let mut h = PipelineHealth::default();
-        h.push(sample_stage());
-        h.push(s);
+        h.stages.push(sample_stage());
+        h.stages.push(s);
         assert!(!h.conserves());
         assert_eq!(h.violations(), vec!["telescope.capture"]);
     }
@@ -209,12 +160,12 @@ mod tests {
     #[test]
     fn pipeline_lookup_and_render() {
         let mut h = PipelineHealth::default();
-        h.push(sample_stage());
+        h.stages.push(sample_stage());
         let mut flows = StageHealth::new("flow.merit");
         flows.received = 10;
         flows.accepted = 9;
         flows.discard("duplicate", 1);
-        h.push(flows);
+        h.stages.push(flows);
         assert!(h.conserves());
         assert!(h.violations().is_empty());
         assert_eq!(h.stage("flow.merit").map(|s| s.received), Some(10));

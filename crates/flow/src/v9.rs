@@ -7,7 +7,7 @@
 //! our record layout, data FlowSets referencing it, and a decoder that
 //! learns templates from the stream, as real collectors must. A data
 //! FlowSet whose template is not known yet is undecodable: it is skipped
-//! and counted (`ah_flow_v9_sets_undecodable_total`). Nothing buffers it
+//! and counted ([`V9Stats::sets_undecodable`]). Nothing buffers it
 //! for a later template — every exporter here puts the template in its
 //! first packet, and the decoder holds no byte it was not asked to keep.
 //!
@@ -106,30 +106,27 @@ pub fn encode_v9(
     out
 }
 
+/// What a [`V9Decoder`] has counted so far.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct V9Stats {
+    /// Data FlowSets skipped because their template was not known yet.
+    pub sets_undecodable: u64,
+    /// Templates learned.
+    pub templates: u64,
+}
+
 /// A stateful v9 decoder: learns templates from the stream.
 #[derive(Debug, Default)]
 pub struct V9Decoder {
     /// template id -> (field type, length) list.
     templates: HashMap<u16, Vec<(u16, u16)>>,
-    /// Telemetry (inert until [`V9Decoder::set_recorder`]).
-    m_records: ah_obs::Counter,
-    m_templates: ah_obs::Gauge,
-    m_undecodable: ah_obs::Counter,
+    sets_undecodable: u64,
 }
 
 impl V9Decoder {
-    /// Attach live telemetry instruments (`ah_flow_v9_*`).
-    /// Observation-only: decoding semantics are unchanged.
-    pub fn set_recorder(&mut self, rec: &ah_obs::Recorder) {
-        self.m_records = rec.counter("ah_flow_v9_records_decoded_total");
-        self.m_templates = rec.gauge("ah_flow_v9_templates_learned");
-        self.m_undecodable = rec.counter("ah_flow_v9_sets_undecodable_total");
-    }
-
-    /// Number of templates learned.
-    #[cfg(test)]
-    pub(crate) fn template_count(&self) -> usize {
-        self.templates.len()
+    /// What this decoder has counted so far.
+    pub fn stats(&self) -> V9Stats {
+        V9Stats { sets_undecodable: self.sets_undecodable, templates: self.templates.len() as u64 }
     }
 
     /// Decode one export packet, learning templates and returning the
@@ -164,15 +161,13 @@ impl V9Decoder {
                     if let Some(fields) = self.templates.get(&id) {
                         records.extend(self.decode_data(body, fields, router)?);
                     } else {
-                        self.m_undecodable.inc();
+                        self.sets_undecodable += 1;
                     }
                 }
                 _ => {}
             }
             off += set_len;
         }
-        self.m_records.add(records.len() as u64);
-        self.m_templates.set(self.templates.len() as i64);
         Ok(records)
     }
 
@@ -305,7 +300,7 @@ mod tests {
             let wire = encode_v9(&records, Ts::from_secs(50), 1, 2, true);
             let mut dec = V9Decoder::default();
             let got = dec.decode(&wire, 2).unwrap();
-            assert_eq!(dec.template_count(), 1);
+            assert_eq!(dec.stats().templates, 1);
             assert_eq!(got, records);
         }
     }
@@ -315,7 +310,7 @@ mod tests {
         let wire = encode_v9(&[], Ts::from_secs(1), 0, 7, true);
         let mut dec = V9Decoder::default();
         assert!(dec.decode(&wire, 1).unwrap().is_empty());
-        assert_eq!(dec.template_count(), 1);
+        assert_eq!(dec.stats().templates, 1);
     }
 
     #[test]

@@ -27,14 +27,9 @@ fn recs(n: u8) -> Vec<FlowRecord> {
     out
 }
 
-/// `ah_flow_v9_sets_undecodable_total` as the exporter would read it.
-fn undecodable(recorder: &ah_obs::Recorder) -> u64 {
-    let samples = recorder.snapshot().samples;
-    let counter = samples.iter().find(|s| s.name == "ah_flow_v9_sets_undecodable_total");
-    match counter.map(|s| &s.value) {
-        Some(ah_obs::Value::Counter(n)) => *n,
-        other => panic!("counter not registered: {other:?}"),
-    }
+/// The data FlowSets `dec` skipped for want of their template.
+fn undecodable(dec: &V9Decoder) -> u64 {
+    dec.stats().sets_undecodable
 }
 
 proptest! {
@@ -105,9 +100,7 @@ proptest! {
         } else {
             victim[at] ^= xor;
         }
-        let recorder = ah_obs::Recorder::new();
         let mut dec = V9Decoder::default();
-        dec.set_recorder(&recorder);
         for (i, wire) in packets.iter().enumerate() {
             match dec.decode(wire, 1) {
                 Ok(got) if i == 0 && second => prop_assert_eq!(got, recs(sent.0)),
@@ -115,7 +108,7 @@ proptest! {
                 Err(e) => prop_assert!(i == 1 || !second, "intact packet 0 failed: {:?}", e),
             }
         }
-        prop_assert!(undecodable(&recorder) <= 2);
+        prop_assert!(undecodable(&dec) <= 2);
     }
 
     /// A data FlowSet that arrives before its template is skipped and
@@ -126,14 +119,12 @@ proptest! {
         let records = recs(n);
         let data_only = encode_v9(&records, Ts::from_secs(1), 0, 1, false);
         let with_template = encode_v9(&records, Ts::from_secs(2), 1, 1, true);
-        let recorder = ah_obs::Recorder::new();
         let mut dec = V9Decoder::default();
-        dec.set_recorder(&recorder);
         prop_assert_eq!(dec.decode(&data_only, 1), Ok(vec![]));
-        prop_assert_eq!(undecodable(&recorder), 1);
+        prop_assert_eq!(undecodable(&dec), 1);
         prop_assert_eq!(dec.decode(&with_template, 1), Ok(records.clone()));
         prop_assert_eq!(dec.decode(&data_only, 1), Ok(records));
-        prop_assert_eq!(undecodable(&recorder), 1);
+        prop_assert_eq!(undecodable(&dec), 1);
     }
 
     /// The systematic sampler's estimate is never off by more than one

@@ -284,6 +284,20 @@ pub const SENTINELS: &[Sentinel] = &[
         why: "+ → - drops the packet a journaled run suspends on (and the one before it) \
               from the executed slice, though the log holds both",
     },
+    Sentinel {
+        name: "publish-delta",
+        file: "src/pipeline.rs",
+        op: "arith-swap",
+        original: "-",
+        contains: "count - std::mem::replace(sent, count)",
+        pick: 0,
+        kill: &[
+            &["build", "-q", "-p", "aggressive-scanners"],
+            &["test", "-q", "--test", "telemetry", "health_gauges_mirror_the_pipeline_ledger"],
+        ],
+        why: "- → + adds a unit's whole count again at every publish, so the live \
+              ledger counters stop summing to the run's ledger",
+    },
 ];
 
 /// Resolve one sentinel against the enumerated mutants of its file.

@@ -17,9 +17,8 @@
 //!   timestamps. Packets are gathered actor by actor, so the sort yields
 //!   timestamp order, then actor order, then each actor's own emission
 //!   order — the order of the least `(peek(), index)` merge.
-//! * **Serve.** [`TrafficMux::next_packet`], [`TrafficMux::next_batch`]
-//!   and [`TrafficMux::drive`] read the sorted window; the next window
-//!   is filled when it is spent.
+//! * **Serve.** [`TrafficMux::next_packet`] and [`TrafficMux::next_batch`]
+//!   read the sorted window; the next window is filled when it is spent.
 //!
 //! Windows cannot change the output. Actors share no mutable state (each
 //! owns its RNG and clock), so *when* an actor generates a packet cannot
@@ -38,8 +37,7 @@ use ah_mem::Tag;
 use ah_net::packet::PacketMeta;
 use ah_net::time::Ts;
 
-/// Packets per [`TrafficMux::next_batch`] pull in [`TrafficMux::drive`]
-/// and in the pipeline's feeder.
+/// Packets per [`TrafficMux::next_batch`] pull in the pipeline's feeder.
 pub const BATCH: usize = 256;
 
 /// Packets a window aims to hold: `span` doubles after a window of
@@ -292,17 +290,6 @@ impl TrafficMux {
         }
         self.emitted += n as u64;
         n
-    }
-
-    /// Run the whole simulation, passing every packet to `f`.
-    pub fn drive(&mut self, mut f: impl FnMut(&PacketMeta)) {
-        while self.head < self.order.len() || self.refill() {
-            for &key in &self.order[self.head..] {
-                f(&self.packet(key));
-            }
-            self.emitted += (self.order.len() - self.head) as u64;
-            self.head = self.order.len();
-        }
     }
 }
 

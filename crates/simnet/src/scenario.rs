@@ -705,6 +705,14 @@ mod tests {
 
     use std::collections::HashSet;
 
+    /// Pull `mux` dry a `BATCH` at a time, passing every packet to `f`.
+    fn drain(mux: &mut TrafficMux, mut f: impl FnMut(&ah_net::packet::PacketMeta)) {
+        let mut batch = Vec::new();
+        while mux.next_batch(&mut batch, crate::mux::BATCH) > 0 {
+            batch.drain(..).for_each(|p| f(&p));
+        }
+    }
+
     #[test]
     fn tiny_scenario_builds_and_runs() {
         let mut sc = Scenario::build(ScenarioConfig::tiny(2, 42));
@@ -713,7 +721,7 @@ mod tests {
         let mut last = Ts::ZERO;
         let dark = sc.world.config.dark;
         let mut dark_hits = 0u64;
-        sc.mux.drive(|p| {
+        drain(&mut sc.mux, |p| {
             n += 1;
             assert!(p.ts >= last, "time ordering violated");
             last = p.ts;
@@ -735,7 +743,7 @@ mod tests {
         let collect = |seed| {
             let mut sc = Scenario::build(ScenarioConfig::tiny(1, seed));
             let mut v = Vec::new();
-            sc.mux.drive(|p| v.push((p.ts, p.src, p.dst, p.ip_id)));
+            drain(&mut sc.mux, |p| v.push((p.ts, p.src, p.dst, p.ip_id)));
             v
         };
         assert_eq!(collect(7), collect(7));
@@ -747,7 +755,7 @@ mod tests {
         let mut sc = Scenario::build(ScenarioConfig::tiny(2, 3));
         let mut classes = HashSet::new();
         let mut tools = HashSet::new();
-        sc.mux.drive(|p| {
+        drain(&mut sc.mux, |p| {
             if let Some(c) = p.scan_class() {
                 classes.insert(c);
                 tools.insert(ah_net::fingerprint::classify(p));
@@ -766,7 +774,7 @@ mod tests {
         let users = sc.world.config.merit_users;
         let mut user_dst = 0u64;
         let mut n = 0u64;
-        sc.mux.drive(|p| {
+        drain(&mut sc.mux, |p| {
             n += 1;
             // Scanners do hit user space; benign *download* traffic has
             // large packets — absent when benign is off.

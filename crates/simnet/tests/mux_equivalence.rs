@@ -10,7 +10,7 @@
 use ah_net::ipv4::Ipv4Addr4;
 use ah_net::packet::PacketMeta;
 use ah_net::time::Ts;
-use ah_simnet::mux::{Actor, TrafficMux, WINDOW};
+use ah_simnet::mux::{Actor, TrafficMux, BATCH, WINDOW};
 use proptest::prelude::*;
 
 /// `left` packets from `next`, `burst` of them at each timestamp, the
@@ -145,7 +145,7 @@ proptest! {
     }
 
     /// The same across at least three window ends: `next_packet` all the way, and
-    /// `next_packet` for a while, then `drive` for the rest.
+    /// `next_packet` for a while, then `next_batch` for the rest.
     #[test]
     fn windows_equal_the_reference_merge(actors in windowed(), cut in 0usize..3 * WINDOW) {
         let want = reference(actors.clone());
@@ -158,7 +158,7 @@ proptest! {
 
         let mut mux = mux_of(&actors);
         let mut got: Vec<PacketMeta> = (0..cut).map_while(|_| mux.next_packet()).collect();
-        mux.drive(|p| got.push(*p));
+        while mux.next_batch(&mut got, BATCH) > 0 {}
         prop_assert!(got == want, "cut {}: first difference at {:?}", cut, first_difference(&got, &want));
         prop_assert_eq!(mux.emitted(), want.len() as u64);
     }

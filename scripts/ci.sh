@@ -76,9 +76,8 @@ echo "==> packet-stream identity (release)"
 # mux tie resolved differently, moves a hash here. Beside it, the window
 # mux against its reference merge over populations that fit one window
 # and populations that cross window ends (ties on the ends, a rate step
-# inside a window, an actor days late), packet by packet, batch by batch
-# and through `drive`. Named so a filtered `cargo test` elsewhere can
-# never drop them.
+# inside a window, an actor days late), packet by packet and batch by
+# batch. Named so a filtered `cargo test` elsewhere can never drop them.
 cargo test --release -p ah-simnet --test stream_golden --test mux_equivalence -q
 
 echo "==> decoder totality (release)"
@@ -118,10 +117,10 @@ echo "==> binary-level gates (release)"
 cargo test --release --test cli -q
 
 echo "==> mutation gate"
-# The curated sentinel set (ARCHITECTURE.md §14): 20 token-level
+# The curated sentinel set (ARCHITECTURE.md §14): 21 token-level
 # mutants at the load-bearing decision points — ring memory orderings,
 # WAL CRC/truncation/seal handling, the log-to-run match, where a
-# journaled run stops, the mux's window end, detector
+# journaled run stops, a unit's delta publish, the mux's window end, detector
 # thresholds, aggregator boundary comparisons and sweep slack — each applied to a
 # scratch copy of the tree and run against its explicit kill command.
 # Every sentinel must come back *caught*; a survivor (or a detached

@@ -339,14 +339,13 @@ fn payload_hint(src: Ipv4Addr4, dst_port: Option<u16>) -> PayloadHint {
 }
 
 /// Round-trip the exported flow records through the NetFlow v9 wire
-/// format and ledger the result. The v9 path is a validation loopback:
-/// the in-memory dataset (µs resolution) stays authoritative, but every
-/// record must survive template-based encode/decode.
-fn v9_loopback(records: &[FlowRecord], rec: &Recorder) -> StageHealth {
-    let mut st = StageHealth::new("flow.v9_export");
-    st.received = records.len() as u64;
+/// format and return the `flow.v9_export` ledger rows. The v9 path is a
+/// validation loopback: the in-memory dataset (µs resolution) stays
+/// authoritative, but every record must survive template-based
+/// encode/decode. The decoder's own counts go to `rec`.
+fn v9_loopback(records: &[FlowRecord], rec: &Recorder) -> [(&'static str, Fate, u64); 3] {
+    let received = records.len() as u64;
     let mut dec = V9Decoder::default();
-    dec.set_recorder(rec);
     let mut decoded = 0u64;
     for (seq, chunk) in records.chunks(64).enumerate() {
         let wire = encode_v9(chunk, Ts::ZERO, seq as u32, 1, seq == 0);
@@ -354,9 +353,57 @@ fn v9_loopback(records: &[FlowRecord], rec: &Recorder) -> StageHealth {
             decoded += recs.len() as u64;
         }
     }
-    st.accepted = decoded.min(st.received);
-    st.discard("decode_failed", st.received - st.accepted);
-    st
+    let s = dec.stats();
+    rec.counter("ah_flow_v9_sets_undecodable_total").add(s.sets_undecodable);
+    rec.gauge("ah_flow_v9_templates_learned").set(s.templates as i64);
+    let (accepted, stage) = (decoded.min(received), "flow.v9_export");
+    let failed = (stage, Fate::Discarded("decode_failed"), received - accepted);
+    [(stage, Fate::Received, received), (stage, Fate::Accepted, accepted), failed]
+}
+
+// --- The health ledger: one mapping from stage stats to fates -----------
+
+/// What became of a stage's input: one cell of its [`StageHealth`].
+#[derive(Clone, Copy)]
+enum Fate {
+    Received,
+    Accepted,
+    Repaired,
+    Quarantined,
+    Discarded(&'static str),
+}
+
+impl Fate {
+    /// Add `n` to this fate's cell of `stage`'s ledger in `health`, opening
+    /// it if need be: folding every unit's rows sums them to the serial
+    /// ledger. Zero discard categories are skipped ([`StageHealth::discard`]).
+    fn fold(self, health: &mut PipelineHealth, stage: &str, n: u64) {
+        let at = health.stages.iter().position(|s| s.stage == stage).unwrap_or_else(|| {
+            health.stages.push(StageHealth::new(stage));
+            health.stages.len() - 1
+        });
+        let st = &mut health.stages[at];
+        match self {
+            Fate::Received => st.received += n,
+            Fate::Accepted => st.accepted += n,
+            Fate::Repaired => st.repaired += n,
+            Fate::Quarantined => st.quarantined += n,
+            Fate::Discarded(category) => st.discard(category, n),
+        }
+    }
+
+    /// Register the counter this fate of `stage` is published on.
+    fn register(self, rec: &Recorder, stage: &str) -> Published {
+        let (name, category) = match self {
+            Fate::Received => ("ah_core_health_received_total", None),
+            Fate::Accepted => ("ah_core_health_accepted_total", None),
+            Fate::Repaired => ("ah_core_health_repaired_total", None),
+            Fate::Quarantined => ("ah_core_health_quarantined_total", None),
+            Fate::Discarded(category) => ("ah_core_health_discarded_total", Some(category)),
+        };
+        let labels = [("stage", stage), ("category", category.unwrap_or_default())];
+        Published::register(rec, name, &labels[..1 + usize::from(category.is_some())])
+    }
 }
 
 // --- Shared vantage-point state (one copy per shard) -------------------
@@ -392,8 +439,8 @@ fn journey_instants(tracer: &Tracer, name: &'static str, pkts: &[PacketMeta]) {
 struct ShardOut {
     events: Vec<DarknetEvent>,
     capture: CaptureStats,
-    /// This unit's stage ledgers, injector to honeypot.
-    health: PipelineHealth,
+    /// This unit's ledger rows, injector to honeypot ([`Unit::fates`]).
+    ledger: Vec<(&'static str, Fate, u64)>,
     merit: Option<FlowDataset>,
     cu: Option<FlowDataset>,
     gn: Option<HashMap<Ipv4Addr4, GnEntry>>,
@@ -485,19 +532,13 @@ impl Vantage {
         }
     }
 
-    /// Every count this unit's stages hold in their own stats, each as
-    /// `f(metric, router label, count)`, always in the same order; a stage
-    /// the run does not build names nothing.
+    /// Every count but the input fates ([`Unit::fates`]) that this unit's
+    /// stages hold in their own stats, each as `f(metric, router label,
+    /// count)`, always in the same order; a stage not built names nothing.
     fn counts(&self, f: &mut impl FnMut(&'static str, Option<RouterId>, u64)) {
         let (cap, agg) = (self.telescope.stats(), self.telescope.aggregator_stats());
-        f("ah_pipeline_mux_packets_delivered_total", None, self.delivered);
         f("ah_pipeline_mux_bytes_delivered_total", None, self.delivered_bytes);
-        f("ah_telescope_capture_packets_total", None, cap.total_packets);
         f("ah_telescope_capture_bytes_total", None, cap.bytes);
-        f("ah_telescope_capture_filtered_total", None, cap.filtered);
-        f("ah_telescope_agg_packets_received_total", None, agg.received);
-        f("ah_telescope_agg_packets_accepted_total", None, agg.accepted);
-        f("ah_telescope_agg_packets_quarantined_total", None, agg.quarantined);
         f("ah_telescope_agg_sweeps_total", None, agg.sweeps);
         f("ah_telescope_agg_active_events_hwm", None, agg.active_hwm);
         f(EVENTS_COMPLETED, None, agg.closed);
@@ -509,19 +550,12 @@ impl Vantage {
             cache.merge(&c);
         }
         if self.merit.is_some() || self.cu.is_some() {
-            f("ah_flow_cache_packets_received_total", None, cache.received);
-            f("ah_flow_cache_packets_accepted_total", None, cache.accepted);
-            f("ah_flow_cache_duplicates_suppressed_total", None, cache.duplicates_suppressed);
             f("ah_flow_cache_records_evicted_total", None, cache.evicted);
             f("ah_flow_cache_sweeps_total", None, cache.sweeps);
             f(RECORDS_EXPORTED, None, cache.cut);
         }
         if let Some(g) = self.gn.as_ref() {
-            let s = g.ingest_stats();
-            f("ah_intel_greynoise_packets_received_total", None, s.received);
-            f("ah_intel_greynoise_packets_accepted_total", None, s.accepted);
-            f("ah_intel_greynoise_packets_ignored_total", None, s.ignored);
-            f("ah_intel_greynoise_profiles_hwm", None, s.profiles);
+            f("ah_intel_greynoise_profiles_hwm", None, g.ingest_stats().profiles);
         }
     }
 }
@@ -539,11 +573,9 @@ enum Published {
 }
 
 impl Published {
-    fn register(rec: &Recorder, name: &str, router: Option<RouterId>) -> Published {
+    fn register(rec: &Recorder, name: &str, labels: &[(&str, &str)]) -> Published {
         // The recorder outlives the run: its instruments are charged to Obs.
         let _mem = MemScope::enter(Tag::Obs);
-        let id = router.map_or_else(String::new, |r| r.to_string());
-        let labels = &[("router", id.as_str())][..usize::from(router.is_some())];
         if name.ends_with("_hwm") {
             Published::Mark(rec.gauge_with(name, labels))
         } else {
@@ -554,8 +586,7 @@ impl Published {
     fn publish(&mut self, count: u64) {
         match self {
             Published::Counter(counter, sent) => {
-                counter.add(count - *sent);
-                *sent = count;
+                counter.add(count - std::mem::replace(sent, count))
             }
             Published::Mark(gauge) => gauge.set_max(count as i64),
         }
@@ -598,8 +629,9 @@ struct Unit {
     /// scope, and never without an injector.
     faulted: Vec<PacketMeta>,
     vantage: Vantage,
-    /// One per count of [`Vantage::counts`], in its order; none when the
-    /// recorder is disabled, so that a run without metrics reads nothing.
+    /// One per count of [`Vantage::counts`], by metric name, then one per
+    /// row of [`Unit::fates`], by stage; none when the recorder is
+    /// disabled, so that a run without metrics reads nothing.
     metrics: Vec<(&'static str, Published)>,
 }
 
@@ -612,26 +644,73 @@ impl Unit {
             inj
         });
         let vantage = Vantage::build(world, opts, rec, tracer);
-        let mut metrics = Vec::new();
+        let mut unit = Unit { injector, faulted: Vec::new(), vantage, metrics: Vec::new() };
         if rec.is_enabled() {
-            vantage.counts(&mut |name, router, _| {
-                metrics.push((name, Published::register(rec, name, router)));
+            let mut metrics = Vec::new();
+            unit.vantage.counts(&mut |name, router, _| {
+                let id = router.map_or_else(String::new, |r| r.to_string());
+                let labels = &[("router", id.as_str())][..usize::from(router.is_some())];
+                metrics.push((name, Published::register(rec, name, labels)));
             });
+            unit.fates(&mut |stage, fate, _| metrics.push((stage, fate.register(rec, stage))));
+            unit.metrics = metrics;
         }
-        Unit { injector, faulted: Vec::new(), vantage, metrics }
+        unit
     }
 
-    /// Publish the stage counts: at every batch boundary, and on exit.
+    /// This unit's health ledger, one `f(stage, fate, count)` row per cell
+    /// it counts (a cell with no row reads 0), in pipeline order: injector,
+    /// capture, events, Merit, CU, honeypots. A stage yields the same rows
+    /// whatever its counts; a stage the run does not build yields none.
+    fn fates(&self, f: &mut impl FnMut(&'static str, Fate, u64)) {
+        use Fate::{Accepted, Discarded, Quarantined, Received, Repaired};
+        if let Some(s) = self.injector.as_ref().map(FaultInjector::stats) {
+            let stage = "faults.injector";
+            f(stage, Received, s.input + s.duplicated);
+            f(stage, Accepted, s.delivered);
+            f(stage, Discarded("dropped"), s.dropped);
+            f(stage, Discarded("outage"), s.outage_dropped);
+            f(stage, Discarded("truncated"), s.truncated_discarded);
+            f(stage, Discarded("corrupt"), s.corrupt_discarded);
+        }
+        let (v, stage) = (&self.vantage, "telescope.capture");
+        let cap = v.telescope.stats();
+        f(stage, Received, v.delivered);
+        f(stage, Accepted, cap.total_packets);
+        f(stage, Discarded("not_dark"), cap.not_dark);
+        f(stage, Discarded("filtered_source"), cap.filtered);
+        let (agg, stage) = (v.telescope.aggregator_stats(), "telescope.events");
+        f(stage, Received, agg.received);
+        f(stage, Accepted, agg.accepted);
+        f(stage, Repaired, agg.start_repaired);
+        f(stage, Quarantined, agg.quarantined);
+        for (stage, isp) in [("flow.merit", &v.merit), ("flow.cu", &v.cu)] {
+            if let Some(s) = isp.as_ref().map(IspModel::cache_stats) {
+                f(stage, Received, s.received);
+                f(stage, Accepted, s.accepted);
+                f(stage, Repaired, s.first_repaired);
+                f(stage, Discarded("duplicate"), s.duplicates_suppressed);
+            }
+        }
+        if let Some(s) = v.gn.as_ref().map(GreyNoise::ingest_stats) {
+            let stage = "intel.greynoise";
+            f(stage, Received, s.received);
+            f(stage, Accepted, s.accepted);
+            f(stage, Discarded("non_sensor_dst"), s.ignored);
+        }
+    }
+
+    /// Publish the stage counts and the ledger: every batch boundary, and on exit.
     fn publish(&mut self) {
         if self.metrics.is_empty() {
             return;
         }
-        let mut metrics = self.metrics.iter_mut();
-        self.vantage.counts(&mut |_, _, count| {
-            if let Some((_, m)) = metrics.next() {
-                m.publish(count);
-            }
-        });
+        let mut metrics = std::mem::take(&mut self.metrics);
+        let mut next = metrics.iter_mut();
+        let mut publish = |count| next.next().map(|(_, m)| m.publish(count));
+        self.vantage.counts(&mut |_, _, count| _ = publish(count));
+        self.fates(&mut |_, _, count| _ = publish(count));
+        self.metrics = metrics;
     }
 
     /// The injector, if any, runs over the whole slice, then the vantage
@@ -659,54 +738,14 @@ impl Unit {
             self.vantage.consume(&self.faulted);
         }
         self.publish();
-        let Unit { injector, mut vantage, mut metrics, .. } = self;
+        // The ledger is read before `IspModel::finish` flushes the caches.
+        let mut ledger = Vec::new();
+        self.fates(&mut |stage, fate, n| ledger.push((stage, fate, n)));
+        let Unit { mut vantage, mut metrics, .. } = self;
         // Sorted here, on the shard's own thread; `finalize_run` only merges.
         let events = vantage.telescope.flush();
-        let mut health = PipelineHealth::default();
-        if let Some(s) = injector.map(|i| i.stats()) {
-            let mut st = StageHealth::new("faults.injector");
-            st.received = s.input + s.duplicated;
-            st.accepted = s.delivered;
-            st.discard("dropped", s.dropped);
-            st.discard("outage", s.outage_dropped);
-            st.discard("truncated", s.truncated_discarded);
-            st.discard("corrupt", s.corrupt_discarded);
-            health.push(st);
-        }
-        let mut cap = StageHealth::new("telescope.capture");
-        cap.received = vantage.delivered;
-        let stats = vantage.telescope.stats();
-        cap.accepted = stats.total_packets;
-        cap.discard("not_dark", stats.not_dark);
-        cap.discard("filtered_source", stats.filtered);
-        health.push(cap);
-        let agg = vantage.telescope.aggregator_stats();
-        let mut ev = StageHealth::new("telescope.events");
-        ev.received = agg.received;
-        ev.accepted = agg.accepted;
-        ev.repaired = agg.start_repaired;
-        ev.quarantined = agg.quarantined;
-        health.push(ev);
-        // Cache stats are read before `IspModel::finish` flushes the caches.
-        let mut flows = |stage, isp: Option<IspModel>| {
-            isp.map(|m| {
-                let (s, mut st) = (m.cache_stats(), StageHealth::new(stage));
-                st.received = s.received;
-                st.accepted = s.accepted;
-                st.repaired = s.first_repaired;
-                st.discard("duplicate", s.duplicates_suppressed);
-                health.push(st);
-                m.finish()
-            })
-        };
-        let (merit, cu) = (flows("flow.merit", vantage.merit), flows("flow.cu", vantage.cu));
+        let (merit, cu) = (vantage.merit.map(IspModel::finish), vantage.cu.map(IspModel::finish));
         let gn = vantage.gn.map(|g| {
-            let s = g.ingest_stats();
-            let mut st = StageHealth::new("intel.greynoise");
-            st.received = s.received;
-            st.accepted = s.accepted;
-            st.discard("non_sensor_dst", s.ignored);
-            health.push(st);
             let _mem = MemScope::enter(Tag::Detectors);
             g.finalize()
         });
@@ -718,7 +757,7 @@ impl Unit {
                 _ => {}
             }
         }
-        ShardOut { events, capture: vantage.telescope.stats().clone(), health, merit, cu, gn }
+        ShardOut { events, capture: vantage.telescope.stats().clone(), ledger, merit, cu, gn }
     }
 }
 
@@ -878,9 +917,9 @@ fn finalize_run(
         reason = "both executors hand over at least one shard: the inline one exactly one, the sharded one max(threads, 1)"
     )]
     let first = shards.next().expect("at least one shard");
-    // Counts over disjoint source slices: the units' ledgers sum to the
-    // serial ledger (`ARCHITECTURE.md` §6).
-    let mut health = first.health;
+    // Counts over disjoint source slices: the units' ledger rows fold into
+    // the serial ledger (`ARCHITECTURE.md` §6).
+    let mut ledger = first.ledger;
     let mut capture_stats = first.capture;
     let mut events = first.events;
     let mut merit_parts: Vec<_> = first.merit.into_iter().collect();
@@ -889,7 +928,7 @@ fn finalize_run(
     {
         let _mem = MemScope::enter(Tag::Merge);
         for sh in shards {
-            health.merge(&sh.health);
+            ledger.extend(sh.ledger);
             capture_stats.merge(&sh.capture);
             events.extend(sh.events);
             merit_parts.extend(sh.merit);
@@ -939,8 +978,14 @@ fn finalize_run(
         detector.finalize()
     };
     if let Some(flows) = merit_flows.as_ref() {
-        health.push(v9_loopback(&flows.records, &tel.recorder));
+        // The one stage that exists only here, published as a unit's are.
+        for (stage, fate, n) in v9_loopback(&flows.records, &tel.recorder) {
+            fate.register(&tel.recorder, stage).publish(n);
+            ledger.push((stage, fate, n));
+        }
     }
+    let mut health = PipelineHealth::default();
+    ledger.into_iter().for_each(|(stage, fate, n)| fate.fold(&mut health, stage, n));
     drop(merge_span);
     // Closing memory snapshot: refresh the `ah_mem_*` gauges one last
     // time (so the final export below carries the end-of-run accounts)
@@ -954,10 +999,8 @@ fn finalize_run(
     } else {
         None
     };
-    // Mirror the finished ledgers as `ah_core_health_*` gauges and flush
-    // one final snapshot at the end-of-stream position so the exported
-    // files always cover the completed run.
-    health.export_metrics(&tel.recorder);
+    // Flush one final snapshot at the end-of-stream position so the
+    // exported files always cover the completed run.
     if let Some(ex) = tel.exporter.as_mut() {
         ex.export_now(generated);
     }
@@ -1767,19 +1810,19 @@ pub fn run_taps(cfg: ScenarioConfig, tap_router: RouterId, def: Definition) -> T
     let tap_start = Ts::from_days(1);
     let mut merit_tap = TapAnalyzer::new(ah_list.clone(), tap_start);
     let mut cu_tap = TapAnalyzer::new(ah_list.clone(), tap_start);
-    mux.drive(|pkt| {
-        if pkt.ts < tap_start {
-            return;
-        }
-        if let ah_flow::router::Disposition::Border(r, _) = merit.disposition(pkt) {
-            if r == tap_router {
-                merit_tap.observe(pkt);
+    let mut batch = feeder_batch();
+    while mux.next_batch(&mut batch, BATCH) > 0 {
+        for pkt in batch.drain(..).filter(|p| p.ts >= tap_start) {
+            if let ah_flow::router::Disposition::Border(r, _) = merit.disposition(&pkt) {
+                if r == tap_router {
+                    merit_tap.observe(&pkt);
+                }
+            }
+            if let ah_flow::router::Disposition::Border(..) = cu.disposition(&pkt) {
+                cu_tap.observe(&pkt);
             }
         }
-        if let ah_flow::router::Disposition::Border(..) = cu.disposition(pkt) {
-            cu_tap.observe(pkt);
-        }
-    });
+    }
 
     TapRun { world, ah_list, merit_tap: merit_tap.series(), cu_tap: cu_tap.series() }
 }
@@ -1910,9 +1953,10 @@ mod tests {
                 let first = *fingerprint.get_or_insert(serial.fingerprint());
                 assert_eq!(serial.fingerprint(), first, "{at}: not the first split's run");
                 for rec in [serial_rec, sharded_rec] {
-                    let samples = rec.snapshot().samples.into_iter();
-                    let mut delivered =
-                        samples.filter(|s| s.name.starts_with("ah_pipeline_mux_packets"));
+                    let capture = [("stage".to_string(), "telescope.capture".to_string())];
+                    let mut delivered = rec.snapshot().samples.into_iter().filter(|s| {
+                        s.name == "ah_core_health_received_total" && s.labels == capture
+                    });
                     let want = ah_obs::Value::Counter(n as u64);
                     assert_eq!(delivered.next().map(|s| s.value), Some(want), "{at}");
                 }

@@ -362,7 +362,7 @@ fn log_of_another_run_is_refused_before_a_packet_is_fed() {
                 refusal(pipeline::replay_wal(cfg.clone(), opts, dir, &mut tel), &label)
             };
             assert!(msg.contains("different scenario/options"), "{label}: {msg}");
-            for name in ["ah_wal_replay_packets_total", "ah_pipeline_mux_packets_delivered_total"] {
+            for name in ["ah_wal_replay_packets_total", "ah_core_health_received_total"] {
                 assert_eq!(counter(&rec, name), 0, "{label}: {name} moved before the refusal");
             }
             assert_eq!(journal_bytes(dir), before, "{label}: the refused log was modified");

@@ -168,7 +168,7 @@ fn generator_does_not_allocate_per_packet() {
     assert_eq!(
         drained - built,
         0,
-        "actors and the mux heap allocated {} times while emitting {packets} packets",
+        "actors and the mux window buffers allocated {} times while emitting {packets} packets",
         drained - built
     );
 }
