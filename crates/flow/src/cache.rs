@@ -26,7 +26,6 @@ use crate::router::Direction;
 use ah_net::hash::FastMap;
 use ah_net::packet::{PacketMeta, Transport};
 use ah_net::time::{Dur, Ts};
-use ah_obs::{Histogram, Recorder};
 
 /// Cisco-style default active timeout: a long-lived flow is cut and
 /// exported every 30 minutes even while packets keep arriving.
@@ -103,11 +102,9 @@ pub struct FlowCache {
     exported: Vec<FlowRecord>,
     last_sweep: Ts,
     /// Newest packet timestamp seen so far. Content-neutral: drives only
-    /// the implicit sweep schedule, never a per-flow decision.
+    /// the sweep schedule, never a per-flow decision.
     watermark: Ts,
     stats: CacheStats,
-    /// Sweep-duration telemetry (inert until [`FlowCache::set_recorder`]).
-    m_sweep_us: Histogram,
 }
 
 impl FlowCache {
@@ -127,16 +124,7 @@ impl FlowCache {
             last_sweep: Ts::ZERO,
             watermark: Ts::ZERO,
             stats: CacheStats::default(),
-            m_sweep_us: Histogram::default(),
         }
-    }
-
-    /// Attach the sweep-duration histogram, the one distribution no count
-    /// in [`CacheStats`] stands in for. Observation-only: flow accounting
-    /// and export semantics are unchanged.
-    pub(crate) fn set_recorder(&mut self, rec: &Recorder) {
-        self.m_sweep_us =
-            rec.histogram("ah_flow_cache_sweep_duration_us", ah_obs::LATENCY_US_BUCKETS);
     }
 
     /// Input-fate counters (duplicate/reorder accounting).
@@ -144,22 +132,26 @@ impl FlowCache {
         CacheStats { cut: self.exported.len() as u64, ..self.stats }
     }
 
-    /// Account one *sampled* packet. Exact duplicates of the previous
-    /// packet in their flow are suppressed; reordered packets merge into
-    /// their flow (repairing `first` if needed) instead of splitting it.
+    /// Account one *sampled* packet: sweep first if its timestamp makes a
+    /// sweep due, then [`FlowCache::merge`] it.
+    pub fn observe(&mut self, pkt: &PacketMeta, direction: Direction) {
+        self.watermark = self.watermark.max(pkt.ts);
+        if let Some(now) = self.sweep_due() {
+            self.sweep(now);
+        }
+        self.merge(pkt, direction);
+    }
+
+    /// Account one *sampled* packet, without sweeping. Exact duplicates of the
+    /// previous packet in their flow are suppressed; reordered packets merge
+    /// into their flow (repairing `first` if needed) instead of splitting it.
     ///
     /// The verdict depends only on the packet and its own flow entry —
     /// lateness is judged against the *entry's* newest timestamp — so
     /// the outcome is identical whether the full sampled stream or any
     /// source-partitioned substream is fed.
-    pub fn observe(&mut self, pkt: &PacketMeta, direction: Direction) {
+    pub fn merge(&mut self, pkt: &PacketMeta, direction: Direction) {
         self.watermark = self.watermark.max(pkt.ts);
-        // Sweep on the watermark so a reordered packet cannot rewind or
-        // re-trigger the sweep schedule; the sweep itself is content-
-        // neutral, so the schedule never influences record contents.
-        if self.watermark.since(self.last_sweep) >= self.inactive_timeout {
-            self.sweep(self.watermark);
-        }
         self.stats.received += 1;
         let key = FlowKey::of(pkt);
         let flags = match pkt.transport {
@@ -231,6 +223,12 @@ impl FlowCache {
         }
     }
 
+    /// The watermark, once it is an inactive timeout past the last sweep: a
+    /// sweep is due there. A late packet never rewinds the schedule.
+    pub fn sweep_due(&self) -> Option<Ts> {
+        (self.watermark.since(self.last_sweep) >= self.inactive_timeout).then_some(self.watermark)
+    }
+
     /// Export all entries idle past the inactive timeout — plus one
     /// extra inactive timeout of slack — as of `now`.
     ///
@@ -240,11 +238,10 @@ impl FlowCache {
     /// per-packet inactive cut and start a fresh entry anyway. Sweeping
     /// on different schedules therefore changes when records are
     /// exported, never their contents. Active-timeout chops are applied
-    /// per-packet in [`FlowCache::observe`] (a pure per-flow decision),
+    /// per-packet in [`FlowCache::merge`] (a pure per-flow decision),
     /// not here, for the same reason.
-    pub(crate) fn sweep(&mut self, now: Ts) {
+    pub fn sweep(&mut self, now: Ts) {
         self.stats.sweeps += 1;
-        let _span = self.m_sweep_us.time();
         self.last_sweep = now;
         let expire_after = Dur(self.inactive_timeout.0 * 2);
         let expired: Vec<FlowKey> = self

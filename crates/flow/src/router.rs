@@ -77,16 +77,15 @@ impl BorderRouter {
         }
     }
 
-    fn observe(&mut self, pkt: &PacketMeta, direction: Direction) {
+    /// Count one crossing packet; true when its source's sampler selects it.
+    fn sample(&mut self, pkt: &PacketMeta) -> bool {
         *self.day_counters.entry(pkt.ts.day()).or_default() += 1;
         let (id, rate) = (self.id, self.sampling_rate);
         let sampler = self
             .samplers
             .entry(pkt.src.to_u32())
             .or_insert_with(|| Sampler::new(rate, sampler_phase(id, pkt.src)));
-        if sampler.sample(rate) {
-            self.cache.observe(pkt, direction);
-        }
+        sampler.sample(rate)
     }
 }
 
@@ -172,8 +171,6 @@ pub struct IspModel {
     policy: Box<dyn RoutePolicy>,
     routers: Vec<BorderRouter>,
     sampling_rate: u64,
-    /// Trace handle (inert until [`IspModel::set_tracer`]).
-    tracer: ah_trace::Tracer,
 }
 
 impl IspModel {
@@ -188,7 +185,6 @@ impl IspModel {
                 .map(|id| BorderRouter::new(id, cfg.sampling_rate))
                 .collect(),
             sampling_rate: cfg.sampling_rate,
-            tracer: ah_trace::Tracer::noop(),
         }
     }
 
@@ -198,25 +194,6 @@ impl IspModel {
 
     fn router_mut(&mut self, id: RouterId) -> Option<&mut BorderRouter> {
         self.routers.iter_mut().find(|r| r.id == id)
-    }
-
-    /// Attach every flow cache's sweep-duration histogram. The counts
-    /// live in [`IspModel::routers`], where the engine reads them.
-    /// Observation-only: routing, sampling and export are unchanged.
-    pub fn set_recorder(&mut self, rec: &ah_obs::Recorder) {
-        // Instruments are interned in the recorder, which outlives any
-        // run — charge them to Obs, not the run-scoped Flow tag.
-        let _mem = MemScope::enter(Tag::Obs);
-        for r in &mut self.routers {
-            r.cache.set_recorder(rec);
-        }
-    }
-
-    /// Attach a tracer: sampled packet journeys get an
-    /// `ah_flow_router_observe` instant as they cross a border router.
-    /// Observation-only: routing, sampling and export are unchanged.
-    pub fn set_tracer(&mut self, tracer: &ah_trace::Tracer) {
-        self.tracer = tracer.clone();
     }
 
     /// Where this packet would go — a pure function of the address plan
@@ -232,23 +209,41 @@ impl IspModel {
         }
     }
 
-    /// Process one packet through the ISP.
+    /// Process one packet through the ISP; a selected packet's cache
+    /// sweeps on its own schedule ([`FlowCache::observe`]).
     pub fn observe(&mut self, pkt: &PacketMeta) -> Disposition {
+        self.offer(pkt, FlowCache::observe)
+    }
+
+    /// Process one packet through the ISP without sweeping: the caller
+    /// runs the caches' sweep schedule through [`IspModel::caches_mut`].
+    pub fn cross(&mut self, pkt: &PacketMeta) -> Disposition {
+        self.offer(pkt, FlowCache::merge)
+    }
+
+    fn offer(
+        &mut self,
+        pkt: &PacketMeta,
+        account: impl FnOnce(&mut FlowCache, &PacketMeta, Direction),
+    ) -> Disposition {
         // Deliberately NO memory scope on this per-packet path; the
         // engine runs each ISP over a whole slice under one
         // `MemScope` of `Tag::Flow` (see
-        // `ah_telescope::Telescope::observe` for the rationale).
+        // `ah_telescope::capture` for the rationale).
         let disposition = self.disposition(pkt);
         if let Disposition::Border(id, dir) = disposition {
-            let journey = self.tracer.journey_id(pkt.src.to_u32());
-            if journey != 0 {
-                self.tracer.journey_instant("ah_flow_router_observe", journey);
-            }
             if let Some(r) = self.router_mut(id) {
-                r.observe(pkt, dir);
+                if r.sample(pkt) {
+                    account(&mut r.cache, pkt, dir);
+                }
             }
         }
         disposition
+    }
+
+    /// Every border router's flow cache, in configuration order.
+    pub fn caches_mut(&mut self) -> impl Iterator<Item = &mut FlowCache> + '_ {
+        self.routers.iter_mut().map(|r| &mut r.cache)
     }
 
     /// Each border router in configuration order: its id, the packets
@@ -480,9 +475,9 @@ mod tests {
             1,
         ));
         m.observe(&pkt(EU_SCANNER, USER, 0));
-        // No caller sweeps an ISP model: five minutes on, a packet of
-        // another flow moves the cache's watermark and the cache expires
-        // the idle flow itself.
+        // `observe` sweeps on the cache's own schedule: five minutes on, a
+        // packet of another flow moves the cache's watermark and the
+        // cache expires the idle flow itself.
         m.observe(&pkt(US_HOST, USER, 300));
         assert_eq!(m.cache_stats().evicted, 1);
         let ds = m.finish();

@@ -265,6 +265,10 @@ pub fn enumerate_source(rel_path: &str, src: &str) -> Vec<Mutant> {
         // Neighbour shape for the ambiguous operators.
         let prev_ender = prev.is_some_and(expr_ender);
         let next_starter = next.is_some_and(expr_starter);
+        // After an operand, a binary `-`, `*` or `/` is never followed by a
+        // type, so a unary `*`, `&`, `-` or `!` starts its right operand.
+        let next_operand =
+            next_starter || next.is_some_and(|n| matches!(n.text.as_str(), "*" | "&" | "-" | "!"));
         let prev_type = prev.and_then(|p| is_ident(&p.kind)).is_some_and(type_like);
         let next_type = next.and_then(|n| is_ident(&n.kind)).is_some_and(type_like);
         let next_lifetime = next.is_some_and(|n| matches!(n.kind, AtomKind::Lifetime));
@@ -331,14 +335,14 @@ pub fn enumerate_source(rel_path: &str, src: &str) -> Vec<Mutant> {
             // Binary-position plain operators; `*` additionally must not
             // head a raw-pointer type.
             "+" if prev_ender && !prev_type && !next_type && !next_lifetime => Some("-"),
-            "-" if prev_ender && next_starter => Some("+"),
+            "-" if prev_ender && next_operand => Some("+"),
             "*" if prev_ender
-                && next_starter
+                && next_operand
                 && !matches!(next.and_then(|n| is_ident(&n.kind)), Some("const" | "mut")) =>
             {
                 Some("/")
             }
-            "/" if prev_ender && next_starter => Some("*"),
+            "/" if prev_ender && next_operand => Some("*"),
             // Compound assignments are unambiguous.
             "+=" => Some("-="),
             "-=" => Some("+="),
@@ -475,6 +479,16 @@ mod tests {
         }
         let got = ops_at("//! d\nfn f(a: &mut u64) { *a += 3; }\n");
         assert!(got.contains(&("arith-swap", "+=".into(), "-=".into())), "{got:?}");
+        // A unary operator opening the right operand: yes.
+        for (src, op, rep) in [
+            ("//! d\nfn f(a: u64, b: &u64) -> u64 { a - *b }\n", "-", "+"),
+            ("//! d\nfn f(a: u64, b: &u64) -> u64 { a * *b }\n", "*", "/"),
+            ("//! d\nfn f(a: &V, b: V) -> V { a - &b }\n", "-", "+"),
+        ] {
+            let got = ops_at(src);
+            let swaps: Vec<_> = got.iter().filter(|(o, ..)| *o == "arith-swap").collect();
+            assert_eq!(swaps, [&("arith-swap", op.into(), rep.into())], "{src}: {got:?}");
+        }
     }
 
     #[test]

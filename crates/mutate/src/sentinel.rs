@@ -298,6 +298,21 @@ pub const SENTINELS: &[Sentinel] = &[
         why: "- → + adds a unit's whole count again at every publish, so the live \
               ledger counters stop summing to the run's ledger",
     },
+    Sentinel {
+        name: "journey-fate-delta",
+        file: "src/pipeline.rs",
+        op: "arith-swap",
+        original: "-",
+        contains: "let n = now - was;",
+        pick: 0,
+        kill: &[
+            &["build", "-q", "-p", "aggressive-scanners"],
+            &["test", "-q", "--test", "trace", "fate_instants_are_the_injector_ledger"],
+        ],
+        why: "- → + emits a sampled packet's fate instants by the injector's whole \
+              ledger so far, not by what its own offer added, so the instants stop \
+              being the ledger",
+    },
 ];
 
 /// Resolve one sentinel against the enumerated mutants of its file.

@@ -145,7 +145,7 @@ pub struct InjectorStats {
     /// Bit-flipped packets whose bytes no longer parsed.
     pub corrupt_discarded: u64,
     /// Packets delayed for out-of-order delivery (subset of `delivered`).
-    pub(crate) reordered: u64,
+    pub reordered: u64,
     /// Bit-flipped packets that still parsed and were delivered (subset
     /// of `delivered`).
     pub(crate) corrupted_delivered: u64,
@@ -225,10 +225,6 @@ pub struct FaultInjector {
     /// Phase offset of the outage schedule, derived from the seed.
     outage_phase: u64,
     stats: InjectorStats,
-    /// Trace handle for journey-fate instants; noop unless attached via
-    /// [`FaultInjector::set_tracer`]. Observation-only: the tracer draws
-    /// nothing from the decision RNGs and no verdict depends on it.
-    tracer: ah_trace::Tracer,
 }
 
 impl FaultInjector {
@@ -246,16 +242,7 @@ impl FaultInjector {
             seq: 0,
             outage_phase,
             stats: InjectorStats::default(),
-            tracer: ah_trace::Tracer::noop(),
         }
-    }
-
-    /// Attach a tracer: sampled packet journeys (`Tracer::journey_id`)
-    /// get an `ah_simnet_faults_*` instant whenever a fault verdict
-    /// alters their fate (drop, outage, duplicate, reorder, discard).
-    /// Observation-only — verdicts and delivery order are unchanged.
-    pub fn set_tracer(&mut self, tracer: &ah_trace::Tracer) {
-        self.tracer = tracer.clone();
     }
 
     /// Counters so far.
@@ -296,7 +283,7 @@ impl FaultInjector {
     /// Apply byte-level mutations; returns the packet to deliver, or
     /// `None` when the mutated bytes no longer parse. `rng` is the
     /// packet's own decision stream.
-    fn mutate(&mut self, rng: &mut Rng64, pkt: &PacketMeta, journey: u64) -> Option<PacketMeta> {
+    fn mutate(&mut self, rng: &mut Rng64, pkt: &PacketMeta) -> Option<PacketMeta> {
         if rng.chance(self.plan.truncate) {
             let bytes = pkt.to_bytes();
             let cut = rng.range(1, bytes.len().max(2) as u64) as usize;
@@ -304,9 +291,6 @@ impl FaultInjector {
                 Ok(p) => return Some(p),
                 Err(_) => {
                     self.stats.truncated_discarded += 1;
-                    if journey != 0 {
-                        self.tracer.journey_instant("ah_simnet_faults_discard", journey);
-                    }
                     return None;
                 }
             }
@@ -322,9 +306,6 @@ impl FaultInjector {
                 }
                 Err(_) => {
                     self.stats.corrupt_discarded += 1;
-                    if journey != 0 {
-                        self.tracer.journey_instant("ah_simnet_faults_discard", journey);
-                    }
                     return None;
                 }
             }
@@ -361,14 +342,8 @@ impl FaultInjector {
     pub fn apply(&mut self, pkt: &PacketMeta, emit: &mut impl FnMut(&PacketMeta)) {
         self.stats.input += 1;
         self.release_until(pkt.ts, emit);
-        // Journey tag for trace instants only: a pure hash of the source
-        // (no RNG draws), zero when tracing is off or unsampled.
-        let journey = self.tracer.journey_id(pkt.src.to_u32());
         if self.in_outage(pkt.ts) {
             self.stats.outage_dropped += 1;
-            if journey != 0 {
-                self.tracer.journey_instant("ah_simnet_faults_outage", journey);
-            }
             return;
         }
         let n = self.counters.entry(pkt.src.to_u32()).or_insert(0);
@@ -377,26 +352,17 @@ impl FaultInjector {
         let mut rng = Rng64::new(packet_decision_seed(self.plan.seed, pkt.src.to_u32(), draw));
         if rng.chance(self.plan.drop) {
             self.stats.dropped += 1;
-            if journey != 0 {
-                self.tracer.journey_instant("ah_simnet_faults_drop", journey);
-            }
             return;
         }
         let mut copies = 1;
         if rng.chance(self.plan.duplicate) {
             self.stats.duplicated += 1;
-            if journey != 0 {
-                self.tracer.journey_instant("ah_simnet_faults_duplicate", journey);
-            }
             copies = 2;
         }
         for _ in 0..copies {
-            let Some(out) = self.mutate(&mut rng, pkt, journey) else { continue };
+            let Some(out) = self.mutate(&mut rng, pkt) else { continue };
             if self.plan.max_skew.0 > 0 && rng.chance(self.plan.reorder) {
                 self.stats.reordered += 1;
-                if journey != 0 {
-                    self.tracer.journey_instant("ah_simnet_faults_reorder", journey);
-                }
                 let skew = Dur(rng.range(1, self.plan.max_skew.0 + 1));
                 self.seq += 1;
                 let release = Ts(pkt.ts.0.saturating_add(skew.0));
@@ -650,17 +616,6 @@ mod tests {
         assert!(stats.outage_dropped < 400, "outage_dropped {}", stats.outage_dropped);
         assert_eq!(out.len() as u64, stats.delivered);
         assert!(stats.conserves());
-        // A sampled journey records each outage drop as a trace instant.
-        let cfg = ah_trace::TraceConfig { sample_one_in: 1, ..Default::default() };
-        let tracer = ah_trace::Tracer::new(cfg);
-        let mut inj = FaultInjector::new(plan);
-        inj.set_tracer(&tracer);
-        for p in &pkts {
-            inj.apply(p, &mut |_| {});
-        }
-        let trace = ah_trace::export::to_chrome_trace(&tracer.snapshot());
-        let names = ah_trace::check::validate_chrome_trace(&trace).expect("valid trace").names;
-        assert!(names.contains("ah_simnet_faults_outage"), "{names:?}");
     }
 
     #[test]

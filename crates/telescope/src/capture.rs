@@ -153,8 +153,6 @@ pub struct Telescope {
     aggregator: crate::event::EventAggregator,
     /// Source prefixes dropped before detection (bogons/martians).
     source_filter: ah_net::prefix::PrefixSet,
-    /// Trace handle (inert until [`Telescope::set_tracer`]).
-    tracer: ah_trace::Tracer,
 }
 
 /// What happened to a packet offered to the telescope.
@@ -194,29 +192,7 @@ impl Telescope {
             stats: CaptureStats::new(dark.size()),
             aggregator: crate::event::EventAggregator::new(dark.size(), timeout),
             source_filter: filter,
-            tracer: ah_trace::Tracer::noop(),
         }
-    }
-
-    /// Attach the event aggregator's distributions (watermark lag, sweep
-    /// duration). The counts live in [`Telescope::stats`] and
-    /// [`Telescope::aggregator_stats`], where the engine reads them.
-    /// Observation-only: capture and event semantics are unchanged.
-    pub fn set_recorder(&mut self, rec: &ah_obs::Recorder) {
-        // Instruments are interned in the recorder, which outlives any
-        // run — charge them to Obs, not the run-scoped Telescope tag.
-        let _mem = MemScope::enter(Tag::Obs);
-        self.aggregator.set_recorder(rec);
-    }
-
-    /// Attach a tracer: sampled packet journeys get an
-    /// `ah_telescope_capture_observe` instant as they enter the dark
-    /// space, and the aggregator's timed sweeps get an
-    /// `ah_telescope_agg_sweep` span. Observation-only — capture and
-    /// event semantics are unchanged.
-    pub fn set_tracer(&mut self, tracer: &ah_trace::Tracer) {
-        self.tracer = tracer.clone();
-        self.aggregator.set_tracer(tracer);
     }
 
     /// The monitored dark space.
@@ -224,7 +200,13 @@ impl Telescope {
         self.dark
     }
 
-    /// Offer one packet to the telescope.
+    /// Offer one packet, sweeping the aggregator on its own schedule.
+    pub fn observe(&mut self, pkt: &PacketMeta) -> CaptureOutcome {
+        self.offer(pkt, crate::event::EventAggregator::observe)
+    }
+
+    /// Offer one packet to the telescope without sweeping: the caller runs
+    /// the aggregator's sweeps ([`Telescope::aggregator_mut`]).
     ///
     /// Every step — dark-space membership, source filtering,
     /// classification, capture statistics, and the aggregator's per-key
@@ -232,7 +214,15 @@ impl Telescope {
     /// state, so feeding a source-partitioned substream to its own
     /// `Telescope` instance and merging afterwards reproduces the
     /// serial result exactly (`ARCHITECTURE.md` §11).
-    pub fn observe(&mut self, pkt: &PacketMeta) -> CaptureOutcome {
+    pub fn capture(&mut self, pkt: &PacketMeta) -> CaptureOutcome {
+        self.offer(pkt, crate::event::EventAggregator::merge)
+    }
+
+    fn offer(
+        &mut self,
+        pkt: &PacketMeta,
+        aggregate: impl FnOnce(&mut crate::event::EventAggregator, &PacketMeta, ScanClass, u32),
+    ) -> CaptureOutcome {
         // Deliberately NO memory scope here: this is the hottest
         // function in the pipeline, and even a disabled tag check per
         // packet is measurable. The engine enters one `MemScope` per
@@ -243,10 +233,6 @@ impl Telescope {
             self.stats.not_dark += 1;
             return CaptureOutcome::NotDark;
         };
-        let journey = self.tracer.journey_id(pkt.src.to_u32());
-        if journey != 0 {
-            self.tracer.journey_instant("ah_telescope_capture_observe", journey);
-        }
         if self.source_filter.contains(pkt.src) {
             self.stats.filtered += 1;
             return CaptureOutcome::FilteredSource;
@@ -255,7 +241,7 @@ impl Telescope {
         self.stats.record(pkt, class, idx);
         match class {
             Some(c) => {
-                self.aggregator.observe(pkt, c, idx);
+                aggregate(&mut self.aggregator, pkt, c, idx);
                 CaptureOutcome::Scan(c)
             }
             None => CaptureOutcome::NonScan,
@@ -274,9 +260,14 @@ impl Telescope {
         &self.stats
     }
 
-    /// Reordering-policy counters from the event aggregator.
-    pub fn aggregator_stats(&self) -> crate::event::AggregatorStats {
-        self.aggregator.stats()
+    /// The event aggregator: its counters and watermark.
+    pub fn aggregator(&self) -> &crate::event::EventAggregator {
+        &self.aggregator
+    }
+
+    /// The event aggregator, for a caller that runs its sweep schedule.
+    pub fn aggregator_mut(&mut self) -> &mut crate::event::EventAggregator {
+        &mut self.aggregator
     }
 }
 

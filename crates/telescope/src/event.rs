@@ -40,7 +40,6 @@ use ah_net::hash::FastMap;
 use ah_net::ipv4::Ipv4Addr4;
 use ah_net::packet::{PacketMeta, ScanClass};
 use ah_net::time::{Dur, Ts};
-use ah_obs::{Histogram, Recorder};
 
 /// Key identifying a logical scan.
 ///
@@ -162,21 +161,14 @@ pub struct EventAggregator {
     completed: Vec<DarknetEvent>,
     /// Watermark of the last periodic sweep.
     last_sweep: Ts,
-    /// How often `observe` triggers an implicit expiration sweep.
-    sweep_every: Dur,
     /// Newest packet timestamp seen so far. Content-neutral: it drives
-    /// only the implicit sweep schedule and the lag histogram, never an
+    /// only the sweep schedule and the engine's lag histogram, never an
     /// accept/quarantine decision (those are per-key).
     watermark: Ts,
     /// Max lateness (behind its event's newest timestamp) a packet may
     /// have and still be merged into that event.
     reorder_window: Dur,
     stats: AggregatorStats,
-    /// Telemetry (inert until [`EventAggregator::set_recorder`]).
-    m_lag_us: Histogram,
-    m_sweep_us: Histogram,
-    /// Trace handle (inert until [`EventAggregator::set_tracer`]).
-    tracer: ah_trace::Tracer,
 }
 
 impl EventAggregator {
@@ -200,32 +192,10 @@ impl EventAggregator {
             active: FastMap::default(),
             completed: Vec::new(),
             last_sweep: Ts::ZERO,
-            sweep_every: Dur(timeout.0 / 2),
             watermark: Ts::ZERO,
             reorder_window: window,
             stats: AggregatorStats::default(),
-            m_lag_us: Histogram::default(),
-            m_sweep_us: Histogram::default(),
-            tracer: ah_trace::Tracer::noop(),
         }
-    }
-
-    /// Attach the two distributions no count can stand in for: watermark
-    /// lag per packet and sweep duration.
-    ///
-    /// Observation-only: nothing reads them back into event semantics.
-    pub(crate) fn set_recorder(&mut self, rec: &Recorder) {
-        self.m_lag_us =
-            rec.histogram("ah_telescope_agg_watermark_lag_us", ah_obs::LATENCY_US_BUCKETS);
-        self.m_sweep_us =
-            rec.histogram("ah_telescope_agg_sweep_duration_us", ah_obs::LATENCY_US_BUCKETS);
-    }
-
-    /// Attach a tracer: every timed expiry sweep emits an
-    /// `ah_telescope_agg_sweep` span on the sweeping thread's track.
-    /// Observation-only — sweep timing and event contents are unchanged.
-    pub(crate) fn set_tracer(&mut self, tracer: &ah_trace::Tracer) {
-        self.tracer = tracer.clone();
     }
 
     /// Number of currently active (unexpired) events.
@@ -239,8 +209,18 @@ impl EventAggregator {
         AggregatorStats { closed: self.completed.len() as u64, ..self.stats }
     }
 
-    /// Observe one scanning packet. `dst_index` is the packet's dense
-    /// index within the dark space (see [`crate::capture::DarkSpace`]).
+    /// Observe one scanning packet: sweep first if its timestamp makes a
+    /// sweep due, then [`EventAggregator::merge`] it.
+    pub fn observe(&mut self, pkt: &PacketMeta, class: ScanClass, dst_index: u32) {
+        self.watermark = self.watermark.max(pkt.ts);
+        if let Some(now) = self.sweep_due() {
+            self.advance(now);
+        }
+        self.merge(pkt, class, dst_index);
+    }
+
+    /// Merge one scanning packet into its event, without sweeping. `dst_index`
+    /// is the packet's dense index in the dark space ([`crate::capture::DarkSpace`]).
     ///
     /// Packets should arrive in roughly non-decreasing time order.
     /// Reordering up to `reorder_window` behind the newest timestamp
@@ -250,18 +230,9 @@ impl EventAggregator {
     /// the outcome is identical whether the full stream or any
     /// source-partitioned substream is fed — the property the sharded
     /// parallel engine relies on (`ARCHITECTURE.md` §11).
-    pub fn observe(&mut self, pkt: &PacketMeta, class: ScanClass, dst_index: u32) {
+    pub fn merge(&mut self, pkt: &PacketMeta, class: ScanClass, dst_index: u32) {
         self.stats.received += 1;
-        self.m_lag_us.observe(self.watermark.since(pkt.ts).0);
         self.watermark = self.watermark.max(pkt.ts);
-        // Implicit periodic sweep keeps the active map bounded even if the
-        // caller never calls `advance`. Driven by the watermark so a late
-        // packet never rewinds the sweep schedule; content-neutral thanks
-        // to the `advance` slack, so shards sweeping on their own local
-        // watermarks still produce identical events.
-        if self.watermark.since(self.last_sweep) >= self.sweep_every {
-            self.advance(self.watermark);
-        }
         let key = EventKey::of(pkt, class);
         let tool = classify(pkt);
         match self.active.entry(key) {
@@ -324,6 +295,17 @@ impl EventAggregator {
         }
     }
 
+    /// Newest packet timestamp merged so far.
+    pub fn watermark(&self) -> Ts {
+        self.watermark
+    }
+
+    /// The watermark, once it is half the timeout past the last sweep: a
+    /// sweep is due there. A late packet never rewinds the schedule.
+    pub fn sweep_due(&self) -> Option<Ts> {
+        (self.watermark.since(self.last_sweep) >= Dur(self.timeout.0 / 2)).then_some(self.watermark)
+    }
+
     /// Expire all events idle past the timeout — plus one extra
     /// `reorder_window` of slack — as of `now`.
     ///
@@ -334,10 +316,8 @@ impl EventAggregator {
     /// later, or never therefore changes *when* completed events are
     /// drained but never their contents — which is why serial runs and
     /// shards sweeping on independent local clocks agree bitwise.
-    pub(crate) fn advance(&mut self, now: Ts) {
+    pub fn advance(&mut self, now: Ts) {
         self.stats.sweeps += 1;
-        let _span = self.m_sweep_us.time();
-        let _trace = self.tracer.span("ah_telescope_agg_sweep");
         self.last_sweep = now;
         self.watermark = self.watermark.max(now);
         let expire_after = Dur(self.timeout.0 + self.reorder_window.0);

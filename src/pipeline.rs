@@ -57,7 +57,7 @@ use ah_core::health::{PipelineHealth, StageHealth};
 use ah_core::impact::{TapAnalyzer, TapSeries};
 use ah_flow::cache::CacheStats;
 use ah_flow::record::FlowRecord;
-use ah_flow::router::{FlowDataset, IspConfig, IspModel, RouterId};
+use ah_flow::router::{Disposition, FlowDataset, IspConfig, IspModel, RouterId};
 use ah_flow::v9::{encode_v9, V9Decoder};
 use ah_intel::greynoise::{GnEntry, GreyNoise, PayloadHint};
 use ah_mem::{MemScope, Tag};
@@ -65,14 +65,14 @@ use ah_net::hash::{fnv1a_fold, FNV_OFFSET};
 use ah_net::ipv4::Ipv4Addr4;
 use ah_net::packet::PacketMeta;
 use ah_net::time::Ts;
-use ah_obs::{Exporter, Recorder};
-use ah_simnet::faults::{FaultInjector, FaultPlan};
+use ah_obs::{Exporter, Histogram, Recorder};
+use ah_simnet::faults::{FaultInjector, FaultPlan, InjectorStats};
 use ah_simnet::mux::{TrafficMux, BATCH};
 use ah_simnet::ring::{ring_with, Consumer, Producer, StdSync};
 use ah_simnet::rng::hash64;
 use ah_simnet::scenario::{Scenario, ScenarioConfig};
 use ah_simnet::world::{World, WorldConfig};
-use ah_telescope::capture::{CaptureStats, CaptureSummary, DarkSpace, Telescope};
+use ah_telescope::capture::{CaptureOutcome, CaptureStats, CaptureSummary, DarkSpace, Telescope};
 use ah_telescope::event::{sort_canonical, DarknetEvent};
 use ah_trace::Tracer;
 use ah_wal::record::{RunSeal, WalRecord};
@@ -417,21 +417,45 @@ struct Vantage {
     /// Packets consumed, and their wire bytes.
     delivered: u64,
     delivered_bytes: u64,
+    /// The unit's instruments (the stages hold none, `ARCHITECTURE.md` §8).
     tracer: Tracer,
+    lag_us: Histogram,
+    agg_sweep_us: Histogram,
+    cache_sweep_us: Histogram,
 }
 
-/// Mark every sampled packet of `pkts` with a `name` journey instant;
-/// nothing at all when tracing is off. Journey sampling is a pure hash
-/// of the source address: it draws no randomness and feeds nothing back
-/// into the pipeline.
-fn journey_instants(tracer: &Tracer, name: &'static str, pkts: &[PacketMeta]) {
+/// Mark every sampled source of `srcs` with a `name` journey instant;
+/// nothing at all, not even `srcs`' filter, when tracing is off. Journey
+/// sampling is a pure hash of the source address: it draws no randomness
+/// and feeds nothing back into the pipeline.
+fn journey_instants(tracer: &Tracer, name: &'static str, srcs: impl Iterator<Item = Ipv4Addr4>) {
     if tracer.is_enabled() {
-        for pkt in pkts {
-            let journey = tracer.journey_id(pkt.src.to_u32());
+        for src in srcs {
+            let journey = tracer.journey_id(src.to_u32());
             if journey != 0 {
                 tracer.journey_instant(name, journey);
             }
         }
+    }
+}
+
+/// Mark `pkt`'s journey, if sampled, with one `ah_simnet_faults_*` instant
+/// per unit by which its offer raised a fate count of the injector's
+/// ledger, `before` to `after`: the instants are that ledger, counted once.
+fn fate_instants(tracer: &Tracer, pkt: &PacketMeta, before: InjectorStats, after: InjectorStats) {
+    let fates = |s: InjectorStats| {
+        [
+            ("ah_simnet_faults_outage", s.outage_dropped),
+            ("ah_simnet_faults_drop", s.dropped),
+            ("ah_simnet_faults_duplicate", s.duplicated),
+            ("ah_simnet_faults_reorder", s.reordered),
+            ("ah_simnet_faults_discard", s.truncated_discarded + s.corrupt_discarded),
+        ]
+    };
+    for ((name, now), (_, was)) in fates(after).into_iter().zip(fates(before)) {
+        let n = now - was;
+        debug_assert!(n <= 2, "a packet and its duplicate raised {name} by {n}");
+        journey_instants(tracer, name, std::iter::repeat_n(pkt.src, n as usize));
     }
 }
 
@@ -448,7 +472,7 @@ struct ShardOut {
 
 impl Vantage {
     fn build(world: &World, opts: &RunOptions, rec: &Recorder, tracer: &Tracer) -> Vantage {
-        let mut telescope = {
+        let telescope = {
             let _mem = MemScope::enter(Tag::Telescope);
             Telescope::with_source_filter(
                 world.config.dark,
@@ -456,21 +480,13 @@ impl Vantage {
                 bogon_filter(),
             )
         };
-        telescope.set_recorder(rec);
-        telescope.set_tracer(tracer);
         let merit = opts.merit_isp.then(|| {
             let _mem = MemScope::enter(Tag::Flow);
-            let mut m = merit_isp(world, opts.sampling_rate);
-            m.set_recorder(rec);
-            m.set_tracer(tracer);
-            m
+            merit_isp(world, opts.sampling_rate)
         });
         let cu = opts.cu_isp.then(|| {
             let _mem = MemScope::enter(Tag::Flow);
-            let mut c = cu_isp(world, opts.sampling_rate);
-            c.set_recorder(rec);
-            c.set_tracer(tracer);
-            c
+            cu_isp(world, opts.sampling_rate)
         });
         let gn = opts.greynoise.then(|| {
             let _mem = MemScope::enter(Tag::Detectors);
@@ -488,6 +504,14 @@ impl Vantage {
             }
             GreyNoise::new(world.sensor_set(), vetted)
         });
+        // The recorder outlives the run: its instruments are charged to Obs.
+        let _mem = MemScope::enter(Tag::Obs);
+        let histogram = |name| rec.histogram(name, ah_obs::LATENCY_US_BUCKETS);
+        let cache_sweep_us = if merit.is_some() || cu.is_some() {
+            histogram("ah_flow_cache_sweep_duration_us")
+        } else {
+            Histogram::default()
+        };
         Vantage {
             telescope,
             merit,
@@ -496,6 +520,9 @@ impl Vantage {
             delivered: 0,
             delivered_bytes: 0,
             tracer: tracer.clone(),
+            lag_us: histogram("ah_telescope_agg_watermark_lag_us"),
+            agg_sweep_us: histogram("ah_telescope_agg_sweep_duration_us"),
+            cache_sweep_us,
         }
     }
 
@@ -508,20 +535,43 @@ impl Vantage {
     /// pure function of the per-source (or per-key) subsequence, so a
     /// shard consuming only its sources computes exactly what the inline
     /// executor does (see `ARCHITECTURE.md` §11).
+    ///
+    /// No stage sweeps per packet: after its slice loop, the aggregator and
+    /// each flow cache sweep here when due, each sweep timed (§11.2).
     fn consume(&mut self, pkts: &[PacketMeta]) {
         self.delivered += pkts.len() as u64;
         self.delivered_bytes += pkts.iter().map(|p| u64::from(p.wire_len)).sum::<u64>();
-        journey_instants(&self.tracer, "ah_pipeline_vantage_consume", pkts);
+        let tracer = &self.tracer;
+        journey_instants(tracer, "ah_pipeline_vantage_consume", pkts.iter().map(|p| p.src));
         {
             let _mem = MemScope::enter(Tag::Telescope);
+            let telescope = &mut self.telescope;
             for pkt in pkts {
-                self.telescope.observe(pkt);
+                if let CaptureOutcome::Scan(_) = telescope.capture(pkt) {
+                    self.lag_us.observe(telescope.aggregator().watermark().since(pkt.ts).0);
+                }
+            }
+            let dark = telescope.dark_space();
+            let captured = pkts.iter().filter(|p| dark.index_of(p.dst).is_some());
+            journey_instants(tracer, "ah_telescope_capture_observe", captured.map(|p| p.src));
+            let agg = telescope.aggregator_mut();
+            if let Some(now) = agg.sweep_due() {
+                let _trace = tracer.span("ah_telescope_agg_sweep");
+                let _time = self.agg_sweep_us.time();
+                agg.advance(now);
             }
         }
         for isp in [self.merit.as_mut(), self.cu.as_mut()].into_iter().flatten() {
             let _mem = MemScope::enter(Tag::Flow);
-            for pkt in pkts {
-                isp.observe(pkt);
+            pkts.iter().for_each(|pkt| _ = isp.cross(pkt));
+            let border =
+                pkts.iter().filter(|p| matches!(isp.disposition(p), Disposition::Border(..)));
+            journey_instants(tracer, "ah_flow_router_observe", border.map(|p| p.src));
+            for cache in isp.caches_mut() {
+                if let Some(now) = cache.sweep_due() {
+                    let _time = self.cache_sweep_us.time();
+                    cache.sweep(now);
+                }
             }
         }
         if let Some(g) = self.gn.as_mut() {
@@ -536,7 +586,7 @@ impl Vantage {
     /// stages hold in their own stats, each as `f(metric, router label,
     /// count)`, always in the same order; a stage not built names nothing.
     fn counts(&self, f: &mut impl FnMut(&'static str, Option<RouterId>, u64)) {
-        let (cap, agg) = (self.telescope.stats(), self.telescope.aggregator_stats());
+        let (cap, agg) = (self.telescope.stats(), self.telescope.aggregator().stats());
         f("ah_pipeline_mux_bytes_delivered_total", None, self.delivered_bytes);
         f("ah_telescope_capture_bytes_total", None, cap.bytes);
         f("ah_telescope_agg_sweeps_total", None, agg.sweeps);
@@ -639,9 +689,7 @@ impl Unit {
     fn build(world: &World, opts: &RunOptions, rec: &Recorder, tracer: &Tracer) -> Unit {
         let injector = opts.faults.map(|plan| {
             let _mem = MemScope::enter(Tag::Mux);
-            let mut inj = FaultInjector::new(plan);
-            inj.set_tracer(tracer);
-            inj
+            FaultInjector::new(plan)
         });
         let vantage = Vantage::build(world, opts, rec, tracer);
         let mut unit = Unit { injector, faulted: Vec::new(), vantage, metrics: Vec::new() };
@@ -679,7 +727,7 @@ impl Unit {
         f(stage, Accepted, cap.total_packets);
         f(stage, Discarded("not_dark"), cap.not_dark);
         f(stage, Discarded("filtered_source"), cap.filtered);
-        let (agg, stage) = (v.telescope.aggregator_stats(), "telescope.events");
+        let (agg, stage) = (v.telescope.aggregator().stats(), "telescope.events");
         f(stage, Received, agg.received);
         f(stage, Accepted, agg.accepted);
         f(stage, Repaired, agg.start_repaired);
@@ -720,7 +768,16 @@ impl Unit {
         let Some(inj) = injector else { return vantage.consume(pkts) };
         {
             let _mem = MemScope::enter(Tag::Mux);
-            pkts.iter().for_each(|pkt| inj.apply(pkt, &mut |p| faulted.push(*p)));
+            let tracer = &vantage.tracer;
+            if tracer.is_enabled() {
+                for pkt in pkts {
+                    let before = inj.stats();
+                    inj.apply(pkt, &mut |p| faulted.push(*p));
+                    fate_instants(tracer, pkt, before, inj.stats());
+                }
+            } else {
+                pkts.iter().for_each(|pkt| inj.apply(pkt, &mut |p| faulted.push(*p)));
+            }
         }
         vantage.consume(faulted);
         faulted.clear();
@@ -809,7 +866,7 @@ impl<'scope> Shards<'scope> {
             let mut unit = Unit::build(world, opts, rec, tracer);
             while let Some(batch) = rx.pop_wait() {
                 let pkts = &batch.items[..batch.len];
-                journey_instants(tracer, "ah_pipeline_shard_consume", pkts);
+                journey_instants(tracer, "ah_pipeline_shard_consume", pkts.iter().map(|p| p.src));
                 unit.offer(pkts);
                 unit.publish();
             }
@@ -947,14 +1004,10 @@ fn finalize_run(
     let detector = {
         let _pass = tel.tracer.span("ah_pipeline_detector_pass");
         let _mem = MemScope::enter(Tag::Detectors);
-        for ev in &events {
-            let journey = tel.tracer.journey_id(ev.key.src.to_u32());
-            if journey != 0 {
-                // Journey endpoint: a sampled source's packets become
-                // darknet events and land in the detector here.
-                tel.tracer.journey_instant("ah_pipeline_detector_ingest", journey);
-            }
-        }
+        // Journey endpoint: a sampled source's packets become darknet
+        // events and land in the detector here.
+        let srcs = events.iter().map(|e| e.key.src);
+        journey_instants(&tel.tracer, "ah_pipeline_detector_ingest", srcs);
         let cfg = DetectorConfig {
             thresholds: opts.thresholds,
             dark_size: DarkSpace::new(world.config.dark).size(),
@@ -1189,10 +1242,7 @@ impl Journal {
             if let Err(e) = self.writer.append_payload(&self.scratch) {
                 return (start..i, Some(Err(e)));
             }
-            let journey = tracer.journey_id(pkt.src.to_u32());
-            if journey != 0 {
-                tracer.journey_instant("ah_pipeline_wal_append", journey);
-            }
+            journey_instants(tracer, "ah_pipeline_wal_append", std::iter::once(pkt.src));
             let at = pos + (i - start) as u64 + 1;
             if self.crash_after == Some(at) {
                 self.writer.crash_with_torn_tail();
@@ -1302,10 +1352,7 @@ impl Engine<'_, '_> {
             WalRecord::Meta(m) if seq == 0 => meta_ok = check_meta(&m, want),
             WalRecord::Packet(p) if meta_ok.is_ok() => {
                 hash = fnv1a_fold(hash, payload);
-                let journey = tracer.journey_id(p.src.to_u32());
-                if journey != 0 {
-                    tracer.journey_instant("ah_wal_replay_packet", journey);
-                }
+                journey_instants(&tracer, "ah_wal_replay_packet", std::iter::once(p.src));
                 m_replay.inc();
                 batch.push(p);
                 if batch.len() == BATCH {
@@ -1813,12 +1860,12 @@ pub fn run_taps(cfg: ScenarioConfig, tap_router: RouterId, def: Definition) -> T
     let mut batch = feeder_batch();
     while mux.next_batch(&mut batch, BATCH) > 0 {
         for pkt in batch.drain(..).filter(|p| p.ts >= tap_start) {
-            if let ah_flow::router::Disposition::Border(r, _) = merit.disposition(&pkt) {
+            if let Disposition::Border(r, _) = merit.disposition(&pkt) {
                 if r == tap_router {
                     merit_tap.observe(&pkt);
                 }
             }
-            if let ah_flow::router::Disposition::Border(..) = cu.disposition(&pkt) {
+            if let Disposition::Border(..) = cu.disposition(&pkt) {
                 cu_tap.observe(&pkt);
             }
         }

@@ -302,14 +302,21 @@ fn documented_metric_names_exist() {
     assert_none("documented names the sources never register", &bad);
 }
 
-/// A stage counts in its own stats and never touches a recorder per
-/// packet: the engine reads those stats at its batch boundary and
-/// publishes them. The stage crates therefore hold no `Counter` or
-/// `Gauge`, and neither `ah-intel` nor `ah-core`, whose health ledger the
-/// engine publishes, needs `ah-obs` at all.
+/// A stage computes and counts in its own stats; observation is the
+/// execution unit's job alone. The unit reads the stats at its batch
+/// boundary and publishes them, draws every packet journey, and runs and
+/// times every sweep. The stages and the fault injector therefore hold
+/// no `ah_obs` instrument or recorder and no `ah_trace` tracer, and no
+/// stage crate depends on `ah-obs` or `ah-trace` at all.
 #[test]
-fn stage_crates_hold_no_counters() {
-    const STAGES: [&str; 3] = ["crates/telescope/src/", "crates/flow/src/", "crates/intel/src/"];
+fn stage_crates_hold_no_instruments() {
+    const STAGES: [&str; 5] = [
+        "crates/telescope/src/",
+        "crates/flow/src/",
+        "crates/intel/src/",
+        "crates/core/src/",
+        "crates/simnet/src/faults.rs",
+    ];
     let mut bad = Vec::new();
     for (path, lines) in sources() {
         if !STAGES.iter().any(|s| path.starts_with(s)) {
@@ -317,16 +324,20 @@ fn stage_crates_hold_no_counters() {
         }
         for (i, line) in lines.iter().enumerate().filter(|(_, l)| !is_comment(l)) {
             let mut words = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
-            if let Some(ty) = words.find(|w| matches!(*w, "Counter" | "Gauge")) {
-                bad.push(format!("{path}:{}: a stage holds an ah_obs::{ty}", i + 1));
+            let instrument =
+                |w: &&str| matches!(*w, "Counter" | "Gauge" | "Histogram" | "Recorder" | "Tracer");
+            if let Some(ty) = words.find(instrument) {
+                bad.push(format!("{path}:{}: a stage holds a {ty}", i + 1));
             }
         }
     }
-    for krate in ["intel", "core"] {
+    for krate in ["telescope", "flow", "simnet", "intel", "core"] {
         let path = format!("crates/{krate}/Cargo.toml");
         let manifest = fs::read_to_string(root().join(&path)).expect("stage crate manifest");
-        if manifest.contains("ah-obs") {
-            bad.push(format!("{path}: ah-{krate} depends on ah-obs"));
+        for dep in ["ah-obs", "ah-trace"] {
+            if manifest.contains(dep) {
+                bad.push(format!("{path}: ah-{krate} names {dep}"));
+            }
         }
     }
     assert_none("stage instruments outside the engine", &bad);

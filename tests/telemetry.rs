@@ -9,7 +9,9 @@
 //! schemas, every metric name must follow the
 //! `ah_<crate>_<subsystem>_<name>` scheme, and the `ah_core_health_*`
 //! counters the execution units publish live must add up to the run's
-//! `PipelineHealth` ledger cell by cell — suspended runs included.
+//! `PipelineHealth` ledger cell by cell — suspended runs included — and
+//! the units' lag and sweep histograms must count exactly the packets
+//! and sweeps the stages count.
 
 mod common;
 
@@ -68,6 +70,25 @@ fn ledger_count(snap: &Snapshot, fate: &str, stage: &str) -> Option<u64> {
         [] => None,
         [("", n)] => Some(n),
         ref other => panic!("{fate} of {stage}: {other:?}, not one unlabelled counter"),
+    }
+}
+
+/// The summed value of every series of the counter `name`.
+fn counter_sum(snap: &Snapshot, name: &str) -> u64 {
+    let series = snap.samples.iter().filter(|s| s.name == name);
+    series
+        .map(|s| match s.value {
+            Value::Counter(v) => v,
+            _ => panic!("{name} is not a counter"),
+        })
+        .sum()
+}
+
+/// The observation count of the one histogram `name`.
+fn histogram_count(snap: &Snapshot, name: &str) -> u64 {
+    match snap.samples.iter().find(|s| s.name == name).map(|s| &s.value) {
+        Some(Value::Histogram(h)) => h.count,
+        other => panic!("{name} is not a histogram: {other:?}"),
     }
 }
 
@@ -356,18 +377,22 @@ fn health_gauges_mirror_the_pipeline_ledger() {
         }
         // The per-router sampler counts are not ledger rows, but what the
         // samplers selected is what the flow caches received.
-        let selected: u64 = snap
-            .samples
-            .iter()
-            .filter(|s| s.name == "ah_flow_sampler_packets_selected_total")
-            .map(|s| match s.value {
-                Value::Counter(v) => v,
-                _ => panic!("sampler selection is not a counter"),
-            })
-            .sum();
+        let selected = counter_sum(&snap, "ah_flow_sampler_packets_selected_total");
         let flows =
             ["flow.merit", "flow.cu"].map(|f| out.health.stage(f).expect("flow stage").received);
         assert_eq!(selected, flows.iter().sum::<u64>(), "sampled packets at {threads} threads");
+        // The units' own instruments: one lag observation per packet the
+        // aggregator received, one duration per sweep it counts.
+        let events = out.health.stage("telescope.events").expect("events stage").received;
+        let lag = histogram_count(&snap, "ah_telescope_agg_watermark_lag_us");
+        assert_eq!(lag, events, "lag observations at {threads} threads");
+        for (histogram, sweeps) in [
+            ("ah_telescope_agg_sweep_duration_us", "ah_telescope_agg_sweeps_total"),
+            ("ah_flow_cache_sweep_duration_us", "ah_flow_cache_sweeps_total"),
+        ] {
+            let timed = histogram_count(&snap, histogram);
+            assert_eq!(timed, counter_sum(&snap, sweeps), "{histogram} at {threads} threads");
+        }
         // And nothing is published for a stage the ledger does not list.
         let published = snap.samples.iter().filter(|s| s.name.starts_with("ah_core_health_"));
         for s in published {

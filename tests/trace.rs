@@ -13,7 +13,9 @@
 
 mod common;
 
-use aggressive_scanners::pipeline::{self, Telemetry, WalRun};
+use aggressive_scanners::net::time::Dur;
+use aggressive_scanners::pipeline::{self, RunOptions, Telemetry, WalRun};
+use aggressive_scanners::simnet::faults::FaultPlan;
 use ah_trace::{check, export, TraceConfig, Tracer};
 use common::{opts, run_with, scenario, temp_dir};
 
@@ -83,6 +85,45 @@ fn traced_parallel_run_exports_causal_journeys() {
         let (stack, n) = line.rsplit_once(' ').expect("stack and self-time");
         assert!(!stack.is_empty());
         n.parse::<u64>().expect("numeric self-time");
+    }
+}
+
+/// The execution unit reads a sampled packet's fault fates off the
+/// injector's ledger, so with every source sampled the fate instants are
+/// that ledger: per fate, as many `ah_simnet_faults_*` instants as the
+/// `faults.injector` stage counts, inline and sharded.
+#[test]
+fn fate_instants_are_the_injector_ledger() {
+    let plan =
+        FaultPlan::uniform(0.01, common::SEED).with_outage(Dur::from_mins(60), Dur::from_secs(90));
+    let opts = RunOptions::full().with_faults(plan);
+    for threads in [1, 4] {
+        let cfg = TraceConfig { seed: common::SEED, sample_one_in: 1, buf_capacity: 1 << 20 };
+        let mut tel = Telemetry::disabled().with_tracer(Tracer::new(cfg));
+        let out = if threads == 1 {
+            pipeline::run_with_recorder(scenario(), opts, &mut tel)
+        } else {
+            pipeline::run_parallel_with_recorder(scenario(), opts, threads, &mut tel)
+        };
+        let snap = tel.tracer.snapshot();
+        assert_eq!(snap.dropped, 0, "the trace buffers overflowed at {threads} threads");
+        let json = export::to_chrome_trace(&snap);
+        let instants = |fate: &str| {
+            let event =
+                format!("\"name\":\"ah_simnet_faults_{fate}\",\"cat\":\"span\",\"ph\":\"i\"");
+            json.matches(&event).count() as u64
+        };
+        let inj = out.health.stage("faults.injector").expect("the injector's ledger");
+        let discarded = |category: &str| inj.discarded.get(category).copied().unwrap_or(0);
+        let at = format!("at {threads} threads");
+        assert_eq!(instants("drop"), discarded("dropped"), "{at}");
+        assert_eq!(instants("outage"), discarded("outage"), "{at}");
+        assert_eq!(instants("duplicate"), inj.received - out.generated_packets, "{at}");
+        assert_eq!(instants("discard"), discarded("truncated") + discarded("corrupt"), "{at}");
+        assert!(instants("reorder") > 0, "no reorder instant {at}");
+        for fate in ["drop", "outage", "duplicate", "discard"] {
+            assert!(instants(fate) > 0, "the plan exercised no {fate} {at}");
+        }
     }
 }
 
