@@ -21,21 +21,31 @@ use std::path::{Path, PathBuf};
 
 use ah_obs::json;
 
-use crate::buffer::EventKind;
+/// What an event marks.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum EventKind {
+    /// Span begin (matched by a later [`EventKind::End`] on the same
+    /// track).
+    Begin,
+    /// Span end.
+    End,
+    /// Instantaneous point event.
+    Instant,
+    /// Instant on the journey of the sampled source it holds (journey id
+    /// `src + 1`).
+    Journey(u32),
+}
 
-/// One decoded event with its name resolved.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One event of a track, named by the `&'static str` it was emitted
+/// with. Its logical sequence number is its index in the track.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Begin/end/instant.
+    /// Begin/end/instant/journey instant.
     pub(crate) kind: EventKind,
     /// Span name (`ah_<crate>_<subsystem>_<name>`).
-    pub(crate) name: String,
+    pub(crate) name: &'static str,
     /// Wall-clock nanoseconds since the tracer epoch.
     pub(crate) ts_ns: u64,
-    /// Deterministic logical sequence (index in the track's buffer).
-    pub(crate) seq: u64,
-    /// Journey id (`0` = none; otherwise `src + 1`).
-    pub(crate) journey: u64,
 }
 
 /// One thread's track: label plus its events in emission order.
@@ -45,7 +55,7 @@ pub struct TrackSnapshot {
     pub(crate) label: String,
     /// Track id (registration order; the Chrome `tid`).
     pub(crate) tid: u32,
-    /// Events in buffer order (timestamps non-decreasing).
+    /// Events in emission order (timestamps non-decreasing).
     pub events: Vec<TraceEvent>,
 }
 
@@ -54,7 +64,7 @@ pub struct TrackSnapshot {
 pub struct TraceSnapshot {
     /// All registered tracks in `tid` order.
     pub tracks: Vec<TrackSnapshot>,
-    /// Events dropped on buffer overflow (trace is incomplete if > 0).
+    /// Events dropped on track overflow (trace is incomplete if > 0).
     pub dropped: u64,
 }
 
@@ -82,9 +92,9 @@ pub fn to_chrome_trace(snap: &TraceSnapshot) -> String {
             .to_string(),
     );
     let mut synthesized = 0u64;
-    // (ts_ns, tid, journey) for every journey-tagged begin/instant, to
-    // be linked with flow events afterwards.
-    let mut journey_points: BTreeMap<u64, Vec<(u64, u32, u64)>> = BTreeMap::new();
+    // (ts_ns, tid, seq) for every journey instant, to be linked with
+    // flow events afterwards.
+    let mut journey_points: BTreeMap<u64, Vec<(u64, u32, usize)>> = BTreeMap::new();
     for track in &snap.tracks {
         events.push(format!(
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\
@@ -99,64 +109,33 @@ pub fn to_chrome_trace(snap: &TraceSnapshot) -> String {
         ));
         let mut stack: Vec<&str> = Vec::new();
         let mut last_ts = 0u64;
-        for ev in &track.events {
+        for (seq, ev) in track.events.iter().enumerate() {
             last_ts = last_ts.max(ev.ts_ns);
-            let args = if ev.journey != 0 {
-                format!(
-                    ",\"args\":{{\"seq\":{},\"journey\":{},\"src\":\"{}\"}}",
-                    ev.seq,
-                    ev.journey,
-                    dotted((ev.journey - 1) as u32)
-                )
-            } else {
-                format!(",\"args\":{{\"seq\":{}}}", ev.seq)
-            };
-            match ev.kind {
+            let mut args = format!("\"seq\":{seq}");
+            let ph = match ev.kind {
                 EventKind::Begin => {
-                    stack.push(&ev.name);
-                    events.push(format!(
-                        "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"B\",\"ts\":{},\
-                         \"pid\":1,\"tid\":{}{}}}",
-                        json::escape(&ev.name),
-                        ts_us(ev.ts_ns),
-                        track.tid,
-                        args
-                    ));
-                    if ev.journey != 0 {
-                        journey_points
-                            .entry(ev.journey)
-                            .or_default()
-                            .push((ev.ts_ns, track.tid, ev.seq));
-                    }
+                    stack.push(ev.name);
+                    "\"B\""
                 }
                 EventKind::End => {
                     stack.pop();
-                    events.push(format!(
-                        "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"E\",\"ts\":{},\
-                         \"pid\":1,\"tid\":{}{}}}",
-                        json::escape(&ev.name),
-                        ts_us(ev.ts_ns),
-                        track.tid,
-                        args
-                    ));
+                    "\"E\""
                 }
-                EventKind::Instant => {
-                    events.push(format!(
-                        "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"i\",\"s\":\"t\",\
-                         \"ts\":{},\"pid\":1,\"tid\":{}{}}}",
-                        json::escape(&ev.name),
-                        ts_us(ev.ts_ns),
-                        track.tid,
-                        args
-                    ));
-                    if ev.journey != 0 {
-                        journey_points
-                            .entry(ev.journey)
-                            .or_default()
-                            .push((ev.ts_ns, track.tid, ev.seq));
-                    }
+                EventKind::Instant => "\"i\",\"s\":\"t\"",
+                EventKind::Journey(src) => {
+                    let journey = u64::from(src) + 1;
+                    journey_points.entry(journey).or_default().push((ev.ts_ns, track.tid, seq));
+                    args += &format!(",\"journey\":{journey},\"src\":\"{}\"", dotted(src));
+                    "\"i\",\"s\":\"t\""
                 }
-            }
+            };
+            events.push(format!(
+                "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":{ph},\"ts\":{},\"pid\":1,\"tid\":{},\
+                 \"args\":{{{args}}}}}",
+                json::escape(ev.name),
+                ts_us(ev.ts_ns),
+                track.tid,
+            ));
         }
         // Close any still-open spans so B/E balance per track.
         while let Some(name) = stack.pop() {
@@ -214,9 +193,9 @@ pub fn to_folded_stacks(snap: &TraceSnapshot) -> String {
     for track in &snap.tracks {
         let label = track.label.replace(';', "_");
         // (name, begin_ts, child_ns)
-        let mut stack: Vec<(String, u64, u64)> = Vec::new();
+        let mut stack: Vec<(&str, u64, u64)> = Vec::new();
         let mut last_ts = 0u64;
-        let mut close = |stack: &mut Vec<(String, u64, u64)>, end_ts: u64| {
+        let mut close = |stack: &mut Vec<(&str, u64, u64)>, end_ts: u64| {
             let Some((name, begin, child_ns)) = stack.pop() else { return };
             let dur = end_ts.saturating_sub(begin);
             let self_ns = dur.saturating_sub(child_ns);
@@ -229,16 +208,16 @@ pub fn to_folded_stacks(snap: &TraceSnapshot) -> String {
                 key.push_str(frame);
             }
             key.push(';');
-            key.push_str(&name);
+            key.push_str(name);
             // Self time in µs, floored at 1 so fast spans still render.
             *folded.entry(key).or_insert(0) += (self_ns / 1000).max(1);
         };
         for ev in &track.events {
             last_ts = last_ts.max(ev.ts_ns);
             match ev.kind {
-                EventKind::Begin => stack.push((ev.name.clone(), ev.ts_ns, 0)),
+                EventKind::Begin => stack.push((ev.name, ev.ts_ns, 0)),
                 EventKind::End => close(&mut stack, ev.ts_ns),
-                EventKind::Instant => {}
+                EventKind::Instant | EventKind::Journey(_) => {}
             }
         }
         while !stack.is_empty() {
@@ -272,8 +251,9 @@ mod tests {
         tr.set_track("ah_test_track_main", 0);
         let j = tr.journey_id(10);
         {
-            let _route = tr.journey_span("ah_test_stage_route", j);
-            let _consume = tr.journey_span("ah_test_stage_consume", j);
+            let _route = tr.span("ah_test_stage_route");
+            tr.journey_instant("ah_test_stage_route", j);
+            let _consume = tr.span("ah_test_stage_consume");
             tr.instant("ah_test_mark_done");
         }
         tr.journey_instant("ah_test_stage_detect", j);
@@ -290,6 +270,12 @@ mod tests {
         assert!(stats.flow_ids.contains(&11)); // src 10 → journey 11
         assert!(stats.names.contains("ah_test_stage_route"));
         assert!(stats.names.contains("ah_test_stage_detect"));
+        // Every event's logical sequence is its index in the track.
+        let root = json::parse(&json).expect("json");
+        let Some(json::Json::Arr(events)) = root.get("traceEvents") else { panic!("no events") };
+        let seq = |e: &json::Json| e.get("args")?.get("seq")?.as_num();
+        let seqs: Vec<f64> = events.iter().filter_map(seq).collect();
+        assert_eq!(seqs, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
     }
 
     #[test]
@@ -309,34 +295,14 @@ mod tests {
                 label: "ah_test_track_main/0".to_string(),
                 tid: 0,
                 events: vec![
+                    TraceEvent { kind: EventKind::Begin, name: "ah_test_span_outer", ts_ns: 0 },
                     TraceEvent {
                         kind: EventKind::Begin,
-                        name: "ah_test_span_outer".to_string(),
-                        ts_ns: 0,
-                        seq: 0,
-                        journey: 0,
-                    },
-                    TraceEvent {
-                        kind: EventKind::Begin,
-                        name: "ah_test_span_inner".to_string(),
+                        name: "ah_test_span_inner",
                         ts_ns: 10_000,
-                        seq: 1,
-                        journey: 0,
                     },
-                    TraceEvent {
-                        kind: EventKind::End,
-                        name: "ah_test_span_inner".to_string(),
-                        ts_ns: 40_000,
-                        seq: 2,
-                        journey: 0,
-                    },
-                    TraceEvent {
-                        kind: EventKind::End,
-                        name: "ah_test_span_outer".to_string(),
-                        ts_ns: 50_000,
-                        seq: 3,
-                        journey: 0,
-                    },
+                    TraceEvent { kind: EventKind::End, name: "ah_test_span_inner", ts_ns: 40_000 },
+                    TraceEvent { kind: EventKind::End, name: "ah_test_span_outer", ts_ns: 50_000 },
                 ],
             }],
             dropped: 0,

@@ -3,11 +3,11 @@
 //! ah-obs answers *"how much / how fast"*; this crate answers *"where
 //! did this packet's time go"*. It provides:
 //!
-//! * **Per-thread bounded lock-free buffers** (`buffer::TraceBuf`):
-//!   each tracing thread appends span begin/end and instant events to
-//!   its own fixed-capacity buffer, published with the same
-//!   single-writer Release/Acquire protocol as the SPSC ring. Full
-//!   buffers drop and count — tracing never blocks.
+//! * **Per-thread bounded tracks**: each tracing thread appends span
+//!   begin/end and instant events, each named by the `&'static str` it
+//!   was emitted with, to its own `Mutex`-guarded vector, preallocated
+//!   when the thread registers. Only that thread and a snapshot taken
+//!   after the run lock it. A full track drops and counts.
 //! * **Causal spans**: [`Tracer::span`] returns a guard that emits a
 //!   begin event now and an end event on drop; nesting on a track *is*
 //!   the parent/child relation, exactly as Chrome's trace-event duration
@@ -30,11 +30,11 @@
 //! ## Why tracing cannot perturb determinism
 //!
 //! Every API is observation-only, the same contract ah-obs holds:
-//! nothing in the pipeline ever reads a trace buffer back, the sampler
-//! is a stateless hash (no RNG draws consumed), buffers are
-//! preallocated and never block (overflow drops), and wall-clock
-//! timestamps flow only *out* to trace files. A disabled [`Tracer`] is
-//! `None` all the way down, so every call site is one
+//! nothing in the pipeline ever reads a track back, the sampler is a
+//! stateless hash (no RNG draws consumed), tracks are preallocated and
+//! overflow drops, no pipeline thread waits on another's track, and
+//! wall-clock timestamps flow only *out* to trace files. A disabled
+//! [`Tracer`] is `None` all the way down, so every call site is one
 //! `Option`-discriminant branch. `tests/trace.rs` proves the
 //! `RunOutput` fingerprint is bitwise-identical with tracing on vs. off
 //! at 1 and 8 threads, clean and under faults.
@@ -42,18 +42,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod buffer;
 pub mod check;
 pub mod export;
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::time::Instant;
 
 use ah_net::hash::mix64;
 use ah_obs::valid_metric_name;
-use buffer::{EventKind, TraceBuf};
+use export::{EventKind, TraceEvent};
 
 /// Salt for the journey-sampler derivation (distinct from the fault
 /// injector's `0xfa17_1e57` so the two decision streams never collide).
@@ -75,7 +73,7 @@ pub struct TraceConfig {
     /// Sample one in this many source IPs for end-to-end journeys
     /// (`0` disables journeys, `1` samples every source).
     pub sample_one_in: u64,
-    /// Per-thread buffer capacity in events.
+    /// Per-thread track capacity in events.
     pub buf_capacity: usize,
 }
 
@@ -85,35 +83,38 @@ impl Default for TraceConfig {
     }
 }
 
-/// Interned span-name table.
-#[derive(Default)]
-struct Names {
-    by_name: BTreeMap<&'static str, u32>,
-    list: Vec<&'static str>,
-}
-
-/// One registered per-thread track.
+/// One registered thread's track: its label, its events in emission
+/// order, and the events it dropped when full.
 struct Track {
     label: String,
-    buf: Arc<TraceBuf>,
+    events: Vec<TraceEvent>,
+    dropped: u64,
+}
+
+/// Lock a track or the track list. Every update under these locks (a
+/// push, a count, a relabel) leaves the data whole at each step, so a
+/// poisoned lock's data is still sound to read and extend.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 struct Inner {
     epoch: Instant,
     cfg: TraceConfig,
-    names: Mutex<Names>,
-    tracks: Mutex<Vec<Track>>,
+    /// Every registered track, in registration (`tid`) order. Locked only
+    /// to register a thread and to snapshot.
+    tracks: Mutex<Vec<Arc<Mutex<Track>>>>,
 }
 
 /// One per-thread registration: the owning tracer (weak, so a dropped
-/// tracer's entries can be pruned), the thread's buffer, and its track id.
-type ThreadReg = (Weak<Inner>, Arc<TraceBuf>, u32);
+/// tracer's entries can be pruned) and the thread's track in it.
+type ThreadReg = (Weak<Inner>, Arc<Mutex<Track>>);
 
 thread_local! {
-    /// Per-thread cache of [`ThreadReg`] registrations so the hot emit
-    /// path is a vector probe, not a mutex. Entries for dead tracers
-    /// are pruned on miss via the `Weak`.
-    static THREAD_BUFS: RefCell<Vec<ThreadReg>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread cache of [`ThreadReg`] registrations, so an event
+    /// finds its track by a pointer probe. Entries for dead tracers are
+    /// pruned on a miss.
+    static THREAD_TRACKS: RefCell<Vec<ThreadReg>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Handle to the tracing subsystem. Cheap to clone; a disabled tracer
@@ -147,14 +148,9 @@ impl Tracer {
         Tracer(None)
     }
 
-    /// A live tracer collecting into per-thread buffers.
+    /// A live tracer collecting into per-thread tracks.
     pub fn new(cfg: TraceConfig) -> Tracer {
-        Tracer(Some(Arc::new(Inner {
-            epoch: Instant::now(),
-            cfg,
-            names: Mutex::new(Names::default()),
-            tracks: Mutex::new(Vec::new()),
-        })))
+        Tracer(Some(Arc::new(Inner { epoch: Instant::now(), cfg, tracks: Mutex::default() })))
     }
 
     /// Is this tracer collecting?
@@ -188,24 +184,23 @@ impl Tracer {
     /// one track is the parent/child relation.
     #[must_use = "dropping the guard immediately records a zero-length span"]
     pub fn span(&self, name: &'static str) -> SpanGuard {
-        self.begin(name, 0)
-    }
-
-    /// Open a span tagged with a journey id (from
-    /// [`Tracer::journey_id`]); `0` degrades to a plain span.
-    #[must_use = "dropping the guard immediately records a zero-length span"]
-    pub fn journey_span(&self, name: &'static str, journey: u64) -> SpanGuard {
-        self.begin(name, journey)
+        self.emit(EventKind::Begin, name);
+        SpanGuard { end: self.0.clone().map(|inner| (inner, name)) }
     }
 
     /// Record an instantaneous event on the current thread's track.
     pub fn instant(&self, name: &'static str) {
-        self.emit(EventKind::Instant, name, 0);
+        self.emit(EventKind::Instant, name);
     }
 
-    /// Record an instantaneous event tagged with a journey id.
+    /// Record an instantaneous event tagged with a journey id from
+    /// [`Tracer::journey_id`], whose `journey - 1` is the sampled source;
+    /// `0` degrades to a plain instant.
     pub fn journey_instant(&self, name: &'static str, journey: u64) {
-        self.emit(EventKind::Instant, name, journey);
+        match journey {
+            0 => self.emit(EventKind::Instant, name),
+            j => self.emit(EventKind::Journey((j - 1) as u32), name),
+        }
     }
 
     /// Name the current thread's track `<name>/<index>` (e.g.
@@ -213,80 +208,32 @@ impl Tracer {
     /// naming scheme and is checked like any span name.
     pub fn set_track(&self, name: &'static str, index: u64) {
         debug_assert!(valid_metric_name(name), "track name {name:?} violates the naming scheme");
-        let Some(inner) = &self.0 else { return };
-        let (_, track_id) = thread_buf(inner);
-        if let Ok(mut tracks) = inner.tracks.lock() {
-            if let Some(track) = tracks.get_mut(track_id as usize) {
-                track.label = format!("{name}/{index}");
-            }
+        if let Some(inner) = &self.0 {
+            with_track(inner, |track| track.label = format!("{name}/{index}"));
         }
     }
 
-    /// Snapshot every track's published events for export.
+    /// Snapshot every track's events for export.
     pub fn snapshot(&self) -> export::TraceSnapshot {
-        let Some(inner) = &self.0 else {
-            return export::TraceSnapshot::default();
-        };
-        let names: Vec<String> = match inner.names.lock() {
-            Ok(n) => n.list.iter().map(|s| s.to_string()).collect(),
-            Err(_) => Vec::new(),
-        };
-        let mut tracks = Vec::new();
-        let mut dropped = 0;
-        if let Ok(regs) = inner.tracks.lock() {
-            for (tid, track) in regs.iter().enumerate() {
-                dropped += track.buf.dropped();
-                let events = track
-                    .buf
-                    .snapshot()
-                    .into_iter()
-                    .map(|ev| export::TraceEvent {
-                        kind: ev.kind,
-                        name: names
-                            .get(ev.name_id as usize)
-                            .cloned()
-                            .unwrap_or_else(|| "ah_trace_name_unknown".to_string()),
-                        ts_ns: ev.ts_ns,
-                        seq: ev.seq,
-                        journey: ev.journey,
-                    })
-                    .collect();
-                tracks.push(export::TrackSnapshot {
-                    label: track.label.clone(),
-                    tid: tid as u32,
-                    events,
-                });
-            }
+        let mut snap = export::TraceSnapshot::default();
+        let Some(inner) = &self.0 else { return snap };
+        for (tid, track) in lock(&inner.tracks).iter().enumerate() {
+            let track = lock(track);
+            snap.dropped += track.dropped;
+            snap.tracks.push(export::TrackSnapshot {
+                label: track.label.clone(),
+                tid: tid as u32,
+                events: track.events.clone(),
+            });
         }
-        export::TraceSnapshot { tracks, dropped }
+        snap
     }
 
-    fn begin(&self, name: &'static str, journey: u64) -> SpanGuard {
-        debug_assert!(valid_metric_name(name), "span name {name:?} violates the naming scheme");
-        let Some(inner) = &self.0 else { return SpanGuard { end: None } };
-        let name_id = self.emit_inner(inner, EventKind::Begin, name, journey);
-        SpanGuard { end: Some((Arc::clone(inner), name_id, journey)) }
-    }
-
-    fn emit(&self, kind: EventKind, name: &'static str, journey: u64) {
+    fn emit(&self, kind: EventKind, name: &'static str) {
         debug_assert!(valid_metric_name(name), "span name {name:?} violates the naming scheme");
         if let Some(inner) = &self.0 {
-            self.emit_inner(inner, kind, name, journey);
+            push(inner, kind, name);
         }
-    }
-
-    fn emit_inner(
-        &self,
-        inner: &Arc<Inner>,
-        kind: EventKind,
-        name: &'static str,
-        journey: u64,
-    ) -> u32 {
-        let name_id = intern(inner, name);
-        let (buf, _) = thread_buf(inner);
-        let ts_ns = inner.epoch.elapsed().as_nanos() as u64;
-        buf.push(kind, name_id, ts_ns, journey);
-        name_id
     }
 }
 
@@ -295,7 +242,7 @@ impl Tracer {
 /// begin/end pair on one track).
 #[must_use = "dropping the guard immediately records a zero-length span"]
 pub struct SpanGuard {
-    end: Option<(Arc<Inner>, u32, u64)>,
+    end: Option<(Arc<Inner>, &'static str)>,
 }
 
 impl std::fmt::Debug for SpanGuard {
@@ -306,54 +253,56 @@ impl std::fmt::Debug for SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some((inner, name_id, journey)) = self.end.take() {
-            let (buf, _) = thread_buf(&inner);
+        if let Some((inner, name)) = self.end.take() {
+            push(&inner, EventKind::End, name);
+        }
+    }
+}
+
+/// Append one event to the current thread's track of `inner`, or count
+/// it dropped when the track is full.
+fn push(inner: &Arc<Inner>, kind: EventKind, name: &'static str) {
+    with_track(inner, |track| {
+        if track.events.len() < inner.cfg.buf_capacity {
             let ts_ns = inner.epoch.elapsed().as_nanos() as u64;
-            buf.push(EventKind::End, name_id, ts_ns, journey);
+            track.events.push(TraceEvent { kind, name, ts_ns });
+        } else {
+            track.dropped += 1;
         }
-    }
+    });
 }
 
-/// Intern a span name, returning its stable id.
-fn intern(inner: &Arc<Inner>, name: &'static str) -> u32 {
-    let Ok(mut names) = inner.names.lock() else { return 0 };
-    if let Some(&id) = names.by_name.get(name) {
-        return id;
-    }
-    let id = names.list.len() as u32;
-    names.list.push(name);
-    names.by_name.insert(name, id);
-    id
-}
-
-/// The current thread's buffer for `inner`, registering one on first
-/// use. Returns the buffer and its track id.
-fn thread_buf(inner: &Arc<Inner>) -> (Arc<TraceBuf>, u32) {
-    THREAD_BUFS.with(|cell| {
+/// Run `f` on the current thread's track of `inner`, registering one
+/// (preallocated at `buf_capacity` events) on first use.
+///
+/// The cache matches by address: a cached `Weak` keeps `inner`'s
+/// allocation alive, so no other tracer can reuse the address while the
+/// entry stands.
+fn with_track(inner: &Arc<Inner>, f: impl FnOnce(&mut Track)) {
+    THREAD_TRACKS.with(|cell| {
         let mut cache = cell.borrow_mut();
-        for (weak, buf, tid) in cache.iter() {
-            if let Some(live) = weak.upgrade() {
-                if Arc::ptr_eq(&live, inner) {
-                    return (Arc::clone(buf), *tid);
-                }
+        let at = match cache.iter().position(|(w, _)| Weak::as_ptr(w) == Arc::as_ptr(inner)) {
+            Some(at) => at,
+            None => {
+                cache.retain(|(w, _)| w.strong_count() > 0);
+                cache.push(register(inner));
+                cache.len() - 1
             }
-        }
-        cache.retain(|(weak, _, _)| weak.strong_count() > 0);
-        let buf = Arc::new(TraceBuf::new(inner.cfg.buf_capacity));
-        let tid = match inner.tracks.lock() {
-            Ok(mut tracks) => {
-                let tid = tracks.len() as u32;
-                tracks.push(Track {
-                    label: format!("ah_trace_track_anon/{tid}"),
-                    buf: Arc::clone(&buf),
-                });
-                tid
-            }
-            Err(_) => 0,
         };
-        cache.push((Arc::downgrade(inner), Arc::clone(&buf), tid));
-        (buf, tid)
-    })
+        f(&mut lock(&cache[at].1));
+    });
+}
+
+/// Register a new track for the calling thread on `inner`.
+fn register(inner: &Arc<Inner>) -> ThreadReg {
+    let mut tracks = lock(&inner.tracks);
+    let track = Arc::new(Mutex::new(Track {
+        label: format!("ah_trace_track_anon/{}", tracks.len()),
+        events: Vec::with_capacity(inner.cfg.buf_capacity),
+        dropped: 0,
+    }));
+    tracks.push(Arc::clone(&track));
+    (Arc::downgrade(inner), track)
 }
 
 #[cfg(test)]
@@ -413,9 +362,105 @@ mod tests {
         // LIFO drop order: inner ends before outer.
         assert_eq!(snap.tracks[0].events[3].name, "ah_test_span_inner");
         assert_eq!(snap.tracks[0].events[4].name, "ah_test_span_outer");
-        // Logical sequence is the buffer index.
-        let seqs: Vec<u64> = snap.tracks[0].events.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
+        let ts: Vec<u64> = snap.tracks[0].events.iter().map(|e| e.ts_ns).collect();
+        assert!(ts.is_sorted(), "{ts:?}");
+    }
+
+    /// `journey` instants `0..n`, each on the journey of its own index.
+    fn emit_journeys(tr: &Tracer, n: u32) {
+        for i in 0..n {
+            tr.journey_instant("ah_test_mark_step", u64::from(i) + 1);
+        }
+    }
+
+    /// The journey sources of a track's events, which `emit_journeys`
+    /// made the emission index.
+    fn journey_srcs(track: &export::TrackSnapshot) -> Vec<u32> {
+        let src = |e: &TraceEvent| match e.kind {
+            EventKind::Journey(src) => src,
+            kind => panic!("{kind:?} is not a journey instant"),
+        };
+        track.events.iter().map(src).collect()
+    }
+
+    #[test]
+    fn journey_instants_round_trip() {
+        let tr = Tracer::new(TraceConfig { seed: 0, sample_one_in: 1, buf_capacity: 4 });
+        tr.journey_instant("ah_test_mark_journey", tr.journey_id(42));
+        tr.journey_instant("ah_test_mark_plain", 0);
+        let snap = tr.snapshot();
+        let evs = &snap.tracks[0].events;
+        assert_eq!(evs.len(), 2);
+        assert_eq!((evs[0].kind, evs[0].name), (EventKind::Journey(42), "ah_test_mark_journey"));
+        assert_eq!((evs[1].kind, evs[1].name), (EventKind::Instant, "ah_test_mark_plain"));
+        assert_eq!(snap.dropped, 0);
+    }
+
+    #[test]
+    fn overflow_drops_and_counts() {
+        let tr = Tracer::new(TraceConfig { seed: 0, sample_one_in: 0, buf_capacity: 2 });
+        emit_journeys(&tr, 4);
+        let snap = tr.snapshot();
+        assert_eq!(journey_srcs(&snap.tracks[0]), [0, 1], "the first events stay");
+        assert_eq!(snap.dropped, 2);
+    }
+
+    #[test]
+    fn snapshot_during_writes_sees_a_prefix() {
+        let tr = Tracer::new(TraceConfig { seed: 0, sample_one_in: 0, buf_capacity: 1024 });
+        let writer = {
+            let tr = tr.clone();
+            std::thread::spawn(move || emit_journeys(&tr, 1024))
+        };
+        for _ in 0..100 {
+            for track in tr.snapshot().tracks {
+                let srcs = journey_srcs(&track);
+                assert!(srcs.iter().enumerate().all(|(i, &s)| s as usize == i), "{srcs:?}");
+            }
+        }
+        writer.join().expect("writer thread");
+        assert_eq!(journey_srcs(&tr.snapshot().tracks[0]).len(), 1024);
+    }
+
+    #[test]
+    fn concurrent_writers_keep_their_own_order() {
+        const M: u32 = 50_000;
+        let tr = Tracer::new(TraceConfig { seed: 0, sample_one_in: 0, buf_capacity: M as usize });
+        let writers: Vec<_> = (0..2)
+            .map(|_| {
+                let tr = tr.clone();
+                std::thread::spawn(move || emit_journeys(&tr, M))
+            })
+            .collect();
+        for w in writers {
+            w.join().expect("writer thread");
+        }
+        let snap = tr.snapshot();
+        assert_eq!((snap.tracks.len(), snap.dropped), (2, 0));
+        for track in &snap.tracks {
+            assert!(journey_srcs(track).into_iter().eq(0..M), "{} is out of order", track.label);
+        }
+    }
+
+    #[test]
+    fn a_new_tracer_gets_a_new_track_and_the_dead_one_is_pruned() {
+        std::thread::spawn(|| {
+            let cfg = TraceConfig { seed: 0, sample_one_in: 0, buf_capacity: 4 };
+            let cached = || THREAD_TRACKS.with(|c| c.borrow().len());
+            let old = Tracer::new(cfg);
+            old.instant("ah_test_mark_old");
+            drop(old);
+            assert_eq!(cached(), 1, "a dead tracer's entry stays until a miss");
+            let new = Tracer::new(cfg);
+            new.instant("ah_test_mark_new");
+            assert_eq!(cached(), 1, "the miss pruned the dead entry");
+            let snap = new.snapshot();
+            assert_eq!(snap.tracks.len(), 1);
+            let events: Vec<&str> = snap.tracks[0].events.iter().map(|e| e.name).collect();
+            assert_eq!(events, ["ah_test_mark_new"]);
+        })
+        .join()
+        .expect("test thread");
     }
 
     #[test]

@@ -93,8 +93,10 @@ cargo test --release -p ah-net --test proptests -p ah-flow --test proptests \
 echo "==> trace and memory determinism gates"
 # The full determinism + schema matrix (tests/trace.rs) and determinism
 # + leak matrix + flush-transient bound (tests/memory.rs), by name like
-# telemetry above.
+# telemetry above; then ah-trace's own tests, so its concurrent-writer
+# tests run optimised too.
 cargo test --release --test trace --test memory -q
+cargo test --release -p ah-trace -q
 
 echo "==> durable-run gates (release)"
 # Replay, resume, the storage-fault drills and every refusal of the

@@ -29,7 +29,7 @@
 //! resumed, prints the same output fingerprint as an uninterrupted one.
 //!
 //! With `--trace-out PATH` every stage also emits structured spans into
-//! per-thread [`ah_trace`] buffers; on exit the run writes a Chrome
+//! per-thread [`ah_trace`] tracks; on exit the run writes a Chrome
 //! trace-event JSON at `PATH` (load it in Perfetto / `chrome://tracing`)
 //! and a folded-stack file at `PATH` with extension `.folded`
 //! (flamegraph input). `--trace-sample N` follows roughly 1-in-`N`

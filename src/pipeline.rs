@@ -889,12 +889,10 @@ impl<'scope> Shards<'scope> {
     }
 
     fn route(&mut self, pkts: &[PacketMeta], tracer: &Tracer) {
+        journey_instants(tracer, "ah_pipeline_dispatch_route", pkts.iter().map(|p| p.src));
         for pkt in pkts {
-            let src = pkt.src.to_u32();
-            let shard = (hash64(u64::from(src)) % self.producers.len() as u64) as usize;
-            let journey = tracer.journey_id(src);
-            let _route =
-                (journey != 0).then(|| tracer.journey_span("ah_pipeline_dispatch_route", journey));
+            let shard =
+                (hash64(u64::from(pkt.src.to_u32())) % self.producers.len() as u64) as usize;
             let batch = &mut self.staged[shard];
             batch.items[batch.len] = *pkt;
             batch.len += 1;

@@ -45,6 +45,38 @@ fn tracing_does_not_perturb_output() {
     );
 }
 
+/// The `B`/`E`/`i` events of a Chrome export in file order, each with
+/// its wall-clock `"ts"` field removed.
+fn untimed_events(json: &str) -> Vec<String> {
+    let phases = ["\"ph\":\"B\"", "\"ph\":\"E\"", "\"ph\":\"i\""];
+    let events = json.lines().filter(|l| phases.iter().any(|ph| l.contains(ph)));
+    events
+        .map(|l| {
+            let at = l.find("\"ts\":").expect("every B/E/i event has a ts");
+            let end = at + l[at..].find(',').expect("ts is not the last field");
+            format!("{}{}", &l[..at], &l[end + 1..])
+        })
+        .collect()
+}
+
+/// Trace content is a pure function of the run: two traced serial runs
+/// of one faulted scenario export the same events in the same order,
+/// wall-clock timestamps aside.
+#[test]
+fn traced_serial_runs_export_the_same_events() {
+    let traced = || {
+        let cfg = TraceConfig { seed: common::SEED, sample_one_in: 4, buf_capacity: 1 << 20 };
+        let mut tel = Telemetry::disabled().with_tracer(Tracer::new(cfg));
+        run_with(&mut tel, 1, true);
+        let snap = tel.tracer.snapshot();
+        assert_eq!(snap.dropped, 0, "the trace tracks overflowed");
+        untimed_events(&export::to_chrome_trace(&snap))
+    };
+    let first = traced();
+    assert!(first.iter().any(|e| e.contains("\"journey\":")), "no journey in the trace");
+    assert!(first == traced(), "two traced runs of one scenario exported different events");
+}
+
 // --- Chrome trace schema + causal journeys ------------------------------
 
 #[test]
