@@ -2,7 +2,7 @@
 //!
 //! The repo's deliverable is a *daily AH blocklist* whose value rests on
 //! bitwise-reproducible detector decisions. A silently-flipped threshold
-//! comparison, a weakened atomic ordering, or a dropped CRC check ships
+//! comparison, a wrapped subtraction, or a dropped CRC check ships
 //! bad intelligence without failing a single existing test — unless the
 //! test suite would notice. Mutation testing measures exactly that:
 //! plant a plausible bug (a *mutant*), run the tests, and demand they
@@ -26,8 +26,8 @@
 //!   timeouts, and classifies **caught / survived / timeout /
 //!   build-broken**;
 //! * [`sentinel`] — the curated must-be-caught set backing the CI
-//!   `mutation` gate (ring orderings, WAL CRC/truncation, detector
-//!   thresholds, watermark comparisons);
+//!   `mutation` gate (WAL CRC/truncation, detector thresholds,
+//!   watermark comparisons);
 //! * [`report`] — `out/mutants.json` plus the markdown survivor table.
 //!
 //! See ARCHITECTURE.md §14 for the operator table, the id scheme and

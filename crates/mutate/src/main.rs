@@ -265,8 +265,8 @@ fn gate(opts: &Opts, root: &Path) -> Result<ExitCode, String> {
     let secs = started.elapsed().as_secs();
     if failures.is_empty() {
         println!(
-            "mutation gate: all {} sentinels caught in {secs}s ({} curated: ring orderings, \
-             WAL integrity, the suspension trim, the delta publish, the fate instants' delta, \
+            "mutation gate: all {} sentinels caught in {secs}s ({} curated: WAL integrity, \
+             the suspension trim, the delta publish, the fate instants' delta, \
              the mux's window end, detector thresholds, aggregator boundaries)",
             total,
             SENTINELS.len(),

@@ -4,9 +4,8 @@
 //! token stream, so a mutation can never land inside a string literal,
 //! comment, or `#[cfg(test)]` region. The operators target the failure
 //! classes the workspace actually fears (see ARCHITECTURE.md §14):
-//! atomic-ordering downgrades, flipped or off-by-one threshold
-//! comparisons, logic and arithmetic swaps, and silent
-//! saturating/wrapping arithmetic substitutions.
+//! flipped or off-by-one threshold comparisons, logic and arithmetic
+//! swaps, and silent saturating/wrapping arithmetic substitutions.
 //!
 //! Token-level means heuristics, not syntax: `<` and `>` double as
 //! generic brackets, `&&`/`||`/`*`/`-` have prefix readings. The
@@ -60,7 +59,6 @@ impl Mutant {
 
 /// Every operator id with a one-line description.
 pub const OPERATORS: &[(&str, &str)] = &[
-    ("ord-relax", "downgrade Ordering::{AcqRel,Acquire,Release} to Relaxed"),
     ("cmp-swap", "swap a comparison with its boundary neighbour: < ↔ <=, > ↔ >=, == ↔ !="),
     ("lit-bump", "nudge an integer literal adjacent to a comparison by ±1"),
     ("logic-swap", "swap && ↔ ||"),
@@ -238,16 +236,7 @@ pub fn enumerate_source(rel_path: &str, src: &str) -> Vec<Mutant> {
         let prev = i.checked_sub(1).map(|p| &atoms[p]);
         let next = atoms.get(i + 1);
 
-        // --- ord-relax: Ordering::{AcqRel,Acquire,Release} → Relaxed.
         if let Some(id) = is_ident(&a.kind) {
-            if matches!(id, "AcqRel" | "Acquire" | "Release") {
-                let path_prefixed = i >= 2
-                    && atoms[i - 1].text == "::"
-                    && is_ident(&atoms[i - 2].kind) == Some("Ordering");
-                if path_prefixed {
-                    push("ord-relax", a.start, a.end, a.line, "Relaxed".into());
-                }
-            }
             // --- sat-wrap: saturating_* ↔ wrapping_* calls.
             if next.is_some_and(|n| n.text == "(") {
                 if let Some(rest) = id.strip_prefix("saturating_") {
@@ -391,16 +380,6 @@ mod tests {
             .into_iter()
             .map(|m| (m.op, m.original, m.replacement))
             .collect()
-    }
-
-    #[test]
-    fn ordering_downgrades_require_the_path_prefix() {
-        let src = "//! d\nfn f(a: &AtomicU32) { a.store(1, Ordering::Release); }\n";
-        let got = ops_at(src);
-        assert!(got.contains(&("ord-relax", "Release".into(), "Relaxed".into())), "{got:?}");
-        // A bare `Release` ident (say, an enum variant) is not a site.
-        let none = ops_at("//! d\nfn g() -> Mode { Mode::Release }\n");
-        assert!(none.iter().all(|(op, ..)| *op != "ord-relax"), "{none:?}");
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //!
 //! A full sweep is too slow for every CI run (one CPU, minutes per
 //! mutant), so the gate runs a hand-picked set of mutants at the
-//! system's load-bearing decision points — ring memory orderings, WAL
-//! CRC/truncation handling, the log-to-run match, where a journaled run
-//! stops, detector thresholds, aggregator boundary comparisons — each
+//! system's load-bearing decision points — WAL CRC/truncation handling,
+//! the log-to-run match, where a journaled run stops, detector
+//! thresholds, aggregator boundary comparisons — each
 //! with an explicit, narrow kill command so the
 //! whole set classifies in a bounded time budget. Every sentinel must
 //! come back **caught**; anything else fails the gate.
@@ -54,8 +54,6 @@ const CORE_TEST: &[&str] = &["test", "-q", "-p", "ah-core"];
 const TELE_TEST: &[&str] = &["test", "-q", "-p", "ah-telescope"];
 const NET_BUILD: &[&str] = &["build", "-q", "-p", "ah-net"];
 const NET_TEST: &[&str] = &["test", "-q", "-p", "ah-net"];
-const SPSC_CLEAN: &[&str] =
-    &["test", "-q", "-p", "ah-simnet", "--test", "model_check", "real_ring_is_clean_capacity_2"];
 
 /// The curated sentinel set. Ordered cheapest-kill first so a broken
 /// tree fails the gate as early as possible.
@@ -230,28 +228,6 @@ pub const SENTINELS: &[Sentinel] = &[
               so the tie comes out in the wrong order",
     },
     Sentinel {
-        name: "ring-tail-publish",
-        file: "crates/simnet/src/ring.rs",
-        op: "ord-relax",
-        original: "Release",
-        contains: "const TAIL_PUBLISH",
-        pick: 0,
-        kill: &[&["build", "-q", "-p", "ah-simnet"], SPSC_CLEAN],
-        why: "PR 5's seeded mutant: Relaxed tail publish lets the consumer read \
-              unwritten slots; the model checker must re-find it from source",
-    },
-    Sentinel {
-        name: "ring-head-observe",
-        file: "crates/simnet/src/ring.rs",
-        op: "ord-relax",
-        original: "Acquire",
-        contains: "const HEAD_OBSERVE",
-        pick: 0,
-        kill: &[&["build", "-q", "-p", "ah-simnet"], SPSC_CLEAN],
-        why: "PR 5's seeded mutant: Relaxed head observe lets the producer \
-              overwrite a slot still being read",
-    },
-    Sentinel {
         name: "wal-run-mismatch",
         file: "src/pipeline.rs",
         op: "cmp-swap",
@@ -375,11 +351,5 @@ mod tests {
             assert!(!s.kill.is_empty(), "{} has no kill steps", s.name);
             assert!(s.kill.iter().all(|step| !step.is_empty()));
         }
-    }
-
-    #[test]
-    fn ordering_sentinels_cover_the_ring() {
-        let spsc = SENTINELS.iter().filter(|s| s.name.starts_with("ring-")).count();
-        assert!(spsc >= 2, "must re-detect PR 5's ordering mutants");
     }
 }

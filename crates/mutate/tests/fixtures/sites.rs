@@ -2,17 +2,6 @@
 //! the distinct operators that must enumerate on its line; a line with
 //! no marker must enumerate none. Driven by `tests/ops_fixture.rs`.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-pub fn orderings(c: &AtomicUsize) -> usize {
-    c.store(1, Ordering::Release); //~ ord-relax
-    c.load(Ordering::Acquire) //~ ord-relax
-}
-
-pub fn relaxed_stays(c: &AtomicUsize) -> usize {
-    c.load(Ordering::Relaxed)
-}
-
 pub fn thresholds(a: u64, dark: u64) -> bool {
     a >= 10 && dark < 20 //~ cmp-swap lit-bump logic-swap
 }

@@ -18,8 +18,9 @@
 //!   bruteforcing scanners, acknowledged research sweeps, vertical port
 //!   sweeps, DoS backscatter, background radiation, benign user traffic);
 //! * [`mux`] — the time-ordered multiplexer, merging a time window at a time;
-//! * [`ring`] — a bounded lock-free SPSC ring buffer used by the
-//!   sharded parallel pipeline to fan packets out to worker threads;
+//! * [`ring`] — the bounded SPSC hand-off (std's `sync_channel`, a
+//!   napping consumer and an occupancy mark) the sharded parallel
+//!   pipeline fans packet batches out to worker threads over;
 //! * [`faults`] — seeded fault injection (drops, duplicates, bounded
 //!   reordering, truncation, corruption, burst outages) applied between
 //!   the mux and the measurement consumers;
@@ -29,6 +30,7 @@
 //!   (2022), the flow weeks, the 72-hour packet taps, the GreyNoise
 //!   month.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod actors;

@@ -1,4 +1,4 @@
-//! Property-based invariants for the SPSC ring buffer.
+//! Property-based invariants for the SPSC ring.
 //!
 //! The parallel pipeline's determinism proof leans on exactly two ring
 //! properties: every pushed item is popped exactly once (completeness),
@@ -73,14 +73,17 @@ proptest! {
             for i in 0..n {
                 tx.push(i);
             }
+            let hwm = tx.high_water_mark();
             tx.close();
+            hwm
         });
         let mut seen = 0usize;
         while let Some(v) = rx.pop_wait() {
             prop_assert_eq!(v, seen, "FIFO order violated across threads");
             seen += 1;
         }
-        producer.join().expect("producer thread");
+        let hwm = producer.join().expect("producer thread");
         prop_assert_eq!(seen, n, "items lost or duplicated across threads");
+        prop_assert!(hwm <= capacity, "occupancy mark {} past the capacity {}", hwm, capacity);
     }
 }

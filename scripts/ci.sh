@@ -49,6 +49,7 @@ cargo test --workspace -q
 echo "==> house rules clippy cannot see"
 # tests/repo_rules.rs: every module opens with a `//!` doc block, every
 # Relaxed/SeqCst ordering is justified by an ORDERING:/SAFETY: comment,
+# no Acquire/Release/AcqRel is written by hand (hand-offs go through std),
 # every `#[expect]` carries a reason, and every relative link and #anchor
 # in every *.md of the repo resolves. Part of tier-1 `cargo test`; by
 # name, so a filtered invocation elsewhere can never drop it.
@@ -61,13 +62,15 @@ echo "==> telemetry determinism gate"
 # never silently drop it.
 cargo test --release --test telemetry -q
 
-echo "==> ring model checks: SPSC (exhaustive, release)"
-# vendor/interleave explores every interleaving of the SPSC dispatch
-# ring's lifecycle within the configured bounds: the ring must be
-# clean, and each of the six seeded ordering mutants must be caught
-# with a replayable counterexample. The heavy clean-ring tests are
-# ignored in debug builds and only run here, in release.
-cargo test --release -p ah-simnet --test model_check -q
+echo "==> shard hand-off contract (release)"
+# The ring the sharded engine hands batches over (std's bounded channel
+# under ah_simnet::ring): FIFO, completeness, back-pressure at exactly
+# the capacity, an occupancy mark that never passes it, close-then-drain,
+# and a producer that a dead consumer cannot wedge. Optimised, so the
+# cross-thread tests race at full speed; by name, so a filtered `cargo
+# test` elsewhere can never drop them.
+cargo test --release -p ah-simnet --test ring_proptests -q
+cargo test --release -p ah-simnet --lib ring -q
 
 echo "==> packet-stream identity (release)"
 # Every field of every packet three scenarios emit, hashed against
@@ -119,9 +122,9 @@ echo "==> binary-level gates (release)"
 cargo test --release --test cli -q
 
 echo "==> mutation gate"
-# The curated sentinel set (ARCHITECTURE.md §14): 22 token-level
-# mutants at the load-bearing decision points — ring memory orderings,
-# WAL CRC/truncation/seal handling, the log-to-run match, where a
+# The curated sentinel set (ARCHITECTURE.md §14): 20 token-level
+# mutants at the load-bearing decision points — WAL
+# CRC/truncation/seal handling, the log-to-run match, where a
 # journaled run stops, a unit's delta publish, the fate instants' delta,
 # the mux's window end, detector
 # thresholds, aggregator boundary comparisons and sweep slack — each applied to a

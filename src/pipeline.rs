@@ -22,8 +22,9 @@
 //!   publishes its stage counts and the exporter ticks.
 //! * **Executor.** [`run`] consumes on the driver thread — the serial
 //!   reference. [`run_parallel`] is a pure router: it hands each packet
-//!   to the worker shard owning its source IP over a lock-free SPSC ring
-//!   ([`ah_simnet::ring`]) whose slots carry `BATCH`-packet batches.
+//!   to the worker shard owning its source IP over a bounded SPSC ring
+//!   ([`ah_simnet::ring`], std's `sync_channel`) whose items are
+//!   `BATCH`-packet batches.
 //!   Every decision that once required global stream order — fault
 //!   injection, aggregator reordering verdicts, per-router sampling,
 //!   flow-cache lateness — is a pure function of the *per-source* (or
@@ -68,7 +69,7 @@ use ah_net::time::Ts;
 use ah_obs::{Exporter, Histogram, Recorder};
 use ah_simnet::faults::{FaultInjector, FaultPlan, InjectorStats};
 use ah_simnet::mux::{TrafficMux, BATCH};
-use ah_simnet::ring::{ring_with, Consumer, Producer, StdSync};
+use ah_simnet::ring::{ring, Consumer, Producer};
 use ah_simnet::rng::hash64;
 use ah_simnet::scenario::{Scenario, ScenarioConfig};
 use ah_simnet::world::{World, WorldConfig};
@@ -651,22 +652,8 @@ const RECORDS_EXPORTED: &str = "ah_flow_cache_records_exported_total";
 // --- The executor: one inline vantage stack, or N shards ----------------
 
 /// Packets in flight per shard ring; each ring carries the raw packets
-/// of 1/N of the source space, `BATCH` packets to a slot.
+/// of 1/N of the source space, `BATCH` packets to an item.
 const RING_CAPACITY: usize = 4096;
-
-/// One ring slot: up to `BATCH` packets of one shard, in feed order.
-/// The packets past `len` are filler and never read.
-#[derive(Clone, Copy)]
-struct Batch {
-    len: usize,
-    items: [PacketMeta; BATCH],
-}
-
-impl Batch {
-    fn empty() -> Batch {
-        Batch { len: 0, items: [PacketMeta::icmp_echo(Ts(0), Ipv4Addr4(0), Ipv4Addr4(0)); BATCH] }
-    }
-}
 
 /// One execution unit — the whole pipeline in the inline executor, one
 /// shard's slice of it in the sharded one: a vantage stack behind the
@@ -822,10 +809,11 @@ impl Unit {
 /// staging batch per shard, and the worker handles, each of which joins
 /// to its shard's [`ShardOut`]. The driver is a pure router —
 /// `hash64(src) mod N`, a copy into that shard's batch, and a ring push
-/// per full batch.
+/// per full batch. A batch is a `BATCH`-capacity vector handed over
+/// whole: the shard frees it once its unit has run it.
 struct Shards<'scope> {
-    producers: Vec<Producer<Batch>>,
-    staged: Vec<Batch>,
+    producers: Vec<Producer<Vec<PacketMeta>>>,
+    staged: Vec<Vec<PacketMeta>>,
     handles: Vec<std::thread::ScopedJoinHandle<'scope, ShardOut>>,
     m_stalls: ah_obs::Counter,
     m_stall_us: ah_obs::Histogram,
@@ -848,13 +836,13 @@ impl<'scope> Shards<'scope> {
         let staged = {
             let _mem = MemScope::enter(Tag::Mux);
             for _ in 0..threads {
-                let (tx, rx) = ring_with::<StdSync, Batch>(RING_CAPACITY / BATCH);
+                let (tx, rx) = ring(RING_CAPACITY / BATCH);
                 producers.push(tx);
                 consumers.push(rx);
             }
-            vec![Batch::empty(); threads]
+            (0..threads).map(|_| Vec::with_capacity(BATCH)).collect()
         };
-        let worker = move |i: usize, mut rx: Consumer<Batch>| {
+        let worker = move |i: usize, mut rx: Consumer<Vec<PacketMeta>>| {
             {
                 let _mem = MemScope::enter(Tag::Trace);
                 tracer.set_track("ah_pipeline_shard_worker", i as u64 + 1);
@@ -865,9 +853,8 @@ impl<'scope> Shards<'scope> {
             };
             let mut unit = Unit::build(world, opts, rec, tracer);
             while let Some(batch) = rx.pop_wait() {
-                let pkts = &batch.items[..batch.len];
-                journey_instants(tracer, "ah_pipeline_shard_consume", pkts.iter().map(|p| p.src));
-                unit.offer(pkts);
+                journey_instants(tracer, "ah_pipeline_shard_consume", batch.iter().map(|p| p.src));
+                unit.offer(&batch);
                 unit.publish();
             }
             naps.add(rx.naps());
@@ -894,18 +881,19 @@ impl<'scope> Shards<'scope> {
             let shard =
                 (hash64(u64::from(pkt.src.to_u32())) % self.producers.len() as u64) as usize;
             let batch = &mut self.staged[shard];
-            batch.items[batch.len] = *pkt;
-            batch.len += 1;
-            if batch.len == BATCH {
-                self.send(shard, tracer);
+            batch.push(*pkt);
+            if batch.len() == BATCH {
+                let batch = {
+                    let _mem = MemScope::enter(Tag::Mux);
+                    std::mem::replace(batch, Vec::with_capacity(BATCH))
+                };
+                self.send(shard, batch, tracer);
             }
         }
     }
 
-    /// Push shard `shard`'s staged batch onto its ring and start a new one.
-    fn send(&mut self, shard: usize, tracer: &Tracer) {
-        let batch = self.staged[shard];
-        self.staged[shard].len = 0;
+    /// Push a batch onto shard `shard`'s ring, waiting while it is full.
+    fn send(&mut self, shard: usize, batch: Vec<PacketMeta>, tracer: &Tracer) {
         let tx = &mut self.producers[shard];
         if let Err(back) = tx.try_push(batch) {
             let t0 = std::time::Instant::now();
@@ -924,15 +912,15 @@ impl<'scope> Shards<'scope> {
         reason = "a panicking shard thread must propagate the panic rather than silently drop a shard's output"
     )]
     fn join(mut self, rec: &Recorder, tracer: &Tracer) -> Vec<ShardOut> {
-        for shard in 0..self.staged.len() {
-            if self.staged[shard].len > 0 {
-                self.send(shard, tracer);
+        for (shard, batch) in std::mem::take(&mut self.staged).into_iter().enumerate() {
+            if !batch.is_empty() {
+                self.send(shard, batch, tracer);
             }
         }
         for (i, p) in self.producers.into_iter().enumerate() {
             // Read the peak occupancy before close() consumes the
             // producer; one gauge per shard, labeled by shard index, in
-            // packets (full slots times `BATCH`).
+            // packets (ring items times `BATCH`).
             let shard = i.to_string();
             rec.gauge_with("ah_pipeline_ring_occupancy_hwm", &[("shard", shard.as_str())])
                 .set((p.high_water_mark() * BATCH) as i64);

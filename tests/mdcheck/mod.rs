@@ -260,7 +260,7 @@ mod tests {
     #[test]
     fn slugs_follow_github_rules() {
         assert_eq!(slug(" Sharded determinism"), "sharded-determinism");
-        assert_eq!(slug(" §5. The `RingSync` facade"), "5-the-ringsync-facade");
+        assert_eq!(slug(" §5. The `ring` hand-off"), "5-the-ring-hand-off");
         assert_eq!(slug(" WAL resume/replay"), "wal-resumereplay");
     }
 
