@@ -22,7 +22,7 @@
 use aggressive_scanners::core::defs::Definition;
 use aggressive_scanners::net::pcap::{PcapWriter, DEFAULT_SNAPLEN, LINKTYPE_RAW};
 use aggressive_scanners::obs::json;
-use aggressive_scanners::pipeline::{self, RunOptions, Telemetry, WalRun};
+use aggressive_scanners::pipeline::{self, Log, RunOptions, Telemetry, WalRun};
 use aggressive_scanners::simnet::scenario::{ScenarioConfig, Year};
 use std::collections::BTreeSet;
 use std::fs;
@@ -74,28 +74,31 @@ fn main() -> std::io::Result<()> {
     let mut tel = Telemetry::disabled();
 
     // Replay the sealed log when one exists for this exact scenario
-    // (`replay_wal` refuses any other before feeding a packet);
+    // (a replay refuses any other before feeding a packet);
     // otherwise simulate once, durably, so the next run can.
     let t0 = std::time::Instant::now();
-    let (run, simulated) =
-        match pipeline::replay_wal(cfg(), RunOptions::darknet_only(), wal_dir, &mut tel) {
-            Ok(out) => {
-                println!(
-                    "replayed {days} days of stored darknet history from {}",
-                    wal_dir.display()
-                );
-                (*out, false)
+    let (run, simulated) = match pipeline::run_with_log(
+        cfg(),
+        RunOptions::darknet_only(),
+        None,
+        Log::Replay(wal_dir),
+        &mut tel,
+    ) {
+        Ok(outcome) => {
+            let out = outcome.completed().expect("a replay has no journal to suspend on");
+            println!("replayed {days} days of stored darknet history from {}", wal_dir.display());
+            (*out, false)
+        }
+        Err(e) => {
+            // No log yet, an unsealed (interrupted) or damaged one, or
+            // one of another scenario or format version: start over.
+            println!("replay unavailable ({e}); simulating");
+            if wal_dir.exists() {
+                fs::remove_dir_all(wal_dir)?;
             }
-            Err(e) => {
-                // No log yet, an unsealed (interrupted) or damaged one, or
-                // one of another scenario or format version: start over.
-                println!("replay unavailable ({e}); simulating");
-                if wal_dir.exists() {
-                    fs::remove_dir_all(wal_dir)?;
-                }
-                durable_simulation(cfg(), wal_dir, &mut tel)?
-            }
-        };
+            durable_simulation(cfg(), wal_dir, &mut tel)?
+        }
+    };
     let wall = t0.elapsed().as_secs_f64();
 
     let acked = run.world.acked_list(8);
@@ -180,7 +183,8 @@ fn durable_simulation(
     tel: &mut Telemetry,
 ) -> std::io::Result<(pipeline::RunOutput, bool)> {
     println!("simulating {} days of darknet traffic (journal: {})...", cfg.days, wal_dir.display());
-    let out = pipeline::run_wal(cfg, RunOptions::darknet_only(), &WalRun::new(wal_dir), tel)?
+    let wal = WalRun::new(wal_dir);
+    let out = pipeline::run_with_log(cfg, RunOptions::darknet_only(), None, Log::Fresh(&wal), tel)?
         .completed()
         .expect("a run with no suspension points always completes");
     Ok((*out, true))

@@ -102,8 +102,9 @@ cargo test --release --test trace --test memory -q
 cargo test --release -p ah-trace -q
 
 echo "==> durable-run gates (release)"
-# Replay, resume, the storage-fault drills and every refusal of the
-# durable path (tests/determinism.rs, tests/chaos.rs) otherwise run only
+# Replay and resume at 1 and 8 shards, inline and across executors, the
+# storage-fault drills and every refusal of the durable path
+# (tests/determinism.rs, tests/chaos.rs) otherwise run only
 # inside the debug `cargo test --workspace` above; by name like the
 # others, so a filtered invocation elsewhere can never drop them.
 cargo test --release --test determinism --test chaos -q
@@ -112,9 +113,10 @@ echo "==> binary-level gates (release)"
 # tests/cli.rs drives the shipped binaries: usage errors before any
 # run (spans past the detector's MAX_DAYS among them), the output pin
 # (`output_fingerprint_is_pinned`: `aggressive-scanners --days 1` at 4
-# shards and at 1 prints the fingerprint ROADMAP.md "Output pins"
+# shards and inline prints the fingerprint ROADMAP.md "Output pins"
 # names), then the WAL crash-recovery drill (a real mid-append abort,
-# resumed and replayed to the uninterrupted fingerprint), the metrics
+# resumed and replayed to the uninterrupted fingerprint, and replayed
+# again on 4 shards), the metrics
 # schema lint on the files written to disk, the traced durable run
 # through the first-party trace validator, and the --mem-report leak
 # check. Part of tier-1 `cargo test`; named here, in release, so a

@@ -11,8 +11,9 @@
 //! F > 0; each span has a floor of 2 to 4 days and a ceiling of
 //! `MAX_DAYS`, the longest span the detector can represent).
 //!
-//! `--threads N` (N >= 2) routes the single-pass simulation runs through
-//! the sharded parallel engine; output is bitwise identical to serial.
+//! `--threads N` picks the executor of the single-pass simulation runs:
+//! 0 or 1 (the default) is the inline unit, 2 to 256 that many shards.
+//! Output is bitwise identical on either.
 //!
 //! `--metrics PATH` turns on pipeline telemetry and writes snapshot files
 //! `PATH.jsonl` (one snapshot per line) and `PATH.prom` (Prometheus text
@@ -31,7 +32,7 @@
 //! series under the output directory (default `out/`). Simulation runs
 //! are shared across experiments in one invocation.
 
-use aggressive_scanners::cli::{parse_flag, usage_error, ObsFlags, OBS_USAGE};
+use aggressive_scanners::cli::{parse_flag, parse_threads, usage_error, ObsFlags, OBS_USAGE};
 use aggressive_scanners::core::characterize::{
     origin_table, port_overlap, protocol_mix_darknet, protocol_mix_flow, top_ports, trends,
     zipf_concentration,
@@ -107,8 +108,8 @@ struct Runs {
     spans: Spans,
     /// Base RNG seed; each run derives its own by XOR.
     seed: u64,
-    /// Worker shards for the parallel engine (`0`/`1` = serial).
-    threads: usize,
+    /// The executor every single-pass run uses (`None` = inline unit).
+    threads: Option<usize>,
     /// Observation-only: run outputs are bitwise identical with it on
     /// or off.
     telemetry: Telemetry,
@@ -119,23 +120,6 @@ struct Runs {
     taps: Option<TapRun>,
 }
 
-/// Run a scenario on the requested engine: the serial reference for
-/// `threads <= 1`, the sharded engine otherwise. Both produce bitwise
-/// identical output (see `tests/determinism.rs`), so the choice is a
-/// pure performance knob.
-fn execute(
-    cfg: ScenarioConfig,
-    opts: RunOptions,
-    threads: usize,
-    tel: &mut Telemetry,
-) -> RunOutput {
-    if threads > 1 {
-        pipeline::run_parallel_with_recorder(cfg, opts, threads, tel)
-    } else {
-        pipeline::run_with_recorder(cfg, opts, tel)
-    }
-}
-
 impl Runs {
     /// Darknet-1 (2021) characterization run.
     fn darknet1(&mut self) -> &RunOutput {
@@ -144,7 +128,7 @@ impl Runs {
         self.darknet1.get_or_insert_with(|| {
             eprintln!("[run] darknet-1 ({} days)...", spans.darknet1_days);
             let cfg = ScenarioConfig::darknet(Year::Y2021, spans.darknet1_days, seed ^ 0x2021);
-            execute(cfg, RunOptions::darknet_only(), threads, tel)
+            pipeline::run_with(cfg, RunOptions::darknet_only(), threads, tel)
         })
     }
 
@@ -155,7 +139,7 @@ impl Runs {
         self.darknet2.get_or_insert_with(|| {
             eprintln!("[run] darknet-2 ({} days)...", spans.darknet2_days);
             let cfg = ScenarioConfig::darknet(Year::Y2022, spans.darknet2_days, seed ^ 0x2022);
-            execute(cfg, RunOptions::darknet_only(), threads, tel)
+            pipeline::run_with(cfg, RunOptions::darknet_only(), threads, tel)
         })
     }
 
@@ -166,7 +150,7 @@ impl Runs {
         self.flows.get_or_insert_with(|| {
             eprintln!("[run] flow week (1 warm-up + {} days, Merit benign)...", spans.flow_days);
             let cfg = ScenarioConfig::flows(spans.flow_days + 1, seed ^ 0xf10f);
-            execute(cfg, RunOptions::with_flows(), threads, tel)
+            pipeline::run_with(cfg, RunOptions::with_flows(), threads, tel)
         })
     }
 
@@ -180,7 +164,7 @@ impl Runs {
             cfg.label = "gn-month".into();
             cfg.benign = BenignLevel::Off;
             let opts = RunOptions { greynoise: true, ..RunOptions::darknet_only() };
-            execute(cfg, opts, threads, tel)
+            pipeline::run_with(cfg, opts, threads, tel)
         })
     }
 
@@ -252,7 +236,7 @@ fn main() {
     let mut ids: Vec<&str> = Vec::new();
     let mut scale = 1.0f64;
     let mut seed = 1u64;
-    let mut threads = 0usize;
+    let mut threads = None;
     let mut out = PathBuf::from("out");
     let mut obs = ObsFlags::new(100_000);
     let mut i = 0;
@@ -271,7 +255,7 @@ fn main() {
             }
             "--threads" => {
                 i += 1;
-                threads = parse_flag(&args, i, "--threads", "integer");
+                threads = parse_threads(&args, i);
             }
             "--out" => {
                 i += 1;
@@ -288,7 +272,7 @@ fn main() {
     }
     if ids.is_empty() {
         eprintln!(
-            "usage: experiment <table1..table9|fig1..fig6|whatif|health|all>... [--days-scale F (finite, > 0)] [--seed N] [--out DIR] [--threads N] {OBS_USAGE}"
+            "usage: experiment <table1..table9|fig1..fig6|whatif|health|all>... [--days-scale F (finite, > 0)] [--seed N] [--out DIR] [--threads N (0/1 inline, up to 256 shards)] {OBS_USAGE}"
         );
         std::process::exit(2);
     }

@@ -1,5 +1,5 @@
-//! The observability command line both binaries share
-//! (`aggressive-scanners` and `experiment`):
+//! The command line both binaries share (`aggressive-scanners` and
+//! `experiment`): the observability flags
 //!
 //! ```text
 //! [--metrics PATH] [--metrics-interval N]
@@ -7,7 +7,9 @@
 //! [--mem-report]
 //! ```
 //!
-//! Three steps: [`ObsFlags::accept`] while the binary walks its argument
+//! and `--threads N`, the executor ([`parse_threads`]).
+//!
+//! The observability flags take three steps: [`ObsFlags::accept`] while the binary walks its argument
 //! list, [`ObsFlags::telemetry`] once the seed is known, and
 //! [`ObsFlags::finish`] after the last run. Status lines go to stderr;
 //! stdout stays the binary's own report. An output path that cannot be
@@ -45,6 +47,26 @@ fn flag_value<T: std::str::FromStr>(
 /// missing or malformed value is a [`usage_error`].
 pub fn parse_flag<T: std::str::FromStr>(args: &[String], i: usize, flag: &str, kind: &str) -> T {
     flag_value(args, i, flag, kind).unwrap_or_else(|e| usage_error(e))
+}
+
+/// The most worker shards `--threads` may ask for.
+const MAX_THREADS: usize = 256;
+
+/// The executor `--threads` names, as the pipeline's doors take it:
+/// 0 or 1 is the inline unit (`None`), 2 to [`MAX_THREADS`] that many
+/// shards; a larger count, or a value that is not an integer, is an error.
+fn threads(args: &[String], i: usize) -> Result<Option<usize>, String> {
+    match flag_value(args, i, "--threads", "integer")? {
+        0 | 1 => Ok(None),
+        n if n <= MAX_THREADS => Ok(Some(n)),
+        n => Err(format!("--threads {n} is more than the {MAX_THREADS} shards a run may use")),
+    }
+}
+
+/// The value following `--threads`, parsed as an executor (see
+/// `threads`); a bad value is a [`usage_error`].
+pub fn parse_threads(args: &[String], i: usize) -> Option<usize> {
+    threads(args, i).unwrap_or_else(|e| usage_error(e))
 }
 
 /// Step `*i` onto the flag's value and parse it as one of the two
@@ -248,6 +270,21 @@ mod tests {
         }
         let err = parse("--trace-sample many").unwrap_err();
         assert_eq!(err, "--trace-sample: \"many\" is not a valid integer");
+    }
+
+    #[test]
+    fn thread_counts_name_an_executor() {
+        let at = |v: &str| threads(&["--threads".to_string(), v.to_string()], 1);
+        assert_eq!(at("0"), Ok(None));
+        assert_eq!(at("1"), Ok(None));
+        assert_eq!(at("2"), Ok(Some(2)));
+        assert_eq!(at("256"), Ok(Some(MAX_THREADS)));
+        let err = at("257").unwrap_err();
+        assert_eq!(err, "--threads 257 is more than the 256 shards a run may use");
+        assert!(at("100000").is_err());
+        assert_eq!(at("-1").unwrap_err(), "--threads: \"-1\" is not a valid integer");
+        let missing = threads(&["--threads".to_string()], 1).unwrap_err();
+        assert_eq!(missing, "--threads requires a value (integer)");
     }
 
     #[test]

@@ -10,8 +10,11 @@
 //!                     [--mem-report]
 //! ```
 //!
-//! Runs one full-vantage scenario (telescope + both ISPs + honeypots) on
-//! the sharded engine and prints the health ledger. With `--metrics PATH`
+//! Runs one full-vantage scenario (telescope + both ISPs + honeypots) and
+//! prints the health ledger. `--threads N` picks the executor for every
+//! run, replays and resumes included: 0 or 1 is the inline unit, 2 to
+//! 256 that many shards (default 4); the output is bitwise identical on
+//! either. With `--metrics PATH`
 //! every stage records instruments on a shared recorder and periodic
 //! snapshots are written to `PATH.jsonl` (one JSON object per line) and
 //! `PATH.prom` (Prometheus text exposition, latest snapshot). Telemetry
@@ -19,7 +22,7 @@
 //! metrics on or off (see `tests/telemetry.rs`).
 //!
 //! With `--wal-dir DIR` the run becomes durable: every generated packet
-//! is appended to a write-ahead log in `DIR` before the shards see it.
+//! is appended to a write-ahead log in `DIR` before the executor sees it.
 //! `--resume` continues an interrupted durable run from its
 //! recovered prefix; `--replay` re-runs detection over a sealed log
 //! without re-simulating. `--suspend-after N` stops cleanly after `N`
@@ -51,8 +54,8 @@
 //! (`src/bin/experiment.rs`), which takes the same observability flags
 //! (both parse them through `aggressive_scanners::cli`).
 
-use aggressive_scanners::cli::{parse_flag, usage_error, ObsFlags, OBS_USAGE};
-use aggressive_scanners::pipeline::{self, RunOptions, RunOutput, WalOutcome, WalRun};
+use aggressive_scanners::cli::{parse_flag, parse_threads, usage_error, ObsFlags, OBS_USAGE};
+use aggressive_scanners::pipeline::{self, Log, RunOptions, RunOutput, WalOutcome, WalRun};
 use aggressive_scanners::simnet::scenario::ScenarioConfig;
 use aggressive_scanners::telescope::event::MAX_DAYS;
 use std::path::PathBuf;
@@ -60,7 +63,7 @@ use std::path::PathBuf;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut obs = ObsFlags::new(10_000);
-    let mut threads = 4usize;
+    let mut threads = Some(4);
     let mut days = 3u64;
     let mut seed = 7u64;
     let mut wal_dir: Option<PathBuf> = None;
@@ -73,7 +76,7 @@ fn main() {
         match args[i].as_str() {
             "--threads" => {
                 i += 1;
-                threads = parse_flag(&args, i, "--threads", "integer");
+                threads = parse_threads(&args, i);
             }
             "--days" => {
                 i += 1;
@@ -102,7 +105,7 @@ fn main() {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: aggressive-scanners [--threads N] [--days N] [--seed N] [--wal-dir DIR] [--resume] [--replay] [--suspend-after N] [--crash-after N] {OBS_USAGE}"
+                    "usage: aggressive-scanners [--threads N (0/1 inline, up to 256 shards)] [--days N] [--seed N] [--wal-dir DIR] [--resume] [--replay] [--suspend-after N] [--crash-after N] {OBS_USAGE}"
                 );
                 return;
             }
@@ -134,29 +137,33 @@ fn main() {
     let opts = RunOptions::full();
     let cfg = ScenarioConfig::tiny(days, seed);
     let t0 = std::time::Instant::now();
+    let on = match threads {
+        None => "inline".to_string(),
+        Some(n) => format!("{n} shards"),
+    };
     let out: RunOutput = match wal_dir {
         None => {
-            eprintln!("[run] tiny world, {days} days, seed {seed}, {threads} shard(s)...");
-            pipeline::run_parallel_with_recorder(cfg, opts, threads, &mut tel)
+            eprintln!("[run] tiny world, {days} days, seed {seed}, {on}...");
+            pipeline::run_with(cfg, opts, threads, &mut tel)
         }
         Some(dir) => {
             let mut wal = WalRun::new(dir.clone());
             wal.suspend_after = suspend_after;
             wal.crash_after = crash_after;
-            let outcome = if replay {
-                eprintln!("[run] replaying sealed WAL {}...", dir.display());
-                pipeline::replay_wal(cfg, opts, &dir, &mut tel).map(WalOutcome::Completed)
+            let log = if replay {
+                eprintln!("[run] replaying sealed WAL {}, {on}...", dir.display());
+                Log::Replay(&dir)
             } else if resume {
-                eprintln!("[run] resuming durable run from {}...", dir.display());
-                pipeline::resume_wal(cfg, opts, &wal, &mut tel)
+                eprintln!("[run] resuming durable run from {}, {on}...", dir.display());
+                Log::Resume(&wal)
             } else {
                 eprintln!(
-                    "[run] durable run, tiny world, {days} days, seed {seed}, {threads} shard(s), WAL {}...",
+                    "[run] durable run, tiny world, {days} days, seed {seed}, {on}, WAL {}...",
                     dir.display()
                 );
-                pipeline::run_parallel_wal(cfg, opts, threads, &wal, &mut tel)
+                Log::Fresh(&wal)
             };
-            match outcome {
+            match pipeline::run_with_log(cfg, opts, threads, log, &mut tel) {
                 Ok(WalOutcome::Completed(out)) => *out,
                 Ok(WalOutcome::Suspended { delivered, durable_seq }) => {
                     println!("suspended at {delivered} packets fed ({durable_seq} durable frames)");

@@ -5,23 +5,26 @@
 //! CU-like campus border, and the honeypot fleet — in a single pass, then
 //! finalizes detection.
 //!
-//! One engine runs every entry point; each public `run*` function is it
-//! with some parts switched off (`ARCHITECTURE.md` §1 has the table):
+//! One engine runs every run, entered through two doors that take the
+//! executor as an argument: [`run_with`] in memory, which can neither
+//! fail nor suspend, and [`run_with_log`] journaled, resumed or replayed
+//! ([`Log`]), which can. Every (log × executor) cell is reachable
+//! (`ARCHITECTURE.md` §1 has the grid); [`run`] is the quickstart.
 //!
 //! ```text
 //! feeder (mux | recovered log [+ mux]) → journal? → executor (inline | N shards) → finalize_run
 //! ```
 //!
 //! * **Feeders.** The live traffic mux, and a recovered write-ahead log
-//!   ([`resume_wal`] feeds the log, then the mux; [`replay_wal`] the log
-//!   alone). Both end in one `deliver` step, once per fed slice of up to
+//!   ([`Log::Resume`] feeds the log, then the mux; [`Log::Replay`] the
+//!   log alone). Both end in one `deliver` step, once per fed slice of up to
 //!   `BATCH` packets: the journal logs the slice packet by packet and
 //!   trims it where the stream stops, and the executor takes what is
 //!   left. Whenever the stream position crosses a multiple of `BATCH`
 //!   the engine reaches the batch boundary, where the inline unit
 //!   publishes its stage counts and the exporter ticks.
-//! * **Executor.** [`run`] consumes on the driver thread — the serial
-//!   reference. [`run_parallel`] is a pure router: it hands each packet
+//! * **Executor.** `threads: None` consumes on the driver thread — the
+//!   serial reference. `Some(n)` is a pure router: it hands each packet
 //!   to the worker shard owning its source IP over a bounded SPSC ring
 //!   ([`ah_simnet::ring`], std's `sync_channel`) whose items are
 //!   `BATCH`-packet batches.
@@ -38,12 +41,17 @@
 //!   Every execution unit, inline or shard, owns the fault injector in
 //!   front of its vantage points, and takes packets only as a slice:
 //!   each stage runs over the whole slice before the next one starts.
-//! * **Journal.** [`run_wal`] / [`run_parallel_wal`] append every fed
+//! * **Journal.** [`Log::Fresh`] and [`Log::Resume`] append every fed
 //!   packet to the log before the executor sees it: the log is the run's
 //!   input, before any fault, and a replay or resume injects again from
 //!   the caller's plan, which frame 0 (the run's own rendering) proves
-//!   equal to the writer's. [`resume_wal`] documents how a
-//!   recovered prefix is re-joined to the live stream.
+//!   equal to the writer's. [`Log::Resume`] documents how a recovered
+//!   prefix is re-joined to the live stream. The log does not record the
+//!   executor, so a log written on either resumes and replays on either.
+//!
+//! [`run_parallel`], [`run_parallel_with_recorder`], [`run_wal`] and
+//! [`replay_wal`] are one-line shells over the doors, kept for the
+//! benchmark's pinned API and for tests.
 //!
 //! Tap experiments (Figures 1/2) are inherently two-phase: the paper
 //! derives the hitter list from darknet detection *before* counting
@@ -80,6 +88,7 @@ use ah_wal::record::{RunSeal, WalRecord};
 use ah_wal::{RecoveredLog, WalWriter, WalWriterConfig};
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
+use std::convert::Infallible;
 use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -148,7 +157,8 @@ impl RunOptions {
 /// *stream positions* (packets fed to the executor), never wall-clock
 /// time — so a run with a live recorder produces a [`RunOutput`] bitwise
 /// identical to the same run with [`Telemetry::disabled`].
-/// `tests/telemetry.rs` holds every entry point to exactly this standard.
+/// `tests/telemetry.rs` holds both doors, on both executors, to exactly
+/// this standard.
 pub struct Telemetry {
     /// Recorder every stage registers its instruments on.
     pub(crate) recorder: Recorder,
@@ -158,7 +168,7 @@ pub struct Telemetry {
     /// Span/journey tracer threaded through every stage ([`ah_trace`]).
     /// Noop by default; like the recorder it is observation-only, so a
     /// live tracer leaves the [`RunOutput`] bitwise identical
-    /// (`tests/trace.rs` holds every entry point to this).
+    /// (`tests/trace.rs` holds both doors, on both executors, to this).
     pub tracer: Tracer,
     /// Periodic memory-account refresher ([`ah_mem`] → `ah_mem_*`
     /// gauges + peak-pressure trace instants), ticked at the same
@@ -1075,15 +1085,14 @@ fn merge_flow_parts(parts: Vec<FlowDataset>) -> Option<FlowDataset> {
 
 // --- Durable runs: configuration and outcome ----------------------------
 
-/// Durable-run configuration: where the write-ahead log lives, its
-/// group-commit/rotation tunables, and the optional interruption points
-/// used by chaos tests and the crash-recovery gate (`tests/cli.rs`).
+/// Durable-run configuration: where the write-ahead log lives and the
+/// optional interruption points used by chaos tests and the
+/// crash-recovery gate (`tests/cli.rs`). The log is written with
+/// [`ah_wal::WalWriterConfig`]'s defaults.
 #[derive(Debug, Clone)]
 pub struct WalRun {
     /// Directory holding the log: its `*.seg` files and nothing else.
     dir: PathBuf,
-    /// Append-path tunables (group-commit batch, segment size).
-    pub writer: WalWriterConfig,
     /// Suspend cleanly after this many fed (and logged) packets: commit
     /// the log, leave it unsealed, and return [`WalOutcome::Suspended`].
     pub suspend_after: Option<u64>,
@@ -1093,15 +1102,9 @@ pub struct WalRun {
 }
 
 impl WalRun {
-    /// A durable run writing to `dir` with default tunables and no
-    /// interruption points.
+    /// A durable run writing to `dir` with no interruption points.
     pub fn new(dir: impl Into<PathBuf>) -> WalRun {
-        WalRun {
-            dir: dir.into(),
-            writer: WalWriterConfig::default(),
-            suspend_after: None,
-            crash_after: None,
-        }
+        WalRun { dir: dir.into(), suspend_after: None, crash_after: None }
     }
 
     /// Suspend after `n` fed packets.
@@ -1117,9 +1120,28 @@ impl WalRun {
     }
 }
 
+/// The write-ahead log a [`run_with_log`] run reads or writes.
+#[derive(Debug, Clone, Copy)]
+pub enum Log<'a> {
+    /// Journal the live stream into a fresh log. A completed run seals
+    /// it; a suspended or crashed one leaves a prefix to resume.
+    Fresh(&'a WalRun),
+    /// Feed the log recovered from the run's directory (truncating any
+    /// torn tail), then re-drive the generator past that prefix — whose
+    /// payload hash must match the log's — journaling onto the same log.
+    /// A sealed log is replayed; an empty directory starts a fresh log.
+    /// An interruption point inside the prefix is refused
+    /// ([`io::ErrorKind::InvalidInput`]) and the log stays resumable.
+    Resume(&'a WalRun),
+    /// Feed the sealed log in this directory and nothing else: the stored
+    /// stream takes the mux's place, and the seal's count and hash are
+    /// held to what the log contained. An unsealed log is refused.
+    Replay(&'a Path),
+}
+
 /// Result of a durable run: either a finished [`RunOutput`] (log sealed)
 /// or a clean suspension (log committed but unsealed, ready for
-/// [`resume_wal`]).
+/// [`Log::Resume`]).
 pub enum WalOutcome {
     /// The run finished; the log is sealed and replayable.
     Completed(Box<RunOutput>),
@@ -1243,12 +1265,18 @@ impl Journal {
     }
 }
 
-/// How feeding the engine ended.
-enum Fed {
-    /// All fed: the generated total.
-    Finished(u64),
+/// Why a journaled feed ended before the stream did.
+enum Stop {
     /// The journal reached its suspension point.
-    Suspended { fed: u64, durable_seq: u64 },
+    Suspended { delivered: u64, durable_seq: u64 },
+    /// The log failed, or was refused.
+    Failed(io::Error),
+}
+
+impl From<io::Error> for Stop {
+    fn from(e: io::Error) -> Stop {
+        Stop::Failed(e)
+    }
 }
 
 /// The one execution engine (see the module docs for the picture). Both
@@ -1355,143 +1383,125 @@ impl Engine<'_, '_> {
         Ok((log, hash))
     }
 
-    /// Run the feeders the inputs call for: the recovered log (resume,
+    /// Feed the run `log` names: the recovered log first (resume,
     /// replay), then — unless that log was sealed, which ends the run
-    /// there — the live mux built from `cfg`, journaled when `journal_to`
-    /// is set.
-    fn feed(
-        &mut self,
-        recover_from: Option<&Path>,
-        journal_to: Option<&WalRun>,
-        cfg: ScenarioConfig,
-        meta: &[u8],
-    ) -> io::Result<Fed> {
-        let mut prefix_hash = FNV_OFFSET;
-        // The recovered watermark when the journal continues an existing log.
-        let mut resume_at = None;
-        if let Some(dir) = recover_from {
-            let (log, hash) = self.recover(dir, meta)?;
-            prefix_hash = hash;
-            match (log.seal, journal_to) {
-                // A sealed log is the whole run.
-                (Some(seal), _) => {
-                    if seal.generated != self.pos {
-                        return Err(invalid(format!(
-                            "seal records {} generated packets but the log holds {}",
-                            seal.generated, self.pos
-                        )));
-                    }
-                    if seal.packet_hash != hash {
-                        return Err(invalid(
-                            "sealed packet-stream hash does not match the log contents",
-                        ));
-                    }
-                    return Ok(Fed::Finished(seal.generated));
-                }
-                (None, None) if log.next_seq == 0 => {
-                    return Err(invalid(format!(
+    /// there — the live mux built from `cfg`, journaled onto the log.
+    /// Returns the generated total of a run fed to its end.
+    fn feed(&mut self, log: Log<'_>, cfg: ScenarioConfig, meta: &[u8]) -> Result<u64, Stop> {
+        // The run to journal, the recovered watermark when it continues
+        // an existing log, and the rolling FNV over that log's prefix.
+        let (wal, resume_at, prefix_hash) = match log {
+            Log::Fresh(wal) => (wal, None, FNV_OFFSET),
+            Log::Replay(dir) => {
+                let (log, hash) = self.recover(dir, meta)?;
+                return match log.seal {
+                    Some(seal) => Ok(self.sealed(seal, hash)?),
+                    None if log.next_seq == 0 => Err(invalid(format!(
                         "there is no WAL in {}: nothing to replay",
                         dir.display()
-                    )));
-                }
-                (None, None) => {
-                    return Err(invalid("WAL is not sealed (interrupted run?) — use resume_wal"));
-                }
-                // An empty directory resumes as a fresh journaled run.
-                (None, Some(_)) if log.next_seq == 0 => {}
-                (None, Some(_)) => resume_at = Some(log.next_seq),
+                    ))
+                    .into()),
+                    None => Err(invalid(
+                        "WAL is not sealed (interrupted run?) — resume it (Log::Resume, --resume)",
+                    )
+                    .into()),
+                };
             }
-        }
-        if let Some(wal) = journal_to {
-            // An interruption point fires after the packet that reaches
-            // it, and the fast-forward over a recovered prefix evaluates
-            // none: one at or inside the prefix — 0 on a fresh log — could
-            // never fire at the position it names.
-            for at in [wal.suspend_after, wal.crash_after].into_iter().flatten() {
-                if at <= self.pos {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!(
-                            "interruption point {at} can never fire: it is not past the {} packets already durable",
-                            self.pos
-                        ),
-                    ));
+            Log::Resume(wal) => {
+                let (log, hash) = self.recover(&wal.dir, meta)?;
+                match log.seal {
+                    Some(seal) => return Ok(self.sealed(seal, hash)?),
+                    // An empty directory resumes as a fresh journaled run.
+                    None if log.next_seq == 0 => (wal, None, FNV_OFFSET),
+                    None => (wal, Some(log.next_seq), hash),
                 }
             }
-            let mut writer = match resume_at {
-                Some(next_seq) => {
-                    WalWriter::resume(&wal.dir, wal.writer, next_seq, &self.tel.recorder)?
-                }
-                None => {
-                    let mut w = WalWriter::create(&wal.dir, wal.writer, &self.tel.recorder)?;
-                    w.append(&WalRecord::Meta(meta.to_vec()))?;
-                    w.commit()?;
-                    w
-                }
-            };
-            writer.set_tracer(&self.tel.tracer);
-            self.journal = Some(Journal {
-                writer,
-                scratch: Vec::new(),
-                hash: FNV_OFFSET,
-                skip: self.pos,
-                prefix_hash,
-                suspend_after: wal.suspend_after,
-                crash_after: wal.crash_after,
-            });
+        };
+        // An interruption point fires after the packet that reaches it,
+        // and the fast-forward over a recovered prefix evaluates none:
+        // one at or inside the prefix — 0 on a fresh log — could never
+        // fire at the position it names.
+        for at in [wal.suspend_after, wal.crash_after].into_iter().flatten() {
+            if at <= self.pos {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!(
+                        "interruption point {at} can never fire: it is not past the {} packets already durable",
+                        self.pos
+                    ),
+                )
+                .into());
+            }
         }
+        let config = WalWriterConfig::default();
+        let mut writer = match resume_at {
+            Some(next_seq) => WalWriter::resume(&wal.dir, config, next_seq, &self.tel.recorder)?,
+            None => {
+                let mut w = WalWriter::create(&wal.dir, config, &self.tel.recorder)?;
+                w.append(&WalRecord::Meta(meta.to_vec()))?;
+                w.commit()?;
+                w
+            }
+        };
+        writer.set_tracer(&self.tel.tracer);
+        self.journal = Some(Journal {
+            writer,
+            scratch: Vec::new(),
+            hash: FNV_OFFSET,
+            skip: self.pos,
+            prefix_hash,
+            suspend_after: wal.suspend_after,
+            crash_after: wal.crash_after,
+        });
         self.pull(&mut Scenario::build(cfg).mux);
         let suspended = self.halt.take().transpose()?.is_some();
         if let Some(j) = self.journal.as_mut() {
             j.writer.commit()?;
             if suspended {
                 let durable_seq = j.writer.durable_seq();
-                return Ok(Fed::Suspended { fed: self.pos, durable_seq });
+                return Err(Stop::Suspended { delivered: self.pos, durable_seq });
             }
             j.writer.seal(RunSeal { generated: self.pos, packet_hash: j.hash })?;
         }
-        Ok(Fed::Finished(self.pos))
+        Ok(self.pos)
     }
 
-    /// Assemble and run the engine for one public entry point:
-    ///
-    /// * `threads` picks the executor — `None` the inline vantage stack,
-    ///   `Some(n)` `n` shard workers;
-    /// * `recover_from` feeds a recovered log first (resume, replay);
-    /// * `journal_to` journals the live stream (and, with `recover_from`,
-    ///   makes the run a resume rather than a replay).
-    fn run(
-        cfg: ScenarioConfig,
-        opts: RunOptions,
-        threads: Option<usize>,
-        recover_from: Option<&Path>,
-        journal_to: Option<&WalRun>,
-        tel: &mut Telemetry,
-    ) -> io::Result<WalOutcome> {
-        let meta = run_description(&cfg, &opts);
-        let (world, days) = (cfg.world.clone(), cfg.days);
-        Engine::execute(world, days, opts, threads, tel, |engine| {
-            engine.feed(recover_from, journal_to, cfg, &meta)
-        })
+    /// A sealed log is the whole run: hold its seal to what the log fed
+    /// (`hash` is the rolling FNV over its packet payloads) and return
+    /// the generated total.
+    fn sealed(&self, seal: RunSeal, hash: u64) -> io::Result<u64> {
+        if seal.generated != self.pos {
+            return Err(invalid(format!(
+                "seal records {} generated packets but the log holds {}",
+                seal.generated, self.pos
+            )));
+        }
+        if seal.packet_hash != hash {
+            return Err(invalid("sealed packet-stream hash does not match the log contents"));
+        }
+        Ok(seal.generated)
     }
 
-    /// Hand a fresh executor to `feed`, then collect and finalize what it
-    /// was fed.
-    fn execute(
+    /// Hand a fresh executor to `feed` — `threads` picks it: `None` the
+    /// inline unit, `Some(n)` `n.max(1)` shard workers — then collect
+    /// and finalize what it was fed. `feed` returns the generated total
+    /// of a stream fed to its end, or why it stopped short; a run that
+    /// stopped short is not finalized.
+    fn execute<E>(
         world: WorldConfig,
         days: u64,
         opts: RunOptions,
         threads: Option<usize>,
         tel: &mut Telemetry,
-        feed: impl FnOnce(&mut Engine<'_, '_>) -> io::Result<Fed>,
-    ) -> io::Result<WalOutcome> {
+        feed: impl FnOnce(&mut Engine<'_, '_>) -> Result<u64, E>,
+    ) -> Result<RunOutput, E> {
         let world = {
             let _mem = MemScope::enter(Tag::Mux);
             World::new(world)
         };
         let rec = tel.recorder.clone();
         let tracer = tel.tracer.clone();
-        let (fed, shards) = std::thread::scope(|s| -> io::Result<_> {
+        let (generated, shards) = std::thread::scope(|s| {
             {
                 // Pre-warm this thread's trace buffer under the Trace tag
                 // so its allocation never lands on a run-scoped account
@@ -1514,164 +1524,116 @@ impl Engine<'_, '_> {
             // tails on suspension and error too; only a finished run keeps
             // what they return.
             let shards = match (&fed, engine.exec) {
-                (Ok(Fed::Finished(_)), Executor::Inline(unit)) => vec![unit.finish()],
-                (_, Executor::Inline(mut unit)) => {
+                (Ok(_), Executor::Inline(unit)) => vec![unit.finish()],
+                (Err(_), Executor::Inline(mut unit)) => {
                     unit.publish();
                     Vec::new()
                 }
                 (_, Executor::Sharded(shards)) => shards.join(&rec, &tracer),
             };
-            Ok((fed?, shards))
+            fed.map(|generated| (generated, shards))
         })?;
-        match fed {
-            Fed::Suspended { fed, durable_seq } => {
-                Ok(WalOutcome::Suspended { delivered: fed, durable_seq })
-            }
-            Fed::Finished(generated) => Ok(WalOutcome::Completed(Box::new(finalize_run(
-                world, days, generated, shards, &opts, tel,
-            )))),
-        }
+        Ok(finalize_run(world, days, generated, shards, &opts, tel))
     }
 }
 
-// --- Public entry points: constructors over the engine ------------------
+// --- Public entry points: two doors over the engine ---------------------
 
-/// An unjournaled run: no log to fail on, no interruption point to stop at.
-fn run_unjournaled(
+/// Run a scenario through every requested vantage point and detect, on
+/// the inline unit with telemetry off: [`run_with`]'s quickstart.
+pub fn run(cfg: ScenarioConfig, opts: RunOptions) -> RunOutput {
+    run_with(cfg, opts, None, &mut Telemetry::disabled())
+}
+
+/// The in-memory door: run a scenario and detect on the executor
+/// `threads` picks — `None` the inline unit, `Some(n)` `n.max(1)` shards,
+/// with bitwise identical output (the module docs describe both). Nothing
+/// on this path can fail or suspend. `tel` observes the run without
+/// changing its output: every unit publishes its stages' counts on
+/// `tel.recorder`, the dispatcher adds stall, ring-occupancy and nap
+/// instruments, and `tel.exporter` ticks at stream positions.
+pub fn run_with(
     cfg: ScenarioConfig,
     opts: RunOptions,
     threads: Option<usize>,
     tel: &mut Telemetry,
 ) -> RunOutput {
-    match Engine::run(cfg, opts, threads, None, None, tel) {
-        Ok(WalOutcome::Completed(out)) => *out,
-        #[expect(
-            clippy::unreachable,
-            reason = "every Err and every Suspended in Engine::run originates in the recovered log or the journal, and this run has neither"
-        )]
-        _ => unreachable!("an unjournaled run can neither fail on I/O nor suspend"),
+    let (world, days) = (cfg.world.clone(), cfg.days);
+    let Ok(out) = Engine::execute(world, days, opts, threads, tel, |engine| {
+        engine.pull(&mut Scenario::build(cfg).mux);
+        Ok::<_, Infallible>(engine.pos)
+    });
+    out
+}
+
+/// The durable door: run a scenario journaled, resumed or replayed, as
+/// `log` says, on the executor `threads` picks (as in [`run_with`]). A log
+/// is refused unless its frame 0 renders these very `cfg` and `opts`; it
+/// never records its executor, so it resumes and replays on either to the
+/// output of an uninterrupted [`run`]. `Ok(WalOutcome::Suspended)` is a
+/// run that reached its `suspend_after` point; `Err` is a log that failed
+/// or was refused.
+pub fn run_with_log(
+    cfg: ScenarioConfig,
+    opts: RunOptions,
+    threads: Option<usize>,
+    log: Log<'_>,
+    tel: &mut Telemetry,
+) -> io::Result<WalOutcome> {
+    match log {
+        Log::Fresh(_) => {}
+        Log::Resume(_) => tel.recorder.counter("ah_wal_resume_runs_total").inc(),
+        Log::Replay(_) => tel.recorder.counter("ah_wal_replay_runs_total").inc(),
+    }
+    let meta = run_description(&cfg, &opts);
+    let (world, days) = (cfg.world.clone(), cfg.days);
+    match Engine::execute(world, days, opts, threads, tel, |engine| engine.feed(log, cfg, &meta)) {
+        Ok(out) => Ok(WalOutcome::Completed(Box::new(out))),
+        Err(Stop::Suspended { delivered, durable_seq }) => {
+            Ok(WalOutcome::Suspended { delivered, durable_seq })
+        }
+        Err(Stop::Failed(e)) => Err(e),
     }
 }
 
-/// Run a scenario through every requested vantage point and detect.
-pub fn run(cfg: ScenarioConfig, opts: RunOptions) -> RunOutput {
-    run_with_recorder(cfg, opts, &mut Telemetry::disabled())
-}
+// Shells over the doors, kept for the benchmark's pinned API and tests.
 
-/// [`run`] with live telemetry: the unit publishes its stages' counts on
-/// `tel.recorder` at every batch boundary and on exit, and `tel.exporter`
-/// (if any) is ticked at the same deterministic stream positions. The returned [`RunOutput`] is bitwise identical to a
-/// [`run`] of the same inputs.
-pub fn run_with_recorder(cfg: ScenarioConfig, opts: RunOptions, tel: &mut Telemetry) -> RunOutput {
-    run_unjournaled(cfg, opts, None, tel)
-}
-
-/// Run the same pipeline on `threads` worker shards.
-///
-/// The dispatcher is a pure router: it drives the traffic mux and stages
-/// each raw packet into a batch for the shard owning the packet's source
-/// IP, pushing each full batch (and, at the end, each partial one) onto
-/// that shard's SPSC ring. Each shard runs its own fault injector (fault
-/// verdicts are keyed by source and per-source sequence number, so a
-/// shard's substream reproduces the serial verdicts exactly — see
-/// [`ah_simnet::faults`]) and its own vantage stack, whose reordering,
-/// sampling, and lateness decisions are all per-key pure. Each shard
-/// thread returns its result through its join handle; the results fold
-/// commutatively.
-///
-/// The output is bitwise identical to [`run`] with the same inputs;
-/// `threads == 0` or `1` still goes through the sharded path (with one
-/// worker), which is useful for isolating engine differences.
+/// Shell: [`run_with`] on `threads` shards (one at `0` or `1`), telemetry off.
 pub fn run_parallel(cfg: ScenarioConfig, opts: RunOptions, threads: usize) -> RunOutput {
-    run_parallel_with_recorder(cfg, opts, threads, &mut Telemetry::disabled())
+    run_with(cfg, opts, Some(threads), &mut Telemetry::disabled())
 }
 
-/// [`run_parallel`] with live telemetry. Dispatcher-side instruments add
-/// stall timing (how long the dispatcher blocked on a full shard ring)
-/// and per-shard dispatch-ring occupancy high-water marks (in packets),
-/// and each shard counts the naps its idle waits took, on top
-/// of the stage counts each shard publishes after every ring batch. Packet order
-/// on every ring is identical with telemetry on or off, so the output
-/// stays bitwise identical to [`run`] / [`run_parallel`].
+/// Shell: [`run_with`] on `threads` shards (one at `0` or `1`).
 pub fn run_parallel_with_recorder(
     cfg: ScenarioConfig,
     opts: RunOptions,
     threads: usize,
     tel: &mut Telemetry,
 ) -> RunOutput {
-    run_unjournaled(cfg, opts, Some(threads), tel)
+    run_with(cfg, opts, Some(threads), tel)
 }
 
-/// Serial durable run: like [`run_with_recorder`], but every packet the
-/// mux generates is appended to a write-ahead log before the executor
-/// sees it. A completed run seals the log (making it replayable via
-/// [`replay_wal`]); an interrupted one leaves a committed prefix that
-/// [`resume_wal`] picks up mid-simulation.
+/// Shell: [`run_with_log`] into a fresh log, on the inline unit.
 pub fn run_wal(
     cfg: ScenarioConfig,
     opts: RunOptions,
     wal: &WalRun,
     tel: &mut Telemetry,
 ) -> io::Result<WalOutcome> {
-    Engine::run(cfg, opts, None, None, Some(wal), tel)
+    run_with_log(cfg, opts, None, Log::Fresh(wal), tel)
 }
 
-/// Re-run detection over a sealed log without re-simulating: the stored
-/// stream takes the mux's place in front of the executor, and the seal's
-/// count and hash are held to what the log contained. Produces a
-/// [`RunOutput`] bitwise identical to the live run that wrote the log —
-/// same fingerprint, same daily AH lists.
+/// Shell: [`run_with_log`] replaying the sealed log in `dir`, on the
+/// inline unit.
 pub fn replay_wal(
     cfg: ScenarioConfig,
     opts: RunOptions,
     dir: &Path,
     tel: &mut Telemetry,
 ) -> io::Result<Box<RunOutput>> {
-    tel.recorder.counter("ah_wal_replay_runs_total").inc();
-    Engine::run(cfg, opts, None, Some(dir), None, tel)?
+    run_with_log(cfg, opts, None, Log::Replay(dir), tel)?
         .completed()
         .ok_or_else(|| invalid("replay suspended, but it has no journal to suspend on"))
-}
-
-/// Resume an interrupted durable run mid-simulation.
-///
-/// The durable prefix is recovered (truncating any torn/corrupt tail)
-/// and fed into a fresh executor, which rebuilds its injector and vantage
-/// state by passing through it; the deterministic generator is then
-/// re-driven from the seed with its first `prefix` packets skipped —
-/// verified against the log via a rolling payload hash at the crossing —
-/// and the run continues appending where the crash or suspension left off. Resuming a *sealed* log degenerates
-/// to [`replay_wal`]; resuming an empty directory is a fresh [`run_wal`].
-/// The continuation is serial; its output is still bitwise identical to
-/// an uninterrupted run at any thread count.
-///
-/// An interruption point (`wal.suspend_after` / `wal.crash_after`) at or
-/// inside the recovered prefix is rejected with
-/// [`io::ErrorKind::InvalidInput`] before anything is re-driven; the log
-/// is left as recovered and stays resumable.
-pub fn resume_wal(
-    cfg: ScenarioConfig,
-    opts: RunOptions,
-    wal: &WalRun,
-    tel: &mut Telemetry,
-) -> io::Result<WalOutcome> {
-    tel.recorder.counter("ah_wal_resume_runs_total").inc();
-    Engine::run(cfg, opts, None, Some(&wal.dir), Some(wal), tel)
-}
-
-/// Parallel durable run: the dispatcher appends every generated packet to
-/// the write-ahead log before routing it to the shard owning its source.
-/// The log is written in mux order, before any fault, so it is
-/// *byte-identical* to the one [`run_wal`] writes (the determinism suite
-/// pins the segment bytes) and resumes and replays at any thread count.
-pub fn run_parallel_wal(
-    cfg: ScenarioConfig,
-    opts: RunOptions,
-    threads: usize,
-    wal: &WalRun,
-    tel: &mut Telemetry,
-) -> io::Result<WalOutcome> {
-    Engine::run(cfg, opts, Some(threads), None, Some(wal), tel)
 }
 
 // --- Output fingerprinting ---------------------------------------------
@@ -1682,9 +1644,9 @@ impl RunOutput {
     /// entries, and the health ledgers.
     ///
     /// Two runs with equal fingerprints produced bitwise-identical
-    /// results; the determinism suite holds `run` and [`run_parallel`] to
-    /// exactly this standard. Hash-ordered containers are folded in
-    /// sorted order so the fingerprint is itself deterministic.
+    /// results; the determinism suite holds every executor and every
+    /// [`Log`] to exactly this standard. Hash-ordered containers are
+    /// folded in sorted order so the fingerprint is itself deterministic.
     pub fn fingerprint(&self) -> u64 {
         // FNV-1a over the canonical byte rendering of the output.
         let h = Cell::new(FNV_OFFSET);
@@ -1952,13 +1914,12 @@ mod tests {
                 engine.deliver(slice);
                 rest = tail;
             }
-            Ok(Fed::Finished(pkts.len() as u64))
+            Ok::<_, Infallible>(pkts.len() as u64)
         };
         let tel = &mut Telemetry::new(rec.clone());
-        match Engine::execute(cfg.world.clone(), cfg.days, RunOptions::full(), threads, tel, feed) {
-            Ok(WalOutcome::Completed(out)) => *out,
-            _ => panic!("an unjournaled stream runs to completion"),
-        }
+        let Ok(out) =
+            Engine::execute(cfg.world.clone(), cfg.days, RunOptions::full(), threads, tel, feed);
+        out
     }
 
     #[test]

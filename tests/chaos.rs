@@ -98,7 +98,7 @@ fn clean_plan_is_an_identity() {
 // reproduces the uninterrupted run's output bit for bit.
 
 use aggressive_scanners::obs::Recorder;
-use aggressive_scanners::pipeline::{Telemetry, WalOutcome, WalRun};
+use aggressive_scanners::pipeline::{Log, Telemetry, WalOutcome, WalRun};
 use aggressive_scanners::simnet::faults::{StorageFaultKind, StorageFaultPlan};
 use aggressive_scanners::wal;
 use std::path::{Path, PathBuf};
@@ -145,10 +145,12 @@ fn suspend_halfway(label: &str, plain: &RunOutput) -> PathBuf {
 
 /// Resume the log in `dir` to completion and hold it to `plain`.
 fn resume_matches(dir: &Path, label: &str, plain: &RunOutput) {
-    let resumed = pipeline::resume_wal(
+    let wal = WalRun::new(dir);
+    let resumed = pipeline::run_with_log(
         storage_cfg(),
         storage_opts(),
-        &WalRun::new(dir),
+        None,
+        Log::Resume(&wal),
         &mut Telemetry::disabled(),
     )
     .unwrap_or_else(|e| panic!("{label}: resume failed: {e}"))

@@ -136,11 +136,12 @@ fn snapshots_lost_to_io_errors_exit_1() {
 // --- Binary-level gates ---------------------------------------------------
 
 /// The output pin: `aggressive-scanners --days 1` prints this fingerprint
-/// on the sharded engine and on one shard. A change that moves it says so
-/// and re-pins here, with the reason, in the same change.
+/// on 4 shards and on the inline unit (`--threads 1`). A change that moves
+/// it says so and re-pins here, with the reason, in the same change.
+const PIN: &str = "2250227e126e53f2";
+
 #[test]
 fn output_fingerprint_is_pinned() {
-    const PIN: &str = "2250227e126e53f2";
     for threads in ["4", "1"] {
         let run = fingerprint_of(&["--threads", threads]);
         assert_eq!(run.code, Some(0), "--threads {threads}: {}", run.stderr);
@@ -150,7 +151,8 @@ fn output_fingerprint_is_pinned() {
 
 /// Durability drill with a real process kill (`ARCHITECTURE.md` §10): an
 /// abort mid-append leaves a torn, unsynced tail; the recovered log resumes
-/// and replays to an uninterrupted run's fingerprint.
+/// and replays to an uninterrupted run's fingerprint, and `--threads`
+/// reaches the replay: on 4 shards it publishes each shard's instruments.
 #[test]
 fn crashed_durable_run_resumes_and_replays_to_the_same_fingerprint() {
     let base = fingerprint_of(&[]).fingerprint;
@@ -165,7 +167,29 @@ fn crashed_durable_run_resumes_and_replays_to_the_same_fingerprint() {
     assert!(refused.stderr.contains("can never fire"), "{}", refused.stderr);
     assert_eq!(fingerprint_of(&["--wal-dir", &wal, "--resume"]).fingerprint, base, "resumed");
     assert_eq!(fingerprint_of(&["--wal-dir", &wal, "--replay"]).fingerprint, base, "replayed");
+    let metrics = format!("{wal}-metrics/m");
+    let sharded =
+        fingerprint_of(&["--wal-dir", &wal, "--replay", "--threads", "4", "--metrics", &metrics]);
+    assert_eq!(
+        sharded.fingerprint.as_deref(),
+        Some(PIN),
+        "replayed on 4 shards: {}",
+        sharded.stderr
+    );
+    let jsonl = std::fs::read_to_string(format!("{metrics}.jsonl")).expect("replay metrics");
+    let shard_3_naps = jsonl.lines().any(|line| {
+        let snap = ah_obs::json::parse(line).expect("snapshot line parses");
+        let samples = snap.get("samples").and_then(ah_obs::json::Json::as_arr).expect("samples");
+        samples.iter().any(|s| {
+            s.get("name").and_then(ah_obs::json::Json::as_str)
+                == Some("ah_pipeline_shard_naps_total")
+                && s.get("labels").and_then(|l| l.get("shard")).and_then(ah_obs::json::Json::as_str)
+                    == Some("3")
+        })
+    });
+    assert!(shard_3_naps, "the replay published no naps counter for shard 3");
     std::fs::remove_dir_all(&wal).ok();
+    std::fs::remove_dir_all(format!("{wal}-metrics")).ok();
 }
 
 /// Every metric name in the files the binary wrote follows the naming

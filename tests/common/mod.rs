@@ -4,11 +4,11 @@
 //! All three hold the same contract from a different instrument: turning
 //! the instrument on must leave [`RunOutput::fingerprint`] bitwise
 //! identical. [`assert_observation_only`] walks the one matrix they
-//! share — {1, 8 threads} × {clean, faulted} × {in-memory, journaled,
+//! share — {inline, 8 shards} × {clean, faulted} × {in-memory, journaled,
 //! replayed} — so a new execution path is added here once, not per suite.
 #![allow(dead_code)] // each suite uses its own subset of the helpers
 
-use aggressive_scanners::pipeline::{self, RunOptions, RunOutput, Telemetry, WalRun};
+use aggressive_scanners::pipeline::{self, Log, RunOptions, RunOutput, Telemetry, WalRun};
 use aggressive_scanners::simnet::faults::FaultPlan;
 use aggressive_scanners::simnet::scenario::ScenarioConfig;
 use std::path::PathBuf;
@@ -29,14 +29,23 @@ pub fn opts(faulted: bool) -> RunOptions {
     }
 }
 
-/// In-memory run: the inline executor at `threads <= 1`, else `threads`
-/// shards.
-pub fn run_with(tel: &mut Telemetry, threads: usize, faulted: bool) -> RunOutput {
-    if threads <= 1 {
-        pipeline::run_with_recorder(scenario(), opts(faulted), tel)
-    } else {
-        pipeline::run_parallel_with_recorder(scenario(), opts(faulted), threads, tel)
-    }
+/// In-memory run of the shared scenario on the executor `threads` picks
+/// (`None` = the inline unit).
+pub fn run_with(tel: &mut Telemetry, threads: Option<usize>, faulted: bool) -> RunOutput {
+    pipeline::run_with(scenario(), opts(faulted), threads, tel)
+}
+
+/// A durable run of the shared scenario that must run to completion.
+pub fn run_logged(
+    tel: &mut Telemetry,
+    threads: Option<usize>,
+    faulted: bool,
+    log: Log<'_>,
+) -> RunOutput {
+    *pipeline::run_with_log(scenario(), opts(faulted), threads, log, tel)
+        .unwrap_or_else(|e| panic!("{log:?}: durable run failed: {e}"))
+        .completed()
+        .unwrap_or_else(|| panic!("{log:?}: run suspended"))
 }
 
 /// A fresh, collision-free scratch directory path for one test case
@@ -50,24 +59,25 @@ pub fn temp_dir(tag: &str) -> PathBuf {
 /// How a cell of the matrix executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Path {
-    /// `run_with_recorder` / `run_parallel_with_recorder`.
+    /// `pipeline::run_with`.
     InMemory,
-    /// `run_wal` / `run_parallel_wal` into a fresh log.
+    /// `pipeline::run_with_log` into a fresh log.
     Journaled,
-    /// `replay_wal` over the log the journaled cell just sealed.
+    /// `pipeline::run_with_log` replaying the log the journaled cell just
+    /// sealed, on the same executor.
     Replayed,
 }
 
 /// One cell of the matrix, handed to a suite's `inspect` hook.
 pub struct Cell<'a> {
-    pub threads: usize,
+    pub threads: Option<usize>,
     pub faulted: bool,
     pub path: Path,
     /// The same inputs run in memory under `Telemetry::disabled()`.
     pub baseline: &'a RunOutput,
 }
 
-/// For every cell of {1, 8 threads} × {clean, faulted} × {in-memory,
+/// For every cell of {inline, 8 shards} × {clean, faulted} × {in-memory,
 /// journaled, replayed}: run once unobserved, once under `make_tel()`,
 /// require equal fingerprints, then let `inspect` check what the
 /// instrument recorded. `make_tel` runs immediately before each observed
@@ -78,40 +88,22 @@ pub fn assert_observation_only(
     mut make_tel: impl FnMut() -> Telemetry,
     mut inspect: impl FnMut(&Cell<'_>, &mut Telemetry, &RunOutput),
 ) {
-    for threads in [1, 8] {
+    for threads in [None, Some(8)] {
         for faulted in [false, true] {
             let baseline = run_with(&mut Telemetry::disabled(), threads, faulted);
-            let dir = temp_dir(&format!("{tag}-t{threads}-f{faulted}"));
+            let dir = temp_dir(&format!("{tag}-t{}-f{faulted}", threads.unwrap_or(0)));
             for path in [Path::InMemory, Path::Journaled, Path::Replayed] {
                 let mut tel = make_tel();
                 let wal = WalRun::new(&dir);
                 let observed = match path {
                     Path::InMemory => run_with(&mut tel, threads, faulted),
-                    Path::Journaled if threads <= 1 => {
-                        *pipeline::run_wal(scenario(), opts(faulted), &wal, &mut tel)
-                            .expect("durable run")
-                            .completed()
-                            .expect("run completed")
-                    }
-                    Path::Journaled => *pipeline::run_parallel_wal(
-                        scenario(),
-                        opts(faulted),
-                        threads,
-                        &wal,
-                        &mut tel,
-                    )
-                    .expect("parallel durable run")
-                    .completed()
-                    .expect("run completed"),
-                    Path::Replayed => {
-                        *pipeline::replay_wal(scenario(), opts(faulted), &dir, &mut tel)
-                            .expect("replay")
-                    }
+                    Path::Journaled => run_logged(&mut tel, threads, faulted, Log::Fresh(&wal)),
+                    Path::Replayed => run_logged(&mut tel, threads, faulted, Log::Replay(&dir)),
                 };
                 assert_eq!(
                     baseline.fingerprint(),
                     observed.fingerprint(),
-                    "observation changed the output at threads={threads} faulted={faulted} path={path:?}"
+                    "observation changed the output at threads={threads:?} faulted={faulted} path={path:?}"
                 );
                 inspect(&Cell { threads, faulted, path, baseline: &baseline }, &mut tel, &observed);
             }

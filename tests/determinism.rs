@@ -115,9 +115,10 @@ fn fingerprint_is_sensitive_to_inputs() {
 // The write-ahead log must be observation-only: a run that logs every
 // generated packet, a replay of that log, and a run suspended mid-stream
 // and resumed all produce bitwise identical output to a plain in-memory
-// run — at any thread count, with or without fault injection.
+// run — on either executor, whichever executor wrote the log, with or
+// without fault injection.
 
-use aggressive_scanners::pipeline::{Telemetry, WalOutcome, WalRun};
+use aggressive_scanners::pipeline::{Log, Telemetry, WalOutcome, WalRun};
 use std::path::PathBuf;
 
 /// Unwrap a durable-run outcome that must have run to completion.
@@ -139,45 +140,70 @@ fn check_wal_equivalence(seed: u64, faults: Option<FaultPlan>, tag: &str) {
     let cfg = || ScenarioConfig::tiny(2, seed);
     let plain = pipeline::run(cfg(), opts());
     let mut tel = Telemetry::disabled();
+    // Suspend a fresh log in `dir` halfway, on the executor `threads` picks.
+    let cut = plain.capture.total_packets.max(8) / 2;
+    let suspend = |threads: Option<usize>, dir: &Path, tel: &mut Telemetry, label: &str| {
+        let wal = WalRun::new(dir).suspend_after(cut);
+        match pipeline::run_with_log(cfg(), opts(), threads, Log::Fresh(&wal), tel) {
+            Ok(WalOutcome::Suspended { delivered, .. }) => {
+                assert_eq!(delivered, cut, "{label}: suspension point honored")
+            }
+            Ok(WalOutcome::Completed(_)) => panic!("{label}: run finished before suspension point"),
+            Err(e) => panic!("{label}: suspend run failed: {e}"),
+        }
+    };
 
-    for threads in [1, 8] {
+    for shards in [1, 8] {
+        let threads = Some(shards);
+        let at = |what: &str| format!("{tag}: {what}, {shards} shards");
         // Live durable run == plain run, and its log replays identically.
-        let dir = common::temp_dir(&format!("determinism-{tag}-t{threads}"));
+        let dir = common::temp_dir(&format!("determinism-{tag}-t{shards}"));
+        let wal = WalRun::new(&dir);
         let live = finished(
-            pipeline::run_parallel_wal(cfg(), opts(), threads, &WalRun::new(&dir), &mut tel),
-            &format!("{tag}: wal live, {threads} threads"),
+            pipeline::run_with_log(cfg(), opts(), threads, Log::Fresh(&wal), &mut tel),
+            &at("wal live"),
         );
-        assert_equivalent(&plain, &live, &format!("{tag}: wal live, {threads} threads"));
-        let replayed = pipeline::replay_wal(cfg(), opts(), &dir, &mut tel)
-            .unwrap_or_else(|e| panic!("{tag}: replay failed: {e}"));
-        assert_equivalent(&plain, &replayed, &format!("{tag}: replay, {threads} threads"));
+        assert_equivalent(&plain, &live, &at("wal live"));
+        let replayed = finished(
+            pipeline::run_with_log(cfg(), opts(), threads, Log::Replay(&dir), &mut tel),
+            &at("replay"),
+        );
+        assert_equivalent(&plain, &replayed, &at("replay"));
 
         // Suspend mid-stream, then resume to completion == uninterrupted.
-        let dir2 = common::temp_dir(&format!("determinism-{tag}-s{threads}"));
-        let cut = plain.capture.total_packets.max(8) / 2;
-        let wal = WalRun::new(&dir2).suspend_after(cut);
-        match pipeline::run_parallel_wal(cfg(), opts(), threads, &wal, &mut tel) {
-            Ok(WalOutcome::Suspended { delivered, .. }) => {
-                assert_eq!(delivered, cut, "{tag}: suspension point honored")
-            }
-            Ok(WalOutcome::Completed(_)) => panic!("{tag}: run finished before suspension point"),
-            Err(e) => panic!("{tag}: suspend run failed: {e}"),
-        }
+        let dir2 = common::temp_dir(&format!("determinism-{tag}-s{shards}"));
+        suspend(threads, &dir2, &mut tel, &at("suspend"));
         // An interruption point inside the recovered prefix can never fire
         // where it says: rejected up front, log left resumable.
         let inside = WalRun::new(&dir2).suspend_after(cut / 2);
-        match pipeline::resume_wal(cfg(), opts(), &inside, &mut tel) {
+        match pipeline::run_with_log(cfg(), opts(), threads, Log::Resume(&inside), &mut tel) {
             Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{tag}: {e}"),
             Ok(_) => panic!("{tag}: resume accepted a suspension point inside the prefix"),
         }
+        let wal2 = WalRun::new(&dir2);
         let resumed = finished(
-            pipeline::resume_wal(cfg(), opts(), &WalRun::new(&dir2), &mut tel),
-            &format!("{tag}: resume, {threads} threads"),
+            pipeline::run_with_log(cfg(), opts(), threads, Log::Resume(&wal2), &mut tel),
+            &at("resume"),
         );
-        assert_equivalent(&plain, &resumed, &format!("{tag}: resumed, {threads} threads"));
+        assert_equivalent(&plain, &resumed, &at("resumed"));
 
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&dir2);
+    }
+
+    // The log never records its executor: a run suspended on shards
+    // resumes inline to the uninterrupted output, and the reverse.
+    for (from, to) in [(Some(8), None), (None, Some(8))] {
+        let label = format!("{tag}: suspended at threads={from:?}, resumed at threads={to:?}");
+        let dir = common::temp_dir(&format!("determinism-{tag}-x{}", to.unwrap_or(0)));
+        suspend(from, &dir, &mut tel, &label);
+        let wal = WalRun::new(&dir);
+        let resumed = finished(
+            pipeline::run_with_log(cfg(), opts(), to, Log::Resume(&wal), &mut tel),
+            &label,
+        );
+        assert_equivalent(&plain, &resumed, &label);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -220,7 +246,7 @@ fn parallel_wal_journal_is_byte_identical_to_serial() {
             let par_dir = common::temp_dir(&format!("determinism-journal-par{threads}"));
             let wal = WalRun::new(&par_dir);
             finished(
-                pipeline::run_parallel_wal(cfg(), opts(), threads, &wal, &mut tel),
+                pipeline::run_with_log(cfg(), opts(), Some(threads), Log::Fresh(&wal), &mut tel),
                 &format!("journal: {threads} threads"),
             );
             let parallel = journal_bytes(&par_dir);
@@ -246,7 +272,7 @@ fn faulted_runs_log_is_the_mux_stream_packet_for_packet() {
     let dir = common::temp_dir("determinism-log-is-input");
     let wal = WalRun::new(&dir);
     let out = finished(
-        pipeline::run_parallel_wal(cfg(), opts, 2, &wal, &mut Telemetry::disabled()),
+        pipeline::run_with_log(cfg(), opts, Some(2), Log::Fresh(&wal), &mut Telemetry::disabled()),
         "log is input",
     );
     let inj = out.health.stage("faults.injector").expect("injector stage present");
@@ -354,8 +380,9 @@ fn log_of_another_run_is_refused_before_a_packet_is_fed() {
             let rec = Recorder::new();
             let mut tel = Telemetry::new(rec.clone());
             let msg = if resume {
+                let wal = WalRun::new(dir);
                 refusal(
-                    pipeline::resume_wal(cfg.clone(), opts, &WalRun::new(dir), &mut tel),
+                    pipeline::run_with_log(cfg.clone(), opts, None, Log::Resume(&wal), &mut tel),
                     &label,
                 )
             } else {
@@ -372,8 +399,9 @@ fn log_of_another_run_is_refused_before_a_packet_is_fed() {
     // are not a blanket "no").
     let mut tel = Telemetry::disabled();
     let replayed = pipeline::replay_wal(refusal_cfg(), refusal_opts(), &sealed, &mut tel);
+    let wal = WalRun::new(&suspended);
     let resumed =
-        pipeline::resume_wal(refusal_cfg(), refusal_opts(), &WalRun::new(&suspended), &mut tel);
+        pipeline::run_with_log(refusal_cfg(), refusal_opts(), None, Log::Resume(&wal), &mut tel);
     assert_eq!(
         replayed.expect("replay own log").fingerprint(),
         finished(resumed, "resume own log").fingerprint()
@@ -391,7 +419,7 @@ fn replay_refuses_an_unsealed_log_and_names_a_missing_one() {
         pipeline::replay_wal(refusal_cfg(), refusal_opts(), &suspended, &mut tel),
         "replay of an unsealed log",
     );
-    assert!(msg.contains("not sealed") && msg.contains("resume_wal"), "{msg}");
+    assert!(msg.contains("not sealed") && msg.contains("Log::Resume, --resume"), "{msg}");
 
     let missing = common::temp_dir("determinism-refusal-missing");
     for create in [false, true] {
@@ -426,8 +454,9 @@ fn rewritten_logs_are_refused_by_prefix_hash_seal_count_and_seal_hash() {
 
     let suspended = refusal_log("tamper-suspended", false);
     rewrite_log(&suspended, &copy, alter);
+    let wal = WalRun::new(&copy);
     let msg = refusal(
-        pipeline::resume_wal(refusal_cfg(), refusal_opts(), &WalRun::new(&copy), &mut tel),
+        pipeline::run_with_log(refusal_cfg(), refusal_opts(), None, Log::Resume(&wal), &mut tel),
         "resume of an altered prefix",
     );
     assert!(msg.contains("diverges from the deterministic packet stream"), "{msg}");
@@ -501,8 +530,11 @@ fn suspension_inside_and_between_pull_batches_resumes_identically() {
             Ok(WalOutcome::Completed(_)) => panic!("{label}: ran to completion"),
             Err(e) => panic!("{label}: suspend run failed: {e}"),
         }
-        let resumed =
-            finished(pipeline::resume_wal(cfg(), opts(), &WalRun::new(&dir), &mut tel), &label);
+        let wal = WalRun::new(&dir);
+        let resumed = finished(
+            pipeline::run_with_log(cfg(), opts(), None, Log::Resume(&wal), &mut tel),
+            &label,
+        );
         assert_equivalent(&plain, &resumed, &format!("{label}: resumed"));
         let replayed = pipeline::replay_wal(cfg(), opts(), &dir, &mut tel)
             .unwrap_or_else(|e| panic!("{label}: replay failed: {e}"));
@@ -512,22 +544,23 @@ fn suspension_inside_and_between_pull_batches_resumes_identically() {
 }
 
 /// An interruption point fires after the packet that reaches it, so
-/// point 0 can never fire: every journaled entry point must refuse it
-/// before the writer creates the log, and the shipped binary must exit
-/// non-zero.
+/// point 0 can never fire: every journaled run, fresh or resumed, inline
+/// or sharded, must refuse it before the writer creates the log, and the
+/// shipped binary must exit non-zero.
 #[test]
 fn interruption_point_zero_is_rejected_before_the_log_exists() {
     let cfg = || ScenarioConfig::tiny(1, 25);
     let mut tel = Telemetry::disabled();
     let dir = common::temp_dir("determinism-point-zero");
     for wal in [WalRun::new(&dir).suspend_after(0), WalRun::new(&dir).crash_after(0)] {
+        let mut run = |threads, log| {
+            pipeline::run_with_log(cfg(), RunOptions::darknet_only(), threads, log, &mut tel)
+        };
         let outcomes = [
-            ("run_wal", pipeline::run_wal(cfg(), RunOptions::darknet_only(), &wal, &mut tel)),
-            (
-                "run_parallel_wal",
-                pipeline::run_parallel_wal(cfg(), RunOptions::darknet_only(), 2, &wal, &mut tel),
-            ),
-            ("resume_wal", pipeline::resume_wal(cfg(), RunOptions::darknet_only(), &wal, &mut tel)),
+            ("fresh, inline", run(None, Log::Fresh(&wal))),
+            ("fresh, 2 shards", run(Some(2), Log::Fresh(&wal))),
+            ("resume, inline", run(None, Log::Resume(&wal))),
+            ("resume, 2 shards", run(Some(2), Log::Resume(&wal))),
         ];
         for (entry, outcome) in outcomes {
             match outcome {
@@ -573,6 +606,6 @@ fn output_is_independent_of_the_per_process_hash_key() {
     // across all three say no result depends on either.
     let here = pipeline::run(ScenarioConfig::tiny(1, 42), RunOptions::full()).fingerprint();
     let sharded = child_fingerprint("4");
-    assert_eq!(sharded, child_fingerprint("1"), "children at 4 and 1 threads");
+    assert_eq!(sharded, child_fingerprint("1"), "children at 4 shards and inline");
     assert_eq!(sharded, format!("{here:016x}"), "child process vs this process");
 }

@@ -4,9 +4,9 @@
 //! accounting is observation-only. Flipping [`ah_mem::set_accounting`]
 //! on — every allocation charged to a per-subsystem account via the
 //! scope stack — must leave [`RunOutput::fingerprint`] bitwise
-//! identical on every cell of the shared matrix (`tests/common`: 1 and 8
-//! threads, clean or faulted, in memory, journaled or replayed) and
-//! across a suspend/resume. On top of that, the
+//! identical on every cell of the shared matrix (`tests/common`: inline
+//! and 8 shards, clean or faulted, in memory, journaled or replayed) and
+//! across a suspend/resume at 1 and 8 shards. On top of that, the
 //! run-scoped tags (mux, telescope, flow, wal, merge, detectors) must
 //! drain back to ~zero live bytes once the run's output is dropped —
 //! the leak gate `tests/cli.rs` enforces on the shipped binary. The
@@ -26,12 +26,12 @@ use aggressive_scanners::net::fingerprint::ZMAP_IP_ID;
 use aggressive_scanners::net::ipv4::Ipv4Addr4;
 use aggressive_scanners::net::packet::{PacketMeta, ScanClass};
 use aggressive_scanners::net::time::{Dur, Ts};
-use aggressive_scanners::pipeline::{self, Telemetry, WalOutcome, WalRun};
+use aggressive_scanners::pipeline::{self, Log, Telemetry, WalOutcome, WalRun};
 use aggressive_scanners::simnet::mux::BATCH;
 use aggressive_scanners::simnet::scenario::{Scenario, ScenarioConfig, Year};
 use aggressive_scanners::telescope::event::{DarknetEvent, EventAggregator, EventKey};
 use ah_mem::{MemScope, Tag};
-use common::{opts, run_with, scenario};
+use common::{opts, run_logged, run_with, scenario};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Slack for state that legitimately outlives a run while charged to a
@@ -78,7 +78,7 @@ fn accounting_does_not_perturb_output() {
                 let s = report.tags().find(|(t, _)| *t == tag).expect("tag in report").1;
                 assert!(
                     s.total_bytes > 0,
-                    "tag {} never charged at threads={} faulted={} path={:?}",
+                    "tag {} never charged at threads={:?} faulted={} path={:?}",
                     tag.name(),
                     cell.threads,
                     cell.faulted,
@@ -96,46 +96,34 @@ fn accounting_is_invariant_on_durable_paths() {
     let plain = pipeline::run(scenario(), opts(true)).fingerprint();
 
     ah_mem::set_accounting(true);
-    for threads in [1, 8] {
+    for shards in [1, 8] {
+        let threads = Some(shards);
         // Live durable run == plain run, and its log replays identically.
-        let dir = temp_dir(&format!("wal-t{threads}"));
+        let dir = temp_dir(&format!("wal-t{shards}"));
         let mut tel = Telemetry::disabled().with_mem(64);
-        let live = pipeline::run_parallel_wal(
-            scenario(),
-            opts(true),
-            threads,
-            &WalRun::new(&dir),
-            &mut tel,
-        )
-        .expect("durable run")
-        .completed()
-        .expect("run completed");
-        assert_eq!(live.fingerprint(), plain, "accounted wal live diverged, {threads} threads");
+        let live = run_logged(&mut tel, threads, true, Log::Fresh(&WalRun::new(&dir)));
+        assert_eq!(live.fingerprint(), plain, "accounted wal live diverged, {shards} shards");
         let wal_report = live.mem.as_ref().expect("durable run attaches a memory report");
         let wal_stats =
             wal_report.tags().find(|(t, _)| *t == Tag::Wal).expect("wal tag in report").1;
         assert!(wal_stats.total_bytes > 0, "wal tag never charged on the durable path");
 
-        let replayed =
-            pipeline::replay_wal(scenario(), opts(true), &dir, &mut tel).expect("replay");
-        assert_eq!(replayed.fingerprint(), plain, "accounted replay diverged");
+        let replayed = run_logged(&mut tel, threads, true, Log::Replay(&dir));
+        assert_eq!(replayed.fingerprint(), plain, "accounted replay diverged, {shards} shards");
 
         // Suspend mid-stream, then resume to completion == uninterrupted.
-        let dir2 = temp_dir(&format!("wal-s{threads}"));
+        let dir2 = temp_dir(&format!("wal-s{shards}"));
         let cut = live.capture.total_packets.max(8) / 2;
         let wal = WalRun::new(&dir2).suspend_after(cut);
-        match pipeline::run_parallel_wal(scenario(), opts(true), threads, &wal, &mut tel) {
+        match pipeline::run_with_log(scenario(), opts(true), threads, Log::Fresh(&wal), &mut tel) {
             Ok(WalOutcome::Suspended { delivered, .. }) => {
                 assert_eq!(delivered, cut, "suspension point honored")
             }
             Ok(WalOutcome::Completed(_)) => panic!("run finished before suspension point"),
             Err(e) => panic!("suspend run failed: {e}"),
         }
-        let resumed = pipeline::resume_wal(scenario(), opts(true), &WalRun::new(&dir2), &mut tel)
-            .expect("resume")
-            .completed()
-            .expect("resumed run completed");
-        assert_eq!(resumed.fingerprint(), plain, "accounted resumed run diverged");
+        let resumed = run_logged(&mut tel, threads, true, Log::Resume(&WalRun::new(&dir2)));
+        assert_eq!(resumed.fingerprint(), plain, "accounted resumed run diverged, {shards} shards");
 
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&dir2).ok();
@@ -298,7 +286,7 @@ fn run_scoped_tags_drain_when_output_drops() {
     // their own drains) is the baseline, not part of this run.
     let base: Vec<i64> = Tag::RUN_SCOPED.iter().map(|&t| ah_mem::tag_stats(t).live_bytes).collect();
 
-    let out = run_with(&mut Telemetry::disabled().with_mem(64), 8, true);
+    let out = run_with(&mut Telemetry::disabled().with_mem(64), Some(8), true);
     let report = out.mem.clone().expect("memory report");
     drop(out);
 
@@ -325,7 +313,7 @@ fn run_scoped_tags_drain_when_output_drops() {
 fn leak_check_helper_agrees_with_drained_state() {
     let _g = lock();
     ah_mem::set_accounting(true);
-    let out = run_with(&mut Telemetry::disabled(), 1, false);
+    let out = run_with(&mut Telemetry::disabled(), None, false);
     drop(out);
     ah_mem::set_accounting(false);
     // Absolute check with a budget generous enough to cover residue

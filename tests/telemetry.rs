@@ -4,7 +4,7 @@
 //! is observation-only. Attaching a live recorder — and even writing
 //! periodic snapshot files — must leave [`RunOutput::fingerprint`]
 //! bitwise identical on every cell of the shared matrix (`tests/common`):
-//! 1 and 8 threads, clean or faulted, in memory, journaled or replayed.
+//! inline and 8 shards, clean or faulted, in memory, journaled or replayed.
 //! On top of that, the exported files must follow their documented
 //! schemas, every metric name must follow the
 //! `ah_<crate>_<subsystem>_<name>` scheme, and the `ah_core_health_*`
@@ -15,7 +15,7 @@
 
 mod common;
 
-use aggressive_scanners::pipeline::{self, RunOutput, Telemetry, WalOutcome, WalRun};
+use aggressive_scanners::pipeline::{self, Log, RunOutput, Telemetry, WalOutcome, WalRun};
 use ah_obs::json::{self, Json};
 use ah_obs::{
     to_jsonl_line, valid_metric_name, Exporter, HistogramSnapshot, Recorder, Sample, Snapshot,
@@ -30,14 +30,14 @@ fn parse_json(line: &str) -> Json {
 
 // --- Shared run helpers -------------------------------------------------
 
-use common::{opts, run_with, scenario};
+use common::{opts, run_logged, run_with, scenario};
 
 /// An 8-shard faulted run recording to `rec`, exporting to `base`.
 fn instrumented_run(base: &std::path::Path, interval: u64) -> (RunOutput, Recorder, Exporter) {
     let rec = Recorder::new();
     let exporter = Exporter::new(rec.clone(), base, interval);
     let mut tel = Telemetry::with_exporter(rec.clone(), exporter);
-    let out = run_with(&mut tel, 8, true);
+    let out = run_with(&mut tel, Some(8), true);
     let ex = tel.exporter.take().expect("exporter still attached");
     assert_eq!(ex.io_errors(), 0, "exporter hit IO errors");
     (out, rec, ex)
@@ -133,10 +133,7 @@ fn journaled_sharded_run_publishes_dispatcher_instruments() {
     let dir = common::temp_dir("telemetry-pwal");
     let rec = Recorder::new();
     let mut tel = Telemetry::new(rec.clone());
-    pipeline::run_parallel_wal(scenario(), opts(true), 4, &WalRun::new(&dir), &mut tel)
-        .expect("parallel durable run")
-        .completed()
-        .expect("run completed");
+    run_logged(&mut tel, Some(4), true, Log::Fresh(&WalRun::new(&dir)));
     let snap = rec.snapshot();
     let shards_of = |name: &str| {
         let mut shards: Vec<&str> = snap
@@ -344,7 +341,7 @@ fn prometheus_file_follows_text_exposition_format() {
 /// 0), and the exported identity balances.
 #[test]
 fn health_gauges_mirror_the_pipeline_ledger() {
-    for threads in [1, 8] {
+    for threads in [None, Some(8)] {
         let rec = Recorder::new();
         let mut tel = Telemetry::new(rec.clone());
         let out = run_with(&mut tel, threads, true);
@@ -352,7 +349,7 @@ fn health_gauges_mirror_the_pipeline_ledger() {
         assert!(out.health.stage("faults.injector").is_some(), "the run injected no faults");
         let snap = rec.snapshot();
         for st in &out.health.stages {
-            let at = format!("{} at {threads} threads", st.stage);
+            let at = format!("{} at threads={threads:?}", st.stage);
             // Every stage counts what it received and accepted; a cell a
             // stage never counts is not published and reads 0.
             let count = |fate| ledger_count(&snap, fate, &st.stage);
@@ -380,18 +377,18 @@ fn health_gauges_mirror_the_pipeline_ledger() {
         let selected = counter_sum(&snap, "ah_flow_sampler_packets_selected_total");
         let flows =
             ["flow.merit", "flow.cu"].map(|f| out.health.stage(f).expect("flow stage").received);
-        assert_eq!(selected, flows.iter().sum::<u64>(), "sampled packets at {threads} threads");
+        assert_eq!(selected, flows.iter().sum::<u64>(), "sampled packets at threads={threads:?}");
         // The units' own instruments: one lag observation per packet the
         // aggregator received, one duration per sweep it counts.
         let events = out.health.stage("telescope.events").expect("events stage").received;
         let lag = histogram_count(&snap, "ah_telescope_agg_watermark_lag_us");
-        assert_eq!(lag, events, "lag observations at {threads} threads");
+        assert_eq!(lag, events, "lag observations at threads={threads:?}");
         for (histogram, sweeps) in [
             ("ah_telescope_agg_sweep_duration_us", "ah_telescope_agg_sweeps_total"),
             ("ah_flow_cache_sweep_duration_us", "ah_flow_cache_sweeps_total"),
         ] {
             let timed = histogram_count(&snap, histogram);
-            assert_eq!(timed, counter_sum(&snap, sweeps), "{histogram} at {threads} threads");
+            assert_eq!(timed, counter_sum(&snap, sweeps), "{histogram} at threads={threads:?}");
         }
         // And nothing is published for a stage the ledger does not list.
         let published = snap.samples.iter().filter(|s| s.name.starts_with("ah_core_health_"));
@@ -416,10 +413,13 @@ fn suspended_runs_publish_every_packet_they_fed() {
             let rec = Recorder::new();
             let mut tel = Telemetry::new(rec.clone());
             let wal = WalRun::new(&dir).suspend_after(at);
-            let outcome = match threads {
-                None => pipeline::run_wal(scenario(), opts(false), &wal, &mut tel),
-                Some(n) => pipeline::run_parallel_wal(scenario(), opts(false), n, &wal, &mut tel),
-            };
+            let outcome = pipeline::run_with_log(
+                scenario(),
+                opts(false),
+                threads,
+                Log::Fresh(&wal),
+                &mut tel,
+            );
             assert!(
                 matches!(outcome, Ok(WalOutcome::Suspended { delivered, .. }) if delivered == at),
                 "{threads:?}: the run did not suspend at {at}"
@@ -435,7 +435,7 @@ fn suspended_runs_publish_every_packet_they_fed() {
 fn exported_metrics_cover_every_layer() {
     let rec = Recorder::new();
     let mut tel = Telemetry::new(rec.clone());
-    let out = run_with(&mut tel, 8, false);
+    let out = run_with(&mut tel, Some(8), false);
     let snap = rec.snapshot();
     let names: Vec<&str> = snap.samples.iter().map(|s| s.name.as_str()).collect();
     for prefix in ["ah_telescope_", "ah_flow_", "ah_intel_", "ah_core_health_", "ah_pipeline_"] {

@@ -4,8 +4,8 @@
 //! observation-only. Attaching a live [`ah_trace::Tracer`] — spans on
 //! every layer plus sampled packet journeys — must leave
 //! [`RunOutput::fingerprint`] bitwise identical on every cell of the
-//! shared matrix (`tests/common`): 1 and 8 threads, clean or faulted, in
-//! memory, journaled or replayed. On top of that, the
+//! shared matrix (`tests/common`): inline and 8 shards, clean or faulted,
+//! in memory, journaled or replayed. On top of that, the
 //! Chrome trace-event export must pass the first-party validator
 //! ([`ah_trace::check`]): balanced `B`/`E` stacks, per-track monotonic
 //! timestamps, scheme-conforming span names, and flow chains with a
@@ -14,10 +14,10 @@
 mod common;
 
 use aggressive_scanners::net::time::Dur;
-use aggressive_scanners::pipeline::{self, RunOptions, Telemetry, WalRun};
+use aggressive_scanners::pipeline::{self, Log, RunOptions, Telemetry, WalRun};
 use aggressive_scanners::simnet::faults::FaultPlan;
 use ah_trace::{check, export, TraceConfig, Tracer};
-use common::{opts, run_with, scenario, temp_dir};
+use common::{opts, run_logged, run_with, scenario, temp_dir};
 
 /// A live tracer following ~1-in-`sample` source journeys, seeded like
 /// the scenario so the sampled set is reproducible.
@@ -37,7 +37,7 @@ fn tracing_does_not_perturb_output() {
             let events: usize = snap.tracks.iter().map(|t| t.events.len()).sum();
             assert!(
                 events > 0,
-                "live tracer recorded nothing at threads={} path={:?}",
+                "live tracer recorded nothing at threads={:?} path={:?}",
                 cell.threads,
                 cell.path
             );
@@ -67,7 +67,7 @@ fn traced_serial_runs_export_the_same_events() {
     let traced = || {
         let cfg = TraceConfig { seed: common::SEED, sample_one_in: 4, buf_capacity: 1 << 20 };
         let mut tel = Telemetry::disabled().with_tracer(Tracer::new(cfg));
-        run_with(&mut tel, 1, true);
+        run_with(&mut tel, None, true);
         let snap = tel.tracer.snapshot();
         assert_eq!(snap.dropped, 0, "the trace tracks overflowed");
         untimed_events(&export::to_chrome_trace(&snap))
@@ -82,7 +82,7 @@ fn traced_serial_runs_export_the_same_events() {
 #[test]
 fn traced_parallel_run_exports_causal_journeys() {
     let mut tel = Telemetry::disabled().with_tracer(tracer(16));
-    run_with(&mut tel, 4, true);
+    run_with(&mut tel, Some(4), true);
     let snap = tel.tracer.snapshot();
     let json = export::to_chrome_trace(&snap);
     let stats = check::validate_chrome_trace(&json).expect("chrome trace validates");
@@ -129,16 +129,12 @@ fn fate_instants_are_the_injector_ledger() {
     let plan =
         FaultPlan::uniform(0.01, common::SEED).with_outage(Dur::from_mins(60), Dur::from_secs(90));
     let opts = RunOptions::full().with_faults(plan);
-    for threads in [1, 4] {
+    for threads in [None, Some(4)] {
         let cfg = TraceConfig { seed: common::SEED, sample_one_in: 1, buf_capacity: 1 << 20 };
         let mut tel = Telemetry::disabled().with_tracer(Tracer::new(cfg));
-        let out = if threads == 1 {
-            pipeline::run_with_recorder(scenario(), opts, &mut tel)
-        } else {
-            pipeline::run_parallel_with_recorder(scenario(), opts, threads, &mut tel)
-        };
+        let out = pipeline::run_with(scenario(), opts, threads, &mut tel);
         let snap = tel.tracer.snapshot();
-        assert_eq!(snap.dropped, 0, "the trace buffers overflowed at {threads} threads");
+        assert_eq!(snap.dropped, 0, "the trace buffers overflowed at threads={threads:?}");
         let json = export::to_chrome_trace(&snap);
         let instants = |fate: &str| {
             let event =
@@ -147,7 +143,7 @@ fn fate_instants_are_the_injector_ledger() {
         };
         let inj = out.health.stage("faults.injector").expect("the injector's ledger");
         let discarded = |category: &str| inj.discarded.get(category).copied().unwrap_or(0);
-        let at = format!("at {threads} threads");
+        let at = format!("at threads={threads:?}");
         assert_eq!(instants("drop"), discarded("dropped"), "{at}");
         assert_eq!(instants("outage"), discarded("outage"), "{at}");
         assert_eq!(instants("duplicate"), inj.received - out.generated_packets, "{at}");
@@ -167,11 +163,9 @@ fn traced_wal_run_covers_wal_io_and_stays_deterministic() {
     let baseline = pipeline::run(scenario(), opts(false)).fingerprint();
 
     let mut tel = Telemetry::disabled().with_tracer(tracer(16));
-    let mut wal = WalRun::new(&dir);
-    // Small batches and segments so the traced window contains several
-    // group commits and at least one rotation.
-    wal.writer.group_commit_frames = 512;
-    wal.writer.segment_bytes = 64 << 10;
+    // At the writer's defaults the scenario's ~296k packet frames of
+    // ~47 B still span several group commits and one segment rotation.
+    let wal = WalRun::new(&dir);
     let out = pipeline::run_wal(scenario(), opts(false), &wal, &mut tel)
         .expect("durable run")
         .completed()
@@ -207,10 +201,7 @@ fn traced_wal_run_covers_wal_io_and_stays_deterministic() {
 fn traced_parallel_wal_matches_serial() {
     let dir = temp_dir("trace-pwal");
     let mut tel = Telemetry::disabled().with_tracer(tracer(16));
-    let out = pipeline::run_parallel_wal(scenario(), opts(false), 4, &WalRun::new(&dir), &mut tel)
-        .expect("parallel durable run")
-        .completed()
-        .expect("run completed");
+    let out = run_logged(&mut tel, Some(4), false, Log::Fresh(&WalRun::new(&dir)));
     assert_eq!(out.fingerprint(), pipeline::run(scenario(), opts(false)).fingerprint());
     let stats = check::validate_chrome_trace(&export::to_chrome_trace(&tel.tracer.snapshot()))
         .expect("parallel WAL trace validates");
