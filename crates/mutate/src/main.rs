@@ -267,7 +267,8 @@ fn gate(opts: &Opts, root: &Path) -> Result<ExitCode, String> {
         println!(
             "mutation gate: all {} sentinels caught in {secs}s ({} curated: WAL integrity, \
              the suspension trim, the delta publish, the fate instants' delta, \
-             the mux's window end, detector thresholds, aggregator boundaries)",
+             the ring occupancy's unit, the mux's window end, detector thresholds, \
+             aggregator boundaries)",
             total,
             SENTINELS.len(),
         );

@@ -289,6 +289,27 @@ pub const SENTINELS: &[Sentinel] = &[
               ledger so far, not by what its own offer added, so the instants stop \
               being the ledger",
     },
+    Sentinel {
+        name: "ring-occupancy-unit",
+        file: "src/pipeline.rs",
+        op: "arith-swap",
+        original: "*",
+        contains: "p.high_water_mark() * SHARD_BATCH",
+        pick: 0,
+        kill: &[
+            &["build", "-q", "-p", "aggressive-scanners"],
+            &[
+                "test",
+                "-q",
+                "-p",
+                "aggressive-scanners",
+                "--lib",
+                "pipeline::tests::ring_occupancy_is_counted_in_whole_items",
+            ],
+        ],
+        why: "* → / publishes a shard's peak ring occupancy in items divided by the \
+              item size, so the packets gauge reads 0 on every full ring",
+    },
 ];
 
 /// Resolve one sentinel against the enumerated mutants of its file.

@@ -32,8 +32,10 @@ const SPINS: u32 = 64;
 const YIELDS: u32 = 16;
 /// How long a waiting consumer sleeps per round once it has spun and
 /// yielded. Plus the kernel's timer slack, a nap stays under a quarter
-/// of the ~410 µs a feeder needs to fill a 4,096-packet ring at 10 Mpps,
-/// so a napping shard wakes long before its ring can fill.
+/// of the ~410 µs a feeder at 10 Mpps needs to fill the engine's
+/// smallest ring, two 2,048-packet items, even with every packet bound
+/// for that one shard; so a napping shard wakes long before its ring
+/// can fill.
 const NAP: Duration = Duration::from_micros(50);
 
 /// The write half of a ring; see [`ring`].

@@ -124,11 +124,11 @@ echo "==> binary-level gates (release)"
 cargo test --release --test cli -q
 
 echo "==> mutation gate"
-# The curated sentinel set (ARCHITECTURE.md §14): 20 token-level
+# The curated sentinel set (ARCHITECTURE.md §14): 21 token-level
 # mutants at the load-bearing decision points — WAL
 # CRC/truncation/seal handling, the log-to-run match, where a
 # journaled run stops, a unit's delta publish, the fate instants' delta,
-# the mux's window end, detector
+# the ring occupancy's unit, the mux's window end, detector
 # thresholds, aggregator boundary comparisons and sweep slack — each applied to a
 # scratch copy of the tree and run against its explicit kill command.
 # Every sentinel must come back *caught*; a survivor (or a detached

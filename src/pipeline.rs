@@ -27,7 +27,8 @@
 //!   serial reference. `Some(n)` is a pure router: it hands each packet
 //!   to the worker shard owning its source IP over a bounded SPSC ring
 //!   ([`ah_simnet::ring`], std's `sync_channel`) whose items are
-//!   `BATCH`-packet batches.
+//!   2,048-packet batches, in a budget of 65,536 packets in flight per
+//!   run; a shard runs each item a `BATCH` slice at a time.
 //!   Every decision that once required global stream order — fault
 //!   injection, aggregator reordering verdicts, per-router sampling,
 //!   flow-cache lateness — is a pure function of the *per-source* (or
@@ -661,9 +662,22 @@ const RECORDS_EXPORTED: &str = "ah_flow_cache_records_exported_total";
 
 // --- The executor: one inline vantage stack, or N shards ----------------
 
-/// Packets in flight per shard ring; each ring carries the raw packets
-/// of 1/N of the source space, `BATCH` packets to an item.
-const RING_CAPACITY: usize = 4096;
+/// Packets to a ring item. An item is cut into `BATCH`-packet slices on
+/// the shard, so it sets only how often the hand-off is paid, not what a
+/// unit sees (`ARCHITECTURE.md` §5).
+const SHARD_BATCH: usize = 2048;
+
+/// Packets a run's rings hold together, whatever its shard count: about
+/// one scheduler slice of feeder output, so the feeder and the shards do
+/// not convoy on a full ring (`ARCHITECTURE.md` §5).
+const IN_FLIGHT: usize = 65_536;
+
+/// Items each of `shards` rings holds: its share of [`IN_FLIGHT`], and
+/// never fewer than two, so the feeder can fill one while its shard runs
+/// the other.
+fn ring_items(shards: usize) -> usize {
+    (IN_FLIGHT / (shards * SHARD_BATCH)).max(2)
+}
 
 /// One execution unit — the whole pipeline in the inline executor, one
 /// shard's slice of it in the sharded one: a vantage stack behind the
@@ -819,8 +833,8 @@ impl Unit {
 /// staging batch per shard, and the worker handles, each of which joins
 /// to its shard's [`ShardOut`]. The driver is a pure router —
 /// `hash64(src) mod N`, a copy into that shard's batch, and a ring push
-/// per full batch. A batch is a `BATCH`-capacity vector handed over
-/// whole: the shard frees it once its unit has run it.
+/// per full batch. A batch is a `SHARD_BATCH`-capacity vector handed
+/// over whole: the shard frees it once its unit has run it.
 struct Shards<'scope> {
     producers: Vec<Producer<Vec<PacketMeta>>>,
     staged: Vec<Vec<PacketMeta>>,
@@ -831,8 +845,9 @@ struct Shards<'scope> {
 
 impl<'scope> Shards<'scope> {
     /// Spawn `threads` shard workers. Each pops its slice of the source
-    /// space off its SPSC ring, feeds it to a shard-local [`Unit`], and
-    /// returns the reduced result from its thread.
+    /// space off its SPSC ring, feeds it to a shard-local [`Unit`] a
+    /// `BATCH`-packet slice at a time, publishing after each, and returns
+    /// the reduced result from its thread.
     fn spawn(
         scope: &'scope std::thread::Scope<'scope, '_>,
         threads: usize,
@@ -846,11 +861,11 @@ impl<'scope> Shards<'scope> {
         let staged = {
             let _mem = MemScope::enter(Tag::Mux);
             for _ in 0..threads {
-                let (tx, rx) = ring(RING_CAPACITY / BATCH);
+                let (tx, rx) = ring(ring_items(threads));
                 producers.push(tx);
                 consumers.push(rx);
             }
-            (0..threads).map(|_| Vec::with_capacity(BATCH)).collect()
+            (0..threads).map(|_| Vec::with_capacity(SHARD_BATCH)).collect()
         };
         let worker = move |i: usize, mut rx: Consumer<Vec<PacketMeta>>| {
             {
@@ -863,9 +878,15 @@ impl<'scope> Shards<'scope> {
             };
             let mut unit = Unit::build(world, opts, rec, tracer);
             while let Some(batch) = rx.pop_wait() {
-                journey_instants(tracer, "ah_pipeline_shard_consume", batch.iter().map(|p| p.src));
-                unit.offer(&batch);
-                unit.publish();
+                for slice in batch.chunks(BATCH) {
+                    journey_instants(
+                        tracer,
+                        "ah_pipeline_shard_consume",
+                        slice.iter().map(|p| p.src),
+                    );
+                    unit.offer(slice);
+                    unit.publish();
+                }
             }
             naps.add(rx.naps());
             let _mem = MemScope::enter(Tag::Merge);
@@ -892,10 +913,10 @@ impl<'scope> Shards<'scope> {
                 (hash64(u64::from(pkt.src.to_u32())) % self.producers.len() as u64) as usize;
             let batch = &mut self.staged[shard];
             batch.push(*pkt);
-            if batch.len() == BATCH {
+            if batch.len() == SHARD_BATCH {
                 let batch = {
                     let _mem = MemScope::enter(Tag::Mux);
-                    std::mem::replace(batch, Vec::with_capacity(BATCH))
+                    std::mem::replace(batch, Vec::with_capacity(SHARD_BATCH))
                 };
                 self.send(shard, batch, tracer);
             }
@@ -930,10 +951,10 @@ impl<'scope> Shards<'scope> {
         for (i, p) in self.producers.into_iter().enumerate() {
             // Read the peak occupancy before close() consumes the
             // producer; one gauge per shard, labeled by shard index, in
-            // packets (ring items times `BATCH`).
+            // packets (ring items times `SHARD_BATCH`).
             let shard = i.to_string();
             rec.gauge_with("ah_pipeline_ring_occupancy_hwm", &[("shard", shard.as_str())])
-                .set((p.high_water_mark() * BATCH) as i64);
+                .set((p.high_water_mark() * SHARD_BATCH) as i64);
             p.close();
         }
         let _trace = tracer.span("ah_pipeline_merge_collect");
@@ -1324,7 +1345,8 @@ impl Engine<'_, '_> {
     /// The batch boundary, every `BATCH` fed positions: the inline unit
     /// publishes its stage counts, then the exporter and the memory pulse
     /// tick, so an inline snapshot is exact at its position. Shards
-    /// publish on their own threads, after each ring batch.
+    /// publish on their own threads, after each `BATCH` slice of a ring
+    /// item.
     fn tick(&mut self) {
         if let Executor::Inline(unit) = &mut self.exec {
             unit.publish();
@@ -1924,29 +1946,46 @@ mod tests {
 
     #[test]
     fn streams_shorter_than_a_batch_per_shard_match_serial() {
-        // Every length is under one batch per shard at 8 shards, so most
-        // rings carry only the partial tail `join` pushes, and at the
-        // short lengths most carry nothing at all. Most lengths end off a
-        // batch boundary, so every packet is published only if each unit
-        // publishes on exit. Every length is fed in every split, whose
-        // slices straddle batch boundaries in every way: one cut of the
-        // stream must not compute anything another does not.
+        // The short lengths are under one batch per shard at 8 shards, so
+        // most rings carry only the partial tail `join` pushes, and at the
+        // shortest most carry nothing at all. On one shard the lengths
+        // around one and two ring items fill an item, leave it one packet
+        // short, or spill one packet into the next; on 2 and 8 they cut
+        // items off their boundaries. The longest is past the 2-shard
+        // in-flight budget, so the feeder waits on full rings. Most
+        // lengths end off a batch boundary, so every packet is published
+        // only if each unit publishes on exit. Every length is fed in
+        // every split, whose slices straddle batch boundaries in every
+        // way: one cut of the stream must not compute anything another
+        // does not, on any shard count.
         let cfg = ScenarioConfig::tiny(1, 21);
+        let long = IN_FLIGHT + 4 * SHARD_BATCH + 3;
         let mut pkts = Vec::new();
-        Scenario::build(cfg.clone()).mux.next_batch(&mut pkts, 8 * BATCH - 1);
-        assert_eq!(pkts.len(), 8 * BATCH - 1, "the scenario is long enough");
-        for n in [0, 1, 7, BATCH - 1, BATCH, BATCH + 1, pkts.len()] {
+        Scenario::build(cfg.clone()).mux.next_batch(&mut pkts, long);
+        assert_eq!(pkts.len(), long, "the scenario is long enough");
+        let short = [0, 1, 7, BATCH - 1, BATCH, BATCH + 1, 8 * BATCH - 1];
+        let items = [1, 2].map(|k| [k * SHARD_BATCH - 1, k * SHARD_BATCH, k * SHARD_BATCH + 1]);
+        for n in short.into_iter().chain(items.into_iter().flatten()).chain([long]) {
             let mut fingerprint = None;
             for split in SPLITS {
-                let (serial_rec, sharded_rec) = (Recorder::new(), Recorder::new());
+                let at = format!("{n} packets in slices of {split:?}");
+                let serial_rec = Recorder::new();
                 let serial = run_stream(&cfg, &pkts[..n], split, None, &serial_rec);
                 assert_eq!(serial.generated_packets, n as u64);
-                let sharded = run_stream(&cfg, &pkts[..n], split, Some(8), &sharded_rec);
-                let at = format!("{n} packets in slices of {split:?}");
-                assert_eq!(sharded.fingerprint(), serial.fingerprint(), "{at}");
                 let first = *fingerprint.get_or_insert(serial.fingerprint());
                 assert_eq!(serial.fingerprint(), first, "{at}: not the first split's run");
-                for rec in [serial_rec, sharded_rec] {
+                let mut recs = vec![serial_rec];
+                for shards in [1, 2, 8] {
+                    let rec = Recorder::new();
+                    let sharded = run_stream(&cfg, &pkts[..n], split, Some(shards), &rec);
+                    assert_eq!(
+                        sharded.fingerprint(),
+                        serial.fingerprint(),
+                        "{at}, {shards} shards"
+                    );
+                    recs.push(rec);
+                }
+                for rec in recs {
                     let capture = [("stage".to_string(), "telescope.capture".to_string())];
                     let mut delivered = rec.snapshot().samples.into_iter().filter(|s| {
                         s.name == "ah_core_health_received_total" && s.labels == capture
@@ -1955,6 +1994,45 @@ mod tests {
                     assert_eq!(delivered.next().map(|s| s.value), Some(want), "{at}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn rings_share_one_in_flight_budget() {
+        // Up to 16 shards the rings together hold the budget exactly;
+        // past it, every ring keeps its floor of two items.
+        for shards in 1..=256 {
+            let items = ring_items(shards);
+            let held = shards * items * SHARD_BATCH;
+            assert!(items >= 2, "{shards} shards: {items}-item rings");
+            assert!(held <= IN_FLIGHT.max(shards * 2 * SHARD_BATCH), "{shards} shards hold {held}");
+            if shards.is_power_of_two() && shards <= 16 {
+                assert_eq!(held, IN_FLIGHT, "{shards} shards");
+            }
+        }
+    }
+
+    #[test]
+    fn ring_occupancy_is_counted_in_whole_items() {
+        // Each shard's peak occupancy is published in packets: whole
+        // items, at least the one the feeder pushed, at most the ring.
+        let rec = Recorder::new();
+        let tel = &mut Telemetry::new(rec.clone());
+        run_with(ScenarioConfig::tiny(1, 21), RunOptions::full(), Some(2), tel);
+        let marks: Vec<_> = rec
+            .snapshot()
+            .samples
+            .into_iter()
+            .filter(|s| s.name == "ah_pipeline_ring_occupancy_hwm")
+            .map(|s| s.value)
+            .collect();
+        assert_eq!(marks.len(), 2, "one gauge per shard: {marks:?}");
+        let ring = (ring_items(2) * SHARD_BATCH) as i64;
+        for mark in marks {
+            let ah_obs::Value::Gauge(packets) = mark else { panic!("not a gauge: {mark:?}") };
+            assert!(packets > 0, "a shard's ring never held an item");
+            assert_eq!(packets % SHARD_BATCH as i64, 0, "{packets} packets is not whole items");
+            assert!(packets <= ring, "{packets} packets overfill a {ring}-packet ring");
         }
     }
 

@@ -12,9 +12,11 @@
 //! the leak gate `tests/cli.rs` enforces on the shipped binary. The
 //! generator must not allocate while draining: no actor per packet, and
 //! no mux window past the buffers `Scenario::build` reserves
-//! (`ARCHITECTURE.md` §7). And the end-of-run flush must order its
+//! (`ARCHITECTURE.md` §7). The end-of-run flush must order its
 //! events through a 12-byte index per event, not a second copy of them
-//! (`ARCHITECTURE.md` §4).
+//! (`ARCHITECTURE.md` §4). And the shard hand-off must hold one
+//! in-flight budget per run, whatever the shard count
+//! (`ARCHITECTURE.md` §5).
 //!
 //! Accounting state is process-global, so every test here serializes
 //! on one mutex; integration tests are their own binary, which makes
@@ -274,6 +276,48 @@ fn flush_orders_events_through_an_index_not_a_copy() {
     );
     made.sort_by_key(|e| e.key);
     assert_eq!(events, made);
+}
+
+// --- Hand-off budget -----------------------------------------------------
+
+/// Packets a sharded run's rings hold together, and packets to a ring
+/// item, as `src/pipeline.rs` sets them (`ARCHITECTURE.md` §5).
+const IN_FLIGHT: usize = 65_536;
+const SHARD_BATCH: usize = 2_048;
+
+/// The sharded executor's hand-off holds one in-flight budget per run,
+/// whatever the shard count (`ARCHITECTURE.md` §5): the mux tag of a
+/// sharded run peaks at most the budget, plus the item each shard's
+/// feeder is staging, above the inline run's. The slack is the item each
+/// shard is running, the empty one the feeder stages while it waits on a
+/// full ring, and 64 KiB for the channels themselves. One formula at 2
+/// and at 8 shards. The 2-shard run fills its rings and peaks within a
+/// few KiB of the budget; on a 2-CPU host eight shards keep theirs
+/// partly drained, so `pipeline::tests::rings_share_one_in_flight_budget`
+/// pins the ring sizes themselves.
+#[test]
+fn shard_hand_off_holds_one_budget_whatever_the_shard_count() {
+    let _g = lock();
+    ah_mem::set_accounting(true);
+    let mux_peak = |threads| {
+        ah_mem::reset_window();
+        let before = ah_mem::tag_stats(Tag::Mux).live_bytes;
+        drop(run_with(&mut Telemetry::disabled(), threads, false));
+        ah_mem::tag_stats(Tag::Mux).peak_bytes - before
+    };
+    let inline = mux_peak(None);
+    let item = (SHARD_BATCH * size_of::<PacketMeta>()) as i64;
+    for shards in [2, 8] {
+        let over = mux_peak(Some(shards)) - inline;
+        let budget = (IN_FLIGHT / SHARD_BATCH + shards) as i64 * item;
+        let slack = (shards + 1) as i64 * item + 64 * 1024;
+        assert!(
+            over <= budget + slack,
+            "{shards} shards: the mux tag peaked {over} bytes above the inline run's, past the \
+             {budget}-byte hand-off budget and its {slack}-byte slack"
+        );
+    }
+    ah_mem::set_accounting(false);
 }
 
 // --- Leak gate ----------------------------------------------------------
