@@ -15,12 +15,21 @@
 //! Definitions 2 and 3 need dataset-wide ECDF thresholds, so detection is
 //! inherently two-phase: hold on ingest, qualify on finalize.
 //!
-//! Beside the events, finalize holds no per-event sample vector. D2's
-//! ECDF is a value→count histogram of packets per event ([`Ecdf`]).
-//! D3 sorts one packed (src, day, port) tuple per distinct port a
-//! source probed on a day and streams its (src, day) runs twice: once
-//! into the port-count histogram, and once, after the threshold is
-//! known, into the qualifying sets.
+//! Finalize is two linear walks over *source runs*: the events of one
+//! source side by side. The engine's canonical sequence (by `EventKey`,
+//! whose first field is the source) is already one run per source, and
+//! is walked where it lies; any other ingest order is walked in a copy
+//! sorted by source, which only tests and hand-fed callers pay. The
+//! first walk counts each run's distinct ports per day it spans, D3's
+//! statistic, into a value→count histogram ([`Ecdf`]), as D2's packets
+//! per event are. It keeps a `(src, day, ports)` row only where the
+//! count reaches D3's floor of 2 ports, below which no threshold
+//! qualifies a day. With both
+//! thresholds known, the second walk qualifies each run under D1/D2/D3
+//! and tallies the per-day totals in day-indexed vectors. Within a run,
+//! per-day marks stamped with the run's number find each qualifying day
+//! and start day once, so a set is probed once per (source, day), not
+//! once per event.
 //!
 //! Every set, threshold and per-day total is a function of the *set* of
 //! ingested events; only [`AhReport::records`] keeps ingest order, which
@@ -28,6 +37,7 @@
 
 use crate::defs::{Definition, Thresholds};
 use crate::ecdf::Ecdf;
+use ah_net::hash::FastMap;
 use ah_net::ipv4::Ipv4Addr4;
 use ah_net::packet::ScanClass;
 use ah_telescope::event::DarknetEvent;
@@ -55,38 +65,35 @@ pub struct Detector {
     records: Vec<DarknetEvent>,
 }
 
-fn pack_tuple(src: Ipv4Addr4, day: u16, port: u16) -> u64 {
-    (u64::from(src.to_u32()) << 32) | (u64::from(day) << 16) | u64::from(port)
+/// The fewest distinct ports per day that can qualify under D3, whatever
+/// the ECDF says: a degenerate percentile of 1 port/day (possible in small
+/// datasets where almost every source probes one port) would otherwise
+/// declare the entire population aggressive.
+const D3_FLOOR: u64 = 2;
+
+/// Whether two neighbouring events extend one source run.
+fn same_source(a: &DarknetEvent, b: &DarknetEvent) -> bool {
+    a.key.src == b.key.src
 }
 
-fn unpack_src_day(t: u64) -> (Ipv4Addr4, u16) {
-    (Ipv4Addr4((t >> 32) as u32), ((t >> 16) & 0xffff) as u16)
-}
+/// One mark per day, holding the number of the run that last set it, so
+/// each run finds its own days without the marks being cleared between
+/// runs. Runs are numbered from 1; 0 is no run.
+struct DayMarks(Vec<u64>);
 
-/// Definition 3's input, a function of the records: one packed (src,
-/// day, port) tuple per distinct port a source probed on a day an event
-/// spans, ascending. ICMP events carry no port and are excluded.
-fn srcday_ports(records: &[DarknetEvent]) -> Vec<u64> {
-    let ported = || records.iter().filter(|r| r.key.class != ScanClass::IcmpEcho);
-    let mut tuples = Vec::with_capacity(ported().map(|r| (r.start_day..=r.end_day).len()).sum());
-    for r in ported() {
-        for day in r.start_day..=r.end_day {
-            tuples.push(pack_tuple(r.key.src, day, r.key.dst_port));
-        }
+impl DayMarks {
+    fn new(days: usize) -> DayMarks {
+        DayMarks(vec![0; days])
     }
-    tuples.sort_unstable();
-    tuples.dedup();
-    tuples
-}
 
-/// Distinct ports per (src, day) — definition 3's statistic — streamed
-/// off [`srcday_ports`]'s tuples, one `(src, day, count)` per run that
-/// shares a (src, day).
-fn ports_per_srcday(tuples: &[u64]) -> impl Iterator<Item = (Ipv4Addr4, u16, u64)> + '_ {
-    tuples.chunk_by(|a, b| a >> 16 == b >> 16).map(|run| {
-        let (src, day) = unpack_src_day(run[0]);
-        (src, day, run.len() as u64)
-    })
+    /// Mark `day` for `run`; true the first time the run marks it.
+    fn mark(&mut self, day: u16, run: u64) -> bool {
+        std::mem::replace(&mut self.0[usize::from(day)], run) != run
+    }
+
+    fn marked(&self, day: u16, run: u64) -> bool {
+        self.0[usize::from(day)] == run
+    }
 }
 
 impl Detector {
@@ -96,7 +103,8 @@ impl Detector {
     }
 
     /// A detector that takes ownership of a run's events, in the order
-    /// the report's record table keeps.
+    /// the report's record table keeps. Events grouped by source, as the
+    /// canonical sequence is, are walked in place at finalize.
     pub fn with_events(cfg: DetectorConfig, records: Vec<DarknetEvent>) -> Detector {
         Detector { cfg, records }
     }
@@ -113,31 +121,91 @@ impl Detector {
 
     /// Run qualification and build the report.
     pub fn finalize(self) -> AhReport {
-        let t = self.cfg.thresholds;
-        let dark = f64::from(self.cfg.dark_size.max(1));
+        let report = if self.records.is_sorted_by_key(|r| r.key.src) {
+            detect(self.cfg, &self.records)
+        } else {
+            let mut grouped = self.records.clone();
+            grouped.sort_unstable_by_key(|r| r.key.src);
+            detect(self.cfg, &grouped)
+        };
+        AhReport { records: self.records, ..report }
+    }
+}
 
-        // --- ECDFs and thresholds ---------------------------------------
-        let volumes = Ecdf::from_values(self.records.iter().map(|r| u64::from(r.packets)));
-        let d2_threshold = volumes.top_alpha_threshold(t.volume_alpha).unwrap_or(u64::MAX);
+/// The report of `events`, which are sorted by source, built in two
+/// walks over their source runs; its record table is left empty.
+fn detect(cfg: DetectorConfig, events: &[DarknetEvent]) -> AhReport {
+    let t = cfg.thresholds;
+    let dark = f64::from(cfg.dark_size.max(1));
 
-        let srcday_ports = srcday_ports(&self.records);
-        let port_counts = Ecdf::from_values(ports_per_srcday(&srcday_ports).map(|(_, _, c)| c));
-        // Floor of 2: a degenerate percentile of 1 port/day (possible in
-        // small datasets where almost every source probes one port) would
-        // otherwise declare the entire population aggressive.
-        let d3_threshold =
-            port_counts.top_alpha_threshold(t.ports_alpha).unwrap_or(u64::MAX).max(2);
+    // --- Walk 1: the two ECDFs and thresholds --------------------------
+    let d2_threshold = Ecdf::from_values(events.iter().map(|r| u64::from(r.packets)))
+        .top_alpha_threshold(t.volume_alpha)
+        .unwrap_or(u64::MAX);
 
-        // --- Qualification ------------------------------------------------
-        let mut yearly: [HashSet<Ipv4Addr4>; 3] = Default::default();
-        let mut daily: [BTreeMap<u64, HashSet<Ipv4Addr4>>; 3] = Default::default();
-        let mut active: [BTreeMap<u64, HashSet<Ipv4Addr4>>; 3] = Default::default();
-        let mut day_ah_packets: [BTreeMap<u64, u64>; 3] = Default::default();
+    // Definition 3's statistic: per run, each `day << 16 | port` an event
+    // spans, sorted and deduplicated, then counted by day. ICMP events
+    // carry no port and are left out; a port probed over TCP and UDP
+    // counts once. Every (src, day) count goes into the histogram, but only
+    // counts at D3's floor or above can qualify, so only those are kept.
+    let mut day_ports: Vec<u32> = Vec::new();
+    let mut port_counts: FastMap<u64, usize> = FastMap::default();
+    let mut rows: Vec<(Ipv4Addr4, u16, u32)> = Vec::new();
+    for run in events.chunk_by(same_source) {
+        let src = run[0].key.src;
+        day_ports.clear();
+        for e in run.iter().filter(|e| e.key.class != ScanClass::IcmpEcho) {
+            let port = u32::from(e.key.dst_port);
+            day_ports.extend((e.start_day..=e.end_day).map(|day| u32::from(day) << 16 | port));
+        }
+        day_ports.sort_unstable();
+        day_ports.dedup();
+        for day in day_ports.chunk_by(|a, b| a >> 16 == b >> 16) {
+            let ports = day.len() as u32;
+            *port_counts.entry(u64::from(ports)).or_default() += 1;
+            if u64::from(ports) >= D3_FLOOR {
+                rows.push((src, (day[0] >> 16) as u16, ports));
+            }
+        }
+    }
+    drop(day_ports);
+    let d3_threshold = Ecdf::from_counts(port_counts)
+        .top_alpha_threshold(t.ports_alpha)
+        .unwrap_or(u64::MAX)
+        .max(D3_FLOOR);
+
+    // --- Walk 2: qualification and per-day totals ----------------------
+    let days =
+        events.iter().map(|r| usize::from(r.start_day.max(r.end_day)) + 1).max().unwrap_or(0);
+    let mut yearly: [HashSet<Ipv4Addr4>; 3] = Default::default();
+    let mut daily: [BTreeMap<u64, HashSet<Ipv4Addr4>>; 3] = Default::default();
+    let mut active: [BTreeMap<u64, HashSet<Ipv4Addr4>>; 3] = Default::default();
+    let mut day_ah_packets: [Vec<u64>; 3] = std::array::from_fn(|_| vec![0; days]);
+    let mut day_all_sources = vec![0u64; days];
+    let mut day_all_packets = vec![0u64; days];
+    // Per definition, the days a run qualifies on: packets of the run's
+    // events starting on one are attributable to that day's hitters.
+    let mut qualified: [DayMarks; 3] = std::array::from_fn(|_| DayMarks::new(days));
+    // Per event definition (D1, D2), the days a qualifying event spans.
+    let mut spanned: [DayMarks; 2] = std::array::from_fn(|_| DayMarks::new(days));
+    let mut started = DayMarks::new(days);
+    let i3 = Definition::DistinctPorts.index();
+    let mut rows = rows.as_slice();
+    for (n, run) in (1..).zip(events.chunk_by(same_source)) {
+        let src = run[0].key.src;
+        let (run_rows, rest) = rows.split_at(rows.iter().take_while(|r| r.0 == src).count());
+        rows = rest;
+        let mut hit = [false; 3];
 
         // D1/D2 qualify whole events.
-        for r in &self.records {
-            let d1 = f64::from(r.unique_dsts) / dark >= t.dispersion_fraction;
-            let d2 = u64::from(r.packets) > d2_threshold;
+        for e in run {
+            let start = usize::from(e.start_day);
+            if started.mark(e.start_day, n) {
+                day_all_sources[start] += 1;
+            }
+            day_all_packets[start] += u64::from(e.packets);
+            let d1 = f64::from(e.unique_dsts) / dark >= t.dispersion_fraction;
+            let d2 = u64::from(e.packets) > d2_threshold;
             for (qualifies, def) in
                 [(d1, Definition::AddressDispersion), (d2, Definition::PacketVolume)]
             {
@@ -145,71 +213,62 @@ impl Detector {
                     continue;
                 }
                 let i = def.index();
-                yearly[i].insert(r.key.src);
-                daily[i].entry(u64::from(r.start_day)).or_default().insert(r.key.src);
-                for day in r.start_day..=r.end_day {
-                    active[i].entry(u64::from(day)).or_default().insert(r.key.src);
+                hit[i] = true;
+                if qualified[i].mark(e.start_day, n) {
+                    daily[i].entry(u64::from(e.start_day)).or_default().insert(src);
+                }
+                for day in e.start_day..=e.end_day {
+                    if spanned[i].mark(day, n) {
+                        active[i].entry(u64::from(day)).or_default().insert(src);
+                    }
                 }
             }
         }
 
-        // D3 qualifies (src, day) pairs, on a second pass over the same
-        // runs. Note the paper's asymmetric wording: D2 hitters *cross*
-        // the threshold (strictly above), D3 hitters scan "more than or
-        // equal to" the threshold.
-        let i3 = Definition::DistinctPorts.index();
-        let mut d3_srcdays: HashSet<(Ipv4Addr4, u64)> = HashSet::new();
-        for (src, day, count) in ports_per_srcday(&srcday_ports) {
-            if count >= d3_threshold {
-                yearly[i3].insert(src);
+        // D3 qualifies (src, day) pairs. Note the paper's asymmetric
+        // wording: D2 hitters *cross* the threshold (strictly above),
+        // D3 hitters scan "more than or equal to" the threshold.
+        for &(_, day, ports) in run_rows {
+            if u64::from(ports) >= d3_threshold {
+                hit[i3] = true;
+                qualified[i3].mark(day, n);
                 daily[i3].entry(u64::from(day)).or_default().insert(src);
                 active[i3].entry(u64::from(day)).or_default().insert(src);
-                d3_srcdays.insert((src, u64::from(day)));
             }
         }
-        // The tuples are D3's alone: free them before the per-day passes.
-        drop(srcday_ports);
+        for (set, _) in yearly.iter_mut().zip(hit).filter(|&(_, hit)| hit) {
+            set.insert(src);
+        }
 
-        // --- Per-day packets from daily hitters ---------------------------
         // Packets are attributable to an event's start day only.
-        for r in &self.records {
-            let day = u64::from(r.start_day);
-            for def in Definition::ALL {
-                let i = def.index();
-                let qualifies_today = match def {
-                    Definition::DistinctPorts => d3_srcdays.contains(&(r.key.src, day)),
-                    _ => daily[i].get(&day).is_some_and(|s| s.contains(&r.key.src)),
-                };
-                if qualifies_today {
-                    *day_ah_packets[i].entry(day).or_default() += u64::from(r.packets);
+        for e in run {
+            for (ah, q) in day_ah_packets.iter_mut().zip(&qualified) {
+                if q.marked(e.start_day, n) {
+                    ah[usize::from(e.start_day)] += u64::from(e.packets);
                 }
             }
         }
-
-        // --- All-scanner daily statistics ---------------------------------
-        let mut day_all_sources: BTreeMap<u64, HashSet<Ipv4Addr4>> = BTreeMap::new();
-        let mut day_all_packets: BTreeMap<u64, u64> = BTreeMap::new();
-        for r in &self.records {
-            let day = u64::from(r.start_day);
-            day_all_sources.entry(day).or_default().insert(r.key.src);
-            *day_all_packets.entry(day).or_default() += u64::from(r.packets);
-        }
-
-        AhReport {
-            cfg: self.cfg,
-            d2_threshold,
-            d3_threshold,
-            yearly,
-            daily,
-            active,
-            day_ah_packets,
-            day_all_sources: day_all_sources
-                .into_iter()
-                .map(|(d, s)| (d, s.len() as u64))
-                .collect(),
-            day_all_packets,
-            records: self.records,
-        }
+    }
+    // Days on which some event starts, with their tallies.
+    let by_day = |tally: &[u64]| -> BTreeMap<u64, u64> {
+        (0u64..)
+            .zip(tally)
+            .zip(&day_all_sources)
+            .filter(|&(_, &sources)| sources > 0)
+            .map(|((day, &n), _)| (day, n))
+            .collect()
+    };
+    AhReport {
+        cfg,
+        d2_threshold,
+        d3_threshold,
+        yearly,
+        daily,
+        active,
+        day_ah_packets,
+        day_all_sources: by_day(&day_all_sources),
+        day_all_packets: by_day(&day_all_packets),
+        records: Vec::new(),
     }
 }
 
@@ -224,7 +283,8 @@ pub struct AhReport {
     yearly: [HashSet<Ipv4Addr4>; 3],
     daily: [BTreeMap<u64, HashSet<Ipv4Addr4>>; 3],
     active: [BTreeMap<u64, HashSet<Ipv4Addr4>>; 3],
-    day_ah_packets: [BTreeMap<u64, u64>; 3],
+    /// Per definition, indexed by day.
+    day_ah_packets: [Vec<u64>; 3],
     /// Unique sources with events starting each day (all scanners).
     pub day_all_sources: BTreeMap<u64, u64>,
     /// Scanning packets in events starting each day (all scanners).
@@ -255,7 +315,8 @@ impl AhReport {
 
     /// Packets attributable to daily hitters of `def` on `day`.
     pub fn ah_packets(&self, def: Definition, day: u64) -> u64 {
-        self.day_ah_packets[def.index()].get(&day).copied().unwrap_or(0)
+        let day = usize::try_from(day).unwrap_or(usize::MAX);
+        self.day_ah_packets[def.index()].get(day).copied().unwrap_or(0)
     }
 
     /// The event records (all scanners, not just hitters).
@@ -364,9 +425,10 @@ mod tests {
         e_udp.key.class = ScanClass::Udp;
         d.ingest(&ev(1, 53, 0, 1, 1));
         d.ingest(&e_udp);
-        // One (src, day) sample with exactly 1 distinct port.
-        let counts: Vec<_> = ports_per_srcday(&srcday_ports(&d.records)).collect();
-        assert_eq!(counts, [(Ipv4Addr4::new(10, 0, 0, 1), 0, 1)]);
+        d.ingest(&ev(1, 54, 0, 1, 1));
+        d.ingest(&ev(1, 55, 0, 1, 1));
+        // One (src, day) sample of 3 distinct ports: its own quantile.
+        assert_eq!(d.finalize().d3_threshold, 3);
     }
 
     #[test]
@@ -375,7 +437,8 @@ mod tests {
         let mut e = ev(1, 0, 0, 1, 1);
         e.key.class = ScanClass::IcmpEcho;
         d.ingest(&e);
-        assert!(srcday_ports(&d.records).is_empty());
+        // No (src, day) sample at all: no D3 threshold.
+        assert_eq!(d.finalize().d3_threshold, u64::MAX);
     }
 
     #[test]

@@ -29,6 +29,11 @@ impl Ecdf {
         for v in values {
             *counts.entry(v).or_default() += 1;
         }
+        Ecdf::from_counts(counts)
+    }
+
+    /// Build from a value→count map of the samples.
+    pub(crate) fn from_counts(counts: FastMap<u64, usize>) -> Ecdf {
         let mut steps: Vec<(u64, usize)> = counts.into_iter().collect();
         steps.sort_unstable();
         let mut at_most = 0;

@@ -1,6 +1,8 @@
-//! Property-based tests for the detection core.
+//! Property-based tests for the detection core, and a naive reference
+//! detector, written straight from PAPER.md §1 over events, that the
+//! engine's `Detector` must agree with field by field.
 
-use ah_core::defs::Definition;
+use ah_core::defs::{Definition, Thresholds};
 use ah_core::detector::{Detector, DetectorConfig};
 use ah_core::ecdf::Ecdf;
 use ah_core::lists::{intersect, jaccard, level_counts};
@@ -9,7 +11,122 @@ use ah_net::ipv4::Ipv4Addr4;
 use ah_net::packet::ScanClass;
 use ah_telescope::event::{DarknetEvent, EventKey};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashMap, HashSet};
+
+/// What PAPER.md §1 says every hitter list and per-day total is, computed
+/// the plain way: one map entry per event, source, day or port, no order
+/// assumed of the input.
+struct Reference {
+    d2_threshold: u64,
+    d3_threshold: u64,
+    hitters: [HashSet<Ipv4Addr4>; 3],
+    /// Hitters whose qualifying activity starts on a day.
+    daily: [HashMap<u64, HashSet<Ipv4Addr4>>; 3],
+    /// Hitters whose qualifying activity spans a day.
+    active: [HashMap<u64, HashSet<Ipv4Addr4>>; 3],
+    /// Packets of events starting on a day whose source is a daily hitter
+    /// on it.
+    ah_packets: [HashMap<u64, u64>; 3],
+    /// Sources and packets of all events starting on a day.
+    all_sources: HashMap<u64, HashSet<Ipv4Addr4>>,
+    all_packets: HashMap<u64, u64>,
+}
+
+/// The top-α cut of a sample: the smallest value with at least a 1 − α
+/// share of the samples at or below it. `None` for no samples.
+fn top_alpha(mut samples: Vec<u64>, alpha: f64) -> Option<u64> {
+    samples.sort_unstable();
+    let n = samples.len();
+    let rank = ((1.0 - alpha) * n as f64).ceil() as usize;
+    samples.get(rank.clamp(1, n.max(1)) - 1).copied()
+}
+
+impl Reference {
+    fn new(events: &[DarknetEvent], dark: u32, t: Thresholds) -> Reference {
+        // D2: an event's packets strictly above the top-α packets per event.
+        let packets: Vec<u64> = events.iter().map(|e| u64::from(e.packets)).collect();
+        let d2_threshold = top_alpha(packets, t.volume_alpha).unwrap_or(u64::MAX);
+
+        // D3: distinct destination ports a source probes on a day, over
+        // every day an event spans; ICMP has no port. At or above the top-α
+        // count qualifies the (source, day), and never fewer than 2 ports.
+        let mut ports: HashMap<(Ipv4Addr4, u64), HashSet<u16>> = HashMap::new();
+        for e in events.iter().filter(|e| e.key.class != ScanClass::IcmpEcho) {
+            for day in e.start_day..=e.end_day {
+                ports.entry((e.key.src, u64::from(day))).or_default().insert(e.key.dst_port);
+            }
+        }
+        let counts = ports.values().map(|p| p.len() as u64).collect();
+        let d3_threshold = top_alpha(counts, t.ports_alpha).unwrap_or(u64::MAX).max(2);
+
+        let mut r = Reference {
+            d2_threshold,
+            d3_threshold,
+            hitters: Default::default(),
+            daily: Default::default(),
+            active: Default::default(),
+            ah_packets: Default::default(),
+            all_sources: HashMap::new(),
+            all_packets: HashMap::new(),
+        };
+        let mut qualify = |i: usize, src: Ipv4Addr4, start: u64, span: Vec<u64>| {
+            r.hitters[i].insert(src);
+            r.daily[i].entry(start).or_default().insert(src);
+            for day in span {
+                r.active[i].entry(day).or_default().insert(src);
+            }
+        };
+        for e in events {
+            let start = u64::from(e.start_day);
+            let span: Vec<u64> = (e.start_day..=e.end_day).map(u64::from).collect();
+            // D1: the event touches at least a tenth of the dark space.
+            if f64::from(e.unique_dsts) / f64::from(dark.max(1)) >= t.dispersion_fraction {
+                qualify(Definition::AddressDispersion.index(), e.key.src, start, span.clone());
+            }
+            if u64::from(e.packets) > d2_threshold {
+                qualify(Definition::PacketVolume.index(), e.key.src, start, span);
+            }
+        }
+        for (&(src, day), p) in &ports {
+            if p.len() as u64 >= d3_threshold {
+                qualify(Definition::DistinctPorts.index(), src, day, vec![day]);
+            }
+        }
+
+        // Packets count on the day their event starts.
+        for e in events {
+            let day = u64::from(e.start_day);
+            r.all_sources.entry(day).or_default().insert(e.key.src);
+            *r.all_packets.entry(day).or_default() += u64::from(e.packets);
+            for i in 0..3 {
+                if r.daily[i].get(&day).is_some_and(|s| s.contains(&e.key.src)) {
+                    *r.ah_packets[i].entry(day).or_default() += u64::from(e.packets);
+                }
+            }
+        }
+        r
+    }
+}
+
+/// A random event: `src` among a few dozen sources so each has many
+/// events, a dozen ports, a week of days.
+fn event_of(
+    (src, port, class, day, span, packets, unique): (u8, u16, u8, u16, u16, u32, u32),
+) -> DarknetEvent {
+    DarknetEvent {
+        key: EventKey {
+            src: Ipv4Addr4::new(10, 0, 0, src),
+            dst_port: if class == 2 { 0 } else { port },
+            class: ScanClass::ALL[usize::from(class)],
+        },
+        start_day: day,
+        end_day: day + span,
+        packets,
+        unique_dsts: unique.min(packets),
+        zmap: 0,
+        masscan: 0,
+    }
+}
 
 proptest! {
     /// ECDF invariants: cdf is monotone in x, quantile is the inverse in
@@ -168,5 +285,70 @@ proptest! {
                 prop_assert!(ah <= all);
             }
         }
+    }
+
+    /// The detector agrees with [`Reference`] on every report field, fed
+    /// random events in three forms: `form` 0 sorted by key (the engine's
+    /// canonical sequence, walked as source runs in place), 1 shuffled
+    /// (walked in a copy sorted by source), 2 with ICMP events and
+    /// multi-day spans, sorted or shuffled. `alpha` widens the tails so D2
+    /// and D3 qualify some sources out of a few hundred events; the dark
+    /// space is a multiple of 10 so some events sit exactly on D1's tenth.
+    #[test]
+    fn detector_matches_the_reference(
+        form in 0u8..3,
+        sorted in any::<bool>(),
+        alpha in 0usize..4,
+        tenth in 100u32..600,
+        raw in proptest::collection::vec(
+            (
+                (0u8..24, 0u16..12, 0u8..3, 0u16..7, 0u16..4, 1u32..3000, 1u32..1200),
+                any::<u64>(),
+            ),
+            0..300,
+        ),
+    ) {
+        let mut raw = raw;
+        if form < 2 {
+            // TCP and UDP only, one day each.
+            for ((_, _, class, _, span, _, _), _) in &mut raw {
+                *class %= 2;
+                *span = 0;
+            }
+        }
+        if form == 0 || (form == 2 && sorted) {
+            raw.sort_by_key(|&(e, _)| event_of(e).key);
+        } else {
+            raw.sort_by_key(|&(_, shuffle)| shuffle);
+        }
+        let events: Vec<DarknetEvent> = raw.into_iter().map(|(e, _)| event_of(e)).collect();
+        let dark = tenth * 10;
+        let a = [1e-4, 0.01, 0.05, 0.2][alpha];
+        let thresholds = Thresholds { volume_alpha: a, ports_alpha: a, ..Thresholds::default() };
+
+        let want = Reference::new(&events, dark, thresholds);
+        let mut det = Detector::new(DetectorConfig { thresholds, dark_size: dark });
+        det.ingest_all(&events);
+        let got = det.finalize();
+
+        prop_assert_eq!(got.records(), events.as_slice(), "records keep ingest order");
+        prop_assert_eq!(got.d2_threshold, want.d2_threshold);
+        prop_assert_eq!(got.d3_threshold, want.d3_threshold);
+        let last_day = events.iter().map(|e| u64::from(e.end_day)).max().unwrap_or(0);
+        for def in Definition::ALL {
+            let i = def.index();
+            prop_assert_eq!(got.hitters(def), &want.hitters[i], "{:?} hitters", def);
+            for day in 0..=last_day {
+                prop_assert_eq!(got.daily_hitters(def, day), want.daily[i].get(&day));
+                prop_assert_eq!(got.active_hitters(def, day), want.active[i].get(&day));
+                let ah = want.ah_packets[i].get(&day).copied().unwrap_or(0);
+                prop_assert_eq!(got.ah_packets(def, day), ah, "{:?} day {}", def, day);
+            }
+        }
+        let sources: BTreeMap<u64, u64> =
+            want.all_sources.iter().map(|(&d, s)| (d, s.len() as u64)).collect();
+        let packets: BTreeMap<u64, u64> = want.all_packets.into_iter().collect();
+        prop_assert_eq!(&got.day_all_sources, &sources);
+        prop_assert_eq!(&got.day_all_packets, &packets);
     }
 }

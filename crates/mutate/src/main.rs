@@ -267,7 +267,7 @@ fn gate(opts: &Opts, root: &Path) -> Result<ExitCode, String> {
         println!(
             "mutation gate: all {} sentinels caught in {secs}s ({} curated: WAL integrity, \
              the suspension trim, the delta publish, the fate instants' delta, \
-             the ring occupancy's unit, the mux's window end, detector thresholds, \
+             the ring occupancy's unit, the mux's window end, detector thresholds and source runs, \
              aggregator boundaries)",
             total,
             SENTINELS.len(),

@@ -149,6 +149,17 @@ pub const SENTINELS: &[Sentinel] = &[
         why: "the paper's D3 is at-or-above; >= → > drops boundary scanners",
     },
     Sentinel {
+        name: "det-source-run",
+        file: "crates/core/src/detector.rs",
+        op: "cmp-swap",
+        original: "==",
+        contains: "a.key.src == b.key.src",
+        pick: 0,
+        kill: &[CORE_BUILD, CORE_TEST],
+        why: "== → != ends a source run at each of its events and runs sources together, \
+              so D3's ports per day, the daily hitters and the per-day totals mix sources",
+    },
+    Sentinel {
         name: "ecdf-count-above",
         file: "crates/core/src/ecdf.rs",
         op: "arith-swap",

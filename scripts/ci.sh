@@ -46,6 +46,15 @@ echo "==> tests"
 # examples of the ring and WAL APIs are executable and run here).
 cargo test --workspace -q
 
+echo "==> detection against its reference (release)"
+# ah-core's proptests hold Detector::finalize to a naive reference
+# detector written from PAPER.md §1 (every report field, on key-sorted,
+# shuffled, ICMP and multi-day events); tests/definitions.rs holds the
+# three definitions' set relations over a generated run. By name, so a
+# filtered `cargo test` elsewhere can never drop the detection checks.
+cargo test --release -p ah-core --test proptests -q
+cargo test --release --test definitions -q
+
 echo "==> house rules clippy cannot see"
 # tests/repo_rules.rs: every module opens with a `//!` doc block, every
 # Relaxed/SeqCst ordering is justified by an ORDERING:/SAFETY: comment,
@@ -124,12 +133,12 @@ echo "==> binary-level gates (release)"
 cargo test --release --test cli -q
 
 echo "==> mutation gate"
-# The curated sentinel set (ARCHITECTURE.md §14): 21 token-level
+# The curated sentinel set (ARCHITECTURE.md §14): 22 token-level
 # mutants at the load-bearing decision points — WAL
 # CRC/truncation/seal handling, the log-to-run match, where a
 # journaled run stops, a unit's delta publish, the fate instants' delta,
 # the ring occupancy's unit, the mux's window end, detector
-# thresholds, aggregator boundary comparisons and sweep slack — each applied to a
+# thresholds and source runs, aggregator boundary comparisons and sweep slack — each applied to a
 # scratch copy of the tree and run against its explicit kill command.
 # Every sentinel must come back *caught*; a survivor (or a detached
 # sentinel whose site moved) fails the gate, under a hard wall-clock

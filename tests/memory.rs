@@ -14,7 +14,8 @@
 //! no mux window past the buffers `Scenario::build` reserves
 //! (`ARCHITECTURE.md` §7). The end-of-run flush must order its
 //! events through a 12-byte index per event, not a second copy of them
-//! (`ARCHITECTURE.md` §4). And the shard hand-off must hold one
+//! (`ARCHITECTURE.md` §4), and detection must walk them in source runs
+//! with no per-event table beside them. And the shard hand-off must hold one
 //! in-flight budget per run, whatever the shard count
 //! (`ARCHITECTURE.md` §5).
 //!
@@ -28,7 +29,7 @@ use aggressive_scanners::net::fingerprint::ZMAP_IP_ID;
 use aggressive_scanners::net::ipv4::Ipv4Addr4;
 use aggressive_scanners::net::packet::{PacketMeta, ScanClass};
 use aggressive_scanners::net::time::{Dur, Ts};
-use aggressive_scanners::pipeline::{self, Log, Telemetry, WalOutcome, WalRun};
+use aggressive_scanners::pipeline::{self, Log, RunOptions, Telemetry, WalOutcome, WalRun};
 use aggressive_scanners::simnet::mux::BATCH;
 use aggressive_scanners::simnet::scenario::{Scenario, ScenarioConfig, Year};
 use aggressive_scanners::telescope::event::{DarknetEvent, EventAggregator, EventKey};
@@ -276,6 +277,40 @@ fn flush_orders_events_through_an_index_not_a_copy() {
     );
     made.sort_by_key(|e| e.key);
     assert_eq!(events, made);
+}
+
+// --- Detection transient -------------------------------------------------
+
+/// `Detector::finalize` walks the canonical sequence in source runs and
+/// keeps a `(src, day, ports)` row only for a source-day that D3 could
+/// qualify, never a table with an entry per event-day (`ARCHITECTURE.md`
+/// §4). Over a darknet-only run, where finalize is the one thing charged
+/// to the detectors tag, that tag peaks under 5 bytes per event: it reads
+/// 3.5, most of it the rows of the 20,006 source-days that probed 2 ports
+/// or more and the largest source's (day, port) scratch. A packed 8-byte
+/// (src, day, port) tuple per distinct port a source probed on a day
+/// made it 7.7.
+#[test]
+fn detection_holds_no_per_event_table() {
+    let _g = lock();
+    ah_mem::set_accounting(true);
+    ah_mem::reset_window();
+    let before = ah_mem::tag_stats(Tag::Detectors).live_bytes;
+    let out = pipeline::run_with(
+        ScenarioConfig::darknet(Year::Y2022, 2, 6),
+        RunOptions::darknet_only(),
+        None,
+        &mut Telemetry::disabled(),
+    );
+    let peak = ah_mem::tag_stats(Tag::Detectors).peak_bytes - before;
+    ah_mem::set_accounting(false);
+    let events = out.report.records().len();
+    assert!(events > 10_000, "the run closed only {events} events");
+    let per_event = peak as f64 / events as f64;
+    assert!(
+        per_event < 5.0,
+        "the detectors tag peaked at {peak} bytes over {events} events: {per_event:.2} B/event"
+    );
 }
 
 // --- Hand-off budget -----------------------------------------------------
